@@ -15,7 +15,6 @@
 //	batchdb-bench -exp freshness  # OLAP snapshot freshness lag vs batch size
 //	batchdb-bench -exp chaos      # fleet router under kill/sever fault injection
 //	batchdb-bench -exp mqo        # shared aggregation pipelines vs query-at-a-time
-//	batchdb-bench -exp overlap    # concurrent snapshot apply vs quiesced apply
 //	batchdb-bench -exp ingest     # SLO-governed bulk ingest vs open throttle
 //	batchdb-bench -exp all
 //
@@ -40,7 +39,7 @@ import (
 )
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment: fig5a|fig5b|fig6|table1|fig7|fig8|fig9|olapscale|prune|compress|freshness|chaos|mqo|overlap|ingest|all")
+	expFlag   = flag.String("exp", "all", "experiment: fig5a|fig5b|fig6|table1|fig7|fig8|fig9|olapscale|prune|compress|freshness|chaos|mqo|ingest|all")
 	jsonFlag  = flag.String("json", "", "write the olapscale/prune summary as JSON to this file (e.g. BENCH_OLAP.json)")
 	durFlag   = flag.Duration("duration", 2*time.Second, "measurement window per cell")
 	warmFlag  = flag.Duration("warmup", 500*time.Millisecond, "warmup per cell")
@@ -69,11 +68,10 @@ func main() {
 		"freshness": freshness,
 		"chaos":     chaos,
 		"mqo":       mqo,
-		"overlap":   overlap,
 		"ingest":    ingestExp,
 	}
 	if *expFlag == "all" {
-		for _, name := range []string{"fig5a", "fig5b", "fig6", "table1", "fig7", "fig8", "fig9", "olapscale", "prune", "compress", "freshness", "chaos", "mqo", "overlap", "ingest"} {
+		for _, name := range []string{"fig5a", "fig5b", "fig6", "table1", "fig7", "fig8", "fig9", "olapscale", "prune", "compress", "freshness", "chaos", "mqo", "ingest"} {
 			exps[name]()
 		}
 		return
@@ -828,59 +826,6 @@ func mqo() {
 	fmt.Println("overlap-f cells leave f of the batch under one ShareKey; the rest run the same")
 	fmt.Println("template privately, so speedup isolates the shared pipeline's CPU saving and the")
 	fmt.Println("overlap=0 row prices pure planner overhead (must stay ~1.0)")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
-	}
-}
-
-// overlap: concurrent snapshot construction (apply rounds build the
-// next version while the current batch runs) vs the quiesced scheduler
-// that interleaves apply and batch exclusively — staleness percentiles,
-// batch throughput and the batch-latency cost of overlapping
-// (BENCH_OVERLAP.json with -json).
-func overlap() {
-	header("Overlap: concurrent snapshot apply vs quiesced apply (TC=8 OLTP clients)")
-	opts := benchkit.OverlapOpts{
-		Scale: scale(*wFlag), Seed: *seedFlag,
-		Duration: *durFlag, Warmup: *warmFlag,
-	}
-	if *quickFlag {
-		opts.Scale = scale(1)
-		opts.AnalyticalClients = []int{1, 4}
-	}
-	sum, err := benchkit.RunOverlap(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d; TC=%d, per-cell window %v\n",
-		sum.GOMAXPROCS, sum.NumCPU, sum.TxnClients, time.Duration(sum.DurationNS))
-	fmt.Printf("\n%-4s %-11s %10s %10s %12s %13s %13s %13s %13s\n",
-		"AC", "mode", "q/min", "batches", "period(ms)", "stale p50", "stale p99", "batch p50", "wait p50")
-	for _, p := range sum.Sweep {
-		for _, row := range []struct {
-			mode string
-			c    benchkit.OverlapCell
-		}{{"overlapped", p.Overlapped}, {"quiesced", p.Quiesced}} {
-			fmt.Printf("%-4d %-11s %10.0f %10d %12.2f %11.2fms %11.2fms %11.2fms %11.2fms\n",
-				p.AnalyticalClients, row.mode, row.c.QueriesPerMin, row.c.Batches,
-				float64(row.c.BatchPeriodNS)/1e6,
-				float64(row.c.StaleP50NS)/1e6, float64(row.c.StaleP99NS)/1e6,
-				float64(row.c.BatchExecP50NS)/1e6, float64(row.c.SnapWaitP50NS)/1e6)
-		}
-		fmt.Printf("     -> stale p50 ratio %.2fx, batch exec delta %+.1f%%, below batch-period floor: %v\n",
-			p.StaleP50Ratio, 100*p.BatchExecDeltaFrac, p.StaleBelowBatchPeriod)
-	}
-	fmt.Println("\nquiesced snapshots only advance once per batch round, so their median staleness")
-	fmt.Println("is floored by the batch period; the overlap scheduler kicks an apply round per")
-	fmt.Println("push and installs versions mid-batch, so pinned batches keep running while the")
-	fmt.Println("next snapshot is built — staleness decouples from batch length")
 	if *jsonFlag != "" {
 		data, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {

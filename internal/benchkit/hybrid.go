@@ -41,10 +41,6 @@ type HybridOpts struct {
 	NoRep bool
 	// QueryAtATime disables shared execution (ablation).
 	QueryAtATime bool
-	// QuiescedApply reverts the scheduler to the pre-overlap mode where
-	// the apply round runs exclusively between batches (ablation for the
-	// overlap experiment).
-	QuiescedApply bool
 }
 
 // HybridResult reports one (TC, AC) cell of Fig. 7.
@@ -68,12 +64,6 @@ type HybridResult struct {
 	FreshStaleP50 time.Duration
 	FreshStaleP99 time.Duration
 	FreshLagHigh  int64
-	// Pure batch execution time and the dispatcher's freshness-barrier
-	// wait (zero when QuiescedApply, where apply time sits on the batch
-	// path instead).
-	BatchExecP50, BatchExecP99 time.Duration
-	SnapWaitP50, SnapWaitP99   time.Duration
-	ApplyP50, ApplyP99         time.Duration
 	// TxnPerBusySec and QueriesPerBusyMin normalize throughput by the
 	// CPU time each component actually received — the dedicated-
 	// resources projection. On the paper's machine each replica owns
@@ -162,9 +152,6 @@ func RunHybrid(o HybridOpts) (HybridResult, error) {
 			ex.QueryAtATime = o.QueryAtATime
 			sched = olap.NewScheduler[*exec.Query, exec.Result](rep, engine, ex.RunBatch)
 			ex.AttachStats(sched.Stats())
-		}
-		if o.QuiescedApply {
-			sched.SetQuiescedApply()
 		}
 		sched.Start()
 		schedStats = sched.Stats()
@@ -309,12 +296,6 @@ func RunHybrid(o HybridOpts) (HybridResult, error) {
 		r.FreshStaleP50 = time.Duration(hist.Percentile(50))
 		r.FreshStaleP99 = time.Duration(hist.Percentile(99))
 		r.FreshLagHigh = fresh.LagHigh()
-		r.BatchExecP50 = time.Duration(schedStats.BatchExec.Percentile(50))
-		r.BatchExecP99 = time.Duration(schedStats.BatchExec.Percentile(99))
-		r.SnapWaitP50 = time.Duration(schedStats.SnapWait.Percentile(50))
-		r.SnapWaitP99 = time.Duration(schedStats.SnapWait.Percentile(99))
-		r.ApplyP50 = time.Duration(schedStats.ApplyTime.Percentile(50))
-		r.ApplyP99 = time.Duration(schedStats.ApplyTime.Percentile(99))
 	}
 	return r, nil
 }

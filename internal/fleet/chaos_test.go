@@ -11,7 +11,9 @@ package fleet_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,16 +150,52 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after the nodes' own cleanups, so it runs before their
+	// Close: a failed assertion must not leave teardown fighting injected
+	// faults (a wedged connection sleeps on every frame of the re-bootstrap
+	// Close waits out, which stretched failing runs to minutes).
+	clearFaults := func() {
+		for _, n := range nodes {
+			n.InjectFault(nil)
+		}
+	}
+	t.Cleanup(clearFaults)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// OLTP writers: a monotone stream of inserts with unique keys, so a
-	// replica's row count never exceeds the primary's at any moment.
-	var nextKey, written atomic.Int64
-	for w := 0; w < 2; w++ {
+	// busy[i] holds the start time (UnixNano) of the call goroutine i is
+	// inside — writers first, then query clients — or 0 between calls, so
+	// a drain that misses its deadline can name who is stuck and for how
+	// long.
+	const writers = 2
+	busy := make([]atomic.Int64, writers+clients)
+	stuck := func() string {
+		var b strings.Builder
+		for i := range busy {
+			if since := busy[i].Load(); since != 0 {
+				role, id := "writer", i
+				if i >= writers {
+					role, id = "query client", i-writers
+				}
+				fmt.Fprintf(&b, "\n  %s %d in flight for %v", role, id, time.Since(time.Unix(0, since)).Round(time.Millisecond))
+			}
+		}
+		return b.String()
+	}
+
+	// OLTP writers: a monotone stream of inserts with unique keys. The
+	// bound on what a replica may count is the keys handed out, not the
+	// rows acked: a replica can install a commit before the writer that
+	// issued it is rescheduled (or while its Exec is still held up behind
+	// a wedged publisher), so visibility may precede the client's ack. A
+	// key is taken before its Exec starts, so nextKey read after an answer
+	// returns is at least the rows any replica had seen when it computed
+	// that answer.
+	var nextKey atomic.Int64
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				select {
@@ -166,13 +204,15 @@ func TestChaosSoak(t *testing.T) {
 				default:
 				}
 				k := nextKey.Add(1)
-				if r := p.engine.Exec("put", putArgs(k, k)); r.Err != nil {
+				busy[w].Store(time.Now().UnixNano())
+				r := p.engine.Exec("put", putArgs(k, k))
+				busy[w].Store(0)
+				if r.Err != nil {
 					t.Errorf("put: %v", r.Err)
 					return
 				}
-				written.Add(1)
 			}
-		}()
+		}(w)
 	}
 
 	// Chaos injector: every few milliseconds, hit a random node with a
@@ -222,14 +262,14 @@ func TestChaosSoak(t *testing.T) {
 
 	// Query clients: closed loop against the router. Every call must
 	// return (the deadline guarantees it); successes must be consistent
-	// (count ≤ rows written) and never silently beyond the bound.
+	// (count ≤ keys handed out) and never silently beyond the bound.
 	countQ := func() *exec.Query {
 		return &exec.Query{Name: "count", Driver: 1, Aggs: []exec.AggSpec{{Kind: exec.Count}}}
 	}
 	var launched, returned, answered, staleServed, boundViolations, tooMany atomic.Int64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
 			for {
 				select {
@@ -238,10 +278,12 @@ func TestChaosSoak(t *testing.T) {
 				default:
 				}
 				launched.Add(1)
+				busy[writers+c].Store(time.Now().UnixNano())
 				res, meta, err := router.Query(context.Background(), countQ(), fleet.Budget{
 					MaxStaleness: bound,
 					StalePolicy:  fleet.StaleServe,
 				})
+				busy[writers+c].Store(0)
 				returned.Add(1)
 				if err != nil {
 					continue // typed rejection, not a lost answer
@@ -252,21 +294,26 @@ func TestChaosSoak(t *testing.T) {
 				} else if meta.StalenessNanos > int64(bound) {
 					boundViolations.Add(1)
 				}
-				if res.Err == nil && int64(res.Values[0]) > written.Load() {
+				if res.Err == nil && int64(res.Values[0]) > nextKey.Load() {
 					tooMany.Add(1)
 				}
 			}
-		}()
+		}(c)
 	}
 
 	time.Sleep(soak)
 	close(stop)
+	// One fixed deadline covers everything after stop — the drain and the
+	// convergence check below — so a bad run fails in bounded time with
+	// the stuck party named instead of stacking per-phase timeouts.
+	const settle = 20 * time.Second
+	deadline := time.Now().Add(settle)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("workload did not drain: a query was lost past its deadline")
+	case <-time.After(time.Until(deadline)):
+		t.Fatalf("workload did not drain within %v of stop (a call outlived its deadline):%s", settle, stuck())
 	}
 
 	if launched.Load() != returned.Load() {
@@ -300,10 +347,7 @@ func TestChaosSoak(t *testing.T) {
 	// After the chaos stops, the fleet must converge: faults cleared,
 	// every node reconnects, and a bounded-staleness query succeeds
 	// fresh.
-	for _, n := range nodes {
-		n.InjectFault(nil)
-	}
-	deadline := time.Now().Add(20 * time.Second)
+	clearFaults()
 	for {
 		res, meta, err := router.Query(context.Background(), countQ(), fleet.Budget{
 			MaxStaleness: bound,
@@ -312,7 +356,7 @@ func TestChaosSoak(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet did not recover after chaos: err=%v meta=%+v", err, meta)
+			t.Fatalf("fleet did not recover within %v of stop: err=%v meta=%+v", settle, err, meta)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -70,15 +70,26 @@ type ApplyStats struct {
 // ApplyPending applies every queued update with VID <= target, in VID
 // order per table — the three-step algorithm of paper §5/Fig. 4, run
 // concurrently across tables with leaf work (routing shards, partition
-// applies) bounded by the replica's apply-worker budget. Updates beyond
-// target are requeued for the next round.
+// applies) bounded by the replica's apply-worker budget — and installs
+// the result as the new snapshot head. Updates beyond target are
+// requeued for the next round. Rounds must not run concurrently with
+// each other (the scheduler's apply loop, or a direct caller, is the
+// single writer).
 //
-// In the default quiesced mode it mutates the canonical structures in
-// place and must only run while no query batch executes (the classic
-// scheduler guarantees that). With SetConcurrentApply(true) it instead
-// builds the next version on cloned partitions and installs it as a new
-// snapshot head, so pinned readers may keep scanning throughout — the
-// overlap scheduler's apply loop relies on this.
+// Whether the round mutates the canonical structures or builds the next
+// version on clones is decided once, from what the replica can observe:
+// a staged resync reload (which replaces every structure with fresh,
+// unreferenced objects) or zero pins anywhere on the snapshot chain ⇒ in
+// place, holding snapMu so no pin can land mid-mutation; otherwise
+// copy-on-apply of exactly the partitions the delta touches, while the
+// pinned readers keep scanning the structures they hold. Callers with no
+// scheduler hold no pins and therefore always apply in place.
+//
+// A failed round installs nothing and bumps no table version. Under a
+// pin its clones are simply dropped — the canonical tables and every
+// pinned snapshot are exactly as before; in place the failed tables are
+// left half-applied, which is why the error is sticky (applyErr) and the
+// scheduler treats it as fatal.
 func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 	// Take the staged resync snapshot (reconnect after connection loss),
 	// the queued batches and the floor in one atomic step: batches that
@@ -86,70 +97,106 @@ func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 	// without it (they would land on stale pre-reconnect data and then
 	// be wiped by the reload, unrecoverable below its floor).
 	rl, batches, floor := r.takeWork()
-	if !r.concurrent.Load() {
-		stats, err := r.applyWorkInPlace(rl, batches, floor, target)
-		// The canonical tables changed under the caller's exclusive
-		// window; the next PinSnapshot rebuilds the head view.
-		r.markWiringDirty()
+	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
+	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !r.needsMaintenance() {
+		return stats, nil // nothing to build — keep the current head
+	}
+
+	r.snapMu.Lock()
+	clone := rl == nil && r.pinnedLocked() > 0
+	if clone {
+		// Readers keep pinning and unpinning while the clones are built;
+		// the lock is retaken for the install.
+		r.snapMu.Unlock()
+	}
+	outs, err := r.applyRound(&stats, rl, batches, floor, target, clone)
+	if clone {
+		r.snapMu.Lock()
+	}
+	defer r.snapMu.Unlock()
+	if err != nil {
+		r.mu.Lock()
+		r.applyErr = err
+		r.mu.Unlock()
+		if !clone {
+			// The canonical tables changed without an install; the next
+			// PinSnapshot must not serve the old head's table set.
+			r.markWiringDirty()
+		}
 		return stats, err
 	}
-	return r.applyVersioned(rl, batches, floor, target)
+
+	// Install: swap each table's next state in (the canonical slices
+	// themselves after an in-place round) and link the new head. snapMu
+	// before mu is the package lock order; pinned readers never see the
+	// canonical tables, so only PinSnapshot and the chain care.
+	r.mu.Lock()
+	for ti, t := range r.order {
+		o := outs[ti]
+		if o == nil {
+			continue
+		}
+		t.Partitions, t.pkIdx = o.parts, o.pk
+		if o.entries > 0 {
+			t.version++
+		}
+	}
+	if target > r.applied {
+		r.applied = target
+	}
+	r.mu.Unlock()
+	r.installHeadLocked(r.buildSnapshotLocked())
+	return stats, nil
 }
 
-// applyWorkInPlace is the quiesced-mode round body: reload install,
-// synopsis activation and the three apply steps, all mutating the
-// canonical structures directly.
-func (r *Replica) applyWorkInPlace(rl *Reload, batches []proplog.Batch, floor, target uint64) (ApplyStats, error) {
-	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
+// tableOut is one table's outcome of an apply round: its stats and the
+// partition slice and PK index of its next version.
+type tableOut struct {
+	ts      *TableApplyStats
+	entries int
+	parts   []*Partition
+	pk      *index.Hash[uint64]
+	err     error
+}
+
+// applyRound is the body of one round up to (not including) the install:
+// optional reload, stream grouping, the per-table pipelines, and the
+// fold of their stats into st. It returns one outcome per registered
+// table (nil for tables the round did not touch) and the first error in
+// registration order.
+func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, clone bool) ([]*tableOut, error) {
 	if rl != nil {
 		// The reload installs first: it raises the floor so stale queued
 		// updates the snapshot already contains are discarded below.
 		if err := r.applyReload(rl); err != nil {
-			r.mu.Lock()
-			r.applyErr = err
-			r.mu.Unlock()
-			return stats, fmt.Errorf("olap: resync reload: %w", err)
+			return nil, fmt.Errorf("olap: resync reload: %w", err)
 		}
-		stats.Reloaded = true
+		st.Reloaded = true
 		if rl.vid > floor {
 			floor = rl.vid
 		}
 	}
-	// Activate any synopsis columns the last query batches requested,
-	// inside this quiesced window and before new entries land — the
-	// incremental maintenance below then covers exactly the active set.
-	// A resync reload rebuilt partitions with empty synopses, so this
-	// also re-activates the requested columns after a reload.
-	r.ActivateSynopses()
-	if len(batches) == 0 {
-		r.setApplied(target)
-		return stats, nil
-	}
-
 	perTable := r.groupStreams(batches, floor, target)
 
 	// Run the per-table pipelines concurrently: the multi-table TPC-C
-	// update mix touches eight relations whose steps 1–2 used to run
-	// back-to-back on one goroutine. The shared semaphore keeps total
-	// leaf parallelism (across all tables) at the apply-worker budget.
+	// update mix touches eight relations whose steps 1–2 would otherwise
+	// run back-to-back on one goroutine. The shared semaphore keeps total
+	// leaf parallelism (across all tables) at the apply-worker budget. A
+	// table participates when it has entries or a pending maintenance
+	// step (requested-but-inactive synopsis columns — a reload rebuilt
+	// them empty — or stale encoded blocks).
 	sem := make(chan struct{}, r.applyWorkers)
-	type tableOut struct {
-		ts      *TableApplyStats
-		entries int
-		err     error
-	}
-	outs := make([]tableOut, len(r.order))
+	outs := make([]*tableOut, len(r.order))
 	var wg sync.WaitGroup
 	for ti, t := range r.order {
 		ws := perTable[t.Schema.ID]
-		if len(ws) == 0 {
+		if len(ws) == 0 && !t.needsMaintenance() {
 			continue
 		}
 		wg.Add(1)
 		go func(ti int, t *Table, ws []*workerStream) {
 			defer wg.Done()
-			ts, n, err := r.applyTable(t, ws, sem)
-			outs[ti] = tableOut{ts: ts, entries: n, err: err}
+			outs[ti] = r.applyTable(t, ws, sem, clone)
 		}(ti, t, ws)
 	}
 	wg.Wait()
@@ -157,36 +204,21 @@ func (r *Replica) applyWorkInPlace(rl *Reload, batches []proplog.Batch, floor, t
 	// Fold per-table outcomes in registration order so stats and the
 	// reported error are deterministic regardless of completion order.
 	var firstErr error
-	var errTable *Table
 	for ti, t := range r.order {
 		o := outs[ti]
-		if o.ts == nil {
+		if o == nil {
 			continue
 		}
-		stats.PerTable[t.Schema.ID] = o.ts
-		stats.Entries += o.entries
-		stats.Step1 += o.ts.Step1
-		stats.Step2 += o.ts.Step2
-		stats.Step3 += o.ts.Step3
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr, errTable = o.err, t
-			}
-			continue
+		st.PerTable[t.Schema.ID] = o.ts
+		st.Entries += o.entries
+		st.Step1 += o.ts.Step1
+		st.Step2 += o.ts.Step2
+		st.Step3 += o.ts.Step3
+		if o.err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("olap: apply to table %s: %w", t.Schema.Name, o.err)
 		}
-		t.version++
 	}
-	if firstErr != nil {
-		r.mu.Lock()
-		r.applyErr = firstErr
-		r.mu.Unlock()
-		// Leave the failed table's version untouched: a failed round must
-		// not report a clean bump (cached build sides are invalidated by
-		// the replica's error state, not by a phantom version change).
-		return stats, fmt.Errorf("olap: apply to table %s: %w", errTable.Schema.Name, firstErr)
-	}
-	r.setApplied(target)
-	return stats, nil
+	return outs, firstErr
 }
 
 // groupStreams groups entries by table, keeping one VID-ordered stream
@@ -227,265 +259,49 @@ func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) ma
 	return perTable
 }
 
-// applyVersioned is the copy-on-apply round body: it builds version
-// target on clones of exactly the partitions the delta (or a pending
-// synopsis activation) touches, while readers pinned to older snapshots
-// keep scanning the untouched structures, then atomically installs the
-// result as the new snapshot head.
-func (r *Replica) applyVersioned(rl *Reload, batches []proplog.Batch, floor, target uint64) (ApplyStats, error) {
-	if rl != nil {
-		// Resync reload (rare): applyReload replaces every canonical
-		// structure with fresh, unreferenced objects, so the in-place
-		// machinery is already snapshot-safe for it — pinned readers keep
-		// their old objects untouched. Run it under snapMu so PinSnapshot
-		// cannot observe a half-replaced table set, then install the full
-		// new head.
-		r.snapMu.Lock()
-		defer r.snapMu.Unlock()
-		stats, err := r.applyWorkInPlace(rl, batches, floor, target)
-		if err != nil {
-			r.markWiringDirty()
-			return stats, err
-		}
-		r.installHeadLocked(r.buildSnapshotLocked())
-		return stats, nil
-	}
-
-	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
-	if len(batches) == 0 && target <= r.AppliedVID() {
-		quiet := true
-		for _, t := range r.order {
-			if t.needsMaintenance() {
-				quiet = false
-				break
-			}
-		}
-		if quiet {
-			return stats, nil // nothing to build — keep the current head
-		}
-	}
-	// Unpinned fast path: when no reader holds any version — true at
-	// every freshness-barrier round, where the dispatcher is blocked
-	// until this round installs — cloning buys nothing. Mutate the
-	// canonical structures in place while holding snapMu (PinSnapshot
-	// serializes behind it, so no pin can land mid-mutation) and install
-	// a full head, exactly like the reload path above. Copy-on-apply is
-	// reserved for rounds that truly overlap a pinned reader.
-	r.snapMu.Lock()
-	pinned := 0
-	for s := r.snapTail; s != nil; s = s.next {
-		pinned += s.pins
-	}
-	if pinned == 0 {
-		stats, err := r.applyWorkInPlace(nil, batches, floor, target)
-		if err != nil {
-			r.markWiringDirty()
-			r.snapMu.Unlock()
-			return stats, err
-		}
-		r.installHeadLocked(r.buildSnapshotLocked())
-		r.snapMu.Unlock()
-		return stats, nil
-	}
-	r.snapMu.Unlock()
-
-	perTable := r.groupStreams(batches, floor, target)
-
-	// A table participates when it has entries or a pending maintenance
-	// step (requested-but-inactive synopsis columns, stale encoded
-	// blocks) — the versioned counterpart of ActivateSynopses.
-	type tableOut struct {
-		ts      *TableApplyStats
-		entries int
-		parts   []*Partition
-		pk      *index.Hash[uint64]
-		err     error
-	}
-	outs := make([]*tableOut, len(r.order))
-	sem := make(chan struct{}, r.applyWorkers)
-	var wg sync.WaitGroup
-	for ti, t := range r.order {
-		ws := perTable[t.Schema.ID]
-		if len(ws) == 0 && !t.needsMaintenance() {
-			continue
-		}
-		wg.Add(1)
-		go func(ti int, t *Table, ws []*workerStream) {
-			defer wg.Done()
-			o := &tableOut{}
-			o.ts, o.entries, o.parts, o.pk, o.err = r.applyTableVersioned(t, ws, sem)
-			outs[ti] = o
-		}(ti, t, ws)
-	}
-	wg.Wait()
-
-	// Fold outcomes in registration order (deterministic stats/error).
-	var firstErr error
-	var errTable *Table
-	for ti, t := range r.order {
-		o := outs[ti]
-		if o == nil {
-			continue
-		}
-		stats.PerTable[t.Schema.ID] = o.ts
-		stats.Entries += o.entries
-		stats.Step1 += o.ts.Step1
-		stats.Step2 += o.ts.Step2
-		stats.Step3 += o.ts.Step3
-		if o.err != nil && firstErr == nil {
-			firstErr, errTable = o.err, t
-		}
-	}
-	if firstErr != nil {
-		// Nothing installs: the clones are discarded, the canonical
-		// tables and every pinned snapshot are exactly as before.
-		r.mu.Lock()
-		r.applyErr = firstErr
-		r.mu.Unlock()
-		return stats, fmt.Errorf("olap: apply to table %s: %w", errTable.Schema.Name, firstErr)
-	}
-
-	// Install: swap the cloned state into the canonical tables and link
-	// the new head. snapMu before mu (the package lock order); pinned
-	// readers never see the canonical tables, so only PinSnapshot and
-	// the chain care.
-	r.snapMu.Lock()
-	r.mu.Lock()
-	for ti, t := range r.order {
-		o := outs[ti]
-		if o == nil {
-			continue
-		}
-		t.Partitions = o.parts
-		t.pkIdx = o.pk
-		if o.entries > 0 {
-			t.version++
-		}
-	}
-	if target > r.applied {
-		r.applied = target
-	}
-	r.mu.Unlock()
-	r.installHeadLocked(r.buildSnapshotLocked())
-	r.snapMu.Unlock()
-	return stats, nil
+// needsMaintenance reports whether the partition has requested-but-
+// inactive synopsis columns (w is the table's request mask) or stale
+// encoded blocks — work an apply round must pick up even with no
+// entries for it.
+func (p *Partition) needsMaintenance(w uint64) bool {
+	return p.zm != nil && ((w != 0 && p.zm.active&w != w) || (p.enc != nil && p.enc.anyStale))
 }
 
-// needsMaintenance reports whether any partition has requested-but-
-// inactive synopsis columns or stale encoded blocks — work an apply
-// round must pick up even with no entries for the table.
 func (t *Table) needsMaintenance() bool {
 	w := t.wantedSyn.Load()
 	for _, p := range t.Partitions {
-		if p.zm == nil {
-			continue
-		}
-		if (w != 0 && p.zm.active&w != w) || (p.enc != nil && p.enc.anyStale) {
+		if p.needsMaintenance(w) {
 			return true
 		}
 	}
 	return false
 }
 
-// applyTableVersioned runs the three apply steps for one table against
-// cloned partitions, returning the next version's partition slice and
-// PK index alongside the stats. Untouched partitions are shared with
-// the current version by pointer; the PK index clones copy-on-write
-// (shard maps copy only when an insert or delete lands in them).
-func (r *Replica) applyTableVersioned(t *Table, ws []*workerStream, sem chan struct{}) (*TableApplyStats, int, []*Partition, *index.Hash[uint64], error) {
+func (r *Replica) needsMaintenance() bool {
+	for _, t := range r.order {
+		if t.needsMaintenance() {
+			return true
+		}
+	}
+	return false
+}
+
+// applyTable runs the three apply steps for one table. With clone set it
+// leaves the current version untouched: every partition the round
+// touches is copied first (untouched ones are shared with the current
+// version by pointer) and the PK index clones copy-on-write (shard maps
+// copy only when an insert or delete lands in them); otherwise it
+// mutates the canonical partitions and index and returns those. Leaf
+// tasks acquire sem; the caller's per-table goroutine itself does not,
+// so a round with more tables than workers cannot deadlock.
+func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, clone bool) *tableOut {
 	ts := &TableApplyStats{}
 	sc := &t.scratch
 
 	// Steps 1–2 read only the entry streams and write only the canonical
 	// table's scratch (owned by this round's single table goroutine), so
-	// they run exactly as in the in-place path.
-	start := time.Now()
-	sc.merged = mergeByVIDInto(sc.merged[:0], ws)
-	merged := sc.merged
-	ts.Step1 = time.Since(start)
-
-	start = time.Now()
-	nparts := len(t.Partitions)
-	if len(sc.perPart) != nparts {
-		sc.perPart = make([][]proplog.Entry, nparts)
-	}
-	perPart := sc.perPart
-	for i := range perPart {
-		perPart[i] = perPart[i][:0]
-	}
-	for i := range merged {
-		h := merged[i].RowID * 0x9E3779B97F4A7C15
-		perPart[h%uint64(nparts)] = append(perPart[h%uint64(nparts)], merged[i])
-	}
-	ts.Step2 = time.Since(start)
-
-	// The PK index for the next version: a copy-on-write clone when
-	// entries might insert or delete, otherwise the shared current one.
-	pk := t.pkIdx
-	if pk != nil && len(merged) > 0 {
-		pk = pk.Clone()
-	}
-	// shadow carries the cloned PK index through applyToPartition's
-	// maintenance calls (pkInsert/pkDelete).
-	shadow := viewOf(t, nil, pk, t.version)
-
-	// Step 3: per touched partition — clone, activate pending synopsis
-	// columns, apply, resummarize, re-encode — in parallel. The clone's
-	// memcpy rides inside the goroutine, so partition copies overlap on
-	// multi-core hosts.
-	w := t.wantedSyn.Load()
-	newParts := make([]*Partition, nparts)
-	copy(newParts, t.Partitions)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for pi := range t.Partitions {
-		p := t.Partitions[pi]
-		entries := perPart[pi]
-		maint := p.zm != nil && ((w != 0 && p.zm.active&w != w) || (p.enc != nil && p.enc.anyStale))
-		if len(entries) == 0 && !maint {
-			continue // untouched: the next version shares this partition
-		}
-		wg.Add(1)
-		go func(pi int, p *Partition, entries []proplog.Entry) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			cp := p.cloneForWrite()
-			if cp.zm != nil && w != 0 && cp.zm.active&w != w {
-				cp.ActivateSynopsisCols(w)
-			}
-			ins, upd, del, err := applyToPartition(shadow, cp, entries)
-			if err == nil {
-				cp.ResummarizeDirty()
-				cp.ReencodeDirty()
-				newParts[pi] = cp
-			}
-			d := time.Since(t0)
-			mu.Lock()
-			ts.Step3 += d
-			ts.Inserted += ins
-			ts.Updated += upd
-			ts.Deleted += del
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(pi, p, entries)
-	}
-	wg.Wait()
-	return ts, len(merged), newParts, pk, firstErr
-}
-
-// applyTable runs the three apply steps for one table and returns its
-// stats and merged entry count. Leaf tasks acquire sem; the caller's
-// per-table goroutine itself does not, so a round with more tables than
-// workers cannot deadlock.
-func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}) (*TableApplyStats, int, error) {
-	ts := &TableApplyStats{}
-	sc := &t.scratch
-
+	// they are the same whether or not step 3 clones.
+	//
 	// Step 1: merge the per-worker streams into one VID-ordered stream
 	// ("the fastest step"), reusing the table's merge buffer.
 	start := time.Now()
@@ -554,32 +370,56 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}) (*
 	}
 	ts.Step2 = time.Since(start)
 
-	// Step 3: apply per partition in parallel through the RowID hash
-	// index (the expensive, random-access step).
+	// The next version's partition slice and the table step 3 maintains
+	// the PK index through (pkInsert/pkDelete): the canonical ones in
+	// place; when cloning, a copied slice and — only if entries might
+	// insert or delete — a shadow view over a copy-on-write index clone.
+	parts, pkOwner := t.Partitions, t
+	if clone {
+		parts = append([]*Partition(nil), t.Partitions...)
+		if t.pkIdx != nil && len(merged) > 0 {
+			pkOwner = viewOf(t, nil, t.pkIdx.Clone(), t.version)
+		}
+	}
+
+	// Step 3: apply per touched partition in parallel through the RowID
+	// hash index (the expensive, random-access step). A clone's memcpy
+	// rides inside the goroutine, so partition copies overlap on
+	// multi-core hosts.
+	w := t.wantedSyn.Load()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	for pi, entries := range perPart {
-		if len(entries) == 0 {
-			continue
+	for pi, p := range t.Partitions {
+		entries := perPart[pi]
+		if len(entries) == 0 && !p.needsMaintenance(w) {
+			continue // untouched: the next version shares this partition
 		}
 		wg.Add(1)
-		go func(p *Partition, entries []proplog.Entry) {
+		go func(pi int, p *Partition, entries []proplog.Entry) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := time.Now()
-			ins, upd, del, err := applyToPartition(t, p, entries)
+			if clone {
+				p = p.cloneForWrite()
+				parts[pi] = p
+			}
+			// Activate the synopsis columns the last query batches
+			// requested before new entries land — the incremental
+			// maintenance below then covers exactly the active set.
+			p.ActivateSynopsisCols(w)
+			ins, upd, del, err := applyToPartition(pkOwner, p, entries)
 			if err == nil {
 				// Re-summarize blocks this round's deletes and
 				// bound-narrowing updates dirtied, inside the same
-				// quiesced, per-partition-parallel window (and the same
-				// Step3 timing) — queries never see a dirty block.
+				// per-partition-parallel window (and the same Step3
+				// timing) — queries never see a dirty block.
 				p.ResummarizeDirty()
 				// Then rebuild the encoded vectors of blocks this round's
 				// inserts and patches staled, after the synopses are exact
 				// again (re-encoding reuses the block min as fill and FOR
-				// base) and in the same window — queries never see a stale
+				// base) and before the install — queries never see a stale
 				// vector either.
 				p.ReencodeDirty()
 			}
@@ -593,10 +433,10 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}) (*
 				firstErr = err
 			}
 			mu.Unlock()
-		}(t.Partitions[pi], entries)
+		}(pi, p, entries)
 	}
 	wg.Wait()
-	return ts, len(merged), firstErr
+	return &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pkOwner.pkIdx, err: firstErr}
 }
 
 func appendLeftover(batches []proplog.Batch, worker int, table storage.TableID, e proplog.Entry) []proplog.Batch {

@@ -379,8 +379,7 @@ func (e *Engine) forEachMorsel(ms []morsel, begin func(worker int, m morsel) (fu
 // returns results in query order. It matches olap.RunBatchFunc: snap is
 // the scheduler's floor VID. The whole batch reads through one pinned
 // snapshot — at least as fresh as the floor — so execution is isolated
-// from any apply round the overlap scheduler runs concurrently; in
-// quiesced mode the pin simply wraps the canonical state.
+// from any apply round the scheduler runs concurrently.
 func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 	sv := e.replica.PinSnapshot()
 	defer sv.Unpin()

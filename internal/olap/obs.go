@@ -30,7 +30,7 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.ObserveHistogram("batchdb_olap_batch_latency_ns",
 		"Pure batch execution time (nanoseconds).", &st.BatchExec, labels...)
 	reg.ObserveHistogram("batchdb_olap_apply_ns",
-		"Apply-round duration (nanoseconds; overlapped with batch execution unless quiesced).", &st.ApplyTime, labels...)
+		"Apply-round duration (nanoseconds; rounds overlap batch execution).", &st.ApplyTime, labels...)
 	reg.ObserveHistogram("batchdb_olap_snapshot_wait_ns",
 		"Dispatcher freshness-barrier wait per batch (nanoseconds).", &st.SnapWait, labels...)
 	reg.ObserveHistogram("batchdb_olap_exec_phase_ns",

@@ -3,16 +3,22 @@
 //
 // The replica keeps a short chain of immutable snapshots (snapshot.go).
 // Readers pin the newest snapshot at batch admission and scan frozen
-// partition structures; an apply round builds the next version by
-// cloning only the partitions its delta touches (copy-on-apply), then
-// installs it with a pointer swap and retires old versions once their
-// last reader unpins. Within one version the partition structures below
-// are entirely unsynchronized — each version is written by exactly one
-// apply goroutine before install and never after — so exclusive phases
-// still replace locks, they are just per-version now instead of global.
-// In quiesced mode (the scheduler's classic alternation of batch and
-// apply windows, Replica.SetConcurrentApply(false)) updates mutate the
-// canonical structures in place exactly as before.
+// partition structures; every apply round (apply.go) ends by installing
+// a new head with a pointer swap, and old versions are retired once
+// their last reader unpins. There is one write path. Each round decides
+// once, from state the replica observes, how it may write: a round that
+// installs a staged resync reload (which builds fresh structures
+// anyway) or finds zero pins on the chain mutates the canonical
+// structures in place, holding the chain lock so no reader can pin
+// mid-mutation; any other round copies exactly the partitions its delta
+// touches and leaves the pinned versions alone (copy-on-apply). The
+// rule needs no knob because both outcomes are indistinguishable to
+// readers and the in-place one is simply the free case of the other: a
+// copy only ever buys isolation from a reader that exists. Within one
+// version the partition structures below are entirely unsynchronized —
+// each is written by exactly one apply goroutine before its install and
+// never after — so exclusive phases still replace locks, per version
+// rather than globally.
 //
 // Data is horizontally soft-partitioned by a hash of the hidden RowID
 // attribute, which both spreads scan work and lets updates be applied to

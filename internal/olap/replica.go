@@ -142,8 +142,7 @@ type Replica struct {
 	applyErr error
 
 	// pendingReload is a staged resync snapshot awaiting atomic
-	// installation by the next ApplyPending (which runs with query
-	// execution quiesced).
+	// installation by the next ApplyPending.
 	pendingReload *Reload
 
 	// zmBlock is the zone-map block size applied to tables created from
@@ -161,10 +160,9 @@ type Replica struct {
 	chainLen int
 	retired  uint64
 
-	// concurrent selects copy-on-apply mode (SetConcurrentApply);
 	// wiringDirty marks the head stale after canonical mutation outside
-	// a versioned install; onPush is the scheduler's apply-round kick.
-	concurrent  atomic.Bool
+	// an apply round's install; onPush is the scheduler's apply-round
+	// kick.
 	wiringDirty atomic.Bool
 	onPush      func()
 }
@@ -288,35 +286,27 @@ func (t *Table) RequestSynopses(ranges []ColRange) {
 
 // ActivateSynopses materializes bounds for every column queries have
 // requested since the last activation (one exact column scan per
-// partition, parallel across partitions). ApplyPending calls it at the
-// start of every round; callers that run query batches without an
-// interleaved apply (benchmarks, tests) can invoke it directly in any
-// quiesced window.
-// It also re-encodes any stale compressed blocks in partitions the
-// apply step will not visit this round (fresh activations, initial
-// load, reload rebuilds), so every non-stale vector a query batch sees
-// is current.
+// partition, parallel across partitions) and re-encodes any stale
+// compressed blocks, so every non-stale vector a query batch sees is
+// current. Every apply round does the same per partition it touches;
+// this entry point is for callers that run query batches without an
+// interleaved apply (benchmarks, tests). It mutates the canonical
+// partitions in place, so it must run in a quiesced window: no pinned
+// reader, no apply round.
 func (r *Replica) ActivateSynopses() {
 	for _, t := range r.order {
 		w := t.wantedSyn.Load()
 		var wg sync.WaitGroup
 		for _, p := range t.Partitions {
-			if p.zm == nil {
-				continue
-			}
-			activate := w != 0 && p.zm.active&w != w
-			reencode := p.enc != nil && p.enc.anyStale
-			if !activate && !reencode {
+			if !p.needsMaintenance(w) {
 				continue
 			}
 			wg.Add(1)
-			go func(p *Partition, activate bool) {
+			go func(p *Partition) {
 				defer wg.Done()
-				if activate {
-					p.ActivateSynopsisCols(w)
-				}
+				p.ActivateSynopsisCols(w)
 				p.ReencodeDirty()
-			}(p, activate)
+			}(p)
 		}
 		wg.Wait()
 	}
@@ -411,20 +401,12 @@ func (r *Replica) SetFloor(v uint64) {
 	r.mu.Unlock()
 }
 
-func (r *Replica) setApplied(v uint64) {
-	r.mu.Lock()
-	if v > r.applied {
-		r.applied = v
-	}
-	r.mu.Unlock()
-}
-
 // Reload is a staged replacement snapshot for every table of the
 // replica, used to resync after a dropped replication connection: the
 // re-bootstrap accumulates rows here while queries keep running against
-// the old (stale but consistent) data, and the next ApplyPending — which
-// runs with query execution quiesced — installs it atomically and raises
-// the VID floor to the snapshot's VID.
+// the old (stale but consistent) data, and the next ApplyPending installs
+// it atomically — as a new snapshot head; readers pinned to the old data
+// finish on it — and raises the VID floor to the snapshot's VID.
 type Reload struct {
 	r    *Replica
 	rows map[storage.TableID][]reloadRow
@@ -518,10 +500,12 @@ func (r *Replica) InstallReload(rl *Reload, snapVID uint64) {
 	}
 }
 
-// applyReload replaces every table's contents with the staged snapshot.
-// Must run with query execution quiesced (ApplyPending's window). Tables
-// absent from the snapshot become empty — the primary shipped no rows
-// for them.
+// applyReload replaces every table's contents with the staged snapshot,
+// building fresh partitions and a fresh PK index rather than touching
+// the old ones, so readers pinned to them are undisturbed; the caller
+// (ApplyPending) holds snapMu so no pin observes a half-replaced table
+// set. Tables absent from the snapshot become empty — the primary
+// shipped no rows for them.
 func (r *Replica) applyReload(rl *Reload) error {
 	for _, t := range r.order {
 		parts := make([]*Partition, len(t.Partitions))

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,6 +84,90 @@ func TestApplyErrorKeepsVersion(t *testing.T) {
 	}
 	if got := tbl.Version(); got != before {
 		t.Fatalf("version bumped on failed round: %d -> %d", before, got)
+	}
+}
+
+// A step-3 failure on each of the round's two cases. With nothing pinned
+// the round ran in place: the error is sticky and the failed table's
+// version does not move. Under a pin the round ran on clones: they are
+// dropped, so the canonical tables and the pinned version are exactly as
+// before and no head is installed.
+func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
+	for _, pinned := range []bool{false, true} {
+		name := "in-place"
+		if pinned {
+			name = "under-pin"
+		}
+		t.Run(name, func(t *testing.T) {
+			r := newEqReplica(t, 2, 2, 2, 200)
+			var pin *Snapshot
+			if pinned {
+				pin = r.PinSnapshot()
+				defer pin.Unpin()
+			}
+			canonParts := append([]*Partition(nil), r.Table(1).Partitions...)
+			canonPK := r.Table(1).pkIdx
+			before := captureTables(r.Tables())
+			chain, head := r.SnapshotChainLen(), r.snapHead
+
+			// Table 1 gets two good entries in front of the bad one, so the
+			// failing round has already mutated whatever it writes to; table 2
+			// applies cleanly in the same round.
+			s1, s2 := eqSchema(1), eqSchema(2)
+			r.ApplyUpdates([]proplog.Batch{{Worker: 0, Tables: []proplog.TableBatch{
+				{Table: 1, Entries: []proplog.Entry{
+					mkEntry(1, proplog.Insert, 5000, 0, tuple(s1, 5000, 1)),
+					mkEntry(2, proplog.Update, 7, uint32(s1.Offset(1)), u64le(99)),
+					mkEntry(3, proplog.Update, 999999, uint32(s1.Offset(1)), u64le(1)), // unknown RowID
+				}},
+				{Table: 2, Entries: []proplog.Entry{
+					mkEntry(4, proplog.Insert, 5000, 0, tuple(s2, 5000, 1)),
+				}},
+			}}}, 4)
+			st, err := r.ApplyPending(4)
+			if err == nil || !strings.Contains(err.Error(), "eq1") {
+				t.Fatalf("apply of unknown RowID: err = %v, want one naming table eq1", err)
+			}
+			if st.Entries != 4 {
+				t.Fatalf("failed round reported %d entries, want 4", st.Entries)
+			}
+			if r.applyErr == nil {
+				t.Fatal("applyErr not set after a failed round")
+			}
+			for _, tbl := range r.Tables() {
+				if got, want := tbl.Version(), before[tbl.Schema.ID-1].Version; got != want {
+					t.Fatalf("table %s version bumped on failed round: %d -> %d", tbl.Schema.Name, want, got)
+				}
+			}
+			if got := r.AppliedVID(); got != 0 {
+				t.Fatalf("AppliedVID advanced to %d on a failed round", got)
+			}
+			if !pinned {
+				// In place means half-applied — which is why the error is
+				// sticky: the good entries ahead of the bad one have landed.
+				if _, ok := r.Table(1).GetByPK(5000); !ok || !samePartitions(canonParts, r.Table(1).Partitions) {
+					t.Fatal("unpinned failed round did not run in place")
+				}
+				return
+			}
+			if !samePartitions(canonParts, r.Table(1).Partitions) || canonPK != r.Table(1).pkIdx {
+				t.Fatal("failed round under a pin swapped cloned structures into the canonical table")
+			}
+			if d := diffStates(before, captureTables(r.Tables())); d != "" {
+				t.Fatalf("canonical tables changed by a failed round under a pin: %s", d)
+			}
+			if d := diffStates(before, captureTables(pin.Tables())); d != "" {
+				t.Fatalf("pinned snapshot changed by a failed round: %s", d)
+			}
+			if r.SnapshotChainLen() != chain || r.snapHead != head {
+				t.Fatalf("failed round installed a head: chain %d -> %d", chain, r.SnapshotChainLen())
+			}
+			if again := r.PinSnapshot(); again != pin {
+				t.Fatal("the next pin after a failed round under a pin is not the unchanged head")
+			} else {
+				again.Unpin()
+			}
+		})
 	}
 }
 

@@ -31,10 +31,8 @@ func (s StaticPrimary) SyncUpdates() uint64 { return uint64(s) }
 // single read-only transaction and returns one result per query, in
 // order. snap is the floor VID the batch is guaranteed to see: every
 // update committed before the batch formed is applied at or below it.
-// In quiesced mode the scheduler additionally guarantees no updates are
-// applied while the function runs; in overlap mode (the default) the
-// next version may be built and installed concurrently, so
-// implementations must read through a pinned snapshot
+// The next version may be built and installed while the function runs,
+// so implementations must read through a pinned snapshot
 // (Replica.PinSnapshot) rather than the canonical tables.
 type RunBatchFunc[Q, R any] func(queries []Q, snap uint64) []R
 
@@ -48,14 +46,13 @@ type SchedulerStats struct {
 	Latency metrics.Histogram
 	// BatchExec measures pure batch execution time.
 	BatchExec metrics.Histogram
-	// ApplyTime accumulates time spent applying updates per round (in
-	// overlap mode the rounds run concurrently with batch execution).
+	// ApplyTime accumulates time spent applying updates per round
+	// (rounds run concurrently with batch execution).
 	ApplyTime metrics.Histogram
 	// SnapWait measures the dispatcher's freshness barrier: how long a
 	// formed batch waits for an apply round covering its formation time
-	// before it pins a snapshot and executes. In quiesced mode this is
-	// zero (the apply runs inline); in overlap mode it is the only
-	// apply-induced stall a batch ever sees.
+	// before it pins a snapshot and executes — the only apply-induced
+	// stall a batch ever sees.
 	SnapWait metrics.Histogram
 	// ExecBuildPrepare, ExecScan and ExecMerge split each batch's
 	// execution into its phases — shared hash-build construction or
@@ -109,14 +106,16 @@ type SchedulerStats struct {
 // updates up to that version, and (4) executes the whole batch as one
 // read-only transaction on that single snapshot.
 //
-// By default steps (2)-(3) run in a dedicated apply loop that overlaps
-// with step (4): while batch N executes on its pinned version, the apply
-// loop — kicked by every update push from the primary and by every
-// formed batch — builds and installs the version batch N+1 will read.
-// The dispatcher only stalls on the freshness barrier (SnapWait) needed
-// to keep the paper's guarantee that a batch observes everything
-// committed before it formed. SetQuiescedApply restores the classic
-// strict alternation.
+// Steps (2)-(3) run in a dedicated apply loop that overlaps with step
+// (4): while batch N executes on its pinned version, the apply loop —
+// kicked by every update push from the primary and by every formed
+// batch — builds and installs the version batch N+1 will read. The
+// dispatcher only stalls on the freshness barrier (SnapWait) needed to
+// keep the paper's guarantee that a batch observes everything committed
+// before it formed. There is no strict-alternation mode to select: a
+// round that finds no reader pinned (every freshness-barrier round of an
+// idle dispatcher) mutates in place, one that overlaps a running batch
+// copies what it touches — Replica.ApplyPending decides per round.
 type Scheduler[Q, R any] struct {
 	replica *Replica
 	primary Primary
@@ -144,14 +143,6 @@ type Scheduler[Q, R any] struct {
 	// read by LastApply; applyMu makes the snapshot consistent.
 	applyMu   sync.Mutex
 	lastApply ApplyStats
-
-	// quiesced selects the classic single-loop alternation of apply
-	// window and batch execution (SetQuiescedApply). The default is
-	// overlap mode: a dedicated apply loop builds and installs snapshot
-	// versions — kicked by every update push and every formed batch —
-	// while the dispatch loop executes batches pinned to the latest
-	// installed version.
-	quiesced bool
 
 	// applyKick wakes the apply loop (capacity 1: kicks coalesce).
 	applyKick chan struct{}
@@ -201,13 +192,6 @@ func NewScheduler[Q, R any](replica *Replica, primary Primary, run RunBatchFunc[
 	return s
 }
 
-// SetQuiescedApply switches the scheduler to the classic quiesced
-// alternation: each dispatch round syncs, applies updates in place with
-// no batch running, then executes. Must be called before Start. The
-// overlap benchmark uses it as the ablation baseline; replicas whose
-// callers rely on in-place apply semantics can keep it too.
-func (s *Scheduler[Q, R]) SetQuiescedApply() { s.quiesced = true }
-
 // Stats returns the scheduler's counters.
 func (s *Scheduler[Q, R]) Stats() *SchedulerStats { return &s.stats }
 
@@ -233,9 +217,9 @@ func (s *Scheduler[Q, R]) LastApply() ApplyStats {
 	return s.lastApply
 }
 
-// Start launches the dispatcher loop. Extra calls are no-ops, and so is
-// Start after Close: once closed, no loop may run (it would race the
-// already-closed `closed` channel queries unblock on).
+// Start launches the apply and dispatch loops. Extra calls are no-ops,
+// and so is Start after Close: once closed, no loop may run (it would
+// race the already-closed `closed` channel queries unblock on).
 func (s *Scheduler[Q, R]) Start() {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
@@ -247,19 +231,14 @@ func (s *Scheduler[Q, R]) Start() {
 	if s.started.Swap(true) {
 		return
 	}
-	if !s.quiesced {
-		// Overlap mode: updates are applied as copy-on-apply versions so
-		// pinned batch readers never see a mutation, and every push from
-		// the primary kicks an apply round immediately instead of waiting
-		// for the next batch boundary.
-		s.replica.SetConcurrentApply(true)
-		s.replica.SetOnPush(func() {
-			select {
-			case s.applyKick <- struct{}{}:
-			default:
-			}
-		})
-	}
+	// Every push from the primary kicks an apply round immediately
+	// instead of waiting for the next batch boundary.
+	s.replica.SetOnPush(func() {
+		select {
+		case s.applyKick <- struct{}{}:
+		default:
+		}
+	})
 	go s.loop()
 }
 
@@ -334,20 +313,16 @@ func (s *Scheduler[Q, R]) QueryContext(ctx context.Context, q Q) (R, error) {
 
 func (s *Scheduler[Q, R]) loop() {
 	defer close(s.closed)
-	if s.quiesced {
-		s.loopQuiesced()
-		return
-	}
 	applyDone := make(chan struct{})
 	go s.applyLoop(applyDone)
 	s.dispatchLoop()
 	<-applyDone
 }
 
-// applyLoop is overlap mode's update side: each kick starts one round —
-// sync the primary's watermark, apply the propagated updates as a new
-// copy-on-apply version, install it as the snapshot head — while the
-// dispatcher keeps executing batches pinned to the previous version.
+// applyLoop is the update side: each kick starts one round — sync the
+// primary's watermark, apply the propagated updates, install the result
+// as the snapshot head — while the dispatcher keeps executing batches
+// pinned to the previous version.
 func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 	defer close(done)
 	defer func() {
@@ -443,96 +418,10 @@ func (s *Scheduler[Q, R]) awaitFreshRound() bool {
 	return s.roundEnd >= want
 }
 
-// dispatchLoop is overlap mode's execution side: it forms batches as the
-// classic loop does, but instead of applying updates inline it waits on
-// the freshness barrier and then executes against the latest installed
-// version.
+// dispatchLoop is the execution side: it forms batches, waits on the
+// freshness barrier instead of applying updates itself, and executes
+// each batch against the latest installed version.
 func (s *Scheduler[Q, R]) dispatchLoop() {
-	reqs := make([]schedReq[Q, R], 0, 256)
-	var carry []schedReq[Q, R]
-	for {
-		// Wait for at least one query (or shutdown); deferred queries go
-		// first, exactly as in the quiesced loop.
-		reqs = reqs[:0]
-		if len(carry) > 0 {
-			reqs = append(reqs, carry...)
-			carry = carry[:0]
-			select {
-			case <-s.closing:
-				return
-			default:
-			}
-		} else {
-			select {
-			case r := <-s.queue:
-				reqs = append(reqs, r)
-			case <-s.closing:
-				return
-			}
-		}
-	drain:
-		for len(reqs) < s.maxBatch {
-			select {
-			case r := <-s.queue:
-				reqs = append(reqs, r)
-			default:
-				break drain
-			}
-		}
-
-		if s.admit != nil && len(reqs) > 1 {
-			qs := make([]Q, len(reqs))
-			for i := range reqs {
-				qs[i] = reqs[i].q
-			}
-			n := s.admit(qs)
-			if n < 1 {
-				n = 1
-			}
-			if n < len(reqs) {
-				carry = append(carry, reqs[n:]...)
-				reqs = reqs[:n]
-				s.stats.AdmitSplits.Inc()
-				s.stats.AdmitDeferred.Add(uint64(len(carry)))
-			}
-		}
-
-		// Freshness barrier: the batch has formed; wait for an apply
-		// round covering everything committed before this instant. The
-		// wait is typically short — the apply loop has been running
-		// eagerly on every push, so only the tail of a round (or one
-		// quick no-op round) remains.
-		t0 := time.Now()
-		if !s.awaitFreshRound() {
-			return // shutting down; callers unblock on closed
-		}
-		s.stats.SnapWait.RecordSince(t0)
-		snap := s.replica.AppliedVID()
-
-		// Execute the whole batch as one read-only transaction pinned to
-		// the latest installed version (the run function pins it; the
-		// apply loop may already be building the next one).
-		queries := make([]Q, len(reqs))
-		for i := range reqs {
-			queries[i] = reqs[i].q
-		}
-		t1 := time.Now()
-		results := s.run(queries, snap)
-		d := time.Since(t1)
-		s.stats.BatchExec.Record(int64(d))
-		s.stats.Busy.Track(time.Since(t0))
-		s.stats.Batches.Inc()
-		for i := range reqs {
-			s.stats.Queries.Inc()
-			s.stats.Latency.RecordSince(reqs[i].arrived)
-			reqs[i].reply <- results[i]
-		}
-	}
-}
-
-// loopQuiesced is the classic strict alternation: sync, apply in place
-// with nothing running, then execute the batch.
-func (s *Scheduler[Q, R]) loopQuiesced() {
 	reqs := make([]schedReq[Q, R], 0, 256)
 	var carry []schedReq[Q, R]
 	for {
@@ -573,7 +462,7 @@ func (s *Scheduler[Q, R]) loopQuiesced() {
 
 		// Cost-based admission: let the hook split an oversized round so
 		// one pathological batch cannot blow the staleness budget — the
-		// deferred tail reruns the sync/apply above before executing.
+		// deferred tail waits on a fresh barrier round before executing.
 		if s.admit != nil && len(reqs) > 1 {
 			qs := make([]Q, len(reqs))
 			for i := range reqs {
@@ -591,44 +480,27 @@ func (s *Scheduler[Q, R]) loopQuiesced() {
 			}
 		}
 
-		// Fetch the latest committed snapshot version and apply the
-		// propagated updates up to it.
+		// Freshness barrier: the batch has formed; wait for an apply
+		// round covering everything committed before this instant. The
+		// wait is typically short — the apply loop has been running
+		// eagerly on every push, so only the tail of a round (or one
+		// quick no-op round) remains.
 		t0 := time.Now()
-		target := s.primary.SyncUpdates()
-		confirmed := true
-		if fc, ok := s.primary.(FreshnessConfirmer); ok {
-			confirmed = fc.FreshSync()
+		if !s.awaitFreshRound() {
+			return // shutting down; callers unblock on closed
 		}
-		// Observed before the apply so the lag high-watermark captures the
-		// pre-apply backlog (e.g. the spike right after a reconnect).
-		s.fresh.ObserveWatermark(target, confirmed)
-		st, err := s.replica.ApplyPending(target)
-		s.stats.ApplyTime.RecordSince(t0)
-		s.applyMu.Lock()
-		s.lastApply = st
-		s.applyMu.Unlock()
-		s.stats.AppliedEntries.Add(uint64(st.Entries))
-		if err != nil {
-			// Replica divergence is unrecoverable; surface loudly.
-			panic(err)
-		}
-		applied := s.replica.AppliedVID()
-		if applied > target {
-			// See applyLoop: a staged resync snapshot applied past the
-			// synced watermark is primary knowledge the lag
-			// high-watermark must see before the install covers it.
-			s.fresh.ObserveWatermark(applied, false)
-		}
-		s.fresh.ObserveInstall(applied)
+		s.stats.SnapWait.RecordSince(t0)
+		snap := s.replica.AppliedVID()
 
-		// Execute the whole batch as one read-only transaction on the
-		// (single) latest snapshot.
+		// Execute the whole batch as one read-only transaction pinned to
+		// the latest installed version (the run function pins it; the
+		// apply loop may already be building the next one).
 		queries := make([]Q, len(reqs))
 		for i := range reqs {
 			queries[i] = reqs[i].q
 		}
 		t1 := time.Now()
-		results := s.run(queries, target)
+		results := s.run(queries, snap)
 		d := time.Since(t1)
 		s.stats.BatchExec.Record(int64(d))
 		s.stats.Busy.Track(time.Since(t0))

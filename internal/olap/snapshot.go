@@ -51,13 +51,12 @@ func (s *Snapshot) Unpin() {
 	r.snapMu.Unlock()
 }
 
-// PinSnapshot pins the newest installed version and returns it. In
-// concurrent-apply mode the head is refreshed by each apply round's
-// install; in quiesced mode (the default) the head is lazily rebuilt
-// from the canonical tables whenever wiring or an in-place apply
-// changed them — PinSnapshot must then not race an in-place
-// ApplyPending, which is exactly the exclusive-phase contract quiesced
-// callers already follow.
+// PinSnapshot pins the newest installed version and returns it. Every
+// successful apply round installs a head; wiring, loads and SetFloor
+// change the canonical tables outside a round and only mark the head
+// stale, so it is rebuilt here on the next pin. An in-place apply round
+// holds snapMu throughout, so a pin never lands mid-mutation — it waits
+// and gets the round's head.
 func (r *Replica) PinSnapshot() *Snapshot {
 	r.snapMu.Lock()
 	if r.snapHead == nil || r.wiringDirty.Load() {
@@ -147,22 +146,9 @@ func (r *Replica) reclaimLocked() {
 	}
 }
 
-// SetConcurrentApply switches the replica between quiesced in-place
-// update application (the default: ApplyPending mutates the canonical
-// structures, exclusive phases replace locks) and concurrent
-// copy-on-apply (ApplyPending builds the next version on cloned
-// partitions while pinned readers keep scanning the current one, then
-// installs it as the new head). The overlap scheduler enables it at
-// Start; direct callers that interleave their own apply and scan phases
-// keep the default.
-func (r *Replica) SetConcurrentApply(on bool) { r.concurrent.Store(on) }
-
-// ConcurrentApply reports whether copy-on-apply mode is on.
-func (r *Replica) ConcurrentApply() bool { return r.concurrent.Load() }
-
 // SetOnPush registers fn to run after every update push or staged
-// reload arrives (outside the replica's locks). The overlap scheduler
-// uses it to kick an apply round as soon as new updates exist, which is
+// reload arrives (outside the replica's locks). The scheduler uses it
+// to kick an apply round as soon as new updates exist, which is
 // what shrinks staleness below the batch period. Safe to call while a
 // live feed is already pushing (fleet nodes start their supervisor
 // before the scheduler).
@@ -185,6 +171,10 @@ func (r *Replica) SnapshotChainLen() int {
 func (r *Replica) PinnedSnapshots() int {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
+	return r.pinnedLocked()
+}
+
+func (r *Replica) pinnedLocked() int {
 	n := 0
 	for s := r.snapTail; s != nil; s = s.next {
 		n += s.pins
@@ -199,7 +189,7 @@ func (r *Replica) RetiredSnapshots() uint64 {
 	return r.retired
 }
 
-// markWiringDirty records that the canonical tables changed outside a
-// versioned install (wiring, loads, in-place apply), so the next
-// PinSnapshot rebuilds the head instead of serving a stale view.
+// markWiringDirty records that the canonical tables changed outside an
+// apply round's install (wiring, loads, a failed in-place round), so the
+// next PinSnapshot rebuilds the head instead of serving a stale view.
 func (r *Replica) markWiringDirty() { r.wiringDirty.Store(true) }

@@ -159,9 +159,9 @@ func (p *Partition) EnableZoneMap(blockTuples int) {
 // ActivateSynopsisCols materializes bounds for the requested columns
 // (a bitmask over the synopsis column list) with one exact scan per
 // newly activated column, and adds them to the maintained set. Already
-// active or out-of-range bits are ignored. Must run in a quiesced
-// window; ApplyPending activates every requested column at the start
-// of each round.
+// active or out-of-range bits are ignored. The partition must be
+// exclusively the caller's; an apply round activates every requested
+// column on each partition it touches, before applying entries.
 func (p *Partition) ActivateSynopsisCols(wanted uint64) {
 	z := p.zm
 	if z == nil {
