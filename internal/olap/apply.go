@@ -30,7 +30,8 @@ const routeShardMin = 4096
 // exactly one goroutine applies a given table per round, and rounds are
 // serialized by the scheduler. Buffer shapes are revalidated against the
 // current partition count each round, because a resync reload recreates
-// t.Partitions.
+// t.Partitions. Every buffer is empty and zeroed between rounds (see
+// release).
 type applyScratch struct {
 	// merged is the step-1 output buffer.
 	merged []proplog.Entry
@@ -40,6 +41,26 @@ type applyScratch struct {
 	// router holds the per-goroutine per-partition buffers of step 2's
 	// sharded routing, grown to the worker count on demand.
 	router [][][]proplog.Entry
+}
+
+// release empties every buffer and zeroes the entries the round wrote. A
+// slice cut back to [:0] keeps its elements reachable, and each Entry's
+// Data pins the whole receive chunk it aliases: without the clear, a
+// table's largest round would hold its chunks until an equally large
+// round overwrote every slot — for a rarely updated table, forever.
+func (sc *applyScratch) release() {
+	clear(sc.merged)
+	sc.merged = sc.merged[:0]
+	for i := range sc.perPart {
+		clear(sc.perPart[i])
+		sc.perPart[i] = sc.perPart[i][:0]
+	}
+	for _, buf := range sc.router {
+		for i := range buf {
+			clear(buf[i])
+			buf[i] = buf[i][:0]
+		}
+	}
 }
 
 // TableApplyStats breaks down update application for one relation, the
@@ -297,6 +318,7 @@ func (r *Replica) needsMaintenance() bool {
 func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, clone bool) *tableOut {
 	ts := &TableApplyStats{}
 	sc := &t.scratch
+	defer sc.release()
 
 	// Steps 1–2 read only the entry streams and write only the canonical
 	// table's scratch (owned by this round's single table goroutine), so
@@ -305,7 +327,7 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 	// Step 1: merge the per-worker streams into one VID-ordered stream
 	// ("the fastest step"), reusing the table's merge buffer.
 	start := time.Now()
-	sc.merged = mergeByVIDInto(sc.merged[:0], ws)
+	sc.merged = mergeByVIDInto(sc.merged, ws)
 	merged := sc.merged
 	ts.Step1 = time.Since(start)
 
@@ -318,9 +340,6 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 		sc.perPart = make([][]proplog.Entry, nparts)
 	}
 	perPart := sc.perPart
-	for i := range perPart {
-		perPart[i] = perPart[i][:0]
-	}
 	nG := 1
 	if r.applyWorkers > 1 && len(merged) >= 2*routeShardMin {
 		nG = len(merged) / routeShardMin
@@ -352,9 +371,6 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 				defer rwg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				for i := range buf {
-					buf[i] = buf[i][:0]
-				}
 				for i := range chunk {
 					h := chunk[i].RowID * 0x9E3779B97F4A7C15
 					buf[h%uint64(nparts)] = append(buf[h%uint64(nparts)], chunk[i])
