@@ -193,11 +193,19 @@ func (s *SkipList[V]) PutBatch(keys []uint64, vals []V) {
 
 // Delete removes key, reporting whether it was present.
 func (s *SkipList[V]) Delete(key uint64) bool {
+	return s.CompareAndDelete(key, func(V) bool { return true })
+}
+
+// CompareAndDelete removes key only if its value satisfies eq, reporting
+// whether an entry was removed. eq runs under the writer lock, so its
+// verdict cannot be overtaken by a concurrent Put of the same key: the
+// Put lands either before eq looks or after the entry is gone.
+func (s *SkipList[V]) CompareAndDelete(key uint64, eq func(V) bool) bool {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	var preds [maxLevel]*slNode[V]
 	cand := s.findPreds(key, &preds)
-	if cand == nil || cand.key != key {
+	if cand == nil || cand.key != key || !eq(*cand.val.Load()) {
 		return false
 	}
 	for i := len(cand.next) - 1; i >= 0; i-- {

@@ -69,6 +69,7 @@ type Store struct {
 	order  []*Table
 	txnIDs atomic.Uint64
 	active activeSet
+	gc     gcTotals
 }
 
 // NewStore returns an empty store.

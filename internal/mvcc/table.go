@@ -27,8 +27,8 @@ type Secondary struct {
 func (s *Secondary) Seek(key uint64) *index.Iterator[*Chain] { return s.sl.Seek(key) }
 
 // Table is one relation in the OLTP replica: a primary hash index from
-// packed key to version chain, an append-only chain list for scans, and
-// optional secondary indexes (paper Fig. 2: hash- and tree-based
+// packed key to version chain, a chain list for scans, and optional
+// secondary indexes (paper Fig. 2: hash- and tree-based
 // indexes over the same records).
 type Table struct {
 	Schema *storage.Schema
@@ -78,14 +78,18 @@ func (t *Table) getChain(key uint64) *Chain {
 
 // getOrCreateChain returns the chain for key, creating and indexing an
 // empty one if absent. Multiple racing creators converge on one chain.
+// A new chain joins the scan list before the primary index publishes it:
+// whoever can reach a chain through the index may retire it, and
+// retiring releases its scan-list slot.
 func (t *Table) getOrCreateChain(key uint64) *Chain {
 	if c, ok := t.pk.Get(key); ok {
 		return c
 	}
 	c := &Chain{Key: key}
+	t.chains.append(c)
 	won, inserted := t.pk.PutIfAbsent(key, c)
-	if inserted {
-		t.chains.append(c)
+	if !inserted {
+		t.chains.release(c.slot)
 	}
 	return won
 }
@@ -100,18 +104,16 @@ func (t *Table) indexInto(c *Chain, tup []byte) {
 
 // getOrCreateChains resolves the chain for every key into out (input
 // order) with one primary-index lock acquisition per touched shard —
-// the batch counterpart of getOrCreateChain for bulk insert. Newly
-// created chains join the scan list before the call returns; as in the
-// single-key path, a chain may briefly be indexed but not yet listed,
-// which is invisible because its versions only publish at Commit.
+// the batch counterpart of getOrCreateChain for bulk insert. As in the
+// single-key path, a newly created chain joins the scan list before the
+// index publishes it.
 func (t *Table) getOrCreateChains(keys []uint64, out []*Chain) {
 	inserted := make([]bool, len(keys))
-	t.pk.GetOrPutBatch(keys, func(key uint64) *Chain { return &Chain{Key: key} }, out, inserted)
-	for i, created := range inserted {
-		if created {
-			t.chains.append(out[i])
-		}
-	}
+	t.pk.GetOrPutBatch(keys, func(key uint64) *Chain {
+		c := &Chain{Key: key}
+		t.chains.append(c)
+		return c
+	}, out, inserted)
 }
 
 // AllocRowID returns a fresh RowID for a newly inserted logical row.
@@ -172,9 +174,17 @@ func (t *Table) LoadRowWithID(rowID uint64, tup []byte) error {
 	}
 }
 
-// ScanChains visits every chain in the table (all versions, all states);
-// callers apply snapshot visibility via Chain.VisibleAt.
+// ScanChains visits every chain in the table (all versions, all states),
+// each at most once and in no particular order; callers apply snapshot
+// visibility via Chain.VisibleAt.
 func (t *Table) ScanChains(fn func(*Chain) bool) { t.chains.forEach(fn) }
 
-// NumChains returns the number of chains ever created (live and dead).
-func (t *Table) NumChains() int { return t.chains.len() }
+// NumChains returns the number of chains in the table: rows that exist
+// at some snapshot still readable, plus deleted rows GC has not retired
+// yet.
+func (t *Table) NumChains() int { return t.chains.live() }
+
+// ScanListSlots returns the number of scan-list slots the table has ever
+// reserved. Retired chains' slots are reused, so this tracks the peak
+// NumChains, not the rows ever inserted.
+func (t *Table) ScanListSlots() int { return t.chains.slots() }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 
 	"batchdb/internal/vid"
 )
@@ -52,8 +53,9 @@ type WriteOp struct {
 	New *Record
 	// Old is the superseded committed record (update/delete).
 	Old *Record
-	// Cols lists the column ordinals changed by an update, enabling
-	// field-specific propagation; nil means the whole tuple changed.
+	// Cols lists the column ordinals changed by an update in ascending
+	// order, enabling field-specific propagation; nil means the whole
+	// tuple changed.
 	Cols []int
 }
 
@@ -331,6 +333,7 @@ func (tx *Txn) Update(t *Table, key uint64, cols []int, mutate func(tup []byte))
 		return ErrNotFound
 	}
 	head := c.head.Load()
+	cols = sortedCols(cols)
 	if head != nil && head.vidFrom.Load() == tx.id && tx.findOp(c) != nil {
 		return tx.updateOwn(t, c, head, cols, mutate)
 	}
@@ -367,13 +370,26 @@ func (tx *Txn) updateOwn(t *Table, c *Chain, head *Record, cols []int, mutate fu
 		return ErrConflict
 	}
 	tx.maybeReindex(t, c, head.Data, data)
+	t.dropStaleKeys(c, head.Data) // the replaced image never committed
 	op.New = rec
 	op.Cols = mergeCols(op.Cols, cols)
 	return nil
 }
 
-// mergeCols unions two changed-column lists; nil means "all columns" and
-// absorbs everything.
+// sortedCols returns cols in ascending order. Callers mostly pass
+// ordered literals, possibly shared between goroutines, so the slice is
+// copied only when it has to be reordered.
+func sortedCols(cols []int) []int {
+	if sort.IntsAreSorted(cols) {
+		return cols
+	}
+	cols = append([]int(nil), cols...)
+	sort.Ints(cols)
+	return cols
+}
+
+// mergeCols unions two changed-column lists, ascending; nil means "all
+// columns" and absorbs everything.
 func mergeCols(a, b []int) []int {
 	if a == nil || b == nil {
 		return nil
@@ -391,6 +407,7 @@ func mergeCols(a, b []int) []int {
 			out = append(out, c)
 		}
 	}
+	sort.Ints(out)
 	return out
 }
 
@@ -415,7 +432,7 @@ func (tx *Txn) Delete(t *Table, key uint64) error {
 	}
 	head := c.head.Load()
 	if head != nil && head.vidFrom.Load() == tx.id && tx.findOp(c) != nil {
-		return tx.deleteOwn(c, head)
+		return tx.deleteOwn(t, c, head)
 	}
 	head, err := tx.lockHead(c)
 	if err != nil {
@@ -426,7 +443,7 @@ func (tx *Txn) Delete(t *Table, key uint64) error {
 }
 
 // deleteOwn deletes a row this transaction inserted or updated.
-func (tx *Txn) deleteOwn(c *Chain, head *Record) error {
+func (tx *Txn) deleteOwn(t *Table, c *Chain, head *Record) error {
 	op := tx.findOp(c)
 	switch op.Kind {
 	case OpDelete:
@@ -436,7 +453,6 @@ func (tx *Txn) deleteOwn(c *Chain, head *Record) error {
 		c.head.CompareAndSwap(head, head.older.Load())
 		head.vidFrom.Store(abortedMarker)
 		tx.removeOp(c)
-		return nil
 	default: // OpUpdate: revert to deleting the committed version.
 		old := op.Old
 		c.head.CompareAndSwap(head, old)
@@ -444,8 +460,9 @@ func (tx *Txn) deleteOwn(c *Chain, head *Record) error {
 		op.Kind = OpDelete
 		op.New = nil
 		op.Cols = nil
-		return nil
 	}
+	tx.store.discard(t, c, head.Data)
+	return nil
 }
 
 func (tx *Txn) removeOp(c *Chain) {
@@ -499,10 +516,12 @@ func (tx *Txn) Abort() {
 		case OpInsert:
 			op.Chain.head.CompareAndSwap(op.New, op.New.older.Load())
 			op.New.vidFrom.Store(abortedMarker)
+			tx.store.discard(op.Table, op.Chain, op.New.Data)
 		case OpUpdate:
 			op.Chain.head.CompareAndSwap(op.New, op.Old)
 			op.New.vidFrom.Store(abortedMarker)
 			op.Old.vidTo.CompareAndSwap(tx.id, vid.Infinity)
+			tx.store.discard(op.Table, op.Chain, op.New.Data)
 		case OpDelete:
 			op.Old.vidTo.CompareAndSwap(tx.id, vid.Infinity)
 		}

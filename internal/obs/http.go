@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
 // Handler returns an http.Handler serving the registry at /metrics in
-// Prometheus text format, with a trivial liveness probe at /healthz.
+// Prometheus text format, a trivial liveness probe at /healthz, and the
+// Go runtime profiles under /debug/pprof/ (CPU, heap, allocs, mutex,
+// goroutine, trace), so "which layer is spending the time" can be
+// answered on a running server.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -19,6 +23,11 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

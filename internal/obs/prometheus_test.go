@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,6 +147,17 @@ func TestHTTPEndpoints(t *testing.T) {
 	hz.Body.Close()
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz status %d", hz.StatusCode)
+	}
+
+	// The runtime profiles are mounted beside the metrics.
+	pp, err := http.Get(ts.URL + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(pp.Body)
+	pp.Body.Close()
+	if pp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile") {
+		t.Fatalf("/debug/pprof/heap status %d, body %.60q", pp.StatusCode, body)
 	}
 }
 

@@ -2,6 +2,7 @@ package olap
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -247,29 +248,38 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 // in push order, so concatenation per worker preserves order). Entries
 // at or below floor are dropped; entries beyond target are requeued at
 // the front of the pending queue for the next round.
+//
+// A table batch is VID-ordered, so what a round takes from it is one
+// contiguous run, found by binary search. The first run of a stream is
+// aliased, not copied — in the common round one push feeds each (table,
+// worker) stream and the whole batch is taken — and so is a requeued
+// tail. Streams are only read from here on; the aliased slices carry no
+// spare capacity, so a later append copies instead of writing into the
+// batch.
 func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) map[storage.TableID][]*workerStream {
 	perTable := make(map[storage.TableID][]*workerStream)
 	streams := make(map[[2]uint64]*workerStream) // (table, worker) -> stream
 	var leftover []proplog.Batch
 	for _, b := range batches {
 		for _, tb := range b.Tables {
+			es := tb.Entries
+			lo := sort.Search(len(es), func(i int) bool { return es[i].VID > floor })
+			hi := lo + sort.Search(len(es)-lo, func(i int) bool { return es[lo+i].VID > target })
+			if hi < len(es) {
+				leftover = appendLeftover(leftover, b.Worker, tb.Table, es[hi:])
+			}
+			if lo == hi {
+				continue
+			}
 			key := [2]uint64{uint64(tb.Table), uint64(b.Worker)}
 			s := streams[key]
 			if s == nil {
-				s = &workerStream{worker: b.Worker}
+				s = &workerStream{worker: b.Worker, entries: es[lo:hi:hi]}
 				streams[key] = s
 				perTable[tb.Table] = append(perTable[tb.Table], s)
+				continue
 			}
-			for _, e := range tb.Entries {
-				if e.VID <= floor {
-					continue // already reflected by the bootstrap snapshot
-				}
-				if e.VID > target {
-					leftover = appendLeftover(leftover, b.Worker, tb.Table, e)
-					continue
-				}
-				s.entries = append(s.entries, e)
-			}
+			s.entries = append(s.entries, es[lo:hi]...)
 		}
 	}
 	if len(leftover) > 0 {
@@ -455,24 +465,25 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 	return &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pkOwner.pkIdx, err: firstErr}
 }
 
-func appendLeftover(batches []proplog.Batch, worker int, table storage.TableID, e proplog.Entry) []proplog.Batch {
+// appendLeftover adds a (worker, table) batch's requeued tail to batches,
+// aliasing it when it starts that pair's entry list.
+func appendLeftover(batches []proplog.Batch, worker int, table storage.TableID, es []proplog.Entry) []proplog.Batch {
+	es = es[:len(es):len(es)]
 	for i := range batches {
 		if batches[i].Worker == worker {
 			for j := range batches[i].Tables {
 				if batches[i].Tables[j].Table == table {
-					batches[i].Tables[j].Entries = append(batches[i].Tables[j].Entries, e)
+					batches[i].Tables[j].Entries = append(batches[i].Tables[j].Entries, es...)
 					return batches
 				}
 			}
-			batches[i].Tables = append(batches[i].Tables, proplog.TableBatch{
-				Table: table, Entries: []proplog.Entry{e},
-			})
+			batches[i].Tables = append(batches[i].Tables, proplog.TableBatch{Table: table, Entries: es})
 			return batches
 		}
 	}
 	return append(batches, proplog.Batch{
 		Worker: worker,
-		Tables: []proplog.TableBatch{{Table: table, Entries: []proplog.Entry{e}}},
+		Tables: []proplog.TableBatch{{Table: table, Entries: es}},
 	})
 }
 

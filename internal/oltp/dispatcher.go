@@ -23,7 +23,6 @@ var ErrNotDurable = errors.New("oltp: commit not durable")
 func (e *Engine) dispatch() {
 	defer close(e.closed)
 	lastPush := time.Now()
-	var lastGCCommits uint64
 	pending := make([]request, 0, e.cfg.MaxBatch)
 	timer := time.NewTimer(e.cfg.PushPeriod)
 	defer timer.Stop()
@@ -61,10 +60,6 @@ func (e *Engine) dispatch() {
 
 		if len(pending) > 0 {
 			e.runBatch(pending)
-			if c := e.stats.Committed.Load(); e.cfg.GCEveryTxns > 0 && c-lastGCCommits >= uint64(e.cfg.GCEveryTxns) {
-				e.store.CollectGarbage()
-				lastGCCommits = c
-			}
 		}
 
 		// Batch boundary: all workers idle, the log group-committed
@@ -99,20 +94,17 @@ func (e *Engine) dispatch() {
 // before its log record is durable, or a crash could lose an
 // acknowledged transaction.
 func (e *Engine) runBatch(batch []request) {
+	// The share buffers are the engine's, reused by every batch: a worker
+	// is done with its share before it reports, and the next batch starts
+	// only after every worker has reported.
 	n := len(e.workers)
-	shares := make([][]request, n)
-	per := (len(batch) + n - 1) / n
-	for i := range shares {
-		shares[i] = make([]request, 0, per)
-	}
+	shares := e.shares
 	for i, r := range batch {
 		shares[i%n] = append(shares[i%n], r)
 	}
-	active := 0
 	for i, w := range e.workers {
 		if len(shares[i]) > 0 {
 			w.in <- shares[i]
-			active++
 		}
 	}
 	var recs []walRec
@@ -122,6 +114,8 @@ func (e *Engine) runBatch(batch []request) {
 			res := <-w.out
 			recs = append(recs, res.walRecs...)
 			acks = append(acks, res.acks...)
+			clear(shares[i]) // drop the requests' args and reply channels
+			shares[i] = shares[i][:0]
 		}
 	}
 	e.stats.Batches.Inc()

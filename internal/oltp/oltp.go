@@ -6,9 +6,11 @@
 // queue up; when the batch finishes, the dispatcher drains the queue and
 // hands requests to worker threads round-robin. Batch boundaries are
 // where the cheap amortized work happens — group commit of the command
-// log, garbage-collection triggering, and propagation of the physical
-// update log to the OLAP replica (every push period, or immediately when
-// the OLAP dispatcher asks for the latest snapshot version).
+// log and propagation of the physical update log to the OLAP replica
+// (every push period, or immediately when the OLAP dispatcher asks for
+// the latest snapshot version). Version garbage collection is the
+// workers': each revisits the chains its own commits wrote, after handing
+// a batch share back (paper §4: workers amortize GC across batches).
 package oltp
 
 import (
@@ -70,11 +72,13 @@ type Config struct {
 	WALPath string
 	// WALSync forces fsync per group commit.
 	WALSync bool
-	// GCEveryTxns triggers version garbage collection after this many
-	// commits. GC passes scan every version chain and index, so they
-	// must be infrequent; but ordered indexes over high-churn tables
-	// (TPC-C new_order) accumulate dead entries between passes, so they
-	// must not be too rare either. Default 5000.
+	// GCEveryTxns paces version garbage collection: a worker re-reads the
+	// snapshot horizon and revisits the chains its commits wrote once it
+	// has committed this many transactions since it last did. The work is
+	// proportional to the writes in between whatever the value, which
+	// only bounds how long replaced versions and deleted rows linger; no
+	// workload needs it tuned. Negative disables GC (every version is
+	// kept). Default 64.
 	GCEveryTxns int
 }
 
@@ -89,7 +93,7 @@ func (c *Config) fill() {
 		c.MaxBatch = 8192
 	}
 	if c.GCEveryTxns == 0 {
-		c.GCEveryTxns = 5000
+		c.GCEveryTxns = 64
 	}
 }
 
@@ -148,6 +152,8 @@ type Engine struct {
 	closed  chan struct{}
 
 	workers []*worker
+	// shares holds runBatch's per-worker request buffers.
+	shares  [][]request
 	log     CommandLog
 	started bool
 
@@ -178,6 +184,7 @@ func New(store *mvcc.Store, cfg Config) (*Engine, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		e.workers = append(e.workers, newWorker(i, e))
 	}
+	e.shares = make([][]request, cfg.Workers)
 	return e, nil
 }
 

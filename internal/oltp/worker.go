@@ -1,7 +1,6 @@
 package oltp
 
 import (
-	"sort"
 	"time"
 
 	"batchdb/internal/mvcc"
@@ -24,6 +23,11 @@ type worker struct {
 	// worker touches it while running; the dispatcher takes it at batch
 	// boundaries when all workers are idle.
 	updates *proplog.Buffer
+
+	// gc revisits the chains this worker's commits wrote (nil when GC is
+	// disabled); uncollected counts its commits since the last Collect.
+	gc          *mvcc.Collector
+	uncollected int
 }
 
 // workerResult reports a finished batch share: the WAL records of the
@@ -52,7 +56,7 @@ type pendingAck struct {
 }
 
 func newWorker(id int, e *Engine) *worker {
-	return &worker{
+	w := &worker{
 		id:      id,
 		engine:  e,
 		in:      make(chan []request, 1),
@@ -60,6 +64,10 @@ func newWorker(id int, e *Engine) *worker {
 		done:    make(chan struct{}),
 		updates: proplog.NewBuffer(id),
 	}
+	if e.cfg.GCEveryTxns > 0 {
+		w.gc = e.store.NewCollector()
+	}
+	return w
 }
 
 func (w *worker) run() {
@@ -72,6 +80,13 @@ func (w *worker) run() {
 		}
 		w.engine.stats.Busy.TrackSince(start)
 		w.out <- res
+		// Garbage collection runs after the share is handed back, so the
+		// dispatcher's group commit and the clients' acknowledgements do
+		// not wait for it.
+		if w.gc != nil && w.uncollected >= w.engine.cfg.GCEveryTxns {
+			w.gc.Collect()
+			w.uncollected = 0
+		}
 	}
 }
 
@@ -98,6 +113,10 @@ func (w *worker) execOne(req request, res *workerResult) {
 		return
 	}
 	if cv != 0 {
+		if w.gc != nil {
+			w.gc.Committed(writes, cv)
+			w.uncollected++
+		}
 		if e.sink.Load() != nil {
 			// Extraction only runs with a sink attached: the paper's
 			// NoRep configuration measures the engine without update
@@ -158,9 +177,9 @@ func (w *worker) extract(writes []mvcc.WriteOp, commitVID uint64) {
 				sch := op.Table.Schema
 				// Coalesce adjacent changed columns into contiguous
 				// (Offset, Size) patches — the paper's update format is
-				// byte ranges, not per-column records (Fig. 3).
-				cols := append([]int(nil), op.Cols...)
-				sort.Ints(cols)
+				// byte ranges, not per-column records (Fig. 3). Cols is
+				// ascending.
+				cols := op.Cols
 				for i := 0; i < len(cols); {
 					off := sch.Offset(cols[i])
 					end := off + sch.ColSize(cols[i])

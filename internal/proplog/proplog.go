@@ -102,7 +102,14 @@ func (b *Batch) NumEntries() int {
 type Buffer struct {
 	worker  int
 	byTable map[storage.TableID]int
+	// tables has one slot per table the worker has ever written. A slot's
+	// Entries is nil from Take until the table's next Add, which sizes it
+	// from hint: what the slot carried at the Take before. Push sizes
+	// change slowly, so a round's entries are allocated once instead of
+	// being regrown from nothing at every push.
 	tables  []TableBatch
+	hint    []int
+	live    int // slots holding entries
 	entries int
 	// lastTable/lastIdx cache the previous Add's table: a transaction's
 	// writes cluster by table, making this the common case.
@@ -127,24 +134,37 @@ func (b *Buffer) Add(table storage.TableID, e Entry) {
 			i = len(b.tables)
 			b.byTable[table] = i
 			b.tables = append(b.tables, TableBatch{Table: table})
+			b.hint = append(b.hint, 0)
 		}
 		b.lastTable, b.lastIdx = table, i
 	}
-	b.tables[i].Entries = append(b.tables[i].Entries, e)
+	tb := &b.tables[i]
+	if tb.Entries == nil {
+		// A quarter of slack, so that a push somewhat larger than the last
+		// still fits without a regrow-and-copy.
+		tb.Entries = make([]Entry, 0, b.hint[i]+b.hint[i]/4+8)
+		b.live++
+	}
+	tb.Entries = append(tb.Entries, e)
 	b.entries++
 }
 
 // Len returns the number of buffered entries.
 func (b *Buffer) Len() int { return b.entries }
 
-// Take returns the buffered batch and resets the buffer. The returned
-// batch owns its storage; the buffer starts fresh.
+// Take returns the buffered batch — the tables that received entries
+// since the last Take — and resets the buffer. The returned batch owns
+// its storage; the buffer starts fresh.
 func (b *Buffer) Take() Batch {
-	out := Batch{Worker: b.worker, Tables: b.tables}
-	b.tables = nil
-	b.byTable = make(map[storage.TableID]int, len(b.byTable))
-	b.entries = 0
-	b.lastTable, b.lastIdx = 0, 0
+	out := Batch{Worker: b.worker, Tables: make([]TableBatch, 0, b.live)}
+	for i := range b.tables {
+		if tb := &b.tables[i]; tb.Entries != nil {
+			out.Tables = append(out.Tables, *tb)
+			b.hint[i] = len(tb.Entries)
+			tb.Entries = nil
+		}
+	}
+	b.live, b.entries = 0, 0
 	return out
 }
 
@@ -176,9 +196,12 @@ func AppendEncode(dst []byte, b *Batch) []byte {
 	return dst
 }
 
-// Decode parses a batch produced by AppendEncode. Entry Data slices
-// alias buf; callers that retain entries beyond buf's lifetime must
-// copy.
+// Decode parses a batch produced by AppendEncode. The batch owns its
+// storage — one entry array and one data array, each sized by a first
+// pass over the framing — and nothing in it aliases buf, so a receiver
+// can hand its receive buffer back as soon as Decode returns. Counts in
+// buf are not trusted: nothing is allocated before the framing has been
+// walked to its end.
 func Decode(buf []byte) (Batch, error) {
 	var b Batch
 	if len(buf) < 8 {
@@ -186,37 +209,60 @@ func Decode(buf []byte) (Batch, error) {
 	}
 	b.Worker = int(binary.LittleEndian.Uint32(buf))
 	nt := int(binary.LittleEndian.Uint32(buf[4:]))
+	if nt > (len(buf)-8)/6 {
+		return b, ErrTruncated
+	}
+
+	entries, dataBytes := 0, 0
 	pos := 8
-	b.Tables = make([]TableBatch, 0, nt)
 	for t := 0; t < nt; t++ {
 		if len(buf)-pos < 6 {
 			return b, ErrTruncated
 		}
-		tb := TableBatch{Table: storage.TableID(binary.LittleEndian.Uint16(buf[pos:]))}
 		ne := int(binary.LittleEndian.Uint32(buf[pos+2:]))
 		pos += 6
-		tb.Entries = make([]Entry, 0, ne)
 		for i := 0; i < ne; i++ {
 			if len(buf)-pos < 25 {
 				return b, ErrTruncated
 			}
-			var e Entry
+			size := int(binary.LittleEndian.Uint32(buf[pos+21:]))
+			pos += 25
+			if len(buf)-pos < size {
+				return b, ErrTruncated
+			}
+			pos += size
+			dataBytes += size
+		}
+		entries += ne
+	}
+
+	b.Tables = make([]TableBatch, nt)
+	arena := make([]Entry, entries)
+	data := make([]byte, dataBytes)
+	pos = 8
+	for t := range b.Tables {
+		ne := int(binary.LittleEndian.Uint32(buf[pos+2:]))
+		b.Tables[t] = TableBatch{
+			Table:   storage.TableID(binary.LittleEndian.Uint16(buf[pos:])),
+			Entries: arena[:ne:ne],
+		}
+		arena = arena[ne:]
+		pos += 6
+		for i := range b.Tables[t].Entries {
+			e := &b.Tables[t].Entries[i]
 			e.VID = binary.LittleEndian.Uint64(buf[pos:])
 			e.Kind = Kind(buf[pos+8])
 			e.RowID = binary.LittleEndian.Uint64(buf[pos+9:])
 			e.Offset = binary.LittleEndian.Uint32(buf[pos+17:])
 			e.Size = binary.LittleEndian.Uint32(buf[pos+21:])
 			pos += 25
-			if e.Size > 0 {
-				if len(buf)-pos < int(e.Size) {
-					return b, ErrTruncated
-				}
-				e.Data = buf[pos : pos+int(e.Size) : pos+int(e.Size)]
-				pos += int(e.Size)
+			if n := int(e.Size); n > 0 {
+				e.Data = data[:n:n]
+				copy(e.Data, buf[pos:])
+				data = data[n:]
+				pos += n
 			}
-			tb.Entries = append(tb.Entries, e)
 		}
-		b.Tables = append(b.Tables, tb)
 	}
 	return b, nil
 }

@@ -411,6 +411,9 @@ func (c *Client) handleUpdates(payload []byte) error {
 	upTo := binary.LittleEndian.Uint64(payload)
 	n := int(binary.LittleEndian.Uint32(payload[8:]))
 	pos := 12
+	if n > (len(payload)-pos)/4 {
+		return errors.New("replica: truncated updates message")
+	}
 	batches := make([]proplog.Batch, 0, n)
 	for i := 0; i < n; i++ {
 		if len(payload)-pos < 4 {
@@ -421,12 +424,11 @@ func (c *Client) handleUpdates(payload []byte) error {
 		if len(payload)-pos < bl {
 			return errors.New("replica: truncated batch")
 		}
-		// Copy: decoded entries alias the receive buffer, which is
-		// recycled after this handler returns, while entries stay
-		// queued until the next OLAP batch boundary.
-		chunk := append([]byte(nil), payload[pos:pos+bl]...)
+		// Decode copies what it keeps: the receive buffer is recycled
+		// after this handler returns, while entries stay queued until
+		// the next OLAP batch boundary.
+		b, err := proplog.Decode(payload[pos : pos+bl])
 		pos += bl
-		b, err := proplog.Decode(chunk)
 		if err != nil {
 			return err
 		}
