@@ -17,11 +17,16 @@ import (
 // registered and seedRows rows pre-loaded (the VID-0 seed).
 func newKVEngine(t *testing.T, seedRows int64) (*oltp.Engine, *mvcc.Table) {
 	t.Helper()
+	return newKVEngineWith(t, seedRows, oltp.Config{Workers: 2})
+}
+
+func newKVEngineWith(t *testing.T, seedRows int64, cfg oltp.Config) (*oltp.Engine, *mvcc.Table) {
+	t.Helper()
 	store, tbl := newKVStore()
 	for i := int64(1); i <= seedRows; i++ {
 		loadKV(t, tbl, i, i*100)
 	}
-	e, err := oltp.New(store, oltp.Config{Workers: 2})
+	e, err := oltp.New(store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,5 +469,58 @@ func TestManualCheckpointNoProgress(t *testing.T) {
 	}
 	if _, err := st1.Checkpoint(e1); !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("idle checkpoint: %v, want ErrNoProgress", err)
+	}
+}
+
+// cutThenRun is a Coordinator under which the engine gets a turn between
+// handing out the cut and the checkpointer's scan registering at it.
+type cutThenRun struct {
+	e   *oltp.Engine
+	run func(cut uint64)
+}
+
+func (c cutThenRun) CheckpointVID() uint64 {
+	w := c.e.CheckpointVID()
+	c.run(w)
+	return w
+}
+
+// The checkpoint is a scan at the cut, but the scan starts after the cut
+// is taken. Transactions that commit in between, and the garbage
+// collection that follows them, must not take away what the cut sees.
+func TestCheckpointSurvivesGCAfterCut(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := newKVEngineWith(t, bootSeedRows, oltp.Config{Workers: 2, GCEveryTxns: 1})
+	st, _, err := Boot(e, BootConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e.Start()
+	defer e.Close()
+	mustExec(t, e, "add", kvArgs(1, 1))
+
+	var cut uint64
+	var want []TableSum
+	info, err := st.Checkpoint(cutThenRun{e, func(w uint64) {
+		cut, want = w, SumAt(e.Store(), w)
+		// Supersede a row the cut sees. A worker collects after handing
+		// its batch back, so the second call returns only once the first
+		// one's collection is done.
+		mustExec(t, e, "add", kvArgs(1, 1))
+		mustExec(t, e, "add", kvArgs(2, 1))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.VID != cut || info.Rows != bootSeedRows {
+		t.Fatalf("checkpoint at %d holds %d rows; the cut was %d with %d rows", info.VID, info.Rows, cut, bootSeedRows)
+	}
+	rec, _ := newKVStore()
+	if _, _, err := Restore(info.Path, rec); err != nil {
+		t.Fatal(err)
+	}
+	if !SumsEqual(SumAt(rec, 0), want) {
+		t.Fatal("the checkpoint differs from the state at its cut")
 	}
 }

@@ -29,13 +29,18 @@ const harnessSegBytes = 4 << 10
 // it AT the recovered watermark to compare states.
 func newTPCCEngine(t *testing.T, seed bool) (*tpcc.DB, *oltp.Engine) {
 	t.Helper()
+	return newTPCCEngineGC(t, seed, -1)
+}
+
+func newTPCCEngineGC(t *testing.T, seed bool, gcEveryTxns int) (*tpcc.DB, *oltp.Engine) {
+	t.Helper()
 	db := tpcc.NewDB(tpcc.SmallScale(1))
 	if seed {
 		if err := tpcc.Generate(db, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e, err := oltp.New(db.Store, oltp.Config{Workers: 2, GCEveryTxns: -1})
+	e, err := oltp.New(db.Store, oltp.Config{Workers: 2, GCEveryTxns: gcEveryTxns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +265,86 @@ func TestRecoveryBoundedByTail(t *testing.T) {
 	}
 	if uint64(rinfo.Replayed) != tail {
 		t.Fatalf("replayed %d, want only the tail %d (history is %d)", rinfo.Replayed, tail, e2.LatestVID())
+	}
+}
+
+// TestCheckpointsUnderLiveGC is the crash matrix's blind spot: that
+// harness keeps every version so that it can read the original store in
+// the past, which also hides any version the checkpointer needs and
+// garbage collection takes. Here GC runs as eagerly as it can (every
+// commit) beside a tight checkpoint loop; a fresh instance booted from
+// the newest checkpoint plus the WAL tail must replay cleanly and equal
+// the original at its final watermark.
+func TestCheckpointsUnderLiveGC(t *testing.T) {
+	dir := t.TempDir()
+	db1, e1 := newTPCCEngineGC(t, true, 1)
+	st1, _, err := checkpoint.Boot(e1, checkpoint.BootConfig{Dir: dir, SegmentBytes: harnessSegBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1.Start()
+
+	txns := 2500
+	if testing.Short() {
+		txns = 600
+	}
+	var clients sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		clients.Add(1)
+		go func(seed int64) {
+			defer clients.Done()
+			drv := tpcc.NewDriver(db1.Scale, seed)
+			for i := 0; i < txns; i++ {
+				proc, args := drv.Next()
+				if r := e1.Exec(proc, args); r.Err != nil && !errors.Is(r.Err, tpcc.ErrRollback) && !errors.Is(r.Err, mvcc.ErrConflict) {
+					t.Errorf("txn: %v", r.Err)
+					return
+				}
+			}
+		}(int64(c)*977 + 42)
+	}
+	stop, ckptDone := make(chan struct{}), make(chan struct{})
+	checkpoints := 0
+	go func() {
+		defer close(ckptDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := st1.Checkpoint(e1); err == nil {
+				checkpoints++
+			} else if !errors.Is(err, checkpoint.ErrNoProgress) {
+				t.Errorf("checkpoint: %v", err)
+				return
+			}
+		}
+	}()
+	clients.Wait()
+	close(stop)
+	<-ckptDone
+	w := e1.LatestVID()
+	want := checkpoint.SumAt(e1.Store(), w)
+	st1.Close()
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if checkpoints < 3 {
+		t.Fatalf("only %d checkpoints completed beside the load", checkpoints)
+	}
+
+	_, e2 := newTPCCEngineGC(t, false, 1)
+	st2, info, err := checkpoint.Boot(e2, checkpoint.BootConfig{Dir: dir, SegmentBytes: harnessSegBytes})
+	if err != nil {
+		t.Fatalf("recovery from a checkpoint taken under GC: %v", err)
+	}
+	defer e2.Close()
+	defer st2.Close()
+	if info.WatermarkVID != w || info.CheckpointVID == 0 {
+		t.Fatalf("recovered to %d from checkpoint %d, want watermark %d from a checkpoint", info.WatermarkVID, info.CheckpointVID, w)
+	}
+	if got := checkpoint.SumAt(e2.Store(), w); !checkpoint.SumsEqual(got, want) {
+		t.Fatalf("recovered state differs from the original at watermark %d:\n got %v\nwant %v", w, got, want)
 	}
 }

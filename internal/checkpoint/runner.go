@@ -103,6 +103,13 @@ func (st *State) due(pol Policy) bool {
 func (st *State) Checkpoint(coord Coordinator) (Info, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	// Register a snapshot before asking for the cut: the engine keeps
+	// committing — and its workers keep collecting garbage — between the
+	// cut and the moment Write's scan registers at it. Every version the
+	// cut can see is visible at or after this older snapshot, so none is
+	// reclaimed in that window.
+	pin := st.store.BeginRO()
+	defer pin.Release()
 	w := coord.CheckpointVID()
 	if w <= st.lastCkptVID {
 		return Info{VID: st.lastCkptVID}, ErrNoProgress

@@ -308,8 +308,15 @@ func (e *Engine) RemoveSink(s UpdateSink) {
 	}
 }
 
-// Start launches the dispatcher and workers.
+// Start launches the dispatcher and workers. If transactions have
+// already committed against the store — recovery replay, which keeps
+// every version because later records re-read at their logged ReadVID —
+// what they left behind is swept once first: the workers' collectors
+// only ever see chains written from now on.
 func (e *Engine) Start() {
+	if e.cfg.GCEveryTxns > 0 && e.store.VIDs.Watermark() > 0 {
+		e.store.CollectGarbage()
+	}
 	e.started = true
 	for _, w := range e.workers {
 		go w.run()

@@ -330,6 +330,29 @@ func TestRecovery(t *testing.T) {
 	if _, ok := ro.Get(tbl2, 2); ok {
 		t.Fatal("deleted row resurrected by recovery")
 	}
+	ro.Release()
+
+	// Replay keeps every version (later records re-read at their logged
+	// ReadVID); Start reclaims what it left, since no worker's collector
+	// will ever be told about those chains.
+	if got := tbl2.NumChains(); got != 2 {
+		t.Fatalf("chains after replay = %d, want 2 (row 2's deletion not yet collected)", got)
+	}
+	e2.Start()
+	defer e2.Close()
+	if got := tbl2.NumChains(); got != 1 {
+		t.Fatalf("chains after Start = %d, want 1", got)
+	}
+	n = 0
+	tbl2.ScanChains(func(c *mvcc.Chain) bool {
+		for r := c.Head(); r != nil; r = r.Older() {
+			n++
+		}
+		return true
+	})
+	if n != 1 {
+		t.Fatalf("versions after Start = %d, want 1", n)
+	}
 }
 
 func TestCloseRejectsNewWork(t *testing.T) {

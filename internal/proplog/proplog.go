@@ -109,7 +109,6 @@ type Buffer struct {
 	// being regrown from nothing at every push.
 	tables  []TableBatch
 	hint    []int
-	live    int // slots holding entries
 	entries int
 	// lastTable/lastIdx cache the previous Add's table: a transaction's
 	// writes cluster by table, making this the common case.
@@ -143,7 +142,6 @@ func (b *Buffer) Add(table storage.TableID, e Entry) {
 		// A quarter of slack, so that a push somewhat larger than the last
 		// still fits without a regrow-and-copy.
 		tb.Entries = make([]Entry, 0, b.hint[i]+b.hint[i]/4+8)
-		b.live++
 	}
 	tb.Entries = append(tb.Entries, e)
 	b.entries++
@@ -156,7 +154,7 @@ func (b *Buffer) Len() int { return b.entries }
 // since the last Take — and resets the buffer. The returned batch owns
 // its storage; the buffer starts fresh.
 func (b *Buffer) Take() Batch {
-	out := Batch{Worker: b.worker, Tables: make([]TableBatch, 0, b.live)}
+	out := Batch{Worker: b.worker, Tables: make([]TableBatch, 0, len(b.tables))}
 	for i := range b.tables {
 		if tb := &b.tables[i]; tb.Entries != nil {
 			out.Tables = append(out.Tables, *tb)
@@ -164,7 +162,7 @@ func (b *Buffer) Take() Batch {
 			tb.Entries = nil
 		}
 	}
-	b.live, b.entries = 0, 0
+	b.entries = 0
 	return out
 }
 
