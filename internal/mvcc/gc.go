@@ -105,7 +105,7 @@ func (g *Collector) Collect() GCStats {
 	st := GCStats{Horizon: s.MinActiveSnapshot()}
 	n, again := 0, 0
 	for ; n < len(g.queue) && g.queue[n].vid <= st.Horizon; n++ {
-		if r := g.queue[n]; !s.collectChain(r.table, r.chain, st.Horizon, &st) {
+		if r := g.queue[n]; !r.table.collectChain(r.chain, st.Horizon, &st) {
 			// A writer was on the chain; whether it commits or aborts is
 			// not known yet. Keep the note, ahead of the later ones.
 			g.queue[again] = r
@@ -133,11 +133,11 @@ func (s *Store) CollectGarbage() GCStats {
 	st := GCStats{Horizon: s.MinActiveSnapshot()}
 	for _, t := range s.order {
 		t.chains.forEach(func(c *Chain) bool {
-			s.collectChain(t, c, st.Horizon, &st)
+			t.collectChain(c, st.Horizon, &st)
 			return true
 		})
 		for _, sec := range t.sec {
-			s.sweepSecondary(sec, st.Horizon, &st)
+			sec.sweep(st.Horizon, &st)
 		}
 	}
 	s.gc.add(&st)
@@ -147,7 +147,7 @@ func (s *Store) CollectGarbage() GCStats {
 // collectChain brings one chain up to date with the horizon. It reports
 // false when the chain looked dead but a concurrent writer kept it from
 // being retired, in which case it has to be looked at again.
-func (s *Store) collectChain(t *Table, c *Chain, horizon uint64, st *GCStats) bool {
+func (t *Table) collectChain(c *Chain, horizon uint64, st *GCStats) bool {
 	st.ChainsVisited++
 	// Pop aborted records stranded at the head.
 	for {
@@ -274,11 +274,11 @@ func (c *Chain) derives(s *Secondary, k uint64) bool {
 	return false
 }
 
-// sweepSecondary removes index entries whose chain was retired or whose
+// sweep removes index entries whose chain was retired or whose
 // indexed key no longer matches any retained version — the whole-index
 // cross-check of the sweep; the incremental path removes the same
 // entries as their versions leave the chain.
-func (s *Store) sweepSecondary(sec *Secondary, horizon uint64, st *GCStats) {
+func (sec *Secondary) sweep(horizon uint64, st *GCStats) {
 	var stale []uint64
 	for it := sec.sl.Min(); it.Valid(); it.Next() {
 		if c := it.Value(); !c.liveAtOrAfter(horizon) || !c.derives(sec, it.Key()) {

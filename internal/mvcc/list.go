@@ -66,7 +66,7 @@ func (l *chainList) slot(idx int64) *atomic.Pointer[Chain] {
 		l.mu.Lock()
 		dir = *l.dir.Load()
 		if ci >= len(dir) {
-			grown := make([]*listChunk, ci+1, 2*(ci+1))
+			grown := make([]*listChunk, ci+1)
 			copy(grown, dir)
 			for i := len(dir); i <= ci; i++ {
 				grown[i] = new(listChunk)
