@@ -215,6 +215,8 @@ func TestServerStatsFromRegistry(t *testing.T) {
 		"batchdb_oltp_txn_total",
 		"batchdb_freshness_installed_vid",
 		"batchdb_olap_batches_total",
+		"batchdb_olap_exec_probe_lookups_total",
+		"batchdb_olap_exec_probe_pred_evals_total",
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS output missing %s: %q", want, stats)

@@ -13,9 +13,9 @@
 package chbench
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"batchdb/internal/olap/exec"
@@ -119,6 +119,28 @@ func (g *Gen) randDate() int64 {
 
 func (g *Gen) randPrice() float64  { return float64(g.rng.Intn(101)) }
 func (g *Gen) randQuantity() int64 { return g.rng.Int63n(11) }
+
+// --- string filters -------------------------------------------------------
+
+// String predicates compare the tuple's bytes in place (Schema.GetBytes)
+// against a constant converted once per query instance: a filter is
+// evaluated per build row or per probed tuple, and a string allocated
+// for each evaluation was a quarter of a read-only batch's time.
+
+func strHasPrefix(s *storage.Schema, col int, prefix string) func([]byte) bool {
+	p := []byte(prefix)
+	return func(t []byte) bool { return bytes.HasPrefix(s.GetBytes(t, col), p) }
+}
+
+func strEquals(s *storage.Schema, col int, v string) func([]byte) bool {
+	b := []byte(v)
+	return func(t []byte) bool { return bytes.Equal(s.GetBytes(t, col), b) }
+}
+
+func strContains(s *storage.Schema, col int, sub string) func([]byte) bool {
+	b := []byte(sub)
+	return func(t []byte) bool { return bytes.Contains(s.GetBytes(t, col), b) }
+}
 
 // --- shared probe builders ----------------------------------------------
 
@@ -248,16 +270,12 @@ func (g *Gen) q2() *exec.Query {
 		Name:   "Q2",
 		Driver: tpcc.TStock,
 		Probes: []exec.Probe{
-			g.itemProbe(ss, tpcc.SIID, func(t []byte) bool {
-				return strings.HasPrefix(is.GetString(t, tpcc.IData), ch)
-			}),
+			g.itemProbe(ss, tpcc.SIID, strHasPrefix(is, tpcc.IData, ch)),
 			g.supplierOfStock(nil),
 			g.nationOf(func(_ []byte, joined [][]byte) int64 {
 				return g.s.Supplier.GetInt64(joined[1], tpcc.SUNationKey)
 			}, nil),
-			g.regionOfNation(2, func(t []byte) bool {
-				return rs.GetString(t, tpcc.RName) == rName
-			}),
+			g.regionOfNation(2, strEquals(rs, tpcc.RName, rName)),
 		},
 		Aggs: []exec.AggSpec{exec.SumCol(tpcc.SQuantity)},
 	}
@@ -274,9 +292,7 @@ func (g *Gen) q3() *exec.Query {
 			g.customerFromOrder(0, nil),
 			g.nationOf(func(_ []byte, joined [][]byte) int64 {
 				return cs.GetInt64(joined[1], tpcc.CNationKey)
-			}, func(t []byte) bool {
-				return ns.GetString(t, tpcc.NName) == nName
-			}),
+			}, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{g.sumOlAmount()},
 	}
@@ -294,16 +310,12 @@ func (g *Gen) q5() *exec.Query {
 			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[2]: cn
 				return cs.GetInt64(j[1], tpcc.CNationKey)
 			}, nil),
-			g.regionOfNation(2, func(t []byte) bool { // joined[3]: cr
-				return rs.GetString(t, tpcc.RName) == rName
-			}),
-			g.supplierOfOrderLine(nil), // joined[4]
+			g.regionOfNation(2, strEquals(rs, tpcc.RName, rName)), // joined[3]: cr
+			g.supplierOfOrderLine(nil),                            // joined[4]
 			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[5]: sn
 				return sus.GetInt64(j[4], tpcc.SUNationKey)
 			}, nil),
-			g.regionOfNation(5, func(t []byte) bool { // joined[6]: sr
-				return rs.GetString(t, tpcc.RName) == rName
-			}),
+			g.regionOfNation(5, strEquals(rs, tpcc.RName, rName)), // joined[6]: sr
 		},
 		// GROUP BY n_name: one revenue row per customer nation.
 		GroupBy: []exec.GroupCol{{From: 2, Col: tpcc.NNationKey}},
@@ -325,11 +337,11 @@ func (g *Gen) q7() *exec.Query {
 			g.customerFromOrder(0, nil), // joined[1]
 			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[2]: cn
 				return cs.GetInt64(j[1], tpcc.CNationKey)
-			}, func(t []byte) bool { return ns.GetString(t, tpcc.NName) == nName }),
+			}, strEquals(ns, tpcc.NName, nName)),
 			g.supplierOfOrderLine(nil), // joined[3]
 			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[4]: sn
 				return sus.GetInt64(j[3], tpcc.SUNationKey)
-			}, func(t []byte) bool { return ns.GetString(t, tpcc.NName) == nName }),
+			}, strEquals(ns, tpcc.NName, nName)),
 		},
 		// GROUP BY supp_nation, cust_nation (customer nation first so
 		// Q7 instances prefix-share group keys with Q5-style rollups).
@@ -348,21 +360,17 @@ func (g *Gen) q8() *exec.Query {
 		Name:   "Q8",
 		Driver: tpcc.TOrderLine,
 		Probes: []exec.Probe{
-			g.itemProbe(ols, tpcc.OLIID, func(t []byte) bool { // joined[0]
-				return strings.HasPrefix(is.GetString(t, tpcc.IData), ch)
-			}),
-			g.ordersFromOrderLine(nil),  // joined[1]
-			g.customerFromOrder(1, nil), // joined[2]
+			g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch)), // joined[0]
+			g.ordersFromOrderLine(nil),                                     // joined[1]
+			g.customerFromOrder(1, nil),                                    // joined[2]
 			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[3]: cn
 				return cs.GetInt64(j[2], tpcc.CNationKey)
 			}, nil),
-			g.regionOfNation(3, func(t []byte) bool { // joined[4]: cr
-				return rs.GetString(t, tpcc.RName) == rName
-			}),
-			g.supplierOfOrderLine(nil), // joined[5]
+			g.regionOfNation(3, strEquals(rs, tpcc.RName, rName)), // joined[4]: cr
+			g.supplierOfOrderLine(nil),                            // joined[5]
 			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[6]: sn
 				return sus.GetInt64(j[5], tpcc.SUNationKey)
-			}, func(t []byte) bool { return ns.GetString(t, tpcc.NName) == nName }),
+			}, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{g.sumOlAmount()},
 	}
@@ -375,9 +383,7 @@ func (g *Gen) q9() *exec.Query {
 		Name:   "Q9",
 		Driver: tpcc.TOrderLine,
 		Probes: []exec.Probe{
-			g.itemProbe(ols, tpcc.OLIID, func(t []byte) bool {
-				return strings.HasPrefix(is.GetString(t, tpcc.IData), c1+c2)
-			}),
+			g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, c1+c2)),
 		},
 		Aggs: []exec.AggSpec{g.sumOlAmount()},
 	}
@@ -403,7 +409,7 @@ func (g *Gen) q11() *exec.Query {
 			g.supplierOfStock(nil),
 			g.nationOf(func(_ []byte, j [][]byte) int64 {
 				return sus.GetInt64(j[0], tpcc.SUNationKey)
-			}, func(t []byte) bool { return ns.GetString(t, tpcc.NName) == nName }),
+			}, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{exec.SumCol(tpcc.SOrderCnt)},
 	}
@@ -433,9 +439,7 @@ func (g *Gen) q14() *exec.Query {
 		Driver: tpcc.TOrderLine,
 		Where:  []exec.Pred{exec.CmpInt(tpcc.OLDeliveryD, exec.GE, date)},
 		Probes: []exec.Probe{
-			g.itemProbe(ols, tpcc.OLIID, func(t []byte) bool {
-				return strings.HasPrefix(is.GetString(t, tpcc.IData), c1+c2)
-			}),
+			g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, c1+c2)),
 		},
 		Aggs: []exec.AggSpec{g.sumOlAmount()},
 	}
@@ -443,17 +447,13 @@ func (g *Gen) q14() *exec.Query {
 
 func (g *Gen) q16() *exec.Query {
 	c1, c2 := g.randChar(), g.randChar()
-	is, sus := g.s.Item, g.s.Supplier
+	excluded := strHasPrefix(g.s.Item, tpcc.IData, c1+c2)
 	return &exec.Query{
 		Name:   "Q16",
 		Driver: tpcc.TOrderLine,
 		Probes: []exec.Probe{
-			g.itemProbe(g.s.OrderLine, tpcc.OLIID, func(t []byte) bool {
-				return !strings.HasPrefix(is.GetString(t, tpcc.IData), c1+c2)
-			}),
-			g.supplierOfOrderLine(func(t []byte) bool {
-				return strings.Contains(sus.GetString(t, tpcc.SUComment), "Complaints")
-			}),
+			g.itemProbe(g.s.OrderLine, tpcc.OLIID, func(t []byte) bool { return !excluded(t) }),
+			g.supplierOfOrderLine(strContains(g.s.Supplier, tpcc.SUComment, "Complaints")),
 		},
 		Aggs: []exec.AggSpec{countStar()},
 	}
@@ -468,9 +468,7 @@ func (g *Gen) q17() *exec.Query {
 		Driver: tpcc.TOrderLine,
 		Where:  []exec.Pred{exec.CmpInt(tpcc.OLQuantity, exec.GE, qty)},
 		Probes: []exec.Probe{
-			g.itemProbe(ols, tpcc.OLIID, func(t []byte) bool {
-				return strings.HasPrefix(is.GetString(t, tpcc.IData), ch)
-			}),
+			g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch)),
 		},
 		Aggs: []exec.AggSpec{
 			g.sumOlAmount(),
@@ -483,9 +481,7 @@ func (g *Gen) q19() *exec.Query {
 	ch := g.randChar()
 	price := g.randPrice()
 	is, ols := g.s.Item, g.s.OrderLine
-	ip := g.itemProbe(ols, tpcc.OLIID, func(t []byte) bool {
-		return strings.HasPrefix(is.GetString(t, tpcc.IData), ch)
-	})
+	ip := g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch))
 	ip.Where = []exec.Pred{exec.BetweenFloat(tpcc.IPrice, price, price+10)}
 	return &exec.Query{
 		Name:   "Q19",
@@ -503,13 +499,11 @@ func (g *Gen) q20() *exec.Query {
 		Name:   "Q20",
 		Driver: tpcc.TOrderLine,
 		Probes: []exec.Probe{
-			g.itemProbe(g.s.OrderLine, tpcc.OLIID, func(t []byte) bool {
-				return strings.HasPrefix(is.GetString(t, tpcc.IData), ch)
-			}),
+			g.itemProbe(g.s.OrderLine, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch)),
 			g.supplierOfOrderLine(nil),
 			g.nationOf(func(_ []byte, j [][]byte) int64 {
 				return sus.GetInt64(j[1], tpcc.SUNationKey)
-			}, func(t []byte) bool { return ns.GetString(t, tpcc.NName) == nName }),
+			}, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{countStar()},
 	}

@@ -33,11 +33,6 @@ type Hash[V any] struct {
 type hashShard[V any] struct {
 	mu sync.RWMutex
 	m  map[uint64]V
-	// owned reports whether m belongs exclusively to this Hash. A
-	// freshly built index owns every shard; a Clone owns none and copies
-	// a shard's map on first mutation (copy-on-write), leaving the
-	// parent's map frozen for readers that still hold the parent.
-	owned bool
 }
 
 // NewHash returns an empty hash index sized for roughly n entries.
@@ -49,43 +44,8 @@ func NewHash[V any](n int) *Hash[V] {
 	}
 	for i := range h.shards {
 		h.shards[i].m = make(map[uint64]V, per)
-		h.shards[i].owned = true
 	}
 	return h
-}
-
-// Clone returns a copy-on-write snapshot of the index: the clone shares
-// every shard map with the parent and copies a shard only when it is
-// first mutated, so clone cost is O(shards) plus O(size of touched
-// shards) — not O(entries). The intended protocol is one-directional:
-// after cloning, the parent must no longer be mutated (it becomes the
-// frozen index of an older snapshot); all writes go to the clone.
-// Concurrent reads of the parent during the clone's shard copies are
-// safe (read-read on shared maps).
-func (h *Hash[V]) Clone() *Hash[V] {
-	c := &Hash[V]{}
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.RLock()
-		c.shards[i].m = s.m
-		s.mu.RUnlock()
-	}
-	return c
-}
-
-// own ensures the shard's map is exclusively owned, copying it if it is
-// still shared with a Clone parent. Must be called with s.mu held for
-// writing.
-func (s *hashShard[V]) own() {
-	if s.owned {
-		return
-	}
-	m := make(map[uint64]V, len(s.m)+1)
-	for k, v := range s.m {
-		m[k] = v
-	}
-	s.m = m
-	s.owned = true
 }
 
 // shardIndex maps a key to its shard ordinal. Fibonacci hashing spreads
@@ -111,7 +71,6 @@ func (h *Hash[V]) Get(key uint64) (V, bool) {
 func (h *Hash[V]) Put(key uint64, v V) {
 	s := h.shard(key)
 	s.mu.Lock()
-	s.own()
 	s.m[key] = v
 	s.mu.Unlock()
 }
@@ -125,7 +84,6 @@ func (h *Hash[V]) PutIfAbsent(key uint64, v V) (V, bool) {
 		s.mu.Unlock()
 		return old, false
 	}
-	s.own()
 	s.m[key] = v
 	s.mu.Unlock()
 	return v, true
@@ -139,7 +97,7 @@ func (h *Hash[V]) PutIfAbsent(key uint64, v V) (V, bool) {
 // Keys are grouped by shard first (the ALEX batch-insertion pattern:
 // group by target node, then do all the work per node at once), so the
 // whole batch costs one lock acquisition per touched shard instead of
-// up to two per key, and each shard's copy-on-write check runs once.
+// up to two per key.
 // Duplicate keys in the batch converge on one entry, like racing
 // PutIfAbsent callers.
 func (h *Hash[V]) GetOrPutBatch(keys []uint64, mk func(key uint64) V, out []V, inserted []bool) {
@@ -168,16 +126,11 @@ func (h *Hash[V]) GetOrPutBatch(keys []uint64, mk func(key uint64) V, out []V, i
 		group := order[starts[si]:next[si]]
 		s := &h.shards[si]
 		s.mu.Lock()
-		var owned bool
 		for _, i := range group {
 			k := keys[i]
 			if v, ok := s.m[k]; ok {
 				out[i] = v
 				continue
-			}
-			if !owned {
-				s.own()
-				owned = true
 			}
 			v := mk(k)
 			s.m[k] = v
@@ -196,7 +149,6 @@ func (h *Hash[V]) CompareAndDelete(key uint64, eq func(V) bool) bool {
 	s.mu.Lock()
 	v, ok := s.m[key]
 	if ok && eq(v) {
-		s.own()
 		delete(s.m, key)
 		s.mu.Unlock()
 		return true
@@ -211,7 +163,6 @@ func (h *Hash[V]) Delete(key uint64) bool {
 	s.mu.Lock()
 	_, ok := s.m[key]
 	if ok {
-		s.own()
 		delete(s.m, key)
 	}
 	s.mu.Unlock()

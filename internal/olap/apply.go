@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"batchdb/internal/index"
 	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 )
@@ -177,7 +176,7 @@ type tableOut struct {
 	ts      *TableApplyStats
 	entries int
 	parts   []*Partition
-	pk      *index.Hash[uint64]
+	pk      *pkIndex
 	err     error
 }
 
@@ -320,9 +319,9 @@ func (r *Replica) needsMaintenance() bool {
 // applyTable runs the three apply steps for one table. With clone set it
 // leaves the current version untouched: every partition the round
 // touches is copied first (untouched ones are shared with the current
-// version by pointer) and the PK index clones copy-on-write (shard maps
-// copy only when an insert or delete lands in them); otherwise it
-// mutates the canonical partitions and index and returns those. Leaf
+// version by pointer) and the PK index clones copy-on-write (a shard's
+// array is copied only when an insert or delete lands in it); otherwise
+// it mutates the canonical partitions and index and returns those. Leaf
 // tasks acquire sem; the caller's per-table goroutine itself does not,
 // so a round with more tables than workers cannot deadlock.
 func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, clone bool) *tableOut {
@@ -396,15 +395,17 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 	}
 	ts.Step2 = time.Since(start)
 
-	// The next version's partition slice and the table step 3 maintains
-	// the PK index through (pkInsert/pkDelete): the canonical ones in
-	// place; when cloning, a copied slice and — only if entries might
-	// insert or delete — a shadow view over a copy-on-write index clone.
-	parts, pkOwner := t.Partitions, t
+	// The next version's partition slice and PK index: the canonical
+	// ones in place; when cloning, a copied slice and — only if entries
+	// might insert or delete — a copy-on-write index clone. Locators
+	// carry a partition's ordinal and slot, both of which a cloned
+	// partition shares with its original, so untouched index shards stay
+	// valid for the next version as they are.
+	parts, pk := t.Partitions, t.pkIdx
 	if clone {
 		parts = append([]*Partition(nil), t.Partitions...)
-		if t.pkIdx != nil && len(merged) > 0 {
-			pkOwner = viewOf(t, nil, t.pkIdx.Clone(), t.version)
+		if pk != nil && len(merged) > 0 {
+			pk = pk.clone()
 		}
 	}
 
@@ -435,7 +436,7 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 			// requested before new entries land — the incremental
 			// maintenance below then covers exactly the active set.
 			p.ActivateSynopsisCols(w)
-			ins, upd, del, err := applyToPartition(pkOwner, p, entries)
+			ins, upd, del, err := applyToPartition(p, entries, pk, t.pkFn, pi)
 			if err == nil {
 				// Re-summarize blocks this round's deletes and
 				// bound-narrowing updates dirtied, inside the same
@@ -462,7 +463,7 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 		}(pi, p, entries)
 	}
 	wg.Wait()
-	return &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pkOwner.pkIdx, err: firstErr}
+	return &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pk, err: firstErr}
 }
 
 // appendLeftover adds a (worker, table) batch's requeued tail to batches,
@@ -621,16 +622,18 @@ func mergeHeapInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
 // deletes locate their tuple through the RowID hash index; inserts take
 // the next free slot. Consecutive field patches of the same tuple from
 // the same transaction share a single index lookup and count as one
-// updated tuple — the paper's Ptup counts tuples, not patches.
-func applyToPartition(t *Table, p *Partition, entries []proplog.Entry) (ins, upd, del int, err error) {
+// updated tuple — the paper's Ptup counts tuples, not patches. pk (nil
+// when the table has none) is the next version's PK index, kept in step
+// with the slots: pi is p's ordinal in its table, which with the slot
+// makes a row's locator.
+func applyToPartition(p *Partition, entries []proplog.Entry, pk *pkIndex, pkFn func([]byte) uint64, pi int) (ins, upd, del int, err error) {
 	for i := 0; i < len(entries); i++ {
 		e := &entries[i]
 		switch e.Kind {
 		case proplog.Insert:
-			if aerr := p.Insert(e.RowID, e.Data); aerr != nil {
+			if aerr := insertIndexed(p, pi, e.RowID, e.Data, pk, pkFn); aerr != nil {
 				return ins, upd, del, aerr
 			}
-			t.pkInsert(e.Data, e.RowID)
 			ins++
 		case proplog.Update:
 			slot, ok := p.Locate(e.RowID)
@@ -649,9 +652,9 @@ func applyToPartition(t *Table, p *Partition, entries []proplog.Entry) (ins, upd
 			}
 			upd++
 		case proplog.Delete:
-			if t.pkIdx != nil {
-				if tup, ok := p.Get(e.RowID); ok {
-					t.pkDelete(tup)
+			if pk != nil {
+				if slot, ok := p.Locate(e.RowID); ok {
+					pk.del(pkFn(p.tupleAt(slot)), pkLoc(pi, slot))
 				}
 			}
 			if aerr := p.Delete(e.RowID); aerr != nil {

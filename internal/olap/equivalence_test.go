@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -151,7 +152,9 @@ type tableState struct {
 	Raw [][]byte
 	// Live is "rowID:tuple" for every live tuple, sorted.
 	Live []string
-	// PK is "pk:rowID" for every PK-index entry, sorted.
+	// PK is "pk:locator=tuple" for every PK-index entry, sorted: where
+	// the index says the row is, and the bytes GetByPK hands a probe for
+	// it ("miss" when the key does not resolve to a tuple carrying it).
 	PK []string
 	// Verdicts holds, per partition, block and eqRanges entry, the
 	// zone-map verdict, the encoded filter's served flag and selection
@@ -199,9 +202,12 @@ func captureTable(tv *Table) tableState {
 	}
 	sort.Strings(st.Live)
 	if tv.pkIdx != nil {
-		tv.pkIdx.Range(func(pk uint64, rowID uint64) bool {
-			st.PK = append(st.PK, fmt.Sprintf("%d:%d", pk, rowID))
-			return true
+		tv.pkIdx.each(func(pk, loc uint64) {
+			tup, ok := tv.GetByPK(pk)
+			if !ok || tv.pkFn(tup) != pk {
+				tup = []byte("miss")
+			}
+			st.PK = append(st.PK, fmt.Sprintf("%d:%x=%x", pk, loc, tup))
 		})
 		sort.Strings(st.PK)
 	}
@@ -253,8 +259,8 @@ func checkModel(t *testing.T, stage string, r *Replica, m *eqModel) {
 		if tbl.Live() != len(m.live[ti]) {
 			t.Fatalf("%s: table %d live = %d, model %d", stage, ti+1, tbl.Live(), len(m.live[ti]))
 		}
-		if tbl.pkIdx.Len() != len(m.live[ti]) {
-			t.Fatalf("%s: table %d PK index holds %d keys, model %d", stage, ti+1, tbl.pkIdx.Len(), len(m.live[ti]))
+		if tbl.pkIdx.size() != len(m.live[ti]) {
+			t.Fatalf("%s: table %d PK index holds %d keys, model %d", stage, ti+1, tbl.pkIdx.size(), len(m.live[ti]))
 		}
 		for row, v := range m.live[ti] {
 			tup, ok := tbl.GetByPK(row)
@@ -411,6 +417,53 @@ func TestApplyInPlaceEqualsClone(t *testing.T) {
 					t.Fatalf("%s: after Unpin chain length %d, retired %d -> %d; want 1 and one more", stage, n, retiredBefore, ret)
 				}
 			}
+			// A resync reload replaces every structure, PK index included,
+			// with freshly built ones — on both twins alike, but under a
+			// pin on one of them: the pinned version keeps resolving every
+			// key to its pre-reload bytes.
+			pin := cloned.PinSnapshot()
+			pinnedBefore := captureTables(pin.Tables())
+			for _, r := range []*Replica{inPlace, cloned} {
+				rl := r.NewReload()
+				for ti := range m.live {
+					id := storage.TableID(ti + 1)
+					rows := make([]uint64, 0, len(m.live[ti]))
+					for row := range m.live[ti] {
+						rows = append(rows, row)
+					}
+					slices.Sort(rows) // slot placement follows load order
+					for _, row := range rows {
+						if row%3 == 0 {
+							continue // the resync snapshot lost this row
+						}
+						if err := rl.LoadTuple(id, row, tuple(eqSchema(id), int64(row), (m.live[ti][row]+1)%100)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				r.InstallReload(rl, last+1)
+				if st, err := r.ApplyPending(last + 1); err != nil || !st.Reloaded {
+					t.Fatalf("resync reload: reloaded=%v err=%v", st.Reloaded, err)
+				}
+			}
+			for ti := range m.live {
+				for row, v := range m.live[ti] {
+					if row%3 == 0 {
+						delete(m.live[ti], row)
+						m.deleted[ti][row] = true
+					} else {
+						m.live[ti][row] = (v + 1) % 100
+					}
+				}
+			}
+			if d := diffStates(captureTables(inPlace.Tables()), captureTables(cloned.Tables())); d != "" {
+				t.Fatalf("after resync reload the twins differ: %s", d)
+			}
+			if d := diffStates(pinnedBefore, captureTables(pin.Tables())); d != "" {
+				t.Fatalf("the resync reload changed the pinned snapshot under its reader: %s", d)
+			}
+			pin.Unpin()
+
 			// The comparison above is only as strong as what the captures
 			// exercise: the encoded filter and aggregate kernels must have
 			// served blocks, and the zone maps must have disproved some.

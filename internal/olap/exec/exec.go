@@ -20,9 +20,10 @@
 // each partition's slot space is cut into fixed-size ranges
 // (MorselTuples) that workers pull off an atomic cursor, so scan
 // parallelism is bounded by the engine's worker count rather than by
-// partition count or skew. Build sides are sharded by key hash so
-// construction is lock-free and parallel in both its scan and its
-// map-building phase.
+// partition count or skew. A build side is one flat open-addressed
+// table cut into regions by key hash, so construction is lock-free and
+// parallel in both its scan and its insert phase, and a probe is one
+// array access plus the tuple it names.
 //
 // Per paper §8.1 the query model is scan + equi-join + aggregate, which
 // covers the modified CH-benCHmark query set in Appendix A. The paper
@@ -86,12 +87,20 @@ type Probe struct {
 	// previously joined tuples.
 	ProbeKey func(driver []byte, joined [][]byte) uint64
 	// Where declaratively filters the joined tuple: an AND-list compiled
-	// to typed kernels against the build table's schema. Probe filters
-	// run on hash matches, not scans, so Where is never pushed down to
-	// synopses — it only replaces closure dispatch with typed kernels.
+	// to typed kernels against the build table's schema. Where is never
+	// pushed down to synopses — it only replaces closure dispatch with
+	// typed kernels.
 	Where []Pred
 	// Pred is the residual filter for anything Where cannot express;
 	// ANDed with Where, nil accepts all.
+	//
+	// A probe filter (Where and Pred alike) must be a pure function of
+	// the build-side tuple it is handed: no state, no dependence on the
+	// driver tuple or on call order. The engine decides per batch whether
+	// to call it on each hash match or once per row of the build (the
+	// verdicts kept as a bitmap the matches index), so it may run on
+	// rows no driver tuple ever reaches, and a different number of times
+	// from one batch to the next.
 	Pred func(tup []byte) bool
 }
 
@@ -236,19 +245,56 @@ type buildID struct {
 	key   string
 }
 
-// build is one shared hash-join build side, sharded by key hash so both
-// construction and probing distribute across workers without locks.
+// build is one shared hash-join build side: a flat open-addressed table
+// from join key to row ordinal (linear probing, load at most one half)
+// and a copy of the build's tuples laid out by ordinal, so a probe is
+// two dependent memory accesses — slot, tuple — with no slice header in
+// between, and a cached build keeps no partition of an old table
+// version alive. The table is cut into equal power-of-two regions picked
+// by the hash's top bits — one region per construction shard, so each
+// is filled by one worker without locks — and a probe run wraps inside
+// its region. Ordinals are dense, which is what lets a probe filter be
+// evaluated once per row into a bitmap (lookup.bits) instead of once
+// per hit.
 type build struct {
-	shards []map[uint64][]byte
-	// shift maps hashed keys to shards: shard = (key*hashMul) >> shift.
-	// len(shards) is a power of two; a single shard uses shift 64,
-	// which Go defines to yield 0.
-	shift uint
+	ents []buildSlot
+	// tuples holds row ord, of nrows, at [ord*tupleSize, (ord+1)*tupleSize).
+	tuples    []byte
+	tupleSize int
+	nrows     int
+	// region = h >> (64-rbits) (a shift by 64 when there is one region,
+	// which Go defines to yield 0); home slot = (h << rbits) >> pshift,
+	// inside the region's 1<<(64-pshift) slots.
+	rbits, pshift uint8
 }
 
-func (b *build) lookup(key uint64) ([]byte, bool) {
-	v, ok := b.shards[(key*hashMul)>>b.shift][key]
-	return v, ok
+// buildSlot is one slot of a build's table, 16 bytes: ref is the row
+// ordinal plus one, 0 marking an empty slot.
+type buildSlot struct {
+	key uint64
+	ref uint32
+}
+
+// find returns the build tuple stored under key and its ordinal.
+func (b *build) find(key uint64) (tup []byte, ord uint32, ok bool) {
+	h := key * hashMul
+	mask := uint64(1)<<(64-b.pshift) - 1
+	region := b.ents[(h>>(64-b.rbits))<<(64-b.pshift):][:mask+1]
+	for i := (h << b.rbits) >> b.pshift; ; i++ {
+		e := &region[i&mask]
+		if e.ref == 0 {
+			return nil, 0, false
+		}
+		if e.key == key {
+			return b.row(e.ref - 1), e.ref - 1, true
+		}
+	}
+}
+
+// row returns the build tuple with ordinal ord.
+func (b *build) row(ord uint32) []byte {
+	off := int(ord) * b.tupleSize
+	return b.tuples[off : off+b.tupleSize]
 }
 
 // buildEntry is the check-or-claim cache slot for one build. The done
@@ -527,38 +573,24 @@ func (e *Engine) buildFor(sv *olap.Snapshot, id buildID, keyFn func(tup []byte) 
 	return be.b, nil
 }
 
-// constructBuild materializes one sharded build in two parallel phases:
-// (A) a morsel-driven scan appends (key, tuple) pairs into per-worker
+// constructBuild materializes one build in two parallel phases: (A) a
+// morsel-driven scan appends (key, tuple) pairs into per-worker
 // per-shard buckets — no synchronization, each worker owns its bucket
-// rows; (B) each shard's map is built by exactly one worker from the
-// buckets all scan workers left for it. Sharding removes the
-// single-map rehash bottleneck that used to serialize batch setup on
-// large build tables.
+// rows; (B) each shard's region of the table, and its run of the tuple
+// array, is filled by exactly one worker from the buckets all scan
+// workers left for it. A duplicate key keeps the tuple inserted last.
 func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *build {
-	nshards := 1
+	nshards, rbits := 1, uint8(0)
 	for nshards < e.workers {
 		nshards <<= 1
-	}
-	shift := uint(64)
-	for s := 1; s < nshards; s <<= 1 {
-		shift--
-	}
-	b := &build{shards: make([]map[uint64][]byte, nshards), shift: shift}
-	ms := e.morsels(t.Partitions)
-	if len(ms) == 0 {
-		for i := range b.shards {
-			b.shards[i] = make(map[uint64][]byte)
-		}
-		return b
-	}
-	nw := e.workers
-	if nw > len(ms) {
-		nw = len(ms)
+		rbits++
 	}
 	type kv struct {
 		k uint64
 		v []byte
 	}
+	ms := e.morsels(t.Partitions)
+	nw := max(min(e.workers, len(ms)), 1)
 	local := make([][][]kv, nw)
 	for i := range local {
 		local[i] = make([][]kv, nshards)
@@ -567,23 +599,48 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 		buckets := local[worker]
 		return func(_ int, _ uint64, tup []byte) bool {
 			k := keyFn(tup)
-			si := (k * hashMul) >> shift
+			si := (k * hashMul) >> (64 - rbits)
 			buckets[si] = append(buckets[si], kv{k, tup})
 			return true
 		}, nil
 	})
-	e.forEach(nshards, func(_, si int) {
+	// Size every region for the fullest shard, and give shard si the
+	// ordinals [first[si], first[si+1]).
+	first := make([]int, nshards+1)
+	most := 0
+	for si := 0; si < nshards; si++ {
 		n := 0
 		for w := range local {
 			n += len(local[w][si])
 		}
-		m := make(map[uint64][]byte, n)
+		first[si+1] = first[si] + n
+		most = max(most, n)
+	}
+	slots, pshift := 2, uint8(63)
+	for slots < 2*most {
+		slots <<= 1
+		pshift--
+	}
+	ts := t.Schema.TupleSize()
+	b := &build{
+		ents:   make([]buildSlot, nshards*slots),
+		tuples: make([]byte, first[nshards]*ts), tupleSize: ts, nrows: first[nshards],
+		rbits: rbits, pshift: pshift,
+	}
+	e.forEach(nshards, func(_, si int) {
+		region, mask := b.ents[si*slots:][:slots], uint64(slots-1)
+		ord := uint32(first[si])
 		for w := range local {
 			for _, p := range local[w][si] {
-				m[p.k] = p.v
+				copy(b.row(ord), p.v)
+				ord++ // from here the slot's ref: the ordinal plus one
+				i := (p.k * hashMul << rbits) >> pshift
+				for region[i&mask].ref != 0 && region[i&mask].key != p.k {
+					i++
+				}
+				region[i&mask] = buildSlot{p.k, ord}
 			}
 		}
-		b.shards[si] = m
 	})
 	return b
 }
@@ -604,8 +661,9 @@ func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepar
 		return
 	}
 	plans := make([]*qplan, 0, len(qs))
+	live := t.Live()
 	for i, q := range qs {
-		if p := e.compilePlan(sv, t, q, rs[i], prepared); p != nil {
+		if p := e.compilePlan(sv, t, live, q, rs[i], prepared); p != nil {
 			plans = append(plans, p)
 		}
 	}
@@ -709,6 +767,10 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 		// the visitor saw; their difference is what bitmaps pruned.
 		blocksScanned, blocksSkipped, blocksVectorized, blocksAggVec int64
 		tuplesPruned, pendingLive, offered                           int64
+		// probeLookups counts probe-chain lookups and predEvals the probe
+		// filters evaluated on a hit (a filter with a bitmap costs a bit
+		// test instead and is not counted here).
+		probeLookups, predEvals int64
 	}
 	partials := make([]partial, nw)
 	t0 := time.Now()
@@ -889,15 +951,8 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 				pt.joined = pt.joined[:0]
 				matched := true
 				for pi := range rep.q.Probes {
-					p := &rep.q.Probes[pi]
-					lk := &rep.lookups[pi]
-					var match []byte
-					var found bool
-					if lk.pkTable != nil {
-						match, found = lk.pkTable.GetByPK(p.ProbeKey(tup, pt.joined))
-					} else {
-						match, found = lk.b.lookup(p.ProbeKey(tup, pt.joined))
-					}
+					pt.probeLookups++
+					match, ord, found := rep.lookups[pi].find(rep.q.Probes[pi].ProbeKey(tup, pt.joined))
 					if !found {
 						matched = false
 						break
@@ -908,11 +963,15 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 						if !pt.liveNow[fi] {
 							continue
 						}
-						if pr := members[mi].lookups[pi].pred; pr != nil && !pr(match) {
-							pt.liveNow[fi] = false
-						} else {
-							any = true
+						ok := true
+						if lk := &members[mi].lookups[pi]; lk.bits != nil {
+							ok = lk.bits[ord>>6]>>(ord&63)&1 == 1
+						} else if lk.pred != nil {
+							pt.predEvals++
+							ok = lk.pred(match)
 						}
+						pt.liveNow[fi] = ok
+						any = any || ok
 					}
 					if !any {
 						matched = false
@@ -986,9 +1045,11 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 		*scanNS += int64(time.Since(t0))
 	}
 	t1 := time.Now()
-	var bScan, bSkip, tPrune, bVec, bAggVec int64
+	var bScan, bSkip, tPrune, bVec, bAggVec, lookups, predEvals int64
 	for wi := range partials {
 		p := &partials[wi]
+		lookups += p.probeLookups
+		predEvals += p.predEvals
 		bScan += p.blocksScanned
 		bSkip += p.blocksSkipped
 		bVec += p.blocksVectorized
@@ -1019,6 +1080,8 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 		e.stats.ExecTuplesPruned.Add(uint64(tPrune))
 		e.stats.ExecBlocksVectorized.Add(uint64(bVec))
 		e.stats.ExecBlocksAggVectorized.Add(uint64(bAggVec))
+		e.stats.ExecProbeLookups.Add(uint64(lookups))
+		e.stats.ExecProbePredEvals.Add(uint64(predEvals))
 	}
 	if mergeNS != nil {
 		*mergeNS += int64(time.Since(t1))

@@ -53,6 +53,10 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Merged cohorts executed as one shared pipeline.", &st.ExecCohortsShared, labels...)
 	reg.ObserveCounter("batchdb_olap_queries_shared_total",
 		"Queries executed as members of a merged cohort.", &st.ExecQueriesShared, labels...)
+	reg.ObserveCounter("batchdb_olap_exec_probe_lookups_total",
+		"Join-probe lookups made by scan passes.", &st.ExecProbeLookups, labels...)
+	reg.ObserveCounter("batchdb_olap_exec_probe_pred_evals_total",
+		"Probe-filter evaluations (per build row when bitmapped, else per hit).", &st.ExecProbePredEvals, labels...)
 	reg.ObserveCounter("batchdb_olap_admit_splits_total",
 		"Dispatch rounds split by the batch-admission cost model.", &st.AdmitSplits, labels...)
 	reg.ObserveCounter("batchdb_olap_admit_deferred_total",

@@ -196,11 +196,11 @@ func TestApplyPendingThreeSteps(t *testing.T) {
 	if tbl.Live() != 2 {
 		t.Fatalf("live = %d, want 2 (rows 10,30)", tbl.Live())
 	}
-	tup, ok := tbl.partitionOf(10).Get(10)
+	tup, ok := tbl.Partitions[tbl.partitionOf(10)].Get(10)
 	if !ok || s.GetInt64(tup, 1) != 111 {
 		t.Fatalf("row 10 = %v,%v; want v=111", tup, ok)
 	}
-	if _, ok := tbl.partitionOf(20).Get(20); ok {
+	if _, ok := tbl.Partitions[tbl.partitionOf(20)].Get(20); ok {
 		t.Fatal("deleted row 20 present")
 	}
 	if r.AppliedVID() != 5 {

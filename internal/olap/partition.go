@@ -111,10 +111,18 @@ func (ix *ridIndex) clone() ridIndex {
 // tuple slots, a free list of deleted slots, and a hash index from RowID
 // to slot.
 //
-// The paper implements the RowID index as a cacheline-sized-bucket hash
-// table scanned with grouped software prefetching [10]; Go offers no
-// portable prefetch intrinsics, so the built-in map plays that role —
-// same asymptotics, same role in the apply "hash join" of step 3.
+// The paper implements its replica-side hash indexes as
+// cacheline-sized-bucket tables probed without locks [10]. Two indexes
+// exist here. The RowID index below is touched only by apply step 3
+// (one goroutine per partition), where sharded built-in maps that clone
+// copy-on-write do the job. The primary-key index that query probes go
+// through (Table.pkIdx, pkindex.go) is the paper's shape: flat
+// open-addressed arrays of 16-byte entries whose locators name a
+// (partition, slot) of this structure directly, read without a lock.
+// That works because a slot never moves once assigned — deletes
+// tombstone, inserts reuse a free slot or append, nothing compacts —
+// and because a partition, like the index, belongs to one table version
+// that no writer touches while a reader holds it.
 type Partition struct {
 	schema    *storage.Schema
 	tupleSize int
@@ -188,13 +196,20 @@ func (p *Partition) cloneForWrite() *Partition {
 // deleted"). Inserting an already-present RowID is a replica-divergence
 // bug and returns an error.
 func (p *Partition) Insert(rowID uint64, tuple []byte) error {
+	_, err := p.insert(rowID, tuple)
+	return err
+}
+
+// insert is Insert handing back the slot the tuple landed in, which is
+// what the table's PK index stores.
+func (p *Partition) insert(rowID uint64, tuple []byte) (int32, error) {
 	if rowID == 0 {
 		// RowID 0 is the tombstone sentinel: a row stored under it would
 		// be counted live and indexed yet invisible to every scan.
-		return fmt.Errorf("olap: insert of reserved RowID 0 in table %s", p.schema.Name)
+		return 0, fmt.Errorf("olap: insert of reserved RowID 0 in table %s", p.schema.Name)
 	}
 	if _, dup := p.index.get(rowID); dup {
-		return fmt.Errorf("olap: duplicate insert of RowID %d in table %s", rowID, p.schema.Name)
+		return 0, fmt.Errorf("olap: duplicate insert of RowID %d in table %s", rowID, p.schema.Name)
 	}
 	var slot int32
 	if n := len(p.free); n > 0 {
@@ -215,7 +230,7 @@ func (p *Partition) Insert(rowID uint64, tuple []byte) error {
 			p.enc.markStale(p, slot)
 		}
 	}
-	return nil
+	return slot, nil
 }
 
 // Locate resolves a RowID to its slot through the hash index. Apply
@@ -376,5 +391,13 @@ func (p *Partition) Get(rowID uint64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return p.data[int(slot)*p.tupleSize : (int(slot)+1)*p.tupleSize], true
+	return p.tupleAt(slot), true
+}
+
+// tupleAt returns the bytes of an allocated slot (aliasing partition
+// storage). data may have regrown since the slot was assigned, so the
+// slice is taken at read time.
+func (p *Partition) tupleAt(slot int32) []byte {
+	off := int(slot) * p.tupleSize
+	return p.data[off : off+p.tupleSize]
 }

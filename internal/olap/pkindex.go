@@ -1,0 +1,204 @@
+package olap
+
+import "sync"
+
+const (
+	pkShardBits = 6
+	pkShards    = 1 << pkShardBits
+	// pkMinSlots is a shard's smallest entry array (a power of two).
+	pkMinSlots = 8
+	// pkHashMul is the Fibonacci-hashing multiplier: the product's top
+	// bits pick the shard, the bits below them the home slot.
+	pkHashMul = 0x9E3779B97F4A7C15
+)
+
+// pkEntry is one slot of a shard's open-addressed array: 16 bytes, so a
+// probe that hits its home slot touches one cache line for key and
+// locator together. loc 0 marks an empty slot.
+type pkEntry struct {
+	key uint64
+	loc uint64
+}
+
+// pkLoc packs a tuple's position — partition ordinal and slot — into a
+// non-zero locator. Slots never move (a delete tombstones, an insert
+// reuses a free slot or appends; nothing compacts), so a locator stays
+// valid until its row is deleted, while the partition's data array
+// itself may regrow: resolve a locator against the partition at read
+// time, never cache the bytes.
+func pkLoc(part int, slot int32) uint64 { return uint64(part+1)<<32 | uint64(uint32(slot)) }
+
+// pkShard is one open-addressed (key, locator) array: linear probing,
+// load at most one half, backward-shift deletion (no tombstones, so
+// probe sequences never lengthen with churn).
+type pkShard struct {
+	// mu serializes writers only: step 3 applies the partitions of one
+	// table in parallel, and two of them may insert into the same shard.
+	mu   sync.Mutex
+	ents []pkEntry // len is a power of two
+	// shift positions a hash in ents: home = (h << pkShardBits) >> shift.
+	shift uint8
+	n     int
+	// owned reports that ents belongs to this index alone. A clone owns
+	// nothing and copies a shard's array on the first write to it.
+	owned bool
+}
+
+// pkIndex maps a table's primary keys to tuple locators: pkShards
+// independent open-addressed arrays, cloned copy-on-write per shard.
+//
+// Reads take no lock and need none. The index belongs to one table
+// version: a pinned snapshot's index is frozen — the apply round that
+// builds the next version writes to a clone, whose first write to a
+// shard copies that shard's array and leaves the parent's untouched —
+// and a round that writes an index in place runs only when nothing is
+// pinned, holding the chain lock so no reader can arrive. Writers to one
+// index (step 3, one goroutine per partition) serialize per shard.
+type pkIndex struct {
+	shards [pkShards]pkShard
+}
+
+// newPKIndex returns an empty index sized so that capacityHint keys
+// spread over the shards stay under the load bound without growing.
+func newPKIndex(capacityHint int) *pkIndex {
+	slots, shift := pkMinSlots, uint8(64-3) // 3 = log2(pkMinSlots)
+	for slots < 2*capacityHint/pkShards {
+		slots <<= 1
+		shift--
+	}
+	ix := &pkIndex{}
+	for i := range ix.shards {
+		ix.shards[i] = pkShard{ents: make([]pkEntry, slots), shift: shift, owned: true}
+	}
+	return ix
+}
+
+// clone returns a copy-on-write snapshot of the index: every shard's
+// array is shared until the clone first writes to it, so cloning costs
+// O(shards) and a round pays one array copy per shard it touches. The
+// receiver must not be written afterwards (it is the frozen index of
+// the older version) and must be quiescent now.
+func (ix *pkIndex) clone() *pkIndex {
+	c := &pkIndex{}
+	for i := range ix.shards {
+		s := &ix.shards[i]
+		c.shards[i] = pkShard{ents: s.ents, shift: s.shift, n: s.n}
+	}
+	return c
+}
+
+// get returns key's locator.
+func (ix *pkIndex) get(key uint64) (uint64, bool) {
+	h := key * pkHashMul
+	s := &ix.shards[h>>(64-pkShardBits)]
+	ents := s.ents
+	mask := uint64(len(ents) - 1)
+	for i := (h << pkShardBits) >> s.shift; ; i++ {
+		e := &ents[i&mask]
+		if e.key == key && e.loc != 0 {
+			return e.loc, true
+		}
+		if e.loc == 0 {
+			return 0, false
+		}
+	}
+}
+
+// own makes the shard's array exclusively this index's. Caller holds
+// s.mu.
+func (s *pkShard) own() {
+	if !s.owned {
+		s.ents = append([]pkEntry(nil), s.ents...)
+		s.owned = true
+	}
+}
+
+// shard returns the shard key hashes to.
+func (ix *pkIndex) shard(key uint64) *pkShard {
+	return &ix.shards[key*pkHashMul>>(64-pkShardBits)]
+}
+
+// home returns key's home slot, before masking to the array.
+func (s *pkShard) home(key uint64) uint64 {
+	return (key * pkHashMul << pkShardBits) >> s.shift
+}
+
+// put stores loc under key, replacing any existing entry.
+func (ix *pkIndex) put(key, loc uint64) {
+	s := ix.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if 2*(s.n+1) > len(s.ents) {
+		s.grow()
+	} else {
+		s.own()
+	}
+	mask := uint64(len(s.ents) - 1)
+	for i := s.home(key); ; i++ {
+		e := &s.ents[i&mask]
+		if e.loc == 0 {
+			*e = pkEntry{key, loc}
+			s.n++
+			return
+		}
+		if e.key == key {
+			e.loc = loc
+			return
+		}
+	}
+}
+
+// grow doubles the shard's array and re-places every entry; the new
+// array is owned whatever the old one was.
+func (s *pkShard) grow() {
+	old := s.ents
+	s.ents = make([]pkEntry, 2*len(old))
+	s.shift--
+	s.owned = true
+	mask := uint64(len(s.ents) - 1)
+	for _, e := range old {
+		if e.loc == 0 {
+			continue
+		}
+		i := s.home(e.key)
+		for s.ents[i&mask].loc != 0 {
+			i++
+		}
+		s.ents[i&mask] = e
+	}
+}
+
+// del removes key if it maps to loc. The locator check makes a delete
+// and a re-insert of the same key commute: step 3 runs them on
+// different goroutines when the two rows live in different partitions.
+func (ix *pkIndex) del(key, loc uint64) {
+	s := ix.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mask := uint64(len(s.ents) - 1)
+	i := s.home(key) & mask
+	for ; ; i = (i + 1) & mask {
+		e := s.ents[i]
+		if e.loc == 0 {
+			return
+		}
+		if e.key == key {
+			if e.loc != loc {
+				return
+			}
+			break
+		}
+	}
+	s.own()
+	// Backward shift: pull every later entry of the probe run whose home
+	// lies at or before the hole into it, so no lookup ever has to cross
+	// an empty slot to reach its key.
+	for j := (i + 1) & mask; s.ents[j].loc != 0; j = (j + 1) & mask {
+		if k := s.home(s.ents[j].key) & mask; (j-k)&mask >= (j-i)&mask {
+			s.ents[i] = s.ents[j]
+			i = j
+		}
+	}
+	s.ents[i] = pkEntry{}
+	s.n--
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"batchdb/internal/index"
 	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 )
@@ -50,12 +49,12 @@ type Table struct {
 	version uint64
 
 	// pkFn and pkIdx implement an optional primary-key index
-	// (pk -> RowID) maintained incrementally during load and update
-	// application. The shared-execution engine probes it for join
-	// lookups into tables that change every batch, so no hash-join
-	// build side ever has to be rebuilt from a full scan.
+	// (pk -> tuple locator, pkindex.go) maintained incrementally during
+	// load and update application. The shared-execution engine probes it
+	// for join lookups into tables that change every batch, so no
+	// hash-join build side ever has to be rebuilt from a full scan.
 	pkFn  func(tup []byte) uint64
-	pkIdx *index.Hash[uint64]
+	pkIdx *pkIndex
 
 	// scratch holds the table's reusable apply buffers (see applyScratch);
 	// owned by the single goroutine applying this table each round.
@@ -73,40 +72,48 @@ func (t *Table) Version() uint64 { return t.version }
 func (t *Table) SetPK(fn func(tup []byte) uint64, capacityHint int) {
 	t.pkFn = fn
 	t.pkHint = capacityHint
-	t.pkIdx = index.NewHash[uint64](capacityHint)
+	t.pkIdx = newPKIndex(capacityHint)
 }
 
 // HasPKIndex reports whether the table maintains a PK index.
 func (t *Table) HasPKIndex() bool { return t.pkIdx != nil }
 
-// GetByPK resolves a primary key to the live tuple bytes via the PK
-// index and the owning partition's RowID index.
+// GetByPK resolves a primary key to the live tuple bytes (aliasing
+// partition storage): one probe of the PK index, then a slice of the
+// located partition's tuple array. It takes no lock — see pkIndex for
+// why a reader of a table version never meets a writer of it.
 func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
-	rowID, ok := t.pkIdx.Get(pk)
+	loc, ok := t.pkIdx.get(pk)
 	if !ok {
 		return nil, false
 	}
-	return t.partitionOf(rowID).Get(rowID)
+	return t.Partitions[loc>>32-1].tupleAt(int32(uint32(loc))), true
 }
 
-// pkInsert/pkDelete maintain the PK index during load and apply.
-func (t *Table) pkInsert(tup []byte, rowID uint64) {
-	if t.pkIdx != nil {
-		t.pkIdx.Put(t.pkFn(tup), rowID)
+// insert places a tuple in the partition its RowID routes to and
+// indexes its primary key there (load and resync reload; apply rounds
+// go through applyToPartition, which may write a cloned index).
+func (t *Table) insert(rowID uint64, tup []byte) error {
+	pi := t.partitionOf(rowID)
+	return insertIndexed(t.Partitions[pi], pi, rowID, tup, t.pkIdx, t.pkFn)
+}
+
+// insertIndexed places a tuple in p, partition pi of its table, and —
+// when the table has a PK index — stores the slot it landed in under
+// its primary key in pk.
+func insertIndexed(p *Partition, pi int, rowID uint64, tup []byte, pk *pkIndex, pkFn func([]byte) uint64) error {
+	slot, err := p.insert(rowID, tup)
+	if err == nil && pk != nil {
+		pk.put(pkFn(tup), pkLoc(pi, slot))
 	}
+	return err
 }
 
-func (t *Table) pkDelete(tup []byte) {
-	if t.pkIdx != nil {
-		t.pkIdx.Delete(t.pkFn(tup))
-	}
-}
-
-// partitionOf routes a RowID to its partition (paper §5: horizontal
-// soft-partitioning on a hash of the RowID attribute).
-func (t *Table) partitionOf(rowID uint64) *Partition {
+// partitionOf routes a RowID to its partition's ordinal (paper §5:
+// horizontal soft-partitioning on a hash of the RowID attribute).
+func (t *Table) partitionOf(rowID uint64) int {
 	h := rowID * 0x9E3779B97F4A7C15
-	return t.Partitions[h%uint64(len(t.Partitions))]
+	return int(h % uint64(len(t.Partitions)))
 }
 
 // Live returns the number of live tuples across all partitions.
@@ -329,10 +336,9 @@ func (r *Replica) LoadTuple(id storage.TableID, rowID uint64, tuple []byte) erro
 		return fmt.Errorf("olap: load into unknown table %d", id)
 	}
 	t.version++
-	if err := t.partitionOf(rowID).Insert(rowID, tuple); err != nil {
+	if err := t.insert(rowID, tuple); err != nil {
 		return err
 	}
-	t.pkInsert(tuple, rowID)
 	r.markWiringDirty()
 	return nil
 }
@@ -520,14 +526,13 @@ func (r *Replica) applyReload(rl *Reload) error {
 		}
 		t.Partitions = parts
 		if t.pkIdx != nil {
-			t.pkIdx = index.NewHash[uint64](t.pkHint)
+			t.pkIdx = newPKIndex(t.pkHint)
 		}
 		t.version++
 		for _, row := range rl.rows[t.Schema.ID] {
-			if err := t.partitionOf(row.rowID).Insert(row.rowID, row.tup); err != nil {
+			if err := t.insert(row.rowID, row.tup); err != nil {
 				return err
 			}
-			t.pkInsert(row.tup, row.rowID)
 		}
 	}
 	r.SetFloor(rl.vid)

@@ -211,7 +211,7 @@ func TestReloadInstall(t *testing.T) {
 	if got := tbl.Live(); got != 4 {
 		t.Fatalf("rows after reload = %d, want 4 (3 snapshot + 1 live)", got)
 	}
-	if _, ok := tbl.partitionOf(1).Get(1); ok {
+	if _, ok := tbl.Partitions[tbl.partitionOf(1)].Get(1); ok {
 		t.Fatal("pre-reload row survived the reload")
 	}
 	if r.AppliedVID() != 12 {
@@ -282,10 +282,10 @@ func TestReloadBuffersResyncUpdates(t *testing.T) {
 	if got := tbl.Live(); got != 2 {
 		t.Fatalf("rows after install = %d, want 2", got)
 	}
-	if _, ok := tbl.partitionOf(200).Get(200); !ok {
+	if _, ok := tbl.Partitions[tbl.partitionOf(200)].Get(200); !ok {
 		t.Fatal("post-snapshot buffered update lost across the reload")
 	}
-	if _, ok := tbl.partitionOf(1).Get(1); ok {
+	if _, ok := tbl.Partitions[tbl.partitionOf(1)].Get(1); ok {
 		t.Fatal("pre-reload row survived the reload")
 	}
 }

@@ -90,6 +90,14 @@ type SchedulerStats struct {
 	// queries; ExecQueriesShared / Queries is the batch share rate.
 	ExecCohortsShared metrics.Counter
 	ExecQueriesShared metrics.Counter
+	// ExecProbeLookups counts join-probe lookups (one per cohort per
+	// probe step a tuple reaches) and ExecProbePredEvals the probe-filter
+	// evaluations behind them: one per build row for a filter the
+	// executor turned into a bitmap, one per hit per live member
+	// otherwise. Both are pure functions of data, batch and plan — work
+	// counters, comparable exactly across runs.
+	ExecProbeLookups   metrics.Counter
+	ExecProbePredEvals metrics.Counter
 	// AdmitSplits counts dispatch rounds the admission hook cut short;
 	// AdmitDeferred counts the queries it pushed into a later round
 	// (each deferred query re-queues behind a fresh sync/apply, so a

@@ -1,9 +1,6 @@
 package olap
 
-import (
-	"batchdb/internal/index"
-	"batchdb/internal/storage"
-)
+import "batchdb/internal/storage"
 
 // Snapshot is one pinned version of the replica: an immutable view of
 // every table as of VID. Views are frozen Table structs sharing schema,
@@ -96,7 +93,7 @@ func (s *Snapshot) addTable(v *Table) {
 // slice, PK index and version are the given (possibly cloned) state.
 // The view's apply scratch stays zero — only the canonical table's
 // apply goroutine uses it.
-func viewOf(t *Table, parts []*Partition, pkIdx *index.Hash[uint64], version uint64) *Table {
+func viewOf(t *Table, parts []*Partition, pkIdx *pkIndex, version uint64) *Table {
 	return &Table{
 		Schema:     t.Schema,
 		Partitions: parts,

@@ -174,14 +174,23 @@ func (s *Schema) PutFloat64(tup []byte, i int, v float64) {
 	binary.LittleEndian.PutUint64(tup[s.offsets[i]:], math.Float64bits(v))
 }
 
-// GetString reads column i of tup, trimming NUL padding.
+// GetString reads column i of tup, trimming NUL padding. The result is
+// a copy the caller may keep.
 func (s *Schema) GetString(tup []byte, i int) string {
+	return string(s.GetBytes(tup, i))
+}
+
+// GetBytes is GetString without the copy: the NUL-trimmed field,
+// aliasing tup. For predicates that look at a string and let go of it
+// (compare with the bytes package); a caller that retains the value
+// wants GetString.
+func (s *Schema) GetBytes(tup []byte, i int) []byte {
 	b := tup[s.offsets[i] : s.offsets[i]+s.Columns[i].Size]
 	end := len(b)
 	for end > 0 && b[end-1] == 0 {
 		end--
 	}
-	return string(b[:end])
+	return b[:end]
 }
 
 // PutString writes column i of tup, truncating to the column width and
