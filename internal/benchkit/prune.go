@@ -3,6 +3,7 @@ package benchkit
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -426,13 +427,17 @@ func RunPrune(o PruneOpts) (*PruneSummary, error) {
 	return sum, nil
 }
 
+// aggsClose compares two runs' aggregates up to the rounding a sum of
+// floats picks up from the order its terms arrive in: which worker takes
+// which morsel differs from run to run, and an absolute 1e-6 on sums near
+// 3e8 (a dozen units in the last place) failed the smoke runs one time in
+// three.
 func aggsClose(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		d := a[i] - b[i]
-		if d > 1e-6 || d < -1e-6 {
+		if math.Abs(a[i]-b[i]) > 1e-9*math.Max(1, math.Max(math.Abs(a[i]), math.Abs(b[i]))) {
 			return false
 		}
 	}

@@ -1,0 +1,153 @@
+package olap
+
+import (
+	"sync"
+	"testing"
+	"time"
+)
+
+// batchLog records when each batch started executing and how many
+// queries it carried.
+type batchLog struct {
+	mu     sync.Mutex
+	starts []time.Time
+	sizes  []int
+	// hold, when set, keeps the next batch executing until it is closed.
+	hold chan struct{}
+}
+
+func (l *batchLog) run(qs []int, _ uint64) []int {
+	l.mu.Lock()
+	l.starts = append(l.starts, time.Now())
+	l.sizes = append(l.sizes, len(qs))
+	hold := l.hold
+	l.hold = nil
+	l.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+	return make([]int, len(qs))
+}
+
+func (l *batchLog) batches() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.sizes)
+}
+
+func newHeartbeatScheduler(t *testing.T) (*Scheduler[int, int], *batchLog) {
+	r := NewReplica(1)
+	r.CreateTable(kvSchema(), 16)
+	l := &batchLog{}
+	s := NewScheduler(r, StaticPrimary(0), l.run)
+	s.Start()
+	t.Cleanup(s.Close)
+	return s, l
+}
+
+// Sessions that ask concurrently are answered on the heartbeat: once a
+// batch has carried two queries, the next forms no sooner than one beat
+// after it did.
+func TestHeartbeatSpacesConcurrentBatches(t *testing.T) {
+	s, l := newHeartbeatScheduler(t)
+	const sessions = 4
+	stop := time.Now().Add(8 * batchHeartbeat)
+	var wg sync.WaitGroup
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				if _, err := s.Query(g); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// A batch starts executing a freshness barrier after it formed; with
+	// a static primary that is a no-op round, so starts stand in for
+	// formation times up to scheduling slack. Unpaced, these batches
+	// would follow each other within microseconds.
+	const slack = batchHeartbeat / 3
+	paced, first := 0, -1
+	for i := 1; i < len(l.starts); i++ {
+		if l.sizes[i-1] < 2 {
+			continue
+		}
+		if first < 0 {
+			first = i - 1
+		}
+		paced++
+		if gap := l.starts[i].Sub(l.starts[i-1]); gap < batchHeartbeat-slack {
+			t.Fatalf("batch %d (%d queries) started %v after a batch of %d, want at least %v",
+				i, l.sizes[i], gap, l.sizes[i-1], batchHeartbeat)
+		}
+	}
+	if paced < 4 {
+		t.Fatalf("only %d of %d batches followed a concurrent one: the sessions never met in a batch", paced, len(l.sizes))
+	}
+	// Sessions that re-ask at once all make the next beat, so from the
+	// first shared batch on there is one batch a beat.
+	if got := len(l.starts) - first; got > 8+2 {
+		t.Errorf("%d batches in at most 8 beats after the first shared one", got)
+	}
+}
+
+// A session that asks, waits for the answer and asks again is never held
+// for the beat — neither on a fresh scheduler nor, after heartbeatQuiet
+// single-query batches, on one that concurrent sessions have just left.
+func TestHeartbeatLeavesLoneSessionAlone(t *testing.T) {
+	s, l := newHeartbeatScheduler(t)
+	const n = 100
+	ask := func() time.Duration {
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			if _, err := s.Query(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(t0)
+	}
+	if d := ask(); d > n*batchHeartbeat/10 {
+		t.Fatalf("%d sequential queries on a fresh scheduler took %v: the lone session was paced", n, d)
+	}
+
+	// Two queries that must share a batch: they queue while the
+	// dispatcher is held inside a third one's.
+	hold := make(chan struct{})
+	l.mu.Lock()
+	l.hold = hold
+	l.mu.Unlock()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if _, err := s.Query(g); err != nil {
+				t.Error(err)
+			}
+		}(g)
+		if g == 0 {
+			for l.batches() == n { // until the held batch has started
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	for s.QueueDepth() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(hold)
+	wg.Wait()
+	l.mu.Lock()
+	last := l.sizes[len(l.sizes)-1]
+	l.mu.Unlock()
+	if last != 2 {
+		t.Fatalf("the queued pair ran in a batch of %d", last)
+	}
+	if d := ask(); d > (heartbeatQuiet+1)*batchHeartbeat+n*batchHeartbeat/10 {
+		t.Fatalf("%d sequential queries after a concurrent burst took %v: pacing did not stop", n, d)
+	}
+}

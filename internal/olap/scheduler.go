@@ -124,6 +124,9 @@ type SchedulerStats struct {
 // round that finds no reader pinned (every freshness-barrier round of an
 // idle dispatcher) mutates in place, one that overlaps a running batch
 // copies what it touches — Replica.ApplyPending decides per round.
+//
+// While queries arrive concurrently, batches form on a heartbeat
+// (batchHeartbeat) rather than back to back; see dispatchLoop.
 type Scheduler[Q, R any] struct {
 	replica *Replica
 	primary Primary
@@ -266,6 +269,33 @@ func (s *Scheduler[Q, R]) Close() {
 	s.lifeMu.Unlock()
 	<-s.closed
 }
+
+// batchHeartbeat is the least time between the formation of two batches
+// while queries arrive concurrently. Back to back, a closed loop of
+// sessions keeps the executor saturated, and a saturated executor's
+// throughput and latency follow every swing of the host: since probes
+// became single array accesses, what is left of a batch is memory
+// latency, and on a shared host that wanders by a fifth from one minute
+// to the next. On a heartbeat the executor runs below saturation, the
+// cycle is set by a clock instead of by the last batch's speed, and the
+// same swings move the answer rate by less than half as much; each beat
+// also gathers every session that asked since the last one into one
+// batch, so the primary is forced to flush, and the replica to run an
+// apply round, once a beat and not once per handful of milliseconds.
+// The price is peak throughput under concurrent load (the executor idles
+// for the rest of a beat it finishes early) and up to one beat of
+// waiting for a query that arrives just after one. 60 ms keeps that wait
+// inside the tenth of a second an interactive user reads as immediate; it
+// is an absolute time on purpose — derived from measured batch times it
+// would follow the host's swings it is there to absorb.
+//
+// A lone session that asks, waits and asks again never waits for the
+// beat: pacing starts with the first batch that carries two queries and
+// stops after heartbeatQuiet single-query batches in a row.
+const (
+	batchHeartbeat = 60 * time.Millisecond
+	heartbeatQuiet = 2
+)
 
 // ErrSchedulerClosed reports a query submitted after (or racing) Close.
 var ErrSchedulerClosed = errors.New("olap: scheduler closed")
@@ -426,12 +456,22 @@ func (s *Scheduler[Q, R]) awaitFreshRound() bool {
 	return s.roundEnd >= want
 }
 
-// dispatchLoop is the execution side: it forms batches, waits on the
-// freshness barrier instead of applying updates itself, and executes
-// each batch against the latest installed version.
+// dispatchLoop is the execution side: it forms batches — on the
+// heartbeat while queries arrive concurrently — waits on the freshness
+// barrier instead of applying updates itself, and executes each batch
+// against the latest installed version.
 func (s *Scheduler[Q, R]) dispatchLoop() {
 	reqs := make([]schedReq[Q, R], 0, 256)
 	var carry []schedReq[Q, R]
+	// formed is when the previous batch formed; quiet counts the
+	// single-query batches since the last one that carried more, and
+	// starts at the threshold so that a scheduler nobody has used
+	// concurrently does not pace.
+	var formed time.Time
+	quiet := heartbeatQuiet
+	beat := time.NewTimer(0)
+	<-beat.C
+	defer beat.Stop()
 	for {
 		// Wait for at least one query (or shutdown). Queries deferred by
 		// the admission hook go first; they are already waiting, so the
@@ -455,7 +495,22 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 			case <-s.closing:
 				return
 			}
+			// The first query of the next batch is here. Under concurrent
+			// load give the sessions the last batch answered until the beat
+			// to ask again, so that they share this batch. (A round that
+			// starts from deferred queries does not wait: they already have.)
+			if quiet < heartbeatQuiet {
+				if wait := batchHeartbeat - time.Since(formed); wait > 0 {
+					beat.Reset(wait)
+					select {
+					case <-beat.C:
+					case <-s.closing:
+						return
+					}
+				}
+			}
 		}
+		formed = time.Now()
 		// Batch all concurrently queued queries (paper: "batches all
 		// concurrent OLAP queries in the system").
 	drain:
@@ -466,6 +521,12 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 			default:
 				break drain
 			}
+		}
+
+		if len(reqs) > 1 {
+			quiet = 0
+		} else if quiet < heartbeatQuiet {
+			quiet++
 		}
 
 		// Cost-based admission: let the hook split an oversized round so
