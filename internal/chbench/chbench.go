@@ -144,6 +144,17 @@ func strContains(s *storage.Schema, col int, sub string) func([]byte) bool {
 
 // --- shared probe builders ----------------------------------------------
 
+// Every builder declares what its ProbeKey reads (exec.Probe.KeyID and
+// From), so the engine runs the probes of a batch as shared steps: the
+// twelve order-line templates compute three distinct keys from an order
+// line between them (its order, its item, its supplier), and every
+// further probe is a function of a row already matched.
+// TestProbeDeclarationsMatchClosures holds the declarations to the
+// closures.
+
+// colKeyID names the key extractor "column col of s".
+func colKeyID(s *storage.Schema, col int) string { return s.Name + "." + s.Columns[col].Name }
+
 // itemProbe joins order lines (or stock) to item through an item-id
 // column of the driver tuple.
 func (g *Gen) itemProbe(driverSchema *storage.Schema, itemCol int, pred func([]byte) bool) exec.Probe {
@@ -155,7 +166,9 @@ func (g *Gen) itemProbe(driverSchema *storage.Schema, itemCol int, pred func([]b
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.ItemKey(driverSchema.GetInt64(d, itemCol))
 		},
-		Pred: pred,
+		KeyID: colKeyID(driverSchema, itemCol),
+		From:  -1,
+		Pred:  pred,
 	}
 }
 
@@ -171,7 +184,9 @@ func (g *Gen) ordersFromOrderLine(pred func([]byte) bool) exec.Probe {
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.OrderKey(ols.GetInt64(d, tpcc.OLWID), ols.GetInt64(d, tpcc.OLDID), ols.GetInt64(d, tpcc.OLOID))
 		},
-		Pred: pred,
+		KeyID: "ol.order",
+		From:  -1,
+		Pred:  pred,
 	}
 }
 
@@ -189,22 +204,27 @@ func (g *Gen) customerFromOrder(orderIdx int, pred func([]byte) bool) exec.Probe
 			o := joined[orderIdx]
 			return tpcc.CustomerKey(os.GetInt64(o, tpcc.OWID), os.GetInt64(o, tpcc.ODID), os.GetInt64(o, tpcc.OCID))
 		},
-		Pred: pred,
+		KeyID: "o.customer",
+		From:  orderIdx,
+		Pred:  pred,
 	}
 }
 
-// nationOf joins to nation through a nation-key extractor over the
-// already-joined tuples.
-func (g *Gen) nationOf(keyFn func(driver []byte, joined [][]byte) int64, pred func([]byte) bool) exec.Probe {
+// nationOf joins a previously joined tuple (a customer or a supplier:
+// index from into joined, schema s) to its nation through nation-key
+// column col.
+func (g *Gen) nationOf(from int, s *storage.Schema, col int, pred func([]byte) bool) exec.Probe {
 	ns := g.s.Nation
 	return exec.Probe{
 		Table:      tpcc.TNation,
 		BuildKeyID: "pk",
 		BuildKey:   func(t []byte) uint64 { return tpcc.NationKey(ns.GetInt64(t, tpcc.NNationKey)) },
-		ProbeKey: func(d []byte, joined [][]byte) uint64 {
-			return tpcc.NationKey(keyFn(d, joined))
+		ProbeKey: func(_ []byte, joined [][]byte) uint64 {
+			return tpcc.NationKey(s.GetInt64(joined[from], col))
 		},
-		Pred: pred,
+		KeyID: colKeyID(s, col),
+		From:  from,
+		Pred:  pred,
 	}
 }
 
@@ -218,7 +238,9 @@ func (g *Gen) regionOfNation(nationIdx int, pred func([]byte) bool) exec.Probe {
 		ProbeKey: func(_ []byte, joined [][]byte) uint64 {
 			return tpcc.RegionKey(ns.GetInt64(joined[nationIdx], tpcc.NRegionKey))
 		},
-		Pred: pred,
+		KeyID: "n.region",
+		From:  nationIdx,
+		Pred:  pred,
 	}
 }
 
@@ -232,7 +254,9 @@ func (g *Gen) supplierOfOrderLine(pred func([]byte) bool) exec.Probe {
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.SupplierKey(tpcc.SupplierOf(ols.GetInt64(d, tpcc.OLSupplyWID), ols.GetInt64(d, tpcc.OLIID)))
 		},
-		Pred: pred,
+		KeyID: "ol.supplier",
+		From:  -1,
+		Pred:  pred,
 	}
 }
 
@@ -246,7 +270,9 @@ func (g *Gen) supplierOfStock(pred func([]byte) bool) exec.Probe {
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.SupplierKey(tpcc.SupplierOf(ss.GetInt64(d, tpcc.SWID), ss.GetInt64(d, tpcc.SIID)))
 		},
-		Pred: pred,
+		KeyID: "s.supplier",
+		From:  -1,
+		Pred:  pred,
 	}
 }
 
@@ -265,16 +291,14 @@ func countStar() exec.AggSpec { return exec.AggSpec{Kind: exec.Count} }
 
 func (g *Gen) q2() *exec.Query {
 	rName, ch := g.randRegion(), g.randChar()
-	ss, is, rs := g.s.Stock, g.s.Item, g.s.Region
+	ss, is, rs, sus := g.s.Stock, g.s.Item, g.s.Region, g.s.Supplier
 	return &exec.Query{
 		Name:   "Q2",
 		Driver: tpcc.TStock,
 		Probes: []exec.Probe{
 			g.itemProbe(ss, tpcc.SIID, strHasPrefix(is, tpcc.IData, ch)),
 			g.supplierOfStock(nil),
-			g.nationOf(func(_ []byte, joined [][]byte) int64 {
-				return g.s.Supplier.GetInt64(joined[1], tpcc.SUNationKey)
-			}, nil),
+			g.nationOf(1, sus, tpcc.SUNationKey, nil),
 			g.regionOfNation(2, strEquals(rs, tpcc.RName, rName)),
 		},
 		Aggs: []exec.AggSpec{exec.SumCol(tpcc.SQuantity)},
@@ -290,9 +314,7 @@ func (g *Gen) q3() *exec.Query {
 		Probes: []exec.Probe{
 			g.ordersFromOrderLine(nil),
 			g.customerFromOrder(0, nil),
-			g.nationOf(func(_ []byte, joined [][]byte) int64 {
-				return cs.GetInt64(joined[1], tpcc.CNationKey)
-			}, strEquals(ns, tpcc.NName, nName)),
+			g.nationOf(1, cs, tpcc.CNationKey, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{g.sumOlAmount()},
 	}
@@ -305,16 +327,12 @@ func (g *Gen) q5() *exec.Query {
 		Name:   "Q5",
 		Driver: tpcc.TOrderLine,
 		Probes: []exec.Probe{
-			g.ordersFromOrderLine(nil),  // joined[0]
-			g.customerFromOrder(0, nil), // joined[1]
-			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[2]: cn
-				return cs.GetInt64(j[1], tpcc.CNationKey)
-			}, nil),
+			g.ordersFromOrderLine(nil),                            // joined[0]
+			g.customerFromOrder(0, nil),                           // joined[1]
+			g.nationOf(1, cs, tpcc.CNationKey, nil),               // joined[2]: cn
 			g.regionOfNation(2, strEquals(rs, tpcc.RName, rName)), // joined[3]: cr
 			g.supplierOfOrderLine(nil),                            // joined[4]
-			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[5]: sn
-				return sus.GetInt64(j[4], tpcc.SUNationKey)
-			}, nil),
+			g.nationOf(4, sus, tpcc.SUNationKey, nil),             // joined[5]: sn
 			g.regionOfNation(5, strEquals(rs, tpcc.RName, rName)), // joined[6]: sr
 		},
 		// GROUP BY n_name: one revenue row per customer nation.
@@ -335,13 +353,9 @@ func (g *Gen) q7() *exec.Query {
 		Probes: []exec.Probe{
 			g.ordersFromOrderLine(nil),  // joined[0]
 			g.customerFromOrder(0, nil), // joined[1]
-			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[2]: cn
-				return cs.GetInt64(j[1], tpcc.CNationKey)
-			}, strEquals(ns, tpcc.NName, nName)),
+			g.nationOf(1, cs, tpcc.CNationKey, strEquals(ns, tpcc.NName, nName)), // joined[2]: cn
 			g.supplierOfOrderLine(nil), // joined[3]
-			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[4]: sn
-				return sus.GetInt64(j[3], tpcc.SUNationKey)
-			}, strEquals(ns, tpcc.NName, nName)),
+			g.nationOf(3, sus, tpcc.SUNationKey, strEquals(ns, tpcc.NName, nName)), // joined[4]: sn
 		},
 		// GROUP BY supp_nation, cust_nation (customer nation first so
 		// Q7 instances prefix-share group keys with Q5-style rollups).
@@ -360,17 +374,13 @@ func (g *Gen) q8() *exec.Query {
 		Name:   "Q8",
 		Driver: tpcc.TOrderLine,
 		Probes: []exec.Probe{
-			g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch)), // joined[0]
-			g.ordersFromOrderLine(nil),                                     // joined[1]
-			g.customerFromOrder(1, nil),                                    // joined[2]
-			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[3]: cn
-				return cs.GetInt64(j[2], tpcc.CNationKey)
-			}, nil),
-			g.regionOfNation(3, strEquals(rs, tpcc.RName, rName)), // joined[4]: cr
-			g.supplierOfOrderLine(nil),                            // joined[5]
-			g.nationOf(func(_ []byte, j [][]byte) int64 { // joined[6]: sn
-				return sus.GetInt64(j[5], tpcc.SUNationKey)
-			}, strEquals(ns, tpcc.NName, nName)),
+			g.itemProbe(ols, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch)),         // joined[0]
+			g.ordersFromOrderLine(nil),                                             // joined[1]
+			g.customerFromOrder(1, nil),                                            // joined[2]
+			g.nationOf(2, cs, tpcc.CNationKey, nil),                                // joined[3]: cn
+			g.regionOfNation(3, strEquals(rs, tpcc.RName, rName)),                  // joined[4]: cr
+			g.supplierOfOrderLine(nil),                                             // joined[5]
+			g.nationOf(5, sus, tpcc.SUNationKey, strEquals(ns, tpcc.NName, nName)), // joined[6]: sn
 		},
 		Aggs: []exec.AggSpec{g.sumOlAmount()},
 	}
@@ -407,9 +417,7 @@ func (g *Gen) q11() *exec.Query {
 		Driver: tpcc.TStock,
 		Probes: []exec.Probe{
 			g.supplierOfStock(nil),
-			g.nationOf(func(_ []byte, j [][]byte) int64 {
-				return sus.GetInt64(j[0], tpcc.SUNationKey)
-			}, strEquals(ns, tpcc.NName, nName)),
+			g.nationOf(0, sus, tpcc.SUNationKey, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{exec.SumCol(tpcc.SOrderCnt)},
 	}
@@ -501,9 +509,7 @@ func (g *Gen) q20() *exec.Query {
 		Probes: []exec.Probe{
 			g.itemProbe(g.s.OrderLine, tpcc.OLIID, strHasPrefix(is, tpcc.IData, ch)),
 			g.supplierOfOrderLine(nil),
-			g.nationOf(func(_ []byte, j [][]byte) int64 {
-				return sus.GetInt64(j[1], tpcc.SUNationKey)
-			}, strEquals(ns, tpcc.NName, nName)),
+			g.nationOf(1, sus, tpcc.SUNationKey, strEquals(ns, tpcc.NName, nName)),
 		},
 		Aggs: []exec.AggSpec{countStar()},
 	}

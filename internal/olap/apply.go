@@ -79,6 +79,9 @@ type ApplyStats struct {
 	// Reloaded reports that a staged resync snapshot replaced the
 	// replica's contents at the start of this round.
 	Reloaded bool
+	// Maintained reports that the round had synopsis or encoded-vector
+	// maintenance to do, whether or not it had entries.
+	Maintained bool
 	// Step1 orders per-worker update sets by VID; Step2 routes them to
 	// partitions by hash(RowID); Step3 applies them through the RowID
 	// hash index. Step3 is CPU time summed over parallel partition
@@ -119,7 +122,8 @@ func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 	// be wiped by the reload, unrecoverable below its floor).
 	rl, batches, floor := r.takeWork()
 	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
-	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !r.needsMaintenance() {
+	stats.Maintained = r.needsMaintenance()
+	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !stats.Maintained {
 		return stats, nil // nothing to build — keep the current head
 	}
 
@@ -654,7 +658,7 @@ func applyToPartition(p *Partition, entries []proplog.Entry, pk *pkIndex, pkFn f
 		case proplog.Delete:
 			if pk != nil {
 				if slot, ok := p.Locate(e.RowID); ok {
-					pk.del(pkFn(p.tupleAt(slot)), pkLoc(pi, slot))
+					pk.del(pkFn(p.Tuple(slot)), pkLoc(pi, slot))
 				}
 			}
 			if aerr := p.Delete(e.RowID); aerr != nil {

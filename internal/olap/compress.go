@@ -25,7 +25,7 @@ import (
 // accelerators: FilterRange evaluates a query's pushed-down conjuncts
 // on the encoded form and emits an exact selection bitmap, and the
 // executor materializes only the surviving tuples from the row slots
-// (Partition.ScanSelected). Parity with the uncompressed path is
+// (Partition.LiveSlots). Parity with the uncompressed path is
 // therefore structural — both paths read the same bytes for every
 // surviving tuple — and is additionally pinned by randomized tests.
 //
@@ -35,7 +35,7 @@ import (
 // stale blocks inside the quiesced apply window, right after
 // ResummarizeDirty. Deletes never stale a block: Delete only clears
 // the rowID, the tuple bytes — and hence the encoded vector — are
-// unchanged, and ScanSelected skips dead slots at materialization, so
+// unchanged, and LiveSlots skips dead slots at materialization, so
 // a dead slot's filter verdict is a don't-care. Dead slots are encoded
 // as the block's synopsis min (sound even when loose: bounds only
 // widen), which also hands FOR its base for free.
@@ -467,7 +467,7 @@ func (p *Partition) gatherCol(dst []int64, slo, shi, off int, typ storage.Type, 
 // bitmap into sel: bit i of sel corresponds to slot lo+i and is set
 // iff that slot's values satisfy every conjunct — including IN-list
 // membership (ColRange.Set) — up to dead-slot don't-cares, which
-// ScanSelected filters at materialization. sel must hold at least
+// LiveSlots filters at materialization. sel must hold at least
 // ceil((hi-lo)/64) words; its prior contents are overwritten.
 //
 // It returns false — and leaves sel undefined — when the encoded path

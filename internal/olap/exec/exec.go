@@ -34,6 +34,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,6 +87,20 @@ type Probe struct {
 	// ProbeKey computes the lookup key from the driver tuple and the
 	// previously joined tuples.
 	ProbeKey func(driver []byte, joined [][]byte) uint64
+	// KeyID and From declare what ProbeKey reads, so the batch planner
+	// can run the probe as a shared step (planner.go) instead of once per
+	// query and tuple. A non-empty KeyID names the key extractor; From
+	// says where it reads: -1 = the driver tuple only, k = joined[k]
+	// only, k an earlier probe of the same query. It is a promise of the
+	// ShareKey kind: two probes with equal (Table, BuildKeyID, KeyID)
+	// whose From name the same row compute the same key from it, and
+	// ProbeKey touches nothing else — it is called with a nil driver and
+	// only joined[From] set when the engine resolves the step once per
+	// parent row. ProbeKey stays the reference semantics (it is all the
+	// single-system baseline evaluates). The zero KeyID declares nothing:
+	// the probe runs per surviving tuple, shared only inside its cohort.
+	KeyID string
+	From  int
 	// Where declaratively filters the joined tuple: an AND-list compiled
 	// to typed kernels against the build table's schema. Where is never
 	// pushed down to synopses — it only replaces closure dispatch with
@@ -236,8 +251,11 @@ type Engine struct {
 	// wall-clock staleness.
 	fresh *obs.Freshness
 
-	mu     sync.Mutex
-	builds map[buildID]*buildEntry
+	// cache holds what outlives a batch — hash builds (by buildID) and
+	// link arrays (by linkID) — each revalidated against the data versions
+	// of the tables it was made from.
+	mu    sync.Mutex
+	cache map[any]*cacheEntry
 }
 
 type buildID struct {
@@ -275,18 +293,16 @@ type buildSlot struct {
 	ref uint32
 }
 
-// find returns the build tuple stored under key and its ordinal.
-func (b *build) find(key uint64) (tup []byte, ord uint32, ok bool) {
+// find returns the ordinal of the row stored under key, plus one; 0 is a
+// miss.
+func (b *build) find(key uint64) uint32 {
 	h := key * hashMul
 	mask := uint64(1)<<(64-b.pshift) - 1
 	region := b.ents[(h>>(64-b.rbits))<<(64-b.pshift):][:mask+1]
 	for i := (h << b.rbits) >> b.pshift; ; i++ {
 		e := &region[i&mask]
-		if e.ref == 0 {
-			return nil, 0, false
-		}
-		if e.key == key {
-			return b.row(e.ref - 1), e.ref - 1, true
+		if e.ref == 0 || e.key == key {
+			return e.ref
 		}
 	}
 }
@@ -297,15 +313,39 @@ func (b *build) row(ord uint32) []byte {
 	return b.tuples[off : off+b.tupleSize]
 }
 
-// buildEntry is the check-or-claim cache slot for one build. The done
-// channel is the in-flight marker: installing the entry under mu claims
-// the construction, and every other caller that finds a matching entry
-// blocks on done instead of redundantly building (sync.Once-style, but
-// keyed and version-checked).
-type buildEntry struct {
-	version uint64
-	done    chan struct{}
-	b       *build
+// cacheEntry is the check-or-claim cache slot for one build or link
+// array, valid for what it was made from: v1 and v2 are table data
+// versions or, for a link array over a build, the build itself
+// (source.token). The done channel is the in-flight marker: installing
+// the entry under mu claims the construction, and every other caller
+// that finds a matching entry blocks on done instead of redundantly
+// constructing (sync.Once-style, but keyed and version-checked).
+type cacheEntry struct {
+	v1, v2 any
+	done   chan struct{}
+	val    any
+}
+
+// cached returns the structure cached under key for versions (v1, v2),
+// constructing it if the cache misses. Check and claim are one critical
+// section: the first caller to observe a stale (or absent) entry
+// installs a fresh one with an open done channel and constructs outside
+// the lock; every concurrent caller for the same key and versions blocks
+// on done and shares the result, so a structure is made at most once per
+// data version no matter how many batches race.
+func (e *Engine) cached(key any, v1, v2 any, construct func() any) any {
+	e.mu.Lock()
+	if ce := e.cache[key]; ce != nil && ce.v1 == v1 && ce.v2 == v2 {
+		e.mu.Unlock()
+		<-ce.done
+		return ce.val
+	}
+	ce := &cacheEntry{v1: v1, v2: v2, done: make(chan struct{})}
+	e.cache[key] = ce
+	e.mu.Unlock()
+	ce.val = construct()
+	close(ce.done)
+	return ce.val
 }
 
 // NewEngine creates an executor with the given parallelism.
@@ -317,7 +357,7 @@ func NewEngine(replica *olap.Replica, workers int) *Engine {
 		replica: replica,
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		builds:  make(map[buildID]*buildEntry),
+		cache:   make(map[any]*cacheEntry),
 	}
 }
 
@@ -331,6 +371,22 @@ func (e *Engine) AttachStats(st *olap.SchedulerStats) { e.stats = st }
 // the snapshot it was computed on. Set before the first RunBatch.
 func (e *Engine) AttachFreshness(f *obs.Freshness) { e.fresh = f }
 
+// morselTuples is the scan-range granularity in effect.
+func (e *Engine) morselTuples() int {
+	if e.MorselTuples > 0 {
+		return e.MorselTuples
+	}
+	return DefaultMorselTuples
+}
+
+// vecSize is how many tuples a scan handles at a time: a morsel is taken
+// as vectors of up to vecSize live slots (olap.Partition.LiveSlots), and
+// every stage — predicates, each root step's lookups, bit tests,
+// aggregation — is a loop over the vector, so the loads of one stage are
+// independent of each other and overlap in the memory system instead of
+// forming one dependent chain per tuple.
+const vecSize = 1024
+
 // morsel is one unit of scan work: a slot range of one partition.
 type morsel struct {
 	part   *olap.Partition
@@ -341,10 +397,7 @@ type morsel struct {
 // ranges. Skewed layouts (one huge partition) still yield many morsels,
 // so all workers stay busy regardless of how tuples are distributed.
 func (e *Engine) morsels(parts []*olap.Partition) []morsel {
-	mt := e.MorselTuples
-	if mt <= 0 {
-		mt = DefaultMorselTuples
-	}
+	mt := e.morselTuples()
 	var ms []morsel
 	for _, p := range parts {
 		n := p.Slots()
@@ -402,25 +455,6 @@ func (e *Engine) forEach(n int, fn func(worker, task int)) {
 	wg.Wait()
 }
 
-// forEachMorsel is the engine's single shared morsel-scan loop — driver
-// scans and build-side scans both run through it. begin runs once per
-// morsel on the worker that claimed it and returns the per-tuple
-// visitor, or nil to skip the morsel without touching its tuples — the
-// zone-map pruning hook. The second return is an optional selection
-// bitmap (bit i ↔ slot m.lo+i): when non-nil only the selected live
-// tuples are materialized — the compressed-block fast path, where the
-// bitmap came from predicate kernels over the encoded vectors and
-// everything it rejects is already disproved. The visitor's off is the
-// tuple's slot offset relative to m.lo, for per-query bitmap tests.
-func (e *Engine) forEachMorsel(ms []morsel, begin func(worker int, m morsel) (func(off int, rowID uint64, tup []byte) bool, []uint64)) {
-	e.forEach(len(ms), func(worker, i int) {
-		m := ms[i]
-		if fn, sel := begin(worker, m); fn != nil {
-			m.part.ScanSelected(m.lo, m.hi, sel, fn)
-		}
-	})
-}
-
 // RunBatch executes all queries as one shared pass per driver table and
 // returns results in query order. It matches olap.RunBatchFunc: snap is
 // the scheduler's floor VID. The whole batch reads through one pinned
@@ -447,15 +481,9 @@ func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 
 	// Stage 1: ensure every needed join build exists and is current.
 	t0 := time.Now()
-	prepared, err := e.prepareBuilds(sv, queries)
+	prepared := e.prepareSources(sv, queries)
 	if e.stats != nil {
 		e.stats.ExecBuildPrepare.RecordSince(t0)
-	}
-	if err != nil {
-		for i := range results {
-			results[i].Err = err
-		}
-		return results
 	}
 
 	// Stage 2: group queries by driver table and share scans.
@@ -486,91 +514,63 @@ func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 	return results
 }
 
-// prepareBuilds constructs (or revalidates) the shared hash-join build
-// sides needed by the batch, all concurrently — each construction is
-// itself morsel-parallel, with the engine semaphore keeping combined
-// parallelism at the worker budget. Tables that maintain an incremental
-// PK index are probed through it directly (for "pk" probes), so they
-// never need a build — the key property that keeps per-batch setup cost
-// independent of table size while updates stream in. The returned map
-// pins the batch's builds so later cache evictions can't race the scan.
-func (e *Engine) prepareBuilds(sv *olap.Snapshot, queries []*Query) (map[buildID]*build, error) {
+// prepareSources resolves every probe target of the batch to its source,
+// constructing (or revalidating) the shared hash-join build sides, all
+// concurrently — each construction is itself morsel-parallel, with the
+// engine semaphore keeping combined parallelism at the worker budget.
+// Tables that maintain an incremental PK index are probed through it
+// directly (for "pk" probes), so they never need a build — the key
+// property that keeps per-batch setup cost independent of table size
+// while updates stream in. The returned map pins the batch's builds so
+// later cache evictions can't race the scan.
+func (e *Engine) prepareSources(sv *olap.Snapshot, queries []*Query) map[buildID]*source {
 	type needed struct {
 		id buildID
+		t  *olap.Table
 		fn func(tup []byte) uint64
 	}
 	var needs []needed
-	seen := make(map[buildID]bool)
+	srcs := make(map[buildID]*source)
 	for _, q := range queries {
 		for i := range q.Probes {
 			p := &q.Probes[i]
-			if t := sv.Table(p.Table); t != nil && t.HasPKIndex() && p.BuildKeyID == "pk" {
+			id := buildID{p.Table, p.BuildKeyID}
+			if _, seen := srcs[id]; seen {
 				continue
 			}
-			id := buildID{p.Table, p.BuildKeyID}
-			if !seen[id] {
-				seen[id] = true
-				needs = append(needs, needed{id, p.BuildKey})
+			t := sv.Table(p.Table)
+			switch {
+			case t == nil:
+				// compilePlan fails the queries that probe it; the rest of
+				// the batch runs.
+			case t.HasPKIndex() && p.BuildKeyID == "pk":
+				srcs[id] = pkSource(id, t)
+			default:
+				srcs[id] = nil
+				needs = append(needs, needed{id, t, p.BuildKey})
 			}
 		}
 	}
-	prepared := make(map[buildID]*build, len(needs))
-	if len(needs) == 0 {
-		return prepared, nil
-	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		ferr error
+		wg sync.WaitGroup
+		mu sync.Mutex
 	)
 	for _, n := range needs {
 		wg.Add(1)
 		go func(n needed) {
 			defer wg.Done()
-			b, err := e.buildFor(sv, n.id, n.fn)
+			// The build scans the pinned snapshot's view, and the cache is
+			// keyed by the view's data version — an older view at the same
+			// version holds identical data, so sharing across snapshots
+			// stays correct.
+			b := e.cached(n.id, n.t.Version(), nil, func() any { return e.constructBuild(n.t, n.fn) }).(*build)
 			mu.Lock()
-			if err != nil && ferr == nil {
-				ferr = err
-			}
-			prepared[n.id] = b
+			srcs[n.id] = &source{id: n.id, token: b, b: b, nrows: b.nrows}
 			mu.Unlock()
 		}(n)
 	}
 	wg.Wait()
-	if ferr != nil {
-		return nil, ferr
-	}
-	return prepared, nil
-}
-
-// buildFor returns the current build for id, constructing it if the
-// cache misses. Check and claim are one critical section: the first
-// caller to observe a stale (or absent) entry installs a fresh entry
-// with an open done channel and builds outside the lock; every
-// concurrent caller for the same (id, version) blocks on done and
-// shares the result, so a build is constructed at most once per data
-// version no matter how many batches race. The build scans the pinned
-// snapshot's view, and the cache is keyed by the view's data version —
-// an older view at the same version holds identical data, so sharing
-// across snapshots stays correct.
-func (e *Engine) buildFor(sv *olap.Snapshot, id buildID, keyFn func(tup []byte) uint64) (*build, error) {
-	t := sv.Table(id.table)
-	if t == nil {
-		return nil, fmt.Errorf("exec: probe into unknown table %d", id.table)
-	}
-	ver := t.Version()
-	e.mu.Lock()
-	if be := e.builds[id]; be != nil && be.version == ver {
-		e.mu.Unlock()
-		<-be.done
-		return be.b, nil
-	}
-	be := &buildEntry{version: ver, done: make(chan struct{})}
-	e.builds[id] = be
-	e.mu.Unlock()
-	be.b = e.constructBuild(t, keyFn)
-	close(be.done)
-	return be.b, nil
+	return srcs
 }
 
 // constructBuild materializes one build in two parallel phases: (A) a
@@ -595,14 +595,19 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 	for i := range local {
 		local[i] = make([][]kv, nshards)
 	}
-	e.forEachMorsel(ms, func(worker int, _ morsel) (func(int, uint64, []byte) bool, []uint64) {
-		buckets := local[worker]
-		return func(_ int, _ uint64, tup []byte) bool {
-			k := keyFn(tup)
-			si := (k * hashMul) >> (64 - rbits)
-			buckets[si] = append(buckets[si], kv{k, tup})
-			return true
-		}, nil
+	e.forEach(len(ms), func(worker, i int) {
+		m, buckets := ms[i], local[worker]
+		var slots [vecSize]int32
+		for from := m.lo; from < m.hi; {
+			var n int
+			n, from = m.part.LiveSlots(m.lo, m.hi, nil, from, slots[:])
+			for _, slot := range slots[:n] {
+				tup := m.part.Tuple(slot)
+				k := keyFn(tup)
+				si := (k * hashMul) >> (64 - rbits)
+				buckets[si] = append(buckets[si], kv{k, tup})
+			}
+		}
 	})
 	// Size every region for the fullest shard, and give shard si the
 	// ordinals [first[si], first[si+1]).
@@ -651,7 +656,7 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 // passes (planner.go), and each pass runs the morsel-driven shared
 // scan (scanPass). A compile error fails only that query; the rest of
 // the batch proceeds without it.
-func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepared map[buildID]*build, scanNS, mergeNS *int64) {
+func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepared map[buildID]*source, scanNS, mergeNS *int64) {
 	t := sv.Table(qs[0].Driver)
 	if t == nil {
 		err := fmt.Errorf("exec: unknown driver table %d", qs[0].Driver)
@@ -710,6 +715,111 @@ func allSet(sel []uint64, n int) bool {
 	return true
 }
 
+// vmask is one bit per tuple of a vector: bit i ↔ the vector's slot i.
+type vmask [vecSize / 64]uint64
+
+// firstN returns the mask of a vector's first n tuples.
+func firstN(n int) (m vmask) {
+	for w := 0; w < n>>6; w++ {
+		m[w] = ^uint64(0)
+	}
+	if tail := uint(n) & 63; tail != 0 {
+		m[n>>6] = ^uint64(0) >> (64 - tail)
+	}
+	return m
+}
+
+func (m *vmask) or(o *vmask) {
+	for w := range m {
+		m[w] |= o[w]
+	}
+}
+
+func (m *vmask) count() (n int) {
+	for _, word := range m {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// passWorker is one worker's state for one scan pass: its partial
+// aggregates, the verdicts of the morsel it holds, and the vectors of
+// the tuples it is working on.
+type passWorker struct {
+	sg *scanGroup
+	// prune, vectorize and aggFast gate zone-map verdicts, the
+	// compressed-block predicate kernels and the aggregate kernels.
+	prune, vectorize, aggFast bool
+
+	vals [][]float64
+	rows []int64
+	// groups[ci] is cohort ci's group map (nil until first hit, and
+	// always nil for ungrouped cohorts).
+	groups []map[groupKey]*gacc
+	// aggScratch holds the representative's summands for the tuple (and
+	// the aggregate kernels' block sums), extracted once per cohort and
+	// fanned out to the live members.
+	aggScratch []float64
+
+	// Per morsel: active holds the per-member block verdicts; qvec marks
+	// members whose Where was evaluated on the encoded blocks (sel[fi]
+	// then holds the exact bitmap); aggDone marks members the aggregate
+	// kernels already answered.
+	active, qvec, aggDone []bool
+	sel                   [][]uint64
+	union                 []uint64
+
+	// Per vector: slots are the tuples (slot numbers in the morsel's
+	// partition); live[fi] marks those member fi still wants; rids[ord]
+	// holds, for root step ord, the id plus one of the row each tuple
+	// matched (stale where no user of the step wanted the tuple).
+	slots [vecSize]int32
+	keys  [vecSize]uint64
+	live  []vmask
+	rids  [][]uint32
+
+	// Per tuple, in the walk: liveNow is the member mask, chain[pi] the
+	// id plus one of the row matched at probe pi, joined the rows asked
+	// for (cohort.needRow; nil elsewhere).
+	liveNow []bool
+	chain   []uint32
+	joined  [][]byte
+
+	// Stats, summed into the engine counters at merge. pendingLive
+	// counts live tuples in scanned morsels and offered the tuples that
+	// reached the vectors; their difference is what bitmaps pruned.
+	blocksScanned, blocksSkipped, blocksVectorized, blocksAggVec int64
+	tuplesPruned, pendingLive, offered                           int64
+	// probeLookups counts root-step and tail-step lookups and predEvals
+	// the probe filters evaluated on a hit.
+	probeLookups, predEvals int64
+}
+
+func (w *passWorker) init() {
+	sg := w.sg
+	nm := len(sg.flat)
+	w.vals = make([][]float64, nm)
+	w.rows = make([]int64, nm)
+	nprobes := 0
+	for fi, p := range sg.flat {
+		w.vals[fi] = make([]float64, len(p.q.Aggs))
+		nprobes = max(nprobes, len(p.q.Probes))
+	}
+	w.groups = make([]map[groupKey]*gacc, len(sg.cohorts))
+	w.aggScratch = make([]float64, sg.naggsMax)
+	w.active = make([]bool, nm)
+	w.qvec = make([]bool, nm)
+	w.aggDone = make([]bool, nm)
+	w.live = make([]vmask, nm)
+	w.rids = make([][]uint32, len(sg.roots))
+	for ord := range w.rids {
+		w.rids[ord] = make([]uint32, vecSize)
+	}
+	w.liveNow = make([]bool, nm)
+	w.chain = make([]uint32, nprobes)
+	w.joined = make([][]byte, 0, nprobes)
+}
+
 // scanPass performs one shared morsel-driven scan over the driver
 // table for the scan group's cohorts. Per morsel, each member gets a
 // zone-map verdict; a morsel every member's AND-list disproves is
@@ -717,359 +827,63 @@ func allSet(sel []uint64, n int) bool {
 // selection bitmaps (FilterRange), and pure driver-side aggregations
 // whose bitmap covers every tuple are answered outright by the
 // encoded-block aggregate kernels without materializing a row. The
-// surviving tuples run the cohort pipelines: per-member predicates
-// gate a per-tuple live mask, the representative's probe chain and
-// summand extraction run once per cohort, and each live member
-// accumulates into its scalar lanes or the cohort's group map.
-// Per-worker partials merge at the end; scan and merge wall times
-// accumulate into scanNS/mergeNS.
+// surviving tuples are taken a vector at a time through the pass's step
+// forest (passWorker.vector): per-member driver predicates, the root
+// steps' lookups with each member's folded bitmaps, and per cohort the
+// walk, summand extraction and accumulation into the members' scalar
+// lanes or the cohort's group map. Per-worker partials merge at the
+// end; scan and merge wall times accumulate into scanNS/mergeNS.
 //
 // Pruned-tuple accounting is exact: every scan pass attributes each
-// live tuple to exactly one of offered-to-the-visitor, answered by the
+// live tuple to exactly one of offered-to-the-vectors, answered by the
 // aggregate kernels, or pruned — so ExecTuplesPruned ≡ live − offered
 // − answered per pass, never double-counting a tuple that both a
 // zone-map verdict and an empty FilterRange bitmap rejected.
 func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) {
-	ms := e.morsels(t.Partitions)
-	nw := e.workers
-	if nw > len(ms) {
-		nw = len(ms)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	nm := len(sg.flat)
-	prune := sg.anyRanges && !e.DisablePruning
-	vectorize := prune && !e.DisableVectorized
-	aggFast := sg.anyVecAgg && !e.DisablePruning && !e.DisableVectorized
-
-	type partial struct {
-		vals   [][]float64
-		rows   []int64
-		joined [][]byte
-		// groups[ci] is cohort ci's group map (nil until first hit, and
-		// always nil for ungrouped cohorts).
-		groups []map[groupKey]*gacc
-		// aggScratch holds the representative's summands for the tuple
-		// (and the aggregate kernels' block sums), extracted once per
-		// cohort and fanned out to the live members.
-		aggScratch []float64
-		// active holds the morsel's per-member block verdicts; qvec
-		// marks members whose Where was evaluated on the encoded blocks
-		// (sel[fi] then holds the exact bitmap); aggDone marks members
-		// the aggregate kernels already answered for this morsel;
-		// liveNow is the per-tuple member mask.
-		active, qvec, aggDone, liveNow []bool
-		sel                            [][]uint64
-		union                          []uint64
-		// Stats, summed into the engine counters at merge. pendingLive
-		// counts live tuples in scanned morsels and offered the tuples
-		// the visitor saw; their difference is what bitmaps pruned.
-		blocksScanned, blocksSkipped, blocksVectorized, blocksAggVec int64
-		tuplesPruned, pendingLive, offered                           int64
-		// probeLookups counts probe-chain lookups and predEvals the probe
-		// filters evaluated on a hit (a filter with a bitmap costs a bit
-		// test instead and is not counted here).
-		probeLookups, predEvals int64
-	}
-	partials := make([]partial, nw)
 	t0 := time.Now()
-	e.forEachMorsel(ms, func(worker int, m morsel) (func(int, uint64, []byte) bool, []uint64) {
-		pt := &partials[worker]
-		if pt.vals == nil {
-			pt.vals = make([][]float64, nm)
-			pt.rows = make([]int64, nm)
-			for fi, p := range sg.flat {
-				pt.vals[fi] = make([]float64, len(p.q.Aggs))
-			}
-			pt.joined = make([][]byte, 0, 8)
-			pt.groups = make([]map[groupKey]*gacc, len(sg.cohorts))
-			pt.aggScratch = make([]float64, sg.naggsMax)
-			pt.active = make([]bool, nm)
-			pt.qvec = make([]bool, nm)
-			pt.aggDone = make([]bool, nm)
-			pt.liveNow = make([]bool, nm)
+	e.compileForest(sg)
+	ms := e.morsels(t.Partitions)
+	workers := make([]passWorker, max(min(e.workers, len(ms)), 1))
+	prune := sg.anyRanges && !e.DisablePruning
+	e.forEach(len(ms), func(worker, i int) {
+		w := &workers[worker]
+		if w.sg == nil {
+			*w = passWorker{sg: sg, prune: prune,
+				vectorize: prune && !e.DisableVectorized,
+				aggFast:   sg.anyVecAgg && !e.DisablePruning && !e.DisableVectorized}
+			w.init()
 		}
-		// Block verdicts: offer this morsel's tuples only to members
-		// whose pushed-down ranges the block synopses cannot disprove.
-		any := false
-		for fi, p := range sg.flat {
-			a := true
-			if prune && len(p.ranges) > 0 {
-				a = m.part.RangeMayMatch(m.lo, m.hi, p.ranges)
-			}
-			pt.active[fi] = a
-			pt.aggDone[fi] = false
-			any = any || a
-		}
-		if !any {
-			pt.blocksSkipped++
-			pt.tuplesPruned += int64(m.part.LiveInRange(m.lo, m.hi))
-			return nil, nil
-		}
-		pt.blocksScanned++
-		words := (m.hi - m.lo + 63) >> 6
-		if (vectorize || aggFast) && len(pt.union) < words {
-			pt.union = make([]uint64, words)
-			pt.sel = make([][]uint64, nm)
-			for fi := range pt.sel {
-				pt.sel[fi] = make([]uint64, words)
-			}
-		}
-		// Vectorized predicates: translate each active member's
-		// pushed-down ranges into an exact per-slot bitmap on the
-		// encoded vectors. Members the encoded path cannot serve keep
-		// their kernels.
-		if vectorize {
-			for fi, p := range sg.flat {
-				pt.qvec[fi] = pt.active[fi] && len(p.ranges) > 0 &&
-					m.part.FilterRange(m.lo, m.hi, p.ranges, pt.sel[fi][:words])
-			}
-		}
-		// Aggregate kernels: a pure driver-side aggregation whose
-		// selection covers every tuple of the morsel (no Where, or an
-		// all-set bitmap) is answered from the encoded blocks — counts
-		// from the live counters, sums from the packed runs — without
-		// materializing a single row.
-		if aggFast {
-			for fi, p := range sg.flat {
-				if !pt.active[fi] || !p.vecAgg {
-					continue
-				}
-				if len(p.ranges) > 0 && (!pt.qvec[fi] || !allSet(pt.sel[fi][:words], m.hi-m.lo)) {
-					continue
-				}
-				ok := true
-				for ai, col := range p.aggCol {
-					if p.q.Aggs[ai].Kind != Sum {
-						continue
-					}
-					s, _, served := m.part.SumLiveRange(m.lo, m.hi, col)
-					if !served {
-						ok = false
-						break
-					}
-					pt.aggScratch[ai] = s
-				}
-				if !ok {
-					continue
-				}
-				live := int64(m.part.LiveInRange(m.lo, m.hi))
-				pt.rows[fi] += live
-				for ai := range p.q.Aggs {
-					if p.q.Aggs[ai].Kind == Sum {
-						pt.vals[fi][ai] += pt.aggScratch[ai]
-					} else {
-						pt.vals[fi][ai] += float64(live)
-					}
-				}
-				pt.aggDone[fi] = true
-				pt.blocksAggVec++
-			}
-			any = false
-			for fi := range sg.flat {
-				if pt.active[fi] && !pt.aggDone[fi] {
-					any = true
-					break
-				}
-			}
-			if !any {
-				// Every active member answered from the encoded blocks:
-				// the morsel's tuples were consumed, not pruned.
-				return nil, nil
-			}
-		}
-		// Union bitmap: when every remaining member has an exact
-		// bitmap, materialize only the union of their survivors. An
-		// empty union finishes the morsel — its live tuples count as
-		// pruned (each attributed once, whatever combination of
-		// verdicts and bitmaps rejected it).
-		var sel []uint64
-		if vectorize {
-			allVec := true
-			for fi := range sg.flat {
-				if pt.active[fi] && !pt.aggDone[fi] && !pt.qvec[fi] {
-					allVec = false
-					break
-				}
-			}
-			if allVec {
-				pt.blocksVectorized++
-				sel = pt.union[:words]
-				anyBit := uint64(0)
-				for w := range sel {
-					sel[w] = 0
-					for fi := range sg.flat {
-						if pt.qvec[fi] && pt.active[fi] && !pt.aggDone[fi] {
-							sel[w] |= pt.sel[fi][w]
-						}
-					}
-					anyBit |= sel[w]
-				}
-				if anyBit == 0 {
-					pt.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
-					return nil, nil
-				}
-			}
-		}
-		if prune {
-			pt.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
-		}
-		return func(off int, _ uint64, tup []byte) bool {
-			if prune {
-				pt.offered++
-			}
-			for ci, c := range sg.cohorts {
-				base := sg.off[ci]
-				members := c.members
-				// Per-member driver predicates gate the tuple's live
-				// mask; the cohort pipeline runs while any member lives.
-				any := false
-				for mi, p := range members {
-					fi := base + mi
-					ok := pt.active[fi] && !pt.aggDone[fi]
-					if ok {
-						if pt.qvec[fi] {
-							ok = pt.sel[fi][off>>6]>>(uint(off)&63)&1 == 1
-						} else if k := p.kernel; k != nil {
-							ok = k(tup)
-						}
-					}
-					if ok && p.q.DriverPred != nil {
-						ok = p.q.DriverPred(tup)
-					}
-					pt.liveNow[fi] = ok
-					any = any || ok
-				}
-				if !any {
-					continue
-				}
-				// The representative's probe chain runs once for the
-				// cohort (ShareKey promises interchangeable keys);
-				// per-member probe filters narrow the live mask.
-				rep := members[0]
-				pt.joined = pt.joined[:0]
-				matched := true
-				for pi := range rep.q.Probes {
-					pt.probeLookups++
-					match, ord, found := rep.lookups[pi].find(rep.q.Probes[pi].ProbeKey(tup, pt.joined))
-					if !found {
-						matched = false
-						break
-					}
-					any = false
-					for mi := range members {
-						fi := base + mi
-						if !pt.liveNow[fi] {
-							continue
-						}
-						ok := true
-						if lk := &members[mi].lookups[pi]; lk.bits != nil {
-							ok = lk.bits[ord>>6]>>(ord&63)&1 == 1
-						} else if lk.pred != nil {
-							pt.predEvals++
-							ok = lk.pred(match)
-						}
-						pt.liveNow[fi] = ok
-						any = any || ok
-					}
-					if !any {
-						matched = false
-						break
-					}
-					pt.joined = append(pt.joined, match)
-				}
-				if !matched {
-					continue
-				}
-				// Summands and the group key are extracted once from the
-				// representative, then fanned out to the live members.
-				naggs := len(rep.q.Aggs)
-				for ai := 0; ai < naggs; ai++ {
-					if rep.q.Aggs[ai].Kind == Sum {
-						pt.aggScratch[ai] = rep.aggOf[ai](tup, pt.joined)
-					}
-				}
-				if c.ngroup == 0 {
-					for mi := range members {
-						fi := base + mi
-						if !pt.liveNow[fi] {
-							continue
-						}
-						pt.rows[fi]++
-						vals := pt.vals[fi]
-						for ai := 0; ai < naggs; ai++ {
-							if rep.q.Aggs[ai].Kind == Sum {
-								vals[ai] += pt.aggScratch[ai]
-							} else {
-								vals[ai]++
-							}
-						}
-					}
-					continue
-				}
-				var key groupKey
-				for gi, fn := range rep.groupOf {
-					key[gi] = fn(tup, pt.joined)
-				}
-				g := pt.groups[ci]
-				if g == nil {
-					g = make(map[groupKey]*gacc)
-					pt.groups[ci] = g
-				}
-				acc := g[key]
-				if acc == nil {
-					acc = &gacc{rows: make([]int64, len(members)), vals: make([]float64, len(members)*naggs)}
-					g[key] = acc
-				}
-				for mi := range members {
-					fi := base + mi
-					if !pt.liveNow[fi] {
-						continue
-					}
-					acc.rows[mi]++
-					vals := acc.vals[mi*naggs:]
-					for ai := 0; ai < naggs; ai++ {
-						if rep.q.Aggs[ai].Kind == Sum {
-							vals[ai] += pt.aggScratch[ai]
-						} else {
-							vals[ai]++
-						}
-					}
-				}
-			}
-			return true
-		}, sel
+		w.morsel(ms[i])
 	})
 	if scanNS != nil {
 		*scanNS += int64(time.Since(t0))
 	}
 	t1 := time.Now()
 	var bScan, bSkip, tPrune, bVec, bAggVec, lookups, predEvals int64
-	for wi := range partials {
-		p := &partials[wi]
-		lookups += p.probeLookups
-		predEvals += p.predEvals
-		bScan += p.blocksScanned
-		bSkip += p.blocksSkipped
-		bVec += p.blocksVectorized
-		bAggVec += p.blocksAggVec
-		tPrune += p.tuplesPruned + p.pendingLive - p.offered
-		if p.vals == nil {
+	for wi := range workers {
+		w := &workers[wi]
+		lookups += w.probeLookups
+		predEvals += w.predEvals
+		bScan += w.blocksScanned
+		bSkip += w.blocksSkipped
+		bVec += w.blocksVectorized
+		bAggVec += w.blocksAggVec
+		tPrune += w.tuplesPruned + w.pendingLive - w.offered
+		if w.sg == nil {
 			continue
 		}
 		for fi, pl := range sg.flat {
-			pl.r.Rows += p.rows[fi]
-			for ai := range p.vals[fi] {
-				pl.r.Values[ai] += p.vals[fi][ai]
+			pl.r.Rows += w.rows[fi]
+			for ai := range w.vals[fi] {
+				pl.r.Values[ai] += w.vals[fi][ai]
 			}
 		}
 	}
 	e.mergeGroups(sg, func(ci int) []map[groupKey]*gacc {
-		out := make([]map[groupKey]*gacc, 0, len(partials))
-		for wi := range partials {
-			if partials[wi].groups != nil {
-				out = append(out, partials[wi].groups[ci])
+		out := make([]map[groupKey]*gacc, 0, len(workers))
+		for wi := range workers {
+			if workers[wi].groups != nil {
+				out = append(out, workers[wi].groups[ci])
 			}
 		}
 		return out
@@ -1086,6 +900,374 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 	if mergeNS != nil {
 		*mergeNS += int64(time.Since(t1))
 	}
+}
+
+// morsel settles what the block synopses and the encoded vectors can
+// settle for the morsel — verdicts, selection bitmaps, whole-morsel
+// aggregates — and runs the tuples that remain through vector.
+func (w *passWorker) morsel(m morsel) {
+	sg := w.sg
+	// Block verdicts: offer this morsel's tuples only to members whose
+	// pushed-down ranges the block synopses cannot disprove.
+	any := false
+	for fi, p := range sg.flat {
+		a := true
+		if w.prune && len(p.ranges) > 0 {
+			a = m.part.RangeMayMatch(m.lo, m.hi, p.ranges)
+		}
+		w.active[fi] = a
+		w.aggDone[fi] = false
+		w.qvec[fi] = false
+		any = any || a
+	}
+	if !any {
+		w.blocksSkipped++
+		w.tuplesPruned += int64(m.part.LiveInRange(m.lo, m.hi))
+		return
+	}
+	w.blocksScanned++
+	words := (m.hi - m.lo + 63) >> 6
+	if (w.vectorize || w.aggFast) && len(w.union) < words {
+		w.union = make([]uint64, words)
+		w.sel = make([][]uint64, len(sg.flat))
+		for fi := range w.sel {
+			w.sel[fi] = make([]uint64, words)
+		}
+	}
+	// Vectorized predicates: translate each active member's pushed-down
+	// ranges into an exact per-slot bitmap on the encoded vectors.
+	// Members the encoded path cannot serve keep their kernels.
+	if w.vectorize {
+		for fi, p := range sg.flat {
+			w.qvec[fi] = w.active[fi] && len(p.ranges) > 0 &&
+				m.part.FilterRange(m.lo, m.hi, p.ranges, w.sel[fi][:words])
+		}
+	}
+	// Aggregate kernels: a pure driver-side aggregation whose selection
+	// covers every tuple of the morsel (no Where, or an all-set bitmap)
+	// is answered from the encoded blocks — counts from the live
+	// counters, sums from the packed runs — without materializing a
+	// single row.
+	if w.aggFast {
+		for fi, p := range sg.flat {
+			if !w.active[fi] || !p.vecAgg {
+				continue
+			}
+			if len(p.ranges) > 0 && (!w.qvec[fi] || !allSet(w.sel[fi][:words], m.hi-m.lo)) {
+				continue
+			}
+			ok := true
+			for ai, col := range p.aggCol {
+				if p.q.Aggs[ai].Kind != Sum {
+					continue
+				}
+				s, _, served := m.part.SumLiveRange(m.lo, m.hi, col)
+				if !served {
+					ok = false
+					break
+				}
+				w.aggScratch[ai] = s
+			}
+			if !ok {
+				continue
+			}
+			live := int64(m.part.LiveInRange(m.lo, m.hi))
+			w.rows[fi] += live
+			for ai := range p.q.Aggs {
+				if p.q.Aggs[ai].Kind == Sum {
+					w.vals[fi][ai] += w.aggScratch[ai]
+				} else {
+					w.vals[fi][ai] += float64(live)
+				}
+			}
+			w.aggDone[fi] = true
+			w.blocksAggVec++
+		}
+		any = false
+		for fi := range sg.flat {
+			if w.active[fi] && !w.aggDone[fi] {
+				any = true
+				break
+			}
+		}
+		if !any {
+			// Every active member answered from the encoded blocks: the
+			// morsel's tuples were consumed, not pruned.
+			return
+		}
+	}
+	// Union bitmap: when every remaining member has an exact bitmap,
+	// materialize only the union of their survivors. An empty union
+	// finishes the morsel — its live tuples count as pruned (each
+	// attributed once, whatever combination of verdicts and bitmaps
+	// rejected it).
+	var sel []uint64
+	if w.vectorize {
+		allVec := true
+		for fi := range sg.flat {
+			if w.active[fi] && !w.aggDone[fi] && !w.qvec[fi] {
+				allVec = false
+				break
+			}
+		}
+		if allVec {
+			w.blocksVectorized++
+			sel = w.union[:words]
+			anyBit := uint64(0)
+			for wd := range sel {
+				sel[wd] = 0
+				for fi := range sg.flat {
+					if w.qvec[fi] && w.active[fi] && !w.aggDone[fi] {
+						sel[wd] |= w.sel[fi][wd]
+					}
+				}
+				anyBit |= sel[wd]
+			}
+			if anyBit == 0 {
+				w.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
+				return
+			}
+		}
+	}
+	if w.prune {
+		w.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
+	}
+	for from := m.lo; from < m.hi; {
+		var n int
+		n, from = m.part.LiveSlots(m.lo, m.hi, sel, from, w.slots[:])
+		if w.prune {
+			w.offered += int64(n)
+		}
+		if n > 0 {
+			w.vector(m, n)
+		}
+	}
+}
+
+// vector runs the first n tuples of w.slots, all of morsel m, through
+// the pass, a stage at a time.
+func (w *passWorker) vector(m morsel, n int) {
+	sg, part := w.sg, m.part
+	slots := w.slots[:n]
+
+	// Driver predicates: each member's selection bitmap, typed kernel
+	// and residual closure decide which tuples it wants.
+	all := firstN(n)
+	for fi, p := range sg.flat {
+		lv := &w.live[fi]
+		switch {
+		case !w.active[fi] || w.aggDone[fi]:
+			*lv = vmask{}
+			continue
+		case w.qvec[fi]:
+			*lv = vmask{}
+			sel := w.sel[fi]
+			for i, slot := range slots {
+				off := uint(int(slot) - m.lo)
+				lv[i>>6] |= (sel[off>>6] >> (off & 63) & 1) << (uint(i) & 63)
+			}
+		case p.kernel != nil:
+			*lv = vmask{}
+			for i, slot := range slots {
+				if p.kernel(part.Tuple(slot)) {
+					lv[i>>6] |= 1 << (uint(i) & 63)
+				}
+			}
+		default:
+			*lv = all
+		}
+		if dp := p.q.DriverPred; dp != nil {
+			for wd, word := range lv {
+				for ; word != 0; word &= word - 1 {
+					i := wd<<6 + bits.TrailingZeros64(word)
+					if !dp(part.Tuple(slots[i])) {
+						lv[wd] &^= 1 << (uint(i) & 63)
+					}
+				}
+			}
+		}
+	}
+
+	// Root steps, in forest order: one lookup per tuple that some member
+	// holding the step still wants — a tight loop of independent key
+	// computations and lookups — then each such member keeps the tuples
+	// whose row its fold passes. A tuple every interested member has
+	// dropped by the time a step runs is never looked up there.
+	for _, st := range sg.roots {
+		var need vmask
+		for _, u := range st.users {
+			need.or(&w.live[u.fi])
+		}
+		cnt := need.count()
+		if cnt == 0 {
+			continue
+		}
+		w.probeLookups += int64(cnt)
+		rids := w.rids[st.ord][:n]
+		src, key := st.src, st.key
+		if cnt == n {
+			// Keys first, lookups second: the second loop makes no call, so
+			// many of its loads are in flight at once.
+			keys := w.keys[:n]
+			for i, slot := range slots {
+				keys[i] = key(part.Tuple(slot), nil)
+			}
+			if b := src.b; b != nil {
+				for i, k := range keys {
+					rids[i] = b.find(k)
+				}
+			} else {
+				for i, k := range keys {
+					rids[i] = src.find(k)
+				}
+			}
+		} else {
+			for wd, word := range need {
+				for ; word != 0; word &= word - 1 {
+					i := wd<<6 + bits.TrailingZeros64(word)
+					rids[i] = src.find(key(part.Tuple(slots[i]), nil))
+				}
+			}
+		}
+		for _, u := range st.users {
+			lv := &w.live[u.fi]
+			for wd, word := range lv {
+				for ; word != 0; word &= word - 1 {
+					i := wd<<6 + bits.TrailingZeros64(word)
+					if rid := rids[i]; rid == 0 || (u.fold != nil && !hasBit(u.fold, rid-1)) {
+						lv[wd] &^= 1 << (uint(i) & 63)
+					}
+				}
+			}
+		}
+	}
+
+	// Cohorts: what survives for any member is walked (if the cohort has
+	// anything left to resolve per tuple), its summands and group key are
+	// extracted once from the representative, and fanned out to the
+	// members it survives for.
+	for ci, c := range sg.cohorts {
+		base := sg.off[ci]
+		members := c.members
+		var any vmask
+		for mi := range members {
+			any.or(&w.live[base+mi])
+		}
+		rep := members[0]
+		naggs := len(rep.q.Aggs)
+		for wd, word := range any {
+			for ; word != 0; word &= word - 1 {
+				i := wd<<6 + bits.TrailingZeros64(word)
+				tup := part.Tuple(slots[i])
+				for mi := range members {
+					w.liveNow[base+mi] = w.live[base+mi][wd]>>(uint(i)&63)&1 == 1
+				}
+				if c.walk && !w.walk(c, base, i, tup) {
+					continue
+				}
+				for ai := 0; ai < naggs; ai++ {
+					if rep.q.Aggs[ai].Kind == Sum {
+						w.aggScratch[ai] = rep.aggOf[ai](tup, w.joined)
+					}
+				}
+				if c.ngroup == 0 {
+					for mi := range members {
+						if w.liveNow[base+mi] {
+							w.rows[base+mi]++
+							w.accumulate(rep, w.vals[base+mi])
+						}
+					}
+					continue
+				}
+				var key groupKey
+				for gi, fn := range rep.groupOf {
+					key[gi] = fn(tup, w.joined)
+				}
+				g := w.groups[ci]
+				if g == nil {
+					g = make(map[groupKey]*gacc)
+					w.groups[ci] = g
+				}
+				acc := g[key]
+				if acc == nil {
+					acc = &gacc{rows: make([]int64, len(members)), vals: make([]float64, len(members)*naggs)}
+					g[key] = acc
+				}
+				for mi := range members {
+					if w.liveNow[base+mi] {
+						acc.rows[mi]++
+						w.accumulate(rep, acc.vals[mi*naggs:])
+					}
+				}
+			}
+		}
+	}
+}
+
+// accumulate adds the tuple's summands (w.aggScratch, the cohort
+// representative rep's) into one member's aggregate lanes.
+func (w *passWorker) accumulate(rep *qplan, vals []float64) {
+	for ai := range rep.q.Aggs {
+		if rep.q.Aggs[ai].Kind == Sum {
+			vals[ai] += w.aggScratch[ai]
+		} else {
+			vals[ai]++
+		}
+	}
+}
+
+// walk finishes tuple i of the vector for cohort c, whose members start
+// at flat index base and survive as w.liveNow says: in chain order it
+// recovers each probe's matched row id — a root step's from the vector,
+// a linked step's through the links, a tail step's by the lookup the
+// scan has not made yet — materializes the rows the cohort asked for
+// into w.joined, and applies what is still per hit: tail steps' filters
+// and filters too large to keep as bitmaps. It reports whether any
+// member survives.
+func (w *passWorker) walk(c *cohort, base, i int, tup []byte) bool {
+	rep := c.members[0]
+	w.joined = w.joined[:0]
+	for pi, st := range rep.steps {
+		var rid uint32
+		switch st.kind {
+		case rootStep:
+			rid = w.rids[st.ord][i]
+		case linkedStep:
+			rid = st.link.to[w.chain[rep.q.Probes[pi].From]-1]
+		default:
+			w.probeLookups++
+			if rid = st.src.find(st.key(tup, w.joined)); rid == 0 {
+				return false
+			}
+		}
+		w.chain[pi] = rid
+		var row []byte
+		if c.needRow[pi] {
+			row = st.src.row(rid - 1)
+		}
+		if c.perHit[pi] {
+			any := false
+			for mi, m := range c.members {
+				if !w.liveNow[base+mi] {
+					continue
+				}
+				ok := true
+				if lk := &m.lookups[pi]; lk.bits == nil && lk.pred != nil {
+					w.predEvals++
+					ok = lk.pred(row)
+				} else if lk.bits != nil && st.kind == tailStep {
+					ok = hasBit(lk.bits, rid-1)
+				}
+				w.liveNow[base+mi] = ok
+				any = any || ok
+			}
+			if !any {
+				return false
+			}
+		}
+		w.joined = append(w.joined, row)
+	}
+	return true
 }
 
 // mergeGroups combines the workers' per-cohort group maps at the

@@ -77,55 +77,151 @@ func (a AggSpec) Summand(s *storage.Schema) (func(driver []byte, joined [][]byte
 	return func(driver []byte, _ [][]byte) float64 { return fn(driver) }, nil
 }
 
-// lookup is one probe resolved against the snapshot: a shared hash
-// build or, when b is nil, the target table's incremental PK index —
-// plus the probe's compiled filter.
+// source is what a probe step looks rows up in, as one batch sees it: a
+// shared hash build or, when b is nil, the pinned view of a table with
+// an incremental PK index. Either way its rows carry dense ids — a
+// build's ordinals; for a PK-probed table the slots of the partitions
+// before the row's, plus its slot (dead slots keep their ids and are
+// never found) — which is what lets a probe filter become a bitmap over
+// the rows and a linked step a link array from parent row to child row.
+// Ids are stable for one data version of the table: a slot never moves
+// while its row lives, and two views at one version hold the same slots.
+type source struct {
+	id buildID
+	// token is what the row ids are valid for, comparable with ==: the
+	// build itself (a rebuild may order its rows differently) or the
+	// PK-indexed table's data version.
+	token any
+	b     *build
+	pk    *olap.Table
+	// base[i] is the id of slot 0 of pk's partition i.
+	base  []uint32
+	nrows int
+}
+
+// pkSource wraps the view t of a PK-indexed table.
+func pkSource(id buildID, t *olap.Table) *source {
+	s := &source{id: id, token: t.Version(), pk: t, base: make([]uint32, len(t.Partitions))}
+	for i, p := range t.Partitions {
+		s.base[i] = uint32(s.nrows)
+		s.nrows += p.Slots()
+	}
+	return s
+}
+
+// find returns the id of the row stored under key, plus one; 0 is a miss.
+func (s *source) find(key uint64) uint32 {
+	if s.b != nil {
+		return s.b.find(key)
+	}
+	part, slot, ok := s.pk.FindPK(key)
+	if !ok {
+		return 0
+	}
+	return s.base[part] + uint32(slot) + 1
+}
+
+// row returns the tuple with id rid.
+func (s *source) row(rid uint32) []byte {
+	if s.b != nil {
+		return s.b.row(rid)
+	}
+	pi := len(s.base) - 1
+	for s.base[pi] > rid {
+		pi--
+	}
+	return s.pk.Partitions[pi].Tuple(int32(rid - s.base[pi]))
+}
+
+// rowChunk is a run of a source's row ids: ordinals [lo, hi) of a build
+// (part nil) or slots [lo, hi) of one partition, whose slot 0 has id
+// base.
+type rowChunk struct {
+	part   *olap.Partition
+	base   uint32
+	lo, hi int
+}
+
+// chunks cuts the source's rows into runs of at most mt ids, so that
+// per-row work over a source parallelizes the way scans do.
+func (s *source) chunks(mt int) []rowChunk {
+	var cs []rowChunk
+	if s.b != nil {
+		for lo := 0; lo < s.nrows; lo += mt {
+			cs = append(cs, rowChunk{lo: lo, hi: min(lo+mt, s.nrows)})
+		}
+		return cs
+	}
+	for pi, p := range s.pk.Partitions {
+		for lo, n := 0, p.Slots(); lo < n; lo += mt {
+			cs = append(cs, rowChunk{part: p, base: s.base[pi], lo: lo, hi: min(lo+mt, n)})
+		}
+	}
+	return cs
+}
+
+// scan calls fn for every live row of the chunk with its id and tuple.
+func (s *source) scan(c rowChunk, fn func(rid uint32, tup []byte)) {
+	if c.part == nil {
+		for ord := uint32(c.lo); ord < uint32(c.hi); ord++ {
+			fn(ord, s.b.row(ord))
+		}
+		return
+	}
+	var slots [256]int32
+	for from := c.lo; from < c.hi; {
+		var n int
+		n, from = c.part.LiveSlots(c.lo, c.hi, nil, from, slots[:])
+		for _, slot := range slots[:n] {
+			fn(c.base+uint32(slot), c.part.Tuple(slot))
+		}
+	}
+}
+
+// lookup is one probe of one query resolved against the snapshot: the
+// source its step looks rows up in, plus the probe's compiled filter.
 type lookup struct {
-	b    *build
-	pk   *olap.Table
+	src  *source
 	pred func(tup []byte) bool
-	// bits, when non-nil, is pred evaluated once over every row of b: bit
-	// ord is the verdict for b.row(ord), and the scan tests the bit
-	// instead of calling pred on each hit.
+	// bits, when non-nil, is pred evaluated once over every live row of
+	// src: bit rid is the verdict for src.row(rid), and the scan tests
+	// bits — folded along the step's path, see planner.go — instead of
+	// calling pred on each hit.
 	bits []uint64
 }
 
-// find resolves key to the matching build-side tuple; ord is its row
-// ordinal when the lookup goes through a build (0 through a PK index,
-// which has no bitmap to index).
-func (lk *lookup) find(key uint64) (tup []byte, ord uint32, ok bool) {
-	if lk.b == nil {
-		tup, ok = lk.pk.GetByPK(key)
-		return tup, 0, ok
-	}
-	return lk.b.find(key)
-}
-
 // evalOncePerRow fills lk.bits when that is the cheaper way to apply
-// the filter: the build has at most as many rows as the driver has live
+// the filter: the source has at most as many rows as the driver has live
 // tuples (driverLive), so evaluating every row — including rows no
 // driver tuple reaches — costs no more than evaluating every hit could.
 // A 5 000-row item build probed by 120 000 order lines is the common
-// case; a build larger than its driver keeps per-hit evaluation. It
+// case; a source larger than its driver keeps per-hit evaluation. It
 // returns the number of evaluations made.
 func (lk *lookup) evalOncePerRow(driverLive int) int {
-	if lk.b == nil || lk.pred == nil || lk.b.nrows > driverLive {
+	if lk.pred == nil || lk.src.nrows > driverLive {
 		return 0
 	}
-	n := lk.b.nrows
-	lk.bits = make([]uint64, (n+63)>>6)
-	for ord := 0; ord < n; ord++ {
-		if lk.pred(lk.b.row(uint32(ord))) {
-			lk.bits[ord>>6] |= 1 << (uint(ord) & 63)
-		}
+	lk.bits = make([]uint64, (lk.src.nrows+63)>>6)
+	n := 0
+	for _, c := range lk.src.chunks(lk.src.nrows) {
+		lk.src.scan(c, func(rid uint32, tup []byte) {
+			n++
+			if lk.pred(tup) {
+				lk.bits[rid>>6] |= 1 << (rid & 63)
+			}
+		})
 	}
 	return n
 }
 
+// hasBit reports bit i of bm.
+func hasBit(bm []uint64, i uint32) bool { return bm[i>>6]>>(i&63)&1 == 1 }
+
 // qplan is one query compiled against its driver table: predicate
 // kernels and their synopsis form, resolved probe lookups, group-key
-// and aggregate extractors. The planner merges qplans into cohorts;
-// the scan passes execute them.
+// and aggregate extractors. The planner merges qplans into cohorts and
+// compiles each scan pass's cohorts into one step forest; the scan
+// passes execute them.
 type qplan struct {
 	q *Query
 	r *Result
@@ -134,6 +230,10 @@ type qplan struct {
 	ranges []olap.ColRange
 
 	lookups []lookup
+
+	// steps[pi] is the step of the pass's forest that probe pi runs as
+	// (planner.go); the members of a cohort share their representative's.
+	steps []*step
 
 	// groupOf extracts each GroupBy column's ord key from the surviving
 	// (driver, joined) combination, in GroupBy order.
@@ -156,10 +256,10 @@ func (p *qplan) narity() int { return len(p.q.GroupBy) }
 
 // compilePlan lowers q to its executable form against driver table t
 // (the pinned snapshot's view; live is its live-tuple count), resolving
-// probes through the batch's prepared builds and sv's table views. A
-// nil return means the query failed to compile; its error is already
-// recorded in r and the rest of the batch proceeds without it.
-func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Query, r *Result, prepared map[buildID]*build) *qplan {
+// probes to the batch's sources. A nil return means the query failed to
+// compile; its error is already recorded in r and the rest of the batch
+// proceeds without it.
+func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Query, r *Result, srcs map[buildID]*source) *qplan {
 	p := &qplan{q: q, r: r}
 	k, rg, err := compileWhere(t.Schema, q.Where)
 	if err != nil {
@@ -183,15 +283,17 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 			r.Err = fmt.Errorf("exec: probe into unknown table %d", pb.Table)
 			return nil
 		}
+		if pb.KeyID != "" && (pb.From < -1 || pb.From >= pi) {
+			r.Err = fmt.Errorf("exec: query %s probe %d declares its key From %d, not an earlier probe or -1", q.Name, pi, pb.From)
+			return nil
+		}
 		wherePred, _, err := compileWhere(pt.Schema, pb.Where)
 		if err != nil {
 			r.Err = err
 			return nil
 		}
-		lk := lookup{pred: andPred(wherePred, pb.Pred)}
-		if pt.HasPKIndex() && pb.BuildKeyID == "pk" {
-			lk.pk = pt
-		} else if lk.b = prepared[buildID{pb.Table, pb.BuildKeyID}]; lk.b == nil {
+		lk := lookup{src: srcs[buildID{pb.Table, pb.BuildKeyID}], pred: andPred(wherePred, pb.Pred)}
+		if lk.src == nil {
 			r.Err = fmt.Errorf("exec: missing build for table %d key %q", pb.Table, pb.BuildKeyID)
 			return nil
 		}

@@ -181,43 +181,61 @@ func compareResults(t *testing.T, label string, shared, private []Result) {
 	}
 }
 
-// TestPlannerShareParity is the randomized prefix-merge property test:
-// batches mixing every overlap regime — shared scan only (unique share
-// keys), shared join chain (same key, scalar), shared group-by prefix
-// (same key, arities 0/1/2), and disjoint predicates — must produce
-// bit-identical rows/groups with sharing on and off, at 1, 4 and
-// NumCPU workers. Each query is also checked against a from-scratch
-// reference evaluation, so both sides of the parity can't be wrong
-// together.
+// TestPlannerShareParity is the randomized sharing property test:
+// seeded batches of 1 to 14 queries mixing three templates — a plain
+// scan, the region join with a probe that declares nothing (a tail step
+// of its cohort) and the same join declared (one root step for the whole
+// pass) — under every overlap regime — shared scan only (unique share
+// keys), shared pipeline (one key per template, group-by arities 0/1/2)
+// and both mixed — must produce identical rows/groups with sharing on
+// and off, at 1, 2, 4 and NumCPU workers, and what each query produces
+// alone. Each query is also checked against a from-scratch reference
+// evaluation over the raw rows (the part internal/baseline plays for the
+// CH templates in chbench's parity test), so the sides of the parity
+// can't be wrong together.
 func TestPlannerShareParity(t *testing.T) {
 	f := buildFixture(t, 4, 3000, 150)
 	rng := rand.New(rand.NewSource(99))
 	regimes := []string{"sharedKey", "uniqueKeys", "mixed"}
-	for trial := 0; trial < 6; trial++ {
+	templates := []string{"scan", "probe", "declared"}
+	for trial := 0; trial < 9; trial++ {
 		regime := regimes[trial%len(regimes)]
-		n := 6 + rng.Intn(6)
+		n := 1 + rng.Intn(14)
 		rqs := make([]refQuery, n)
+		tmpl := make([]string, n)
+		perTemplate := map[string]int{}
+		for i := range rqs {
+			tmpl[i] = templates[rng.Intn(len(templates))]
+			perTemplate[tmpl[i]]++
+			lo := 1 + rng.Int63n(2000)
+			rqs[i] = refQuery{reg: rng.Int63n(5), idLo: lo, idHi: lo + 200 + rng.Int63n(1500), groupN: rng.Intn(3)}
+			if tmpl[i] == "scan" {
+				rqs[i].reg, rqs[i].groupN = -1, rng.Intn(2)
+			}
+		}
+		mkQuery := func(i int) *Query {
+			key := tmpl[i] // one pipeline per template, as chbench's ShareKeys are
+			if regime == "uniqueKeys" || (regime == "mixed" && i%2 == 1) {
+				key = fmt.Sprintf("solo-%d", i)
+			}
+			q := buildRefQuery(f, rqs[i], key)
+			if tmpl[i] == "declared" {
+				q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
+			}
+			return q
+		}
 		mkBatch := func() []*Query {
 			batch := make([]*Query, n)
 			for i := range batch {
-				key := "pipe"
-				if regime == "uniqueKeys" || (regime == "mixed" && i%2 == 1) {
-					key = fmt.Sprintf("solo-%d", i)
-				}
-				batch[i] = buildRefQuery(f, rqs[i], key)
+				batch[i] = mkQuery(i)
 			}
 			return batch
 		}
-		for i := range rqs {
-			lo := 1 + rng.Int63n(2000)
-			rqs[i] = refQuery{
-				reg:    rng.Int63n(5), // all probe-shaped so same-key plans merge
-				idLo:   lo,
-				idHi:   lo + 200 + rng.Int63n(1500),
-				groupN: rng.Intn(3),
-			}
+		alone := make([]Result, n)
+		for i := range alone {
+			alone[i] = NewEngine(f.replica, 1).RunBatch([]*Query{mkQuery(i)}, 0)[0]
 		}
-		for _, workers := range []int{1, 4, runtime.NumCPU()} {
+		for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
 			e := NewEngine(f.replica, workers)
 			e.MorselTuples = 256
 			var st olap.SchedulerStats
@@ -229,12 +247,14 @@ func TestPlannerShareParity(t *testing.T) {
 			e2.DisableSharing = true
 			private := e2.RunBatch(mkBatch(), 0)
 
-			label := fmt.Sprintf("trial=%d regime=%s workers=%d", trial, regime, workers)
+			label := fmt.Sprintf("trial=%d regime=%s n=%d workers=%d", trial, regime, n, workers)
 			compareResults(t, label, shared, private)
+			compareResults(t, label+" batch/alone", shared, alone)
 			for i := range shared {
 				checkAgainstRef(t, fmt.Sprintf("%s query=%d", label, i), f, rqs[i], &shared[i])
 			}
-			if regime == "sharedKey" && st.ExecQueriesShared.Load() == 0 {
+			canMerge := perTemplate["scan"] > 1 || perTemplate["probe"] > 1 || perTemplate["declared"] > 1
+			if regime == "sharedKey" && canMerge && st.ExecQueriesShared.Load() == 0 {
 				t.Fatalf("%s: no queries merged — sharing parity is vacuous", label)
 			}
 		}

@@ -24,8 +24,8 @@ func probeCounts(t *testing.T, f *fixture, q *Query) (Result, uint64, uint64) {
 
 // A probe filter over a build no larger than the driver is evaluated
 // once per build row; over a build larger than the driver it is
-// evaluated per hit. Both give the reference answer, and the counters
-// say which one ran.
+// evaluated per hit, by the walk. Both give the reference answer, and
+// the counters say which one ran.
 func TestProbeFilterBitmapAndFallback(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -40,7 +40,13 @@ func TestProbeFilterBitmapAndFallback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildFixture(t, 3, tc.orders, tc.customers)
 			for reg := int64(0); reg < 5; reg++ {
-				res, lookups, evals := probeCounts(t, f, f.regionQuery(reg))
+				// As a tail step for the even regions, declared (a root step)
+				// for the odd: the same work either way.
+				q := f.regionQuery(reg)
+				if reg%2 == 1 {
+					q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
+				}
+				res, lookups, evals := probeCounts(t, f, q)
 				if !almostEqual(res.Values[0], f.expSum[reg]) || int64(res.Values[1]) != f.expCount[reg] {
 					t.Fatalf("region %d: got sum %f count %f, want %f / %d", reg, res.Values[0], res.Values[1], f.expSum[reg], f.expCount[reg])
 				}
@@ -102,5 +108,45 @@ func TestProbeFilterBitmapPerCohortMember(t *testing.T) {
 	// One chain for five members: 3000 lookups, 5 bitmaps of 150 rows.
 	if l, p := st.ExecProbeLookups.Load(), st.ExecProbePredEvals.Load(); l != 3000 || p != 5*150 {
 		t.Fatalf("%d lookups, %d filter evaluations; want 3000 and 750", l, p)
+	}
+}
+
+// A chain may hold one root step twice, under different filters: the
+// tuple is looked up once and must pass both.
+func TestRootStepTwiceInChain(t *testing.T) {
+	f := buildFixture(t, 3, 2000, 100)
+	q := f.regionQuery(0)
+	q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
+	q.Probes[0].Pred = func(tup []byte) bool { return f.custs.GetInt64(tup, 1) >= 1 }
+	again := q.Probes[0]
+	again.Pred = func(tup []byte) bool { return f.custs.GetInt64(tup, 1) <= 3 }
+	q.Probes = append(q.Probes, again)
+	res, lookups, evals := probeCounts(t, f, q)
+	var sum float64
+	var count int64
+	for reg := int64(1); reg <= 3; reg++ {
+		sum += f.expSum[reg]
+		count += f.expCount[reg]
+	}
+	if !almostEqual(res.Values[0], sum) || int64(res.Values[1]) != count {
+		t.Fatalf("got sum %f count %f, want %f / %d", res.Values[0], res.Values[1], sum, count)
+	}
+	if lookups != 2000 || evals != 2*100 {
+		t.Fatalf("%d lookups, %d filter evaluations; want 2000 (one step) and 200 (two bitmaps)", lookups, evals)
+	}
+}
+
+// A declaration that names no earlier probe fails its query, not the
+// batch.
+func TestBadDeclarationFailsItsQuery(t *testing.T) {
+	f := buildFixture(t, 2, 100, 10)
+	bad := f.regionQuery(1)
+	bad.Probes[0].KeyID, bad.Probes[0].From = "o.cust", 0
+	res := NewEngine(f.replica, 1).RunBatch([]*Query{bad, f.regionQuery(1)}, 0)
+	if res[0].Err == nil {
+		t.Fatal("a probe declaring its key From itself compiled")
+	}
+	if res[1].Err != nil || !almostEqual(res[1].Values[0], f.expSum[1]) {
+		t.Fatalf("the query beside it: err %v, sum %f, want %f", res[1].Err, res[1].Values[0], f.expSum[1])
 	}
 }

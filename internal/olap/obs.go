@@ -30,7 +30,9 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.ObserveHistogram("batchdb_olap_batch_latency_ns",
 		"Pure batch execution time (nanoseconds).", &st.BatchExec, labels...)
 	reg.ObserveHistogram("batchdb_olap_apply_ns",
-		"Apply-round duration (nanoseconds; rounds overlap batch execution).", &st.ApplyTime, labels...)
+		"Duration of apply rounds that applied entries, reloaded or did maintenance (nanoseconds; rounds overlap batch execution).", &st.ApplyTime, labels...)
+	reg.ObserveCounter("batchdb_olap_apply_rounds_empty_total",
+		"Apply rounds that found nothing to apply, reload or maintain (not in batchdb_olap_apply_ns).", &st.ApplyRoundsEmpty, labels...)
 	reg.ObserveHistogram("batchdb_olap_snapshot_wait_ns",
 		"Dispatcher freshness-barrier wait per batch (nanoseconds).", &st.SnapWait, labels...)
 	reg.ObserveHistogram("batchdb_olap_exec_phase_ns",
@@ -54,9 +56,9 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.ObserveCounter("batchdb_olap_queries_shared_total",
 		"Queries executed as members of a merged cohort.", &st.ExecQueriesShared, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_lookups_total",
-		"Join-probe lookups made by scan passes.", &st.ExecProbeLookups, labels...)
+		"Join-probe lookups: per root step per driver tuple, per tail step per tuple per cohort, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_pred_evals_total",
-		"Probe-filter evaluations (per build row when bitmapped, else per hit).", &st.ExecProbePredEvals, labels...)
+		"Probe-filter evaluations (per row of the probed table when bitmapped, build or PK-indexed alike; else per hit).", &st.ExecProbePredEvals, labels...)
 	reg.ObserveCounter("batchdb_olap_admit_splits_total",
 		"Dispatch rounds split by the batch-admission cost model.", &st.AdmitSplits, labels...)
 	reg.ObserveCounter("batchdb_olap_admit_deferred_total",

@@ -2,6 +2,7 @@ package olap
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,62 @@ func TestPartitionScanRange(t *testing.T) {
 	p.ScanRange(0, p.Slots(), func(uint64, []byte) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d rows", n)
+	}
+}
+
+// LiveSlots, taken in vectors of any size from any resume point, yields
+// the live slots of the range in order — all of them without a selection
+// bitmap, the selected ones with — and never a tombstone.
+func TestPartitionLiveSlots(t *testing.T) {
+	s := kvSchema()
+	p := NewPartition(s, 4)
+	for i := int64(1); i <= 200; i++ {
+		if err := p.Insert(uint64(i), tuple(s, i, i*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rid := range []uint64{1, 64, 65, 130, 200} {
+		p.Delete(rid)
+	}
+	collect := func(lo, hi int, sel []uint64, vec int) []int32 {
+		var got []int32
+		out := make([]int32, vec)
+		for from := lo; from < hi; {
+			var n int
+			n, from = p.LiveSlots(lo, hi, sel, from, out)
+			got = append(got, out[:n]...)
+		}
+		return got
+	}
+	for _, rg := range [][2]int{{0, 200}, {3, 131}, {64, 128}, {190, 1000}} {
+		lo, hi := rg[0], rg[1]
+		sel := make([]uint64, (hi-lo+63)>>6)
+		var wantAll, wantSel []int32
+		for slot := lo; slot < hi && slot < p.Slots(); slot++ {
+			if slot%3 == 0 {
+				sel[(slot-lo)>>6] |= 1 << uint((slot-lo)&63)
+			}
+			if _, live := p.Get(uint64(slot + 1)); !live { // row i sits in slot i-1
+				continue
+			}
+			wantAll = append(wantAll, int32(slot))
+			if slot%3 == 0 {
+				wantSel = append(wantSel, int32(slot))
+			}
+		}
+		for _, vec := range []int{1, 7, 64, 1024} {
+			if got := collect(lo, hi, nil, vec); !slices.Equal(got, wantAll) {
+				t.Fatalf("[%d,%d) vectors of %d: slots %v, want %v", lo, hi, vec, got, wantAll)
+			}
+			if got := collect(lo, hi, sel, vec); !slices.Equal(got, wantSel) {
+				t.Fatalf("[%d,%d) vectors of %d, selected: slots %v, want %v", lo, hi, vec, got, wantSel)
+			}
+		}
+	}
+	for _, slot := range collect(0, 200, nil, 16) {
+		if got := s.GetInt64(p.Tuple(slot), 0); got != int64(slot)+1 {
+			t.Fatalf("slot %d holds key %d", slot, got)
+		}
 	}
 }
 
@@ -370,6 +427,40 @@ func TestSchedulerBatchesAndApplies(t *testing.T) {
 	}
 	if sched.Stats().Queries.Load() != 2 {
 		t.Fatalf("queries counted = %d", sched.Stats().Queries.Load())
+	}
+}
+
+// ApplyTime holds one sample per round that applied something; the
+// rounds that found nothing — every freshness barrier of a quiet primary
+// runs one — are counted apart, so the histogram's mean is the cost of
+// applying, not of asking.
+func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
+	s := kvSchema()
+	r := NewReplica(2)
+	r.CreateTable(s, 64)
+	p := &fakePrimary{replica: r, schema: s}
+	sched := NewScheduler(r, p, func(queries []int, _ uint64) []int { return queries })
+	sched.Start()
+	defer sched.Close()
+	st := sched.Stats()
+
+	for i := 0; i < 3; i++ {
+		if _, err := sched.Query(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, empty := st.ApplyTime.Count(), st.ApplyRoundsEmpty.Load(); n != 0 || empty < 3 {
+		t.Fatalf("three barriers, nothing committed: %d apply-time samples, %d empty rounds; want 0 and at least 3", n, empty)
+	}
+	p.commitRow(1, 10)
+	if _, err := sched.Query(3); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.ApplyTime.Count(); n != 1 {
+		t.Fatalf("one commit applied: %d apply-time samples, want 1", n)
+	}
+	if got := st.AppliedEntries.Load(); got != 1 {
+		t.Fatalf("applied entries = %d, want 1", got)
 	}
 }
 

@@ -337,52 +337,48 @@ func (p *Partition) ScanRange(lo, hi int, fn func(rowID uint64, tuple []byte) bo
 	}
 }
 
-// ScanSelected visits live tuples in the slot range [lo, hi) whose
-// bit is set in sel (bit i of sel corresponds to slot lo+i); a nil sel
-// visits every live slot in the range. The callback additionally
-// receives the slot offset i relative to lo, so block-aware consumers
-// can index per-morsel selection bitmaps. It is the materialization
-// step of the compressed scan path: the executor filters whole encoded
-// blocks into sel without decoding, then touches only the surviving
-// tuples here. Dead slots are skipped even when selected — a dead
-// slot's encoded verdict is a don't-care.
-func (p *Partition) ScanSelected(lo, hi int, sel []uint64, fn func(off int, rowID uint64, tuple []byte) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(p.rowIDs) {
-		hi = len(p.rowIDs)
-	}
-	ts := p.tupleSize
+// LiveSlots is the vector form of the scan: it fills out with the slot
+// numbers of live tuples in [from, hi) — hi clamped to the allocated
+// slots — whose bit is set in sel (bit i of sel corresponds to slot
+// lo+i; a nil sel selects every slot), in slot order, and returns how
+// many it wrote and the slot to resume from (hi once the range is
+// exhausted, so callers loop while next < hi). The executor takes a morsel a vector at a time: one call
+// per vector, then tight loops over out with Tuple — no callback per
+// tuple. With sel it is the materialization step of the compressed scan
+// path: the executor filters whole encoded blocks into sel without
+// decoding and touches only the surviving tuples. Dead slots are skipped
+// even when selected — a dead slot's encoded verdict is a don't-care.
+func (p *Partition) LiveSlots(lo, hi int, sel []uint64, from int, out []int32) (n, next int) {
+	end := min(hi, len(p.rowIDs))
+	i := max(from, 0)
 	if sel == nil {
-		for i := lo; i < hi; i++ {
-			rid := p.rowIDs[i]
-			if rid == 0 {
-				continue // tombstone
-			}
-			if !fn(i-lo, rid, p.data[i*ts:(i+1)*ts]) {
-				return
-			}
-		}
-		return
-	}
-	for wi, m := range sel {
-		for m != 0 {
-			j := bits.TrailingZeros64(m)
-			m &= m - 1
-			i := lo + wi<<6 + j
-			if i >= hi {
-				return
-			}
-			rid := p.rowIDs[i]
-			if rid == 0 {
-				continue
-			}
-			if !fn(i-lo, rid, p.data[i*ts:(i+1)*ts]) {
-				return
+		for ; i < end && n < len(out); i++ {
+			if p.rowIDs[i] != 0 {
+				out[n] = int32(i)
+				n++
 			}
 		}
 	}
+	for sel != nil && i < end && n < len(out) {
+		off := i - lo
+		m := sel[off>>6] >> (uint(off) & 63)
+		if m == 0 {
+			i += 64 - off&63 // rest of this word is unselected
+			continue
+		}
+		if i += bits.TrailingZeros64(m); i >= end {
+			break
+		}
+		if p.rowIDs[i] != 0 {
+			out[n] = int32(i)
+			n++
+		}
+		i++
+	}
+	if i >= end {
+		return n, hi
+	}
+	return n, i
 }
 
 // Get returns the tuple bytes for rowID (aliasing partition storage).
@@ -391,13 +387,13 @@ func (p *Partition) Get(rowID uint64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return p.tupleAt(slot), true
+	return p.Tuple(slot), true
 }
 
-// tupleAt returns the bytes of an allocated slot (aliasing partition
-// storage). data may have regrown since the slot was assigned, so the
-// slice is taken at read time.
-func (p *Partition) tupleAt(slot int32) []byte {
+// Tuple returns the bytes of an allocated slot (aliasing partition
+// storage — do not retain). data may have regrown since the slot was
+// assigned, so the slice is taken at read time.
+func (p *Partition) Tuple(slot int32) []byte {
 	off := int(slot) * p.tupleSize
 	return p.data[off : off+p.tupleSize]
 }

@@ -83,11 +83,21 @@ func (t *Table) HasPKIndex() bool { return t.pkIdx != nil }
 // located partition's tuple array. It takes no lock — see pkIndex for
 // why a reader of a table version never meets a writer of it.
 func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
-	loc, ok := t.pkIdx.get(pk)
+	part, slot, ok := t.FindPK(pk)
 	if !ok {
 		return nil, false
 	}
-	return t.Partitions[loc>>32-1].tupleAt(int32(uint32(loc))), true
+	return t.Partitions[part].Tuple(slot), true
+}
+
+// FindPK resolves a primary key to where its live tuple sits: the
+// partition's ordinal and the slot, which never moves while the row
+// lives. The executor turns the pair into a dense row id (the slots of
+// the partitions before it, plus the slot) to index per-row bitmaps and
+// link arrays of the table version it has pinned.
+func (t *Table) FindPK(pk uint64) (part int, slot int32, ok bool) {
+	loc, ok := t.pkIdx.get(pk)
+	return int(loc>>32) - 1, int32(uint32(loc)), ok
 }
 
 // insert places a tuple in the partition its RowID routes to and

@@ -47,8 +47,13 @@ type SchedulerStats struct {
 	// BatchExec measures pure batch execution time.
 	BatchExec metrics.Histogram
 	// ApplyTime accumulates time spent applying updates per round
-	// (rounds run concurrently with batch execution).
-	ApplyTime metrics.Histogram
+	// (rounds run concurrently with batch execution): one sample for
+	// every round that applied entries, installed a reload or did
+	// maintenance. ApplyRoundsEmpty counts the rounds that found none of
+	// the three — every forced sync's own push kicks one — which would
+	// otherwise halve the histogram's mean.
+	ApplyTime        metrics.Histogram
+	ApplyRoundsEmpty metrics.Counter
 	// SnapWait measures the dispatcher's freshness barrier: how long a
 	// formed batch waits for an apply round covering its formation time
 	// before it pins a snapshot and executes — the only apply-induced
@@ -90,12 +95,17 @@ type SchedulerStats struct {
 	// queries; ExecQueriesShared / Queries is the batch share rate.
 	ExecCohortsShared metrics.Counter
 	ExecQueriesShared metrics.Counter
-	// ExecProbeLookups counts join-probe lookups (one per cohort per
-	// probe step a tuple reaches) and ExecProbePredEvals the probe-filter
-	// evaluations behind them: one per build row for a filter the
-	// executor turned into a bitmap, one per hit per live member
-	// otherwise. Both are pure functions of data, batch and plan — work
-	// counters, comparable exactly across runs.
+	// ExecProbeLookups counts join-probe lookups: one per root step per
+	// driver tuple some query holding the step still wants, whatever the
+	// number of queries; one per tail step per tuple per cohort that
+	// reaches it; and, when a link array is made (not when it is found
+	// cached), one per live row of the linked step's parent table.
+	// ExecProbePredEvals counts the probe-filter evaluations: one per
+	// live row of the probed table — a hash build or a PK-indexed table
+	// alike — for a filter the executor turned into a bitmap, one per hit
+	// per live member otherwise (a table larger than the driver). Both
+	// are pure functions of data, batch, plan and what the engine has
+	// cached — work counters, comparable exactly across runs.
 	ExecProbeLookups   metrics.Counter
 	ExecProbePredEvals metrics.Counter
 	// AdmitSplits counts dispatch rounds the admission hook cut short;
@@ -406,7 +416,11 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		// pre-apply backlog (e.g. the spike right after a reconnect).
 		s.fresh.ObserveWatermark(target, confirmed)
 		st, err := s.replica.ApplyPending(target)
-		s.stats.ApplyTime.RecordSince(t0)
+		if st.Entries > 0 || st.Reloaded || st.Maintained {
+			s.stats.ApplyTime.RecordSince(t0)
+		} else {
+			s.stats.ApplyRoundsEmpty.Inc()
+		}
 		s.applyMu.Lock()
 		s.lastApply = st
 		s.applyMu.Unlock()

@@ -40,9 +40,13 @@ func TestFreshnessThroughOutage(t *testing.T) {
 	// The real scheduler drives the freshness hooks: sync (watermark
 	// observation) then apply (snapshot install).
 	run := func(queries []int, snap uint64) []int64 {
+		// Through a pin, as RunBatchFunc requires: the apply loop installs
+		// the next version while a batch runs.
+		sv := rep.PinSnapshot()
+		defer sv.Unpin()
 		out := make([]int64, len(queries))
 		for i := range out {
-			out[i] = int64(rep.Table(1).Live())
+			out[i] = int64(sv.Table(1).Live())
 		}
 		return out
 	}
