@@ -217,6 +217,12 @@ func TestServerStatsFromRegistry(t *testing.T) {
 		"batchdb_olap_batches_total",
 		"batchdb_olap_exec_probe_lookups_total",
 		"batchdb_olap_exec_probe_pred_evals_total",
+		"batchdb_olap_apply_rounds_total{cause=barrier",
+		"batchdb_olap_apply_rounds_total{cause=gap",
+		"batchdb_olap_apply_rounds_total{cause=push",
+		"batchdb_olap_blocks_reencoded_total",
+		"batchdb_olap_cow_rounds_total",
+		"batchdb_olap_cow_bytes_total",
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS output missing %s: %q", want, stats)

@@ -32,23 +32,47 @@ const routeShardMin = 4096
 // current partition count each round, because a resync reload recreates
 // t.Partitions. Every buffer is empty and zeroed between rounds (see
 // release).
+//
+// Steps 1 and 2 order and route the round's entries by reference: an
+// entry stays where the push that carried it was decoded and is read
+// once, by step 3.
 type applyScratch struct {
-	// merged is the step-1 output buffer.
-	merged []proplog.Entry
-	// perPart is the step-2 output: one VID-ordered entry slice per
-	// partition.
-	perPart [][]proplog.Entry
+	// streams is step 1's input, filled by groupStreams: one VID-ordered
+	// stream per worker that pushed entries for this table.
+	streams []workerStream
+	// merged is the step-1 output buffer: the streams' entries in VID
+	// order.
+	merged []*proplog.Entry
+	// perPart is the step-2 output: one VID-ordered slice per partition.
+	perPart [][]*proplog.Entry
 	// router holds the per-goroutine per-partition buffers of step 2's
 	// sharded routing, grown to the worker count on demand.
-	router [][][]proplog.Entry
+	router [][][]*proplog.Entry
 }
 
-// release empties every buffer and zeroes the entries the round wrote. A
-// slice cut back to [:0] keeps its elements reachable, and each Entry's
-// Data pins the whole receive chunk it aliases: without the clear, a
-// table's largest round would hold its chunks until an equally large
+// addRun appends run, a VID-ordered piece of one worker's push, to that
+// worker's stream. A stream's first run is aliased, not copied — in the
+// common round one push feeds each (table, worker) stream — and carries
+// no spare capacity, so a second run's append copies instead of writing
+// into the batch.
+func (sc *applyScratch) addRun(worker int, run []proplog.Entry) {
+	for i := range sc.streams {
+		if s := &sc.streams[i]; s.worker == worker {
+			s.entries = append(s.entries, run...)
+			return
+		}
+	}
+	sc.streams = append(sc.streams, workerStream{worker: worker, entries: run[:len(run):len(run)]})
+}
+
+// release empties every buffer and zeroes the references the round
+// wrote. A slice cut back to [:0] keeps its elements reachable, and each
+// entry pins the whole receive chunk its Data aliases: without the clear,
+// a table's largest round would hold its chunks until an equally large
 // round overwrote every slot — for a rarely updated table, forever.
 func (sc *applyScratch) release() {
+	clear(sc.streams)
+	sc.streams = sc.streams[:0]
 	clear(sc.merged)
 	sc.merged = sc.merged[:0]
 	for i := range sc.perPart {
@@ -89,6 +113,12 @@ type ApplyStats struct {
 	Step1, Step2, Step3 time.Duration
 	// PerTable splits the work by relation.
 	PerTable map[storage.TableID]*TableApplyStats
+
+	// cowBytes is what the round's partition clones copied (0 for a round
+	// that applied in place); reencoded counts the blocks whose encoded
+	// vectors it rebuilt. The scheduler folds both into its counters.
+	cowBytes  int64
+	reencoded int
 }
 
 // ApplyPending applies every queued update with VID <= target, in VID
@@ -114,7 +144,18 @@ type ApplyStats struct {
 // pinned snapshot are exactly as before; in place the failed tables are
 // left half-applied, which is why the error is sticky (applyErr) and the
 // scheduler treats it as fatal.
+//
+// A round started here re-encodes every stale block before it installs;
+// the scheduler's rounds go through applyPending and say whether they do.
 func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
+	return r.applyPending(target, true)
+}
+
+// applyPending is ApplyPending with the round's maintenance spelt out:
+// synopses are re-summarized in every round, stale encoded vectors are
+// rebuilt only when reencode is set — until then FilterRange and
+// SumLiveRange refuse their blocks and the scan reads the rows.
+func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error) {
 	// Take the staged resync snapshot (reconnect after connection loss),
 	// the queued batches and the floor in one atomic step: batches that
 	// were spliced in together with a reload must never be drained
@@ -122,7 +163,7 @@ func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 	// be wiped by the reload, unrecoverable below its floor).
 	rl, batches, floor := r.takeWork()
 	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
-	stats.Maintained = r.needsMaintenance()
+	stats.Maintained = r.needsMaintenance(reencode)
 	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !stats.Maintained {
 		return stats, nil // nothing to build — keep the current head
 	}
@@ -134,7 +175,7 @@ func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 		// the lock is retaken for the install.
 		r.snapMu.Unlock()
 	}
-	outs, err := r.applyRound(&stats, rl, batches, floor, target, clone)
+	outs, err := r.applyRound(&stats, rl, batches, floor, target, clone, reencode)
 	if clone {
 		r.snapMu.Lock()
 	}
@@ -177,11 +218,13 @@ func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 // tableOut is one table's outcome of an apply round: its stats and the
 // partition slice and PK index of its next version.
 type tableOut struct {
-	ts      *TableApplyStats
-	entries int
-	parts   []*Partition
-	pk      *pkIndex
-	err     error
+	ts        *TableApplyStats
+	entries   int
+	parts     []*Partition
+	pk        *flatIndex
+	cowBytes  int64
+	reencoded int
+	err       error
 }
 
 // applyRound is the body of one round up to (not including) the install:
@@ -189,7 +232,7 @@ type tableOut struct {
 // fold of their stats into st. It returns one outcome per registered
 // table (nil for tables the round did not touch) and the first error in
 // registration order.
-func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, clone bool) ([]*tableOut, error) {
+func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, clone, reencode bool) ([]*tableOut, error) {
 	if rl != nil {
 		// The reload installs first: it raises the floor so stale queued
 		// updates the snapshot already contains are discarded below.
@@ -201,7 +244,7 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 			floor = rl.vid
 		}
 	}
-	perTable := r.groupStreams(batches, floor, target)
+	r.groupStreams(batches, floor, target)
 
 	// Run the per-table pipelines concurrently: the multi-table TPC-C
 	// update mix touches eight relations whose steps 1–2 would otherwise
@@ -209,20 +252,19 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 	// leaf parallelism (across all tables) at the apply-worker budget. A
 	// table participates when it has entries or a pending maintenance
 	// step (requested-but-inactive synopsis columns — a reload rebuilt
-	// them empty — or stale encoded blocks).
+	// them empty — or, in a round that re-encodes, stale encoded blocks).
 	sem := make(chan struct{}, r.applyWorkers)
 	outs := make([]*tableOut, len(r.order))
 	var wg sync.WaitGroup
 	for ti, t := range r.order {
-		ws := perTable[t.Schema.ID]
-		if len(ws) == 0 && !t.needsMaintenance() {
+		if len(t.scratch.streams) == 0 && !t.needsMaintenance(reencode) {
 			continue
 		}
 		wg.Add(1)
-		go func(ti int, t *Table, ws []*workerStream) {
+		go func(ti int, t *Table) {
 			defer wg.Done()
-			outs[ti] = r.applyTable(t, ws, sem, clone)
-		}(ti, t, ws)
+			outs[ti] = r.applyTable(t, sem, clone, reencode)
+		}(ti, t)
 	}
 	wg.Wait()
 
@@ -239,6 +281,8 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		st.Step1 += o.ts.Step1
 		st.Step2 += o.ts.Step2
 		st.Step3 += o.ts.Step3
+		st.cowBytes += o.cowBytes
+		st.reencoded += o.reencoded
 		if o.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("olap: apply to table %s: %w", t.Schema.Name, o.err)
 		}
@@ -246,22 +290,17 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 	return outs, firstErr
 }
 
-// groupStreams groups entries by table, keeping one VID-ordered stream
-// per worker (a worker's commits are VID-monotonic, and batches arrive
-// in push order, so concatenation per worker preserves order). Entries
-// at or below floor are dropped; entries beyond target are requeued at
-// the front of the pending queue for the next round.
+// groupStreams groups entries by table into each table's scratch,
+// keeping one VID-ordered stream per worker (a worker's commits are
+// VID-monotonic, and batches arrive in push order, so concatenation per
+// worker preserves order). Entries at or below floor are dropped; entries
+// beyond target are requeued at the front of the pending queue for the
+// next round.
 //
 // A table batch is VID-ordered, so what a round takes from it is one
-// contiguous run, found by binary search. The first run of a stream is
-// aliased, not copied — in the common round one push feeds each (table,
-// worker) stream and the whole batch is taken — and so is a requeued
-// tail. Streams are only read from here on; the aliased slices carry no
-// spare capacity, so a later append copies instead of writing into the
-// batch.
-func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) map[storage.TableID][]*workerStream {
-	perTable := make(map[storage.TableID][]*workerStream)
-	streams := make(map[[2]uint64]*workerStream) // (table, worker) -> stream
+// contiguous run, found by binary search and aliased (addRun), and so is
+// a requeued tail. Streams are only read from here on.
+func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) {
 	var leftover []proplog.Batch
 	for _, b := range batches {
 		for _, tb := range b.Tables {
@@ -271,18 +310,9 @@ func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) ma
 			if hi < len(es) {
 				leftover = appendLeftover(leftover, b.Worker, tb.Table, es[hi:])
 			}
-			if lo == hi {
-				continue
+			if t := r.tables[tb.Table]; t != nil && lo < hi {
+				t.scratch.addRun(b.Worker, es[lo:hi])
 			}
-			key := [2]uint64{uint64(tb.Table), uint64(b.Worker)}
-			s := streams[key]
-			if s == nil {
-				s = &workerStream{worker: b.Worker, entries: es[lo:hi:hi]}
-				streams[key] = s
-				perTable[tb.Table] = append(perTable[tb.Table], s)
-				continue
-			}
-			s.entries = append(s.entries, es[lo:hi]...)
 		}
 	}
 	if len(leftover) > 0 {
@@ -290,30 +320,29 @@ func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) ma
 		r.pending = append(leftover, r.pending...)
 		r.mu.Unlock()
 	}
-	return perTable
 }
 
 // needsMaintenance reports whether the partition has requested-but-
-// inactive synopsis columns (w is the table's request mask) or stale
-// encoded blocks — work an apply round must pick up even with no
-// entries for it.
-func (p *Partition) needsMaintenance(w uint64) bool {
-	return p.zm != nil && ((w != 0 && p.zm.active&w != w) || (p.enc != nil && p.enc.anyStale))
+// inactive synopsis columns (w is the table's request mask) or — for a
+// round that re-encodes — stale encoded blocks: work an apply round must
+// pick up even with no entries for it.
+func (p *Partition) needsMaintenance(w uint64, reencode bool) bool {
+	return p.zm != nil && ((w != 0 && p.zm.active&w != w) || (reencode && p.enc != nil && p.enc.anyStale))
 }
 
-func (t *Table) needsMaintenance() bool {
+func (t *Table) needsMaintenance(reencode bool) bool {
 	w := t.wantedSyn.Load()
 	for _, p := range t.Partitions {
-		if p.needsMaintenance(w) {
+		if p.needsMaintenance(w, reencode) {
 			return true
 		}
 	}
 	return false
 }
 
-func (r *Replica) needsMaintenance() bool {
+func (r *Replica) needsMaintenance(reencode bool) bool {
 	for _, t := range r.order {
-		if t.needsMaintenance() {
+		if t.needsMaintenance(reencode) {
 			return true
 		}
 	}
@@ -328,7 +357,7 @@ func (r *Replica) needsMaintenance() bool {
 // it mutates the canonical partitions and index and returns those. Leaf
 // tasks acquire sem; the caller's per-table goroutine itself does not,
 // so a round with more tables than workers cannot deadlock.
-func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, clone bool) *tableOut {
+func (r *Replica) applyTable(t *Table, sem chan struct{}, clone, reencode bool) *tableOut {
 	ts := &TableApplyStats{}
 	sc := &t.scratch
 	defer sc.release()
@@ -340,7 +369,7 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 	// Step 1: merge the per-worker streams into one VID-ordered stream
 	// ("the fastest step"), reusing the table's merge buffer.
 	start := time.Now()
-	sc.merged = mergeByVIDInto(sc.merged, ws)
+	sc.merged = mergeByVIDInto(sc.merged, sc.streams)
 	merged := sc.merged
 	ts.Step1 = time.Since(start)
 
@@ -350,7 +379,7 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 	start = time.Now()
 	nparts := len(t.Partitions)
 	if len(sc.perPart) != nparts { // revalidated: a resync reload resizes partitions
-		sc.perPart = make([][]proplog.Entry, nparts)
+		sc.perPart = make([][]*proplog.Entry, nparts)
 	}
 	perPart := sc.perPart
 	nG := 1
@@ -361,9 +390,9 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 		}
 	}
 	if nG <= 1 {
-		for i := range merged {
-			h := merged[i].RowID * 0x9E3779B97F4A7C15
-			perPart[h%uint64(nparts)] = append(perPart[h%uint64(nparts)], merged[i])
+		for _, e := range merged {
+			h := e.RowID * 0x9E3779B97F4A7C15
+			perPart[h%uint64(nparts)] = append(perPart[h%uint64(nparts)], e)
 		}
 	} else {
 		// Contiguous chunks keep VID order: chunk g holds strictly
@@ -371,22 +400,22 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 		// partition's buffers in chunk order reproduces the serial
 		// routing exactly.
 		if len(sc.router) < nG {
-			sc.router = append(sc.router, make([][][]proplog.Entry, nG-len(sc.router))...)
+			sc.router = append(sc.router, make([][][]*proplog.Entry, nG-len(sc.router))...)
 		}
 		var rwg sync.WaitGroup
 		for g := 0; g < nG; g++ {
 			if len(sc.router[g]) != nparts {
-				sc.router[g] = make([][]proplog.Entry, nparts)
+				sc.router[g] = make([][]*proplog.Entry, nparts)
 			}
 			lo, hi := g*len(merged)/nG, (g+1)*len(merged)/nG
 			rwg.Add(1)
-			go func(buf [][]proplog.Entry, chunk []proplog.Entry) {
+			go func(buf [][]*proplog.Entry, chunk []*proplog.Entry) {
 				defer rwg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				for i := range chunk {
-					h := chunk[i].RowID * 0x9E3779B97F4A7C15
-					buf[h%uint64(nparts)] = append(buf[h%uint64(nparts)], chunk[i])
+				for _, e := range chunk {
+					h := e.RowID * 0x9E3779B97F4A7C15
+					buf[h%uint64(nparts)] = append(buf[h%uint64(nparts)], e)
 				}
 			}(sc.router[g], merged[lo:hi])
 		}
@@ -421,19 +450,21 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
+	out := &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pk}
 	for pi, p := range t.Partitions {
 		entries := perPart[pi]
-		if len(entries) == 0 && !p.needsMaintenance(w) {
+		if len(entries) == 0 && !p.needsMaintenance(w, reencode) {
 			continue // untouched: the next version shares this partition
 		}
 		wg.Add(1)
-		go func(pi int, p *Partition, entries []proplog.Entry) {
+		go func(pi int, p *Partition, entries []*proplog.Entry) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := time.Now()
+			var copied int64
 			if clone {
-				p = p.cloneForWrite()
+				p, copied = p.cloneForWrite()
 				parts[pi] = p
 			}
 			// Activate the synopsis columns the last query batches
@@ -441,21 +472,26 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 			// maintenance below then covers exactly the active set.
 			p.ActivateSynopsisCols(w)
 			ins, upd, del, err := applyToPartition(p, entries, pk, t.pkFn, pi)
+			blocks := 0
 			if err == nil {
 				// Re-summarize blocks this round's deletes and
 				// bound-narrowing updates dirtied, inside the same
 				// per-partition-parallel window (and the same Step3
 				// timing) — queries never see a dirty block.
 				p.ResummarizeDirty()
-				// Then rebuild the encoded vectors of blocks this round's
-				// inserts and patches staled, after the synopses are exact
+				// Then, in a round that re-encodes, rebuild the encoded
+				// vectors of the blocks that inserts and patches staled
+				// since the last such round, after the synopses are exact
 				// again (re-encoding reuses the block min as fill and FOR
-				// base) and before the install — queries never see a stale
-				// vector either.
-				p.ReencodeDirty()
+				// base). In any other round the blocks stay flagged.
+				if reencode {
+					blocks = p.ReencodeDirty()
+				}
 			}
 			d := time.Since(t0)
 			mu.Lock()
+			out.cowBytes += copied
+			out.reencoded += blocks
 			ts.Step3 += d
 			ts.Inserted += ins
 			ts.Updated += upd
@@ -467,7 +503,8 @@ func (r *Replica) applyTable(t *Table, ws []*workerStream, sem chan struct{}, cl
 		}(pi, p, entries)
 	}
 	wg.Wait()
-	return &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pk, err: firstErr}
+	out.err = firstErr
+	return out
 }
 
 // appendLeftover adds a (worker, table) batch's requeued tail to batches,
@@ -497,11 +534,16 @@ func appendLeftover(batches []proplog.Batch, worker int, table storage.TableID, 
 // harnesses that apply update streams to alternative storage layouts
 // (the column-store microbenchmark of paper §8.3).
 func MergeWorkerStreams(streams [][]proplog.Entry) []proplog.Entry {
-	ws := make([]*workerStream, len(streams))
+	ws := make([]workerStream, len(streams))
 	for i, s := range streams {
-		ws[i] = &workerStream{worker: i, entries: s}
+		ws[i] = workerStream{worker: i, entries: s}
 	}
-	return mergeByVID(ws)
+	refs := mergeByVIDInto(nil, ws)
+	out := make([]proplog.Entry, len(refs))
+	for i, e := range refs {
+		out[i] = *e
+	}
+	return out
 }
 
 // workerStream is one worker's VID-ordered entry stream for one table.
@@ -510,23 +552,13 @@ type workerStream struct {
 	entries []proplog.Entry
 }
 
-// mergeByVID k-way merges per-worker VID-sorted streams into one
-// VID-ordered stream (paper Fig. 4 step 1), allocating a fresh output
-// buffer.
-func mergeByVID(ws []*workerStream) []proplog.Entry {
-	total := 0
-	for _, s := range ws {
-		total += len(s.entries)
-	}
-	return mergeByVIDInto(make([]proplog.Entry, 0, total), ws)
-}
-
-// mergeByVIDInto appends the merged stream to out (typically a reused
-// buffer) and returns it. Both strategies copy whole runs of equal-VID
-// entries from the winning stream, so one transaction's updates stay
-// contiguous, and break VID ties by stream position — the heap path is
-// entry-for-entry identical to the linear path.
-func mergeByVIDInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
+// mergeByVIDInto k-way merges per-worker VID-sorted streams into one
+// VID-ordered stream of references (paper Fig. 4 step 1), appended to out
+// (typically a reused buffer). Both strategies take whole runs of
+// equal-VID entries from the winning stream, so one transaction's updates
+// stay contiguous, and break VID ties by stream position — the heap path
+// is entry-for-entry identical to the linear path.
+func mergeByVIDInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 	if len(ws) > mergeHeapThreshold {
 		return mergeHeapInto(out, ws)
 	}
@@ -535,7 +567,7 @@ func mergeByVIDInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
 
 // mergeLinearInto is the small-k strategy: re-scan every stream head for
 // each run. O(k) per run but branch-predictable and allocation-free.
-func mergeLinearInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
+func mergeLinearInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 	total := 0
 	for _, s := range ws {
 		total += len(s.entries)
@@ -554,11 +586,11 @@ func mergeLinearInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
 				best, bestVID = i, v
 			}
 		}
-		// Copy the whole run of equal-VID entries from the winning
+		// Take the whole run of equal-VID entries from the winning
 		// stream (one transaction's updates stay contiguous).
 		s := ws[best]
 		for heads[best] < len(s.entries) && s.entries[heads[best]].VID == bestVID {
-			out = append(out, s.entries[heads[best]])
+			out = append(out, &s.entries[heads[best]])
 			heads[best]++
 		}
 	}
@@ -568,7 +600,7 @@ func mergeLinearInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
 // mergeHeapInto is the large-k strategy: a binary min-heap of stream
 // indices ordered by (head VID, stream index) — the secondary key
 // replicates the linear scan's first-stream-wins tie-break.
-func mergeHeapInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
+func mergeHeapInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 	heads := make([]int, len(ws))
 	h := make([]int, 0, len(ws))
 	less := func(a, b int) bool {
@@ -608,7 +640,7 @@ func mergeHeapInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
 		s := ws[best]
 		v := s.entries[heads[best]].VID
 		for heads[best] < len(s.entries) && s.entries[heads[best]].VID == v {
-			out = append(out, s.entries[heads[best]])
+			out = append(out, &s.entries[heads[best]])
 			heads[best]++
 		}
 		if heads[best] >= len(s.entries) {
@@ -630,9 +662,9 @@ func mergeHeapInto(out []proplog.Entry, ws []*workerStream) []proplog.Entry {
 // when the table has none) is the next version's PK index, kept in step
 // with the slots: pi is p's ordinal in its table, which with the slot
 // makes a row's locator.
-func applyToPartition(p *Partition, entries []proplog.Entry, pk *pkIndex, pkFn func([]byte) uint64, pi int) (ins, upd, del int, err error) {
+func applyToPartition(p *Partition, entries []*proplog.Entry, pk *flatIndex, pkFn func([]byte) uint64, pi int) (ins, upd, del int, err error) {
 	for i := 0; i < len(entries); i++ {
-		e := &entries[i]
+		e := entries[i]
 		switch e.Kind {
 		case proplog.Insert:
 			if aerr := insertIndexed(p, pi, e.RowID, e.Data, pk, pkFn); aerr != nil {
@@ -656,14 +688,14 @@ func applyToPartition(p *Partition, entries []proplog.Entry, pk *pkIndex, pkFn f
 			}
 			upd++
 		case proplog.Delete:
+			slot, ok := p.Locate(e.RowID)
+			if !ok {
+				return ins, upd, del, fmt.Errorf("olap: delete of unknown RowID %d in table %s", e.RowID, p.schema.Name)
+			}
 			if pk != nil {
-				if slot, ok := p.Locate(e.RowID); ok {
-					pk.del(pkFn(p.Tuple(slot)), pkLoc(pi, slot))
-				}
+				pk.del(pkFn(p.Tuple(slot)), pkLoc(pi, slot))
 			}
-			if aerr := p.Delete(e.RowID); aerr != nil {
-				return ins, upd, del, aerr
-			}
+			p.deleteSlot(e.RowID, slot)
 			del++
 		default:
 			return ins, upd, del, fmt.Errorf("olap: unknown update kind %d", e.Kind)

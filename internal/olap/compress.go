@@ -32,13 +32,16 @@ import (
 // Maintenance rides the same exclusive phases as the zone map:
 // inserts and overlapping patches mark a block's vectors stale (the
 // raw row write happens regardless), and ReencodeDirty re-encodes
-// stale blocks inside the quiesced apply window, right after
-// ResummarizeDirty. Deletes never stale a block: Delete only clears
-// the rowID, the tuple bytes — and hence the encoded vector — are
-// unchanged, and LiveSlots skips dead slots at materialization, so
-// a dead slot's filter verdict is a don't-care. Dead slots are encoded
-// as the block's synopsis min (sound even when loose: bounds only
-// widen), which also hands FOR its base for free.
+// stale blocks inside a quiesced apply window, right after
+// ResummarizeDirty — not in every window: a round some batch is waiting
+// on leaves them flagged, FilterRange and SumLiveRange refuse a flagged
+// block-column, and the scan reads its rows, which is exact.
+// Deletes never stale a block: Delete only clears the rowID, the tuple
+// bytes — and hence the encoded vector — are unchanged, and LiveSlots
+// skips dead slots at materialization, so a dead slot's filter verdict
+// is a don't-care. Dead slots are encoded as the block's synopsis min
+// (sound even when loose: bounds only widen), which also hands FOR its
+// base for free.
 type encStore struct {
 	// nc mirrors len(zm.cols); vecs[b*nc+ci] is block b's vector for
 	// synopsis column ci, nil when the block-column did not encode
@@ -78,9 +81,8 @@ type encStore struct {
 	// append per patch, and ReencodeDirty groups entries by block (the
 	// block is slot>>shift) with one sort per window. Values are re-read
 	// from the rows at re-encode time, so entries are idempotent and
-	// ordering-free; a block with more than patchJournalMax entries
-	// falls back to a full gather (replay would cost more than the
-	// gather it avoids).
+	// ordering-free; a block with more entries than an eighth of its
+	// slots (journalShift) falls back to a full gather.
 	jlog []patchRec
 
 	// vals is the per-block gather buffer; sc backs the stats pass.
@@ -97,14 +99,12 @@ type patchRec struct {
 	mask uint64
 }
 
-// patchJournalMax caps the entries replayed per block; 1/8 of the
-// largest block size keeps replay strictly cheaper than the gather it
-// replaces.
-const patchJournalMax = 128
-
-// jlogMax bounds the whole log (~1MB); beyond it new patches mark
+// journalShift caps the journal at 1/8 of the slots it covers, which
+// keeps replay strictly cheaper than the gather it replaces: a block
+// replays at most slots>>journalShift entries, and the whole log holds at
+// most that share of the partition's slots — beyond it new patches mark
 // their columns full instead of journaling.
-const jlogMax = 1 << 16
+const journalShift = 3
 
 // grow extends the per-block arrays to nb blocks; new blocks start
 // stale so their first ReencodeDirty builds vectors.
@@ -160,7 +160,7 @@ func (e *encStore) markStale(p *Partition, slot int32) {
 	e.stale[b] = ^uint64(0)
 	e.anyStale = true
 	if e.full[b] != ^uint64(0) {
-		if len(e.jlog) < jlogMax {
+		if len(e.jlog) < len(p.rowIDs)>>journalShift {
 			e.jlog = append(e.jlog, patchRec{slot: slot, mask: ^uint64(0)})
 		} else {
 			e.full[b] = ^uint64(0)
@@ -187,7 +187,7 @@ func (e *encStore) markStaleIfOverlap(p *Partition, slot int32, offset uint32, s
 		e.stale[b] |= mask
 		e.anyStale = true
 		if e.full[b]&mask != mask {
-			if len(e.jlog) < jlogMax {
+			if len(e.jlog) < len(p.rowIDs)>>journalShift {
 				e.jlog = append(e.jlog, patchRec{slot: slot, mask: mask})
 			} else {
 				e.full[b] |= mask
@@ -215,18 +215,18 @@ func (p *Partition) EnableCompression() {
 func (p *Partition) Compressed() bool { return p.enc != nil }
 
 // ReencodeDirty rebuilds the stale encoded vectors — per block, only
-// the active columns whose stale bit is set. ApplyPending calls it per
-// partition
+// the active columns whose stale bit is set — and returns how many blocks
+// it rebuilt. An apply round that re-encodes calls it per partition
 // inside the quiesced window, right after ResummarizeDirty (and at
-// activation time), so queries never see a stale vector — they see
-// either a fresh one or a block flagged for tuple-at-a-time fallback.
-func (p *Partition) ReencodeDirty() {
+// activation time); queries never read a stale vector — they see either
+// a fresh one or a block flagged for tuple-at-a-time fallback.
+func (p *Partition) ReencodeDirty() (blocks int) {
 	e := p.enc
 	if e == nil || !e.anyStale {
-		return
+		return 0
 	}
 	z := p.zm
-	// Group the patch log by block: one sort per window, then each
+	// Group the patch log by block: one sort per re-encode, then each
 	// block's entries are a contiguous run (block is slot>>shift, so
 	// slot order is block order) consumed by an advancing cursor.
 	slices.SortFunc(e.jlog, func(a, b patchRec) int { return cmp.Compare(a.slot, b.slot) })
@@ -244,6 +244,7 @@ func (p *Partition) ReencodeDirty() {
 		}
 		if m &= z.active; m != 0 {
 			p.encodeBlock(b, m, e.jlog[cur:end])
+			blocks++
 		}
 		cur = end
 		// Inactive-column bits can drop too: those columns carry no
@@ -253,6 +254,7 @@ func (p *Partition) ReencodeDirty() {
 	}
 	e.jlog = e.jlog[:0]
 	e.anyStale = false
+	return blocks
 }
 
 // encodeBlock (re)builds block b's vectors for the masked columns;
@@ -274,6 +276,7 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 		e.vals = make([]int64, hi-lo)
 	}
 	vals := e.vals[:hi-lo]
+	replay := len(jr) <= (hi-lo)>>journalShift
 	for ci := range z.cols {
 		if mask&(1<<uint(ci)) == 0 {
 			continue
@@ -315,7 +318,7 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 		// pinned readers' view.
 		if old := e.vecs[base+ci]; old != nil && old.Len() == hi-lo &&
 			e.owned[b]&(1<<uint(ci)) != 0 &&
-			e.full[b]&(1<<uint(ci)) == 0 && len(jr) <= patchJournalMax {
+			e.full[b]&(1<<uint(ci)) == 0 && replay {
 			inPlace := true
 			for _, pr := range jr {
 				if pr.mask&(1<<uint(ci)) == 0 {
@@ -338,7 +341,7 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 		// instead of striding the block's full row bytes; a grown tail is
 		// gathered from the rows, and the journaled slots re-read theirs.
 		if old := e.vecs[base+ci]; old != nil && old.Len() <= hi-lo &&
-			e.full[b]&(1<<uint(ci)) == 0 && len(jr) <= patchJournalMax {
+			e.full[b]&(1<<uint(ci)) == 0 && replay {
 			old.DecodeAll(vals)
 			p.gatherCol(vals[old.Len():], lo+old.Len(), hi, off, typ, fill)
 			for _, pr := range jr {
@@ -473,9 +476,10 @@ func (p *Partition) gatherCol(dst []int64, slo, shi, off int, typ storage.Type, 
 // It returns false — and leaves sel undefined — when the encoded path
 // cannot serve the range exactly: compression disabled, a misaligned
 // range, a queried column stale in some block, an inactive conjunct
-// column, or a block-column that did not encode. The caller then falls back to tuple-at-a-time
-// kernels; with morsel size equal to block size that fallback is
-// per-block, exactly the granularity the encodings are chosen at.
+// column, or a block-column that did not encode. The caller then falls
+// back to tuple-at-a-time kernels; with morsel size equal to block size
+// that fallback is per-block, exactly the granularity the encodings are
+// chosen at.
 func (p *Partition) FilterRange(lo, hi int, ranges []ColRange, sel []uint64) bool {
 	e, z := p.enc, p.zm
 	if e == nil || len(ranges) == 0 {

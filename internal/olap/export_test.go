@@ -1,0 +1,11 @@
+package olap
+
+// ApplyPendingDeferred is applyPending for the external test package:
+// a round that re-encodes stale blocks only when told to, as the
+// scheduler's rounds do.
+func (r *Replica) ApplyPendingDeferred(target uint64, reencode bool) (ApplyStats, error) {
+	return r.applyPending(target, reencode)
+}
+
+// CauseGap indexes SchedulerStats.ApplyRounds at the gap rounds.
+const CauseGap = causeGap

@@ -3,19 +3,20 @@ package olap
 import "sync"
 
 const (
-	pkShardBits = 6
-	pkShards    = 1 << pkShardBits
-	// pkMinSlots is a shard's smallest entry array (a power of two).
-	pkMinSlots = 8
-	// pkHashMul is the Fibonacci-hashing multiplier: the product's top
+	flatShardBits = 6
+	flatShards    = 1 << flatShardBits
+	// flatMinSlots is a shard's smallest entry array (a power of two).
+	flatMinSlots = 8
+	// flatHashMul is the Fibonacci-hashing multiplier: the product's top
 	// bits pick the shard, the bits below them the home slot.
-	pkHashMul = 0x9E3779B97F4A7C15
+	flatHashMul = 0x9E3779B97F4A7C15
 )
 
-// pkEntry is one slot of a shard's open-addressed array: 16 bytes, so a
+// flatEntry is one slot of a shard's open-addressed array: 16 bytes, so a
 // probe that hits its home slot touches one cache line for key and
-// locator together. loc 0 marks an empty slot.
-type pkEntry struct {
+// locator together. loc 0 marks an empty slot, so locators are non-zero
+// (pkLoc, ridLoc).
+type flatEntry struct {
 	key uint64
 	loc uint64
 }
@@ -28,15 +29,19 @@ type pkEntry struct {
 // time, never cache the bytes.
 func pkLoc(part int, slot int32) uint64 { return uint64(part+1)<<32 | uint64(uint32(slot)) }
 
-// pkShard is one open-addressed (key, locator) array: linear probing,
+// ridLoc is the locator a partition's RowID index stores for slot: the
+// slot itself under a set high bit, which int32(loc) takes off again.
+func ridLoc(slot int32) uint64 { return pkLoc(0, slot) }
+
+// flatShard is one open-addressed (key, locator) array: linear probing,
 // load at most one half, backward-shift deletion (no tombstones, so
 // probe sequences never lengthen with churn).
-type pkShard struct {
+type flatShard struct {
 	// mu serializes writers only: step 3 applies the partitions of one
 	// table in parallel, and two of them may insert into the same shard.
 	mu   sync.Mutex
-	ents []pkEntry // len is a power of two
-	// shift positions a hash in ents: home = (h << pkShardBits) >> shift.
+	ents []flatEntry // len is a power of two
+	// shift positions a hash in ents: home = (h << flatShardBits) >> shift.
 	shift uint8
 	n     int
 	// owned reports that ents belongs to this index alone. A clone owns
@@ -44,8 +49,11 @@ type pkShard struct {
 	owned bool
 }
 
-// pkIndex maps a table's primary keys to tuple locators: pkShards
-// independent open-addressed arrays, cloned copy-on-write per shard.
+// flatIndex maps 64-bit keys to non-zero locators: flatShards
+// independent open-addressed arrays, cloned copy-on-write per shard. It
+// is both of the replica's hash indexes — a table's primary key →
+// (partition, slot), which query probes read, and a partition's RowID →
+// slot, which apply step 3 joins a round's updates through.
 //
 // Reads take no lock and need none. The index belongs to one table
 // version: a pinned snapshot's index is frozen — the apply round that
@@ -53,22 +61,23 @@ type pkShard struct {
 // shard copies that shard's array and leaves the parent's untouched —
 // and a round that writes an index in place runs only when nothing is
 // pinned, holding the chain lock so no reader can arrive. Writers to one
-// index (step 3, one goroutine per partition) serialize per shard.
-type pkIndex struct {
-	shards [pkShards]pkShard
+// PK index (step 3, one goroutine per partition) serialize per shard; a
+// RowID index has one writer and finds every lock free.
+type flatIndex struct {
+	shards [flatShards]flatShard
 }
 
-// newPKIndex returns an empty index sized so that capacityHint keys
+// newFlatIndex returns an empty index sized so that capacityHint keys
 // spread over the shards stay under the load bound without growing.
-func newPKIndex(capacityHint int) *pkIndex {
-	slots, shift := pkMinSlots, uint8(64-3) // 3 = log2(pkMinSlots)
-	for slots < 2*capacityHint/pkShards {
+func newFlatIndex(capacityHint int) *flatIndex {
+	slots, shift := flatMinSlots, uint8(64-3) // 3 = log2(flatMinSlots)
+	for slots < 2*capacityHint/flatShards {
 		slots <<= 1
 		shift--
 	}
-	ix := &pkIndex{}
+	ix := &flatIndex{}
 	for i := range ix.shards {
-		ix.shards[i] = pkShard{ents: make([]pkEntry, slots), shift: shift, owned: true}
+		ix.shards[i] = flatShard{ents: make([]flatEntry, slots), shift: shift, owned: true}
 	}
 	return ix
 }
@@ -78,22 +87,22 @@ func newPKIndex(capacityHint int) *pkIndex {
 // O(shards) and a round pays one array copy per shard it touches. The
 // receiver must not be written afterwards (it is the frozen index of
 // the older version) and must be quiescent now.
-func (ix *pkIndex) clone() *pkIndex {
-	c := &pkIndex{}
+func (ix *flatIndex) clone() *flatIndex {
+	c := &flatIndex{}
 	for i := range ix.shards {
 		s := &ix.shards[i]
-		c.shards[i] = pkShard{ents: s.ents, shift: s.shift, n: s.n}
+		c.shards[i] = flatShard{ents: s.ents, shift: s.shift, n: s.n}
 	}
 	return c
 }
 
 // get returns key's locator.
-func (ix *pkIndex) get(key uint64) (uint64, bool) {
-	h := key * pkHashMul
-	s := &ix.shards[h>>(64-pkShardBits)]
+func (ix *flatIndex) get(key uint64) (uint64, bool) {
+	h := key * flatHashMul
+	s := &ix.shards[h>>(64-flatShardBits)]
 	ents := s.ents
 	mask := uint64(len(ents) - 1)
-	for i := (h << pkShardBits) >> s.shift; ; i++ {
+	for i := (h << flatShardBits) >> s.shift; ; i++ {
 		e := &ents[i&mask]
 		if e.key == key && e.loc != 0 {
 			return e.loc, true
@@ -106,25 +115,25 @@ func (ix *pkIndex) get(key uint64) (uint64, bool) {
 
 // own makes the shard's array exclusively this index's. Caller holds
 // s.mu.
-func (s *pkShard) own() {
+func (s *flatShard) own() {
 	if !s.owned {
-		s.ents = append([]pkEntry(nil), s.ents...)
+		s.ents = append([]flatEntry(nil), s.ents...)
 		s.owned = true
 	}
 }
 
 // shard returns the shard key hashes to.
-func (ix *pkIndex) shard(key uint64) *pkShard {
-	return &ix.shards[key*pkHashMul>>(64-pkShardBits)]
+func (ix *flatIndex) shard(key uint64) *flatShard {
+	return &ix.shards[key*flatHashMul>>(64-flatShardBits)]
 }
 
 // home returns key's home slot, before masking to the array.
-func (s *pkShard) home(key uint64) uint64 {
-	return (key * pkHashMul << pkShardBits) >> s.shift
+func (s *flatShard) home(key uint64) uint64 {
+	return (key * flatHashMul << flatShardBits) >> s.shift
 }
 
 // put stores loc under key, replacing any existing entry.
-func (ix *pkIndex) put(key, loc uint64) {
+func (ix *flatIndex) put(key, loc uint64) {
 	s := ix.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,7 +146,7 @@ func (ix *pkIndex) put(key, loc uint64) {
 	for i := s.home(key); ; i++ {
 		e := &s.ents[i&mask]
 		if e.loc == 0 {
-			*e = pkEntry{key, loc}
+			*e = flatEntry{key, loc}
 			s.n++
 			return
 		}
@@ -150,9 +159,9 @@ func (ix *pkIndex) put(key, loc uint64) {
 
 // grow doubles the shard's array and re-places every entry; the new
 // array is owned whatever the old one was.
-func (s *pkShard) grow() {
+func (s *flatShard) grow() {
 	old := s.ents
-	s.ents = make([]pkEntry, 2*len(old))
+	s.ents = make([]flatEntry, 2*len(old))
 	s.shift--
 	s.owned = true
 	mask := uint64(len(s.ents) - 1)
@@ -171,7 +180,7 @@ func (s *pkShard) grow() {
 // del removes key if it maps to loc. The locator check makes a delete
 // and a re-insert of the same key commute: step 3 runs them on
 // different goroutines when the two rows live in different partitions.
-func (ix *pkIndex) del(key, loc uint64) {
+func (ix *flatIndex) del(key, loc uint64) {
 	s := ix.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,6 +208,6 @@ func (ix *pkIndex) del(key, loc uint64) {
 			i = j
 		}
 	}
-	s.ents[i] = pkEntry{}
+	s.ents[i] = flatEntry{}
 	s.n--
 }

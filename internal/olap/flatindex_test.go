@@ -11,7 +11,7 @@ import (
 
 // size and each exist for the tests only: nothing in the engine counts
 // or enumerates a PK index.
-func (ix *pkIndex) size() int {
+func (ix *flatIndex) size() int {
 	n := 0
 	for i := range ix.shards {
 		n += ix.shards[i].n
@@ -19,7 +19,7 @@ func (ix *pkIndex) size() int {
 	return n
 }
 
-func (ix *pkIndex) each(fn func(key, loc uint64)) {
+func (ix *flatIndex) each(fn func(key, loc uint64)) {
 	for i := range ix.shards {
 		for _, e := range ix.shards[i].ents {
 			if e.loc != 0 {
@@ -33,7 +33,7 @@ func (ix *pkIndex) each(fn func(key, loc uint64)) {
 // locator, nothing else is stored, the counters agree, and every shard
 // keeps its load bound and probe-run invariant (a key is reachable from
 // its home slot without crossing an empty one).
-func checkPKIndex(t *testing.T, stage string, ix *pkIndex, want map[uint64]uint64) {
+func checkPKIndex(t *testing.T, stage string, ix *flatIndex, want map[uint64]uint64) {
 	t.Helper()
 	if n := ix.size(); n != len(want) {
 		t.Fatalf("%s: index holds %d keys, oracle %d", stage, n, len(want))
@@ -76,10 +76,10 @@ func TestPKIndexMatchesOracle(t *testing.T) {
 			}
 			return (uint64(rnd.Intn(4))<<4|uint64(rnd.Intn(10)))<<32 | uint64(rnd.Intn(400))
 		}
-		ix := newPKIndex(0) // minimum-sized shards: every one has to grow
+		ix := newFlatIndex(0) // minimum-sized shards: every one has to grow
 		oracle := map[uint64]uint64{}
 		type frozen struct {
-			ix     *pkIndex
+			ix     *flatIndex
 			oracle map[uint64]uint64
 		}
 		var gens []frozen
@@ -122,6 +122,90 @@ func TestPKIndexMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestRidIndexMatchesOracle drives a partition — whose RowID index is the
+// same flat table — and a map through one seeded random insert / patch /
+// delete / clone sequence, as apply step 3 does: RowIDs from a small
+// range so that slots are recycled and index shards grow, shift back and
+// are copied on write. After every cloneForWrite the parent is frozen
+// with a copy of the oracle, and every frozen generation must still
+// locate exactly its pre-clone rows, at slots holding their pre-clone
+// values, after its descendants were mutated.
+func TestRidIndexMatchesOracle(t *testing.T) {
+	s := kvSchema()
+	check := func(stage string, p *Partition, want map[uint64]int64) {
+		t.Helper()
+		if p.Live() != len(want) || p.index.size() != len(want) {
+			t.Fatalf("%s: %d live rows, %d index entries, oracle %d", stage, p.Live(), p.index.size(), len(want))
+		}
+		for rid, v := range want {
+			slot, ok := p.Locate(rid)
+			if !ok || p.rowIDs[slot] != rid || s.GetInt64(p.Tuple(slot), 1) != v {
+				t.Fatalf("%s: Locate(%d) = slot %d,%v; oracle v=%d", stage, rid, slot, ok, v)
+			}
+		}
+		p.index.each(func(rid, loc uint64) {
+			if _, ok := want[rid]; !ok || loc != ridLoc(int32(loc)) {
+				t.Fatalf("%s: index stores %d -> %#x, which the oracle does not have", stage, rid, loc)
+			}
+		})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		p := NewPartition(s, 0)
+		oracle := map[uint64]int64{}
+		type frozen struct {
+			p      *Partition
+			oracle map[uint64]int64
+		}
+		var gens []frozen
+		for step := 0; step < 30000; step++ {
+			rid := uint64(1 + rnd.Intn(2500))
+			_, live := oracle[rid]
+			switch op := rnd.Intn(100); {
+			case op < 45 && !live:
+				v := int64(rnd.Intn(1000))
+				if err := p.Insert(rid, tuple(s, int64(rid), v)); err != nil {
+					t.Fatal(err)
+				}
+				oracle[rid] = v
+			case op < 45:
+				if err := p.Insert(rid, tuple(s, int64(rid), 0)); err == nil {
+					t.Fatalf("seed %d step %d: duplicate insert of RowID %d accepted", seed, step, rid)
+				}
+			case op < 65 && live:
+				v := int64(rnd.Intn(1000))
+				if err := p.UpdateField(rid, uint32(s.Offset(1)), u64le(v)); err != nil {
+					t.Fatal(err)
+				}
+				oracle[rid] = v
+			case op < 99 && live:
+				if err := p.Delete(rid); err != nil {
+					t.Fatal(err)
+				}
+				delete(oracle, rid)
+			case op < 99:
+				if _, ok := p.Locate(rid); ok {
+					t.Fatalf("seed %d step %d: RowID %d located, oracle has it deleted", seed, step, rid)
+				}
+			default:
+				snap := make(map[uint64]int64, len(oracle))
+				for k, v := range oracle {
+					snap[k] = v
+				}
+				gens = append(gens, frozen{p, snap})
+				p, _ = p.cloneForWrite()
+			}
+		}
+		check("live partition", p, oracle)
+		if len(gens) < 100 {
+			t.Fatalf("seed %d: only %d clones taken — the case is vacuous", seed, len(gens))
+		}
+		for _, g := range gens {
+			check("frozen generation", g.p, g.oracle)
+		}
+	}
+}
+
 // TestPKIndexConcurrentPartitionWriters is apply step 3's access
 // pattern under the race detector: one goroutine per partition inserts
 // and deletes that partition's rows in one clone of an index — different
@@ -130,7 +214,7 @@ func TestPKIndexMatchesOracle(t *testing.T) {
 func TestPKIndexConcurrentPartitionWriters(t *testing.T) {
 	const parts, perPart = 8, 3000
 	key := func(pi, i int) uint64 { return uint64(i)*parts + uint64(pi) }
-	parent := newPKIndex(parts * perPart / 4) // undersized: shards grow under the writers
+	parent := newFlatIndex(parts * perPart / 4) // undersized: shards grow under the writers
 	for pi := 0; pi < parts; pi++ {
 		for i := 0; i < perPart; i += 2 {
 			parent.put(key(pi, i), pkLoc(pi, int32(i)))

@@ -1,0 +1,193 @@
+package olap
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"batchdb/internal/proplog"
+	"batchdb/internal/storage"
+)
+
+// flushPrimary is a counting fake of the primary that pushes the way the
+// real one does: commits queue up on its side and reach the replica when
+// a sync forces a flush — whose push, empty or not, kicks the apply loop
+// before the sync answers.
+type flushPrimary struct {
+	mu      sync.Mutex
+	replica *Replica
+	schema  *storage.Schema
+	buf     *proplog.Buffer
+	vid     uint64
+	syncs   int
+}
+
+func newFlushPrimary(r *Replica, s *storage.Schema) *flushPrimary {
+	return &flushPrimary{replica: r, schema: s, buf: proplog.NewBuffer(0)}
+}
+
+// commit inserts one row.
+func (f *flushPrimary) commit() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.commitLocked()
+}
+
+func (f *flushPrimary) commitLocked() {
+	f.vid++
+	f.buf.Add(f.schema.ID, mkEntry(f.vid, proplog.Insert, f.vid, 0, tuple(f.schema, int64(f.vid), 1)))
+}
+
+// SyncUpdates flushes. A transaction commits at the boundary the flush
+// happens at, so that — as under load — no sync finds nothing new,
+// however the test's writer is scheduled.
+func (f *flushPrimary) SyncUpdates() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.syncs++
+	f.commitLocked()
+	var batches []proplog.Batch
+	if f.buf.Len() > 0 {
+		batches = append(batches, f.buf.Take())
+	}
+	f.replica.ApplyUpdates(batches, f.vid)
+	return f.vid
+}
+
+func (f *flushPrimary) counts() (syncs int, vid uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncs, f.vid
+}
+
+// gapFixture is a scheduler over a flushPrimary whose batches take 5 ms
+// and report the floor VID they ran at, with a writer committing a row
+// every few tens of microseconds until stop is closed.
+type gapFixture struct {
+	p     *flushPrimary
+	sched *Scheduler[int, uint64]
+	stop  chan struct{}
+	wg    sync.WaitGroup
+}
+
+func newGapFixture(t *testing.T, write bool) *gapFixture {
+	s := kvSchema()
+	r := NewReplica(2)
+	r.CreateTable(s, 1024)
+	f := &gapFixture{p: newFlushPrimary(r, s), stop: make(chan struct{})}
+	f.sched = NewScheduler(r, f.p, func(queries []int, snap uint64) []uint64 {
+		time.Sleep(5 * time.Millisecond)
+		out := make([]uint64, len(queries))
+		for i := range out {
+			out[i] = snap
+		}
+		return out
+	})
+	f.sched.Start()
+	if write {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			for {
+				select {
+				case <-f.stop:
+					return
+				default:
+				}
+				f.p.commit()
+				time.Sleep(20 * time.Microsecond)
+			}
+		}()
+	}
+	t.Cleanup(func() {
+		close(f.stop)
+		f.wg.Wait()
+		f.sched.Close()
+	})
+	return f
+}
+
+// ask runs sessions closed-loop sessions for the given time. Every answer
+// must come from a snapshot at or above the last VID committed before its
+// query was submitted — the batch guarantee, which a gap round running
+// ahead of the barrier must not weaken.
+func (f *gapFixture) ask(t *testing.T, sessions int, d time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	var wg sync.WaitGroup
+	var stale atomic.Int64
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				_, before := f.p.counts()
+				snap, err := f.sched.Query(0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if snap < before {
+					stale.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := stale.Load(); n != 0 {
+		t.Fatalf("%d answers came from a snapshot below a commit that preceded their query", n)
+	}
+}
+
+func (st *SchedulerStats) rounds() (barrier, gap, push uint64) {
+	return st.ApplyRounds[causeBarrier].Load(), st.ApplyRounds[causeGap].Load(), st.ApplyRounds[causePush].Load()
+}
+
+// Sessions that ask concurrently leave a gap between batches, and the
+// replica catches up in it: gap rounds run, each batch costs the primary
+// at most three syncs, and a sync's own push starts no round of its own
+// (TestApplyTimeSkipsEmptyRounds counts the empty ones).
+func TestGapRoundsUnderPacedLoad(t *testing.T) {
+	f := newGapFixture(t, true)
+	f.ask(t, 4, 12*batchHeartbeat) // two sessions of two tiles each
+
+	st := f.sched.Stats()
+	batches := st.Batches.Load()
+	barrier, gap, push := st.rounds()
+	syncs, _ := f.p.counts()
+	t.Logf("%d batches: rounds barrier %d gap %d push %d, %d syncs", batches, barrier, gap, push, syncs)
+	if batches < 6 {
+		t.Fatalf("only %d batches in 12 beats", batches)
+	}
+	if barrier != batches {
+		t.Fatalf("%d barrier rounds for %d batches", barrier, batches)
+	}
+	if gap < batches/2 {
+		t.Fatalf("%d gap rounds for %d paced batches: the replica is not using the gap", gap, batches)
+	}
+	if uint64(syncs) != barrier+gap {
+		t.Fatalf("%d syncs for %d barrier and %d gap rounds: a push-kicked round synced", syncs, barrier, gap)
+	}
+	if uint64(syncs) > 3*batches {
+		t.Fatalf("%d syncs for %d batches, want at most three a batch", syncs, batches)
+	}
+}
+
+// A lone session that asks, waits and asks again is not paced, so there
+// is no gap: it costs the primary exactly one sync per batch, as before.
+// An idle scheduler costs it none.
+func TestGapRoundsDormantOffTheHeartbeat(t *testing.T) {
+	f := newGapFixture(t, true)
+	time.Sleep(2 * batchHeartbeat) // nobody asks
+	if syncs, _ := f.p.counts(); syncs != 0 {
+		t.Fatalf("%d syncs with no query submitted", syncs)
+	}
+	f.ask(t, 1, 3*batchHeartbeat)
+	st := f.sched.Stats()
+	barrier, gap, _ := st.rounds()
+	syncs, _ := f.p.counts()
+	if batches := st.Batches.Load(); gap != 0 || barrier != batches || uint64(syncs) != batches {
+		t.Fatalf("lone session: %d batches, %d barrier and %d gap rounds, %d syncs; want one barrier round and one sync per batch", batches, barrier, gap, syncs)
+	}
+}

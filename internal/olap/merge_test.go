@@ -13,11 +13,11 @@ import (
 // entries each, with runs of equal-VID entries inside a stream and VID
 // collisions across streams (distinct transactions can share no VID in
 // the real system, but the merge must not care).
-func makeMergeStreams(k, perStream int, seed int64) []*workerStream {
+func makeMergeStreams(k, perStream int, seed int64) []workerStream {
 	rng := rand.New(rand.NewSource(seed))
-	ws := make([]*workerStream, k)
+	ws := make([]workerStream, k)
 	for i := range ws {
-		ws[i] = &workerStream{worker: i}
+		ws[i] = workerStream{worker: i}
 		vid := uint64(rng.Intn(8))
 		for len(ws[i].entries) < perStream {
 			vid += uint64(1 + rng.Intn(5))
@@ -58,14 +58,14 @@ func TestMergeHeapMatchesLinear(t *testing.T) {
 // TestMergeEmptyStreams covers streams that are empty or exhausted
 // early.
 func TestMergeEmptyStreams(t *testing.T) {
-	ws := []*workerStream{
+	ws := []workerStream{
 		{worker: 0},
 		{worker: 1, entries: []proplog.Entry{{VID: 3}, {VID: 7}}},
 		{worker: 2},
 		{worker: 3, entries: []proplog.Entry{{VID: 5}}},
 	}
 	want := []uint64{3, 5, 7}
-	for name, got := range map[string][]proplog.Entry{
+	for name, got := range map[string][]*proplog.Entry{
 		"linear": mergeLinearInto(nil, ws),
 		"heap":   mergeHeapInto(nil, ws),
 	} {
@@ -88,7 +88,7 @@ func BenchmarkMergeByVID(b *testing.B) {
 	const totalEntries = 1 << 16
 	for _, k := range []int{2, 4, 8, 16, 64} {
 		ws := makeMergeStreams(k, totalEntries/k, 42)
-		out := make([]proplog.Entry, 0, totalEntries+k*4)
+		out := make([]*proplog.Entry, 0, totalEntries+k*4)
 		b.Run(fmt.Sprintf("linear/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out = mergeLinearInto(out[:0], ws)

@@ -33,6 +33,17 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Duration of apply rounds that applied entries, reloaded or did maintenance (nanoseconds; rounds overlap batch execution).", &st.ApplyTime, labels...)
 	reg.ObserveCounter("batchdb_olap_apply_rounds_empty_total",
 		"Apply rounds that found nothing to apply, reload or maintain (not in batchdb_olap_apply_ns).", &st.ApplyRoundsEmpty, labels...)
+	for c := range st.ApplyRounds {
+		reg.ObserveCounter("batchdb_olap_apply_rounds_total",
+			"Apply rounds by what started them: a batch on the freshness barrier, the gap after a paced batch, a push.",
+			&st.ApplyRounds[c], with(obs.L("cause", roundCause(c).String()))...)
+	}
+	reg.ObserveCounter("batchdb_olap_blocks_reencoded_total",
+		"Blocks whose encoded vectors apply rounds rebuilt.", &st.BlocksReencoded, labels...)
+	reg.ObserveCounter("batchdb_olap_cow_rounds_total",
+		"Apply rounds that found a reader pinned and built the next version on partition clones (the other non-empty rounds wrote in place).", &st.CowRounds, labels...)
+	reg.ObserveCounter("batchdb_olap_cow_bytes_total",
+		"Tuple-storage and slot-metadata bytes the partition clones of copy-on-apply rounds copied.", &st.CowBytes, labels...)
 	reg.ObserveHistogram("batchdb_olap_snapshot_wait_ns",
 		"Dispatcher freshness-barrier wait per batch (nanoseconds).", &st.SnapWait, labels...)
 	reg.ObserveHistogram("batchdb_olap_exec_phase_ns",

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,7 +69,18 @@ func transferArgs(from, to, amt int64) []byte {
 	return b
 }
 
+// The oracle runs twice: with one audit session, which the scheduler
+// never paces, and with three, whose batches form on the heartbeat — so
+// that gap rounds apply most of every batch's updates ahead of its
+// barrier, in several pieces. Either way an audit must equal the serial
+// replay at its snapshot, and its snapshot must cover every commit
+// acknowledged before the audit was submitted.
 func TestSnapshotIsolationOracle(t *testing.T) {
+	t.Run("lone", func(t *testing.T) { snapshotIsolationOracle(t, 1, 0) })
+	t.Run("paced", func(t *testing.T) { snapshotIsolationOracle(t, 3, 4*time.Millisecond) })
+}
+
+func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration) {
 	schema := accountSchema()
 	store := mvcc.NewStore()
 	tbl := store.CreateTable(schema, func(tup []byte) uint64 {
@@ -135,6 +147,7 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 
 	var logMu sync.Mutex
 	var committed []op
+	var acked atomic.Uint64 // highest commit VID a client has been told of
 
 	// Seed through the transactional path so the oracle's serial replay
 	// covers the whole history from an empty database.
@@ -184,35 +197,52 @@ func TestSnapshotIsolationOracle(t *testing.T) {
 				logMu.Lock()
 				committed = append(committed, op{vid: r.CommitVID, from: from, to: to, amt: amt})
 				logMu.Unlock()
+				for v := acked.Load(); r.CommitVID > v && !acked.CompareAndSwap(v, r.CommitVID); v = acked.Load() {
+				}
+				time.Sleep(txnPause)
 			}
 		}(int64(w + 1))
 	}
 
 	// Concurrent audits: each exercises a fresh snapshot install while
 	// transfers race with the apply windows.
+	var auditMu sync.Mutex
 	var audits []audit
 	stopAudits := make(chan struct{})
-	auditDone := make(chan struct{})
-	go func() {
-		defer close(auditDone)
-		for {
-			select {
-			case <-stopAudits:
-				return
-			default:
+	var auditWG sync.WaitGroup
+	for g := 0; g < sessions; g++ {
+		auditWG.Add(1)
+		go func() {
+			defer auditWG.Done()
+			for {
+				select {
+				case <-stopAudits:
+					return
+				default:
+				}
+				floor := acked.Load()
+				a, err := sched.Query(0)
+				if err != nil {
+					return
+				}
+				if a.snap < floor {
+					t.Errorf("audit at snapshot %d misses commit %d, acknowledged before it was submitted", a.snap, floor)
+					return
+				}
+				auditMu.Lock()
+				audits = append(audits, a)
+				auditMu.Unlock()
+				time.Sleep(auditInterval)
 			}
-			a, err := sched.Query(0)
-			if err != nil {
-				return
-			}
-			audits = append(audits, a)
-			time.Sleep(auditInterval)
-		}
-	}()
+		}()
+	}
 
 	wg.Wait()
 	close(stopAudits)
-	<-auditDone
+	auditWG.Wait()
+	if gap := sched.Stats().ApplyRounds[olap.CauseGap].Load(); (sessions > 1) != (gap > 0) {
+		t.Fatalf("%d audit sessions, %d gap rounds: gap rounds run exactly when batches are paced", sessions, gap)
+	}
 	select {
 	case err := <-errCh:
 		t.Fatal(err)

@@ -32,97 +32,23 @@ import (
 	"batchdb/internal/storage"
 )
 
-const (
-	ridShardBits = 5
-	ridShards    = 1 << ridShardBits
-)
-
-// ridIndex maps RowID -> slot as a small array of map shards with
-// copy-on-write cloning: clone() shares all shard maps and copies one
-// only when it is first mutated, so cloning an update-only delta's
-// partition copies zero shards and an insert/delete round copies only
-// the shards its RowIDs land in. No locking: a partition (and hence its
-// index) is written by one goroutine at a time, and a cloned-from
-// parent is frozen — the copies race only with read-read map access.
-type ridIndex struct {
-	shards [ridShards]map[uint64]int32
-	// owned bit i set = shards[i] is exclusively ours to mutate.
-	owned uint32
-}
-
-func newRidIndex(capacityHint int) ridIndex {
-	var ix ridIndex
-	per := capacityHint / ridShards
-	if per < 4 {
-		per = 4
-	}
-	for i := range ix.shards {
-		ix.shards[i] = make(map[uint64]int32, per)
-	}
-	ix.owned = ^uint32(0)
-	return ix
-}
-
-// shard picks the map for rowID; Fibonacci hashing keeps the choice
-// independent of partition routing (replica.go partitionOf uses h % n).
-func ridShard(rowID uint64) uint { return uint((rowID * 0x9E3779B97F4A7C15) >> (64 - ridShardBits)) }
-
-func (ix *ridIndex) get(rowID uint64) (int32, bool) {
-	slot, ok := ix.shards[ridShard(rowID)][rowID]
-	return slot, ok
-}
-
-// own ensures shard si is exclusively owned, copying it if still shared
-// with a clone parent.
-func (ix *ridIndex) own(si uint) {
-	if ix.owned&(1<<si) != 0 {
-		return
-	}
-	old := ix.shards[si]
-	m := make(map[uint64]int32, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	ix.shards[si] = m
-	ix.owned |= 1 << si
-}
-
-func (ix *ridIndex) put(rowID uint64, slot int32) {
-	si := ridShard(rowID)
-	ix.own(si)
-	ix.shards[si][rowID] = slot
-}
-
-func (ix *ridIndex) del(rowID uint64) {
-	si := ridShard(rowID)
-	ix.own(si)
-	delete(ix.shards[si], rowID)
-}
-
-// clone returns a copy-on-write snapshot of the index: shard maps are
-// shared, ownership is relinquished. The parent must not be mutated
-// afterwards (it belongs to the frozen older version).
-func (ix *ridIndex) clone() ridIndex {
-	c := ridIndex{shards: ix.shards}
-	return c
-}
-
 // Partition is one horizontal slice of a replicated table: fixed-width
 // tuple slots, a free list of deleted slots, and a hash index from RowID
 // to slot.
 //
 // The paper implements its replica-side hash indexes as
 // cacheline-sized-bucket tables probed without locks [10]. Two indexes
-// exist here. The RowID index below is touched only by apply step 3
-// (one goroutine per partition), where sharded built-in maps that clone
-// copy-on-write do the job. The primary-key index that query probes go
-// through (Table.pkIdx, pkindex.go) is the paper's shape: flat
-// open-addressed arrays of 16-byte entries whose locators name a
-// (partition, slot) of this structure directly, read without a lock.
-// That works because a slot never moves once assigned — deletes
-// tombstone, inserts reuse a free slot or append, nothing compacts —
-// and because a partition, like the index, belongs to one table version
-// that no writer touches while a reader holds it.
+// exist here and both are that shape (flatIndex, flatindex.go): flat
+// open-addressed arrays of 16-byte entries, read without a lock and
+// cloned copy-on-write by memcpy. The RowID index below is touched only
+// by apply step 3 — the hash join of a round's updates against the
+// replica — one goroutine per partition. The primary-key index that
+// query probes go through (Table.pkIdx) stores locators that name a
+// (partition, slot) of this structure directly. That works because a
+// slot never moves once assigned — deletes tombstone, inserts reuse a
+// free slot or append, nothing compacts — and because a partition, like
+// the index, belongs to one table version that no writer touches while a
+// reader holds it.
 type Partition struct {
 	schema    *storage.Schema
 	tupleSize int
@@ -134,8 +60,8 @@ type Partition struct {
 	rowIDs []uint64
 	// free lists reusable slots (deleted tuples).
 	free []int32
-	// index maps RowID -> slot (sharded, copy-on-write cloneable).
-	index ridIndex
+	// index maps RowID -> ridLoc(slot).
+	index *flatIndex
 
 	live int
 
@@ -158,7 +84,7 @@ func NewPartition(schema *storage.Schema, capacityHint int) *Partition {
 		tupleSize: schema.TupleSize(),
 		data:      make([]byte, 0, capacityHint*schema.TupleSize()),
 		rowIDs:    make([]uint64, 0, capacityHint),
-		index:     newRidIndex(capacityHint),
+		index:     newFlatIndex(capacityHint),
 	}
 }
 
@@ -168,9 +94,12 @@ func NewPartition(schema *storage.Schema, capacityHint int) *Partition {
 // preserved, so the clone appends without an immediate regrow); the
 // RowID index, zone-map synopses and encoded vectors clone
 // copy-on-write or by value as their aliasing hazards require. The
-// receiver must not be mutated afterwards.
-func (p *Partition) cloneForWrite() *Partition {
-	c := &Partition{
+// receiver must not be mutated afterwards. copied is the bytes of tuple
+// storage and slot metadata the clone duplicated up front; the per-block
+// synopsis and vector tables are small beside them, and index shards are
+// copied later, each on the first write to it.
+func (p *Partition) cloneForWrite() (c *Partition, copied int64) {
+	c = &Partition{
 		schema:    p.schema,
 		tupleSize: p.tupleSize,
 		data:      append(make([]byte, 0, cap(p.data)), p.data...),
@@ -187,7 +116,7 @@ func (p *Partition) cloneForWrite() *Partition {
 	if p.enc != nil {
 		c.enc = p.enc.clone()
 	}
-	return c
+	return c, int64(len(c.data) + 8*len(c.rowIDs) + 4*len(c.free))
 }
 
 // Insert places a tuple under rowID, reusing a free slot if possible
@@ -208,7 +137,7 @@ func (p *Partition) insert(rowID uint64, tuple []byte) (int32, error) {
 		// be counted live and indexed yet invisible to every scan.
 		return 0, fmt.Errorf("olap: insert of reserved RowID 0 in table %s", p.schema.Name)
 	}
-	if _, dup := p.index.get(rowID); dup {
+	if _, dup := p.Locate(rowID); dup {
 		return 0, fmt.Errorf("olap: duplicate insert of RowID %d in table %s", rowID, p.schema.Name)
 	}
 	var slot int32
@@ -222,7 +151,7 @@ func (p *Partition) insert(rowID uint64, tuple []byte) (int32, error) {
 		p.data = append(p.data, tuple...)
 		p.rowIDs = append(p.rowIDs, rowID)
 	}
-	p.index.put(rowID, slot)
+	p.index.put(rowID, ridLoc(slot))
 	p.live++
 	if p.zm != nil {
 		p.zmInsert(slot)
@@ -237,7 +166,8 @@ func (p *Partition) insert(rowID uint64, tuple []byte) (int32, error) {
 // step 3 coalesces all field patches of one tuple behind a single
 // lookup (the per-tuple "hash join" of paper Fig. 4).
 func (p *Partition) Locate(rowID uint64) (int32, bool) {
-	return p.index.get(rowID)
+	loc, ok := p.index.get(rowID)
+	return int32(loc), ok
 }
 
 // PatchSlot applies one field patch to an already-located slot. The
@@ -267,7 +197,7 @@ func (p *Partition) PatchSlot(slot int32, offset uint32, data []byte) error {
 // given RowID in place (paper §5: updates are applied at the granularity
 // of single attributes).
 func (p *Partition) UpdateField(rowID uint64, offset uint32, data []byte) error {
-	slot, ok := p.index.get(rowID)
+	slot, ok := p.Locate(rowID)
 	if !ok {
 		return fmt.Errorf("olap: update of unknown RowID %d in table %s", rowID, p.schema.Name)
 	}
@@ -277,18 +207,23 @@ func (p *Partition) UpdateField(rowID uint64, offset uint32, data []byte) error 
 // Delete tombstones the tuple with the given RowID and recycles its
 // slot.
 func (p *Partition) Delete(rowID uint64) error {
-	slot, ok := p.index.get(rowID)
+	slot, ok := p.Locate(rowID)
 	if !ok {
 		return fmt.Errorf("olap: delete of unknown RowID %d in table %s", rowID, p.schema.Name)
 	}
-	p.index.del(rowID)
+	p.deleteSlot(rowID, slot)
+	return nil
+}
+
+// deleteSlot is Delete for a row the caller has located already.
+func (p *Partition) deleteSlot(rowID uint64, slot int32) {
+	p.index.del(rowID, ridLoc(slot))
 	p.rowIDs[slot] = 0
 	p.free = append(p.free, slot)
 	p.live--
 	if p.zm != nil {
 		p.zmDelete(slot)
 	}
-	return nil
 }
 
 // Live returns the number of live tuples.
@@ -383,7 +318,7 @@ func (p *Partition) LiveSlots(lo, hi int, sel []uint64, from int, out []int32) (
 
 // Get returns the tuple bytes for rowID (aliasing partition storage).
 func (p *Partition) Get(rowID uint64) ([]byte, bool) {
-	slot, ok := p.index.get(rowID)
+	slot, ok := p.Locate(rowID)
 	if !ok {
 		return nil, false
 	}

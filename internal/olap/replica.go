@@ -49,12 +49,12 @@ type Table struct {
 	version uint64
 
 	// pkFn and pkIdx implement an optional primary-key index
-	// (pk -> tuple locator, pkindex.go) maintained incrementally during
+	// (pk -> tuple locator, flatindex.go) maintained incrementally during
 	// load and update application. The shared-execution engine probes it
 	// for join lookups into tables that change every batch, so no
 	// hash-join build side ever has to be rebuilt from a full scan.
 	pkFn  func(tup []byte) uint64
-	pkIdx *pkIndex
+	pkIdx *flatIndex
 
 	// scratch holds the table's reusable apply buffers (see applyScratch);
 	// owned by the single goroutine applying this table each round.
@@ -72,7 +72,7 @@ func (t *Table) Version() uint64 { return t.version }
 func (t *Table) SetPK(fn func(tup []byte) uint64, capacityHint int) {
 	t.pkFn = fn
 	t.pkHint = capacityHint
-	t.pkIdx = newPKIndex(capacityHint)
+	t.pkIdx = newFlatIndex(capacityHint)
 }
 
 // HasPKIndex reports whether the table maintains a PK index.
@@ -80,7 +80,7 @@ func (t *Table) HasPKIndex() bool { return t.pkIdx != nil }
 
 // GetByPK resolves a primary key to the live tuple bytes (aliasing
 // partition storage): one probe of the PK index, then a slice of the
-// located partition's tuple array. It takes no lock — see pkIndex for
+// located partition's tuple array. It takes no lock — see flatIndex for
 // why a reader of a table version never meets a writer of it.
 func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
 	part, slot, ok := t.FindPK(pk)
@@ -111,7 +111,7 @@ func (t *Table) insert(rowID uint64, tup []byte) error {
 // insertIndexed places a tuple in p, partition pi of its table, and —
 // when the table has a PK index — stores the slot it landed in under
 // its primary key in pk.
-func insertIndexed(p *Partition, pi int, rowID uint64, tup []byte, pk *pkIndex, pkFn func([]byte) uint64) error {
+func insertIndexed(p *Partition, pi int, rowID uint64, tup []byte, pk *flatIndex, pkFn func([]byte) uint64) error {
 	slot, err := p.insert(rowID, tup)
 	if err == nil && pk != nil {
 		pk.put(pkFn(tup), pkLoc(pi, slot))
@@ -315,7 +315,7 @@ func (r *Replica) ActivateSynopses() {
 		w := t.wantedSyn.Load()
 		var wg sync.WaitGroup
 		for _, p := range t.Partitions {
-			if !p.needsMaintenance(w) {
+			if !p.needsMaintenance(w, true) {
 				continue
 			}
 			wg.Add(1)
@@ -375,6 +375,15 @@ func (r *Replica) Covered() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.covered
+}
+
+// caughtUp reports that nothing is queued — no update batch, no staged
+// reload — and that the covered watermark has not passed seen: an apply
+// round started now would find nothing.
+func (r *Replica) caughtUp(seen uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pending) == 0 && r.pendingReload == nil && r.covered <= seen
 }
 
 // AppliedVID returns the snapshot VID the replica's data reflects.
@@ -536,7 +545,7 @@ func (r *Replica) applyReload(rl *Reload) error {
 		}
 		t.Partitions = parts
 		if t.pkIdx != nil {
-			t.pkIdx = newPKIndex(t.pkHint)
+			t.pkIdx = newFlatIndex(t.pkHint)
 		}
 		t.version++
 		for _, row := range rl.rows[t.Schema.ID] {

@@ -50,10 +50,19 @@ type SchedulerStats struct {
 	// (rounds run concurrently with batch execution): one sample for
 	// every round that applied entries, installed a reload or did
 	// maintenance. ApplyRoundsEmpty counts the rounds that found none of
-	// the three — every forced sync's own push kicks one — which would
-	// otherwise halve the histogram's mean.
+	// the three — the freshness barrier of a quiet primary runs one —
+	// which would otherwise dilute the histogram's mean.
 	ApplyTime        metrics.Histogram
 	ApplyRoundsEmpty metrics.Counter
+	// ApplyRounds counts every round by what started it (roundCause).
+	// BlocksReencoded counts the blocks whose encoded vectors rounds
+	// rebuilt. CowRounds counts the rounds that found a reader pinned and
+	// built the next version on partition clones, CowBytes what those
+	// clones copied; every other non-empty round wrote in place.
+	ApplyRounds     [numRoundCauses]metrics.Counter
+	BlocksReencoded metrics.Counter
+	CowRounds       metrics.Counter
+	CowBytes        metrics.Counter
 	// SnapWait measures the dispatcher's freshness barrier: how long a
 	// formed batch waits for an apply round covering its formation time
 	// before it pins a snapshot and executes — the only apply-induced
@@ -126,8 +135,9 @@ type SchedulerStats struct {
 //
 // Steps (2)-(3) run in a dedicated apply loop that overlaps with step
 // (4): while batch N executes on its pinned version, the apply loop —
-// kicked by every update push from the primary and by every formed
-// batch — builds and installs the version batch N+1 will read. The
+// kicked by every update push from the primary, by every formed batch
+// and, on the heartbeat, by every batch that ends (gap rounds, see
+// closeBatch) — builds and installs the version batch N+1 will read. The
 // dispatcher only stalls on the freshness barrier (SnapWait) needed to
 // keep the paper's guarantee that a batch observes everything committed
 // before it formed. There is no strict-alternation mode to select: a
@@ -181,13 +191,38 @@ type Scheduler[Q, R any] struct {
 	roundEnd    uint64
 	applyClosed bool
 	// syncNeeded (guarded by roundMu) is set by the freshness barrier and
-	// claimed by the next round to start: only that round pays for a full
-	// SyncUpdates round-trip. Push-kicked rounds instead drain to the
-	// replica's covered watermark — forcing a primary flush on every push
-	// arrival would re-kick this loop forever (sync → flush → push →
-	// kick) and shred the primary's group-commit batching.
+	// by gap rounds and claimed by the next round to start: only that
+	// round pays for a full SyncUpdates round-trip. Push-kicked rounds
+	// instead drain to the replica's covered watermark — forcing a primary
+	// flush on every push arrival would re-kick this loop forever (sync →
+	// flush → push → kick) and shred the primary's group-commit batching.
 	syncNeeded bool
+	// The gap state, guarded by roundMu too. waiting: a formed batch is
+	// blocked on the barrier, and the next round to start is its own.
+	// paced: the last batch formed on the heartbeat, so it left a gap;
+	// gapLeft: synced rounds the apply loop may still start in it; beatAt:
+	// when it ends. reencodeDue: no round has started since that batch —
+	// the first to start re-encodes.
+	waiting     bool
+	paced       bool
+	gapLeft     int
+	beatAt      time.Time
+	reencodeDue bool
 }
+
+// roundCause is what started an apply round: a formed batch waiting on
+// the freshness barrier, the gap a paced batch left behind it, or a push
+// from the primary.
+type roundCause int
+
+const (
+	causeBarrier roundCause = iota
+	causeGap
+	causePush
+	numRoundCauses
+)
+
+func (c roundCause) String() string { return [...]string{"barrier", "gap", "push"}[c] }
 
 type schedReq[Q, R any] struct {
 	q       Q
@@ -254,13 +289,17 @@ func (s *Scheduler[Q, R]) Start() {
 	}
 	// Every push from the primary kicks an apply round immediately
 	// instead of waiting for the next batch boundary.
-	s.replica.SetOnPush(func() {
-		select {
-		case s.applyKick <- struct{}{}:
-		default:
-		}
-	})
+	s.replica.SetOnPush(s.kickApply)
 	go s.loop()
+}
+
+// kickApply wakes the apply loop; a kick that finds one pending merges
+// with it.
+func (s *Scheduler[Q, R]) kickApply() {
+	select {
+	case s.applyKick <- struct{}{}:
+	default:
+	}
 }
 
 // Close stops the dispatcher after the current batch. It is idempotent:
@@ -302,6 +341,11 @@ func (s *Scheduler[Q, R]) Close() {
 // A lone session that asks, waits and asks again never waits for the
 // beat: pacing starts with the first batch that carries two queries and
 // stops after heartbeatQuiet single-query batches in a row.
+//
+// The idle rest of a beat is when the replica catches up: two synced
+// apply rounds run in it (closeBatch), the second timed to end at the
+// beat, so that the barrier round of the next batch has only what
+// committed during that one left to apply.
 const (
 	batchHeartbeat = 60 * time.Millisecond
 	heartbeatQuiet = 2
@@ -371,6 +415,13 @@ func (s *Scheduler[Q, R]) loop() {
 // primary's watermark, apply the propagated updates, install the result
 // as the snapshot head — while the dispatcher keeps executing batches
 // pinned to the previous version.
+//
+// Stale encoded blocks are rebuilt once between two paced batches, by the
+// first round to start after the one that ended — the gap's first, which
+// nobody waits on; the barrier's own only when the executor is saturated
+// and there was no gap. Every other round leaves them flagged, and the
+// scan reads their rows. After a batch that was not paced there is no gap
+// to defer to, so every round re-encodes until the next batch ends.
 func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 	defer close(done)
 	defer func() {
@@ -382,6 +433,20 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		s.roundMu.Unlock()
 	}()
 	var lastSeen uint64
+	// tail fires when the gap's second round is due — if the gap is still
+	// open; if a batch has formed meanwhile it is a kick with nothing
+	// behind it. tailTook is what the last one took, sync included; it
+	// starts at a whole beat, so that the first starts as soon as it is
+	// armed.
+	tail := time.AfterFunc(time.Hour, func() {
+		s.roundMu.Lock()
+		s.syncNeeded = s.syncNeeded || s.gapLeft > 0
+		s.roundMu.Unlock()
+		s.kickApply()
+	})
+	tail.Stop()
+	defer tail.Stop()
+	tailTook := batchHeartbeat
 	for {
 		select {
 		case <-s.closing:
@@ -389,14 +454,33 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		case <-s.applyKick:
 		}
 		s.roundMu.Lock()
+		cause := causePush
+		switch {
+		case s.waiting:
+			cause, s.waiting = causeBarrier, false
+		case s.syncNeeded:
+			cause = causeGap
+		}
+		if cause == causePush && s.replica.caughtUp(lastSeen) {
+			// A kick with nothing behind it: every forced sync's own push
+			// sends one, after the round that forced it has taken the push.
+			s.roundMu.Unlock()
+			continue
+		}
+		reencode := !s.paced || s.reencodeDue
+		s.reencodeDue = false
+		if cause == causeGap {
+			s.gapLeft--
+		}
+		last := cause == causeGap && s.gapLeft == 0 // the gap's timed round
 		s.roundStart++
-		doSync := s.syncNeeded
 		s.syncNeeded = false
 		s.roundMu.Unlock()
+		s.stats.ApplyRounds[cause].Inc()
 		t0 := time.Now()
 		var target uint64
 		confirmed := true
-		if doSync {
+		if cause != causePush {
 			target = s.primary.SyncUpdates()
 			if fc, ok := s.primary.(FreshnessConfirmer); ok {
 				confirmed = fc.FreshSync()
@@ -415,11 +499,16 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		// Observed before the apply so the lag high-watermark captures the
 		// pre-apply backlog (e.g. the spike right after a reconnect).
 		s.fresh.ObserveWatermark(target, confirmed)
-		st, err := s.replica.ApplyPending(target)
+		st, err := s.replica.applyPending(target, reencode)
 		if st.Entries > 0 || st.Reloaded || st.Maintained {
 			s.stats.ApplyTime.RecordSince(t0)
 		} else {
 			s.stats.ApplyRoundsEmpty.Inc()
+		}
+		s.stats.BlocksReencoded.Add(uint64(st.reencoded))
+		if st.cowBytes > 0 {
+			s.stats.CowRounds.Inc()
+			s.stats.CowBytes.Add(uint64(st.cowBytes))
 		}
 		s.applyMu.Lock()
 		s.lastApply = st
@@ -442,7 +531,20 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		s.roundMu.Lock()
 		s.roundEnd++
 		s.roundCond.Broadcast()
+		// The gap's first round arms its second, which is to end at the
+		// beat: the barrier round then applies what committed during one
+		// short round instead of during the idle rest of the gap. (A first
+		// round that found nothing says the primary is idle; the second
+		// would interrupt it for nothing.)
+		arm := cause == causeGap && s.gapLeft > 0 && st.Entries > 0
+		wait := time.Until(s.beatAt) - tailTook
 		s.roundMu.Unlock()
+		switch {
+		case arm:
+			tail.Reset(max(wait, 0))
+		case last:
+			tailTook = time.Since(t0)
+		}
 	}
 }
 
@@ -455,19 +557,33 @@ func (s *Scheduler[Q, R]) awaitFreshRound() bool {
 	// roundEnd to reach the round after any currently running one is
 	// exactly the batch guarantee.
 	s.roundMu.Lock()
-	s.syncNeeded = true
+	s.syncNeeded, s.waiting = true, true
+	s.gapLeft = 0 // the gap is over; a timed round still armed finds it closed
 	want := s.roundStart + 1
 	s.roundMu.Unlock()
-	select {
-	case s.applyKick <- struct{}{}:
-	default:
-	}
+	s.kickApply()
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
 	for s.roundEnd < want && !s.applyClosed {
 		s.roundCond.Wait()
 	}
 	return s.roundEnd >= want
+}
+
+// closeBatch runs when a batch has executed and unpinned; beatAt is when
+// the next may form. On the heartbeat the executor now idles until then,
+// and the replica uses the gap: a synced apply round starts at once,
+// applying in place what committed while the batch waited and ran, and a
+// second follows, timed to end at the beat (applyLoop). Off the heartbeat
+// — a lone session that asks, waits and asks again — there is no gap and
+// nothing starts.
+func (s *Scheduler[Q, R]) closeBatch(paced bool, beatAt time.Time) {
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
+	if s.paced = paced; paced {
+		s.gapLeft, s.beatAt, s.reencodeDue, s.syncNeeded = 2, beatAt, true, true
+		s.kickApply()
+	}
 }
 
 // dispatchLoop is the execution side: it forms batches — on the
@@ -585,6 +701,7 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 		t1 := time.Now()
 		results := s.run(queries, snap)
 		d := time.Since(t1)
+		s.closeBatch(quiet < heartbeatQuiet, formed.Add(batchHeartbeat))
 		s.stats.BatchExec.Record(int64(d))
 		s.stats.Busy.Track(time.Since(t0))
 		s.stats.Batches.Inc()

@@ -93,7 +93,7 @@ func (s *Snapshot) addTable(v *Table) {
 // slice, PK index and version are the given (possibly cloned) state.
 // The view's apply scratch stays zero — only the canonical table's
 // apply goroutine uses it.
-func viewOf(t *Table, parts []*Partition, pkIdx *pkIndex, version uint64) *Table {
+func viewOf(t *Table, parts []*Partition, pkIdx *flatIndex, version uint64) *Table {
 	return &Table{
 		Schema:     t.Schema,
 		Partitions: parts,

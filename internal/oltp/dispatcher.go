@@ -69,8 +69,8 @@ func (e *Engine) dispatch() {
 			c <- e.store.VIDs.Watermark()
 		}
 
-		// Push updates if asked for, or if the push period elapsed
-		// (paper §3.2).
+		// Push updates if asked for, or if the push period elapsed since
+		// the last push of either kind (paper §3.2).
 		if len(syncWaiters) > 0 || time.Since(lastPush) >= e.cfg.PushPeriod {
 			covered := e.pushUpdates()
 			lastPush = time.Now()

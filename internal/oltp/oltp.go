@@ -55,8 +55,13 @@ type Config struct {
 	// cores). Default 4.
 	Workers int
 	// PushPeriod bounds update staleness: updates are pushed at the
-	// first batch boundary after this period even if the OLAP replica
-	// did not ask (paper §3.2: 200 ms). Default 200 ms.
+	// first batch boundary that comes this long after the last push,
+	// even if the OLAP replica did not ask (paper §3.2: 200 ms). A push
+	// the replica forced (SyncUpdates) restarts the period like any
+	// other, so under a replica that syncs more often than the period —
+	// one answering queries does, at every batch — the period never
+	// fires: it is the staleness bound of an idle replica, not a push
+	// cadence. Default 200 ms.
 	PushPeriod time.Duration
 	// MaxBatch caps how many queued requests one batch may absorb.
 	// Default 8192.

@@ -258,6 +258,63 @@ func TestPeriodicPush(t *testing.T) {
 	}
 }
 
+// A forced sync pushes and restarts the push period, so a replica that
+// syncs more often than the period gets exactly one push per sync — the
+// period never fires in between — and the period takes over again, by
+// itself, once the syncs stop.
+func TestSyncCadenceSupersedesPushPeriod(t *testing.T) {
+	const period, cadence, syncs = 200 * time.Millisecond, 50 * time.Millisecond, 8
+	sink := &captureSink{}
+	e, _ := newKVEngine(t, Config{Workers: 1, PushPeriod: period})
+	e.SetSink(sink)
+	e.Start()
+	defer e.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // a writer, so that every boundary has something to push
+		defer wg.Done()
+		for k := int64(1); ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.Exec("put", kvArgs(k, k))
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	e.SyncUpdates() // restarts the period
+	_, _, before := sink.snapshot()
+	prev, widest := time.Now(), time.Duration(0)
+	for i := 0; i < syncs; i++ {
+		time.Sleep(cadence)
+		e.SyncUpdates()
+		now := time.Now()
+		widest, prev = max(widest, now.Sub(prev)), now
+	}
+	if _, _, after := sink.snapshot(); widest >= period {
+		t.Logf("two syncs came %v apart on this host: the period was entitled to fire, nothing to assert", widest)
+	} else if after-before != syncs {
+		t.Fatalf("%d pushes under %d syncs at most %v apart with a %v push period, want one per sync", after-before, syncs, widest, period)
+	}
+	_, _, last := sink.snapshot()
+	deadline := time.After(10 * period)
+	for {
+		if _, _, n := sink.snapshot(); n > last {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatal("the push period did not fire after the syncs stopped")
+		case <-time.After(period / 10):
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestReplicatedTableFilter(t *testing.T) {
 	sink := &captureSink{}
 	e, _ := newKVEngine(t, Config{
