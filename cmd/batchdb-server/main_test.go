@@ -145,23 +145,19 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		t.Errorf("batchdb_oltp_txn_total{status=committed} = %v, want >= %d", gotCommitted, committed)
 	}
 
-	// Versioned-snapshot lifecycle: batches pin a version, apply rounds
-	// install new heads over it, and the reclaimer retires superseded
-	// versions once their last pin drops. With the workload idle the
-	// chain must collapse back to the head alone with no pins left.
+	// Batches pin the replica and apply rounds wait for the pins to drop:
+	// with the workload idle no pin is left.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m := scrapeByName(t, s)
-		chain, pinned := m["batchdb_olap_snapshot_chain_len"], m["batchdb_olap_pinned_snapshots"]
-		if len(chain) == 0 || len(pinned) == 0 {
-			t.Fatal("missing snapshot chain/pin gauges in /metrics")
+		pinned := scrapeByName(t, s)["batchdb_olap_pinned_snapshots"]
+		if len(pinned) == 0 {
+			t.Fatal("missing batchdb_olap_pinned_snapshots in /metrics")
 		}
-		if chain[0].Value == 1 && pinned[0].Value == 0 {
+		if pinned[0].Value == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("snapshot chain did not reclaim at idle: chain=%v pinned=%v",
-				chain[0].Value, pinned[0].Value)
+			t.Fatalf("pins outstanding at idle: %v", pinned[0].Value)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -221,8 +217,7 @@ func TestServerStatsFromRegistry(t *testing.T) {
 		"batchdb_olap_apply_rounds_total{cause=gap",
 		"batchdb_olap_apply_rounds_total{cause=push",
 		"batchdb_olap_blocks_reencoded_total",
-		"batchdb_olap_cow_rounds_total",
-		"batchdb_olap_cow_bytes_total",
+		"batchdb_olap_pinned_snapshots",
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS output missing %s: %q", want, stats)

@@ -114,38 +114,29 @@ type ApplyStats struct {
 	// PerTable splits the work by relation.
 	PerTable map[storage.TableID]*TableApplyStats
 
-	// cowBytes is what the round's partition clones copied (0 for a round
-	// that applied in place); reencoded counts the blocks whose encoded
-	// vectors it rebuilt. The scheduler folds both into its counters.
-	cowBytes  int64
+	// reencoded counts the blocks whose encoded vectors the round rebuilt;
+	// the scheduler folds it into its counter.
 	reencoded int
 }
 
 // ApplyPending applies every queued update with VID <= target, in VID
 // order per table — the three-step algorithm of paper §5/Fig. 4, run
 // concurrently across tables with leaf work (routing shards, partition
-// applies) bounded by the replica's apply-worker budget — and installs
-// the result as the new snapshot head. Updates beyond target are
-// requeued for the next round. Rounds must not run concurrently with
-// each other (the scheduler's apply loop, or a direct caller, is the
-// single writer).
+// applies) bounded by the replica's apply-worker budget. Updates beyond
+// target are requeued for the next round. Rounds must not run
+// concurrently with each other (the scheduler's apply loop, or a direct
+// caller, is the single writer).
 //
-// Whether the round mutates the canonical structures or builds the next
-// version on clones is decided once, from what the replica can observe:
-// a staged resync reload (which replaces every structure with fresh,
-// unreferenced objects) or zero pins anywhere on the snapshot chain ⇒ in
-// place, holding snapMu so no pin can land mid-mutation; otherwise
-// copy-on-apply of exactly the partitions the delta touches, while the
-// pinned readers keep scanning the structures they hold. Callers with no
-// scheduler hold no pins and therefore always apply in place.
+// The replica has one version and a round writes it in place: it waits
+// until no reader holds a pin, and a pin that arrives while it runs
+// waits for it and reads its result. A batch therefore reads exactly the
+// VID it pinned.
 //
-// A failed round installs nothing and bumps no table version. Under a
-// pin its clones are simply dropped — the canonical tables and every
-// pinned snapshot are exactly as before; in place the failed tables are
-// left half-applied, which is why the error is sticky (applyErr) and the
-// scheduler treats it as fatal.
+// A failed round bumps no table version and leaves the applied VID
+// where it was, but the failed tables are half-applied, which is why the
+// error is sticky (applyErr) and the scheduler treats it as fatal.
 //
-// A round started here re-encodes every stale block before it installs;
+// A round started here re-encodes every stale block before it returns;
 // the scheduler's rounds go through applyPending and say whether they do.
 func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
 	return r.applyPending(target, true)
@@ -165,45 +156,21 @@ func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error)
 	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
 	stats.Maintained = r.needsMaintenance(reencode)
 	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !stats.Maintained {
-		return stats, nil // nothing to build — keep the current head
+		return stats, nil // nothing to apply
 	}
 
-	r.snapMu.Lock()
-	clone := rl == nil && r.pinnedLocked() > 0
-	if clone {
-		// Readers keep pinning and unpinning while the clones are built;
-		// the lock is retaken for the install.
-		r.snapMu.Unlock()
-	}
-	outs, err := r.applyRound(&stats, rl, batches, floor, target, clone, reencode)
-	if clone {
-		r.snapMu.Lock()
-	}
-	defer r.snapMu.Unlock()
+	r.beginRound()
+	defer r.endRound()
+	outs, err := r.applyRound(&stats, rl, batches, floor, target, reencode)
 	if err != nil {
 		r.mu.Lock()
 		r.applyErr = err
 		r.mu.Unlock()
-		if !clone {
-			// The canonical tables changed without an install; the next
-			// PinSnapshot must not serve the old head's table set.
-			r.markWiringDirty()
-		}
 		return stats, err
 	}
-
-	// Install: swap each table's next state in (the canonical slices
-	// themselves after an in-place round) and link the new head. snapMu
-	// before mu is the package lock order; pinned readers never see the
-	// canonical tables, so only PinSnapshot and the chain care.
 	r.mu.Lock()
 	for ti, t := range r.order {
-		o := outs[ti]
-		if o == nil {
-			continue
-		}
-		t.Partitions, t.pkIdx = o.parts, o.pk
-		if o.entries > 0 {
+		if o := outs[ti]; o != nil && o.entries > 0 {
 			t.version++
 		}
 	}
@@ -211,28 +178,22 @@ func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error)
 		r.applied = target
 	}
 	r.mu.Unlock()
-	r.installHeadLocked(r.buildSnapshotLocked())
 	return stats, nil
 }
 
-// tableOut is one table's outcome of an apply round: its stats and the
-// partition slice and PK index of its next version.
+// tableOut is one table's outcome of an apply round.
 type tableOut struct {
 	ts        *TableApplyStats
 	entries   int
-	parts     []*Partition
-	pk        *flatIndex
-	cowBytes  int64
 	reencoded int
 	err       error
 }
 
-// applyRound is the body of one round up to (not including) the install:
-// optional reload, stream grouping, the per-table pipelines, and the
-// fold of their stats into st. It returns one outcome per registered
-// table (nil for tables the round did not touch) and the first error in
-// registration order.
-func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, clone, reencode bool) ([]*tableOut, error) {
+// applyRound is the body of one round: optional reload, stream grouping,
+// the per-table pipelines, and the fold of their stats into st. It
+// returns one outcome per registered table (nil for tables the round did
+// not touch) and the first error in registration order.
+func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, reencode bool) ([]*tableOut, error) {
 	if rl != nil {
 		// The reload installs first: it raises the floor so stale queued
 		// updates the snapshot already contains are discarded below.
@@ -263,7 +224,7 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		wg.Add(1)
 		go func(ti int, t *Table) {
 			defer wg.Done()
-			outs[ti] = r.applyTable(t, sem, clone, reencode)
+			outs[ti] = r.applyTable(t, sem, reencode)
 		}(ti, t)
 	}
 	wg.Wait()
@@ -281,7 +242,6 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		st.Step1 += o.ts.Step1
 		st.Step2 += o.ts.Step2
 		st.Step3 += o.ts.Step3
-		st.cowBytes += o.cowBytes
 		st.reencoded += o.reencoded
 		if o.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("olap: apply to table %s: %w", t.Schema.Name, o.err)
@@ -349,23 +309,15 @@ func (r *Replica) needsMaintenance(reencode bool) bool {
 	return false
 }
 
-// applyTable runs the three apply steps for one table. With clone set it
-// leaves the current version untouched: every partition the round
-// touches is copied first (untouched ones are shared with the current
-// version by pointer) and the PK index clones copy-on-write (a shard's
-// array is copied only when an insert or delete lands in it); otherwise
-// it mutates the canonical partitions and index and returns those. Leaf
-// tasks acquire sem; the caller's per-table goroutine itself does not,
-// so a round with more tables than workers cannot deadlock.
-func (r *Replica) applyTable(t *Table, sem chan struct{}, clone, reencode bool) *tableOut {
+// applyTable runs the three apply steps for one table, mutating its
+// partitions and PK index in place. Leaf tasks acquire sem; the caller's
+// per-table goroutine itself does not, so a round with more tables than
+// workers cannot deadlock.
+func (r *Replica) applyTable(t *Table, sem chan struct{}, reencode bool) *tableOut {
 	ts := &TableApplyStats{}
 	sc := &t.scratch
 	defer sc.release()
 
-	// Steps 1–2 read only the entry streams and write only the canonical
-	// table's scratch (owned by this round's single table goroutine), so
-	// they are the same whether or not step 3 clones.
-	//
 	// Step 1: merge the per-worker streams into one VID-ordered stream
 	// ("the fastest step"), reusing the table's merge buffer.
 	start := time.Now()
@@ -428,33 +380,17 @@ func (r *Replica) applyTable(t *Table, sem chan struct{}, clone, reencode bool) 
 	}
 	ts.Step2 = time.Since(start)
 
-	// The next version's partition slice and PK index: the canonical
-	// ones in place; when cloning, a copied slice and — only if entries
-	// might insert or delete — a copy-on-write index clone. Locators
-	// carry a partition's ordinal and slot, both of which a cloned
-	// partition shares with its original, so untouched index shards stay
-	// valid for the next version as they are.
-	parts, pk := t.Partitions, t.pkIdx
-	if clone {
-		parts = append([]*Partition(nil), t.Partitions...)
-		if pk != nil && len(merged) > 0 {
-			pk = pk.clone()
-		}
-	}
-
 	// Step 3: apply per touched partition in parallel through the RowID
-	// hash index (the expensive, random-access step). A clone's memcpy
-	// rides inside the goroutine, so partition copies overlap on
-	// multi-core hosts.
+	// hash index (the expensive, random-access step).
 	w := t.wantedSyn.Load()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	out := &tableOut{ts: ts, entries: len(merged), parts: parts, pk: pk}
+	out := &tableOut{ts: ts, entries: len(merged)}
 	for pi, p := range t.Partitions {
 		entries := perPart[pi]
 		if len(entries) == 0 && !p.needsMaintenance(w, reencode) {
-			continue // untouched: the next version shares this partition
+			continue
 		}
 		wg.Add(1)
 		go func(pi int, p *Partition, entries []*proplog.Entry) {
@@ -462,16 +398,11 @@ func (r *Replica) applyTable(t *Table, sem chan struct{}, clone, reencode bool) 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := time.Now()
-			var copied int64
-			if clone {
-				p, copied = p.cloneForWrite()
-				parts[pi] = p
-			}
 			// Activate the synopsis columns the last query batches
 			// requested before new entries land — the incremental
 			// maintenance below then covers exactly the active set.
 			p.ActivateSynopsisCols(w)
-			ins, upd, del, err := applyToPartition(p, entries, pk, t.pkFn, pi)
+			ins, upd, del, err := applyToPartition(p, entries, t.pkIdx, t.pkFn, pi)
 			blocks := 0
 			if err == nil {
 				// Re-summarize blocks this round's deletes and
@@ -490,7 +421,6 @@ func (r *Replica) applyTable(t *Table, sem chan struct{}, clone, reencode bool) 
 			}
 			d := time.Since(t0)
 			mu.Lock()
-			out.cowBytes += copied
 			out.reencoded += blocks
 			ts.Step3 += d
 			ts.Inserted += ins
@@ -659,9 +589,9 @@ func mergeHeapInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 // the next free slot. Consecutive field patches of the same tuple from
 // the same transaction share a single index lookup and count as one
 // updated tuple — the paper's Ptup counts tuples, not patches. pk (nil
-// when the table has none) is the next version's PK index, kept in step
-// with the slots: pi is p's ordinal in its table, which with the slot
-// makes a row's locator.
+// when the table has none) is the table's PK index, kept in step with
+// the slots: pi is p's ordinal in its table, which with the slot makes a
+// row's locator.
 func applyToPartition(p *Partition, entries []*proplog.Entry, pk *flatIndex, pkFn func([]byte) uint64, pi int) (ins, upd, del int, err error) {
 	for i := 0; i < len(entries); i++ {
 		e := entries[i]

@@ -59,15 +59,6 @@ type encStore struct {
 	stale    []uint64
 	anyStale bool
 
-	// owned[b] marks the columns whose vector in block b belongs
-	// exclusively to this store. A freshly enabled store owns every
-	// slot; a clone (clone) owns none — its inherited vectors are shared
-	// with the frozen parent version, whose pinned readers may still be
-	// decoding them, so a non-owned vector is never patched in place and
-	// its payload never recycled (see recycleOld). Ownership is
-	// (re)acquired per slot when a new vector is installed.
-	owned []uint64
-
 	// full[b] marks the stale columns that need a full row gather:
 	// inserts (a new tuple is not in any old vector), activation, block
 	// growth, journal overflow. Stale columns without their full bit are
@@ -112,38 +103,10 @@ func (e *encStore) grow(nb int) {
 	for len(e.stale) < nb {
 		e.stale = append(e.stale, ^uint64(0))
 		e.full = append(e.full, ^uint64(0))
-		e.owned = append(e.owned, ^uint64(0))
 		e.anyStale = true
 		for i := 0; i < e.nc; i++ {
 			e.vecs = append(e.vecs, nil)
 		}
-	}
-}
-
-// clone returns a private copy for the next version's apply round. The
-// vector pointers are shared with the frozen parent and the owned
-// bitmask is cleared, so the clone's maintenance re-encodes into fresh
-// vectors instead of patching or recycling payloads that the parent
-// version's pinned readers may still be filtering through.
-func (e *encStore) clone() *encStore {
-	return &encStore{
-		nc:       e.nc,
-		vecs:     append([]*encoding.Vector(nil), e.vecs...),
-		stale:    append([]uint64(nil), e.stale...),
-		owned:    make([]uint64, len(e.owned)),
-		full:     append([]uint64(nil), e.full...),
-		anyStale: e.anyStale,
-		jlog:     append([]patchRec(nil), e.jlog...),
-	}
-}
-
-// recycleOld returns block b / column ci's current vector to the
-// scratch pool for reuse — but only when this store owns it. Shared
-// (inherited) payloads are left to the garbage collector once the old
-// version's last reader unpins.
-func (e *encStore) recycleOld(b, ci int) {
-	if e.owned[b]&(1<<uint(ci)) != 0 {
-		e.sc.Recycle(e.vecs[b*e.nc+ci])
 	}
 }
 
@@ -265,10 +228,9 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 	base := b * e.nc
 	if z.live[b] == 0 {
 		for ci := 0; ci < e.nc; ci++ {
-			e.recycleOld(b, ci)
+			e.sc.Recycle(e.vecs[base+ci])
 			e.vecs[base+ci] = nil
 		}
-		e.owned[b] = ^uint64(0) // nil slots reference nothing shared
 		return
 	}
 	lo, hi := p.blockSlots(b)
@@ -288,18 +250,16 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 		syn := z.syn[base+ci]
 		fill := syn.min
 		if fill == math.MaxInt64 { // sentinel: column bounds not recomputed yet
-			e.recycleOld(b, ci)
+			e.sc.Recycle(e.vecs[base+ci])
 			e.vecs[base+ci] = nil
-			e.owned[b] |= 1 << uint(ci)
 			continue
 		}
 		// ReencodeDirty runs right after ResummarizeDirty, so the synopsis
 		// is exact: min == max means every live value (and the dead fill)
 		// is that one value, and the block encodes without touching a row.
 		if syn.min == syn.max {
-			e.recycleOld(b, ci)
+			e.sc.Recycle(e.vecs[base+ci])
 			e.vecs[base+ci] = encoding.Constant(hi-lo, syn.min)
-			e.owned[b] |= 1 << uint(ci)
 			continue
 		}
 		off, typ := z.offs[ci], z.types[ci]
@@ -313,11 +273,8 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 		// domain (TryPatch), the patch lands as a bit rewrite and the
 		// whole rebuild is skipped. A miss falls through to the rebuild,
 		// which rewrites every journaled slot from the rows — partial
-		// in-place progress is harmless. Requires ownership: patching a
-		// vector shared with a frozen older version would corrupt its
-		// pinned readers' view.
+		// in-place progress is harmless.
 		if old := e.vecs[base+ci]; old != nil && old.Len() == hi-lo &&
-			e.owned[b]&(1<<uint(ci)) != 0 &&
 			e.full[b]&(1<<uint(ci)) == 0 && replay {
 			inPlace := true
 			for _, pr := range jr {
@@ -355,9 +312,8 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 			// Recycle only after Encode: the new vector must not be packed
 			// into the buffers DecodeAll just read from.
 			nv := encoding.Encode(vals, rawBits, &e.sc)
-			e.recycleOld(b, ci)
+			e.sc.Recycle(e.vecs[base+ci])
 			e.vecs[base+ci] = nv
-			e.owned[b] |= 1 << uint(ci)
 			continue
 		}
 		// Gather with the type switch hoisted out of the slot loop; the
@@ -425,9 +381,8 @@ func (p *Partition) encodeBlock(b int, mask uint64, jr []patchRec) {
 				}
 			}
 		}
-		e.recycleOld(b, ci)
+		e.sc.Recycle(e.vecs[base+ci])
 		e.vecs[base+ci] = encoding.EncodeStats(vals, rawBits, &e.sc, minV, maxV, runs)
-		e.owned[b] |= 1 << uint(ci)
 	}
 }
 

@@ -559,10 +559,10 @@ func (e *Engine) prepareSources(sv *olap.Snapshot, queries []*Query) map[buildID
 		wg.Add(1)
 		go func(n needed) {
 			defer wg.Done()
-			// The build scans the pinned snapshot's view, and the cache is
-			// keyed by the view's data version — an older view at the same
-			// version holds identical data, so sharing across snapshots
-			// stays correct.
+			// The build scans the pinned table, and the cache is keyed by
+			// its data version, which every round that applies entries to
+			// it bumps — a build made at the same version read the same
+			// data.
 			b := e.cached(n.id, n.t.Version(), nil, func() any { return e.constructBuild(n.t, n.fn) }).(*build)
 			mu.Lock()
 			srcs[n.id] = &source{id: n.id, token: b, b: b, nrows: b.nrows}

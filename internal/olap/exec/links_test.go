@@ -63,12 +63,10 @@ func newLinkFixture(t *testing.T) *linkFixture {
 	return f
 }
 
-// round is one apply round's worth of changes, applied in place or — with
-// pinned set — while a reader holds the previous version.
+// round is one apply round's worth of changes.
 type round struct {
 	newCusts, newOrders, newLines int
 	delCusts, delOrders           int
-	pinned                        bool
 }
 
 func (f *linkFixture) apply(t *testing.T, rng *rand.Rand, rd round) {
@@ -116,10 +114,6 @@ func (f *linkFixture) apply(t *testing.T, rng *rand.Rand, rd round) {
 		f.nextLine++
 	}
 	f.replica.ApplyUpdates([]proplog.Batch{buf.Take()}, f.vid)
-	if rd.pinned {
-		sv := f.replica.PinSnapshot()
-		defer sv.Unpin()
-	}
 	if _, err := f.replica.ApplyPending(f.vid); err != nil {
 		t.Fatal(err)
 	}
@@ -188,23 +182,23 @@ func (f *linkFixture) linkStates(e *Engine) map[string]linkState {
 }
 
 // TestLinksFollowApply: between batches, apply rounds insert into every
-// table of a chain of linked steps, delete rows and reuse their slots, in
-// place and under a pin. After each round the long-lived engine — whose
-// link arrays and builds outlive the batches — answers as a fresh engine
-// does, and it has remade a link array exactly when the data version of
-// the link's parent or child table changed.
+// table of a chain of linked steps, delete rows and reuse their slots.
+// After each round the long-lived engine — whose link arrays and builds
+// outlive the batches — answers as a fresh engine does, and it has remade
+// a link array exactly when the data version of the link's parent or
+// child table changed.
 func TestLinksFollowApply(t *testing.T) {
 	f := newLinkFixture(t)
 	rng := rand.New(rand.NewSource(5))
 	rounds := []round{
 		{newCusts: 40, newOrders: 120, newLines: 600},
-		{newLines: 200},                              // the driver alone: every link stays
-		{newOrders: 30, pinned: true},                // the first link's parent
-		{newCusts: 10},                               // its child, and the second link's parent
+		{newLines: 200}, // the driver alone: every link stays
+		{newOrders: 30}, // the first link's parent
+		{newCusts: 10},  // its child, and the second link's parent
 		{delOrders: 25, newOrders: 25, newLines: 50}, // slots of deleted orders reused
-		{delCusts: 8, newCusts: 8, pinned: true},     // the same under a pin: cloned partitions
+		{delCusts: 8, newCusts: 8},                   // the same one link down
 		{},                                           // nothing at all
-		{delOrders: 10, delCusts: 5, newLines: 100, pinned: true},
+		{delOrders: 10, delCusts: 5, newLines: 100},
 		{newCusts: 5, newOrders: 40, delOrders: 40, newLines: 100},
 	}
 	for _, workers := range []int{1, 2} {

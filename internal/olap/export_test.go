@@ -7,5 +7,9 @@ func (r *Replica) ApplyPendingDeferred(target uint64, reencode bool) (ApplyStats
 	return r.applyPending(target, reencode)
 }
 
-// CauseGap indexes SchedulerStats.ApplyRounds at the gap rounds.
-const CauseGap = causeGap
+// CauseGap and CausePush index SchedulerStats.ApplyRounds at the gap
+// rounds and the push-kicked rounds.
+const (
+	CauseGap  = causeGap
+	CausePush = causePush
+)

@@ -44,25 +44,18 @@ type flatShard struct {
 	// shift positions a hash in ents: home = (h << flatShardBits) >> shift.
 	shift uint8
 	n     int
-	// owned reports that ents belongs to this index alone. A clone owns
-	// nothing and copies a shard's array on the first write to it.
-	owned bool
 }
 
 // flatIndex maps 64-bit keys to non-zero locators: flatShards
-// independent open-addressed arrays, cloned copy-on-write per shard. It
-// is both of the replica's hash indexes — a table's primary key →
-// (partition, slot), which query probes read, and a partition's RowID →
-// slot, which apply step 3 joins a round's updates through.
+// independent open-addressed arrays. It is both of the replica's hash
+// indexes — a table's primary key → (partition, slot), which query probes
+// read, and a partition's RowID → slot, which apply step 3 joins a
+// round's updates through.
 //
-// Reads take no lock and need none. The index belongs to one table
-// version: a pinned snapshot's index is frozen — the apply round that
-// builds the next version writes to a clone, whose first write to a
-// shard copies that shard's array and leaves the parent's untouched —
-// and a round that writes an index in place runs only when nothing is
-// pinned, holding the chain lock so no reader can arrive. Writers to one
-// PK index (step 3, one goroutine per partition) serialize per shard; a
-// RowID index has one writer and finds every lock free.
+// Reads take no lock and need none: the index is written only at zero
+// pins. Writers to one PK index (step 3, one goroutine per partition)
+// serialize per shard; a RowID index has one writer and finds every lock
+// free.
 type flatIndex struct {
 	shards [flatShards]flatShard
 }
@@ -77,23 +70,9 @@ func newFlatIndex(capacityHint int) *flatIndex {
 	}
 	ix := &flatIndex{}
 	for i := range ix.shards {
-		ix.shards[i] = flatShard{ents: make([]flatEntry, slots), shift: shift, owned: true}
+		ix.shards[i] = flatShard{ents: make([]flatEntry, slots), shift: shift}
 	}
 	return ix
-}
-
-// clone returns a copy-on-write snapshot of the index: every shard's
-// array is shared until the clone first writes to it, so cloning costs
-// O(shards) and a round pays one array copy per shard it touches. The
-// receiver must not be written afterwards (it is the frozen index of
-// the older version) and must be quiescent now.
-func (ix *flatIndex) clone() *flatIndex {
-	c := &flatIndex{}
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		c.shards[i] = flatShard{ents: s.ents, shift: s.shift, n: s.n}
-	}
-	return c
 }
 
 // get returns key's locator.
@@ -110,15 +89,6 @@ func (ix *flatIndex) get(key uint64) (uint64, bool) {
 		if e.loc == 0 {
 			return 0, false
 		}
-	}
-}
-
-// own makes the shard's array exclusively this index's. Caller holds
-// s.mu.
-func (s *flatShard) own() {
-	if !s.owned {
-		s.ents = append([]flatEntry(nil), s.ents...)
-		s.owned = true
 	}
 }
 
@@ -139,8 +109,6 @@ func (ix *flatIndex) put(key, loc uint64) {
 	defer s.mu.Unlock()
 	if 2*(s.n+1) > len(s.ents) {
 		s.grow()
-	} else {
-		s.own()
 	}
 	mask := uint64(len(s.ents) - 1)
 	for i := s.home(key); ; i++ {
@@ -157,13 +125,11 @@ func (ix *flatIndex) put(key, loc uint64) {
 	}
 }
 
-// grow doubles the shard's array and re-places every entry; the new
-// array is owned whatever the old one was.
+// grow doubles the shard's array and re-places every entry.
 func (s *flatShard) grow() {
 	old := s.ents
 	s.ents = make([]flatEntry, 2*len(old))
 	s.shift--
-	s.owned = true
 	mask := uint64(len(s.ents) - 1)
 	for _, e := range old {
 		if e.loc == 0 {
@@ -198,7 +164,6 @@ func (ix *flatIndex) del(key, loc uint64) {
 			break
 		}
 	}
-	s.own()
 	// Backward shift: pull every later entry of the probe run whose home
 	// lies at or before the hole into it, so no lookup ever has to cross
 	// an empty slot to reach its key.

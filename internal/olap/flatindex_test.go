@@ -61,12 +61,11 @@ func checkPKIndex(t *testing.T, stage string, ix *flatIndex, want map[uint64]uin
 }
 
 // TestPKIndexMatchesOracle drives the flat index and a map through the
-// same seeded random insert / overwrite / delete / re-insert / clone
-// sequence. Keys come from a small dense range and from TPC-C-shaped
-// packed keys, so shards collide, grow from their minimum size and
-// shift entries back on delete. After every clone the parent is frozen
-// with a copy of the oracle, and every frozen generation must still
-// answer exactly its pre-clone state after its descendants were mutated.
+// same seeded random insert / overwrite / delete / re-insert sequence.
+// Keys come from a small dense range and from TPC-C-shaped packed keys,
+// so shards collide, grow from their minimum size and shift entries back
+// on delete. Every hundredth step or so the whole index is checked
+// against the map.
 func TestPKIndexMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -78,11 +77,7 @@ func TestPKIndexMatchesOracle(t *testing.T) {
 		}
 		ix := newFlatIndex(0) // minimum-sized shards: every one has to grow
 		oracle := map[uint64]uint64{}
-		type frozen struct {
-			ix     *flatIndex
-			oracle map[uint64]uint64
-		}
-		var gens []frozen
+		checks := 0
 		for step := 0; step < 40000; step++ {
 			k := randKey()
 			switch op := rnd.Intn(100); {
@@ -104,32 +99,23 @@ func TestPKIndexMatchesOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: get(%d) = %d,%v; oracle %d", seed, step, k, got, ok, oracle[k])
 				}
 			default:
-				snap := make(map[uint64]uint64, len(oracle))
-				for k, v := range oracle {
-					snap[k] = v
-				}
-				gens = append(gens, frozen{ix, snap})
-				ix = ix.clone()
+				checkPKIndex(t, "mid-sequence", ix, oracle)
+				checks++
 			}
 		}
-		checkPKIndex(t, "live index", ix, oracle)
-		if len(gens) < 100 {
-			t.Fatalf("seed %d: only %d clones taken — the case is vacuous", seed, len(gens))
-		}
-		for _, g := range gens {
-			checkPKIndex(t, "frozen generation", g.ix, g.oracle)
+		checkPKIndex(t, "final index", ix, oracle)
+		if checks < 100 {
+			t.Fatalf("seed %d: only %d mid-sequence checks — the case is vacuous", seed, checks)
 		}
 	}
 }
 
 // TestRidIndexMatchesOracle drives a partition — whose RowID index is the
 // same flat table — and a map through one seeded random insert / patch /
-// delete / clone sequence, as apply step 3 does: RowIDs from a small
-// range so that slots are recycled and index shards grow, shift back and
-// are copied on write. After every cloneForWrite the parent is frozen
-// with a copy of the oracle, and every frozen generation must still
-// locate exactly its pre-clone rows, at slots holding their pre-clone
-// values, after its descendants were mutated.
+// delete sequence, as apply step 3 does: RowIDs from a small range so
+// that slots are recycled and index shards grow and shift back. Every
+// hundredth step or so the partition must locate exactly the map's rows,
+// at slots holding their values.
 func TestRidIndexMatchesOracle(t *testing.T) {
 	s := kvSchema()
 	check := func(stage string, p *Partition, want map[uint64]int64) {
@@ -153,11 +139,7 @@ func TestRidIndexMatchesOracle(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		p := NewPartition(s, 0)
 		oracle := map[uint64]int64{}
-		type frozen struct {
-			p      *Partition
-			oracle map[uint64]int64
-		}
-		var gens []frozen
+		checks := 0
 		for step := 0; step < 30000; step++ {
 			rid := uint64(1 + rnd.Intn(2500))
 			_, live := oracle[rid]
@@ -188,77 +170,47 @@ func TestRidIndexMatchesOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: RowID %d located, oracle has it deleted", seed, step, rid)
 				}
 			default:
-				snap := make(map[uint64]int64, len(oracle))
-				for k, v := range oracle {
-					snap[k] = v
-				}
-				gens = append(gens, frozen{p, snap})
-				p, _ = p.cloneForWrite()
+				check("mid-sequence", p, oracle)
+				checks++
 			}
 		}
-		check("live partition", p, oracle)
-		if len(gens) < 100 {
-			t.Fatalf("seed %d: only %d clones taken — the case is vacuous", seed, len(gens))
-		}
-		for _, g := range gens {
-			check("frozen generation", g.p, g.oracle)
+		check("final partition", p, oracle)
+		if checks < 100 {
+			t.Fatalf("seed %d: only %d mid-sequence checks — the case is vacuous", seed, checks)
 		}
 	}
 }
 
 // TestPKIndexConcurrentPartitionWriters is apply step 3's access
 // pattern under the race detector: one goroutine per partition inserts
-// and deletes that partition's rows in one clone of an index — different
-// partitions' keys share shards, so the writers meet on the shard locks
-// — while readers probe the frozen parent with no lock at all.
+// and deletes that partition's rows in one index — different partitions'
+// keys share shards, so the writers meet on the shard locks, and shards
+// grow under them.
 func TestPKIndexConcurrentPartitionWriters(t *testing.T) {
 	const parts, perPart = 8, 3000
 	key := func(pi, i int) uint64 { return uint64(i)*parts + uint64(pi) }
-	parent := newFlatIndex(parts * perPart / 4) // undersized: shards grow under the writers
+	ix := newFlatIndex(parts * perPart / 4) // undersized: shards grow under the writers
 	for pi := 0; pi < parts; pi++ {
 		for i := 0; i < perPart; i += 2 {
-			parent.put(key(pi, i), pkLoc(pi, int32(i)))
+			ix.put(key(pi, i), pkLoc(pi, int32(i)))
 		}
 	}
-	next := parent.clone()
 
-	stop := make(chan struct{})
-	var readers, writers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				pi, i := (n+r)%parts, n%perPart
-				loc, ok := parent.get(key(pi, i))
-				if even := i%2 == 0; ok != even || (ok && loc != pkLoc(pi, int32(i))) {
-					t.Errorf("frozen parent: get(part %d row %d) = %d,%v", pi, i, loc, ok)
-					return
-				}
-			}
-		}(r)
-	}
+	var writers sync.WaitGroup
 	for pi := 0; pi < parts; pi++ {
 		writers.Add(1)
 		go func(pi int) {
 			defer writers.Done()
 			for i := 0; i < perPart; i++ {
 				if i%2 == 0 {
-					next.del(key(pi, i), pkLoc(pi, int32(i)))
+					ix.del(key(pi, i), pkLoc(pi, int32(i)))
 				} else {
-					next.put(key(pi, i), pkLoc(pi, int32(i)))
+					ix.put(key(pi, i), pkLoc(pi, int32(i)))
 				}
 			}
 		}(pi)
 	}
 	writers.Wait()
-	close(stop)
-	readers.Wait()
 
 	want := map[uint64]uint64{}
 	for pi := 0; pi < parts; pi++ {
@@ -266,7 +218,7 @@ func TestPKIndexConcurrentPartitionWriters(t *testing.T) {
 			want[key(pi, i)] = pkLoc(pi, int32(i))
 		}
 	}
-	checkPKIndex(t, "next version", next, want)
+	checkPKIndex(t, "after the writers", ix, want)
 }
 
 // TestGetByPKMissAndReinsert covers the table-level contract: a key

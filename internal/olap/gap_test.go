@@ -151,6 +151,9 @@ func (st *SchedulerStats) rounds() (barrier, gap, push uint64) {
 func TestGapRoundsUnderPacedLoad(t *testing.T) {
 	f := newGapFixture(t, true)
 	f.ask(t, 4, 12*batchHeartbeat) // two sessions of two tiles each
+	// A round is counted before it syncs, and the last batch's gap round
+	// may be between the two; Close lets it finish.
+	f.sched.Close()
 
 	st := f.sched.Stats()
 	batches := st.Batches.Load()

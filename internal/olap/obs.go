@@ -30,7 +30,7 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.ObserveHistogram("batchdb_olap_batch_latency_ns",
 		"Pure batch execution time (nanoseconds).", &st.BatchExec, labels...)
 	reg.ObserveHistogram("batchdb_olap_apply_ns",
-		"Duration of apply rounds that applied entries, reloaded or did maintenance (nanoseconds; rounds overlap batch execution).", &st.ApplyTime, labels...)
+		"Duration of apply rounds that applied entries, reloaded or did maintenance (nanoseconds; sync and any wait for a batch to unpin included).", &st.ApplyTime, labels...)
 	reg.ObserveCounter("batchdb_olap_apply_rounds_empty_total",
 		"Apply rounds that found nothing to apply, reload or maintain (not in batchdb_olap_apply_ns).", &st.ApplyRoundsEmpty, labels...)
 	for c := range st.ApplyRounds {
@@ -40,10 +40,6 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	}
 	reg.ObserveCounter("batchdb_olap_blocks_reencoded_total",
 		"Blocks whose encoded vectors apply rounds rebuilt.", &st.BlocksReencoded, labels...)
-	reg.ObserveCounter("batchdb_olap_cow_rounds_total",
-		"Apply rounds that found a reader pinned and built the next version on partition clones (the other non-empty rounds wrote in place).", &st.CowRounds, labels...)
-	reg.ObserveCounter("batchdb_olap_cow_bytes_total",
-		"Tuple-storage and slot-metadata bytes the partition clones of copy-on-apply rounds copied.", &st.CowBytes, labels...)
 	reg.ObserveHistogram("batchdb_olap_snapshot_wait_ns",
 		"Dispatcher freshness-barrier wait per batch (nanoseconds).", &st.SnapWait, labels...)
 	reg.ObserveHistogram("batchdb_olap_exec_phase_ns",
@@ -100,14 +96,8 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		"Snapshot VID the replica's stored data reflects.",
 		func() float64 { return float64(r.AppliedVID()) }, labels...)
 	reg.GaugeFunc("batchdb_olap_pinned_snapshots",
-		"Outstanding snapshot pins across all linked versions.",
+		"Outstanding snapshot pins (an apply round waits for 0).",
 		func() float64 { return float64(r.PinnedSnapshots()) }, labels...)
-	reg.GaugeFunc("batchdb_olap_snapshot_chain_len",
-		"Linked snapshot versions (1 = head only; grows while old versions stay pinned).",
-		func() float64 { return float64(r.SnapshotChainLen()) }, labels...)
-	reg.GaugeFunc("batchdb_olap_snapshots_retired_total",
-		"Snapshot versions reclaimed after their last pin dropped.",
-		func() float64 { return float64(r.RetiredSnapshots()) }, labels...)
 }
 
 // RegisterMetrics exposes the scheduler's counters, its replica's queue

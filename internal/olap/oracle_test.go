@@ -69,25 +69,31 @@ func transferArgs(from, to, amt int64) []byte {
 	return b
 }
 
-// The oracle runs twice: with one audit session, which the scheduler
-// never paces, and with three, whose batches form on the heartbeat — so
-// that gap rounds apply most of every batch's updates ahead of its
-// barrier, in several pieces. Either way an audit must equal the serial
-// replay at its snapshot, and its snapshot must cover every commit
-// acknowledged before the audit was submitted.
+// The oracle runs three times: with one audit session, which the
+// scheduler never paces; with three, whose batches form on the heartbeat
+// — so that gap rounds apply most of every batch's updates ahead of its
+// barrier, in several pieces; and with one session and a 2 ms push
+// period, so that pushes land while audits run and their rounds wait for
+// the audit to unpin. Either way an audit must equal the serial replay
+// at its snapshot, and its snapshot must cover every commit acknowledged
+// before the audit was submitted.
 func TestSnapshotIsolationOracle(t *testing.T) {
-	t.Run("lone", func(t *testing.T) { snapshotIsolationOracle(t, 1, 0) })
-	t.Run("paced", func(t *testing.T) { snapshotIsolationOracle(t, 3, 4*time.Millisecond) })
+	t.Run("lone", func(t *testing.T) { snapshotIsolationOracle(t, 1, 0, 5*time.Millisecond) })
+	t.Run("paced", func(t *testing.T) { snapshotIsolationOracle(t, 3, 4*time.Millisecond, 5*time.Millisecond) })
+	t.Run("push", func(t *testing.T) { snapshotIsolationOracle(t, 1, 0, 2*time.Millisecond) })
 }
 
-func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration) {
+// newBank returns an OLTP engine with the seed and transfer procedures
+// over a fresh account table, and a replica it pushes to. Nothing is
+// started.
+func newBank(t *testing.T, pushPeriod time.Duration, capacity int) (*oltp.Engine, *olap.Replica, *storage.Schema) {
 	schema := accountSchema()
 	store := mvcc.NewStore()
 	tbl := store.CreateTable(schema, func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 0))
-	}, 1024)
+	}, capacity)
 
-	engine, err := oltp.New(store, oltp.Config{Workers: 4, PushPeriod: 5 * time.Millisecond})
+	engine, err := oltp.New(store, oltp.Config{Workers: 4, PushPeriod: pushPeriod})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,28 +123,60 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration)
 	rep := olap.NewReplica(4)
 	rep.CreateTable(schema, 256)
 	engine.SetSink(rep)
+	return engine, rep, schema
+}
 
-	// The analytical query: pin the latest installed snapshot, scan its
-	// account table and return the complete balance map it exposes. The
-	// overlap scheduler applies updates concurrently with this scan, so
-	// reading through a pinned view (not the canonical table) is part of
-	// the contract under test; the audit reports the pinned version's
-	// actual VID, which may run ahead of the scheduler's floor.
-	runBatch := func(queries []int, snap uint64) []audit {
+// seedAccounts commits the initial accounts through the transactional
+// path, so the oracle's serial replay covers the whole history from an
+// empty database, and returns their ops.
+func seedAccounts(t *testing.T, engine *oltp.Engine) []op {
+	var ops []op
+	for id := int64(1); id <= oracleAccounts; id++ {
+		r := engine.Exec("seed", transferArgs(id, oracleInitBal, 0))
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		ops = append(ops, op{vid: r.CommitVID, insert: true, from: id, amt: oracleInitBal})
+	}
+	return ops
+}
+
+// auditRun is the analytical query: pin the replica, scan its account
+// table and return the complete balance map it exposes. A push may start
+// an apply round while this scan runs, so reading under a pin — which
+// holds that round off — is part of the contract under test; the audit
+// reports the pinned VID, which may run ahead of the scheduler's floor.
+func auditRun(rep *olap.Replica, schema *storage.Schema) olap.RunBatchFunc[int, audit] {
+	return func(queries []int, snap uint64) []audit {
 		sv := rep.PinSnapshot()
 		defer sv.Unpin()
-		vid := sv.VID()
-		if vid < snap {
-			vid = snap
-		}
-		bals := scanBalances(schema, sv)
+		a := audit{snap: max(sv.VID(), snap), bals: scanBalances(schema, sv)}
 		out := make([]audit, len(queries))
 		for i := range out {
-			out[i] = audit{snap: vid, bals: bals}
+			out[i] = a
 		}
 		return out
 	}
-	sched := olap.NewScheduler(rep, engine, runBatch)
+}
+
+// checkReplay fails unless bals is exactly the serial replay of history
+// at snap.
+func checkReplay(t *testing.T, history []op, snap uint64, bals map[int64]int64) {
+	t.Helper()
+	want := replaySerial(history, snap)
+	if len(bals) != len(want) {
+		t.Fatalf("snapshot %d: audit saw %d accounts, serial replay has %d", snap, len(bals), len(want))
+	}
+	for id, bal := range bals {
+		if wb, ok := want[id]; !ok || wb != bal {
+			t.Fatalf("snapshot %d: account %d = %d, serial replay says %d", snap, id, bal, want[id])
+		}
+	}
+}
+
+func snapshotIsolationOracle(t *testing.T, sessions int, txnPause, pushPeriod time.Duration) {
+	engine, rep, schema := newBank(t, pushPeriod, 1024)
+	sched := olap.NewScheduler(rep, engine, auditRun(rep, schema))
 
 	engine.Start()
 	defer engine.Close()
@@ -146,18 +184,8 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration)
 	defer sched.Close()
 
 	var logMu sync.Mutex
-	var committed []op
 	var acked atomic.Uint64 // highest commit VID a client has been told of
-
-	// Seed through the transactional path so the oracle's serial replay
-	// covers the whole history from an empty database.
-	for id := int64(1); id <= oracleAccounts; id++ {
-		r := engine.Exec("seed", transferArgs(id, oracleInitBal, 0))
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		committed = append(committed, op{vid: r.CommitVID, insert: true, from: id, amt: oracleInitBal})
-	}
+	committed := seedAccounts(t, engine)
 
 	const (
 		writers        = 4
@@ -204,8 +232,8 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration)
 		}(int64(w + 1))
 	}
 
-	// Concurrent audits: each exercises a fresh snapshot install while
-	// transfers race with the apply windows.
+	// Concurrent audits: each reads the version the last apply round left
+	// while transfers race with the apply windows.
 	var auditMu sync.Mutex
 	var audits []audit
 	stopAudits := make(chan struct{})
@@ -243,6 +271,9 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration)
 	if gap := sched.Stats().ApplyRounds[olap.CauseGap].Load(); (sessions > 1) != (gap > 0) {
 		t.Fatalf("%d audit sessions, %d gap rounds: gap rounds run exactly when batches are paced", sessions, gap)
 	}
+	if push := sched.Stats().ApplyRounds[olap.CausePush].Load(); pushPeriod <= auditInterval && push == 0 {
+		t.Fatalf("push period %v, no push-kicked round: the case is vacuous", pushPeriod)
+	}
 	select {
 	case err := <-errCh:
 		t.Fatal(err)
@@ -271,17 +302,9 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause time.Duration)
 	distinct := map[uint64]bool{}
 	for _, a := range audits {
 		distinct[a.snap] = true
-		want := replaySerial(history, a.snap)
-		if len(a.bals) != len(want) {
-			t.Fatalf("snapshot %d: audit saw %d accounts, serial replay has %d",
-				a.snap, len(a.bals), len(want))
-		}
+		checkReplay(t, history, a.snap, a.bals)
 		var total int64
-		for id, bal := range a.bals {
-			if wb, ok := want[id]; !ok || wb != bal {
-				t.Fatalf("snapshot %d: account %d = %d, serial replay says %d",
-					a.snap, id, bal, want[id])
-			}
+		for _, bal := range a.bals {
 			total += bal
 		}
 		if len(a.bals) == oracleAccounts && total != oracleAccounts*oracleInitBal {
@@ -310,81 +333,58 @@ func scanBalances(schema *storage.Schema, sv *olap.Snapshot) map[int64]int64 {
 	return bals
 }
 
-// TestConcurrentPinnedSnapshots holds several snapshot pins at distinct
-// VIDs across many concurrent apply rounds, then checks each pinned
-// version still replays exactly the committed prefix at its VID — i.e.
-// installed versions are immutable no matter how much the head advances
-// — and that the version chain grows while old versions are pinned and
-// collapses back to the head alone once the last pin drops.
+// TestConcurrentPinnedSnapshots lands push-kicked apply rounds on batches
+// that hold their pin. Each batch scans, waits until the primary has
+// pushed past its VID and a push round has started, gives that round time
+// to apply, and scans again. The round must wait for the Unpin: the
+// replica's VID does not move under the pin, and both scans equal the
+// serial replay of the committed prefix at the pinned VID. It must apply
+// once the batch unpins — with one session there are no gap rounds, and
+// no query follows to start a barrier round, so only a push round can —
+// and leave no pin behind.
 func TestConcurrentPinnedSnapshots(t *testing.T) {
-	schema := accountSchema()
-	store := mvcc.NewStore()
-	tbl := store.CreateTable(schema, func(tup []byte) uint64 {
-		return uint64(schema.GetInt64(tup, 0))
-	}, 1024)
-
-	engine, err := oltp.New(store, oltp.Config{Workers: 4, PushPeriod: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	engine, rep, schema := newBank(t, 2*time.Millisecond, 1024)
+	type hold struct {
+		vid           uint64
+		first, second map[int64]int64
 	}
-	engine.Register("seed", func(tx *mvcc.Txn, args []byte) ([]byte, error) {
-		id := int64(binary.LittleEndian.Uint64(args))
-		bal := int64(binary.LittleEndian.Uint64(args[8:]))
-		tup := schema.NewTuple()
-		schema.PutInt64(tup, 0, id)
-		schema.PutInt64(tup, 1, bal)
-		_, err := tx.Insert(tbl, tup)
-		return nil, err
-	})
-	engine.Register("transfer", func(tx *mvcc.Txn, args []byte) ([]byte, error) {
-		from := int64(binary.LittleEndian.Uint64(args))
-		to := int64(binary.LittleEndian.Uint64(args[8:]))
-		amt := int64(binary.LittleEndian.Uint64(args[16:]))
-		if err := tx.Update(tbl, uint64(from), []int{1}, func(tup []byte) {
-			schema.PutInt64(tup, 1, schema.GetInt64(tup, 1)-amt)
-		}); err != nil {
-			return nil, err
-		}
-		return nil, tx.Update(tbl, uint64(to), []int{1}, func(tup []byte) {
-			schema.PutInt64(tup, 1, schema.GetInt64(tup, 1)+amt)
-		})
-	})
-
-	rep := olap.NewReplica(4)
-	rep.CreateTable(schema, 256)
-	engine.SetSink(rep)
-
-	runBatch := func(queries []int, snap uint64) []audit {
+	var holds []hold
+	var sched *olap.Scheduler[int, int]
+	runBatch := func(queries []int, _ uint64) []int {
 		sv := rep.PinSnapshot()
 		defer sv.Unpin()
-		out := make([]audit, len(queries))
-		for i := range out {
-			out[i] = audit{snap: sv.VID(), bals: scanBalances(schema, sv)}
+		h := hold{vid: sv.VID(), first: scanBalances(schema, sv)}
+		pushRounds := sched.Stats().ApplyRounds[olap.CausePush].Load()
+		for deadline := time.Now().Add(5 * time.Second); rep.Covered() <= h.vid ||
+			sched.Stats().ApplyRounds[olap.CausePush].Load() == pushRounds; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("pinned at VID %d: no push round started within 5 s", h.vid)
+				break
+			}
 		}
-		return out
+		time.Sleep(20 * time.Millisecond) // long enough for a round that did not wait to apply
+		if got := rep.AppliedVID(); got != h.vid {
+			t.Errorf("a push round applied up to VID %d under a pin at VID %d", got, h.vid)
+		}
+		if n := rep.PinnedSnapshots(); n != 1 {
+			t.Errorf("PinnedSnapshots = %d under one pin", n)
+		}
+		h.second = scanBalances(schema, sv)
+		holds = append(holds, h)
+		return make([]int, len(queries))
 	}
-	sched := olap.NewScheduler(rep, engine, runBatch)
-
+	sched = olap.NewScheduler(rep, engine, runBatch)
 	engine.Start()
 	defer engine.Close()
 	sched.Start()
 	defer sched.Close()
 
 	var logMu sync.Mutex
-	var committed []op
-	for id := int64(1); id <= oracleAccounts; id++ {
-		r := engine.Exec("seed", transferArgs(id, oracleInitBal, 0))
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		committed = append(committed, op{vid: r.CommitVID, insert: true, from: id, amt: oracleInitBal})
-	}
-
-	// Background writers keep apply rounds racing the pinned readers for
-	// the whole test.
+	committed := seedAccounts(t, engine)
+	// Background writers keep the primary pushing for the whole test.
 	const writers = 2
 	var wg sync.WaitGroup
-	stopWriters := make(chan struct{})
+	stop := make(chan struct{})
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -393,7 +393,7 @@ func TestConcurrentPinnedSnapshots(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
-				case <-stopWriters:
+				case <-stop:
 					return
 				default:
 				}
@@ -418,28 +418,21 @@ func TestConcurrentPinnedSnapshots(t *testing.T) {
 		}(int64(w + 1))
 	}
 
-	// Take several pins at strictly increasing VIDs, each separated by a
-	// scheduler round that forces fresh transfers to be applied. All pins
-	// stay held while later rounds install newer versions on top.
-	const npins = 4
-	pins := make([]*olap.Snapshot, 0, npins)
-	maxChain := 0
-	for len(pins) < npins {
+	for i := 0; i < 3; i++ {
 		if _, err := sched.Query(0); err != nil {
 			t.Fatal(err)
 		}
-		sv := rep.PinSnapshot()
-		if n := len(pins); n > 0 && sv.VID() <= pins[n-1].VID() {
-			sv.Unpin() // no new commits applied since the last pin; retry
-			time.Sleep(time.Millisecond)
-			continue
+		if n := rep.PinnedSnapshots(); n != 0 {
+			t.Fatalf("PinnedSnapshots = %d after the batch", n)
 		}
-		pins = append(pins, sv)
-		if cl := rep.SnapshotChainLen(); cl > maxChain {
-			maxChain = cl
+		vid := holds[len(holds)-1].vid
+		for deadline := time.Now().Add(5 * time.Second); rep.AppliedVID() <= vid; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the push round waiting on the pin at VID %d never applied after the Unpin", vid)
+			}
 		}
 	}
-	close(stopWriters)
+	close(stop)
 	wg.Wait()
 	select {
 	case err := <-errCh:
@@ -447,55 +440,13 @@ func TestConcurrentPinnedSnapshots(t *testing.T) {
 	default:
 	}
 
-	// Force one more round so the head moves past every pin.
-	if _, err := sched.Query(0); err != nil {
-		t.Fatal(err)
-	}
-	if cl := rep.SnapshotChainLen(); cl > maxChain {
-		maxChain = cl
-	}
-	if maxChain < 2 {
-		t.Fatalf("chain never grew past the head (max %d) with %d pins in flight", maxChain, npins)
-	}
-	if got := rep.PinnedSnapshots(); got < npins {
-		t.Fatalf("PinnedSnapshots = %d, want >= %d", got, npins)
-	}
-
 	logMu.Lock()
 	history := append([]op(nil), committed...)
 	logMu.Unlock()
 	sortOps(history)
-
-	// Every pinned version must still equal the serial replay of its
-	// committed prefix — scanned *after* all the later versions were
-	// built and installed over it.
-	for _, sv := range pins {
-		want := replaySerial(history, sv.VID())
-		got := scanBalances(schema, sv)
-		if len(got) != len(want) {
-			t.Fatalf("pinned snapshot %d: saw %d accounts, serial replay has %d",
-				sv.VID(), len(got), len(want))
-		}
-		for id, bal := range got {
-			if wb, ok := want[id]; !ok || wb != bal {
-				t.Fatalf("pinned snapshot %d: account %d = %d, serial replay says %d",
-					sv.VID(), id, bal, want[id])
-			}
-		}
-	}
-
-	// Dropping the pins lets the reclaimer retire every old version; the
-	// chain collapses to the head alone.
-	retiredBefore := rep.RetiredSnapshots()
-	for _, sv := range pins {
-		sv.Unpin()
-	}
-	sched.Close()
-	if cl := rep.SnapshotChainLen(); cl != 1 {
-		t.Fatalf("chain length %d after unpinning all, want 1", cl)
-	}
-	if rep.RetiredSnapshots() <= retiredBefore {
-		t.Fatalf("no versions retired after unpinning %d old pins", npins)
+	for _, h := range holds {
+		checkReplay(t, history, h.vid, h.first)
+		checkReplay(t, history, h.vid, h.second)
 	}
 }
 
@@ -537,58 +488,9 @@ func TestSnapshotIsolationOracleWithIngest(t *testing.T) {
 		ingestBase  = int64(10_000) // first bulk account id, far above the seeded range
 		transferers = 3
 	)
-	schema := accountSchema()
-	store := mvcc.NewStore()
-	tbl := store.CreateTable(schema, func(tup []byte) uint64 {
-		return uint64(schema.GetInt64(tup, 0))
-	}, 4096)
-
-	engine, err := oltp.New(store, oltp.Config{Workers: 4, PushPeriod: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.Register("seed", func(tx *mvcc.Txn, args []byte) ([]byte, error) {
-		id := int64(binary.LittleEndian.Uint64(args))
-		bal := int64(binary.LittleEndian.Uint64(args[8:]))
-		tup := schema.NewTuple()
-		schema.PutInt64(tup, 0, id)
-		schema.PutInt64(tup, 1, bal)
-		_, err := tx.Insert(tbl, tup)
-		return nil, err
-	})
-	engine.Register("transfer", func(tx *mvcc.Txn, args []byte) ([]byte, error) {
-		from := int64(binary.LittleEndian.Uint64(args))
-		to := int64(binary.LittleEndian.Uint64(args[8:]))
-		amt := int64(binary.LittleEndian.Uint64(args[16:]))
-		if err := tx.Update(tbl, uint64(from), []int{1}, func(tup []byte) {
-			schema.PutInt64(tup, 1, schema.GetInt64(tup, 1)-amt)
-		}); err != nil {
-			return nil, err
-		}
-		return nil, tx.Update(tbl, uint64(to), []int{1}, func(tup []byte) {
-			schema.PutInt64(tup, 1, schema.GetInt64(tup, 1)+amt)
-		})
-	})
+	engine, rep, schema := newBank(t, 5*time.Millisecond, 4096)
 	ingest.RegisterProc(engine)
-
-	rep := olap.NewReplica(4)
-	rep.CreateTable(schema, 256)
-	engine.SetSink(rep)
-	runBatch := func(queries []int, snap uint64) []audit {
-		sv := rep.PinSnapshot()
-		defer sv.Unpin()
-		vid := sv.VID()
-		if vid < snap {
-			vid = snap
-		}
-		bals := scanBalances(schema, sv)
-		out := make([]audit, len(queries))
-		for i := range out {
-			out[i] = audit{snap: vid, bals: bals}
-		}
-		return out
-	}
-	sched := olap.NewScheduler(rep, engine, runBatch)
+	sched := olap.NewScheduler(rep, engine, auditRun(rep, schema))
 
 	engine.Start()
 	defer engine.Close()
@@ -596,15 +498,7 @@ func TestSnapshotIsolationOracleWithIngest(t *testing.T) {
 	defer sched.Close()
 
 	var logMu sync.Mutex
-	var committed []op
-
-	for id := int64(1); id <= oracleAccounts; id++ {
-		r := engine.Exec("seed", transferArgs(id, oracleInitBal, 0))
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		committed = append(committed, op{vid: r.CommitVID, insert: true, from: id, amt: oracleInitBal})
-	}
+	committed := seedAccounts(t, engine)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, transferers+1)
@@ -716,15 +610,9 @@ func TestSnapshotIsolationOracleWithIngest(t *testing.T) {
 	sortOps(history)
 
 	for _, a := range audits {
-		want := replaySerial(history, a.snap)
-		if len(a.bals) != len(want) {
-			t.Fatalf("snapshot %d: audit saw %d accounts, serial replay has %d", a.snap, len(a.bals), len(want))
-		}
+		checkReplay(t, history, a.snap, a.bals)
 		var total int64
-		for id, bal := range a.bals {
-			if wb, ok := want[id]; !ok || wb != bal {
-				t.Fatalf("snapshot %d: account %d = %d, serial replay says %d", a.snap, id, bal, want[id])
-			}
+		for _, bal := range a.bals {
 			total += bal
 		}
 		// Chunk atomicity, stated directly: each chunk's accounts are

@@ -1,24 +1,16 @@
 // Package olap implements BatchDB's analytical component: the secondary
 // replica of paper §5 and the right half of Fig. 1.
 //
-// The replica keeps a short chain of immutable snapshots (snapshot.go).
-// Readers pin the newest snapshot at batch admission and scan frozen
-// partition structures; every apply round (apply.go) ends by installing
-// a new head with a pointer swap, and old versions are retired once
-// their last reader unpins. There is one write path. Each round decides
-// once, from state the replica observes, how it may write: a round that
-// installs a staged resync reload (which builds fresh structures
-// anyway) or finds zero pins on the chain mutates the canonical
-// structures in place, holding the chain lock so no reader can pin
-// mid-mutation; any other round copies exactly the partitions its delta
-// touches and leaves the pinned versions alone (copy-on-apply). The
-// rule needs no knob because both outcomes are indistinguishable to
-// readers and the in-place one is simply the free case of the other: a
-// copy only ever buys isolation from a reader that exists. Within one
-// version the partition structures below are entirely unsynchronized —
-// each is written by exactly one apply goroutine before its install and
-// never after — so exclusive phases still replace locks, per version
-// rather than globally.
+// The replica keeps one version of its data, and updates are applied
+// to it between batches, as the paper's dispatcher does. A batch pins
+// the replica at admission (snapshot.go) and scans the canonical
+// partitions; every apply round (apply.go) — whether a batch waits on
+// it, it runs after a batch, or a push started it — waits until no pin
+// is held and mutates those partitions in place, and a pin that arrives
+// meanwhile waits for the round. So the partition structures below are
+// entirely unsynchronized: an apply round and a reader never overlap,
+// and within a round each partition is written by exactly one apply
+// goroutine. Exclusive phases replace locks.
 //
 // Data is horizontally soft-partitioned by a hash of the hidden RowID
 // attribute, which both spreads scan work and lets updates be applied to
@@ -39,16 +31,14 @@ import (
 // The paper implements its replica-side hash indexes as
 // cacheline-sized-bucket tables probed without locks [10]. Two indexes
 // exist here and both are that shape (flatIndex, flatindex.go): flat
-// open-addressed arrays of 16-byte entries, read without a lock and
-// cloned copy-on-write by memcpy. The RowID index below is touched only
-// by apply step 3 — the hash join of a round's updates against the
-// replica — one goroutine per partition. The primary-key index that
-// query probes go through (Table.pkIdx) stores locators that name a
-// (partition, slot) of this structure directly. That works because a
-// slot never moves once assigned — deletes tombstone, inserts reuse a
-// free slot or append, nothing compacts — and because a partition, like
-// the index, belongs to one table version that no writer touches while a
-// reader holds it.
+// open-addressed arrays of 16-byte entries, read without a lock. The
+// RowID index below is touched only by apply step 3 — the hash join of a
+// round's updates against the replica — one goroutine per partition. The
+// primary-key index that query probes go through (Table.pkIdx) stores
+// locators that name a (partition, slot) of this structure directly.
+// That works because a slot never moves once assigned — deletes
+// tombstone, inserts reuse a free slot or append, nothing compacts — and
+// because no writer touches a partition while a reader holds a pin.
 type Partition struct {
 	schema    *storage.Schema
 	tupleSize int
@@ -86,37 +76,6 @@ func NewPartition(schema *storage.Schema, capacityHint int) *Partition {
 		rowIDs:    make([]uint64, 0, capacityHint),
 		index:     newFlatIndex(capacityHint),
 	}
-}
-
-// cloneForWrite returns a private copy of the partition that the next
-// version's apply round may mutate while readers keep scanning the
-// receiver. Tuple storage and slot metadata are copied (capacity
-// preserved, so the clone appends without an immediate regrow); the
-// RowID index, zone-map synopses and encoded vectors clone
-// copy-on-write or by value as their aliasing hazards require. The
-// receiver must not be mutated afterwards. copied is the bytes of tuple
-// storage and slot metadata the clone duplicated up front; the per-block
-// synopsis and vector tables are small beside them, and index shards are
-// copied later, each on the first write to it.
-func (p *Partition) cloneForWrite() (c *Partition, copied int64) {
-	c = &Partition{
-		schema:    p.schema,
-		tupleSize: p.tupleSize,
-		data:      append(make([]byte, 0, cap(p.data)), p.data...),
-		rowIDs:    append(make([]uint64, 0, cap(p.rowIDs)), p.rowIDs...),
-		index:     p.index.clone(),
-		live:      p.live,
-	}
-	if len(p.free) > 0 {
-		c.free = append(make([]int32, 0, cap(p.free)), p.free...)
-	}
-	if p.zm != nil {
-		c.zm = p.zm.clone()
-	}
-	if p.enc != nil {
-		c.enc = p.enc.clone()
-	}
-	return c, int64(len(c.data) + 8*len(c.rowIDs) + 4*len(c.free))
 }
 
 // Insert places a tuple under rowID, reusing a free slot if possible

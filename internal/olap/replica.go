@@ -37,10 +37,8 @@ type Table struct {
 	// which runs during query batches — and drained into actual
 	// activation at the start of the next apply window. It survives
 	// resync reloads, so rebuilt partitions re-activate the same
-	// columns. A pointer so snapshot views (snapshot.go) share the one
-	// request mask with the canonical table: predicates compiled against
-	// a pinned view still reach the next apply round.
-	wantedSyn *atomic.Uint64
+	// columns.
+	wantedSyn atomic.Uint64
 
 	// version counts data-changing events (loads and applied update
 	// rounds). The shared-execution engine uses it to cache join build
@@ -56,8 +54,8 @@ type Table struct {
 	pkFn  func(tup []byte) uint64
 	pkIdx *flatIndex
 
-	// scratch holds the table's reusable apply buffers (see applyScratch);
-	// owned by the single goroutine applying this table each round.
+	// scratch holds the table's reusable apply buffers (see applyScratch),
+	// used only by the goroutine applying this table in a round.
 	scratch applyScratch
 }
 
@@ -81,7 +79,7 @@ func (t *Table) HasPKIndex() bool { return t.pkIdx != nil }
 // GetByPK resolves a primary key to the live tuple bytes (aliasing
 // partition storage): one probe of the PK index, then a slice of the
 // located partition's tuple array. It takes no lock — see flatIndex for
-// why a reader of a table version never meets a writer of it.
+// why a reader never meets a writer.
 func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
 	part, slot, ok := t.FindPK(pk)
 	if !ok {
@@ -102,7 +100,7 @@ func (t *Table) FindPK(pk uint64) (part int, slot int32, ok bool) {
 
 // insert places a tuple in the partition its RowID routes to and
 // indexes its primary key there (load and resync reload; apply rounds
-// go through applyToPartition, which may write a cloned index).
+// go through applyToPartition).
 func (t *Table) insert(rowID uint64, tup []byte) error {
 	pi := t.partitionOf(rowID)
 	return insertIndexed(t.Partitions[pi], pi, rowID, tup, t.pkIdx, t.pkFn)
@@ -168,20 +166,16 @@ type Replica struct {
 	// compress mirrors zmBlock for the encoded-vector layer.
 	compress bool
 
-	// Snapshot chain state (snapshot.go). snapMu guards the chain links,
-	// pin counts and head installation; it may take r.mu inside (for the
-	// applied VID and the canonical install), never the reverse.
+	// snapMu guards the reader pins and the running round's flag
+	// (snapshot.go); snapCond signals either dropping. snapMu may take r.mu
+	// inside, never the reverse.
 	snapMu   sync.Mutex
-	snapHead *Snapshot // newest installed version
-	snapTail *Snapshot // oldest still-linked version
-	chainLen int
-	retired  uint64
+	snapCond *sync.Cond
+	pins     int
+	applying bool
 
-	// wiringDirty marks the head stale after canonical mutation outside
-	// an apply round's install; onPush is the scheduler's apply-round
-	// kick.
-	wiringDirty atomic.Bool
-	onPush      func()
+	// onPush is the scheduler's apply-round kick.
+	onPush func()
 }
 
 // NewReplica creates a replica whose tables are split into parts
@@ -190,11 +184,13 @@ func NewReplica(parts int) *Replica {
 	if parts <= 0 {
 		parts = 1
 	}
-	return &Replica{
+	r := &Replica{
 		tables:       make(map[storage.TableID]*Table),
 		parts:        parts,
 		applyWorkers: runtime.NumCPU(),
 	}
+	r.snapCond = sync.NewCond(&r.snapMu)
+	return r
 }
 
 // SetApplyWorkers bounds the update-application parallelism (the OLAP
@@ -209,8 +205,7 @@ func (r *Replica) SetApplyWorkers(n int) {
 
 // CreateTable registers a replicated relation. All DDL must precede use.
 func (r *Replica) CreateTable(schema *storage.Schema, capacityHint int) *Table {
-	t := &Table{Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock, compress: r.compress,
-		wantedSyn: new(atomic.Uint64)}
+	t := &Table{Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock, compress: r.compress}
 	for i := 0; i < r.parts; i++ {
 		p := NewPartition(schema, t.capHint)
 		if t.zmBlock > 0 {
@@ -223,7 +218,6 @@ func (r *Replica) CreateTable(schema *storage.Schema, capacityHint int) *Table {
 	}
 	r.tables[schema.ID] = t
 	r.order = append(r.order, t)
-	r.markWiringDirty()
 	return t
 }
 
@@ -247,7 +241,6 @@ func (r *Replica) EnableZoneMaps(blockTuples int) {
 			p.EnableZoneMap(blockTuples)
 		}
 	}
-	r.markWiringDirty()
 }
 
 // EnableCompression attaches per-block encoded column vectors
@@ -266,7 +259,6 @@ func (r *Replica) EnableCompression() {
 			p.EnableCompression()
 		}
 	}
-	r.markWiringDirty()
 }
 
 // RequestSynopses records interest in the synopsis columns the given
@@ -346,11 +338,7 @@ func (r *Replica) LoadTuple(id storage.TableID, rowID uint64, tuple []byte) erro
 		return fmt.Errorf("olap: load into unknown table %d", id)
 	}
 	t.version++
-	if err := t.insert(rowID, tuple); err != nil {
-		return err
-	}
-	r.markWiringDirty()
-	return nil
+	return t.insert(rowID, tuple)
 }
 
 // ApplyUpdates implements the primary's update sink: pushed batches are
@@ -421,7 +409,6 @@ func (r *Replica) SetFloor(v uint64) {
 	}
 	if v > r.applied {
 		r.applied = v
-		r.wiringDirty.Store(true)
 	}
 	r.mu.Unlock()
 }
@@ -429,9 +416,10 @@ func (r *Replica) SetFloor(v uint64) {
 // Reload is a staged replacement snapshot for every table of the
 // replica, used to resync after a dropped replication connection: the
 // re-bootstrap accumulates rows here while queries keep running against
-// the old (stale but consistent) data, and the next ApplyPending installs
-// it atomically — as a new snapshot head; readers pinned to the old data
-// finish on it — and raises the VID floor to the snapshot's VID.
+// the old (stale but consistent) data, and the next ApplyPending — which,
+// like every round, starts only once no reader is pinned — replaces the
+// tables' contents with it and raises the VID floor to the snapshot's
+// VID.
 type Reload struct {
 	r    *Replica
 	rows map[storage.TableID][]reloadRow
@@ -525,12 +513,11 @@ func (r *Replica) InstallReload(rl *Reload, snapVID uint64) {
 	}
 }
 
-// applyReload replaces every table's contents with the staged snapshot,
-// building fresh partitions and a fresh PK index rather than touching
-// the old ones, so readers pinned to them are undisturbed; the caller
-// (ApplyPending) holds snapMu so no pin observes a half-replaced table
-// set. Tables absent from the snapshot become empty — the primary
-// shipped no rows for them.
+// applyReload replaces every table's contents with the staged snapshot:
+// fresh partitions and a fresh PK index, sized like the originals. It
+// runs inside an apply round, which no reader overlaps, so none observes
+// a half-replaced table set. Tables absent from the snapshot
+// become empty — the primary shipped no rows for them.
 func (r *Replica) applyReload(rl *Reload) error {
 	for _, t := range r.order {
 		parts := make([]*Partition, len(t.Partitions))

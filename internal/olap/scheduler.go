@@ -31,9 +31,9 @@ func (s StaticPrimary) SyncUpdates() uint64 { return uint64(s) }
 // single read-only transaction and returns one result per query, in
 // order. snap is the floor VID the batch is guaranteed to see: every
 // update committed before the batch formed is applied at or below it.
-// The next version may be built and installed while the function runs,
-// so implementations must read through a pinned snapshot
-// (Replica.PinSnapshot) rather than the canonical tables.
+// A push from the primary may start an apply round while the function
+// runs, so implementations must read under a pin
+// (Replica.PinSnapshot), which holds that round off until they unpin.
 type RunBatchFunc[Q, R any] func(queries []Q, snap uint64) []R
 
 // SchedulerStats exposes the OLAP dispatcher's counters.
@@ -46,23 +46,19 @@ type SchedulerStats struct {
 	Latency metrics.Histogram
 	// BatchExec measures pure batch execution time.
 	BatchExec metrics.Histogram
-	// ApplyTime accumulates time spent applying updates per round
-	// (rounds run concurrently with batch execution): one sample for
-	// every round that applied entries, installed a reload or did
-	// maintenance. ApplyRoundsEmpty counts the rounds that found none of
-	// the three — the freshness barrier of a quiet primary runs one —
-	// which would otherwise dilute the histogram's mean.
+	// ApplyTime accumulates time spent applying updates per round (a
+	// round's clock includes its sync and any wait for a batch to unpin):
+	// one sample for every round that applied entries, installed a reload
+	// or did maintenance. ApplyRoundsEmpty counts the rounds that found
+	// none of the three — the freshness barrier of a quiet primary runs
+	// one — which would otherwise dilute the histogram's mean.
 	ApplyTime        metrics.Histogram
 	ApplyRoundsEmpty metrics.Counter
 	// ApplyRounds counts every round by what started it (roundCause).
 	// BlocksReencoded counts the blocks whose encoded vectors rounds
-	// rebuilt. CowRounds counts the rounds that found a reader pinned and
-	// built the next version on partition clones, CowBytes what those
-	// clones copied; every other non-empty round wrote in place.
+	// rebuilt.
 	ApplyRounds     [numRoundCauses]metrics.Counter
 	BlocksReencoded metrics.Counter
-	CowRounds       metrics.Counter
-	CowBytes        metrics.Counter
 	// SnapWait measures the dispatcher's freshness barrier: how long a
 	// formed batch waits for an apply round covering its formation time
 	// before it pins a snapshot and executes — the only apply-induced
@@ -133,17 +129,14 @@ type SchedulerStats struct {
 // updates up to that version, and (4) executes the whole batch as one
 // read-only transaction on that single snapshot.
 //
-// Steps (2)-(3) run in a dedicated apply loop that overlaps with step
-// (4): while batch N executes on its pinned version, the apply loop —
-// kicked by every update push from the primary, by every formed batch
-// and, on the heartbeat, by every batch that ends (gap rounds, see
-// closeBatch) — builds and installs the version batch N+1 will read. The
-// dispatcher only stalls on the freshness barrier (SnapWait) needed to
-// keep the paper's guarantee that a batch observes everything committed
-// before it formed. There is no strict-alternation mode to select: a
-// round that finds no reader pinned (every freshness-barrier round of an
-// idle dispatcher) mutates in place, one that overlaps a running batch
-// copies what it touches — Replica.ApplyPending decides per round.
+// Steps (2)-(3) run in a dedicated apply loop, kicked by every update
+// push from the primary, by every formed batch and, on the heartbeat, by
+// every batch that ends (gap rounds, see closeBatch). Every round applies
+// in place between batches: the replica has one version, and a round
+// waits until the running batch has unpinned it (Replica.ApplyPending).
+// The dispatcher only stalls on the freshness barrier (SnapWait) needed
+// to keep the paper's guarantee that a batch observes everything
+// committed before it formed.
 //
 // While queries arrive concurrently, batches form on a heartbeat
 // (batchHeartbeat) rather than back to back; see dispatchLoop.
@@ -179,8 +172,8 @@ type Scheduler[Q, R any] struct {
 	applyKick chan struct{}
 	// roundMu/roundCond guard the apply-round counters behind the
 	// dispatcher's freshness barrier: roundStart increments when a round
-	// begins (before its SyncUpdates), roundEnd when its version is
-	// installed. A batch formed at time T waits for roundEnd to reach
+	// begins (before its SyncUpdates), roundEnd when it has applied. A
+	// batch formed at time T waits for roundEnd to reach
 	// roundStart(T)+1 — the next round to *begin* after T necessarily
 	// syncs a watermark covering every commit before T, so the batch
 	// sees all updates committed before it formed (the paper's batch
@@ -412,9 +405,8 @@ func (s *Scheduler[Q, R]) loop() {
 }
 
 // applyLoop is the update side: each kick starts one round — sync the
-// primary's watermark, apply the propagated updates, install the result
-// as the snapshot head — while the dispatcher keeps executing batches
-// pinned to the previous version.
+// primary's watermark, then apply the propagated updates once no batch
+// is pinned.
 //
 // Stale encoded blocks are rebuilt once between two paced batches, by the
 // first round to start after the one that ended — the gap's first, which
@@ -506,10 +498,6 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 			s.stats.ApplyRoundsEmpty.Inc()
 		}
 		s.stats.BlocksReencoded.Add(uint64(st.reencoded))
-		if st.cowBytes > 0 {
-			s.stats.CowRounds.Inc()
-			s.stats.CowBytes.Add(uint64(st.cowBytes))
-		}
 		s.applyMu.Lock()
 		s.lastApply = st
 		s.applyMu.Unlock()
@@ -589,7 +577,7 @@ func (s *Scheduler[Q, R]) closeBatch(paced bool, beatAt time.Time) {
 // dispatchLoop is the execution side: it forms batches — on the
 // heartbeat while queries arrive concurrently — waits on the freshness
 // barrier instead of applying updates itself, and executes each batch
-// against the latest installed version.
+// against the replica as the last round left it.
 func (s *Scheduler[Q, R]) dispatchLoop() {
 	reqs := make([]schedReq[Q, R], 0, 256)
 	var carry []schedReq[Q, R]
@@ -691,9 +679,9 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 		s.stats.SnapWait.RecordSince(t0)
 		snap := s.replica.AppliedVID()
 
-		// Execute the whole batch as one read-only transaction pinned to
-		// the latest installed version (the run function pins it; the
-		// apply loop may already be building the next one).
+		// Execute the whole batch as one read-only transaction on the
+		// replica pinned at one VID (the run function pins it; a round
+		// the apply loop starts meanwhile waits for the unpin).
 		queries := make([]Q, len(reqs))
 		for i := range reqs {
 			queries[i] = reqs[i].q

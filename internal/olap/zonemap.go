@@ -202,21 +202,6 @@ func (p *Partition) ActivateSynopsisCols(wanted uint64) {
 // ZoneMapped reports whether the partition carries block synopses.
 func (p *Partition) ZoneMapped() bool { return p.zm != nil }
 
-// clone returns a private copy for the next version's apply round. The
-// per-block state (syn, live, dirtyCols) is deep-copied; the immutable
-// layout caches (cols, colPos, offs, ends, types) are shared. actCols
-// is deep-copied because ActivateSynopsisCols rebuilds it in place via
-// actCols[:0] — aliasing it would mutate the frozen parent's slice.
-func (z *zoneMap) clone() *zoneMap {
-	c := *z
-	c.syn = append([]colSyn(nil), z.syn...)
-	c.live = append([]int32(nil), z.live...)
-	c.dirtyCols = append([]uint64(nil), z.dirtyCols...)
-	c.actCols = append([]actCol(nil), z.actCols...)
-	c.scratch = nil
-	return &c
-}
-
 // grow extends the block arrays to cover nslots slots.
 func (z *zoneMap) grow(nslots int) {
 	need := (nslots + z.block - 1) >> z.shift

@@ -168,8 +168,14 @@ func (b *Buffer) Take() Batch {
 
 // --- wire encoding ----------------------------------------------------
 
-// ErrTruncated reports a batch that ends mid-record.
-var ErrTruncated = errors.New("proplog: truncated batch")
+var (
+	// ErrTruncated reports a batch that ends mid-record.
+	ErrTruncated = errors.New("proplog: truncated batch")
+	// ErrMalformed reports a batch AppendEncode cannot have produced: an
+	// unknown kind, a delete that carries data, or bytes after the last
+	// entry.
+	ErrMalformed = errors.New("proplog: malformed batch")
+)
 
 // AppendEncode serializes the batch onto dst and returns the result.
 // The format is length-delimited and position-independent so batches can
@@ -199,7 +205,8 @@ func AppendEncode(dst []byte, b *Batch) []byte {
 // pass over the framing — and nothing in it aliases buf, so a receiver
 // can hand its receive buffer back as soon as Decode returns. Counts in
 // buf are not trusted: nothing is allocated before the framing has been
-// walked to its end.
+// walked to its end. buf must be exactly one batch; whatever Decode
+// accepts, AppendEncode turns back into the same bytes.
 func Decode(buf []byte) (Batch, error) {
 	var b Batch
 	if len(buf) < 8 {
@@ -223,7 +230,11 @@ func Decode(buf []byte) (Batch, error) {
 			if len(buf)-pos < 25 {
 				return b, ErrTruncated
 			}
+			kind := Kind(buf[pos+8])
 			size := int(binary.LittleEndian.Uint32(buf[pos+21:]))
+			if kind > Delete || (kind == Delete && size != 0) {
+				return b, ErrMalformed
+			}
 			pos += 25
 			if len(buf)-pos < size {
 				return b, ErrTruncated
@@ -232,6 +243,9 @@ func Decode(buf []byte) (Batch, error) {
 			dataBytes += size
 		}
 		entries += ne
+	}
+	if pos != len(buf) {
+		return b, ErrMalformed
 	}
 
 	b.Tables = make([]TableBatch, nt)

@@ -2,6 +2,7 @@ package proplog
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -78,11 +79,40 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeMalformed feeds Decode the three shapes of a well-framed
+// batch that AppendEncode never produces. Each reached the replica's
+// apply loop as an error, which it treats as divergence and panics on.
+func TestDecodeMalformed(t *testing.T) {
+	encode := func(entries ...Entry) []byte {
+		return AppendEncode(nil, &Batch{Worker: 1, Tables: []TableBatch{{Table: 3, Entries: entries}}})
+	}
+	ins := Entry{VID: 5, Kind: Insert, RowID: 9, Size: 2, Data: []byte{1, 2}}
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want error
+	}{
+		{"kind above Delete", encode(ins, Entry{VID: 6, Kind: Delete + 1, RowID: 9}), ErrMalformed},
+		{"kind 255", encode(Entry{VID: 6, Kind: 255, RowID: 9, Size: 1, Data: []byte{7}}), ErrMalformed},
+		{"delete with data", encode(ins, Entry{VID: 6, Kind: Delete, RowID: 9, Size: 1, Data: []byte{7}}), ErrMalformed},
+		{"one trailing byte", append(encode(ins), 0), ErrMalformed},
+		{"a second batch after the first", append(encode(ins), encode(ins)...), ErrMalformed},
+		{"cut mid-entry", encode(ins)[:20], ErrTruncated},
+	} {
+		if _, err := Decode(tc.buf); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Decode error %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // Property: arbitrary batches survive the wire round trip.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(entries []Entry, tables []uint8, worker uint16) bool {
 		b := NewBuffer(int(worker))
 		for i, e := range entries {
+			if e.Kind %= Delete + 1; e.Kind == Delete {
+				e.Data = nil
+			}
 			e.Size = uint32(len(e.Data))
 			if len(tables) > 0 {
 				b.Add(storage.TableID(2+uint16(tables[i%len(tables)])), e)

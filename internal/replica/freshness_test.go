@@ -38,10 +38,10 @@ func TestFreshnessThroughOutage(t *testing.T) {
 	defer sup.Close()
 
 	// The real scheduler drives the freshness hooks: sync (watermark
-	// observation) then apply (snapshot install).
+	// observation) then apply.
 	run := func(queries []int, snap uint64) []int64 {
-		// Through a pin, as RunBatchFunc requires: the apply loop installs
-		// the next version while a batch runs.
+		// Through a pin, as RunBatchFunc requires: a push-kicked apply
+		// round waits for it to drop.
 		sv := rep.PinSnapshot()
 		defer sv.Unpin()
 		out := make([]int64, len(queries))
