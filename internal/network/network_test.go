@@ -39,16 +39,19 @@ func pair(t *testing.T) (*Conn, *Conn) {
 func TestEagerRoundTrip(t *testing.T) {
 	cli, srv := pair(t)
 	want := []byte("hello batchdb")
-	go func() {
-		if err := cli.Send(7, want); err != nil {
-			t.Errorf("send: %v", err)
-		}
-	}()
+	errCh := make(chan error, 1)
+	go func() { errCh <- cli.Send(7, want) }()
 	mt, got, release, err := srv.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
+	// Send counts the frame after writing it, so the receiver can see the
+	// frame before the sender's counter moves: read the stats only once
+	// Send has returned.
+	if err := <-errCh; err != nil {
+		t.Fatalf("send: %v", err)
+	}
 	if mt != 7 || !bytes.Equal(got, want) {
 		t.Fatalf("got type %d payload %q", mt, got)
 	}
