@@ -214,7 +214,6 @@ func TestServerStatsFromRegistry(t *testing.T) {
 		"batchdb_olap_exec_probe_lookups_total",
 		"batchdb_olap_exec_probe_pred_evals_total",
 		"batchdb_olap_apply_rounds_total{cause=barrier",
-		"batchdb_olap_apply_rounds_total{cause=gap",
 		"batchdb_olap_apply_rounds_total{cause=push",
 		"batchdb_olap_blocks_reencoded_total",
 		"batchdb_olap_pinned_snapshots",
@@ -222,6 +221,9 @@ func TestServerStatsFromRegistry(t *testing.T) {
 		if !strings.Contains(stats, want) {
 			t.Errorf("STATS output missing %s: %q", want, stats)
 		}
+	}
+	if gone := "batchdb_olap_apply_rounds_total{cause=gap"; strings.Contains(stats, gone) {
+		t.Errorf("STATS output still has %s: %q", gone, stats)
 	}
 	if r := roundTrip(t, rw, "QUIT"); r != "BYE" {
 		t.Fatalf("QUIT: %q", r)

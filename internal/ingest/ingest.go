@@ -70,6 +70,9 @@ func DecodeChunk(args []byte) (table storage.TableID, rows [][]byte, grouped boo
 		return 0, nil, false, fmt.Errorf("%w: %d-byte args", ErrBadChunk, len(args))
 	}
 	flags := args[0]
+	if flags&^flagUngrouped != 0 {
+		return 0, nil, false, fmt.Errorf("%w: undefined flags %#02x", ErrBadChunk, flags)
+	}
 	table = storage.TableID(binary.LittleEndian.Uint16(args[1:]))
 	n := int(binary.LittleEndian.Uint32(args[3:]))
 	tupSize := int(binary.LittleEndian.Uint32(args[7:]))

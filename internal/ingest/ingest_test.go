@@ -67,9 +67,25 @@ func TestChunkRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range [][]byte{nil, {1, 2, 3}, ingest.EncodeChunk(7, rows, true)[:20]} {
-		if _, _, _, err := ingest.DecodeChunk(bad); !errors.Is(err, ingest.ErrBadChunk) {
-			t.Fatalf("decode(%d bytes): want ErrBadChunk, got %v", len(bad), err)
+	withFlags := func(flags byte) []byte {
+		args := ingest.EncodeChunk(7, rows, true)
+		args[0] = flags
+		return args
+	}
+	for _, tc := range []struct {
+		name string
+		args []byte
+	}{
+		{"nil", nil},
+		{"short header", []byte{1, 2, 3}},
+		{"torn body", ingest.EncodeChunk(7, rows, true)[:20]},
+		{"flag bit 1", withFlags(1 << 1)},
+		{"flag bit 7", withFlags(1 << 7)},
+		{"ungrouped plus bit 3", withFlags(1 | 1<<3)},
+		{"all flags", withFlags(0xff)},
+	} {
+		if _, _, _, err := ingest.DecodeChunk(tc.args); !errors.Is(err, ingest.ErrBadChunk) {
+			t.Fatalf("decode(%s, %d bytes): want ErrBadChunk, got %v", tc.name, len(tc.args), err)
 		}
 	}
 }

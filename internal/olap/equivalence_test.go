@@ -503,7 +503,7 @@ func readerView(r *Replica) (view []string, served, disproved int) {
 
 // TestApplySplitEqualsOneRound pins that cutting a delta into rounds is
 // invisible in the result, which is what lets the scheduler apply a
-// cycle's updates in the gap between two batches a piece at a time: the
+// cycle's updates a piece at a time, in push rounds and a barrier round: the
 // same seeded delta applied as one round, and as two to six rounds at
 // seeded random VID cuts with the re-encode deferred to the last, leaves
 // identical slot storage, RowID and PK indexes, zone-map verdicts and

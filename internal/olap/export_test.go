@@ -7,9 +7,9 @@ func (r *Replica) ApplyPendingDeferred(target uint64, reencode bool) (ApplyStats
 	return r.applyPending(target, reencode)
 }
 
-// CauseGap and CausePush index SchedulerStats.ApplyRounds at the gap
-// rounds and the push-kicked rounds.
+// CauseBarrier and CausePush index SchedulerStats.ApplyRounds at the
+// freshness-barrier rounds and the push-kicked rounds.
 const (
-	CauseGap  = causeGap
-	CausePush = causePush
+	CauseBarrier = causeBarrier
+	CausePush    = causePush
 )

@@ -29,6 +29,16 @@ func (l *batchLog) run(qs []int, _ uint64) []int {
 	return make([]int, len(qs))
 }
 
+// holdNext makes the next batch to start execute until the returned
+// channel is closed.
+func (l *batchLog) holdNext() chan struct{} {
+	hold := make(chan struct{})
+	l.mu.Lock()
+	l.hold = hold
+	l.mu.Unlock()
+	return hold
+}
+
 func (l *batchLog) batches() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -96,6 +106,61 @@ func TestHeartbeatSpacesConcurrentBatches(t *testing.T) {
 	}
 }
 
+// The beat is measured from when a batch formed, not from when it ended:
+// once a batch has run longer than a beat, the next forms as soon as a
+// query is there, and the beat adds no idle time to a busy executor.
+func TestHeartbeatAddsNoIdleAfterLongBatch(t *testing.T) {
+	s, l := newHeartbeatScheduler(t)
+	var wg sync.WaitGroup
+	ask := func(q int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Query(q); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	untilBatches := func(n int) {
+		for l.batches() < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	untilQueued := func(n int) {
+		for s.QueueDepth() < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// A pair queues behind a held first batch and shares the next one,
+	// which turns pacing on; that batch is held for two beats, while a
+	// fourth query queues behind it.
+	first := l.holdNext()
+	ask(0)
+	untilBatches(1)
+	long := l.holdNext()
+	ask(1)
+	ask(2)
+	untilQueued(2)
+	close(first)
+	untilBatches(2)
+	ask(3)
+	untilQueued(1)
+	time.Sleep(2 * batchHeartbeat)
+	released := time.Now()
+	close(long)
+	wg.Wait()
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.sizes) != 3 || l.sizes[1] != 2 {
+		t.Fatalf("batch sizes %v, want [1 2 1]", l.sizes)
+	}
+	if idle := l.starts[2].Sub(released); idle > batchHeartbeat/2 {
+		t.Fatalf("the batch after one that ran two beats started %v after it ended, want at once", idle)
+	}
+}
+
 // A session that asks, waits for the answer and asks again is never held
 // for the beat — neither on a fresh scheduler nor, after heartbeatQuiet
 // single-query batches, on one that concurrent sessions have just left.
@@ -117,10 +182,7 @@ func TestHeartbeatLeavesLoneSessionAlone(t *testing.T) {
 
 	// Two queries that must share a batch: they queue while the
 	// dispatcher is held inside a third one's.
-	hold := make(chan struct{})
-	l.mu.Lock()
-	l.hold = hold
-	l.mu.Unlock()
+	hold := l.holdNext()
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)

@@ -35,7 +35,7 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Apply rounds that found nothing to apply, reload or maintain (not in batchdb_olap_apply_ns).", &st.ApplyRoundsEmpty, labels...)
 	for c := range st.ApplyRounds {
 		reg.ObserveCounter("batchdb_olap_apply_rounds_total",
-			"Apply rounds by what started them: a batch on the freshness barrier, the gap after a paced batch, a push.",
+			"Apply rounds by what started them: a batch on the freshness barrier, or a push.",
 			&st.ApplyRounds[c], with(obs.L("cause", roundCause(c).String()))...)
 	}
 	reg.ObserveCounter("batchdb_olap_blocks_reencoded_total",

@@ -467,11 +467,11 @@ func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 	// the push a forced sync causes kicks the apply loop after the round
 	// that forced it has taken it, and that kick starts nothing. (Before,
 	// it started a round that found nothing: half of all rounds.)
-	f := newGapFixture(t, true)
-	f.ask(t, 4, 10*batchHeartbeat) // two sessions of two tiles each
+	f := newFlushFixture(t)
+	f.ask(t, 4, 20*batchHeartbeat) // two sessions of two tiles each
 	st = f.sched.Stats()
-	barrier, gap, push := st.rounds()
-	if rounds, empty := barrier+gap+push, st.ApplyRoundsEmpty.Load(); rounds < 10 || 20*empty > rounds {
+	barrier, push, other := st.rounds()
+	if rounds, empty := barrier+push+other, st.ApplyRoundsEmpty.Load(); rounds < 10 || 20*empty > rounds {
 		t.Fatalf("%d of %d rounds found nothing to apply, want at most 5%% of at least ten", empty, rounds)
 	}
 }

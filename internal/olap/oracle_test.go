@@ -71,8 +71,7 @@ func transferArgs(from, to, amt int64) []byte {
 
 // The oracle runs three times: with one audit session, which the
 // scheduler never paces; with three, whose batches form on the heartbeat
-// — so that gap rounds apply most of every batch's updates ahead of its
-// barrier, in several pieces; and with one session and a 2 ms push
+// and share one barrier round each; and with one session and a 2 ms push
 // period, so that pushes land while audits run and their rounds wait for
 // the audit to unpin. Either way an audit must equal the serial replay
 // at its snapshot, and its snapshot must cover every commit acknowledged
@@ -268,8 +267,8 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause, pushPeriod ti
 	wg.Wait()
 	close(stopAudits)
 	auditWG.Wait()
-	if gap := sched.Stats().ApplyRounds[olap.CauseGap].Load(); (sessions > 1) != (gap > 0) {
-		t.Fatalf("%d audit sessions, %d gap rounds: gap rounds run exactly when batches are paced", sessions, gap)
+	if barrier, batches := sched.Stats().ApplyRounds[olap.CauseBarrier].Load(), sched.Stats().Batches.Load(); barrier != batches {
+		t.Fatalf("%d barrier rounds for %d batches, want one each", barrier, batches)
 	}
 	if push := sched.Stats().ApplyRounds[olap.CausePush].Load(); pushPeriod <= auditInterval && push == 0 {
 		t.Fatalf("push period %v, no push-kicked round: the case is vacuous", pushPeriod)
@@ -339,8 +338,8 @@ func scanBalances(schema *storage.Schema, sv *olap.Snapshot) map[int64]int64 {
 // to apply, and scans again. The round must wait for the Unpin: the
 // replica's VID does not move under the pin, and both scans equal the
 // serial replay of the committed prefix at the pinned VID. It must apply
-// once the batch unpins — with one session there are no gap rounds, and
-// no query follows to start a barrier round, so only a push round can —
+// once the batch unpins — no query follows to start a barrier round, so
+// only a push round can —
 // and leave no pin behind.
 func TestConcurrentPinnedSnapshots(t *testing.T) {
 	engine, rep, schema := newBank(t, 2*time.Millisecond, 1024)

@@ -130,13 +130,13 @@ type SchedulerStats struct {
 // read-only transaction on that single snapshot.
 //
 // Steps (2)-(3) run in a dedicated apply loop, kicked by every update
-// push from the primary, by every formed batch and, on the heartbeat, by
-// every batch that ends (gap rounds, see closeBatch). Every round applies
+// push from the primary and by every formed batch. Every round applies
 // in place between batches: the replica has one version, and a round
 // waits until the running batch has unpinned it (Replica.ApplyPending).
 // The dispatcher only stalls on the freshness barrier (SnapWait) needed
 // to keep the paper's guarantee that a batch observes everything
-// committed before it formed.
+// committed before it formed; that barrier round is the one round a
+// batch costs the primary a sync for.
 //
 // While queries arrive concurrently, batches form on a heartbeat
 // (batchHeartbeat) rather than back to back; see dispatchLoop.
@@ -183,39 +183,26 @@ type Scheduler[Q, R any] struct {
 	roundStart  uint64
 	roundEnd    uint64
 	applyClosed bool
-	// syncNeeded (guarded by roundMu) is set by the freshness barrier and
-	// by gap rounds and claimed by the next round to start: only that
-	// round pays for a full SyncUpdates round-trip. Push-kicked rounds
+	// waiting (guarded by roundMu) is set by the freshness barrier and
+	// claimed by the next round to start, which is the batch's own: only
+	// that round pays for a full SyncUpdates round-trip. Push-kicked rounds
 	// instead drain to the replica's covered watermark — forcing a primary
 	// flush on every push arrival would re-kick this loop forever (sync →
 	// flush → push → kick) and shred the primary's group-commit batching.
-	syncNeeded bool
-	// The gap state, guarded by roundMu too. waiting: a formed batch is
-	// blocked on the barrier, and the next round to start is its own.
-	// paced: the last batch formed on the heartbeat, so it left a gap;
-	// gapLeft: synced rounds the apply loop may still start in it; beatAt:
-	// when it ends. reencodeDue: no round has started since that batch —
-	// the first to start re-encodes.
-	waiting     bool
-	paced       bool
-	gapLeft     int
-	beatAt      time.Time
-	reencodeDue bool
+	waiting bool
 }
 
 // roundCause is what started an apply round: a formed batch waiting on
-// the freshness barrier, the gap a paced batch left behind it, or a push
-// from the primary.
+// the freshness barrier, or a push from the primary.
 type roundCause int
 
 const (
 	causeBarrier roundCause = iota
-	causeGap
 	causePush
 	numRoundCauses
 )
 
-func (c roundCause) String() string { return [...]string{"barrier", "gap", "push"}[c] }
+func (c roundCause) String() string { return [...]string{"barrier", "push"}[c] }
 
 type schedReq[Q, R any] struct {
 	q       Q
@@ -318,29 +305,29 @@ func (s *Scheduler[Q, R]) Close() {
 // throughput and latency follow every swing of the host: since probes
 // became single array accesses, what is left of a batch is memory
 // latency, and on a shared host that wanders by a fifth from one minute
-// to the next. On a heartbeat the executor runs below saturation, the
-// cycle is set by a clock instead of by the last batch's speed, and the
-// same swings move the answer rate by less than half as much; each beat
-// also gathers every session that asked since the last one into one
-// batch, so the primary is forced to flush, and the replica to run an
-// apply round, once a beat and not once per handful of milliseconds.
-// The price is peak throughput under concurrent load (the executor idles
-// for the rest of a beat it finishes early) and up to one beat of
-// waiting for a query that arrives just after one. 60 ms keeps that wait
-// inside the tenth of a second an interactive user reads as immediate; it
-// is an absolute time on purpose — derived from measured batch times it
-// would follow the host's swings it is there to absorb.
+// to the next. On a heartbeat the cycle is set by a clock instead of by
+// the last batch's speed, and the same swings move the answer rate by
+// less; each beat also gathers every session that asked since the last
+// one into one batch, so the primary is forced to flush, and the replica
+// to run an apply round, once a beat. The price is peak throughput where
+// a batch ends early (the executor idles for the rest of the beat) and up
+// to one beat of waiting for a query that arrives just after one.
+//
+// 20 ms is the shortest beat whose query cells kept a quartile spread of
+// at most 0.02 of their median across seeds (EXPERIMENTS.md "A 20 ms
+// beat": at 60 ms a read-only replica's executor idled three quarters of
+// every cycle; at 10 ms the spread reached 0.07–0.20). At 20 ms a replica
+// beside a busy primary runs effectively back to back — its barrier round
+// and batch fill the beat — and only a read-only replica still idles, for
+// about half of it. The beat is an absolute time on purpose: derived from
+// measured batch times it would follow the host's swings it is there to
+// absorb.
 //
 // A lone session that asks, waits and asks again never waits for the
 // beat: pacing starts with the first batch that carries two queries and
 // stops after heartbeatQuiet single-query batches in a row.
-//
-// The idle rest of a beat is when the replica catches up: two synced
-// apply rounds run in it (closeBatch), the second timed to end at the
-// beat, so that the barrier round of the next batch has only what
-// committed during that one left to apply.
 const (
-	batchHeartbeat = 60 * time.Millisecond
+	batchHeartbeat = 20 * time.Millisecond
 	heartbeatQuiet = 2
 )
 
@@ -405,15 +392,13 @@ func (s *Scheduler[Q, R]) loop() {
 }
 
 // applyLoop is the update side: each kick starts one round — sync the
-// primary's watermark, then apply the propagated updates once no batch
-// is pinned.
+// primary's watermark (the barrier round) or take what pushes have
+// already delivered (a push round), then apply the propagated updates
+// once no batch is pinned.
 //
-// Stale encoded blocks are rebuilt once between two paced batches, by the
-// first round to start after the one that ended — the gap's first, which
-// nobody waits on; the barrier's own only when the executor is saturated
-// and there was no gap. Every other round leaves them flagged, and the
-// scan reads their rows. After a batch that was not paced there is no gap
-// to defer to, so every round re-encodes until the next batch ends.
+// Stale encoded blocks are rebuilt by barrier rounds only: one per batch,
+// just before it pins. Push rounds leave them flagged, and the scan reads
+// their rows.
 func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 	defer close(done)
 	defer func() {
@@ -425,20 +410,6 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		s.roundMu.Unlock()
 	}()
 	var lastSeen uint64
-	// tail fires when the gap's second round is due — if the gap is still
-	// open; if a batch has formed meanwhile it is a kick with nothing
-	// behind it. tailTook is what the last one took, sync included; it
-	// starts at a whole beat, so that the first starts as soon as it is
-	// armed.
-	tail := time.AfterFunc(time.Hour, func() {
-		s.roundMu.Lock()
-		s.syncNeeded = s.syncNeeded || s.gapLeft > 0
-		s.roundMu.Unlock()
-		s.kickApply()
-	})
-	tail.Stop()
-	defer tail.Stop()
-	tailTook := batchHeartbeat
 	for {
 		select {
 		case <-s.closing:
@@ -447,32 +418,21 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		}
 		s.roundMu.Lock()
 		cause := causePush
-		switch {
-		case s.waiting:
+		if s.waiting {
 			cause, s.waiting = causeBarrier, false
-		case s.syncNeeded:
-			cause = causeGap
-		}
-		if cause == causePush && s.replica.caughtUp(lastSeen) {
+		} else if s.replica.caughtUp(lastSeen) {
 			// A kick with nothing behind it: every forced sync's own push
 			// sends one, after the round that forced it has taken the push.
 			s.roundMu.Unlock()
 			continue
 		}
-		reencode := !s.paced || s.reencodeDue
-		s.reencodeDue = false
-		if cause == causeGap {
-			s.gapLeft--
-		}
-		last := cause == causeGap && s.gapLeft == 0 // the gap's timed round
 		s.roundStart++
-		s.syncNeeded = false
 		s.roundMu.Unlock()
 		s.stats.ApplyRounds[cause].Inc()
 		t0 := time.Now()
 		var target uint64
 		confirmed := true
-		if cause != causePush {
+		if cause == causeBarrier {
 			target = s.primary.SyncUpdates()
 			if fc, ok := s.primary.(FreshnessConfirmer); ok {
 				confirmed = fc.FreshSync()
@@ -491,7 +451,7 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		// Observed before the apply so the lag high-watermark captures the
 		// pre-apply backlog (e.g. the spike right after a reconnect).
 		s.fresh.ObserveWatermark(target, confirmed)
-		st, err := s.replica.applyPending(target, reencode)
+		st, err := s.replica.applyPending(target, cause == causeBarrier)
 		if st.Entries > 0 || st.Reloaded || st.Maintained {
 			s.stats.ApplyTime.RecordSince(t0)
 		} else {
@@ -519,34 +479,22 @@ func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
 		s.roundMu.Lock()
 		s.roundEnd++
 		s.roundCond.Broadcast()
-		// The gap's first round arms its second, which is to end at the
-		// beat: the barrier round then applies what committed during one
-		// short round instead of during the idle rest of the gap. (A first
-		// round that found nothing says the primary is idle; the second
-		// would interrupt it for nothing.)
-		arm := cause == causeGap && s.gapLeft > 0 && st.Entries > 0
-		wait := time.Until(s.beatAt) - tailTook
 		s.roundMu.Unlock()
-		switch {
-		case arm:
-			tail.Reset(max(wait, 0))
-		case last:
-			tailTook = time.Since(t0)
-		}
 	}
 }
 
-// awaitFreshRound blocks until an apply round that began after the call
-// has completed, kicking one off if the loop is idle. Reports false when
-// the apply loop shut down before reaching the required round.
+// awaitFreshRound is the freshness barrier: it blocks until an apply
+// round that began after the call has completed, kicking one off if the
+// loop is idle, and reports false when the apply loop shut down before
+// reaching it. That round is the batch's barrier round — the one sync the
+// batch costs the primary, and the one round that re-encodes stale blocks.
 func (s *Scheduler[Q, R]) awaitFreshRound() bool {
-	// A round that *starts* after this point sees syncNeeded and fetches
-	// a watermark covering every commit before it — so requiring
-	// roundEnd to reach the round after any currently running one is
-	// exactly the batch guarantee.
+	// A round that *starts* after this point sees waiting and fetches a
+	// watermark covering every commit before it — so requiring roundEnd to
+	// reach the round after any currently running one is exactly the
+	// batch guarantee.
 	s.roundMu.Lock()
-	s.syncNeeded, s.waiting = true, true
-	s.gapLeft = 0 // the gap is over; a timed round still armed finds it closed
+	s.waiting = true
 	want := s.roundStart + 1
 	s.roundMu.Unlock()
 	s.kickApply()
@@ -556,22 +504,6 @@ func (s *Scheduler[Q, R]) awaitFreshRound() bool {
 		s.roundCond.Wait()
 	}
 	return s.roundEnd >= want
-}
-
-// closeBatch runs when a batch has executed and unpinned; beatAt is when
-// the next may form. On the heartbeat the executor now idles until then,
-// and the replica uses the gap: a synced apply round starts at once,
-// applying in place what committed while the batch waited and ran, and a
-// second follows, timed to end at the beat (applyLoop). Off the heartbeat
-// — a lone session that asks, waits and asks again — there is no gap and
-// nothing starts.
-func (s *Scheduler[Q, R]) closeBatch(paced bool, beatAt time.Time) {
-	s.roundMu.Lock()
-	defer s.roundMu.Unlock()
-	if s.paced = paced; paced {
-		s.gapLeft, s.beatAt, s.reencodeDue, s.syncNeeded = 2, beatAt, true, true
-		s.kickApply()
-	}
 }
 
 // dispatchLoop is the execution side: it forms batches — on the
@@ -668,10 +600,10 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 		}
 
 		// Freshness barrier: the batch has formed; wait for an apply
-		// round covering everything committed before this instant. The
-		// wait is typically short — the apply loop has been running
-		// eagerly on every push, so only the tail of a round (or one
-		// quick no-op round) remains.
+		// round covering everything committed before this instant. It
+		// applies what committed since the last batch's barrier round and
+		// has not already arrived with a push and been applied by a push
+		// round.
 		t0 := time.Now()
 		if !s.awaitFreshRound() {
 			return // shutting down; callers unblock on closed
@@ -688,9 +620,7 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 		}
 		t1 := time.Now()
 		results := s.run(queries, snap)
-		d := time.Since(t1)
-		s.closeBatch(quiet < heartbeatQuiet, formed.Add(batchHeartbeat))
-		s.stats.BatchExec.Record(int64(d))
+		s.stats.BatchExec.RecordSince(t1)
 		s.stats.Busy.Track(time.Since(t0))
 		s.stats.Batches.Inc()
 		for i := range reqs {
