@@ -146,17 +146,6 @@ type Config struct {
 	// DisableReplication runs the primary alone (the paper's NoRep
 	// configuration); Query returns an error.
 	DisableReplication bool
-	// DisableZoneMaps turns off the OLAP replica's per-block min/max
-	// synopses; declarative query predicates are then evaluated
-	// tuple-at-a-time with no morsel skipping. Default on, block size =
-	// MorselTuples. Implies DisableCompression (encoded blocks ride on
-	// the zone-map block structure).
-	DisableZoneMaps bool
-	// DisableCompression turns off the OLAP replica's per-block encoded
-	// column vectors (dictionary / frame-of-reference / RLE) and the
-	// executor's vectorized predicate kernels over them; predicates fall
-	// back to tuple-at-a-time kernel evaluation. Default on.
-	DisableCompression bool
 	// MetricsAddr, when non-empty, serves the unified metrics registry
 	// over HTTP (/metrics in Prometheus text format, /healthz) on this
 	// address. Use "127.0.0.1:0" to pick a free port; MetricsAddr()
@@ -489,20 +478,7 @@ func (db *DB) Start() error {
 		db.dur = st
 	}
 	if !db.cfg.DisableReplication {
-		db.rep = olap.NewReplica(db.cfg.Partitions)
-		if !db.cfg.DisableZoneMaps {
-			// Enabled before the load so synopses build incrementally;
-			// block size matches the executor's morsel size so block
-			// verdicts map one-to-one onto scan morsels.
-			mt := db.cfg.MorselTuples
-			if mt <= 0 {
-				mt = exec.DefaultMorselTuples
-			}
-			db.rep.EnableZoneMaps(mt)
-			if !db.cfg.DisableCompression {
-				db.rep.EnableCompression()
-			}
-		}
+		db.rep = newReplica(db.cfg.Partitions, db.cfg.MorselTuples)
 		var analytical []TableID
 		for _, t := range db.order {
 			if t.opts.Analytical {
@@ -519,7 +495,6 @@ func (db *DB) Start() error {
 		if db.cfg.MorselTuples > 0 {
 			db.execE.MorselTuples = db.cfg.MorselTuples
 		}
-		db.execE.DisableVectorized = db.cfg.DisableCompression || db.cfg.DisableZoneMaps
 		db.sched = olap.NewScheduler[*Query, Result](db.rep, db.engine, db.execE.RunBatch)
 		db.execE.AttachStats(db.sched.Stats())
 		db.sched.Start()

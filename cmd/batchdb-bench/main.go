@@ -10,11 +10,8 @@
 //	batchdb-bench -exp fig8       # comparison vs shared-engine baselines
 //	batchdb-bench -exp fig9       # implicit resource sharing
 //	batchdb-bench -exp olapscale  # scan/build/apply scaling vs OLAP workers
-//	batchdb-bench -exp prune      # zone-map morsel skipping vs selectivity
-//	batchdb-bench -exp compress   # compressed-block kernels vs tuple-at-a-time
 //	batchdb-bench -exp freshness  # OLAP snapshot freshness lag vs batch size
 //	batchdb-bench -exp chaos      # fleet router under kill/sever fault injection
-//	batchdb-bench -exp mqo        # shared aggregation pipelines vs query-at-a-time
 //	batchdb-bench -exp ingest     # SLO-governed bulk ingest vs open throttle
 //	batchdb-bench -exp all
 //
@@ -39,8 +36,8 @@ import (
 )
 
 var (
-	expFlag   = flag.String("exp", "all", "experiment: fig5a|fig5b|fig6|table1|fig7|fig8|fig9|olapscale|prune|compress|freshness|chaos|mqo|ingest|all")
-	jsonFlag  = flag.String("json", "", "write the olapscale/prune summary as JSON to this file (e.g. BENCH_OLAP.json)")
+	expFlag   = flag.String("exp", "all", "experiment: fig5a|fig5b|fig6|table1|fig7|fig8|fig9|olapscale|freshness|chaos|ingest|all")
+	jsonFlag  = flag.String("json", "", "write the olapscale/chaos/ingest summary as JSON to this file (e.g. BENCH_OLAP.json)")
 	durFlag   = flag.Duration("duration", 2*time.Second, "measurement window per cell")
 	warmFlag  = flag.Duration("warmup", 500*time.Millisecond, "warmup per cell")
 	quickFlag = flag.Bool("quick", false, "tiny cells for smoke runs")
@@ -63,15 +60,12 @@ func main() {
 		"fig8":      fig8,
 		"fig9":      fig9,
 		"olapscale": olapscale,
-		"prune":     prune,
-		"compress":  compress,
 		"freshness": freshness,
 		"chaos":     chaos,
-		"mqo":       mqo,
 		"ingest":    ingestExp,
 	}
 	if *expFlag == "all" {
-		for _, name := range []string{"fig5a", "fig5b", "fig6", "table1", "fig7", "fig8", "fig9", "olapscale", "prune", "compress", "freshness", "chaos", "mqo", "ingest"} {
+		for _, name := range []string{"fig5a", "fig5b", "fig6", "table1", "fig7", "fig8", "fig9", "olapscale", "freshness", "chaos", "ingest"} {
 			exps[name]()
 		}
 		return
@@ -612,111 +606,7 @@ func olapscale() {
 	fmt.Println("speedup columns: measured = this host's wall clock (capped by NumCPU);")
 	fmt.Println("projected = resmodel Amdahl on the 1-worker measurement; old-bound = the")
 	fmt.Println("partition-granular dispatch ceiling (largest partition) this PR removes")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
-	}
-}
-
-// prune: zone-map morsel skipping vs predicate selectivity, plus the
-// incremental maintenance overhead on warm applies (BENCH_PRUNE.json
-// with -json).
-func prune() {
-	header("Zone-map pruning: shared-scan speedup vs selectivity (order_line, ol_o_id >= cutoff)")
-	opts := benchkit.PruneOpts{Scale: scale(*wFlag), Seed: *seedFlag}
-	if *quickFlag {
-		opts.Scale = scale(2)
-		opts.Reps = 1
-		opts.AppendOrders = 200
-	}
-	sum, err := benchkit.RunPrune(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d; %d order lines (%d appended through the apply pipeline),\n",
-		sum.GOMAXPROCS, sum.NumCPU, sum.OrderLines, sum.AppendedLines)
-	fmt.Printf("%d partitions, %d workers, %d-tuple blocks/morsels\n",
-		sum.Partitions, sum.Workers, sum.MorselTuples)
-	fmt.Printf("\n%-8s %10s %12s %8s %12s %12s %9s %10s\n",
-		"target", "cutoff", "selectivity", "rows", "on(ms)", "off(ms)", "speedup", "skipped")
-	for _, p := range sum.Sweep {
-		fmt.Printf("%-8s %10d %11.3f%% %8d %12.3f %12.3f %8.2fx %9.0f%%\n",
-			p.Target, p.Cutoff, 100*p.Selectivity, p.Rows,
-			float64(p.WallOnNS)/1e6, float64(p.WallOffNS)/1e6, p.Speedup, 100*p.SkipFrac)
-	}
-	fmt.Println("\nCH-benCHmark driver-scan skip rates on the same snapshot:")
-	for _, q := range sum.CH {
-		fmt.Printf("  %-4s scanned=%-6d skipped=%-6d (%3.0f%%)\n",
-			q.Name, q.BlocksScanned, q.BlocksSkipped, 100*q.SkipFrac)
-	}
-	fmt.Printf("\nwarm ApplyPending: zone maps on=%.0f ns/entry, off=%.0f ns/entry (overhead %+.1f%%)\n",
-		sum.ApplyWarmOnNSPerEntry, sum.ApplyWarmOffNSPerEntry, 100*sum.ApplyOverheadFrac)
-	fmt.Println("cells with cutoffs inside the initial population cannot prune (o_ids restart per")
-	fmt.Println("district, every block spans the domain); cells in the appended tail skip nearly all blocks")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
-	}
-}
-
-// compress: compressed-block predicate kernels vs tuple-at-a-time
-// comparisons on scans zone maps cannot prune, plus the re-encoding
-// overhead on warm applies and the per-column encoded footprints
-// (BENCH_COMPRESS.json with -json).
-func compress() {
-	header("Compression: encoded-domain kernels vs selectivity (order_line, ol_quantity predicates)")
-	opts := benchkit.CompressOpts{Scale: scale(*wFlag), Seed: *seedFlag}
-	if *quickFlag {
-		opts.Scale = scale(2)
-		opts.Reps = 1
-		opts.AppendOrders = 200
-	}
-	sum, err := benchkit.RunCompress(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d; %d order lines, %d partitions, %d workers, %d-tuple blocks\n",
-		sum.GOMAXPROCS, sum.NumCPU, sum.OrderLines, sum.Partitions, sum.Workers, sum.MorselTuples)
-	fmt.Printf("\n%-20s %12s %8s %12s %12s %9s %11s\n",
-		"query", "selectivity", "rows", "vec(ms)", "scalar(ms)", "speedup", "vectorized")
-	for _, p := range sum.Sweep {
-		fmt.Printf("%-20s %11.3f%% %8d %12.3f %12.3f %8.2fx %10.0f%%\n",
-			p.Name, 100*p.Selectivity, p.Rows,
-			float64(p.WallVecNS)/1e6, float64(p.WallScalarNS)/1e6, p.Speedup, 100*p.VecFrac)
-	}
-	fmt.Println("\nper-column encoded footprints (synopsis-active columns):")
-	for _, c := range sum.Columns {
-		fmt.Printf("  %-10s %-14s blocks=%-5d raw=%-8d encoded=%-8d ratio=%.2f  (none=%d for=%d dict=%d rle=%d)\n",
-			c.Table, c.Column, c.Blocks, c.RawBytes, c.EncodedBytes, c.Ratio,
-			c.NoneBlocks, c.ForBlocks, c.DictBlocks, c.RleBlocks)
-	}
-	fmt.Printf("\nwarm ApplyPending: compression on=%.0f ns/entry, off=%.0f ns/entry (overhead %+.1f%%)\n",
-		sum.ApplyWarmOnNSPerEntry, sum.ApplyWarmOffNSPerEntry, 100*sum.ApplyOverheadFrac)
-	fmt.Println("ol_quantity is 5 in loaded lines and 1..10 in appended ones, so mixed blocks defeat")
-	fmt.Println("zone-map pruning and the encoded-domain kernels decide the tuples; the all-pass cell")
-	fmt.Println("prices pure kernel overhead honestly")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
-	}
+	writeJSON(sum)
 }
 
 // freshness: how far the OLAP snapshot trails the OLTP watermark as the
@@ -780,62 +670,7 @@ func chaos() {
 	fmt.Println("contract: every query returns within its deadline; answers beyond the bound are")
 	fmt.Println("flagged Stale or rejected typed, never silent; the breaker ejects dead members and")
 	fmt.Println("probes them back in once they recover")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
-	}
-}
-
-// mqo: the batch planner's shared aggregation pipelines vs
-// query-at-a-time on the same batches, swept over batch size and
-// overlap fraction, plus the cost-based admission model
-// (BENCH_MQO.json with -json).
-func mqo() {
-	header("Multi-query optimization: shared pipelines vs query-at-a-time (CH Q5 batches)")
-	opts := benchkit.MQOOpts{Scale: scale(*wFlag), Seed: *seedFlag}
-	if *quickFlag {
-		opts.Scale = scale(1)
-		opts.Reps = 2
-		opts.BatchSizes = []int{4, 8}
-		opts.Overlaps = []float64{0, 1}
-	}
-	sum, err := benchkit.RunMQO(opts)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("host: GOMAXPROCS=%d NumCPU=%d; template %s, %d partitions, %d workers, best of %d\n",
-		sum.GOMAXPROCS, sum.NumCPU, sum.Template, sum.Partitions, sum.Workers, sum.Reps)
-	fmt.Printf("\n%-8s %9s %11s %14s %15s %9s\n",
-		"batch", "overlap", "share rate", "shared(ms/q)", "private(ms/q)", "speedup")
-	for _, p := range sum.Sweep {
-		fmt.Printf("%-8d %8.0f%% %10.0f%% %14.3f %15.3f %8.2fx\n",
-			p.BatchSize, 100*p.Overlap, 100*p.ShareRate,
-			float64(p.SharedNSPerQuery)/1e6, float64(p.PrivateNSPerQuery)/1e6, p.Speedup)
-	}
-	a := sum.Admission
-	fmt.Printf("\nadmission: budget=%.2fms (~2.5 x %.2fms historical scan/query): %d-query batch ->\n",
-		float64(a.BudgetNS)/1e6, a.PerQueryScanNS/1e6, a.BatchSize)
-	fmt.Printf("  first round admits %d, then the carry loop drains it in %d rounds (%d splits, %d deferrals)\n",
-		a.AdmittedFirst, a.Rounds, a.Splits, a.Deferred)
-	fmt.Println("overlap-f cells leave f of the batch under one ShareKey; the rest run the same")
-	fmt.Println("template privately, so speedup isolates the shared pipeline's CPU saving and the")
-	fmt.Println("overlap=0 row prices pure planner overhead (must stay ~1.0)")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
-	}
+	writeJSON(res)
 }
 
 // ingestExp: the SLO-governed bulk-ingest experiment — interactive
@@ -881,16 +716,22 @@ func ingestExp() {
 		sum.OLAPRows, sum.OLAPSnapVID)
 	fmt.Println("both cells submit full chunks for the whole window; the governor's only lever is")
 	fmt.Println("chunk admission rate, so the rows/s gap is the price of the latency bound")
-	if *jsonFlag != "" {
-		data, err := json.MarshalIndent(sum, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonFlag)
+	writeJSON(sum)
+}
+
+// writeJSON writes v as indented JSON to the -json file, if one is set.
+func writeJSON(v any) {
+	if *jsonFlag == "" {
+		return
 	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	if err := os.WriteFile(*jsonFlag, append(data, '\n'), 0o644); err != nil {
+		fail(err)
+	}
+	fmt.Printf("wrote %s\n", *jsonFlag)
 }
 
 func fail(err error) {

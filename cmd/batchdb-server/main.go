@@ -86,9 +86,6 @@ type serverConfig struct {
 	segBytes    int64
 	olapWorkers int
 	morsel      int
-	zonemaps    bool
-	compress    bool
-	sharing     bool
 	batchBudget time.Duration
 	metricsAddr string
 	// Fleet mode: N router-fronted remote replica nodes instead of the
@@ -136,9 +133,6 @@ func main() {
 	flag.Int64Var(&cfg.segBytes, "wal-segment-bytes", 16<<20, "WAL segment rotation threshold")
 	flag.IntVar(&cfg.olapWorkers, "olap-workers", 4, "analytical scan/build/apply worker count")
 	flag.IntVar(&cfg.morsel, "morsel-tuples", 0, "scan morsel size in tuples (0 = default)")
-	flag.BoolVar(&cfg.zonemaps, "zonemaps", true, "maintain per-block zone maps on the replica (morsel skipping for pushed-down predicates)")
-	flag.BoolVar(&cfg.compress, "compress", true, "maintain per-block encoded column vectors on the replica (vectorized predicate kernels; requires -zonemaps)")
-	flag.BoolVar(&cfg.sharing, "olap-sharing", true, "merge same-template batch queries into shared aggregation pipelines")
 	flag.DurationVar(&cfg.batchBudget, "olap-batch-budget", 0, "cost-model bound on one dispatch round's estimated execution time; oversized batches are split and the tail deferred (0 = admit everything)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "HTTP metrics endpoint address (/metrics + /healthz; empty = disabled)")
 	flag.IntVar(&cfg.fleet, "fleet", 0, "route QUERY across N remote replica nodes (0 = single in-process replica)")
@@ -241,25 +235,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		if cfg.morsel > 0 {
 			ex.MorselTuples = cfg.morsel
 		}
-		if cfg.zonemaps {
-			// Block size = morsel size, so block verdicts map one-to-one onto
-			// morsels. Columns activate lazily as queries push predicates on
-			// them (the scheduler's apply rounds pick up the requests).
-			mt := ex.MorselTuples
-			if mt <= 0 {
-				mt = exec.DefaultMorselTuples
-			}
-			rep.EnableZoneMaps(mt)
-			if cfg.compress {
-				rep.EnableCompression()
-			} else {
-				ex.DisableVectorized = true
-			}
-		} else {
-			ex.DisablePruning = true
-			ex.DisableVectorized = true
-		}
-		ex.DisableSharing = !cfg.sharing
+		layOut(rep, cfg.morsel)
 		sched := olap.NewScheduler(rep, engine, ex.RunBatch)
 		ex.AttachStats(sched.Stats())
 		if cfg.batchBudget > 0 {
@@ -293,6 +269,19 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s.ln = ln
 	return s, nil
+}
+
+// layOut gives a replica the layout every replica serves from: zone maps
+// with one block per scan morsel, so block verdicts map one-to-one onto
+// morsels, and encoded column vectors on those blocks. Columns activate
+// lazily as queries push predicates on them (the scheduler's apply
+// rounds pick up the requests).
+func layOut(rep *olap.Replica, morsel int) {
+	if morsel <= 0 {
+		morsel = exec.DefaultMorselTuples
+	}
+	rep.EnableZoneMaps(morsel)
+	rep.EnableCompression()
 }
 
 // recoverBulkNext finds the first free id in the LOAD scratch table.
@@ -362,31 +351,17 @@ func (s *server) startFleet(cfg serverConfig) error {
 	backends := make([]fleet.Backend[*exec.Query, exec.Result], 0, cfg.fleet)
 	for i := 0; i < cfg.fleet; i++ {
 		rep := chbench.EmptyReplica(s.db, 8)
-		disableVec := !cfg.zonemaps || !cfg.compress
-		if cfg.zonemaps {
-			mt := cfg.morsel
-			if mt <= 0 {
-				mt = exec.DefaultMorselTuples
-			}
-			rep.EnableZoneMaps(mt)
-			if cfg.compress {
-				rep.EnableCompression()
-			}
-		}
+		layOut(rep, cfg.morsel)
 		n, err := node.Connect(repLn.Addr(), rep, node.Config{
-			Workers:           cfg.olapWorkers,
-			MorselTuples:      cfg.morsel,
-			DisableVectorized: disableVec,
-			Retry:             network.RetryPolicy{Attempts: 50, BaseDelay: 10 * time.Millisecond},
-			ReconnectPause:    50 * time.Millisecond,
-			Metrics:           s.reg,
-			MetricsLabels:     []obs.Label{obs.L("class", "chbench"), obs.L("member", strconv.Itoa(i))},
+			Workers:        cfg.olapWorkers,
+			MorselTuples:   cfg.morsel,
+			Retry:          network.RetryPolicy{Attempts: 50, BaseDelay: 10 * time.Millisecond},
+			ReconnectPause: 50 * time.Millisecond,
+			Metrics:        s.reg,
+			MetricsLabels:  []obs.Label{obs.L("class", "chbench"), obs.L("member", strconv.Itoa(i))},
 		})
 		if err != nil {
 			return fmt.Errorf("fleet node %d: %w", i, err)
-		}
-		if !cfg.zonemaps {
-			n.Engine().DisablePruning = true
 		}
 		s.nodes = append(s.nodes, n)
 		backends = append(backends, n)

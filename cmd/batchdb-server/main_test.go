@@ -21,7 +21,6 @@ func startTestServer(t *testing.T) *server {
 		listen:      "127.0.0.1:0",
 		warehouses:  1,
 		olapWorkers: 2,
-		zonemaps:    true,
 		metricsAddr: "127.0.0.1:0",
 	})
 	if err != nil {
@@ -239,8 +238,6 @@ func TestServerFleetMode(t *testing.T) {
 		listen:        "127.0.0.1:0",
 		warehouses:    1,
 		olapWorkers:   2,
-		zonemaps:      true,
-		compress:      true,
 		fleet:         2,
 		queryDeadline: 10 * time.Second,
 		maxStaleness:  5 * time.Second,

@@ -16,14 +16,15 @@ import (
 
 // TestCompressionParityAcrossWorkers proves the compressed-block
 // predicate kernels never change results: every CH query must return
-// identical rows and aggregates with vectorized execution on and off,
-// at 1, 4 and NumCPU workers, on a replica whose encoded vectors are
-// exercised in both lifecycle states — freshly built at activation and
-// re-encoded through a TPC-C update burst (inserts, field patches and
-// deletes with slot recycling, then ReencodeDirty inside ApplyPending).
-// Both engines read the same raw rows for survivors; what differs is
-// who evaluates the declarative predicate — encoded-domain kernels vs
-// per-tuple comparisons — so any divergence is a kernel bug.
+// the rows and aggregates of a reference replica built without zone maps
+// or encoded vectors, at 1, 4 and NumCPU workers, on a replica whose
+// encoded vectors are exercised in both lifecycle states — freshly built
+// at activation and re-encoded through a TPC-C update burst (inserts,
+// field patches and deletes with slot recycling, then ReencodeDirty
+// inside ApplyPending). The reference is fed by the same primary as a
+// second sink and applied to the same VID; it evaluates every
+// declarative predicate per tuple on raw rows, so any divergence is a
+// kernel bug.
 func TestCompressionParityAcrossWorkers(t *testing.T) {
 	db := tpcc.NewDB(tpcc.SmallScale(2))
 	if err := tpcc.Generate(db, 41); err != nil {
@@ -36,6 +37,10 @@ func TestCompressionParityAcrossWorkers(t *testing.T) {
 	const morsel = 512 // block == morsel: every scanned morsel can vectorize
 	rep.EnableZoneMaps(morsel)
 	rep.EnableCompression()
+	raw, err := NewReplica(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	e, err := oltp.New(db.Store, oltp.Config{
 		Workers: 2, PushPeriod: time.Hour,
@@ -46,6 +51,7 @@ func TestCompressionParityAcrossWorkers(t *testing.T) {
 	}
 	tpcc.RegisterProcs(e, db, true) // constant-size: deletes flow too
 	e.SetSink(rep)
+	e.AddSink(raw)
 	e.Start()
 	defer e.Close()
 
@@ -105,9 +111,8 @@ func TestCompressionParityAcrossWorkers(t *testing.T) {
 
 	check := func(stage string, qs []*exec.Query, covered uint64) {
 		t.Helper()
-		ref := exec.NewEngine(rep, 1)
+		ref := exec.NewEngine(raw, 1)
 		ref.MorselTuples = morsel
-		ref.DisableVectorized = true
 
 		var vectorized uint64
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
@@ -147,8 +152,10 @@ func TestCompressionParityAcrossWorkers(t *testing.T) {
 		}
 	}
 	covered := e.SyncUpdates()
-	if _, err := rep.ApplyPending(covered); err != nil {
-		t.Fatal(err)
+	for _, r := range []*olap.Replica{rep, raw} {
+		if _, err := r.ApplyPending(covered); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check("maintained", batch, covered)
 }

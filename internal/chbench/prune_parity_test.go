@@ -15,12 +15,14 @@ import (
 )
 
 // TestPruningParityAcrossWorkers proves zone-map morsel skipping never
-// changes results: every CH query must return identical rows and
-// aggregates with pruning on and off, at 1, 4 and NumCPU workers. The
-// replica's synopses are exercised in both lifecycle states — freshly
-// activated (exact scan at activation) and incrementally maintained
-// through a TPC-C update burst (inserts, field patches and deletes,
-// then ResummarizeDirty inside ApplyPending).
+// changes results: every CH query must return the rows and aggregates
+// of a reference replica built without zone maps, at 1, 4 and NumCPU
+// workers. The reference is fed by the same primary as a second sink
+// and applied to the same VID, so it reads raw rows with no verdicts
+// and no kernels. The pruned replica's synopses are exercised in both
+// lifecycle states — freshly activated (exact scan at activation) and
+// incrementally maintained through a TPC-C update burst (inserts, field
+// patches and deletes, then ResummarizeDirty inside ApplyPending).
 func TestPruningParityAcrossWorkers(t *testing.T) {
 	db := tpcc.NewDB(tpcc.SmallScale(2))
 	if err := tpcc.Generate(db, 33); err != nil {
@@ -32,10 +34,13 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	}
 	const morsel = 512 // small blocks: many verdicts per partition
 	rep.EnableZoneMaps(morsel)
-	// Encoded vectors ride along: the pruning-on engines below also
-	// vectorize, so this parity run covers compressed execution too
-	// (the DisablePruning reference stays tuple-at-a-time on raw rows).
+	// Encoded vectors ride along: the engines below also vectorize, so
+	// this parity run covers compressed execution too.
 	rep.EnableCompression()
+	raw, err := NewReplica(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	e, err := oltp.New(db.Store, oltp.Config{
 		Workers: 2, PushPeriod: time.Hour,
@@ -46,6 +51,7 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	}
 	tpcc.RegisterProcs(e, db, true) // constant-size: deletes flow too
 	e.SetSink(rep)
+	e.AddSink(raw)
 	e.Start()
 	defer e.Close()
 
@@ -103,9 +109,8 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 
 	check := func(stage string, qs []*exec.Query, covered uint64) {
 		t.Helper()
-		ref := exec.NewEngine(rep, 1)
+		ref := exec.NewEngine(raw, 1)
 		ref.MorselTuples = morsel
-		ref.DisablePruning = true
 
 		// Full shared batch: a morsel is only skipped when every
 		// interested query disproves it, so this mostly exercises the
@@ -158,8 +163,10 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 		}
 	}
 	covered := e.SyncUpdates()
-	if _, err := rep.ApplyPending(covered); err != nil {
-		t.Fatal(err)
+	for _, r := range []*olap.Replica{rep, raw} {
+		if _, err := r.ApplyPending(covered); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// The constant-size burst recycles tombstoned slots, so by now every

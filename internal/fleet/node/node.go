@@ -28,9 +28,6 @@ type Config struct {
 	Workers int
 	// MorselTuples is the executor's scan morsel size (0 = default).
 	MorselTuples int
-	// DisableVectorized turns off the compressed-block predicate
-	// kernels (set when the replica has no zone maps or compression).
-	DisableVectorized bool
 	// Retry, Transport, ReconnectPause, Fault parameterize the
 	// supervised connection exactly as replica.SupervisorConfig. Zero
 	// Send/Grant timeouts default to 10s.
@@ -83,7 +80,6 @@ func Connect(primaryAddr string, rep *olap.Replica, cfg Config) (*Node, error) {
 	if cfg.MorselTuples > 0 {
 		n.execE.MorselTuples = cfg.MorselTuples
 	}
-	n.execE.DisableVectorized = cfg.DisableVectorized
 	n.sched = olap.NewScheduler[*exec.Query, exec.Result](rep, sup, n.execE.RunBatch)
 	n.execE.AttachStats(n.sched.Stats())
 	n.execE.AttachFreshness(n.sched.Freshness())

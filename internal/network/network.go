@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -104,6 +105,10 @@ type Options struct {
 // ErrClosed reports use of a connection after Close.
 var ErrClosed = errors.New("network: connection closed")
 
+// errMalformed wraps every frame Recv refuses: a length the protocol
+// could not have written, checked before a byte of it is allocated.
+var errMalformed = errors.New("network: malformed frame")
+
 // Conn is a message-oriented connection. Send may be called from
 // multiple goroutines; Recv must be called from a single reader
 // goroutine (the usual demultiplexer pattern).
@@ -119,6 +124,14 @@ type Conn struct {
 	// the k-th grant received answers the k-th announcement written.
 	gm      sync.Mutex
 	waiters []chan struct{}
+	// lastBulk is closed once the latest announced transfer's bulk frame
+	// is written or abandoned; the next one waits for it, so bulk frames
+	// leave in announcement order. Guarded by wm.
+	lastBulk chan struct{}
+
+	// announced is the receive side's FIFO of rendezvous sizes still
+	// awaiting their bulk frame, oldest first. Only Recv touches it.
+	announced []uint32
 
 	failOnce sync.Once
 	done     chan struct{}
@@ -313,7 +326,9 @@ func (c *Conn) Send(msgType uint8, payload []byte) error {
 	// Rendezvous: announce size, wait for the grant, then bulk-send. The
 	// waiter is enqueued while the write lock is held so queue order
 	// matches the wire order of announcements — that is what correlates
-	// the k-th incoming grant with the k-th waiting sender.
+	// the k-th incoming grant with the k-th waiting sender. The receiver
+	// matches each bulk frame against its oldest announcement, so a bulk
+	// frame also waits for the one announced before it.
 	switch c.faultAction(FaultSend, FrameRendezvous, msgType, len(payload)) {
 	case FaultSever:
 		c.fail(errInjectedSever)
@@ -325,11 +340,14 @@ func (c *Conn) Send(msgType uint8, payload []byte) error {
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(len(payload)))
-	waiter := make(chan struct{}, 1)
+	waiter, turn := make(chan struct{}, 1), make(chan struct{})
+	defer close(turn)
 	c.wm.Lock()
 	c.gm.Lock()
 	c.waiters = append(c.waiters, waiter)
 	c.gm.Unlock()
+	prev := c.lastBulk
+	c.lastBulk = turn
 	err := c.writeFlushLocked(FrameRendezvous, msgType, hdr[:])
 	c.wm.Unlock()
 	if err != nil {
@@ -338,6 +356,13 @@ func (c *Conn) Send(msgType uint8, payload []byte) error {
 	}
 	if err := c.waitGrant(waiter); err != nil {
 		return err
+	}
+	if prev != nil {
+		select {
+		case <-prev:
+		case <-c.done:
+			return c.Err()
+		}
 	}
 	switch c.faultAction(FaultSend, FrameBulk, msgType, len(payload)) {
 	case FaultDrop:
@@ -439,7 +464,12 @@ func (c *Conn) writeFrame(kind, msgType uint8, payload []byte) error {
 // recycle the buffer (releasing is optional but keeps the pool
 // effective). Recv transparently services rendezvous handshakes. When
 // Recv returns an error the connection has failed: Done is closed and
-// blocked senders have been woken.
+// blocked senders have been woken. A frame whose length the protocol
+// could not have written fails the connection before anything is
+// allocated for it: an eager frame above EagerLimit, a rendezvous header
+// that is not 8 bytes or announces a size outside (EagerLimit,
+// MaxUint32], a bulk frame that is not the size of the oldest
+// outstanding announcement, and a grant that carries a payload.
 func (c *Conn) Recv() (msgType uint8, payload []byte, release func(), err error) {
 	for {
 		var hdr [6]byte
@@ -451,6 +481,10 @@ func (c *Conn) Recv() (msgType uint8, payload []byte, release func(), err error)
 		n := int(binary.LittleEndian.Uint32(hdr[2:]))
 		switch kind {
 		case FrameEager, FrameBulk:
+			if err = c.checkLen(kind, n); err != nil {
+				c.fail(err)
+				return 0, nil, nil, c.Err()
+			}
 			buf := c.pool.get(n)
 			if _, err = io.ReadFull(c.r, buf); err != nil {
 				c.fail(err)
@@ -470,23 +504,39 @@ func (c *Conn) Recv() (msgType uint8, payload []byte, release func(), err error)
 			// Pre-register a large buffer, then grant. The bulk frame
 			// follows on the same ordered stream.
 			var szb [8]byte
+			if n != len(szb) {
+				c.fail(fmt.Errorf("%w: rendezvous header of %d bytes, want %d", errMalformed, n, len(szb)))
+				return 0, nil, nil, c.Err()
+			}
 			if _, err = io.ReadFull(c.r, szb[:]); err != nil {
 				c.fail(err)
 				return 0, nil, nil, c.Err()
 			}
-			sz := int(binary.LittleEndian.Uint64(szb[:]))
-			switch c.faultAction(FaultRecv, FrameRendezvous, mt, sz) {
+			// A bulk frame's length field is a uint32, so a larger
+			// announcement could never be honoured.
+			sz64 := binary.LittleEndian.Uint64(szb[:])
+			if sz64 <= EagerLimit || sz64 > math.MaxUint32 {
+				c.fail(fmt.Errorf("%w: rendezvous announces %d bytes, outside (%d, %d]", errMalformed, sz64, EagerLimit, uint64(math.MaxUint32)))
+				return 0, nil, nil, c.Err()
+			}
+			sz := uint32(sz64)
+			switch c.faultAction(FaultRecv, FrameRendezvous, mt, int(sz)) {
 			case FaultDrop:
 				continue // never grant: the sender observes a loss
 			case FaultSever:
 				c.fail(errInjectedSever)
 				return 0, nil, nil, c.Err()
 			}
-			c.pool.reserve(sz)
+			c.announced = append(c.announced, sz)
+			c.pool.reserve(int(sz))
 			if err := c.sendLocked(FrameGrant, 0, nil); err != nil {
 				return 0, nil, nil, err
 			}
 		case FrameGrant:
+			if n != 0 {
+				c.fail(fmt.Errorf("%w: grant carries %d bytes", errMalformed, n))
+				return 0, nil, nil, c.Err()
+			}
 			switch c.faultAction(FaultRecv, FrameGrant, mt, n) {
 			case FaultDrop:
 				continue
@@ -512,6 +562,27 @@ func (c *Conn) Recv() (msgType uint8, payload []byte, release func(), err error)
 			return 0, nil, nil, c.Err()
 		}
 	}
+}
+
+// checkLen vets a payload frame's length before its buffer is drawn: an
+// eager frame fits EagerLimit, and a bulk frame answers the oldest
+// outstanding announcement with exactly the size it announced.
+func (c *Conn) checkLen(kind uint8, n int) error {
+	if kind == FrameEager {
+		if n > EagerLimit {
+			return fmt.Errorf("%w: eager frame of %d bytes, limit %d", errMalformed, n, EagerLimit)
+		}
+		return nil
+	}
+	if len(c.announced) == 0 {
+		return fmt.Errorf("%w: bulk frame of %d bytes with no rendezvous outstanding", errMalformed, n)
+	}
+	want := c.announced[0]
+	c.announced = c.announced[1:]
+	if n != int(want) {
+		return fmt.Errorf("%w: bulk frame of %d bytes, rendezvous announced %d", errMalformed, n, want)
+	}
+	return nil
 }
 
 // Listener accepts BatchDB connections.

@@ -2,9 +2,14 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 // pair returns two connected Conns (client, server).
@@ -178,4 +183,140 @@ func TestBufferPoolReserve(t *testing.T) {
 		t.Fatal("returned buffer not reused")
 	}
 	_ = b2
+}
+
+// frame encodes one wire frame: kind, message type, length, payload.
+func frame(kind, msgType uint8, n int, payload []byte) []byte {
+	b := []byte{kind, msgType, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(b[2:], uint32(n))
+	return append(b, payload...)
+}
+
+// rendezvous encodes an announcement of sz bytes.
+func rendezvous(sz uint64) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], sz)
+	return frame(FrameRendezvous, 1, len(b), b[:])
+}
+
+// feed returns a Conn whose peer writes data and then drains whatever
+// the Conn writes back (grants), never closing first, so a Recv that
+// accepts a frame returns it rather than failing on a short stream.
+func feed(t testing.TB, data []byte) *Conn {
+	a, b := net.Pipe()
+	c := NewConn(b, nil)
+	// The write fails once the Conn refuses a frame and closes its end;
+	// Recv's error is what the caller checks.
+	go a.Write(data)
+	go io.Copy(io.Discard, a)
+	t.Cleanup(func() { c.Close(); a.Close() })
+	return c
+}
+
+// TestRecvRejectsMalformedFrames feeds Recv one complete frame sequence
+// per row whose lengths the protocol could not have written. Each must
+// fail the connection with a malformed-frame error and no message,
+// where an unchecked receiver would return the frame (or, for an
+// announcement past 2^63, panic in make).
+func TestRecvRejectsMalformedFrames(t *testing.T) {
+	big := make([]byte, 2*EagerLimit+1)
+	rows := []struct {
+		name string
+		data []byte
+	}{
+		{"eager above EagerLimit", frame(FrameEager, 1, EagerLimit+1, big[:EagerLimit+1])},
+		{"rendezvous header not 8 bytes", append(
+			frame(FrameRendezvous, 1, 4, rendezvous(2 * EagerLimit)[6:]),
+			frame(FrameBulk, 1, 2*EagerLimit, big[:2*EagerLimit])...)},
+		{"announced size at EagerLimit", append(rendezvous(EagerLimit),
+			frame(FrameBulk, 1, EagerLimit, big[:EagerLimit])...)},
+		{"announced size past MaxUint32", rendezvous(1 << 63)},
+		{"bulk size differs from announcement", append(rendezvous(2*EagerLimit),
+			frame(FrameBulk, 1, 2*EagerLimit+1, big)...)},
+		{"bulk with no announcement", frame(FrameBulk, 1, 10, big[:10])},
+		{"grant with a payload", frame(FrameGrant, 0, 6, frame(FrameEager, 1, 0, nil))},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c := feed(t, row.data)
+			done := make(chan error, 1)
+			go func() {
+				_, p, _, err := c.Recv()
+				if err == nil {
+					err = fmt.Errorf("accepted a %d-byte message", len(p))
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, errMalformed) {
+					t.Fatalf("Recv: %v, want a malformed-frame error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Recv neither failed nor returned")
+			}
+			if c.Err() == nil {
+				t.Fatal("connection not failed")
+			}
+		})
+	}
+}
+
+// wire is a net.Conn that records what is written to it.
+type wire struct {
+	net.Conn
+	out bytes.Buffer
+}
+
+func (w *wire) Write(p []byte) (int, error) { return w.out.Write(p) }
+
+// FuzzRecv writes arbitrary bytes into one end of a pipe and calls Recv
+// on the other until it fails. Recv must not panic, and every eager
+// message it accepts, sent again with Send, must be the bytes of a frame
+// of the input, in input order.
+func FuzzRecv(f *testing.F) {
+	f.Add(frame(FrameEager, 7, 5, []byte("hello")))
+	f.Add(append(frame(FrameGrant, 0, 0, nil), frame(FrameEager, 1, 0, nil)...))
+	f.Add(append(rendezvous(EagerLimit+1), frame(FrameBulk, 1, 16, make([]byte, 16))...))
+	f.Add(rendezvous(1 << 63))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := net.Pipe()
+		c := NewConn(b, nil)
+		// An accepted announcement reserves a buffer of its size: sever
+		// above a few MiB so an input cannot make the fuzzer allocate
+		// gigabytes.
+		c.SetFaultPolicy(FaultFunc(func(dir FaultDir, kind, _ uint8, n int) (FaultAction, time.Duration) {
+			if dir == FaultRecv && kind == FrameRendezvous && n > 4*EagerLimit {
+				return FaultSever, 0
+			}
+			return FaultPass, 0
+		}))
+		go func() {
+			a.Write(data)
+			a.Close()
+		}()
+		go io.Copy(io.Discard, a)
+		w := &wire{}
+		resend := NewConn(w, nil)
+		pos := 0
+		for {
+			mt, p, release, err := c.Recv()
+			if err != nil {
+				break
+			}
+			if len(p) <= EagerLimit {
+				w.out.Reset()
+				if err := resend.Send(mt, p); err != nil {
+					t.Fatal(err)
+				}
+				i := bytes.Index(data[pos:], w.out.Bytes())
+				if i < 0 {
+					t.Fatalf("accepted message type %d (%d bytes) re-encodes to a frame not in the input after offset %d", mt, len(p), pos)
+				}
+				pos += i + w.out.Len()
+			}
+			release()
+		}
+		c.Close()
+	})
 }

@@ -213,27 +213,6 @@ type Engine struct {
 	// scan pass. Used by the ablation benchmark.
 	QueryAtATime bool
 
-	// DisablePruning turns off zone-map morsel skipping; declarative
-	// predicates are still compiled and evaluated tuple-at-a-time. Used
-	// by the pruning ablation benchmark and the on/off parity tests.
-	DisablePruning bool
-
-	// DisableVectorized turns off the compressed-block predicate
-	// kernels: morsels fall back to tuple-at-a-time kernel evaluation
-	// even when encoded vectors could serve the predicate exactly.
-	// Zone-map pruning is unaffected. Used by the compression ablation
-	// benchmark and the on/off parity tests. Implied by DisablePruning,
-	// since the encoded vectors only cover synopsis-active columns.
-	// Also disables the encoded-block aggregate kernels.
-	DisableVectorized bool
-
-	// DisableSharing turns off batch-planner pipeline merging and
-	// predicate-overlap co-scheduling: every query runs as its own
-	// cohort in one shared scan pass, exactly the pre-planner
-	// behavior. Used by the MQO ablation benchmark and the
-	// shared-vs-private parity tests.
-	DisableSharing bool
-
 	// AdmitBudget bounds the estimated execution time of one batch for
 	// the AdmitBatch admission hook; <= 0 (the default) admits
 	// everything.
@@ -675,7 +654,7 @@ func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepar
 	if len(plans) == 0 {
 		return
 	}
-	cohorts := formCohorts(plans, e.DisableSharing)
+	cohorts := formCohorts(plans)
 	if e.stats != nil {
 		for _, c := range cohorts {
 			if len(c.members) > 1 {
@@ -747,9 +726,6 @@ func (m *vmask) count() (n int) {
 // the tuples it is working on.
 type passWorker struct {
 	sg *scanGroup
-	// prune, vectorize and aggFast gate zone-map verdicts, the
-	// compressed-block predicate kernels and the aggregate kernels.
-	prune, vectorize, aggFast bool
 
 	vals [][]float64
 	rows []int64
@@ -844,13 +820,10 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 	e.compileForest(sg)
 	ms := e.morsels(t.Partitions)
 	workers := make([]passWorker, max(min(e.workers, len(ms)), 1))
-	prune := sg.anyRanges && !e.DisablePruning
 	e.forEach(len(ms), func(worker, i int) {
 		w := &workers[worker]
 		if w.sg == nil {
-			*w = passWorker{sg: sg, prune: prune,
-				vectorize: prune && !e.DisableVectorized,
-				aggFast:   sg.anyVecAgg && !e.DisablePruning && !e.DisableVectorized}
+			*w = passWorker{sg: sg}
 			w.init()
 		}
 		w.morsel(ms[i])
@@ -912,7 +885,7 @@ func (w *passWorker) morsel(m morsel) {
 	any := false
 	for fi, p := range sg.flat {
 		a := true
-		if w.prune && len(p.ranges) > 0 {
+		if len(p.ranges) > 0 {
 			a = m.part.RangeMayMatch(m.lo, m.hi, p.ranges)
 		}
 		w.active[fi] = a
@@ -927,7 +900,7 @@ func (w *passWorker) morsel(m morsel) {
 	}
 	w.blocksScanned++
 	words := (m.hi - m.lo + 63) >> 6
-	if (w.vectorize || w.aggFast) && len(w.union) < words {
+	if (sg.anyRanges || sg.anyVecAgg) && len(w.union) < words {
 		w.union = make([]uint64, words)
 		w.sel = make([][]uint64, len(sg.flat))
 		for fi := range w.sel {
@@ -937,7 +910,7 @@ func (w *passWorker) morsel(m morsel) {
 	// Vectorized predicates: translate each active member's pushed-down
 	// ranges into an exact per-slot bitmap on the encoded vectors.
 	// Members the encoded path cannot serve keep their kernels.
-	if w.vectorize {
+	if sg.anyRanges {
 		for fi, p := range sg.flat {
 			w.qvec[fi] = w.active[fi] && len(p.ranges) > 0 &&
 				m.part.FilterRange(m.lo, m.hi, p.ranges, w.sel[fi][:words])
@@ -948,7 +921,7 @@ func (w *passWorker) morsel(m morsel) {
 	// is answered from the encoded blocks — counts from the live
 	// counters, sums from the packed runs — without materializing a
 	// single row.
-	if w.aggFast {
+	if sg.anyVecAgg {
 		for fi, p := range sg.flat {
 			if !w.active[fi] || !p.vecAgg {
 				continue
@@ -1002,7 +975,7 @@ func (w *passWorker) morsel(m morsel) {
 	// attributed once, whatever combination of verdicts and bitmaps
 	// rejected it).
 	var sel []uint64
-	if w.vectorize {
+	if sg.anyRanges {
 		allVec := true
 		for fi := range sg.flat {
 			if w.active[fi] && !w.aggDone[fi] && !w.qvec[fi] {
@@ -1029,13 +1002,13 @@ func (w *passWorker) morsel(m morsel) {
 			}
 		}
 	}
-	if w.prune {
+	if sg.anyRanges {
 		w.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
 	}
 	for from := m.lo; from < m.hi; {
 		var n int
 		n, from = m.part.LiveSlots(m.lo, m.hi, sel, from, w.slots[:])
-		if w.prune {
+		if sg.anyRanges {
 			w.offered += int64(n)
 		}
 		if n > 0 {

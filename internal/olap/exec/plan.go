@@ -267,7 +267,7 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 		return nil
 	}
 	p.kernel, p.ranges = k, rg
-	if len(rg) > 0 && !e.DisablePruning {
+	if len(rg) > 0 {
 		// Record which columns this query filters on, so the next
 		// quiesced window activates their block synopses — the first
 		// scan runs unpruned, every later one skips blocks.
@@ -343,7 +343,7 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 		p.aggOf[ai] = a.Value
 		p.vecAgg = false // closure summand: must see the row
 	}
-	if p.vecAgg && !e.DisablePruning && !e.DisableVectorized {
+	if p.vecAgg {
 		// The aggregate kernels read encoded vectors of the summand
 		// columns; request their synopses so the next quiesced window
 		// activates (and encodes) them like any filtered column.

@@ -99,18 +99,10 @@ func mergeable(a, b *qplan) bool {
 	return true
 }
 
-// formCohorts partitions one driver table's plans into cohorts. With
-// sharing disabled every plan is its own cohort (the bail-out path);
-// otherwise plans are merged greedily in input order, which keeps the
-// result deterministic.
-func formCohorts(plans []*qplan, disableSharing bool) []*cohort {
+// formCohorts partitions one driver table's plans into cohorts, merging
+// greedily in input order, which keeps the result deterministic.
+func formCohorts(plans []*qplan) []*cohort {
 	cohorts := make([]*cohort, 0, len(plans))
-	if disableSharing {
-		for _, p := range plans {
-			cohorts = append(cohorts, &cohort{members: []*qplan{p}, ngroup: p.narity()})
-		}
-		return cohorts
-	}
 	byKey := make(map[string][]*cohort)
 	for _, p := range plans {
 		if p.q.ShareKey != "" {
@@ -285,11 +277,9 @@ func (e *Engine) linksFor(parent, child *source, pb *Probe) *linkArray {
 // compileForest turns the pass's cohorts into its step forest: every
 // probe of every representative becomes (or joins) a step, every member
 // gets its fold at each of its root steps, and every cohort learns what
-// is left to do per surviving tuple. With DisableSharing a step is never
-// shared between cohorts (which are then single queries).
+// is left to do per surviving tuple.
 func (e *Engine) compileForest(sg *scanGroup) {
 	type stepKey struct {
-		scope  int
 		parent *step
 		id     buildID
 		keyID  string
@@ -307,9 +297,6 @@ func (e *Engine) compileForest(sg *scanGroup) {
 			}
 			if pb.KeyID != "" && (parent == nil || parent.kind != tailStep) {
 				k := stepKey{parent: parent, id: st.src.id, keyID: pb.KeyID}
-				if e.DisableSharing {
-					k.scope = ci + 1
-				}
 				if shared := seen[k]; shared != nil {
 					st = shared
 				} else if seen[k] = st; parent == nil {
@@ -489,10 +476,10 @@ const splitFetchSlack = 1.15
 // extra passes — a block skipped for a whole pass's cohorts is then
 // fetched zero times instead of once for the combined batch. Anything
 // without a usable hull rides in one residual pass, and any doubt
-// (unwarmed synopses, overlapping hulls, pruning disabled) collapses
-// to a single shared pass — today's behavior.
+// (unwarmed synopses, no zone maps, overlapping hulls) collapses to a
+// single shared pass.
 func (e *Engine) formScanGroups(t *olap.Table, cohorts []*cohort) []*scanGroup {
-	if len(cohorts) <= 1 || e.DisablePruning {
+	if len(cohorts) <= 1 {
 		return []*scanGroup{newScanGroup(cohorts)}
 	}
 	// Hulls per cohort; pick the column filtered by the most cohorts as

@@ -187,12 +187,12 @@ func compareResults(t *testing.T, label string, shared, private []Result) {
 // of its cohort) and the same join declared (one root step for the whole
 // pass) — under every overlap regime — shared scan only (unique share
 // keys), shared pipeline (one key per template, group-by arities 0/1/2)
-// and both mixed — must produce identical rows/groups with sharing on
-// and off, at 1, 2, 4 and NumCPU workers, and what each query produces
-// alone. Each query is also checked against a from-scratch reference
-// evaluation over the raw rows (the part internal/baseline plays for the
-// CH templates in chbench's parity test), so the sides of the parity
-// can't be wrong together.
+// and both mixed — must produce, at 1, 2, 4 and NumCPU workers, the
+// rows/groups each query produces when it runs alone (a batch of one,
+// which has nobody to share with). Each query is also checked against a
+// from-scratch reference evaluation over the raw rows (the part
+// internal/baseline plays for the CH templates in chbench's parity
+// test), so the sides of the parity can't be wrong together.
 func TestPlannerShareParity(t *testing.T) {
 	f := buildFixture(t, 4, 3000, 150)
 	rng := rand.New(rand.NewSource(99))
@@ -242,13 +242,7 @@ func TestPlannerShareParity(t *testing.T) {
 			e.AttachStats(&st)
 			shared := e.RunBatch(mkBatch(), 0)
 
-			e2 := NewEngine(f.replica, workers)
-			e2.MorselTuples = 256
-			e2.DisableSharing = true
-			private := e2.RunBatch(mkBatch(), 0)
-
 			label := fmt.Sprintf("trial=%d regime=%s n=%d workers=%d", trial, regime, n, workers)
-			compareResults(t, label, shared, private)
 			compareResults(t, label+" batch/alone", shared, alone)
 			for i := range shared {
 				checkAgainstRef(t, fmt.Sprintf("%s query=%d", label, i), f, rqs[i], &shared[i])
@@ -263,7 +257,7 @@ func TestPlannerShareParity(t *testing.T) {
 
 // TestFormCohorts pins the merge rules: same non-empty ShareKey with a
 // compatible shape merges (finest group-by first), everything else
-// stays solo.
+// stays solo, and a batch with nothing to share is all singletons.
 func TestFormCohorts(t *testing.T) {
 	mk := func(key string, naggs int, groupBy ...GroupCol) *qplan {
 		aggs := make([]AggSpec, naggs)
@@ -280,7 +274,7 @@ func TestFormCohorts(t *testing.T) {
 	noKey := mk("", 1)
 	wrongAggs := mk("k", 2)
 
-	cohorts := formCohorts([]*qplan{a, b, c, diverge, otherKey, noKey, wrongAggs}, false)
+	cohorts := formCohorts([]*qplan{a, b, c, diverge, otherKey, noKey, wrongAggs})
 	if len(cohorts) != 5 {
 		t.Fatalf("got %d cohorts, want 5", len(cohorts))
 	}
@@ -289,15 +283,17 @@ func TestFormCohorts(t *testing.T) {
 		t.Fatalf("merged cohort: %d members, ngroup %d, finest-first %v",
 			len(main.members), main.ngroup, main.members[0] == c)
 	}
-	if n := len(formCohorts([]*qplan{a, b, c}, true)); n != 3 {
-		t.Fatalf("DisableSharing produced %d cohorts, want 3 singletons", n)
+	if n := len(formCohorts([]*qplan{a, otherKey, noKey, wrongAggs})); n != 4 {
+		t.Fatalf("unshareable plans produced %d cohorts, want 4 singletons", n)
 	}
 }
 
 // TestScanGroupSplitParity drives predicate-overlap co-scheduling: two
 // clusters of queries with disjoint driver id hulls on a zone-mapped
 // table must be split into separate scan passes (observable as two
-// verdict sweeps over the morsels), without changing any result.
+// verdict sweeps over the morsels), without changing any result. The
+// reference is a twin of the fixture built without zone maps: it has no
+// synopses to consult, so it scans once and decides every tuple.
 func TestScanGroupSplitParity(t *testing.T) {
 	f := buildFixture(t, 1, 4096, 64)
 	f.replica.EnableZoneMaps(256)
@@ -338,17 +334,22 @@ func TestScanGroupSplitParity(t *testing.T) {
 			verdicts, 2*morsels, morsels)
 	}
 
-	// An unpruned engine cannot split (no synopses to consult): one pass.
-	e2 := NewEngine(f.replica, 2)
+	twin := buildFixture(t, 1, 4096, 64)
+	e2 := NewEngine(twin.replica, 2)
 	e2.MorselTuples = 256
-	e2.DisablePruning = true
-	compareResults(t, "split-vs-unpruned", got, e2.RunBatch(mkBatch(), 0))
+	var st2 olap.SchedulerStats
+	e2.AttachStats(&st2)
+	compareResults(t, "split-vs-unzoned", got, e2.RunBatch(mkBatch(), 0))
+	if v := st2.ExecBlocksScanned.Load() + st2.ExecBlocksSkipped.Load(); v != morsels {
+		t.Fatalf("unzoned verdicts = %d, want %d (one pass)", v, morsels)
+	}
 }
 
 // TestAggKernelParity pins the encoded-block aggregate fast path:
 // pure driver-side SUM/COUNT queries answered from the compressed
-// vectors must equal the tuple-at-a-time results, and the fast path
-// must actually engage.
+// vectors must equal the tuple-at-a-time results of a twin fixture
+// built without zone maps or encoded vectors, and the fast path must
+// actually engage.
 func TestAggKernelParity(t *testing.T) {
 	f := buildFixture(t, 2, 4096, 64)
 	f.replica.EnableZoneMaps(256)
@@ -377,9 +378,9 @@ func TestAggKernelParity(t *testing.T) {
 	e.AttachStats(&st)
 	fast := e.RunBatch(mkBatch(), 0)
 
-	e2 := NewEngine(f.replica, 2)
+	twin := buildFixture(t, 2, 4096, 64)
+	e2 := NewEngine(twin.replica, 2)
 	e2.MorselTuples = 256
-	e2.DisableVectorized = true
 	compareResults(t, "aggkernel", fast, e2.RunBatch(mkBatch(), 0))
 
 	if fast[0].Err != nil || int(fast[0].Values[0]) != f.nOrders {

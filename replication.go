@@ -159,17 +159,7 @@ func (db *DB) AttachWorkloadReplica(workers, partitions int) (*WorkloadReplica, 
 	if partitions <= 0 {
 		partitions = workers
 	}
-	rep := olap.NewReplica(partitions)
-	if !db.cfg.DisableZoneMaps {
-		mt := db.cfg.MorselTuples
-		if mt <= 0 {
-			mt = exec.DefaultMorselTuples
-		}
-		rep.EnableZoneMaps(mt)
-		if !db.cfg.DisableCompression {
-			rep.EnableCompression()
-		}
-	}
+	rep := newReplica(partitions, db.cfg.MorselTuples)
 	var analytical []TableID
 	for _, t := range db.order {
 		if t.opts.Analytical {
@@ -188,7 +178,6 @@ func (db *DB) AttachWorkloadReplica(workers, partitions int) (*WorkloadReplica, 
 	if db.cfg.MorselTuples > 0 {
 		w.execE.MorselTuples = db.cfg.MorselTuples
 	}
-	w.execE.DisableVectorized = db.cfg.DisableCompression || db.cfg.DisableZoneMaps
 	w.sched = olap.NewScheduler[*Query, Result](rep, db.engine, w.execE.RunBatch)
 	w.execE.AttachStats(w.sched.Stats())
 	db.repMu.Lock()
@@ -225,14 +214,6 @@ type ReplicaNodeConfig struct {
 	Workers int
 	// MorselTuples is the executor's scan morsel size (default 16384).
 	MorselTuples int
-	// DisableZoneMaps turns off the replica's per-block min/max
-	// synopses and the morsel skipping they enable (default on).
-	// Implies DisableCompression.
-	DisableZoneMaps bool
-	// DisableCompression turns off the replica's per-block encoded
-	// column vectors and the vectorized predicate kernels over them
-	// (default on).
-	DisableCompression bool
 	// Retry governs dialing (and, after a connection loss, redialing)
 	// the primary; the zero value gives 5 attempts from a 25ms base
 	// delay with exponential backoff and jitter.
@@ -270,20 +251,25 @@ type ReplicaNode struct {
 	n *node.Node
 }
 
-// newNodeReplica builds the columnar replica a node serves from,
-// per-table, with the synopsis/compression layers cfg selects.
-func newNodeReplica(cfg ReplicaNodeConfig, tables []ReplicaTable) *olap.Replica {
-	rep := olap.NewReplica(cfg.Partitions)
-	if !cfg.DisableZoneMaps {
-		mt := cfg.MorselTuples
-		if mt <= 0 {
-			mt = exec.DefaultMorselTuples
-		}
-		rep.EnableZoneMaps(mt)
-		if !cfg.DisableCompression {
-			rep.EnableCompression()
-		}
+// newReplica returns an empty columnar replica in the one layout every
+// replica serves from: per-block zone maps one scan morsel wide, so block
+// verdicts map one-to-one onto morsels, and encoded column vectors on
+// those blocks. Both are enabled before any load so synopses build
+// incrementally.
+func newReplica(partitions, morselTuples int) *olap.Replica {
+	rep := olap.NewReplica(partitions)
+	if morselTuples <= 0 {
+		morselTuples = exec.DefaultMorselTuples
 	}
+	rep.EnableZoneMaps(morselTuples)
+	rep.EnableCompression()
+	return rep
+}
+
+// newNodeReplica builds the columnar replica a node serves from, with
+// one empty table per declared relation.
+func newNodeReplica(cfg ReplicaNodeConfig, tables []ReplicaTable) *olap.Replica {
+	rep := newReplica(cfg.Partitions, cfg.MorselTuples)
 	for _, t := range tables {
 		hint := t.CapacityHint
 		if hint <= 0 {
@@ -296,15 +282,14 @@ func newNodeReplica(cfg ReplicaNodeConfig, tables []ReplicaTable) *olap.Replica 
 
 func (cfg ReplicaNodeConfig) nodeConfig(labels ...obs.Label) node.Config {
 	return node.Config{
-		Workers:           cfg.Workers,
-		MorselTuples:      cfg.MorselTuples,
-		DisableVectorized: cfg.DisableCompression || cfg.DisableZoneMaps,
-		Retry:             cfg.Retry,
-		Transport:         cfg.Transport,
-		ReconnectPause:    cfg.ReconnectPause,
-		Fault:             cfg.Fault,
-		Metrics:           cfg.Metrics,
-		MetricsLabels:     labels,
+		Workers:        cfg.Workers,
+		MorselTuples:   cfg.MorselTuples,
+		Retry:          cfg.Retry,
+		Transport:      cfg.Transport,
+		ReconnectPause: cfg.ReconnectPause,
+		Fault:          cfg.Fault,
+		Metrics:        cfg.Metrics,
+		MetricsLabels:  labels,
 	}
 }
 
