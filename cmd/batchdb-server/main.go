@@ -40,6 +40,7 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -490,6 +491,10 @@ func (s *server) serve(conn net.Conn) {
 			name := "Q10"
 			if len(fields) > 1 {
 				name = strings.ToUpper(fields[1])
+			}
+			if !slices.Contains(chbench.QueryNames, name) {
+				fmt.Fprintf(out, "ERR\tunknown query %q\n", name)
+				break
 			}
 			if s.router != nil {
 				res, meta, err := s.router.Query(context.Background(), gen.ByName(name), s.budget)

@@ -403,6 +403,14 @@ func TestServerQueryReply(t *testing.T) {
 			t.Fatalf("QUERY %s: %q", q, r)
 		}
 	}
+	// An unknown name is a reply, not a crash: the connection (and the
+	// server) still answers the next query.
+	if r := roundTrip(t, rw, "QUERY Q99"); r != "ERR\tunknown query \"Q99\"" {
+		t.Fatalf("QUERY Q99: %q", r)
+	}
+	if r := roundTrip(t, rw, "QUERY Q10"); !strings.HasPrefix(r, "OK\tQ10") {
+		t.Fatalf("QUERY Q10 after Q99: %q", r)
+	}
 	// Freshness should show an installed snapshot once a batch ran.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.sched.Freshness().InstalledVID() == 0 && time.Now().Before(deadline) {

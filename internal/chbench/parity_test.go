@@ -55,22 +55,19 @@ func TestSharedParityRandomizedBatches(t *testing.T) {
 		}
 
 		for _, w := range workerSet {
-			for _, qat := range []bool{false, true} {
-				e := exec.NewEngine(rep, w)
-				e.MorselTuples = 512 // small morsels: force multi-morsel dispatch
-				e.QueryAtATime = qat
-				got := e.RunBatch(batch, 0)
-				label := fmt.Sprintf("seed=%d n=%d workers=%d queryAtATime=%v", seed, len(batch), w, qat)
-				for i := range batch {
-					if got[i].Err != nil {
-						t.Fatalf("%s %s: %v", label, batch[i].Name, got[i].Err)
-					}
-					if err := sameTotals(&got[i], &want[i]); err != nil {
-						t.Fatalf("%s %s batch / alone: %v", label, batch[i].Name, err)
-					}
-					if err := sameGroups(&got[i], &want[i]); err != nil {
-						t.Fatalf("%s %s batch / alone: %v", label, batch[i].Name, err)
-					}
+			e := exec.NewEngine(rep, w)
+			e.MorselTuples = 512 // small morsels: force multi-morsel dispatch
+			got := e.RunBatch(batch, 0)
+			label := fmt.Sprintf("seed=%d n=%d workers=%d", seed, len(batch), w)
+			for i := range batch {
+				if got[i].Err != nil {
+					t.Fatalf("%s %s: %v", label, batch[i].Name, got[i].Err)
+				}
+				if err := sameTotals(&got[i], &want[i]); err != nil {
+					t.Fatalf("%s %s batch / alone: %v", label, batch[i].Name, err)
+				}
+				if err := sameGroups(&got[i], &want[i]); err != nil {
+					t.Fatalf("%s %s batch / alone: %v", label, batch[i].Name, err)
 				}
 			}
 		}

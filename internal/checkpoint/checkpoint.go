@@ -238,11 +238,18 @@ func read(path string, row func(table storage.TableID, rowID uint64, data []byte
 		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	hdr := make([]byte, len(fileMagic))
 	if _, err := io.ReadFull(r, hdr); err != nil || string(hdr) != fileMagic {
 		return 0, fmt.Errorf("%w: bad magic", ErrInvalid)
 	}
+	// left is the number of file bytes not yet read: a frame length is
+	// checked against it before its body is allocated.
+	left := st.Size() - int64(len(fileMagic))
 
 	sawHeader, sawTrailer := false, false
 	var tableCount uint32
@@ -260,11 +267,16 @@ func read(path string, row func(table storage.TableID, rowID uint64, data []byte
 			}
 			return 0, fmt.Errorf("%w: torn frame header", ErrInvalid)
 		}
+		left -= int64(len(lenCRC))
 		n := binary.LittleEndian.Uint32(lenCRC[0:])
 		want := binary.LittleEndian.Uint32(lenCRC[4:])
 		if n == 0 || n > 256<<20 {
 			return 0, fmt.Errorf("%w: absurd frame length", ErrInvalid)
 		}
+		if int64(n) > left {
+			return 0, fmt.Errorf("%w: frame length %d exceeds the %d bytes left", ErrInvalid, n, left)
+		}
+		left -= int64(n)
 		body := make([]byte, n)
 		if _, err := io.ReadFull(r, body); err != nil {
 			return 0, fmt.Errorf("%w: torn frame body", ErrInvalid)

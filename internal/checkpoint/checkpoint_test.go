@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"runtime"
 	"testing"
 
 	"batchdb/internal/mvcc"
@@ -23,7 +24,7 @@ func newKVStore() (*mvcc.Store, *mvcc.Table) {
 	return store, tbl
 }
 
-func loadKV(t *testing.T, tbl *mvcc.Table, k, v int64) {
+func loadKV(t testing.TB, tbl *mvcc.Table, k, v int64) {
 	t.Helper()
 	tup := tbl.Schema.NewTuple()
 	tbl.Schema.PutInt64(tup, 0, k)
@@ -146,14 +147,27 @@ func TestVerifyDetectsDamage(t *testing.T) {
 		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
 		"append garbage":  func(b []byte) []byte { return append(b, 0xDE, 0xAD, 0xBE, 0xEF) },
 		"truncate header": func(b []byte) []byte { return b[:4] },
+		// 20 bytes that announce a 256 MiB first frame: refused by the
+		// bytes left in the file, not by reading (or allocating) them.
+		"oversized frame length": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(fileMagic):], 256<<20)
+			return b[:20]
+		},
 	}
 	for name, f := range damage {
 		broken := f(append([]byte(nil), pristine...))
 		if err := os.WriteFile(info.Path, broken, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Verify(info.Path); !errors.Is(err, ErrInvalid) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Verify(info.Path)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: Verify = %v, want ErrInvalid", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Errorf("%s: Verify allocated %d bytes for a %d-byte file", name, alloc, len(broken))
 		}
 		// Restore must refuse the same way, without partial effects
 		// escaping (it verifies structurally as it reads).

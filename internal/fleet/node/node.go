@@ -2,9 +2,8 @@
 // replication feed (replica.Supervisor), a local columnar replica, the
 // shared-execution engine, and a batch-at-a-time scheduler. It is the
 // fleet.Backend the router fans queries across, factored out of the
-// root package so internal consumers (benchkit's chaos harness, the
-// fleet tests, batchdb-server) can build fleets without importing the
-// public API.
+// root package so internal consumers (the fleet tests, batchdb-server)
+// can build fleets without importing the public API.
 package node
 
 import (

@@ -26,10 +26,7 @@
 // array access plus the tuple it names.
 //
 // Per paper §8.1 the query model is scan + equi-join + aggregate, which
-// covers the modified CH-benCHmark query set in Appendix A. The paper
-// notes (§8.4) that BatchDB's isolation properties do not depend on
-// shared execution; exec's QueryAtATime mode exists to ablate exactly
-// that.
+// covers the modified CH-benCHmark query set in Appendix A.
 package exec
 
 import (
@@ -208,10 +205,6 @@ type Engine struct {
 	// MorselTuples is the number of tuple slots per scan morsel; <= 0
 	// selects DefaultMorselTuples. Set before the first RunBatch.
 	MorselTuples int
-
-	// QueryAtATime disables scan sharing: each query performs its own
-	// scan pass. Used by the ablation benchmark.
-	QueryAtATime bool
 
 	// AdmitBudget bounds the estimated execution time of one batch for
 	// the AdmitBatch admission hook; <= 0 (the default) admits
@@ -467,24 +460,18 @@ func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 
 	// Stage 2: group queries by driver table and share scans.
 	var scanNS, mergeNS int64
-	if e.QueryAtATime {
-		for i := range queries {
-			e.scanDriver(sv, []*Query{queries[i]}, []*Result{&results[i]}, prepared, &scanNS, &mergeNS)
+	byDriver := make(map[storage.TableID][]int)
+	for i, q := range queries {
+		byDriver[q.Driver] = append(byDriver[q.Driver], i)
+	}
+	for _, idxs := range byDriver {
+		qs := make([]*Query, len(idxs))
+		rs := make([]*Result, len(idxs))
+		for j, i := range idxs {
+			qs[j] = queries[i]
+			rs[j] = &results[i]
 		}
-	} else {
-		byDriver := make(map[storage.TableID][]int)
-		for i, q := range queries {
-			byDriver[q.Driver] = append(byDriver[q.Driver], i)
-		}
-		for _, idxs := range byDriver {
-			qs := make([]*Query, len(idxs))
-			rs := make([]*Result, len(idxs))
-			for j, i := range idxs {
-				qs[j] = queries[i]
-				rs[j] = &results[i]
-			}
-			e.scanDriver(sv, qs, rs, prepared, &scanNS, &mergeNS)
-		}
+		e.scanDriver(sv, qs, rs, prepared, &scanNS, &mergeNS)
 	}
 	if e.stats != nil {
 		e.stats.ExecScan.Record(scanNS)

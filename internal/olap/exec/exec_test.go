@@ -155,17 +155,15 @@ func TestSharedBatchEqualsIndividual(t *testing.T) {
 
 		e2 := NewEngine(f.replica, workers)
 		e2.MorselTuples = 256
-		e2.QueryAtATime = true
-		individual := e2.RunBatch(batch, 0)
-
-		for i := range batch {
-			if shared[i].Err != nil || individual[i].Err != nil {
-				t.Fatalf("workers=%d errs: %v %v", workers, shared[i].Err, individual[i].Err)
+		for i, q := range batch {
+			individual := e2.RunBatch([]*Query{q}, 0)[0]
+			if shared[i].Err != nil || individual.Err != nil {
+				t.Fatalf("workers=%d errs: %v %v", workers, shared[i].Err, individual.Err)
 			}
-			if !almostEqual(shared[i].Values[0], individual[i].Values[0]) ||
-				shared[i].Values[1] != individual[i].Values[1] {
+			if !almostEqual(shared[i].Values[0], individual.Values[0]) ||
+				shared[i].Values[1] != individual.Values[1] {
 				t.Fatalf("workers=%d query %d: shared %v != individual %v",
-					workers, i, shared[i].Values, individual[i].Values)
+					workers, i, shared[i].Values, individual.Values)
 			}
 		}
 	}

@@ -9,8 +9,7 @@ import (
 // TestStoreConformance runs the shared partition conformance suite
 // (internal/storetest) against the row partition in every storage
 // configuration: bare, zone-mapped, and zone-mapped with encoded
-// vectors. The same suite runs against colstore.Partition, pinning the
-// two layouts to one contract.
+// vectors, pinning every configuration to one contract.
 func TestStoreConformance(t *testing.T) {
 	configs := []struct {
 		name string

@@ -1,3 +1,7 @@
+// Package resmodel holds the ingest admission governor: an AIMD
+// controller that paces bulk loading against the interactive p99 it
+// observes (Governor). The ingest loader, the public façade and
+// batchdb-server use it.
 package resmodel
 
 import (

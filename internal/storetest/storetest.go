@@ -1,13 +1,11 @@
-// Package storetest is the shared conformance suite for BatchDB's two
-// partition implementations — the OLAP replica's row partitions
-// (internal/olap) and the column-layout partitions (internal/colstore).
+// Package storetest is the conformance suite for the OLAP replica's row
+// partitions (internal/olap).
 //
-// Both implement the same storage-op surface with the same contract:
-// RowID 0 is the reserved tombstone sentinel, duplicate inserts and
-// patches to dead slots are rejected, deletes recycle slots without
-// growing the slot space, and scans skip tombstones. The two packages
-// run Run against their own constructors, so the layouts cannot drift
-// apart — extend this suite when extending either surface.
+// The contract: RowID 0 is the reserved tombstone sentinel, duplicate
+// inserts and patches to dead slots are rejected, deletes recycle slots
+// without growing the slot space, and scans skip tombstones. internal/olap
+// runs Run against every partition configuration it builds — extend this
+// suite when extending that surface.
 package storetest
 
 import (
@@ -18,8 +16,7 @@ import (
 	"batchdb/internal/storage"
 )
 
-// Store is the storage-op surface shared by olap.Partition and
-// colstore.Partition.
+// Store is the storage-op surface of olap.Partition.
 type Store interface {
 	Insert(rowID uint64, tuple []byte) error
 	UpdateField(rowID uint64, offset uint32, data []byte) error

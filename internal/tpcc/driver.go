@@ -21,8 +21,6 @@ var Mix = map[string]int{
 type Driver struct {
 	scale Scale
 	rng   *rand.Rand
-	// NewOrderOnly restricts the mix for microbenchmarks.
-	NewOrderOnly bool
 }
 
 // NewDriver creates a driver with its own deterministic random stream.
@@ -55,9 +53,6 @@ func (d *Driver) randLastName() string {
 
 // Next produces the next request per the standard mix.
 func (d *Driver) Next() (proc string, args []byte) {
-	if d.NewOrderOnly {
-		return ProcNewOrder, d.NewOrder().Encode()
-	}
 	r := d.rng.Intn(100)
 	switch {
 	case r < 45:

@@ -206,11 +206,10 @@ func TestConstantSizeKeepsOrderCount(t *testing.T) {
 	db := newLoadedDB(t)
 	e := newEngine(t, db, true)
 	drv := NewDriver(db.Scale, 5)
-	drv.NewOrderOnly = true
 
 	before := countVisible(t, db, db.Order)
 	for i := 0; i < 300; i++ {
-		_, args := drv.Next()
+		args := drv.NewOrder().Encode()
 		for {
 			r := e.Exec(ProcNewOrder, args)
 			if r.Err == nil || errors.Is(r.Err, ErrRollback) {
