@@ -31,7 +31,6 @@ import (
 
 	"batchdb/internal/checkpoint"
 	"batchdb/internal/ingest"
-	"batchdb/internal/metrics"
 	"batchdb/internal/mvcc"
 	"batchdb/internal/network"
 	"batchdb/internal/obs"
@@ -39,7 +38,6 @@ import (
 	"batchdb/internal/olap/exec"
 	"batchdb/internal/oltp"
 	"batchdb/internal/replica"
-	"batchdb/internal/resmodel"
 	"batchdb/internal/storage"
 )
 
@@ -69,7 +67,7 @@ type (
 	// Result is a Query's outcome.
 	Result = exec.Result
 	// DurabilityStats aggregates checkpoint/WAL/recovery counters.
-	DurabilityStats = metrics.DurabilityStats
+	DurabilityStats = obs.DurabilityStats
 	// BulkReport summarizes a BulkLoad: rows, chunks, achieved rate,
 	// and the SLO governor's baseline/bound/throttle telemetry.
 	BulkReport = ingest.Report
@@ -120,19 +118,11 @@ type Config struct {
 	// PushPeriod bounds update-propagation staleness (default 200 ms,
 	// the paper's setting).
 	PushPeriod time.Duration
-	// FieldSpecificUpdates propagates sub-tuple patches instead of
-	// whole-tuple images (default true; paper Fig. 6 favours it).
-	FieldSpecificUpdates *bool
-	// WALPath enables durable command logging into a single log file
-	// when non-empty (no checkpoints; recovery replays everything).
-	// Mutually exclusive with DataDir.
-	WALPath string
-	// WALSync forces fsync per group commit.
+	// WALSync forces fsync per group commit (DataDir mode).
 	WALSync bool
-	// DataDir enables the full durability subsystem when non-empty:
-	// segmented WAL with rotation, background checkpoints, and
-	// bounded-time crash recovery via RecoverDataDir. Mutually
-	// exclusive with WALPath.
+	// DataDir enables durability when non-empty: segmented WAL with
+	// rotation, background checkpoints, and bounded-time crash recovery
+	// via RecoverDataDir.
 	DataDir string
 	// CheckpointEveryVIDs checkpoints after this many commits (DataDir
 	// mode; default 50000, negative disables the trigger).
@@ -253,9 +243,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.PushPeriod <= 0 {
 		cfg.PushPeriod = 200 * time.Millisecond
 	}
-	if cfg.DataDir != "" && cfg.WALPath != "" {
-		return nil, errors.New("batchdb: WALPath and DataDir are mutually exclusive")
-	}
 	if cfg.CheckpointEveryVIDs == 0 {
 		cfg.CheckpointEveryVIDs = 50000
 	}
@@ -323,17 +310,11 @@ func (db *DB) buildEngine() error {
 			replicated[id] = true
 		}
 	}
-	fieldSpecific := true
-	if db.cfg.FieldSpecificUpdates != nil {
-		fieldSpecific = *db.cfg.FieldSpecificUpdates
-	}
 	e, err := oltp.New(db.store, oltp.Config{
 		Workers:       db.cfg.OLTPWorkers,
 		PushPeriod:    db.cfg.PushPeriod,
 		Replicated:    replicated,
-		FieldSpecific: fieldSpecific,
-		WALPath:       db.cfg.WALPath,
-		WALSync:       db.cfg.WALSync,
+		FieldSpecific: true,
 	})
 	if err != nil {
 		return err
@@ -343,21 +324,6 @@ func (db *DB) buildEngine() error {
 	ingest.RegisterProc(e)
 	db.engine = e
 	return nil
-}
-
-// Recover replays a single-file command log written by a previous
-// instance (legacy WALPath mode). Call after loading the identical
-// initial data, before Start. DataDir instances use RecoverDataDir.
-func (db *DB) Recover(walPath string) (int, error) {
-	if db.started {
-		return 0, errors.New("batchdb: Recover after Start")
-	}
-	if db.engine == nil {
-		if err := db.buildEngine(); err != nil {
-			return 0, err
-		}
-	}
-	return oltp.RecoverEngine(db.engine, walPath)
 }
 
 // RecoveryInfo describes what a DataDir recovery did.
@@ -571,7 +537,7 @@ func (db *DB) BulkLoad(table TableID, src func() ([]byte, bool)) (BulkReport, er
 	}
 	l := ingest.NewLoader(db.engine, table, ingest.Config{
 		ChunkRows: db.cfg.IngestChunkRows,
-		Governor: resmodel.GovernorConfig{
+		Governor: ingest.GovernorConfig{
 			BaselineP99:   db.cfg.IngestBaselineP99,
 			SLOMultiplier: db.cfg.IngestSLOMultiplier,
 			MaxRate:       db.cfg.IngestMaxChunksPerSec,

@@ -3,7 +3,6 @@ package batchdb
 import (
 	"encoding/binary"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -211,10 +210,11 @@ func TestDisableReplication(t *testing.T) {
 }
 
 func TestWALRecoveryThroughPublicAPI(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "cmd.log")
+	// No checkpoint is taken, so recovery replays every logged command
+	// on top of the reloaded seed.
+	cfg := Config{DataDir: t.TempDir(), CheckpointEveryVIDs: -1, CheckpointEveryWALBytes: -1}
 
-	f := newFixture(t, Config{WALPath: wal})
+	f := newFixture(t, cfg)
 	f.load(t, 10)
 	if err := f.db.Start(); err != nil {
 		t.Fatal(err)
@@ -228,14 +228,14 @@ func TestWALRecoveryThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2 := newFixture(t, Config{})
+	f2 := newFixture(t, cfg)
 	f2.load(t, 10)
-	n, err := f2.db.Recover(wal)
+	info, err := f2.db.RecoverDataDir()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 20 {
-		t.Fatalf("replayed %d, want 20", n)
+	if info.CheckpointVID != 0 || info.Replayed != 20 {
+		t.Fatalf("recovery = %+v, want 20 commands replayed above no checkpoint", info)
 	}
 	if err := f2.db.Start(); err != nil {
 		t.Fatal(err)

@@ -58,7 +58,6 @@ import (
 	"batchdb/internal/olap/exec"
 	"batchdb/internal/oltp"
 	"batchdb/internal/replica"
-	"batchdb/internal/resmodel"
 	"batchdb/internal/storage"
 	"batchdb/internal/tpcc"
 )
@@ -560,7 +559,7 @@ func (s *server) bulkLoad(n int64, governed bool) (ingest.Report, error) {
 	next := start
 	l := ingest.NewLoader(s.engine, bulkTableID, ingest.Config{
 		ChunkRows: s.ingestCfg.ingestChunkRows,
-		Governor: resmodel.GovernorConfig{
+		Governor: ingest.GovernorConfig{
 			SLOMultiplier: s.ingestCfg.ingestSLO,
 			MaxRate:       s.ingestCfg.ingestMaxRate,
 		},

@@ -112,13 +112,6 @@ func TestDataDirLifecycle(t *testing.T) {
 	}
 }
 
-func TestDataDirExclusiveWithWALPath(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Open(Config{DataDir: dir, WALPath: dir + "/x.log"}); err == nil {
-		t.Fatal("Open accepted both WALPath and DataDir")
-	}
-}
-
 func TestRecoverDataDirGuards(t *testing.T) {
 	f := newFixture(t, Config{})
 	if _, err := f.db.RecoverDataDir(); err == nil {

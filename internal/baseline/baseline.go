@@ -25,8 +25,8 @@ package baseline
 import (
 	"time"
 
-	"batchdb/internal/metrics"
 	"batchdb/internal/mvcc"
+	"batchdb/internal/obs"
 	"batchdb/internal/olap/exec"
 	"batchdb/internal/oltp"
 	"batchdb/internal/tpcc"
@@ -54,11 +54,11 @@ func (p Policy) String() string {
 
 // Stats exposes the baseline engine's counters.
 type Stats struct {
-	TxnCommitted metrics.Counter
-	TxnAborted   metrics.Counter
-	Queries      metrics.Counter
-	TxnLatency   metrics.Histogram
-	QueryLatency metrics.Histogram
+	TxnCommitted obs.Counter
+	TxnAborted   obs.Counter
+	Queries      obs.Counter
+	TxnLatency   obs.Histogram
+	QueryLatency obs.Histogram
 }
 
 // Engine is a single-replica engine running hybrid workloads on shared

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"batchdb/internal/crash"
-	"batchdb/internal/metrics"
 	"batchdb/internal/mvcc"
+	"batchdb/internal/obs"
 	"batchdb/internal/oltp"
 	"batchdb/internal/wal"
 )
@@ -37,7 +37,7 @@ type BootConfig struct {
 	// Inj is the crash-injection hook (nil in production).
 	Inj *crash.Injector
 	// Stats receives durability counters (allocated when nil).
-	Stats *metrics.DurabilityStats
+	Stats *obs.DurabilityStats
 }
 
 // BootInfo describes what Boot did.
@@ -65,7 +65,7 @@ type State struct {
 	ckptDir string
 	walDir  string
 	inj     *crash.Injector
-	stats   *metrics.DurabilityStats
+	stats   *obs.DurabilityStats
 	store   *mvcc.Store
 	wal     *wal.Manager
 
@@ -122,7 +122,7 @@ func Boot(e *oltp.Engine, cfg BootConfig) (*State, BootInfo, error) {
 		keep:    2,
 	}
 	if st.stats == nil {
-		st.stats = &metrics.DurabilityStats{}
+		st.stats = &obs.DurabilityStats{}
 	}
 	for _, d := range []string{cfg.Dir, st.ckptDir, st.walDir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -258,7 +258,7 @@ func (st *State) restoreNewestValid(man *Manifest) (ckptVID uint64, fellBack boo
 }
 
 // Stats returns the durability counters.
-func (st *State) Stats() *metrics.DurabilityStats { return st.stats }
+func (st *State) Stats() *obs.DurabilityStats { return st.stats }
 
 // WAL returns the segment manager (the engine's command log).
 func (st *State) WAL() *wal.Manager { return st.wal }

@@ -125,7 +125,7 @@ type Config struct {
 	HedgeAfter time.Duration
 	// HedgeQuantile, when > 0, hedges after the fleet's observed
 	// attempt-latency percentile (e.g. 95 for p95; the [0,100] scale of
-	// metrics.Histogram.Percentile). Needs hedgeMinSamples observations
+	// obs.Histogram.Percentile). Needs hedgeMinSamples observations
 	// before it activates; until then HedgeAfter alone applies.
 	HedgeQuantile float64
 	// StalePolicy applies to queries that don't set their own

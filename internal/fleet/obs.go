@@ -3,7 +3,6 @@ package fleet
 import (
 	"strconv"
 
-	"batchdb/internal/metrics"
 	"batchdb/internal/obs"
 )
 
@@ -17,42 +16,42 @@ import (
 type Stats struct {
 	// Queries counts routed query calls; exactly one of Answered,
 	// Rejected, Shed is counted per call.
-	Queries  metrics.Counter
-	Answered metrics.Counter
-	Rejected metrics.Counter
+	Queries  obs.Counter
+	Answered obs.Counter
+	Rejected obs.Counter
 	// Shed counts queries rejected by the MaxInFlight load gate.
-	Shed metrics.Counter
+	Shed obs.Counter
 	// Attempts counts dispatches to members (primaries + hedges);
 	// Failures the dispatches that returned a genuine error (cancels
 	// excluded); Retries the re-picks after a failed attempt.
-	Attempts metrics.Counter
-	Failures metrics.Counter
-	Retries  metrics.Counter
+	Attempts obs.Counter
+	Failures obs.Counter
+	Retries  obs.Counter
 	// Hedges counts hedge dispatches, HedgeWins the hedges whose answer
 	// was the one returned.
-	Hedges    metrics.Counter
-	HedgeWins metrics.Counter
+	Hedges    obs.Counter
+	HedgeWins obs.Counter
 	// StaleServed counts answers returned flagged Stale under
 	// StaleServe; StaleRejected counts answers discarded for exceeding
 	// the query's staleness bound.
-	StaleServed   metrics.Counter
-	StaleRejected metrics.Counter
+	StaleServed   obs.Counter
+	StaleRejected obs.Counter
 	// Ejections, Probes, Readmits trace the breaker state machine.
-	Ejections metrics.Counter
-	Probes    metrics.Counter
-	Readmits  metrics.Counter
+	Ejections obs.Counter
+	Probes    obs.Counter
+	Readmits  obs.Counter
 	// Latency is the end-to-end routed latency (including retries and
 	// backoff); AttemptLatency the per-dispatch latency of successful
 	// attempts (the hedge threshold's input).
-	Latency        metrics.Histogram
-	AttemptLatency metrics.Histogram
+	Latency        obs.Histogram
+	AttemptLatency obs.Histogram
 }
 
 type memberStats struct {
-	Routed   metrics.Counter
-	Failures metrics.Counter
+	Routed   obs.Counter
+	Failures obs.Counter
 	// Ejected is 1 while the breaker holds the member ejected.
-	Ejected metrics.Gauge
+	Ejected obs.Gauge
 }
 
 // Register exposes the stats through reg under batchdb_fleet_*.

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"batchdb/internal/metrics"
 	"batchdb/internal/mvcc"
+	"batchdb/internal/obs"
 	"batchdb/internal/oltp"
-	"batchdb/internal/resmodel"
 	"batchdb/internal/storage"
 )
 
@@ -21,7 +20,7 @@ type Config struct {
 	// Governor configures the admission controller. A zero BaselineP99
 	// is auto-measured from the engine's interactive latency histogram
 	// over BaselineWindow before the load starts.
-	Governor resmodel.GovernorConfig
+	Governor GovernorConfig
 	// DisableGovernor runs the load open-throttle at the fixed rate
 	// Governor.MaxRate (0 = completely unpaced). The bench's
 	// governor-off cell uses this to demonstrate the SLO violation the
@@ -102,9 +101,9 @@ type Report struct {
 
 // Stats holds the loader's observability counters (see RegisterMetrics).
 type Stats struct {
-	RowsLoaded metrics.Counter
-	Chunks     metrics.Counter
-	Retries    metrics.Counter
+	RowsLoaded obs.Counter
+	Chunks     obs.Counter
+	Retries    obs.Counter
 }
 
 // Loader streams rows into one table through the bulk-ingest stored
@@ -114,7 +113,7 @@ type Loader struct {
 	e     *oltp.Engine
 	table storage.TableID
 	cfg   Config
-	gov   *resmodel.Governor
+	gov   *Governor
 	stats Stats
 }
 
@@ -170,7 +169,7 @@ func (l *Loader) Load(src func() ([]byte, bool)) (rep Report, err error) {
 		if gcfg.BaselineP99 <= 0 {
 			gcfg.BaselineP99 = l.measureBaseline(hist)
 		}
-		l.gov = resmodel.NewGovernor(gcfg)
+		l.gov = NewGovernor(gcfg)
 		rep.BaselineP99 = gcfg.BaselineP99
 		rep.Bound = l.gov.Bound()
 	}
@@ -265,7 +264,7 @@ func (l *Loader) finish(rep *Report) {
 // configured window. With no interactive traffic at all there is
 // nothing to anchor to; fall back to a millisecond so the bound stays
 // meaningful instead of degenerating to zero.
-func (l *Loader) measureBaseline(hist *metrics.Histogram) time.Duration {
+func (l *Loader) measureBaseline(hist *obs.Histogram) time.Duration {
 	before := hist.Snapshot()
 	time.Sleep(l.cfg.BaselineWindow)
 	after := hist.Snapshot()

@@ -23,7 +23,6 @@ import (
 	"batchdb/internal/olap"
 	"batchdb/internal/oltp"
 	"batchdb/internal/proplog"
-	"batchdb/internal/resmodel"
 	"batchdb/internal/storage"
 	"batchdb/internal/tpcc"
 	"batchdb/internal/wal"
@@ -197,7 +196,7 @@ func startInteractive(t *testing.T, e *oltp.Engine, scale tpcc.Scale, clients in
 func soakLoaderConfig() ingest.Config {
 	return ingest.Config{
 		ChunkRows: soakChunk,
-		Governor: resmodel.GovernorConfig{
+		Governor: ingest.GovernorConfig{
 			SLOMultiplier: 3,
 			MinRate:       20,
 			MaxRate:       500,
@@ -305,9 +304,9 @@ func TestIngestSoakSlowReplica(t *testing.T) {
 // durability-gated, so the load slows but every acknowledged chunk must
 // be recoverable by replaying the command log from the seed state.
 func TestIngestSoakWALStall(t *testing.T) {
-	walPath := t.TempDir() + "/soak.wal"
+	dir := t.TempDir()
 	rig := newSoakRig(t, 0)
-	inner, err := wal.Create(walPath, wal.Options{Sync: false})
+	inner, err := wal.OpenDir(dir, wal.DirOptions{StartVID: rig.engine.LatestVID() + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +323,7 @@ func TestIngestSoakWALStall(t *testing.T) {
 	// assert every acknowledged row survived, exactly.
 	rig2 := newSoakRig(t, 0)
 	defer rig2.sched.Close()
-	if _, err := oltp.RecoverEngine(rig2.engine, walPath); err != nil {
+	if _, err := wal.ReplayDir(dir, 0, func(r wal.Record) error { return oltp.ReplayRecord(rig2.engine, r) }); err != nil {
 		t.Fatal(err)
 	}
 	if w := rig2.engine.LatestVID(); w < rep.LastVID {

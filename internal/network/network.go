@@ -52,7 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"batchdb/internal/metrics"
+	"batchdb/internal/obs"
 )
 
 // EagerLimit is the largest payload sent without a rendezvous handshake.
@@ -71,24 +71,24 @@ const (
 
 // Stats counts transport events.
 type Stats struct {
-	EagerMsgs      metrics.Counter
-	RendezvousMsgs metrics.Counter
-	BytesSent      metrics.Counter
-	BytesReceived  metrics.Counter
-	BuffersReused  metrics.Counter
-	BuffersAlloced metrics.Counter
+	EagerMsgs      obs.Counter
+	RendezvousMsgs obs.Counter
+	BytesSent      obs.Counter
+	BytesReceived  obs.Counter
+	BuffersReused  obs.Counter
+	BuffersAlloced obs.Counter
 	// Retries counts dial attempts beyond each first try (DialRetry).
-	Retries metrics.Counter
+	Retries obs.Counter
 	// DroppedGrants counts grants that arrived with no waiting sender —
 	// zero in a healthy connection; non-zero indicates a protocol bug or
 	// an injected fault.
-	DroppedGrants metrics.Counter
+	DroppedGrants obs.Counter
 	// GrantTimeouts counts rendezvous handshakes abandoned because the
 	// grant deadline expired.
-	GrantTimeouts metrics.Counter
+	GrantTimeouts obs.Counter
 	// Severed counts connections that transitioned to failed (error,
 	// deadline, injected fault, or Close).
-	Severed metrics.Counter
+	Severed obs.Counter
 }
 
 // Options bounds how long a connection may stall on a sick peer. The

@@ -1,14 +1,44 @@
 package obs
 
-import (
-	"time"
+import "time"
 
-	"batchdb/internal/metrics"
-)
+// DurabilityStats aggregates the durability subsystem's counters:
+// checkpointing progress, WAL segment usage, and recovery cost. One
+// instance is shared by the WAL segment manager, the checkpointer, and
+// the recovery path of a data-dir instance.
+type DurabilityStats struct {
+	// Checkpoints counts completed checkpoints; CheckpointFailures
+	// counts attempts that did not produce a manifest-referenced file.
+	Checkpoints        Counter
+	CheckpointFailures Counter
+	// LastCheckpoint* describe the most recent completed checkpoint.
+	LastCheckpointVID   Gauge
+	LastCheckpointNanos Gauge
+	LastCheckpointBytes Gauge
+	// LastCheckpointUnixNanos is the wall-clock completion time of the
+	// most recent checkpoint (UnixNano; 0 = none yet) — the input to
+	// the exported checkpoint-age gauge.
+	LastCheckpointUnixNanos Gauge
+	// WALAppendedBytes counts bytes group-committed into segments since
+	// open; WALSegments is the live segment count; SegmentsTruncated
+	// counts segments unlinked because a checkpoint superseded them.
+	WALAppendedBytes  Counter
+	WALSegments       Gauge
+	SegmentsTruncated Counter
+	// WALFsyncNanos measures each group-commit fsync (only recorded
+	// when the log runs with Sync enabled).
+	WALFsyncNanos Histogram
+	// Recovery* describe the last recovery: commands replayed from the
+	// WAL tail, time spent replaying, and how often the newest
+	// checkpoint failed verification and an older one was used.
+	RecoveryReplayed  Counter
+	RecoveryNanos     Gauge
+	RecoveryFallbacks Counter
+}
 
 // RegisterDurability exposes a DurabilityStats (shared by the WAL
 // segment manager, the checkpointer, and recovery) through reg.
-func RegisterDurability(reg *Registry, st *metrics.DurabilityStats, labels ...Label) {
+func RegisterDurability(reg *Registry, st *DurabilityStats, labels ...Label) {
 	reg.ObserveCounter("batchdb_checkpoints_total", "Completed checkpoints.", &st.Checkpoints, labels...)
 	reg.ObserveCounter("batchdb_checkpoint_failures_total", "Checkpoint attempts that failed.", &st.CheckpointFailures, labels...)
 	reg.ObserveGauge("batchdb_checkpoint_last_vid", "VID of the most recent completed checkpoint.", &st.LastCheckpointVID, labels...)

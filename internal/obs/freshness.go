@@ -3,8 +3,6 @@ package obs
 import (
 	"sync"
 	"time"
-
-	"batchdb/internal/metrics"
 )
 
 // Freshness tracks how far the OLAP replica's installed snapshot
@@ -42,11 +40,11 @@ type Freshness struct {
 	everConfirmed bool
 
 	// Exported instruments (registered as views by Register).
-	installedVID  metrics.Gauge
-	watermarkVID  metrics.Gauge
-	lagHigh       metrics.Gauge
-	installs      metrics.Counter
-	stalenessHist metrics.Histogram
+	installedVID  Gauge
+	watermarkVID  Gauge
+	lagHigh       Gauge
+	installs      Counter
+	stalenessHist Histogram
 }
 
 type watermarkObs struct {
@@ -168,7 +166,7 @@ func (f *Freshness) LagHigh() int64 { return f.lagHigh.Load() }
 // StalenessHistogram returns the histogram of staleness samples taken
 // at each snapshot install (for percentile reporting outside a
 // registry).
-func (f *Freshness) StalenessHistogram() *metrics.Histogram { return &f.stalenessHist }
+func (f *Freshness) StalenessHistogram() *Histogram { return &f.stalenessHist }
 
 // ResetLagHigh clears the lag high-watermark (between measurement
 // phases).

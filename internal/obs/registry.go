@@ -1,13 +1,14 @@
-// Package obs is BatchDB's unified observability layer: a
-// concurrency-safe registry of named counters, gauges and histograms, a
-// stdlib-only Prometheus-text-format exporter served over HTTP
+// Package obs is BatchDB's unified observability layer: the
+// instruments every subsystem records into (Counter, Gauge, Histogram,
+// BusyTracker; metrics.go), a concurrency-safe registry of them by
+// name, a stdlib-only Prometheus-text-format exporter served over HTTP
 // (/metrics, /healthz), and the freshness tracker that measures the
 // paper's defining HTAP quantity — how far the OLAP replica's installed
 // snapshot trails the primary's commit watermark, in VIDs and in wall
 // time.
 //
 // Every subsystem keeps its existing stats struct (oltp.Stats,
-// olap.SchedulerStats, replica.Stats, metrics.DurabilityStats, ...) and
+// olap.SchedulerStats, replica.Stats, DurabilityStats, ...) and
 // registers it here as a *view*: the registry holds pointers to the
 // live instruments, so there is exactly one source of truth that the
 // server's STATS command, the /metrics endpoint, benchmarks and tests
@@ -19,8 +20,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"batchdb/internal/metrics"
 )
 
 // Kind classifies a metric family.
@@ -56,8 +55,8 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // series is one labelled instrument inside a family. inst is the live
-// instrument: *metrics.Counter, *metrics.Gauge, *metrics.Histogram,
-// func() uint64 (counter func) or func() float64 (gauge func).
+// instrument: *Counter, *Gauge, *Histogram, func() uint64 (counter
+// func) or func() float64 (gauge func).
 type series struct {
 	labels []Label
 	inst   any
@@ -176,9 +175,9 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label, mk fun
 }
 
 // Counter get-or-creates a registry-owned counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *metrics.Counter {
-	inst := r.register(name, help, KindCounter, labels, func() any { return new(metrics.Counter) }, nil)
-	c, ok := inst.(*metrics.Counter)
+func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	inst := r.register(name, help, KindCounter, labels, func() any { return new(Counter) }, nil)
+	c, ok := inst.(*Counter)
 	if !ok {
 		panic(fmt.Sprintf("obs: series %q is not a counter", name))
 	}
@@ -186,9 +185,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *metrics.Counter 
 }
 
 // Gauge get-or-creates a registry-owned gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *metrics.Gauge {
-	inst := r.register(name, help, KindGauge, labels, func() any { return new(metrics.Gauge) }, nil)
-	g, ok := inst.(*metrics.Gauge)
+func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+	inst := r.register(name, help, KindGauge, labels, func() any { return new(Gauge) }, nil)
+	g, ok := inst.(*Gauge)
 	if !ok {
 		panic(fmt.Sprintf("obs: series %q is not a gauge", name))
 	}
@@ -196,9 +195,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *metrics.Gauge {
 }
 
 // Histogram get-or-creates a registry-owned histogram.
-func (r *Registry) Histogram(name, help string, labels ...Label) *metrics.Histogram {
-	inst := r.register(name, help, KindHistogram, labels, func() any { return new(metrics.Histogram) }, nil)
-	h, ok := inst.(*metrics.Histogram)
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+	inst := r.register(name, help, KindHistogram, labels, func() any { return new(Histogram) }, nil)
+	h, ok := inst.(*Histogram)
 	if !ok {
 		panic(fmt.Sprintf("obs: series %q is not a histogram", name))
 	}
@@ -208,17 +207,17 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *metrics.Histog
 // ObserveCounter registers an existing counter as a series (a registry
 // view over a subsystem's stats struct). Idempotent for the same
 // instrument.
-func (r *Registry) ObserveCounter(name, help string, c *metrics.Counter, labels ...Label) {
+func (r *Registry) ObserveCounter(name, help string, c *Counter, labels ...Label) {
 	r.register(name, help, KindCounter, labels, nil, c)
 }
 
 // ObserveGauge registers an existing gauge as a series.
-func (r *Registry) ObserveGauge(name, help string, g *metrics.Gauge, labels ...Label) {
+func (r *Registry) ObserveGauge(name, help string, g *Gauge, labels ...Label) {
 	r.register(name, help, KindGauge, labels, nil, g)
 }
 
 // ObserveHistogram registers an existing histogram as a series.
-func (r *Registry) ObserveHistogram(name, help string, h *metrics.Histogram, labels ...Label) {
+func (r *Registry) ObserveHistogram(name, help string, h *Histogram, labels ...Label) {
 	r.register(name, help, KindHistogram, labels, nil, h)
 }
 
@@ -268,15 +267,15 @@ func (r *Registry) gather() []snapshotFamily {
 		sf := snapshotFamily{name: f.name, help: f.help, kind: f.kind}
 		for _, s := range orders[i] {
 			switch inst := s.inst.(type) {
-			case *metrics.Counter:
+			case *Counter:
 				sf.samples = append(sf.samples, Sample{Name: f.name, Labels: s.labels, Value: float64(inst.Load())})
 			case func() uint64:
 				sf.samples = append(sf.samples, Sample{Name: f.name, Labels: s.labels, Value: float64(inst())})
-			case *metrics.Gauge:
+			case *Gauge:
 				sf.samples = append(sf.samples, Sample{Name: f.name, Labels: s.labels, Value: float64(inst.Load())})
 			case func() float64:
 				sf.samples = append(sf.samples, Sample{Name: f.name, Labels: s.labels, Value: inst()})
-			case *metrics.Histogram:
+			case *Histogram:
 				snap := inst.Snapshot()
 				for _, q := range [...]struct {
 					q string

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"batchdb/internal/metrics"
 )
 
 func findSample(t *testing.T, samples []Sample, name string, labels ...Label) Sample {
@@ -72,7 +70,7 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 
 func TestRegistryObserveAdoptsAndIsIdempotent(t *testing.T) {
 	r := NewRegistry()
-	var c struct{ n metrics.Counter }
+	var c struct{ n Counter }
 	r.ObserveCounter("batchdb_adopted_total", "h", &c.n)
 	r.ObserveCounter("batchdb_adopted_total", "h", &c.n) // same pointer: fine
 	c.n.Add(7)
@@ -85,7 +83,7 @@ func TestRegistryObserveAdoptsAndIsIdempotent(t *testing.T) {
 			t.Fatal("binding a second instrument to the same series did not panic")
 		}
 	}()
-	var other metrics.Counter
+	var other Counter
 	r.ObserveCounter("batchdb_adopted_total", "h", &other)
 }
 

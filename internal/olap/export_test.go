@@ -13,3 +13,11 @@ const (
 	CauseBarrier = causeBarrier
 	CausePush    = causePush
 )
+
+// RoundsWaitingOnPins reports how many apply rounds are blocked until
+// the outstanding snapshot pins drop.
+func (r *Replica) RoundsWaitingOnPins() int {
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	return r.roundsWaiting
+}

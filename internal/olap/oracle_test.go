@@ -30,7 +30,6 @@ import (
 	"batchdb/internal/mvcc"
 	"batchdb/internal/olap"
 	"batchdb/internal/oltp"
-	"batchdb/internal/resmodel"
 	"batchdb/internal/storage"
 )
 
@@ -353,15 +352,19 @@ func TestConcurrentPinnedSnapshots(t *testing.T) {
 		sv := rep.PinSnapshot()
 		defer sv.Unpin()
 		h := hold{vid: sv.VID(), first: scanBalances(schema, sv)}
-		pushRounds := sched.Stats().ApplyRounds[olap.CausePush].Load()
-		for deadline := time.Now().Add(5 * time.Second); rep.Covered() <= h.vid ||
-			sched.Stats().ApplyRounds[olap.CausePush].Load() == pushRounds; time.Sleep(100 * time.Microsecond) {
+		// The batch's barrier round finished before the pin and the
+		// dispatcher is here, so a round blocked on the pin is a push
+		// round, kicked by the writers' pushes. Wait for one, watching
+		// that no round applies meanwhile.
+		for deadline := time.Now().Add(5 * time.Second); rep.RoundsWaitingOnPins() == 0; time.Sleep(100 * time.Microsecond) {
+			if got := rep.AppliedVID(); got != h.vid {
+				break // reported below
+			}
 			if time.Now().After(deadline) {
-				t.Errorf("pinned at VID %d: no push round started within 5 s", h.vid)
+				t.Errorf("pinned at VID %d: no push round waited on the pin within 5 s", h.vid)
 				break
 			}
 		}
-		time.Sleep(20 * time.Millisecond) // long enough for a round that did not wait to apply
 		if got := rep.AppliedVID(); got != h.vid {
 			t.Errorf("a push round applied up to VID %d under a pin at VID %d", got, h.vid)
 		}
@@ -552,7 +555,7 @@ func TestSnapshotIsolationOracleWithIngest(t *testing.T) {
 		l := ingest.NewLoader(engine, schema.ID, ingest.Config{
 			ChunkRows:       chunkRows,
 			DisableGovernor: true,
-			Governor:        resmodel.GovernorConfig{MaxRate: 300}, // paced, ungoverned
+			Governor:        ingest.GovernorConfig{MaxRate: 300}, // paced, ungoverned
 			OnChunk: func(a ingest.ChunkAck) {
 				logMu.Lock()
 				for r := 0; r < a.Rows; r++ {

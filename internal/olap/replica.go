@@ -166,13 +166,15 @@ type Replica struct {
 	// compress mirrors zmBlock for the encoded-vector layer.
 	compress bool
 
-	// snapMu guards the reader pins and the running round's flag
-	// (snapshot.go); snapCond signals either dropping. snapMu may take r.mu
-	// inside, never the reverse.
-	snapMu   sync.Mutex
-	snapCond *sync.Cond
-	pins     int
-	applying bool
+	// snapMu guards the reader pins, the running round's flag and the
+	// count of rounds waiting for the pins to drop (snapshot.go);
+	// snapCond signals either dropping. snapMu may take r.mu inside,
+	// never the reverse.
+	snapMu        sync.Mutex
+	snapCond      *sync.Cond
+	pins          int
+	applying      bool
+	roundsWaiting int
 
 	// onPush is the scheduler's apply-round kick.
 	onPush func()

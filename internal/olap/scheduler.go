@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"batchdb/internal/metrics"
 	"batchdb/internal/obs"
 )
 
@@ -38,40 +37,40 @@ type RunBatchFunc[Q, R any] func(queries []Q, snap uint64) []R
 
 // SchedulerStats exposes the OLAP dispatcher's counters.
 type SchedulerStats struct {
-	Queries        metrics.Counter
-	Batches        metrics.Counter
-	AppliedEntries metrics.Counter
+	Queries        obs.Counter
+	Batches        obs.Counter
+	AppliedEntries obs.Counter
 	// Latency measures queue + execution time per query (what a client
 	// observes, paper Fig. 7b).
-	Latency metrics.Histogram
+	Latency obs.Histogram
 	// BatchExec measures pure batch execution time.
-	BatchExec metrics.Histogram
+	BatchExec obs.Histogram
 	// ApplyTime accumulates time spent applying updates per round (a
 	// round's clock includes its sync and any wait for a batch to unpin):
 	// one sample for every round that applied entries, installed a reload
 	// or did maintenance. ApplyRoundsEmpty counts the rounds that found
 	// none of the three — the freshness barrier of a quiet primary runs
 	// one — which would otherwise dilute the histogram's mean.
-	ApplyTime        metrics.Histogram
-	ApplyRoundsEmpty metrics.Counter
+	ApplyTime        obs.Histogram
+	ApplyRoundsEmpty obs.Counter
 	// ApplyRounds counts every round by what started it (roundCause).
 	// BlocksReencoded counts the blocks whose encoded vectors rounds
 	// rebuilt.
-	ApplyRounds     [numRoundCauses]metrics.Counter
-	BlocksReencoded metrics.Counter
+	ApplyRounds     [numRoundCauses]obs.Counter
+	BlocksReencoded obs.Counter
 	// SnapWait measures the dispatcher's freshness barrier: how long a
 	// formed batch waits for an apply round covering its formation time
 	// before it pins a snapshot and executes — the only apply-induced
 	// stall a batch ever sees.
-	SnapWait metrics.Histogram
+	SnapWait obs.Histogram
 	// ExecBuildPrepare, ExecScan and ExecMerge split each batch's
 	// execution into its phases — shared hash-build construction or
 	// revalidation, the morsel-driven driver scans, and the per-worker
 	// partial-aggregate merge. Recorded by the exec engine when it is
 	// attached via Engine.AttachStats (one sample per batch each).
-	ExecBuildPrepare metrics.Histogram
-	ExecScan         metrics.Histogram
-	ExecMerge        metrics.Histogram
+	ExecBuildPrepare obs.Histogram
+	ExecScan         obs.Histogram
+	ExecMerge        obs.Histogram
 	// ExecBlocksScanned and ExecBlocksSkipped count the morsel
 	// dispatcher's zone-map verdicts: morsels whose block synopses could
 	// satisfy at least one query in the batch, vs morsels every
@@ -81,25 +80,25 @@ type SchedulerStats struct {
 	// skipped its whole morsel or a selection bitmap dropped it before
 	// materialization; tuples consumed by the encoded-block aggregate
 	// kernels count as answered, not pruned.
-	ExecBlocksScanned metrics.Counter
-	ExecBlocksSkipped metrics.Counter
-	ExecTuplesPruned  metrics.Counter
+	ExecBlocksScanned obs.Counter
+	ExecBlocksSkipped obs.Counter
+	ExecTuplesPruned  obs.Counter
 	// ExecBlocksVectorized counts scanned morsels whose predicate
 	// evaluation ran on the compressed-block kernels (every active
 	// query's selection bitmap came from FilterRange; only survivors
 	// were materialized from the raw rows).
-	ExecBlocksVectorized metrics.Counter
+	ExecBlocksVectorized obs.Counter
 	// ExecBlocksAggVectorized counts (morsel, query) pairs the
 	// encoded-block aggregate kernels answered outright — the query's
 	// selection covered every tuple of the morsel, so SUM/COUNT were
 	// computed on the packed runs without materializing a row.
-	ExecBlocksAggVectorized metrics.Counter
+	ExecBlocksAggVectorized obs.Counter
 	// ExecCohortsShared counts merged cohorts — groups of two or more
 	// queries the batch planner executed as one shared
 	// probe/aggregate pipeline — and ExecQueriesShared their member
 	// queries; ExecQueriesShared / Queries is the batch share rate.
-	ExecCohortsShared metrics.Counter
-	ExecQueriesShared metrics.Counter
+	ExecCohortsShared obs.Counter
+	ExecQueriesShared obs.Counter
 	// ExecProbeLookups counts join-probe lookups: one per root step per
 	// driver tuple some query holding the step still wants, whatever the
 	// number of queries; one per tail step per tuple per cohort that
@@ -111,15 +110,15 @@ type SchedulerStats struct {
 	// per live member otherwise (a table larger than the driver). Both
 	// are pure functions of data, batch, plan and what the engine has
 	// cached — work counters, comparable exactly across runs.
-	ExecProbeLookups   metrics.Counter
-	ExecProbePredEvals metrics.Counter
+	ExecProbeLookups   obs.Counter
+	ExecProbePredEvals obs.Counter
 	// AdmitSplits counts dispatch rounds the admission hook cut short;
 	// AdmitDeferred counts the queries it pushed into a later round
 	// (each deferred query re-queues behind a fresh sync/apply, so a
 	// split batch never runs on a staler snapshot than an unsplit one).
-	AdmitSplits   metrics.Counter
-	AdmitDeferred metrics.Counter
-	Busy          metrics.BusyTracker
+	AdmitSplits   obs.Counter
+	AdmitDeferred obs.Counter
+	Busy          obs.BusyTracker
 }
 
 // Scheduler is the OLAP dispatcher (paper Fig. 1 right, §5 "Query

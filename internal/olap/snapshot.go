@@ -52,8 +52,12 @@ func (r *Replica) PinSnapshot() *Snapshot {
 // until endRound.
 func (r *Replica) beginRound() {
 	r.snapMu.Lock()
-	for r.pins > 0 {
-		r.snapCond.Wait()
+	if r.pins > 0 {
+		r.roundsWaiting++
+		for r.pins > 0 {
+			r.snapCond.Wait()
+		}
+		r.roundsWaiting--
 	}
 	r.applying = true
 	r.snapMu.Unlock()

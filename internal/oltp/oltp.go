@@ -19,8 +19,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"batchdb/internal/metrics"
 	"batchdb/internal/mvcc"
+	"batchdb/internal/obs"
 	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 	"batchdb/internal/wal"
@@ -33,8 +33,8 @@ import (
 type Procedure func(tx *mvcc.Txn, args []byte) ([]byte, error)
 
 // CommandLog is the durable command log the dispatcher group-commits at
-// batch boundaries: either the single-file wal.Log (WALPath mode) or
-// the segmented wal.Manager installed by the data-dir boot path.
+// batch boundaries: the segmented wal.Manager the data-dir boot path
+// installs with SetLog.
 type CommandLog interface {
 	Append(wal.Record) error
 	Commit() error
@@ -73,10 +73,6 @@ type Config struct {
 	// FieldSpecific selects sub-tuple (offset/size) update extraction
 	// rather than whole-tuple images (paper Fig. 6 compares both).
 	FieldSpecific bool
-	// WALPath enables command logging when non-empty.
-	WALPath string
-	// WALSync forces fsync per group commit.
-	WALSync bool
 	// GCEveryTxns paces version garbage collection: a worker re-reads the
 	// snapshot horizon and revisits the chains its commits wrote once it
 	// has committed this many transactions since it last did. The work is
@@ -108,18 +104,18 @@ func (c *Config) fill() {
 // ingest chunks — huge transactions by design — are accounted
 // separately in BulkLatency and must never pollute it.
 type Stats struct {
-	Committed    metrics.Counter
-	Aborted      metrics.Counter
-	Conflicts    metrics.Counter
-	Batches      metrics.Counter
-	Pushes       metrics.Counter
-	PushedTuples metrics.Counter
-	Latency      metrics.Histogram
-	Busy         metrics.BusyTracker
+	Committed    obs.Counter
+	Aborted      obs.Counter
+	Conflicts    obs.Counter
+	Batches      obs.Counter
+	Pushes       obs.Counter
+	PushedTuples obs.Counter
+	Latency      obs.Histogram
+	Busy         obs.BusyTracker
 	// Bulk-class procedures (RegisterBulk): commit count and per-call
 	// latency, kept out of the interactive histogram above.
-	BulkCommitted metrics.Counter
-	BulkLatency   metrics.Histogram
+	BulkCommitted obs.Counter
+	BulkLatency   obs.Histogram
 }
 
 // Response is the outcome of one stored-procedure call.
@@ -179,13 +175,6 @@ func New(store *mvcc.Store, cfg Config) (*Engine, error) {
 		closing: make(chan struct{}),
 		closed:  make(chan struct{}),
 	}
-	if cfg.WALPath != "" {
-		l, err := wal.Create(cfg.WALPath, wal.Options{Sync: cfg.WALSync})
-		if err != nil {
-			return nil, err
-		}
-		e.log = l
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.workers = append(e.workers, newWorker(i, e))
 	}
@@ -198,8 +187,7 @@ func (e *Engine) Store() *mvcc.Store { return e.store }
 
 // SetLog installs the command log. The data-dir boot path opens the
 // segmented log itself — after recovery has decided where logging
-// resumes — and hands it over here. Must be called before Start;
-// replaces any WALPath-configured log.
+// resumes — and hands it over here. Must be called before Start.
 func (e *Engine) SetLog(l CommandLog) { e.log = l }
 
 // Stats returns the engine's counters.

@@ -3,7 +3,6 @@ package oltp
 import (
 	"encoding/binary"
 	"errors"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"batchdb/internal/mvcc"
 	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
+	"batchdb/internal/wal"
 )
 
 // kvSchema builds a simple key/value table and registers get/put/add/del
@@ -352,9 +352,12 @@ func TestSyncWithoutLoad(t *testing.T) {
 
 func TestRecovery(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "cmd.log")
-
-	e, _ := newKVEngine(t, Config{Workers: 2, WALPath: logPath})
+	log, err := wal.OpenDir(dir, wal.DirOptions{StartVID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := newKVEngine(t, Config{Workers: 2})
+	e.SetLog(log)
 	e.Start()
 	e.Exec("put", kvArgs(1, 10))
 	e.Exec("put", kvArgs(2, 20))
@@ -368,7 +371,7 @@ func TestRecovery(t *testing.T) {
 
 	// Fresh engine + store, replay the log.
 	e2, tbl2 := newKVEngine(t, Config{Workers: 2})
-	n, err := RecoverEngine(e2, logPath)
+	n, err := wal.ReplayDir(dir, 0, func(r wal.Record) error { return ReplayRecord(e2, r) })
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

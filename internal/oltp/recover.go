@@ -34,17 +34,3 @@ func ReplayRecord(e *Engine, r wal.Record) error {
 	}
 	return nil
 }
-
-// RecoverEngine replays the single-file command log at path into e's
-// store. Call after loading initial data and before Start; the store
-// must hold exactly the initially loaded (VID 0) state.
-func RecoverEngine(e *Engine, path string) (replayed int, err error) {
-	err = wal.Replay(path, func(r wal.Record) error {
-		if err := ReplayRecord(e, r); err != nil {
-			return err
-		}
-		replayed++
-		return nil
-	})
-	return replayed, err
-}

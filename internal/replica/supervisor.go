@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"batchdb/internal/metrics"
 	"batchdb/internal/network"
+	"batchdb/internal/obs"
 	"batchdb/internal/olap"
 )
 
@@ -15,12 +15,12 @@ import (
 // network.Stats (Retries).
 type Stats struct {
 	// Reconnects counts connections re-established after a loss.
-	Reconnects metrics.Counter
+	Reconnects obs.Counter
 	// Resyncs counts snapshot resyncs staged after a reconnect.
-	Resyncs metrics.Counter
+	Resyncs obs.Counter
 	// Degraded accumulates time spent without a live connection to the
 	// primary (queries keep serving stale-but-consistent data).
-	Degraded metrics.BusyTracker
+	Degraded obs.BusyTracker
 }
 
 // SupervisorConfig parameterizes a Supervisor. The zero value gives

@@ -9,6 +9,7 @@ import (
 
 	"batchdb/internal/mvcc"
 	"batchdb/internal/oltp"
+	"batchdb/internal/wal"
 )
 
 func newLoadedDB(t *testing.T) *DB {
@@ -365,16 +366,20 @@ func TestOrderStatusAndStockLevel(t *testing.T) {
 
 func TestRecoveryReproducesState(t *testing.T) {
 	dir := t.TempDir()
-	logPath := dir + "/tpcc.log"
 
 	db := NewDB(SmallScale(1))
 	if err := Generate(db, 11); err != nil {
 		t.Fatal(err)
 	}
-	e, err := oltp.New(db.Store, oltp.Config{Workers: 2, WALPath: logPath, PushPeriod: time.Hour})
+	e, err := oltp.New(db.Store, oltp.Config{Workers: 2, PushPeriod: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
+	log, err := wal.OpenDir(dir, wal.DirOptions{StartVID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetLog(log)
 	RegisterProcs(e, db, false)
 	e.Start()
 	drv := NewDriver(db.Scale, 77)
@@ -405,7 +410,7 @@ func TestRecoveryReproducesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	RegisterProcs(e2, db2, false)
-	n, err := oltp.RecoverEngine(e2, logPath)
+	n, err := wal.ReplayDir(dir, 0, func(r wal.Record) error { return oltp.ReplayRecord(e2, r) })
 	if err != nil {
 		t.Fatalf("recovery failed after %d commands: %v", n, err)
 	}

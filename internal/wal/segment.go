@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"batchdb/internal/crash"
-	"batchdb/internal/metrics"
+	"batchdb/internal/obs"
 )
 
 // Segment files are named by the first commit VID they may contain
@@ -69,19 +69,19 @@ type DirOptions struct {
 	// Inj is the crash-injection hook (nil in production).
 	Inj *crash.Injector
 	// Stats receives WAL byte/segment counters (optional).
-	Stats *metrics.DurabilityStats
+	Stats *obs.DurabilityStats
 }
 
-// Manager is a segmented command log: the data-dir counterpart of Log.
-// Same frame format per segment, plus rotation at a size threshold and
-// truncation of segments superseded by a checkpoint. Append/Commit are
-// called by the single OLTP dispatcher; TruncateTo by the checkpointer
-// goroutine — a mutex serializes them.
+// Manager is the segmented command log: one frame format per segment,
+// rotation at a size threshold, and truncation of segments superseded
+// by a checkpoint. Append/Commit are called by the single OLTP
+// dispatcher; TruncateTo by the checkpointer goroutine — a mutex
+// serializes them.
 type Manager struct {
 	dir  string
 	sync bool
 	inj  *crash.Injector
-	st   *metrics.DurabilityStats
+	st   *obs.DurabilityStats
 
 	mu        sync.Mutex
 	f         *os.File
@@ -120,7 +120,7 @@ func OpenDir(dir string, o DirOptions) (*Manager, error) {
 		}
 	} else {
 		last := segs[len(segs)-1]
-		validLen, _, _, err := scanValidPrefix(last.path)
+		validLen, err := walkFile(last.path, true, nil)
 		if err != nil {
 			return nil, fmt.Errorf("wal: resume %s: %w", last.path, err)
 		}
@@ -334,7 +334,7 @@ func ReplayDir(dir string, after uint64, fn func(Record) error) (int, error) {
 			continue // every record here has VID <= after
 		}
 		final := i == len(segs)-1
-		err := replayFile(s.path, final, func(r Record) error {
+		_, err := walkFile(s.path, final, func(r Record) error {
 			if r.CommitVID <= after {
 				return nil
 			}

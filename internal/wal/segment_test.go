@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -11,117 +13,64 @@ func rec(vid uint64) Record {
 	return Record{CommitVID: vid, ReadVID: vid - 1, Proc: "p", Args: []byte("0123456789abcdef")}
 }
 
-func TestCreateRefusesNonEmpty(t *testing.T) {
-	path := tmpLog(t)
-	l, err := Create(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(rec(1))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(path, Options{}); !errors.Is(err, ErrExists) {
-		t.Fatalf("Create over a non-empty log: err = %v, want ErrExists", err)
-	}
-	// The records must still be there (no silent truncation).
-	n := 0
-	if err := Replay(path, func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("log lost records: replayed %d, want 1", n)
-	}
-}
-
 func TestOpenAppendResume(t *testing.T) {
-	path := tmpLog(t)
-	l, err := Create(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := uint64(1); v <= 3; v++ {
-		l.Append(rec(v))
-	}
-	l.Close()
+	dir, _ := writeDir(t, rec(1), rec(2), rec(3))
 
-	l2, lastVID, n, err := OpenAppend(path, Options{})
-	if err != nil {
+	m := openTestDir(t, dir, DirOptions{})
+	if m.Segments() != 1 {
+		t.Fatalf("resume opened %d segments, want the existing one", m.Segments())
+	}
+	m.Append(rec(4))
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if lastVID != 3 || n != 3 {
-		t.Fatalf("resume: lastVID=%d n=%d, want 3/3", lastVID, n)
-	}
-	l2.Append(rec(4))
-	l2.Close()
-
-	var got []uint64
-	if err := Replay(path, func(r Record) error { got = append(got, r.CommitVID); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 || got[3] != 4 {
+	if got := replayVIDs(t, dir); len(got) != 4 || got[3] != 4 {
 		t.Fatalf("after resume+append: %v", got)
 	}
 }
 
 func TestOpenAppendTruncatesTornTail(t *testing.T) {
-	path := tmpLog(t)
-	l, _ := Create(path, Options{})
-	for v := uint64(1); v <= 3; v++ {
-		l.Append(rec(v))
-	}
-	l.Close()
-	fi, _ := os.Stat(path)
-	if err := os.Truncate(path, fi.Size()-5); err != nil {
+	dir, seg := writeDir(t, rec(1), rec(2), rec(3))
+	fi, _ := os.Stat(seg)
+	if err := os.Truncate(seg, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, lastVID, n, err := OpenAppend(path, Options{})
-	if err != nil {
+	m := openTestDir(t, dir, DirOptions{})
+	m.Append(rec(3))
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if lastVID != 2 || n != 2 {
-		t.Fatalf("torn resume: lastVID=%d n=%d, want 2/2", lastVID, n)
-	}
-	l2.Append(rec(3))
-	l2.Close()
-	var got []uint64
-	if err := Replay(path, func(r Record) error { got = append(got, r.CommitVID); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2] != 3 {
+	if got := replayVIDs(t, dir); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("after torn resume: %v", got)
+	}
+	// The torn bytes are gone, not buried under the new record.
+	fi2, _ := os.Stat(seg)
+	if fi2.Size() != fi.Size() {
+		t.Fatalf("segment is %d bytes after resume, want %d", fi2.Size(), fi.Size())
 	}
 }
 
-// Satellite property test: a log truncated at EVERY byte offset (the
+// Satellite property test: a segment truncated at EVERY byte offset (the
 // full space of torn tails a crash can leave) must always replay as an
 // intact record prefix — never ErrCorrupt, never a partial record — and
-// OpenAppend must agree with Replay on where the prefix ends.
+// OpenDir must truncate it to exactly the prefix replay saw.
 func TestTornTailEveryOffset(t *testing.T) {
-	master := filepath.Join(t.TempDir(), "master.log")
-	l, err := Create(master, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sizes []int64 // file size after each record, sizes[0] = header only
-	sizes = append(sizes, int64(len(magic)))
+	var recs []Record
+	sizes := []int64{int64(len(magic))} // segment size after each record, sizes[0] = header only
 	const records = 6
 	for v := uint64(1); v <= records; v++ {
 		r := Record{CommitVID: v, ReadVID: v - 1, Proc: "proc", Args: []byte("payload-bytes")}
-		l.Append(r)
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, sizes[len(sizes)-1]+int64(frameSize(r)))
+		recs = append(recs, r)
+		sizes = append(sizes, sizes[len(sizes)-1]+int64(len(appendFrame(nil, encodeBody(nil, r)))))
 	}
-	l.Close()
+	_, master := writeDir(t, recs...)
 	full, err := os.ReadFile(master)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(len(full)) != sizes[records] {
-		t.Fatalf("frameSize accounting: file is %d bytes, computed %d", len(full), sizes[records])
+		t.Fatalf("frame accounting: segment is %d bytes, computed %d", len(full), sizes[records])
 	}
 
 	// intactBelow(sz) = how many whole records fit in the first sz bytes.
@@ -133,9 +82,9 @@ func TestTornTailEveryOffset(t *testing.T) {
 		return n
 	}
 
-	dir := t.TempDir()
 	for cut := int64(0); cut <= int64(len(full)); cut++ {
-		path := filepath.Join(dir, "cut.log")
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +92,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 
 		got := 0
 		lastVID := uint64(0)
-		if err := Replay(path, func(r Record) error {
+		if _, err := ReplayDir(dir, 0, func(r Record) error {
 			got++
 			if r.CommitVID != lastVID+1 {
 				t.Fatalf("cut=%d: VID gap (%d after %d)", cut, r.CommitVID, lastVID)
@@ -151,27 +100,89 @@ func TestTornTailEveryOffset(t *testing.T) {
 			lastVID = r.CommitVID
 			return nil
 		}); err != nil {
-			t.Fatalf("cut=%d: Replay must tolerate any torn tail, got %v", cut, err)
+			t.Fatalf("cut=%d: ReplayDir must tolerate any torn tail, got %v", cut, err)
 		}
 		if got != want {
 			t.Fatalf("cut=%d: replayed %d records, want intact prefix %d", cut, got, want)
 		}
 
-		validLen, scanVID, scanN, err := scanValidPrefix(path)
-		if err != nil {
-			t.Fatalf("cut=%d: scanValidPrefix: %v", cut, err)
-		}
-		if scanN != want || scanVID != uint64(want) {
-			t.Fatalf("cut=%d: scan found %d records (last VID %d), want %d", cut, scanN, scanVID, want)
-		}
 		wantLen := sizes[want]
-		if cut < wantLen {
+		if cut < int64(len(magic)) {
 			wantLen = 0 // torn inside the header: whole file invalid
 		}
-		if validLen != wantLen && !(cut < int64(len(magic)) && validLen == 0) {
+		validLen, err := walkFile(path, true, nil)
+		if err != nil {
+			t.Fatalf("cut=%d: walkFile: %v", cut, err)
+		}
+		if validLen != wantLen {
 			t.Fatalf("cut=%d: validLen=%d, want %d", cut, validLen, wantLen)
 		}
-		os.Remove(path)
+		m := openTestDir(t, dir, DirOptions{})
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if wantLen == 0 {
+			wantLen = int64(len(magic)) // OpenDir rewrites a torn header
+		}
+		if fi, _ := os.Stat(path); fi.Size() != wantLen {
+			t.Fatalf("cut=%d: OpenDir left %d bytes, want %d", cut, fi.Size(), wantLen)
+		}
+	}
+}
+
+// A frame length larger than the bytes left in the segment is refused
+// before its body is allocated: in the final segment it is a torn end,
+// in a sealed one corruption. Either way replay and OpenDir allocate a
+// bounded amount however large the announced length.
+func TestReplayOversizedFrameLength(t *testing.T) {
+	const bound = 16 << 20 // the reader's buffer plus slack; the frame announces 60 MiB
+	seg := append([]byte(magic), appendFrame(nil, encodeBody(nil, rec(1)))...)
+	seg = binary.LittleEndian.AppendUint32(seg, 60<<20)
+	seg = append(seg, 0, 0, 0, 0, 'x', 'y', 'z')
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, tc := range []struct {
+		name    string
+		sealed  bool
+		wantErr error
+	}{
+		{"final segment: torn end", false, nil},
+		{"sealed segment: corrupt", true, ErrCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644)
+			if tc.sealed {
+				os.WriteFile(filepath.Join(dir, segName(2)), []byte(magic), 0o644)
+			}
+			var n int
+			var err error
+			if a := allocated(func() { n, err = ReplayDir(dir, 0, func(Record) error { return nil }) }); a > bound {
+				t.Fatalf("ReplayDir allocated %d bytes, want <= %d", a, bound)
+			}
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+				t.Fatalf("ReplayDir: err = %v, want %v", err, tc.wantErr)
+			}
+			if tc.sealed {
+				return
+			}
+			if n != 1 {
+				t.Fatalf("replayed %d records, want the intact 1", n)
+			}
+			var m *Manager
+			if a := allocated(func() { m = openTestDir(t, dir, DirOptions{}) }); a > bound {
+				t.Fatalf("OpenDir allocated %d bytes, want <= %d", a, bound)
+			}
+			m.Close()
+			if got := replayVIDs(t, dir); len(got) != 1 {
+				t.Fatalf("after OpenDir: %v", got)
+			}
+		})
 	}
 }
 
@@ -212,7 +223,7 @@ func TestSegmentRotation(t *testing.T) {
 	// sealed segment and check its first record.
 	for i, s := range segs {
 		first := uint64(0)
-		replayFile(s.path, i == len(segs)-1, func(r Record) error {
+		walkFile(s.path, i == len(segs)-1, func(r Record) error {
 			if first == 0 {
 				first = r.CommitVID
 			}

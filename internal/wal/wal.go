@@ -7,13 +7,12 @@
 // snapshot VID and commit VID so that recovery can replay commands
 // against the same snapshots and reproduce the exact same state. The
 // OLTP dispatcher appends all records of a batch and then issues a
-// single Commit (flush + optional fsync), amortizing I/O latency across
+// single Commit (write + optional fsync), amortizing I/O latency across
 // the batch — the group commit of [12].
 //
-// Two log shapes share one file format (magic + CRC-framed records):
-// the single-file Log below, and the segmented Manager (segment.go)
-// used by the checkpointing data-dir mode, which rotates segments at a
-// size threshold and truncates those superseded by a checkpoint.
+// The log is a directory of segment files (Manager, segment.go), each
+// the magic header followed by CRC-framed records. Segments rotate at a
+// size threshold and are truncated once a checkpoint supersedes them.
 package wal
 
 import (
@@ -24,7 +23,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Record is one logged command.
@@ -46,97 +44,12 @@ var (
 	// ErrCorrupt reports a record that fails its checksum; replay stops
 	// at the last intact prefix, mirroring torn-tail handling.
 	ErrCorrupt = errors.New("wal: corrupt record")
-	// ErrExists reports a Create against an existing non-empty log.
-	// Silently truncating a command log is data loss; OpenAppend is the
-	// resume path.
-	ErrExists = errors.New("wal: log exists and is non-empty (use OpenAppend to resume)")
-	crcTable  = crc32.MakeTable(crc32.Castagnoli)
+	crcTable   = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// Log is an append-only command log. Append buffers; Commit makes the
-// batch durable. A Log is not safe for concurrent use: the OLTP
-// dispatcher is its single writer, which is exactly the paper's design.
-type Log struct {
-	f    *os.File
-	w    *bufio.Writer
-	sync bool
-	buf  []byte
-}
-
-// Options configures a Log.
-type Options struct {
-	// Sync forces an fsync on every Commit. Off by default for
-	// benchmarks on machines without fast stable storage; the group
-	// commit structure is identical either way.
-	Sync bool
-}
-
-// Create creates a log file and writes its header. It refuses to
-// overwrite an existing non-empty log (ErrExists). The header and the
-// parent directory are fsynced so a crash right after startup cannot
-// lose the file itself.
-func Create(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: create: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: create: %w", err)
-	}
-	if st.Size() > 0 {
-		f.Close()
-		return nil, fmt.Errorf("wal: create %s: %w", path, ErrExists)
-	}
-	if _, err := f.WriteString(magic); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Log{f: f, w: bufio.NewWriterSize(f, 1<<20), sync: opts.Sync}, nil
-}
-
-// OpenAppend resumes an existing log after a crash or clean shutdown: it
-// scans the intact record prefix, truncates any torn tail left by a
-// crash mid-append, and positions the log to append. It returns the log,
-// the last intact CommitVID (0 if none), and the intact record count.
-func OpenAppend(path string, opts Options) (*Log, uint64, int, error) {
-	validLen, lastVID, n, err := scanValidPrefix(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: open append: %w", err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, 0, 0, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if validLen == 0 {
-		// Even the header was torn; rewrite it.
-		if _, err := f.WriteString(magic); err != nil {
-			f.Close()
-			return nil, 0, 0, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, 0, 0, err
-		}
-	} else if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, 0, err
-	}
-	return &Log{f: f, w: bufio.NewWriterSize(f, 1<<20), sync: opts.Sync}, lastVID, n, nil
-}
+// maxFrame bounds one record body; a larger announced length is
+// corruption, not a record.
+const maxFrame = 64 << 20
 
 // encodeBody appends r's body (the checksummed payload, without the
 // frame header) to dst.
@@ -150,11 +63,6 @@ func encodeBody(dst []byte, r Record) []byte {
 	return dst
 }
 
-// frameSize returns the on-disk size of r's frame (header + body).
-func frameSize(r Record) int {
-	return 8 + 8 + 8 + 2 + len(r.Proc) + 4 + len(r.Args)
-}
-
 // appendFrame appends [len u32][crc u32][body] to dst.
 func appendFrame(dst, body []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
@@ -162,158 +70,93 @@ func appendFrame(dst, body []byte) []byte {
 	return append(dst, body...)
 }
 
-// Append buffers one record. It becomes durable at the next Commit.
-func (l *Log) Append(r Record) error {
-	l.buf = encodeBody(l.buf[:0], r)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(l.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(l.buf, crcTable))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := l.w.Write(l.buf)
-	return err
-}
-
-// Commit flushes the buffered batch and, if configured, fsyncs. This is
-// the group-commit point: after Commit returns, every record appended
-// since the previous Commit is durable.
-func (l *Log) Commit() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if l.sync {
-		return l.f.Sync()
-	}
-	return nil
-}
-
-// Close flushes and closes the log.
-func (l *Log) Close() error {
-	if err := l.Commit(); err != nil {
-		l.f.Close()
-		return err
-	}
-	return l.f.Close()
-}
-
-// Replay reads a log file and invokes fn for every intact record in
-// append order. A torn or corrupt tail ends replay without error (the
-// corresponding transactions never acknowledged); corruption in the
-// middle of the file returns ErrCorrupt.
-func Replay(path string, fn func(Record) error) error {
-	return replayFile(path, true, fn)
-}
-
-// replayFile replays one log file. allowTorn tolerates a torn tail (a
-// crash mid-append) as a clean end; with allowTorn false any torn tail
-// is ErrCorrupt — the right policy for non-final WAL segments, which
-// were sealed by a rotation and must be fully intact.
-func replayFile(path string, allowTorn bool, fn func(Record) error) error {
+// walkFile reads one segment file and calls fn (if non-nil) for every
+// intact record in append order. It returns the byte length of the
+// intact prefix: the header plus every whole frame fn was called for.
+//
+// final tolerates a torn tail — a crash mid-append — as a clean end: a
+// short header (prefix 0), a short frame header or body, or a checksum
+// mismatch on the last frame. Non-final segments were sealed by a
+// rotation and must be fully intact, so there any of these is
+// ErrCorrupt, as is a bad header or a checksum mismatch with bytes
+// after it in any segment. A frame length is checked against the bytes
+// left in the file before its body is allocated.
+func walkFile(path string, final bool, fn func(Record) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("wal: open: %w", err)
+		return 0, fmt.Errorf("wal: open: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("wal: stat: %w", err)
+	}
+	size := st.Size()
+	// torn ends the walk at the last intact frame: cleanly in the final
+	// segment, as corruption anywhere else.
+	torn := func(valid int64) (int64, error) {
+		if final {
+			return valid, nil
+		}
+		return 0, ErrCorrupt
+	}
 	r := bufio.NewReaderSize(f, 1<<20)
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		// Shorter than the header: a crash before the header reached
 		// disk. No record was ever acknowledged from this file.
-		if allowTorn && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-			return nil
+		if final {
+			return 0, nil
 		}
-		return fmt.Errorf("wal: bad header: %w", ErrCorrupt)
+		return 0, fmt.Errorf("wal: bad header: %w", ErrCorrupt)
 	}
 	if string(hdr) != magic {
-		return fmt.Errorf("wal: bad header: %w", ErrCorrupt)
+		return 0, fmt.Errorf("wal: bad header: %w", ErrCorrupt)
 	}
+	valid := int64(len(magic))
 	var lenCRC [8]byte
+	var body []byte
 	for {
 		if _, err := io.ReadFull(r, lenCRC[:]); err != nil {
 			if err == io.EOF {
-				return nil // clean end
+				return valid, nil // clean end
 			}
-			if allowTorn {
-				return nil // torn frame header at tail
-			}
-			return ErrCorrupt
+			return torn(valid) // torn frame header
 		}
 		n := binary.LittleEndian.Uint32(lenCRC[0:])
 		want := binary.LittleEndian.Uint32(lenCRC[4:])
-		if n > 64<<20 {
-			return ErrCorrupt
+		if n > maxFrame {
+			return 0, ErrCorrupt
 		}
-		body := make([]byte, n)
+		end := valid + 8 + int64(n)
+		if end > size {
+			return torn(valid) // torn body
+		}
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+		}
+		body = body[:n]
 		if _, err := io.ReadFull(r, body); err != nil {
-			if allowTorn {
-				return nil // torn body at tail
-			}
-			return ErrCorrupt
+			return torn(valid)
 		}
 		if crc32.Checksum(body, crcTable) != want {
-			// Distinguish torn tail (nothing after) from mid-file rot.
-			if _, err := r.Peek(1); err == io.EOF && allowTorn {
-				return nil
+			// A bad last frame is a torn tail; one with bytes after it
+			// is rot in the middle of the file.
+			if end == size {
+				return torn(valid)
 			}
-			return ErrCorrupt
+			return 0, ErrCorrupt
 		}
 		rec, err := decode(body)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// scanValidPrefix walks a log file and returns the byte length of its
-// intact record prefix, the last intact CommitVID, and the intact record
-// count. Torn tails (including a torn file header) shorten the prefix;
-// corruption that is provably mid-file returns ErrCorrupt.
-func scanValidPrefix(path string) (validLen int64, lastVID uint64, n int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: open: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, 0, nil // torn header: empty prefix
-	}
-	if string(hdr) != magic {
-		return 0, 0, 0, fmt.Errorf("wal: bad header: %w", ErrCorrupt)
-	}
-	validLen = int64(len(magic))
-	var lenCRC [8]byte
-	for {
-		if _, err := io.ReadFull(r, lenCRC[:]); err != nil {
-			return validLen, lastVID, n, nil
-		}
-		sz := binary.LittleEndian.Uint32(lenCRC[0:])
-		want := binary.LittleEndian.Uint32(lenCRC[4:])
-		if sz > 64<<20 {
-			return 0, 0, 0, ErrCorrupt
-		}
-		body := make([]byte, sz)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return validLen, lastVID, n, nil
-		}
-		if crc32.Checksum(body, crcTable) != want {
-			if _, err := r.Peek(1); err == io.EOF {
-				return validLen, lastVID, n, nil
+		if fn != nil {
+			if err := fn(rec); err != nil {
+				return 0, err
 			}
-			return 0, 0, 0, ErrCorrupt
 		}
-		rec, err := decode(body)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		lastVID = rec.CommitVID
-		n++
-		validLen += int64(8 + len(body))
+		valid = end
 	}
 }
 

@@ -6,35 +6,50 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"batchdb/internal/obs"
 )
 
-func tmpLog(t *testing.T) string {
+// writeDir writes recs into a fresh directory as one segment, one group
+// commit per record, and returns the directory and the segment's path.
+func writeDir(t *testing.T, recs ...Record) (dir, seg string) {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "cmd.log")
+	dir = t.TempDir()
+	m := openTestDir(t, dir, DirOptions{StartVID: 1})
+	for _, r := range recs {
+		if err := m.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, filepath.Join(dir, segName(1))
+}
+
+// replayVIDs replays dir from the start and returns the commit VIDs.
+func replayVIDs(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	var got []uint64
+	if _, err := ReplayDir(dir, 0, func(r Record) error { got = append(got, r.CommitVID); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	path := tmpLog(t)
-	l, err := Create(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []Record{
 		{CommitVID: 1, ReadVID: 0, Proc: "new_order", Args: []byte("a")},
 		{CommitVID: 2, ReadVID: 1, Proc: "payment", Args: nil},
 		{CommitVID: 3, ReadVID: 1, Proc: "delivery", Args: []byte{0, 1, 2, 255}},
 	}
-	for _, r := range want {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := writeDir(t, want...)
 
 	var got []Record
-	if err := Replay(path, func(r Record) error {
+	if _, err := ReplayDir(dir, 0, func(r Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
@@ -52,43 +67,38 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestGroupCommitVisibility(t *testing.T) {
-	path := tmpLog(t)
-	l, err := Create(path, Options{})
-	if err != nil {
+	dir := t.TempDir()
+	m := openTestDir(t, dir, DirOptions{StartVID: 1})
+	defer m.Close()
+	if err := m.Append(Record{CommitVID: 1, Proc: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if err := l.Append(Record{CommitVID: 1, Proc: "p"}); err != nil {
-		t.Fatal(err)
-	}
-	// Before Commit, the record may be buffered; after Commit it must be
+	// Before Commit the record is only buffered; after Commit it must be
 	// in the file.
-	if err := l.Commit(); err != nil {
+	if got := replayVIDs(t, dir); len(got) != 0 {
+		t.Fatalf("replayed %v before Commit, want nothing", got)
+	}
+	if err := m.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if err := Replay(path, func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("replayed %d records after Commit, want 1", n)
+	if got := replayVIDs(t, dir); len(got) != 1 {
+		t.Fatalf("replayed %v after Commit, want one record", got)
 	}
 }
 
 func TestReplayTornTail(t *testing.T) {
-	path := tmpLog(t)
-	l, _ := Create(path, Options{})
+	var recs []Record
 	for i := uint64(1); i <= 5; i++ {
-		l.Append(Record{CommitVID: i, Proc: "p", Args: []byte("0123456789")})
+		recs = append(recs, Record{CommitVID: i, Proc: "p", Args: []byte("0123456789")})
 	}
-	l.Close()
+	dir, seg := writeDir(t, recs...)
 	// Truncate mid-record to simulate a crash during the last write.
-	fi, _ := os.Stat(path)
-	if err := os.Truncate(path, fi.Size()-7); err != nil {
+	fi, _ := os.Stat(seg)
+	if err := os.Truncate(seg, fi.Size()-7); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if err := Replay(path, func(Record) error { n++; return nil }); err != nil {
+	n, err := ReplayDir(dir, 0, func(Record) error { return nil })
+	if err != nil {
 		t.Fatalf("torn tail must not error: %v", err)
 	}
 	if n != 4 {
@@ -97,46 +107,41 @@ func TestReplayTornTail(t *testing.T) {
 }
 
 func TestReplayMidFileCorruption(t *testing.T) {
-	path := tmpLog(t)
-	l, _ := Create(path, Options{})
+	var recs []Record
 	for i := uint64(1); i <= 5; i++ {
-		l.Append(Record{CommitVID: i, Proc: "p", Args: []byte("0123456789")})
+		recs = append(recs, Record{CommitVID: i, Proc: "p", Args: []byte("0123456789")})
 	}
-	l.Close()
+	dir, seg := writeDir(t, recs...)
 	// Flip a byte inside the second record's body.
-	b, _ := os.ReadFile(path)
-	b[len(magic)+8+10] ^= 0xFF
-	os.WriteFile(path, b, 0o644)
-	err := Replay(path, func(Record) error { return nil })
+	b, _ := os.ReadFile(seg)
+	first := len(appendFrame(nil, encodeBody(nil, recs[0])))
+	b[len(magic)+first+8+10] ^= 0xFF
+	os.WriteFile(seg, b, 0o644)
+	_, err := ReplayDir(dir, 0, func(Record) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-file corruption: err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestReplayEmptyLog(t *testing.T) {
-	path := tmpLog(t)
-	l, _ := Create(path, Options{})
-	l.Close()
-	if err := Replay(path, func(Record) error { t.Fatal("unexpected record"); return nil }); err != nil {
+	dir, _ := writeDir(t)
+	if _, err := ReplayDir(dir, 0, func(Record) error { t.Fatal("unexpected record"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplayBadHeader(t *testing.T) {
-	path := tmpLog(t)
-	os.WriteFile(path, []byte("NOTAWAL!"), 0o644)
-	if err := Replay(path, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	dir := t.TempDir()
+	os.WriteFile(filepath.Join(dir, segName(1)), []byte("NOTAWAL!"), 0o644)
+	if _, err := ReplayDir(dir, 0, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad header: err = %v", err)
 	}
 }
 
 func TestReplayCallbackError(t *testing.T) {
-	path := tmpLog(t)
-	l, _ := Create(path, Options{})
-	l.Append(Record{CommitVID: 1, Proc: "p"})
-	l.Close()
+	dir, _ := writeDir(t, Record{CommitVID: 1, Proc: "p"})
 	sentinel := errors.New("stop")
-	if err := Replay(path, func(Record) error { return sentinel }); !errors.Is(err, sentinel) {
+	if _, err := ReplayDir(dir, 0, func(Record) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not propagated: %v", err)
 	}
 }
@@ -144,8 +149,8 @@ func TestReplayCallbackError(t *testing.T) {
 // Property: arbitrary records survive the encode/replay round trip.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(recs []Record) bool {
-		path := filepath.Join(t.TempDir(), "q.log")
-		l, err := Create(path, Options{})
+		dir := t.TempDir()
+		m, err := OpenDir(dir, DirOptions{StartVID: 1})
 		if err != nil {
 			return false
 		}
@@ -153,23 +158,26 @@ func TestRoundTripProperty(t *testing.T) {
 			if len(recs[i].Proc) > 1000 {
 				recs[i].Proc = recs[i].Proc[:1000]
 			}
-			if err := l.Append(recs[i]); err != nil {
+			if recs[i].CommitVID == 0 {
+				recs[i].CommitVID = 1 // replay from the start hands over VIDs > 0
+			}
+			if err := m.Append(recs[i]); err != nil {
 				return false
 			}
 		}
-		if err := l.Close(); err != nil {
+		if err := m.Close(); err != nil {
 			return false
 		}
 		var got []Record
-		if err := Replay(path, func(r Record) error { got = append(got, r); return nil }); err != nil {
+		if _, err := ReplayDir(dir, 0, func(r Record) error { got = append(got, r); return nil }); err != nil {
 			return false
 		}
 		if len(got) != len(recs) {
 			return false
 		}
 		for i := range recs {
-			if got[i].CommitVID != recs[i].CommitVID || got[i].Proc != recs[i].Proc ||
-				string(got[i].Args) != string(recs[i].Args) {
+			if got[i].CommitVID != recs[i].CommitVID || got[i].ReadVID != recs[i].ReadVID ||
+				got[i].Proc != recs[i].Proc || string(got[i].Args) != string(recs[i].Args) {
 				return false
 			}
 		}
@@ -181,18 +189,19 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestSyncOption(t *testing.T) {
-	path := tmpLog(t)
-	l, err := Create(path, Options{Sync: true})
-	if err != nil {
+	var st obs.DurabilityStats
+	dir := t.TempDir()
+	m := openTestDir(t, dir, DirOptions{Sync: true, StartVID: 1, Stats: &st})
+	if err := m.Append(Record{CommitVID: 1, Proc: "p"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{CommitVID: 1, Proc: "p"}); err != nil {
+	if err := m.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if n := st.WALFsyncNanos.Count(); n != 1 {
+		t.Fatalf("group commit with Sync recorded %d fsyncs, want 1", n)
 	}
 }

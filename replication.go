@@ -9,7 +9,6 @@ import (
 
 	"batchdb/internal/fleet"
 	"batchdb/internal/fleet/node"
-	"batchdb/internal/metrics"
 	"batchdb/internal/network"
 	"batchdb/internal/obs"
 	"batchdb/internal/olap"
@@ -20,12 +19,12 @@ import (
 // ReplicaServerStats counts the primary's replica-serving activity.
 type ReplicaServerStats struct {
 	// Active is the number of currently connected replica nodes.
-	Active metrics.Gauge
+	Active obs.Gauge
 	// Served counts replica connections accepted since ServeReplicas.
-	Served metrics.Counter
+	Served obs.Counter
 	// Disconnects counts replica connections that ended (including
 	// replicas severed for lagging behind the publisher queue).
-	Disconnects metrics.Counter
+	Disconnects obs.Counter
 }
 
 // Register exposes the replica-serving counters through reg as registry
