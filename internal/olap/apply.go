@@ -3,35 +3,27 @@ package olap
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 )
 
-// mergeHeapThreshold is the stream count above which mergeByVIDInto
-// switches from a linear min-scan (O(k) per run, cache-friendly, wins
-// for the handful of OLTP workers typical of one primary) to a binary
-// heap (O(log k) per run, wins once many primaries or replayed segments
-// fan into one table). BenchmarkMergeByVID puts the crossover between
-// 16 and 64 streams on our reference machine (short equal-VID runs make
-// the min-scan's per-run O(k) cheap in practice), hence 16.
-const mergeHeapThreshold = 16
-
-// routeShardMin is the minimum number of merged entries each routing
-// goroutine must have before step 2 is worth sharding; below
-// 2*routeShardMin the serial loop wins (goroutine hand-off costs more
-// than hashing a few thousand RowIDs).
+// routeShardMin is the minimum number of merged entries each step-2
+// routing chunk must have before a table's routing is split; below
+// 2*routeShardMin one chunk wins (a pool hand-off costs more than
+// hashing a few thousand RowIDs).
 const routeShardMin = 4096
 
 // applyScratch holds one table's reusable apply buffers, so steady-state
 // rounds allocate nothing for merging and routing. Safe without locks:
-// exactly one goroutine applies a given table per round, and rounds are
-// serialized by the scheduler. Buffer shapes are revalidated against the
-// current partition count each round, because a resync reload recreates
-// t.Partitions. Every buffer is empty and zeroed between rounds (see
-// release).
+// rounds are serialized, and within one the pool tasks of a phase touch
+// disjoint parts of it — step 1 the table's merged stream, a step-2
+// chunk its own router buffer, a step-3 task its partition's slot in
+// each — with ForEach's return between phases. Buffer shapes are
+// revalidated against the current partition count each round, because a
+// resync reload recreates t.Partitions. Every buffer is empty and zeroed
+// between rounds (see release).
 //
 // Steps 1 and 2 order and route the round's entries by reference: an
 // entry stays where the push that carried it was decoded and is read
@@ -43,11 +35,12 @@ type applyScratch struct {
 	// merged is the step-1 output buffer: the streams' entries in VID
 	// order.
 	merged []*proplog.Entry
-	// perPart is the step-2 output: one VID-ordered slice per partition.
-	perPart [][]*proplog.Entry
-	// router holds the per-goroutine per-partition buffers of step 2's
-	// sharded routing, grown to the worker count on demand.
+	// router is step 2's output: for each of the round's routing chunks
+	// (contiguous pieces of merged, in order), one VID-ordered slice per
+	// partition. chunks counts the ones in use; step 3 appends the later
+	// chunks' slices to chunk 0's (partEntries).
 	router [][][]*proplog.Entry
+	chunks int
 }
 
 // addRun appends run, a VID-ordered piece of one worker's push, to that
@@ -75,16 +68,64 @@ func (sc *applyScratch) release() {
 	sc.streams = sc.streams[:0]
 	clear(sc.merged)
 	sc.merged = sc.merged[:0]
-	for i := range sc.perPart {
-		clear(sc.perPart[i])
-		sc.perPart[i] = sc.perPart[i][:0]
-	}
 	for _, buf := range sc.router {
 		for i := range buf {
 			clear(buf[i])
 			buf[i] = buf[i][:0]
 		}
 	}
+	sc.chunks = 0
+}
+
+// route sets up the round's step 2 for this table: chunks routing
+// chunks over nparts partitions, with a router buffer each.
+func (sc *applyScratch) route(chunks, nparts int) {
+	if len(sc.router) < chunks {
+		sc.router = append(sc.router, make([][][]*proplog.Entry, chunks-len(sc.router))...)
+	}
+	for g := 0; g < chunks; g++ {
+		if len(sc.router[g]) != nparts { // revalidated: a resync reload resizes partitions
+			sc.router[g] = make([][]*proplog.Entry, nparts)
+		}
+	}
+	sc.chunks = chunks
+}
+
+// routeChunk routes chunk g of the merged stream by hash(RowID).
+// Contiguous chunks keep VID order: chunk g holds strictly earlier
+// stream positions than chunk g+1.
+func (sc *applyScratch) routeChunk(g int) {
+	n := len(sc.merged)
+	buf := sc.router[g]
+	nparts := uint64(len(buf))
+	for _, e := range sc.merged[g*n/sc.chunks : (g+1)*n/sc.chunks] {
+		h := e.RowID * 0x9E3779B97F4A7C15
+		buf[h%nparts] = append(buf[h%nparts], e)
+	}
+}
+
+// routed counts the entries step 2 sent to partition pi.
+func (sc *applyScratch) routed(pi int) int {
+	n := 0
+	for _, buf := range sc.router[:sc.chunks] {
+		n += len(buf[pi])
+	}
+	return n
+}
+
+// partEntries returns partition pi's entries in VID order: chunk 0's
+// slice with the later chunks' appended in chunk order, which is exactly
+// what routing the whole stream in one piece would have produced.
+func (sc *applyScratch) partEntries(pi int) []*proplog.Entry {
+	if sc.chunks == 0 {
+		return nil
+	}
+	es := sc.router[0][pi]
+	for _, buf := range sc.router[1:sc.chunks] {
+		es = append(es, buf[pi]...)
+	}
+	sc.router[0][pi] = es
+	return es
 }
 
 // TableApplyStats breaks down update application for one relation, the
@@ -108,8 +149,8 @@ type ApplyStats struct {
 	Maintained bool
 	// Step1 orders per-worker update sets by VID; Step2 routes them to
 	// partitions by hash(RowID); Step3 applies them through the RowID
-	// hash index. Step3 is CPU time summed over parallel partition
-	// workers, matching the paper's per-step CPU-time accounting.
+	// hash index. Each is CPU time summed over the round's pool tasks,
+	// matching the paper's per-step CPU-time accounting.
 	Step1, Step2, Step3 time.Duration
 	// PerTable splits the work by relation.
 	PerTable map[storage.TableID]*TableApplyStats
@@ -120,12 +161,11 @@ type ApplyStats struct {
 }
 
 // ApplyPending applies every queued update with VID <= target, in VID
-// order per table — the three-step algorithm of paper §5/Fig. 4, run
-// concurrently across tables with leaf work (routing shards, partition
-// applies) bounded by the replica's apply-worker budget. Updates beyond
-// target are requeued for the next round. Rounds must not run
-// concurrently with each other (the scheduler's apply loop, or a direct
-// caller, is the single writer).
+// order per table — the three-step algorithm of paper §5/Fig. 4, each
+// step one fan-out across all tables on the replica's pool (see
+// applyRound). Updates beyond target are requeued for the next round.
+// Rounds must not run concurrently with each other (the scheduler's
+// loop, or a direct caller, is the single writer).
 //
 // The replica has one version and a round writes it in place: it waits
 // until no reader holds a pin, and a pin that arrives while it runs
@@ -183,16 +223,30 @@ func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error)
 
 // tableOut is one table's outcome of an apply round.
 type tableOut struct {
-	ts        *TableApplyStats
+	ts        TableApplyStats
 	entries   int
 	reencoded int
 	err       error
 }
 
+// partOut is one (table, partition) step-3 task's outcome.
+type partOut struct {
+	step2, step3  time.Duration
+	ins, upd, del int
+	reencoded     int
+	err           error
+}
+
 // applyRound is the body of one round: optional reload, stream grouping,
-// the per-table pipelines, and the fold of their stats into st. It
-// returns one outcome per registered table (nil for tables the round did
-// not touch) and the first error in registration order.
+// then the three steps as three flat phases on the replica's pool — step
+// 1 per touched table, step 2 per routing chunk across all tables, step 3
+// (with synopsis and encoded-vector maintenance) per touched (table,
+// partition) — and the fold of their stats into st. A table is touched
+// when it has entries or a pending maintenance step (requested-but-
+// inactive synopsis columns — a reload rebuilt them empty — or, in a
+// round that re-encodes, stale encoded blocks). It returns one outcome
+// per registered table (nil for tables the round did not touch) and the
+// first error in registration order.
 func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, reencode bool) ([]*tableOut, error) {
 	if rl != nil {
 		// The reload installs first: it raises the floor so stale queued
@@ -206,38 +260,121 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		}
 	}
 	r.groupStreams(batches, floor, target)
-
-	// Run the per-table pipelines concurrently: the multi-table TPC-C
-	// update mix touches eight relations whose steps 1–2 would otherwise
-	// run back-to-back on one goroutine. The shared semaphore keeps total
-	// leaf parallelism (across all tables) at the apply-worker budget. A
-	// table participates when it has entries or a pending maintenance
-	// step (requested-but-inactive synopsis columns — a reload rebuilt
-	// them empty — or, in a round that re-encodes, stale encoded blocks).
-	sem := make(chan struct{}, r.applyWorkers)
 	outs := make([]*tableOut, len(r.order))
-	var wg sync.WaitGroup
+	var touched []int
 	for ti, t := range r.order {
-		if len(t.scratch.streams) == 0 && !t.needsMaintenance(reencode) {
+		if len(t.scratch.streams) > 0 || t.needsMaintenance(reencode) {
+			outs[ti] = &tableOut{}
+			touched = append(touched, ti)
+		}
+	}
+	defer func() {
+		for _, ti := range touched {
+			r.order[ti].scratch.release()
+		}
+	}()
+
+	// Step 1: merge each table's per-worker streams into one VID-ordered
+	// stream ("the fastest step"), reusing the table's merge buffer.
+	r.pool.ForEach(len(touched), func(_, i int) {
+		sc, o := &r.order[touched[i]].scratch, outs[touched[i]]
+		start := time.Now()
+		sc.merged = mergeByVIDInto(sc.merged, sc.streams)
+		o.entries = len(sc.merged)
+		o.ts.Step1 = time.Since(start)
+	})
+
+	// Step 2: route entries to partitions by hash(RowID), preserving VID
+	// order within each partition. A large table's stream is cut into
+	// contiguous chunks routed as separate tasks.
+	type chunk struct{ ti, g int }
+	var chunks []chunk
+	for _, ti := range touched {
+		t := r.order[ti]
+		n := len(t.scratch.merged)
+		if n == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(ti int, t *Table) {
-			defer wg.Done()
-			outs[ti] = r.applyTable(t, sem, reencode)
-		}(ti, t)
+		nG := max(min(n/routeShardMin, r.pool.Workers()), 1)
+		t.scratch.route(nG, len(t.Partitions))
+		for g := 0; g < nG; g++ {
+			chunks = append(chunks, chunk{ti, g})
+		}
 	}
-	wg.Wait()
+	step2 := make([]time.Duration, len(chunks))
+	r.pool.ForEach(len(chunks), func(_, i int) {
+		start := time.Now()
+		r.order[chunks[i].ti].scratch.routeChunk(chunks[i].g)
+		step2[i] = time.Since(start)
+	})
+	for i, c := range chunks {
+		outs[c.ti].ts.Step2 += step2[i]
+	}
+
+	// Step 3: apply per touched partition through the RowID hash index
+	// (the expensive, random-access step).
+	type part struct {
+		ti, pi int
+		w      uint64
+	}
+	var parts []part
+	for _, ti := range touched {
+		t := r.order[ti]
+		w := t.wantedSyn.Load()
+		for pi, p := range t.Partitions {
+			if t.scratch.routed(pi) > 0 || p.needsMaintenance(w, reencode) {
+				parts = append(parts, part{ti, pi, w})
+			}
+		}
+	}
+	res := make([]partOut, len(parts))
+	r.pool.ForEach(len(parts), func(_, i int) {
+		t, pi, o := r.order[parts[i].ti], parts[i].pi, &res[i]
+		p := t.Partitions[pi]
+		start := time.Now()
+		entries := t.scratch.partEntries(pi)
+		t0 := time.Now()
+		o.step2 = t0.Sub(start)
+		// Activate the synopsis columns the last query batches requested
+		// before new entries land — the incremental maintenance below
+		// then covers exactly the active set.
+		p.ActivateSynopsisCols(parts[i].w)
+		o.ins, o.upd, o.del, o.err = applyToPartition(p, entries, t.pkIdx, t.pkFn, pi)
+		if o.err == nil {
+			// Re-summarize blocks this round's deletes and bound-narrowing
+			// updates dirtied, inside the same task (and the same Step3
+			// timing) — queries never see a dirty block.
+			p.ResummarizeDirty()
+			// Then, in a round that re-encodes, rebuild the encoded vectors
+			// of the blocks that inserts and patches staled since the last
+			// such round, after the synopses are exact again (re-encoding
+			// reuses the block min as fill and FOR base). In any other round
+			// the blocks stay flagged.
+			if reencode {
+				o.reencoded = p.ReencodeDirty()
+			}
+		}
+		o.step3 = time.Since(t0)
+	})
+	for i, pt := range parts {
+		o, po := outs[pt.ti], &res[i]
+		o.ts.Step2 += po.step2
+		o.ts.Step3 += po.step3
+		o.ts.Inserted += po.ins
+		o.ts.Updated += po.upd
+		o.ts.Deleted += po.del
+		o.reencoded += po.reencoded
+		if po.err != nil && o.err == nil {
+			o.err = po.err
+		}
+	}
 
 	// Fold per-table outcomes in registration order so stats and the
 	// reported error are deterministic regardless of completion order.
 	var firstErr error
-	for ti, t := range r.order {
-		o := outs[ti]
-		if o == nil {
-			continue
-		}
-		st.PerTable[t.Schema.ID] = o.ts
+	for _, ti := range touched {
+		t, o := r.order[ti], outs[ti]
+		st.PerTable[t.Schema.ID] = &o.ts
 		st.Entries += o.entries
 		st.Step1 += o.ts.Step1
 		st.Step2 += o.ts.Step2
@@ -309,134 +446,6 @@ func (r *Replica) needsMaintenance(reencode bool) bool {
 	return false
 }
 
-// applyTable runs the three apply steps for one table, mutating its
-// partitions and PK index in place. Leaf tasks acquire sem; the caller's
-// per-table goroutine itself does not, so a round with more tables than
-// workers cannot deadlock.
-func (r *Replica) applyTable(t *Table, sem chan struct{}, reencode bool) *tableOut {
-	ts := &TableApplyStats{}
-	sc := &t.scratch
-	defer sc.release()
-
-	// Step 1: merge the per-worker streams into one VID-ordered stream
-	// ("the fastest step"), reusing the table's merge buffer.
-	start := time.Now()
-	sc.merged = mergeByVIDInto(sc.merged, sc.streams)
-	merged := sc.merged
-	ts.Step1 = time.Since(start)
-
-	// Step 2: route entries to partitions by hash(RowID), preserving
-	// VID order within each partition. Large rounds shard the routing
-	// across goroutines; per-round buffers are reused.
-	start = time.Now()
-	nparts := len(t.Partitions)
-	if len(sc.perPart) != nparts { // revalidated: a resync reload resizes partitions
-		sc.perPart = make([][]*proplog.Entry, nparts)
-	}
-	perPart := sc.perPart
-	nG := 1
-	if r.applyWorkers > 1 && len(merged) >= 2*routeShardMin {
-		nG = len(merged) / routeShardMin
-		if nG > r.applyWorkers {
-			nG = r.applyWorkers
-		}
-	}
-	if nG <= 1 {
-		for _, e := range merged {
-			h := e.RowID * 0x9E3779B97F4A7C15
-			perPart[h%uint64(nparts)] = append(perPart[h%uint64(nparts)], e)
-		}
-	} else {
-		// Contiguous chunks keep VID order: chunk g holds strictly
-		// earlier stream positions than chunk g+1, so concatenating each
-		// partition's buffers in chunk order reproduces the serial
-		// routing exactly.
-		if len(sc.router) < nG {
-			sc.router = append(sc.router, make([][][]*proplog.Entry, nG-len(sc.router))...)
-		}
-		var rwg sync.WaitGroup
-		for g := 0; g < nG; g++ {
-			if len(sc.router[g]) != nparts {
-				sc.router[g] = make([][]*proplog.Entry, nparts)
-			}
-			lo, hi := g*len(merged)/nG, (g+1)*len(merged)/nG
-			rwg.Add(1)
-			go func(buf [][]*proplog.Entry, chunk []*proplog.Entry) {
-				defer rwg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				for _, e := range chunk {
-					h := e.RowID * 0x9E3779B97F4A7C15
-					buf[h%uint64(nparts)] = append(buf[h%uint64(nparts)], e)
-				}
-			}(sc.router[g], merged[lo:hi])
-		}
-		rwg.Wait()
-		for pi := 0; pi < nparts; pi++ {
-			for g := 0; g < nG; g++ {
-				perPart[pi] = append(perPart[pi], sc.router[g][pi]...)
-			}
-		}
-	}
-	ts.Step2 = time.Since(start)
-
-	// Step 3: apply per touched partition in parallel through the RowID
-	// hash index (the expensive, random-access step).
-	w := t.wantedSyn.Load()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	out := &tableOut{ts: ts, entries: len(merged)}
-	for pi, p := range t.Partitions {
-		entries := perPart[pi]
-		if len(entries) == 0 && !p.needsMaintenance(w, reencode) {
-			continue
-		}
-		wg.Add(1)
-		go func(pi int, p *Partition, entries []*proplog.Entry) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			// Activate the synopsis columns the last query batches
-			// requested before new entries land — the incremental
-			// maintenance below then covers exactly the active set.
-			p.ActivateSynopsisCols(w)
-			ins, upd, del, err := applyToPartition(p, entries, t.pkIdx, t.pkFn, pi)
-			blocks := 0
-			if err == nil {
-				// Re-summarize blocks this round's deletes and
-				// bound-narrowing updates dirtied, inside the same
-				// per-partition-parallel window (and the same Step3
-				// timing) — queries never see a dirty block.
-				p.ResummarizeDirty()
-				// Then, in a round that re-encodes, rebuild the encoded
-				// vectors of the blocks that inserts and patches staled
-				// since the last such round, after the synopses are exact
-				// again (re-encoding reuses the block min as fill and FOR
-				// base). In any other round the blocks stay flagged.
-				if reencode {
-					blocks = p.ReencodeDirty()
-				}
-			}
-			d := time.Since(t0)
-			mu.Lock()
-			out.reencoded += blocks
-			ts.Step3 += d
-			ts.Inserted += ins
-			ts.Updated += upd
-			ts.Deleted += del
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(pi, p, entries)
-	}
-	wg.Wait()
-	out.err = firstErr
-	return out
-}
-
 // appendLeftover adds a (worker, table) batch's requeued tail to batches,
 // aliasing it when it starts that pair's entry list.
 func appendLeftover(batches []proplog.Batch, worker int, table storage.TableID, es []proplog.Entry) []proplog.Batch {
@@ -459,23 +468,6 @@ func appendLeftover(batches []proplog.Batch, worker int, table storage.TableID, 
 	})
 }
 
-// MergeWorkerStreams merges per-worker VID-ordered entry streams into
-// one VID-ordered stream (step 1 of the apply algorithm), exposed for
-// harnesses that apply update streams to alternative storage layouts
-// (the column-store microbenchmark of paper §8.3).
-func MergeWorkerStreams(streams [][]proplog.Entry) []proplog.Entry {
-	ws := make([]workerStream, len(streams))
-	for i, s := range streams {
-		ws[i] = workerStream{worker: i, entries: s}
-	}
-	refs := mergeByVIDInto(nil, ws)
-	out := make([]proplog.Entry, len(refs))
-	for i, e := range refs {
-		out[i] = *e
-	}
-	return out
-}
-
 // workerStream is one worker's VID-ordered entry stream for one table.
 type workerStream struct {
 	worker  int
@@ -484,20 +476,13 @@ type workerStream struct {
 
 // mergeByVIDInto k-way merges per-worker VID-sorted streams into one
 // VID-ordered stream of references (paper Fig. 4 step 1), appended to out
-// (typically a reused buffer). Both strategies take whole runs of
-// equal-VID entries from the winning stream, so one transaction's updates
-// stay contiguous, and break VID ties by stream position — the heap path
-// is entry-for-entry identical to the linear path.
+// (typically a reused buffer). It re-scans every stream head for each
+// run — O(k) per run, branch-predictable and allocation-free for the
+// handful of streams one primary's workers feed a table — and takes the
+// whole run of equal-VID entries from the winning stream, so one
+// transaction's updates stay contiguous; VID ties go to the earlier
+// stream.
 func mergeByVIDInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
-	if len(ws) > mergeHeapThreshold {
-		return mergeHeapInto(out, ws)
-	}
-	return mergeLinearInto(out, ws)
-}
-
-// mergeLinearInto is the small-k strategy: re-scan every stream head for
-// each run. O(k) per run but branch-predictable and allocation-free.
-func mergeLinearInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 	total := 0
 	for _, s := range ws {
 		total += len(s.entries)
@@ -516,69 +501,10 @@ func mergeLinearInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 				best, bestVID = i, v
 			}
 		}
-		// Take the whole run of equal-VID entries from the winning
-		// stream (one transaction's updates stay contiguous).
 		s := ws[best]
 		for heads[best] < len(s.entries) && s.entries[heads[best]].VID == bestVID {
 			out = append(out, &s.entries[heads[best]])
 			heads[best]++
-		}
-	}
-	return out
-}
-
-// mergeHeapInto is the large-k strategy: a binary min-heap of stream
-// indices ordered by (head VID, stream index) — the secondary key
-// replicates the linear scan's first-stream-wins tie-break.
-func mergeHeapInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
-	heads := make([]int, len(ws))
-	h := make([]int, 0, len(ws))
-	less := func(a, b int) bool {
-		va, vb := ws[a].entries[heads[a]].VID, ws[b].entries[heads[b]].VID
-		if va != vb {
-			return va < vb
-		}
-		return a < b
-	}
-	siftDown := func(i int) {
-		for {
-			l, rc := 2*i+1, 2*i+2
-			min := i
-			if l < len(h) && less(h[l], h[min]) {
-				min = l
-			}
-			if rc < len(h) && less(h[rc], h[min]) {
-				min = rc
-			}
-			if min == i {
-				return
-			}
-			h[i], h[min] = h[min], h[i]
-			i = min
-		}
-	}
-	for i, s := range ws {
-		if len(s.entries) > 0 {
-			h = append(h, i)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		best := h[0]
-		s := ws[best]
-		v := s.entries[heads[best]].VID
-		for heads[best] < len(s.entries) && s.entries[heads[best]].VID == v {
-			out = append(out, &s.entries[heads[best]])
-			heads[best]++
-		}
-		if heads[best] >= len(s.entries) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			siftDown(0)
 		}
 	}
 	return out

@@ -34,7 +34,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"batchdb/internal/obs"
@@ -198,9 +197,9 @@ const hashMul = 0x9E3779B97F4A7C15
 // Engine executes query batches against an OLAP replica.
 type Engine struct {
 	replica *olap.Replica
-	// workers bounds the scan/build parallelism (paper: the OLAP
-	// replica's dedicated cores).
-	workers int
+	// pool runs the scans and builds (paper: the OLAP replica's
+	// dedicated cores). Concurrent builds share its budget.
+	pool *olap.Pool
 
 	// MorselTuples is the number of tuple slots per scan morsel; <= 0
 	// selects DefaultMorselTuples. Set before the first RunBatch.
@@ -210,11 +209,6 @@ type Engine struct {
 	// the AdmitBatch admission hook; <= 0 (the default) admits
 	// everything.
 	AdmitBudget time.Duration
-
-	// sem bounds the total number of in-flight leaf tasks (morsels,
-	// shard merges) across everything the engine runs concurrently, so
-	// parallel build construction still respects the worker budget.
-	sem chan struct{}
 
 	// stats, when attached, receives per-batch phase timings.
 	stats *olap.SchedulerStats
@@ -322,13 +316,9 @@ func (e *Engine) cached(key any, v1, v2 any, construct func() any) any {
 
 // NewEngine creates an executor with the given parallelism.
 func NewEngine(replica *olap.Replica, workers int) *Engine {
-	if workers <= 0 {
-		workers = 1
-	}
 	return &Engine{
 		replica: replica,
-		workers: workers,
-		sem:     make(chan struct{}, workers),
+		pool:    olap.NewPool(workers),
 		cache:   make(map[any]*cacheEntry),
 	}
 }
@@ -382,49 +372,6 @@ func (e *Engine) morsels(parts []*olap.Partition) []morsel {
 		}
 	}
 	return ms
-}
-
-// forEach runs fn for every task index in [0, n) on up to
-// min(workers, n) goroutines pulling indices off an atomic
-// work-stealing cursor. Each leaf task additionally holds a slot of the
-// engine-wide semaphore, so concurrent forEach calls (parallel build
-// construction) share the worker budget instead of multiplying it.
-// The worker argument is a dense id in [0, min(workers, n)) for
-// per-worker scratch.
-func (e *Engine) forEach(n int, fn func(worker, task int)) {
-	if n <= 0 {
-		return
-	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		e.sem <- struct{}{}
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		<-e.sem
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				e.sem <- struct{}{}
-				fn(worker, i)
-				<-e.sem
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // RunBatch executes all queries as one shared pass per driver table and
@@ -483,7 +430,7 @@ func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 // prepareSources resolves every probe target of the batch to its source,
 // constructing (or revalidating) the shared hash-join build sides, all
 // concurrently — each construction is itself morsel-parallel, with the
-// engine semaphore keeping combined parallelism at the worker budget.
+// engine's pool keeping combined parallelism at its worker budget.
 // Tables that maintain an incremental PK index are probed through it
 // directly (for "pk" probes), so they never need a build — the key
 // property that keeps per-batch setup cost independent of table size
@@ -547,7 +494,7 @@ func (e *Engine) prepareSources(sv *olap.Snapshot, queries []*Query) map[buildID
 // workers left for it. A duplicate key keeps the tuple inserted last.
 func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *build {
 	nshards, rbits := 1, uint8(0)
-	for nshards < e.workers {
+	for nshards < e.pool.Workers() {
 		nshards <<= 1
 		rbits++
 	}
@@ -556,12 +503,12 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 		v []byte
 	}
 	ms := e.morsels(t.Partitions)
-	nw := max(min(e.workers, len(ms)), 1)
+	nw := max(min(e.pool.Workers(), len(ms)), 1)
 	local := make([][][]kv, nw)
 	for i := range local {
 		local[i] = make([][]kv, nshards)
 	}
-	e.forEach(len(ms), func(worker, i int) {
+	e.pool.ForEach(len(ms), func(worker, i int) {
 		m, buckets := ms[i], local[worker]
 		var slots [vecSize]int32
 		for from := m.lo; from < m.hi; {
@@ -598,7 +545,7 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 		tuples: make([]byte, first[nshards]*ts), tupleSize: ts, nrows: first[nshards],
 		rbits: rbits, pshift: pshift,
 	}
-	e.forEach(nshards, func(_, si int) {
+	e.pool.ForEach(nshards, func(_, si int) {
 		region, mask := b.ents[si*slots:][:slots], uint64(slots-1)
 		ord := uint32(first[si])
 		for w := range local {
@@ -806,8 +753,8 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 	t0 := time.Now()
 	e.compileForest(sg)
 	ms := e.morsels(t.Partitions)
-	workers := make([]passWorker, max(min(e.workers, len(ms)), 1))
-	e.forEach(len(ms), func(worker, i int) {
+	workers := make([]passWorker, max(min(e.pool.Workers(), len(ms)), 1))
+	e.pool.ForEach(len(ms), func(worker, i int) {
 		w := &workers[worker]
 		if w.sg == nil {
 			*w = passWorker{sg: sg}

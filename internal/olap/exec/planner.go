@@ -251,7 +251,7 @@ func (e *Engine) linksFor(parent, child *source, pb *Probe) *linkArray {
 		la := &linkArray{to: make([]uint32, parent.nrows)}
 		chunks := parent.chunks(e.morselTuples())
 		var rows, misses atomic.Int64
-		e.forEach(len(chunks), func(_, i int) {
+		e.pool.ForEach(len(chunks), func(_, i int) {
 			joined := make([][]byte, pb.From+1)
 			n, miss := 0, 0
 			parent.scan(chunks[i], func(rid uint32, tup []byte) {

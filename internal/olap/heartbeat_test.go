@@ -39,6 +39,20 @@ func (l *batchLog) holdNext() chan struct{} {
 	return hold
 }
 
+// followedShared counts the batches that followed a batch of two or more
+// queries.
+func (l *batchLog) followedShared() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for i := 1; i < len(l.sizes); i++ {
+		if l.sizes[i-1] >= 2 {
+			n++
+		}
+	}
+	return n
+}
+
 func (l *batchLog) batches() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -57,17 +71,19 @@ func newHeartbeatScheduler(t *testing.T) (*Scheduler[int, int], *batchLog) {
 
 // Sessions that ask concurrently are answered on the heartbeat: once a
 // batch has carried two queries, the next forms no sooner than one beat
-// after it did.
+// after it did. The sessions ask until a fixed number of batches have
+// followed a shared one, so a slow host lengthens the run instead of
+// failing it.
 func TestHeartbeatSpacesConcurrentBatches(t *testing.T) {
 	s, l := newHeartbeatScheduler(t)
-	const sessions = 4
-	stop := time.Now().Add(8 * batchHeartbeat)
+	const sessions, want = 4, 6
+	deadline := time.Now().Add(5 * time.Second)
 	var wg sync.WaitGroup
 	for g := 0; g < sessions; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for time.Now().Before(stop) {
+			for l.followedShared() < want && time.Now().Before(deadline) {
 				if _, err := s.Query(g); err != nil {
 					t.Error(err)
 					return
@@ -76,6 +92,7 @@ func TestHeartbeatSpacesConcurrentBatches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	end := time.Now()
 
 	// A batch starts executing a freshness barrier after it formed; with
 	// a static primary that is a no-op round, so starts stand in for
@@ -96,13 +113,14 @@ func TestHeartbeatSpacesConcurrentBatches(t *testing.T) {
 				i, l.sizes[i], gap, l.sizes[i-1], batchHeartbeat)
 		}
 	}
-	if paced < 4 {
-		t.Fatalf("only %d of %d batches followed a concurrent one: the sessions never met in a batch", paced, len(l.sizes))
+	if paced < want {
+		t.Fatalf("only %d of %d batches followed a concurrent one within 5 s: the sessions never met in a batch", paced, len(l.sizes))
 	}
 	// Sessions that re-ask at once all make the next beat, so from the
 	// first shared batch on there is one batch a beat.
-	if got := len(l.starts) - first; got > 8+2 {
-		t.Errorf("%d batches in at most 8 beats after the first shared one", got)
+	beats := int(end.Sub(l.starts[first]) / batchHeartbeat)
+	if got := len(l.starts) - first; got > beats+2 {
+		t.Errorf("%d batches in at most %d beats after the first shared one", got, beats)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"batchdb/internal/proplog"
@@ -34,22 +35,23 @@ func makeMergeStreams(k, perStream int, seed int64) []workerStream {
 	return ws
 }
 
-// TestMergeHeapMatchesLinear pins the heap strategy to the linear one:
-// identical output entry-for-entry, including equal-VID run order and
-// cross-stream VID-tie breaks.
-func TestMergeHeapMatchesLinear(t *testing.T) {
+// TestMergeMatchesStableSort pins the merge to a model: the streams
+// concatenated in stream order and stably sorted by VID — so equal-VID
+// runs keep their order and cross-stream VID ties go to the earlier
+// stream — entry for entry.
+func TestMergeMatchesStableSort(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 9, 16, 33} {
 		for seed := int64(0); seed < 5; seed++ {
 			ws := makeMergeStreams(k, 50+int(seed)*37, seed)
-			lin := mergeLinearInto(nil, ws)
-			hp := mergeHeapInto(nil, ws)
-			if !reflect.DeepEqual(lin, hp) {
-				t.Fatalf("k=%d seed=%d: heap merge diverges from linear", k, seed)
-			}
-			for i := 1; i < len(lin); i++ {
-				if lin[i].VID < lin[i-1].VID {
-					t.Fatalf("k=%d seed=%d: output not VID-ordered at %d", k, seed, i)
+			var want []*proplog.Entry
+			for _, s := range ws {
+				for i := range s.entries {
+					want = append(want, &s.entries[i])
 				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].VID < want[j].VID })
+			if got := mergeByVIDInto(nil, ws); !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d seed=%d: merge diverges from the stable sort", k, seed)
 			}
 		}
 	}
@@ -65,38 +67,27 @@ func TestMergeEmptyStreams(t *testing.T) {
 		{worker: 3, entries: []proplog.Entry{{VID: 5}}},
 	}
 	want := []uint64{3, 5, 7}
-	for name, got := range map[string][]*proplog.Entry{
-		"linear": mergeLinearInto(nil, ws),
-		"heap":   mergeHeapInto(nil, ws),
-	} {
-		if len(got) != len(want) {
-			t.Fatalf("%s: got %d entries, want %d", name, len(got), len(want))
-		}
-		for i, v := range want {
-			if got[i].VID != v {
-				t.Fatalf("%s: entry %d VID %d, want %d", name, i, got[i].VID, v)
-			}
+	got := mergeByVIDInto(nil, ws)
+	if len(got) != len(want) {
+		t.Fatalf("got %d entries, want %d", len(got), len(want))
+	}
+	for i, v := range want {
+		if got[i].VID != v {
+			t.Fatalf("entry %d VID %d, want %d", i, got[i].VID, v)
 		}
 	}
 }
 
-// BenchmarkMergeByVID measures both merge strategies across stream
-// counts to locate the crossover justifying mergeHeapThreshold: the
-// linear min-scan is O(k) per run and wins for few streams; the heap is
-// O(log k) per run and wins as streams multiply.
+// BenchmarkMergeByVID measures the merge across stream counts: O(k) per
+// run of equal-VID entries.
 func BenchmarkMergeByVID(b *testing.B) {
 	const totalEntries = 1 << 16
 	for _, k := range []int{2, 4, 8, 16, 64} {
 		ws := makeMergeStreams(k, totalEntries/k, 42)
 		out := make([]*proplog.Entry, 0, totalEntries+k*4)
-		b.Run(fmt.Sprintf("linear/k=%d", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out = mergeLinearInto(out[:0], ws)
-			}
-		})
-		b.Run(fmt.Sprintf("heap/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out = mergeHeapInto(out[:0], ws)
+				out = mergeByVIDInto(out[:0], ws)
 			}
 		})
 	}

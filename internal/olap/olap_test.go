@@ -464,8 +464,9 @@ func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 	}
 
 	// Under a paced load beside a busy primary next to no round is empty:
-	// the push a forced sync causes kicks the apply loop after the round
-	// that forced it has taken it, and that kick starts nothing. (Before,
+	// the loop sees the kick of the push a forced sync causes only after
+	// the round that forced it has taken the push, and that kick starts
+	// nothing. (Before,
 	// it started a round that found nothing: half of all rounds.)
 	f := newFlushFixture(t)
 	f.ask(t, 4, 20*batchHeartbeat) // two sessions of two tiles each

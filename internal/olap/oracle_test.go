@@ -140,10 +140,10 @@ func seedAccounts(t *testing.T, engine *oltp.Engine) []op {
 }
 
 // auditRun is the analytical query: pin the replica, scan its account
-// table and return the complete balance map it exposes. A push may start
-// an apply round while this scan runs, so reading under a pin — which
-// holds that round off — is part of the contract under test; the audit
-// reports the pinned VID, which may run ahead of the scheduler's floor.
+// table and return the complete balance map it exposes. Reading under a
+// pin — which holds off any apply round a direct caller starts meanwhile
+// — is part of the contract under test; the audit reports the pinned
+// VID, which may run ahead of the scheduler's floor.
 func auditRun(rep *olap.Replica, schema *storage.Schema) olap.RunBatchFunc[int, audit] {
 	return func(queries []int, snap uint64) []audit {
 		sv := rep.PinSnapshot()
@@ -331,51 +331,19 @@ func scanBalances(schema *storage.Schema, sv *olap.Snapshot) map[int64]int64 {
 	return bals
 }
 
-// TestConcurrentPinnedSnapshots lands push-kicked apply rounds on batches
-// that hold their pin. Each batch scans, waits until the primary has
-// pushed past its VID and a push round has started, gives that round time
-// to apply, and scans again. The round must wait for the Unpin: the
-// replica's VID does not move under the pin, and both scans equal the
-// serial replay of the committed prefix at the pinned VID. It must apply
-// once the batch unpins — no query follows to start a barrier round, so
-// only a push round can —
-// and leave no pin behind.
+// TestConcurrentPinnedSnapshots lands push-kicked apply rounds on a pin
+// held by a direct reader, as a PinSnapshot/RunBatch caller outside the
+// scheduler holds one. After each batch the test pins the replica, scans,
+// waits until the primary has pushed past the pinned VID and a push round
+// has started, gives that round time to apply, and scans again. The round
+// must wait for the Unpin: the replica's VID does not move under the pin,
+// and both scans equal the serial replay of the committed prefix at the
+// pinned VID. It must apply once the reader unpins — no query follows to
+// start a barrier round, so only a push round can — and leave no pin
+// behind.
 func TestConcurrentPinnedSnapshots(t *testing.T) {
 	engine, rep, schema := newBank(t, 2*time.Millisecond, 1024)
-	type hold struct {
-		vid           uint64
-		first, second map[int64]int64
-	}
-	var holds []hold
-	var sched *olap.Scheduler[int, int]
-	runBatch := func(queries []int, _ uint64) []int {
-		sv := rep.PinSnapshot()
-		defer sv.Unpin()
-		h := hold{vid: sv.VID(), first: scanBalances(schema, sv)}
-		// The batch's barrier round finished before the pin and the
-		// dispatcher is here, so a round blocked on the pin is a push
-		// round, kicked by the writers' pushes. Wait for one, watching
-		// that no round applies meanwhile.
-		for deadline := time.Now().Add(5 * time.Second); rep.RoundsWaitingOnPins() == 0; time.Sleep(100 * time.Microsecond) {
-			if got := rep.AppliedVID(); got != h.vid {
-				break // reported below
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("pinned at VID %d: no push round waited on the pin within 5 s", h.vid)
-				break
-			}
-		}
-		if got := rep.AppliedVID(); got != h.vid {
-			t.Errorf("a push round applied up to VID %d under a pin at VID %d", got, h.vid)
-		}
-		if n := rep.PinnedSnapshots(); n != 1 {
-			t.Errorf("PinnedSnapshots = %d under one pin", n)
-		}
-		h.second = scanBalances(schema, sv)
-		holds = append(holds, h)
-		return make([]int, len(queries))
-	}
-	sched = olap.NewScheduler(rep, engine, runBatch)
+	sched := olap.NewScheduler(rep, engine, auditRun(rep, schema))
 	engine.Start()
 	defer engine.Close()
 	sched.Start()
@@ -420,17 +388,44 @@ func TestConcurrentPinnedSnapshots(t *testing.T) {
 		}(int64(w + 1))
 	}
 
+	type hold struct {
+		vid           uint64
+		first, second map[int64]int64
+	}
+	var holds []hold
 	for i := 0; i < 3; i++ {
 		if _, err := sched.Query(0); err != nil {
 			t.Fatal(err)
 		}
-		if n := rep.PinnedSnapshots(); n != 0 {
-			t.Fatalf("PinnedSnapshots = %d after the batch", n)
-		}
-		vid := holds[len(holds)-1].vid
-		for deadline := time.Now().Add(5 * time.Second); rep.AppliedVID() <= vid; time.Sleep(100 * time.Microsecond) {
+		sv := rep.PinSnapshot()
+		h := hold{vid: sv.VID(), first: scanBalances(schema, sv)}
+		// The scheduler's loop is idle between batches, so the writers'
+		// pushes kick push rounds; wait for one to block on the pin,
+		// watching that no round applies meanwhile.
+		for deadline := time.Now().Add(5 * time.Second); rep.RoundsWaitingOnPins() == 0; time.Sleep(100 * time.Microsecond) {
+			if got := rep.AppliedVID(); got != h.vid {
+				break // reported below
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("the push round waiting on the pin at VID %d never applied after the Unpin", vid)
+				t.Errorf("pinned at VID %d: no push round waited on the pin within 5 s", h.vid)
+				break
+			}
+		}
+		if got := rep.AppliedVID(); got != h.vid {
+			t.Errorf("a push round applied up to VID %d under a pin at VID %d", got, h.vid)
+		}
+		if n := rep.PinnedSnapshots(); n != 1 {
+			t.Errorf("PinnedSnapshots = %d under one pin", n)
+		}
+		h.second = scanBalances(schema, sv)
+		holds = append(holds, h)
+		sv.Unpin()
+		if n := rep.PinnedSnapshots(); n != 0 {
+			t.Fatalf("PinnedSnapshots = %d after the Unpin", n)
+		}
+		for deadline := time.Now().Add(5 * time.Second); rep.AppliedVID() <= h.vid; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the push round waiting on the pin at VID %d never applied after the Unpin", h.vid)
 			}
 		}
 	}

@@ -55,7 +55,7 @@ type Table struct {
 	pkIdx *flatIndex
 
 	// scratch holds the table's reusable apply buffers (see applyScratch),
-	// used only by the goroutine applying this table in a round.
+	// used only by the apply round's tasks.
 	scratch applyScratch
 }
 
@@ -141,10 +141,10 @@ type Replica struct {
 	order  []*Table
 	parts  int
 
-	// applyWorkers bounds ApplyPending's leaf parallelism (step-2
-	// routing shards plus step-3 partition applies, across all tables of
-	// a round). Defaults to NumCPU; see SetApplyWorkers.
-	applyWorkers int
+	// pool runs the apply rounds' tasks (steps 1–3 across all tables of
+	// a round) and ActivateSynopses. NumCPU workers unless
+	// SetApplyWorkers says otherwise.
+	pool *Pool
 
 	// pending holds pushed update batches awaiting application. Guarded
 	// by mu: pushes arrive from the primary's dispatcher goroutine while
@@ -187,21 +187,21 @@ func NewReplica(parts int) *Replica {
 		parts = 1
 	}
 	r := &Replica{
-		tables:       make(map[storage.TableID]*Table),
-		parts:        parts,
-		applyWorkers: runtime.NumCPU(),
+		tables: make(map[storage.TableID]*Table),
+		parts:  parts,
+		pool:   NewPool(runtime.NumCPU()),
 	}
 	r.snapCond = sync.NewCond(&r.snapMu)
 	return r
 }
 
-// SetApplyWorkers bounds the update-application parallelism (the OLAP
-// replica's dedicated cores, matching the exec engine's worker count).
-// Call during wiring, before the scheduler starts applying; n <= 0 is
-// ignored.
+// SetApplyWorkers sizes the replica's pool, the parallelism of its apply
+// rounds (the OLAP replica's dedicated cores, matching the exec engine's
+// worker count). Call during wiring, before the scheduler starts
+// applying; n <= 0 is ignored.
 func (r *Replica) SetApplyWorkers(n int) {
 	if n > 0 {
-		r.applyWorkers = n
+		r.pool = NewPool(n)
 	}
 }
 
@@ -297,30 +297,31 @@ func (t *Table) RequestSynopses(ranges []ColRange) {
 
 // ActivateSynopses materializes bounds for every column queries have
 // requested since the last activation (one exact column scan per
-// partition, parallel across partitions) and re-encodes any stale
-// compressed blocks, so every non-stale vector a query batch sees is
+// partition, one pool task each) and re-encodes any stale compressed
+// blocks, so every non-stale vector a query batch sees is
 // current. Every apply round does the same per partition it touches;
 // this entry point is for callers that run query batches without an
 // interleaved apply (benchmarks, tests). It mutates the canonical
 // partitions in place, so it must run in a quiesced window: no pinned
 // reader, no apply round.
 func (r *Replica) ActivateSynopses() {
+	type part struct {
+		p *Partition
+		w uint64
+	}
+	var parts []part
 	for _, t := range r.order {
 		w := t.wantedSyn.Load()
-		var wg sync.WaitGroup
 		for _, p := range t.Partitions {
-			if !p.needsMaintenance(w, true) {
-				continue
+			if p.needsMaintenance(w, true) {
+				parts = append(parts, part{p, w})
 			}
-			wg.Add(1)
-			go func(p *Partition) {
-				defer wg.Done()
-				p.ActivateSynopsisCols(w)
-				p.ReencodeDirty()
-			}(p)
 		}
-		wg.Wait()
 	}
+	r.pool.ForEach(len(parts), func(_, i int) {
+		parts[i].p.ActivateSynopsisCols(parts[i].w)
+		parts[i].p.ReencodeDirty()
+	})
 }
 
 // Table returns the replicated table with the given ID, or nil.

@@ -30,9 +30,10 @@ func (s StaticPrimary) SyncUpdates() uint64 { return uint64(s) }
 // single read-only transaction and returns one result per query, in
 // order. snap is the floor VID the batch is guaranteed to see: every
 // update committed before the batch formed is applied at or below it.
-// A push from the primary may start an apply round while the function
-// runs, so implementations must read under a pin
-// (Replica.PinSnapshot), which holds that round off until they unpin.
+// The scheduler runs no apply round while the function runs, but a
+// direct caller of Replica.ApplyPending may, so implementations must read
+// under a pin (Replica.PinSnapshot), which holds that round off until
+// they unpin.
 type RunBatchFunc[Q, R any] func(queries []Q, snap uint64) []R
 
 // SchedulerStats exposes the OLAP dispatcher's counters.
@@ -128,17 +129,17 @@ type SchedulerStats struct {
 // updates up to that version, and (4) executes the whole batch as one
 // read-only transaction on that single snapshot.
 //
-// Steps (2)-(3) run in a dedicated apply loop, kicked by every update
-// push from the primary and by every formed batch. Every round applies
-// in place between batches: the replica has one version, and a round
-// waits until the running batch has unpinned it (Replica.ApplyPending).
-// The dispatcher only stalls on the freshness barrier (SnapWait) needed
-// to keep the paper's guarantee that a batch observes everything
-// committed before it formed; that barrier round is the one round a
-// batch costs the primary a sync for.
+// All four run on one goroutine, so an apply round and a batch never
+// overlap. Steps (2)-(3) are the batch's freshness-barrier round, run
+// inline after the batch forms (SnapWait): it keeps the paper's guarantee
+// that a batch observes everything committed before it formed, and it is
+// the one round a batch costs the primary a sync for. Between batches,
+// while the loop waits for a query or for the beat, every update push
+// from the primary kicks a push round that applies what has already
+// arrived, so the next barrier round finds less to do.
 //
 // While queries arrive concurrently, batches form on a heartbeat
-// (batchHeartbeat) rather than back to back; see dispatchLoop.
+// (batchHeartbeat) rather than back to back; see loop.
 type Scheduler[Q, R any] struct {
 	replica *Replica
 	primary Primary
@@ -162,33 +163,17 @@ type Scheduler[Q, R any] struct {
 	fresh *obs.Freshness
 
 	// lastApply records the most recent apply round's stats for
-	// inspection by benchmarks (Table 1). Written by the apply side,
-	// read by LastApply; applyMu makes the snapshot consistent.
+	// inspection by benchmarks (Table 1). Written by the loop, read by
+	// LastApply; applyMu makes the snapshot consistent.
 	applyMu   sync.Mutex
 	lastApply ApplyStats
 
-	// applyKick wakes the apply loop (capacity 1: kicks coalesce).
+	// applyKick carries push kicks to the loop (capacity 1: kicks
+	// coalesce).
 	applyKick chan struct{}
-	// roundMu/roundCond guard the apply-round counters behind the
-	// dispatcher's freshness barrier: roundStart increments when a round
-	// begins (before its SyncUpdates), roundEnd when it has applied. A
-	// batch formed at time T waits for roundEnd to reach
-	// roundStart(T)+1 — the next round to *begin* after T necessarily
-	// syncs a watermark covering every commit before T, so the batch
-	// sees all updates committed before it formed (the paper's batch
-	// guarantee) without the dispatcher ever calling SyncUpdates itself.
-	roundMu     sync.Mutex
-	roundCond   *sync.Cond
-	roundStart  uint64
-	roundEnd    uint64
-	applyClosed bool
-	// waiting (guarded by roundMu) is set by the freshness barrier and
-	// claimed by the next round to start, which is the batch's own: only
-	// that round pays for a full SyncUpdates round-trip. Push-kicked rounds
-	// instead drain to the replica's covered watermark — forcing a primary
-	// flush on every push arrival would re-kick this loop forever (sync →
-	// flush → push → kick) and shred the primary's group-commit batching.
-	waiting bool
+	// lastSeen is the highest watermark a round has targeted; only the
+	// loop touches it.
+	lastSeen uint64
 }
 
 // roundCause is what started an apply round: a formed batch waiting on
@@ -212,7 +197,7 @@ type schedReq[Q, R any] struct {
 // NewScheduler creates an OLAP dispatcher over replica, syncing with
 // primary and executing batches with run.
 func NewScheduler[Q, R any](replica *Replica, primary Primary, run RunBatchFunc[Q, R]) *Scheduler[Q, R] {
-	s := &Scheduler[Q, R]{
+	return &Scheduler[Q, R]{
 		replica:   replica,
 		primary:   primary,
 		run:       run,
@@ -223,8 +208,6 @@ func NewScheduler[Q, R any](replica *Replica, primary Primary, run RunBatchFunc[
 		maxBatch:  8192,
 		fresh:     obs.NewFreshness(),
 	}
-	s.roundCond = sync.NewCond(&s.roundMu)
-	return s
 }
 
 // Stats returns the scheduler's counters.
@@ -252,8 +235,8 @@ func (s *Scheduler[Q, R]) LastApply() ApplyStats {
 	return s.lastApply
 }
 
-// Start launches the apply and dispatch loops. Extra calls are no-ops,
-// and so is Start after Close: once closed, no loop may run (it would
+// Start launches the dispatcher's loop. Extra calls are no-ops, and so
+// is Start after Close: once closed, no loop may run (it would
 // race the already-closed `closed` channel queries unblock on).
 func (s *Scheduler[Q, R]) Start() {
 	s.lifeMu.Lock()
@@ -266,14 +249,14 @@ func (s *Scheduler[Q, R]) Start() {
 	if s.started.Swap(true) {
 		return
 	}
-	// Every push from the primary kicks an apply round immediately
-	// instead of waiting for the next batch boundary.
+	// Every push from the primary kicks an apply round as soon as the
+	// loop is between batches.
 	s.replica.SetOnPush(s.kickApply)
 	go s.loop()
 }
 
-// kickApply wakes the apply loop; a kick that finds one pending merges
-// with it.
+// kickApply asks the loop for a push round; a kick that finds one
+// pending merges with it.
 func (s *Scheduler[Q, R]) kickApply() {
 	select {
 	case s.applyKick <- struct{}{}:
@@ -382,134 +365,92 @@ func (s *Scheduler[Q, R]) QueryContext(ctx context.Context, q Q) (R, error) {
 	}
 }
 
-func (s *Scheduler[Q, R]) loop() {
-	defer close(s.closed)
-	applyDone := make(chan struct{})
-	go s.applyLoop(applyDone)
-	s.dispatchLoop()
-	<-applyDone
-}
-
-// applyLoop is the update side: each kick starts one round — sync the
-// primary's watermark (the barrier round) or take what pushes have
-// already delivered (a push round), then apply the propagated updates
-// once no batch is pinned.
+// round runs one apply round: sync the primary's watermark (a barrier
+// round) or take what pushes have already delivered (a push round), then
+// apply the propagated updates. A push round that would find nothing is
+// not started: every forced sync's own push kicks one after the barrier
+// round that forced it has taken the push.
 //
 // Stale encoded blocks are rebuilt by barrier rounds only: one per batch,
 // just before it pins. Push rounds leave them flagged, and the scan reads
 // their rows.
-func (s *Scheduler[Q, R]) applyLoop(done chan struct{}) {
-	defer close(done)
-	defer func() {
-		// Wake any dispatcher stuck on the freshness barrier so shutdown
-		// cannot deadlock.
-		s.roundMu.Lock()
-		s.applyClosed = true
-		s.roundCond.Broadcast()
-		s.roundMu.Unlock()
-	}()
-	var lastSeen uint64
+func (s *Scheduler[Q, R]) round(cause roundCause) {
+	if cause == causePush && s.replica.caughtUp(s.lastSeen) {
+		return
+	}
+	s.stats.ApplyRounds[cause].Inc()
+	t0 := time.Now()
+	var target uint64
+	confirmed := true
+	if cause == causeBarrier {
+		target = s.primary.SyncUpdates()
+		if fc, ok := s.primary.(FreshnessConfirmer); ok {
+			confirmed = fc.FreshSync()
+		}
+	} else {
+		// Push-kicked round: apply what has already arrived. Forcing a
+		// primary flush here would re-kick the loop forever (sync → flush
+		// → push → kick) and shred the primary's group-commit batching.
+		// The covered watermark counts as live primary contact only when
+		// it advanced — a push just carried it; a coalesced stale kick
+		// proves nothing.
+		target = s.replica.Covered()
+		confirmed = target > s.lastSeen
+	}
+	if target > s.lastSeen {
+		s.lastSeen = target
+	}
+	// Observed before the apply so the lag high-watermark captures the
+	// pre-apply backlog (e.g. the spike right after a reconnect).
+	s.fresh.ObserveWatermark(target, confirmed)
+	st, err := s.replica.applyPending(target, cause == causeBarrier)
+	if st.Entries > 0 || st.Reloaded || st.Maintained {
+		s.stats.ApplyTime.RecordSince(t0)
+	} else {
+		s.stats.ApplyRoundsEmpty.Inc()
+	}
+	s.stats.BlocksReencoded.Add(uint64(st.reencoded))
+	s.applyMu.Lock()
+	s.lastApply = st
+	s.applyMu.Unlock()
+	s.stats.AppliedEntries.Add(uint64(st.Entries))
+	if err != nil {
+		// Replica divergence is unrecoverable; surface loudly.
+		panic(err)
+	}
+	applied := s.replica.AppliedVID()
+	if applied > target {
+		// A staged resync snapshot can carry the apply past the synced
+		// watermark (it may have been staged after the sync answered with
+		// a fallback). Its VID is primary knowledge too — record it first
+		// so the lag high-watermark sees the backlog this install is about
+		// to cover.
+		s.fresh.ObserveWatermark(applied, false)
+	}
+	s.fresh.ObserveInstall(applied)
+}
+
+// await serves push kicks until ch delivers a value, and reports false
+// if the scheduler closes first.
+func await[T, Q, R any](s *Scheduler[Q, R], ch <-chan T) (v T, ok bool) {
 	for {
 		select {
-		case <-s.closing:
-			return
+		case v = <-ch:
+			return v, true
 		case <-s.applyKick:
+			s.round(causePush)
+		case <-s.closing:
+			return v, false
 		}
-		s.roundMu.Lock()
-		cause := causePush
-		if s.waiting {
-			cause, s.waiting = causeBarrier, false
-		} else if s.replica.caughtUp(lastSeen) {
-			// A kick with nothing behind it: every forced sync's own push
-			// sends one, after the round that forced it has taken the push.
-			s.roundMu.Unlock()
-			continue
-		}
-		s.roundStart++
-		s.roundMu.Unlock()
-		s.stats.ApplyRounds[cause].Inc()
-		t0 := time.Now()
-		var target uint64
-		confirmed := true
-		if cause == causeBarrier {
-			target = s.primary.SyncUpdates()
-			if fc, ok := s.primary.(FreshnessConfirmer); ok {
-				confirmed = fc.FreshSync()
-			}
-		} else {
-			// Push-kicked round: apply what has already arrived. The
-			// covered watermark counts as live primary contact only when
-			// it advanced — a push just carried it; a coalesced stale kick
-			// proves nothing.
-			target = s.replica.Covered()
-			confirmed = target > lastSeen
-		}
-		if target > lastSeen {
-			lastSeen = target
-		}
-		// Observed before the apply so the lag high-watermark captures the
-		// pre-apply backlog (e.g. the spike right after a reconnect).
-		s.fresh.ObserveWatermark(target, confirmed)
-		st, err := s.replica.applyPending(target, cause == causeBarrier)
-		if st.Entries > 0 || st.Reloaded || st.Maintained {
-			s.stats.ApplyTime.RecordSince(t0)
-		} else {
-			s.stats.ApplyRoundsEmpty.Inc()
-		}
-		s.stats.BlocksReencoded.Add(uint64(st.reencoded))
-		s.applyMu.Lock()
-		s.lastApply = st
-		s.applyMu.Unlock()
-		s.stats.AppliedEntries.Add(uint64(st.Entries))
-		if err != nil {
-			// Replica divergence is unrecoverable; surface loudly.
-			panic(err)
-		}
-		applied := s.replica.AppliedVID()
-		if applied > target {
-			// A staged resync snapshot can carry the apply past the
-			// synced watermark (it may have been staged after the sync
-			// answered with a fallback). Its VID is primary knowledge too
-			// — record it first so the lag high-watermark sees the
-			// backlog this install is about to cover.
-			s.fresh.ObserveWatermark(applied, false)
-		}
-		s.fresh.ObserveInstall(applied)
-		s.roundMu.Lock()
-		s.roundEnd++
-		s.roundCond.Broadcast()
-		s.roundMu.Unlock()
 	}
 }
 
-// awaitFreshRound is the freshness barrier: it blocks until an apply
-// round that began after the call has completed, kicking one off if the
-// loop is idle, and reports false when the apply loop shut down before
-// reaching it. That round is the batch's barrier round — the one sync the
-// batch costs the primary, and the one round that re-encodes stale blocks.
-func (s *Scheduler[Q, R]) awaitFreshRound() bool {
-	// A round that *starts* after this point sees waiting and fetches a
-	// watermark covering every commit before it — so requiring roundEnd to
-	// reach the round after any currently running one is exactly the
-	// batch guarantee.
-	s.roundMu.Lock()
-	s.waiting = true
-	want := s.roundStart + 1
-	s.roundMu.Unlock()
-	s.kickApply()
-	s.roundMu.Lock()
-	defer s.roundMu.Unlock()
-	for s.roundEnd < want && !s.applyClosed {
-		s.roundCond.Wait()
-	}
-	return s.roundEnd >= want
-}
-
-// dispatchLoop is the execution side: it forms batches — on the
-// heartbeat while queries arrive concurrently — waits on the freshness
-// barrier instead of applying updates itself, and executes each batch
-// against the replica as the last round left it.
-func (s *Scheduler[Q, R]) dispatchLoop() {
+// loop is the dispatcher: it forms batches — on the heartbeat while
+// queries arrive concurrently — runs each one's barrier round, and
+// executes it against the replica as that round left it. Push rounds run
+// while it waits.
+func (s *Scheduler[Q, R]) loop() {
+	defer close(s.closed)
 	reqs := make([]schedReq[Q, R], 0, 256)
 	var carry []schedReq[Q, R]
 	// formed is when the previous batch formed; quiet counts the
@@ -538,12 +479,11 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 			default:
 			}
 		} else {
-			select {
-			case r := <-s.queue:
-				reqs = append(reqs, r)
-			case <-s.closing:
+			r, ok := await(s, s.queue)
+			if !ok {
 				return
 			}
+			reqs = append(reqs, r)
 			// The first query of the next batch is here. Under concurrent
 			// load give the sessions the last batch answered until the beat
 			// to ask again, so that they share this batch. (A round that
@@ -551,9 +491,7 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 			if quiet < heartbeatQuiet {
 				if wait := batchHeartbeat - time.Since(formed); wait > 0 {
 					beat.Reset(wait)
-					select {
-					case <-beat.C:
-					case <-s.closing:
+					if _, ok := await(s, beat.C); !ok {
 						return
 					}
 				}
@@ -598,21 +536,18 @@ func (s *Scheduler[Q, R]) dispatchLoop() {
 			}
 		}
 
-		// Freshness barrier: the batch has formed; wait for an apply
-		// round covering everything committed before this instant. It
-		// applies what committed since the last batch's barrier round and
-		// has not already arrived with a push and been applied by a push
-		// round.
+		// Freshness barrier: the batch has formed; run the apply round
+		// covering everything committed before this instant. It applies
+		// what committed since the last batch's barrier round and has not
+		// already arrived with a push and been applied by a push round.
 		t0 := time.Now()
-		if !s.awaitFreshRound() {
-			return // shutting down; callers unblock on closed
-		}
+		s.round(causeBarrier)
 		s.stats.SnapWait.RecordSince(t0)
 		snap := s.replica.AppliedVID()
 
 		// Execute the whole batch as one read-only transaction on the
-		// replica pinned at one VID (the run function pins it; a round
-		// the apply loop starts meanwhile waits for the unpin).
+		// replica pinned at one VID (the run function pins it). Pushes
+		// that arrive meanwhile wait in applyKick for the next wait.
 		queries := make([]Q, len(reqs))
 		for i := range reqs {
 			queries[i] = reqs[i].q

@@ -12,7 +12,7 @@ import (
 
 // flushPrimary is a counting fake of the primary that pushes the way the
 // real one does: commits queue up on its side and reach the replica when
-// a sync forces a flush — whose push, empty or not, kicks the apply loop
+// a sync forces a flush — whose push, empty or not, kicks the scheduler
 // before the sync answers.
 type flushPrimary struct {
 	mu      sync.Mutex
@@ -192,5 +192,74 @@ func TestGapRoundsDormantOffTheHeartbeat(t *testing.T) {
 	syncs, _ := f.p.counts()
 	if batches := st.Batches.Load(); other != 0 || barrier != batches || uint64(syncs) != batches {
 		t.Fatalf("lone session: %d batches, %d barrier rounds, %d other rounds, %d syncs; want one barrier round and one sync per batch", batches, barrier, other, syncs)
+	}
+}
+
+// Pushes that arrive while a batch runs start no round until it returns:
+// the loop that runs the batch serves them after it, so no round waits
+// on the batch's pin, and a push round applies the pushed rows before the
+// next batch asks.
+func TestPushRoundsWaitForTheBatch(t *testing.T) {
+	s := kvSchema()
+	r := NewReplica(2)
+	r.CreateTable(s, 64)
+	p := &fakePrimary{replica: r, schema: s}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold, released sync.Once
+	releaseBatch := func() { released.Do(func() { close(release) }) }
+	sched := NewScheduler(r, p, func(queries []int, _ uint64) []int {
+		sv := r.PinSnapshot()
+		defer sv.Unpin()
+		live := sv.Table(1).Live()
+		hold.Do(func() {
+			close(entered)
+			<-release
+		})
+		out := make([]int, len(queries))
+		for i := range out {
+			out[i] = live
+		}
+		return out
+	})
+	sched.Start()
+	defer sched.Close()
+	defer releaseBatch() // before Close, which waits for the held batch
+
+	held := make(chan int, 1)
+	go func() {
+		n, err := sched.Query(0)
+		if err != nil {
+			t.Error(err)
+		}
+		held <- n
+	}()
+	<-entered
+	pushRounds := &sched.Stats().ApplyRounds[causePush]
+	before := pushRounds.Load()
+	const rows = 5
+	for i := 1; i <= rows; i++ {
+		p.commitRow(uint64(i), int64(i))
+		time.Sleep(2 * time.Millisecond)
+		if n := r.RoundsWaitingOnPins(); n != 0 {
+			t.Fatalf("after push %d: %d apply rounds wait on the running batch's pin", i, n)
+		}
+		if got := pushRounds.Load(); got != before {
+			t.Fatalf("after push %d: %d push rounds started while the batch ran", i, got-before)
+		}
+	}
+	releaseBatch()
+	if n := <-held; n != 0 {
+		t.Fatalf("the held batch saw %d rows, want 0", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.AppliedVID() < rows; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no push round applied the rows pushed during the batch (applied VID %d)", r.AppliedVID())
+		}
+	}
+	if pushRounds.Load() == before {
+		t.Fatal("the rows were applied without a push round")
+	}
+	if n, err := sched.Query(0); err != nil || n != rows {
+		t.Fatalf("the next batch saw %d rows (err %v), want %d", n, err, rows)
 	}
 }

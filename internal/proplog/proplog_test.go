@@ -81,7 +81,7 @@ func TestDecodeTruncated(t *testing.T) {
 
 // TestDecodeMalformed feeds Decode the three shapes of a well-framed
 // batch that AppendEncode never produces. Each reached the replica's
-// apply loop as an error, which it treats as divergence and panics on.
+// apply round as an error, which it treats as divergence and panics on.
 func TestDecodeMalformed(t *testing.T) {
 	encode := func(entries ...Entry) []byte {
 		return AppendEncode(nil, &Batch{Worker: 1, Tables: []TableBatch{{Table: 3, Entries: entries}}})
