@@ -26,13 +26,12 @@ package batchdb
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"batchdb/internal/checkpoint"
 	"batchdb/internal/ingest"
 	"batchdb/internal/mvcc"
-	"batchdb/internal/network"
 	"batchdb/internal/obs"
 	"batchdb/internal/olap"
 	"batchdb/internal/olap/exec"
@@ -109,9 +108,6 @@ type Config struct {
 	OLTPWorkers int
 	// OLAPWorkers bounds analytical scan/build parallelism (default 4).
 	OLAPWorkers int
-	// MorselTuples is the slot-range size the executor carves partition
-	// scans into for work-stealing dispatch (default 16384).
-	MorselTuples int
 	// Partitions is the OLAP replica's partition count per table
 	// (default OLAPWorkers).
 	Partitions int
@@ -196,7 +192,6 @@ type DB struct {
 	store  *mvcc.Store
 	engine *oltp.Engine
 	rep    *olap.Replica
-	execE  *exec.Engine
 	sched  *olap.Scheduler[*Query, Result]
 
 	tables  map[TableID]*Table
@@ -208,19 +203,10 @@ type DB struct {
 	// fresh directory.
 	dur *checkpoint.State
 
-	repLn  *network.Listener
-	repSrv ReplicaServerStats
-	// repMu guards repConns, the live replica connections, so Close can
-	// sever them (a closed primary must look dead to its replicas, not
-	// silently absorb their sync requests). repClosed marks the map
-	// drained: connections the accept loop races in after that are
-	// severed instead of registered.
-	repMu     sync.Mutex
-	repConns  map[*network.Conn]struct{}
-	repPubs   map[*network.Conn]*replica.Publisher
-	repClosed bool
+	// repSrv serves remote replicas once ServeReplicas ran.
+	repSrv *replica.Server
 	// wrSeq numbers attached workload replicas for metric labels.
-	wrSeq int
+	wrSeq atomic.Int64
 
 	// reg is the unified metrics registry every subsystem registers its
 	// counters into; metricsSrv is the optional HTTP exporter.
@@ -444,25 +430,12 @@ func (db *DB) Start() error {
 		db.dur = st
 	}
 	if !db.cfg.DisableReplication {
-		db.rep = newReplica(db.cfg.Partitions, db.cfg.MorselTuples)
-		var analytical []TableID
-		for _, t := range db.order {
-			if t.opts.Analytical {
-				db.rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
-				analytical = append(analytical, t.id)
-			}
-		}
-		if _, err := replica.LoadLocal(db.rep, db.store, analytical); err != nil {
+		rep, err := db.attachReplica(db.cfg.Partitions)
+		if err != nil {
 			return err
 		}
-		db.engine.SetSink(db.rep)
-		db.rep.SetApplyWorkers(db.cfg.OLAPWorkers)
-		db.execE = exec.NewEngine(db.rep, db.cfg.OLAPWorkers)
-		if db.cfg.MorselTuples > 0 {
-			db.execE.MorselTuples = db.cfg.MorselTuples
-		}
-		db.sched = olap.NewScheduler[*Query, Result](db.rep, db.engine, db.execE.RunBatch)
-		db.execE.AttachStats(db.sched.Stats())
+		db.rep = rep
+		db.sched = exec.NewScheduler(rep, db.engine, db.cfg.OLAPWorkers)
 		db.sched.Start()
 	}
 	db.engine.Start()
@@ -591,15 +564,9 @@ func (db *DB) Close() error {
 		db.metricsSrv.Close()
 		db.metricsSrv = nil
 	}
-	if db.repLn != nil {
-		db.repLn.Close()
+	if db.repSrv != nil {
+		db.repSrv.Close()
 	}
-	db.repMu.Lock()
-	db.repClosed = true
-	for conn := range db.repConns {
-		conn.Close()
-	}
-	db.repMu.Unlock()
 	if db.sched != nil {
 		db.sched.Close()
 	}

@@ -11,6 +11,8 @@
 //	NEWORDER <w> <d> <c>          run a New-Order with random lines
 //	PAYMENT <w> <d> <amount>      run a Payment by customer id
 //	DELIVERY <w>                  run a Delivery
+//	ORDERSTATUS <w> <d>           run an Order-Status for a random customer
+//	STOCKLEVEL <w> <d> <t>        run a Stock-Level with threshold t
 //	QUERY <Q2|Q3|...|Q20>         run one CH analytical query
 //	LOAD <rows> [OFF]             bulk-load rows into the scratch table
 //	                              through the SLO-governed ingest path
@@ -85,8 +87,6 @@ type serverConfig struct {
 	ckptVIDs    uint64
 	segBytes    int64
 	olapWorkers int
-	morsel      int
-	batchBudget time.Duration
 	metricsAddr string
 	// Fleet mode: N router-fronted remote replica nodes instead of the
 	// single in-process replica.
@@ -109,9 +109,9 @@ type server struct {
 	reg    *obs.Registry
 	msrv   *obs.Server
 	ln     net.Listener
-	// Fleet mode (nil/empty otherwise): the replication feed listener,
+	// Fleet mode (nil/empty otherwise): the replication feed server,
 	// the member nodes, the router, and the per-query budget.
-	repLn  *network.Listener
+	repSrv *replica.Server
 	nodes  []*node.Node
 	router *fleet.Router[*exec.Query, exec.Result]
 	budget fleet.Budget
@@ -132,8 +132,6 @@ func main() {
 	flag.Uint64Var(&cfg.ckptVIDs, "checkpoint-vids", 50000, "checkpoint every N committed transactions")
 	flag.Int64Var(&cfg.segBytes, "wal-segment-bytes", 16<<20, "WAL segment rotation threshold")
 	flag.IntVar(&cfg.olapWorkers, "olap-workers", 4, "analytical scan/build/apply worker count")
-	flag.IntVar(&cfg.morsel, "morsel-tuples", 0, "scan morsel size in tuples (0 = default)")
-	flag.DurationVar(&cfg.batchBudget, "olap-batch-budget", 0, "cost-model bound on one dispatch round's estimated execution time; oversized batches are split and the tail deferred (0 = admit everything)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "HTTP metrics endpoint address (/metrics + /healthz; empty = disabled)")
 	flag.IntVar(&cfg.fleet, "fleet", 0, "route QUERY across N remote replica nodes (0 = single in-process replica)")
 	flag.DurationVar(&cfg.queryDeadline, "query-deadline", 2*time.Second, "fleet mode: per-query routing deadline")
@@ -230,24 +228,10 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, err
 		}
 		engine.SetSink(rep)
-		rep.SetApplyWorkers(cfg.olapWorkers)
-		ex := exec.NewEngine(rep, cfg.olapWorkers)
-		if cfg.morsel > 0 {
-			ex.MorselTuples = cfg.morsel
-		}
-		layOut(rep, cfg.morsel)
-		sched := olap.NewScheduler(rep, engine, ex.RunBatch)
-		ex.AttachStats(sched.Stats())
-		if cfg.batchBudget > 0 {
-			// Cost-based admission: the engine's estimate is fed by the
-			// phase histograms the scheduler records, so the hook
-			// self-calibrates to whatever sharing and pruning save.
-			ex.AdmitBudget = cfg.batchBudget
-			sched.SetAdmit(ex.AdmitBatch)
-		}
-		s.sched = sched
-		sched.RegisterMetrics(s.reg, obs.L("class", "chbench"))
-		sched.Start()
+		layOut(rep)
+		s.sched = exec.NewScheduler(rep, engine, cfg.olapWorkers)
+		s.sched.RegisterMetrics(s.reg, obs.L("class", "chbench"))
+		s.sched.Start()
 		engine.Start()
 	}
 
@@ -276,11 +260,8 @@ func newServer(cfg serverConfig) (*server, error) {
 // morsels, and encoded column vectors on those blocks. Columns activate
 // lazily as queries push predicates on them (the scheduler's apply
 // rounds pick up the requests).
-func layOut(rep *olap.Replica, morsel int) {
-	if morsel <= 0 {
-		morsel = exec.DefaultMorselTuples
-	}
-	rep.EnableZoneMaps(morsel)
+func layOut(rep *olap.Replica) {
+	rep.EnableZoneMaps(exec.DefaultMorselTuples)
 	rep.EnableCompression()
 }
 
@@ -324,37 +305,18 @@ func (s *server) startFleet(cfg serverConfig) error {
 	if err != nil {
 		return err
 	}
-	s.repLn = repLn
 	// Every (re)connecting node gets a publisher on the live feed plus a
 	// fresh snapshot — reconnect after KILL resyncs automatically.
-	go func() {
-		for {
-			conn, err := repLn.Accept()
-			if err != nil {
-				return
-			}
-			pub := replica.NewPublisher(conn, s.engine)
-			s.engine.AddSink(pub)
-			go func() {
-				pub.Serve()
-				s.engine.RemoveSink(pub)
-			}()
-			go func() {
-				if _, err := replica.ShipSnapshot(conn, s.db.Store, chbench.Tables(), 4096); err != nil {
-					conn.Close()
-				}
-			}()
-		}
-	}()
-	log.Printf("replication feed on %s (%d nodes)", repLn.Addr(), cfg.fleet)
+	s.repSrv = replica.Serve(repLn, s.engine, chbench.Tables())
+	s.repSrv.RegisterMetrics(s.reg)
+	log.Printf("replication feed on %s (%d nodes)", s.repSrv.Addr(), cfg.fleet)
 
 	backends := make([]fleet.Backend[*exec.Query, exec.Result], 0, cfg.fleet)
 	for i := 0; i < cfg.fleet; i++ {
 		rep := chbench.EmptyReplica(s.db, 8)
-		layOut(rep, cfg.morsel)
-		n, err := node.Connect(repLn.Addr(), rep, node.Config{
+		layOut(rep)
+		n, err := node.Connect(s.repSrv.Addr(), rep, node.Config{
 			Workers:        cfg.olapWorkers,
-			MorselTuples:   cfg.morsel,
 			Retry:          network.RetryPolicy{Attempts: 50, BaseDelay: 10 * time.Millisecond},
 			ReconnectPause: 50 * time.Millisecond,
 			Metrics:        s.reg,
@@ -378,14 +340,16 @@ func (s *server) startFleet(cfg serverConfig) error {
 	return nil
 }
 
-// serveLoop accepts client connections until the listener closes.
+// serveLoop accepts client connections until the listener closes. Each
+// connection's randomness is seeded by its accept ordinal, so a session
+// replays the same arguments and queries on every run.
 func (s *server) serveLoop() {
-	for {
+	for seed := int64(1); ; seed++ {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		go s.serve(conn)
+		go s.serve(conn, seed)
 	}
 }
 
@@ -406,8 +370,8 @@ func (s *server) close() {
 	for _, n := range s.nodes {
 		n.Close()
 	}
-	if s.repLn != nil {
-		s.repLn.Close()
+	if s.repSrv != nil {
+		s.repSrv.Close()
 	}
 	if s.sched != nil {
 		s.sched.Close()
@@ -415,9 +379,9 @@ func (s *server) close() {
 	s.engine.Close()
 }
 
-func (s *server) serve(conn net.Conn) {
+func (s *server) serve(conn net.Conn, seed int64) {
 	defer conn.Close()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	rng := rand.New(rand.NewSource(seed))
 	gen := chbench.NewGen(s.db.Schemas, rng.Int63())
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -454,6 +418,13 @@ func (s *server) serve(conn net.Conn) {
 		case "DELIVERY":
 			a := &tpcc.DeliveryArgs{WID: argN(fields, 1, 1), CarrierID: 1 + rng.Int63n(10), Date: time.Now().UnixNano()}
 			reply(out, s.engine.Exec(tpcc.ProcDelivery, a.Encode()))
+		case "ORDERSTATUS":
+			a := &tpcc.OrderStatusArgs{WID: argN(fields, 1, 1), DID: argN(fields, 2, 1),
+				CID: 1 + rng.Int63n(int64(s.db.Scale.CustomersPerDistrict))}
+			reply(out, s.engine.Exec(tpcc.ProcOrderStatus, a.Encode()))
+		case "STOCKLEVEL":
+			a := &tpcc.StockLevelArgs{WID: argN(fields, 1, 1), DID: argN(fields, 2, 1), Threshold: argN(fields, 3, 15)}
+			reply(out, s.engine.Exec(tpcc.ProcStockLevel, a.Encode()))
 		case "LOAD":
 			n := argN(fields, 1, 10_000)
 			if n <= 0 {

@@ -383,9 +383,10 @@ func TestServerLoadSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestServerQueryReply exercises the analytical path: a named CH query
-// over a freshly loaded warehouse must return rows through the
-// batch-at-a-time scheduler.
+// TestServerQueryReply exercises both paths: every TPC-C transaction
+// must commit, roll back as the spec asks (both OK) or report a
+// retryable conflict — never an error — and a named CH query over the
+// warehouse must return rows through the batch-at-a-time scheduler.
 func TestServerQueryReply(t *testing.T) {
 	s := startTestServer(t)
 	rw, closeConn := dialServer(t, s)
@@ -396,6 +397,12 @@ func TestServerQueryReply(t *testing.T) {
 	// PAYMENT never rolls back, and a single connection cannot conflict.
 	if r := roundTrip(t, rw, "PAYMENT 1 1 42"); !strings.HasPrefix(r, "OK\tvid=") {
 		t.Fatalf("PAYMENT: %q", r)
+	}
+	for _, cmd := range []string{"NEWORDER 1 2 3", "PAYMENT 1 2 42", "DELIVERY 1", "ORDERSTATUS 1 2", "STOCKLEVEL 1 2 15"} {
+		r := roundTrip(t, rw, cmd)
+		if !strings.HasPrefix(r, "OK\t") && !strings.HasPrefix(r, "RETRY\t") {
+			t.Fatalf("%s: %q", cmd, r)
+		}
 	}
 	for _, q := range []string{"Q10", "Q12"} {
 		r := roundTrip(t, rw, "QUERY "+q)

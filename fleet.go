@@ -76,7 +76,7 @@ func ConnectFleet(primaryAddr string, cfg FleetConfig, tables []ReplicaTable) (*
 			return nil, err
 		}
 		f.nodes = append(f.nodes, n)
-		backends = append(backends, n.n)
+		backends = append(backends, n)
 	}
 	router, err := fleet.NewRouter[*Query, Result](backends, cfg.Router)
 	if err != nil {

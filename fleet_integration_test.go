@@ -144,9 +144,10 @@ func TestReplicaNodeDegradedStaleness(t *testing.T) {
 		t.Fatal("healthy answer missing snapshot VID")
 	}
 
-	// Take the primary's replication listener away entirely, then sever
-	// the node's connection: reconnects fail, so the node stays degraded.
-	f.db.repLn.Close()
+	// Stop serving replicas entirely (closing the listener and severing
+	// live feeds), then sever the node's connection from its side too:
+	// reconnects fail, so the node stays degraded.
+	f.db.repSrv.Close()
 	n.KillConnection()
 	deadline := time.Now().Add(10 * time.Second)
 	for n.Status().Connected {

@@ -78,7 +78,7 @@ func TestCompressionParityAcrossWorkers(t *testing.T) {
 		&exec.Query{
 			Name:   "qtyIn",
 			Driver: tpcc.TOrderLine,
-			Where:  []exec.Pred{exec.InInt(tpcc.OLQuantity, 9, 2, 7)}, // unsorted: inPred must sort
+			Where:  []exec.Pred{exec.InInt(tpcc.OLQuantity, 9, 2, 7)}, // unsorted: InInt must sort
 			Aggs:   []exec.AggSpec{{Kind: exec.Count}, sumQty},
 		})
 

@@ -39,9 +39,9 @@ func putArgs(k, v int64) []byte {
 	return b
 }
 
-// chaosPrimary is a served kv primary: a "put" procedure, a replication
-// accept loop, and a live push feed — the same wiring as the root API's
-// ServeReplicas, scaled down to one table.
+// chaosPrimary is a served kv primary: a "put" procedure, the replica
+// server, and a live push feed — the root API's ServeReplicas scaled
+// down to one table.
 type chaosPrimary struct {
 	engine *oltp.Engine
 	schema *storage.Schema
@@ -73,31 +73,13 @@ func newChaosPrimary(t *testing.T) *chaosPrimary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			pub := replica.NewPublisher(conn, engine)
-			engine.AddSink(pub)
-			go func() {
-				pub.Serve()
-				engine.RemoveSink(pub)
-			}()
-			go func() {
-				if _, err := replica.ShipSnapshot(conn, engine.Store(), []storage.TableID{1}, 64); err != nil {
-					conn.Close()
-				}
-			}()
-		}
-	}()
+	srv := replica.Serve(l, engine, []storage.TableID{1})
 	engine.Start()
 	t.Cleanup(func() {
-		l.Close()
+		srv.Close()
 		engine.Close()
 	})
-	return &chaosPrimary{engine: engine, schema: schema, addr: l.Addr()}
+	return &chaosPrimary{engine: engine, schema: schema, addr: srv.Addr()}
 }
 
 func (p *chaosPrimary) connectNode(t *testing.T) *node.Node {

@@ -25,8 +25,6 @@ import (
 type Config struct {
 	// Workers bounds scan/build/apply parallelism (default 4).
 	Workers int
-	// MorselTuples is the executor's scan morsel size (0 = default).
-	MorselTuples int
 	// Retry, Transport, ReconnectPause, Fault parameterize the
 	// supervised connection exactly as replica.SupervisorConfig. Zero
 	// Send/Grant timeouts default to 10s.
@@ -45,7 +43,6 @@ type Config struct {
 type Node struct {
 	sup   *replica.Supervisor
 	rep   *olap.Replica
-	execE *exec.Engine
 	sched *olap.Scheduler[*exec.Query, exec.Result]
 }
 
@@ -73,15 +70,7 @@ func Connect(primaryAddr string, rep *olap.Replica, cfg Config) (*Node, error) {
 		sup.Close()
 		return nil, err
 	}
-	n := &Node{sup: sup, rep: rep}
-	rep.SetApplyWorkers(cfg.Workers)
-	n.execE = exec.NewEngine(rep, cfg.Workers)
-	if cfg.MorselTuples > 0 {
-		n.execE.MorselTuples = cfg.MorselTuples
-	}
-	n.sched = olap.NewScheduler[*exec.Query, exec.Result](rep, sup, n.execE.RunBatch)
-	n.execE.AttachStats(n.sched.Stats())
-	n.execE.AttachFreshness(n.sched.Freshness())
+	n := &Node{sup: sup, rep: rep, sched: exec.NewScheduler(rep, sup, cfg.Workers)}
 	if cfg.Metrics != nil {
 		n.sched.RegisterMetrics(cfg.Metrics, cfg.MetricsLabels...)
 		sup.RegisterMetrics(cfg.Metrics, cfg.MetricsLabels...)
@@ -137,9 +126,6 @@ func (n *Node) Stats() *olap.SchedulerStats { return n.sched.Stats() }
 
 // Replica exposes the node's local replica state.
 func (n *Node) Replica() *olap.Replica { return n.rep }
-
-// Engine exposes the node's executor (ablation toggles).
-func (n *Node) Engine() *exec.Engine { return n.execE }
 
 // Freshness returns the node's snapshot-freshness tracker.
 func (n *Node) Freshness() *obs.Freshness { return n.sched.Freshness() }

@@ -57,31 +57,8 @@ type Record struct {
 	Data []byte
 }
 
-// VIDFrom returns the record's creation VID (or in-flight marker).
-func (r *Record) VIDFrom() uint64 { return r.vidFrom.Load() }
-
-// VIDTo returns the record's supersession VID, vid.Infinity if current,
-// or an in-flight marker if write-locked.
-func (r *Record) VIDTo() uint64 { return r.vidTo.Load() }
-
 // Older returns the next older version, if any.
 func (r *Record) Older() *Record { return r.older.Load() }
-
-// committedVisible reports whether the record is visible to an
-// independent snapshot at snap, ignoring any in-flight transaction
-// state: a record locked (VIDto marker) but not yet committed is still
-// visible, because the locker's deletion has not committed.
-func (r *Record) committedVisible(snap uint64) bool {
-	from := r.vidFrom.Load()
-	if isMarker(from) || from > snap {
-		return false
-	}
-	to := r.vidTo.Load()
-	if isMarker(to) {
-		return true
-	}
-	return snap < to
-}
 
 // retiredRecord is a sentinel installed as a chain's head when GC
 // retires the chain. Writers that encounter it re-resolve the key
@@ -105,23 +82,6 @@ type Chain struct {
 
 // Head returns the newest version, which may be uncommitted.
 func (c *Chain) Head() *Record { return c.head.Load() }
-
-// VisibleAt returns the version of this row visible at snapshot snap, or
-// nil if none (row did not exist, or was deleted before snap).
-func (c *Chain) VisibleAt(snap uint64) *Record {
-	for r := c.head.Load(); r != nil; r = r.older.Load() {
-		if r.committedVisible(snap) {
-			return r
-		}
-		// Versions are newest-first; once we pass a committed version
-		// whose VIDfrom <= snap, older ones are superseded at snap.
-		from := r.vidFrom.Load()
-		if !isMarker(from) && from <= snap {
-			return nil
-		}
-	}
-	return nil
-}
 
 // liveAtOrAfter reports whether the chain could still matter to any
 // snapshot >= minSnap; used by GC to retire whole chains.

@@ -176,7 +176,7 @@ func (t *Table) LoadRowWithID(rowID uint64, tup []byte) error {
 
 // ScanChains visits every chain in the table (all versions, all states),
 // each at most once and in no particular order; callers apply snapshot
-// visibility via Chain.VisibleAt.
+// visibility themselves (Txn.ReadChain).
 func (t *Table) ScanChains(fn func(*Chain) bool) { t.chains.forEach(fn) }
 
 // NumChains returns the number of chains in the table: rows that exist

@@ -1,9 +1,6 @@
 package network
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Frame-buffer pool for send-side payload encoding.
 //
@@ -14,21 +11,15 @@ import (
 // write). That lifetime makes the buffers poolable: callers draw from
 // GetFrameBuf, encode, Send, and give the buffer back with PutFrameBuf,
 // so steady-state pushes stop allocating per frame.
-var (
-	frameBufs      sync.Pool
-	frameBufGets   atomic.Uint64
-	frameBufMisses atomic.Uint64
-)
+var frameBufs sync.Pool
 
 // GetFrameBuf returns an empty buffer with whatever capacity a previous
 // frame left behind. Append-encode into it; pass the result to
 // PutFrameBuf once the frame is sent.
 func GetFrameBuf() []byte {
-	frameBufGets.Add(1)
 	if b, ok := frameBufs.Get().(*[]byte); ok {
 		return (*b)[:0]
 	}
-	frameBufMisses.Add(1)
 	return make([]byte, 0, 4096)
 }
 
@@ -41,11 +32,4 @@ func PutFrameBuf(b []byte) {
 	}
 	b = b[:0]
 	frameBufs.Put(&b)
-}
-
-// FrameBufStats reports pool traffic since process start: total
-// GetFrameBuf calls and how many missed the pool (allocated fresh).
-// Steady-state propagation should show misses ≪ gets.
-func FrameBufStats() (gets, misses uint64) {
-	return frameBufGets.Load(), frameBufMisses.Load()
 }

@@ -163,11 +163,6 @@ func (f *Freshness) InstalledVID() uint64 {
 // after an outage, which the live lag gauge only shows transiently.
 func (f *Freshness) LagHigh() int64 { return f.lagHigh.Load() }
 
-// StalenessHistogram returns the histogram of staleness samples taken
-// at each snapshot install (for percentile reporting outside a
-// registry).
-func (f *Freshness) StalenessHistogram() *Histogram { return &f.stalenessHist }
-
 // ResetLagHigh clears the lag high-watermark (between measurement
 // phases).
 func (f *Freshness) ResetLagHigh() { f.lagHigh.Set(0) }

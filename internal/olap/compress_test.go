@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"math"
 	"testing"
 
 	"batchdb/internal/proplog"
@@ -146,4 +147,72 @@ func TestEnableCompressionRequiresZoneMaps(t *testing.T) {
 	if p2.Compressed() {
 		t.Fatal("compression attached on sub-64-slot blocks")
 	}
+}
+
+// TestSumLiveRange exercises the encoded-block aggregate reader
+// directly against a raw recomputation: fully-live blocks are served
+// for both int and float columns, and any block with a dead slot
+// refuses (the encoded image hides which slots died).
+func TestSumLiveRange(t *testing.T) {
+	s := zmTestSchema()
+	r := NewReplica(1)
+	r.EnableZoneMaps(64)
+	r.EnableCompression()
+	tbl := r.CreateTable(s, 64)
+	const n = 256
+	for i := int64(1); i <= n; i++ {
+		tup := s.NewTuple()
+		s.PutInt64(tup, 0, i)
+		s.PutInt32(tup, 1, int32(i%7))
+		s.PutFloat64(tup, 2, float64(i%5)*0.25) // few distinct values: always encodes
+		s.PutInt64(tup, 5, i*3)
+		if err := r.LoadTuple(900, uint64(i), tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.RequestSynopses([]ColRange{{Col: 2}, {Col: 5}})
+	r.ActivateSynopses()
+	p := tbl.Partitions[0]
+
+	check := func(lo, hi, col int) {
+		t.Helper()
+		sum, rows, ok := p.SumLiveRange(lo, hi, col)
+		if !ok {
+			t.Fatalf("SumLiveRange(%d,%d,col=%d) refused on fully-live blocks", lo, hi, col)
+		}
+		var wantSum float64
+		var wantRows int64
+		for i := lo; i < hi; i++ {
+			tup, live := p.Get(uint64(i + 1)) // rowID = slot+1 under sequential load
+			if !live {
+				continue
+			}
+			wantRows++
+			if col == 2 {
+				wantSum += s.GetFloat64(tup, 2)
+			} else {
+				wantSum += float64(s.GetInt64(tup, col))
+			}
+		}
+		if rows != wantRows || math.Abs(sum-wantSum) > 1e-9*(1+math.Abs(wantSum)) {
+			t.Fatalf("SumLiveRange(%d,%d,col=%d) = (%f,%d), want (%f,%d)", lo, hi, col, sum, rows, wantSum, wantRows)
+		}
+	}
+	check(0, 256, 2) // float column: ord-key decode path
+	check(0, 256, 5) // int column
+	check(64, 192, 5)
+
+	if _, _, ok := p.SumLiveRange(3, 64, 5); ok {
+		t.Fatal("unaligned lo accepted")
+	}
+	if _, _, ok := p.SumLiveRange(0, 64, 3); ok {
+		t.Fatal("synopsis-less column accepted")
+	}
+
+	// Kill one tuple: its block must refuse, aligned neighbors still serve.
+	p.Delete(10)
+	if _, _, ok := p.SumLiveRange(0, 64, 5); ok {
+		t.Fatal("partially-live block served an encoded sum")
+	}
+	check(64, 128, 5)
 }

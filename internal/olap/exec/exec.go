@@ -205,11 +205,6 @@ type Engine struct {
 	// selects DefaultMorselTuples. Set before the first RunBatch.
 	MorselTuples int
 
-	// AdmitBudget bounds the estimated execution time of one batch for
-	// the AdmitBatch admission hook; <= 0 (the default) admits
-	// everything.
-	AdmitBudget time.Duration
-
 	// stats, when attached, receives per-batch phase timings.
 	stats *olap.SchedulerStats
 
@@ -321,6 +316,22 @@ func NewEngine(replica *olap.Replica, workers int) *Engine {
 		pool:    olap.NewPool(workers),
 		cache:   make(map[any]*cacheEntry),
 	}
+}
+
+// NewScheduler builds the analytical stack over rep: the replica's apply
+// pool and an executor of workers each, and the batch dispatcher that
+// syncs with primary and runs its batches on that executor. The executor
+// records its phase timings into the dispatcher's stats and stamps every
+// Result with the staleness the dispatcher's freshness tracker reports.
+// The caller registers the dispatcher's metrics under its own labels,
+// then starts it.
+func NewScheduler(rep *olap.Replica, primary olap.Primary, workers int) *olap.Scheduler[*Query, Result] {
+	rep.SetApplyWorkers(workers)
+	e := NewEngine(rep, workers)
+	s := olap.NewScheduler(rep, primary, e.RunBatch)
+	e.AttachStats(s.Stats())
+	e.AttachFreshness(s.Freshness())
+	return s
 }
 
 // AttachStats points the engine at a scheduler's stats block so

@@ -14,10 +14,7 @@
 //     pushed-down predicate hulls are disjoint on a common column are
 //     split into separate passes when the zone maps say the split
 //     saves more block fetches than the extra pass costs, so block
-//     skipping compounds across the batch;
-//   - whether an oversized batch should be *admitted* at all
-//     (Engine.AdmitBatch), from the per-phase histograms the scheduler
-//     already records.
+//     skipping compounds across the batch.
 //
 // Merging is opt-in via Query.ShareKey and step sharing via
 // Probe.KeyID; both are otherwise purely structural, so a batch with
@@ -571,37 +568,4 @@ func (e *Engine) formScanGroups(t *olap.Table, cohorts []*cohort) []*scanGroup {
 		groups = append(groups, newScanGroup(cl.cohorts))
 	}
 	return groups
-}
-
-// AdmitBatch is the scheduler admission hook (Scheduler.SetAdmit): it
-// estimates the batch's execution time from the per-phase histograms
-// recorded over previous batches and returns the longest prefix whose
-// estimate fits AdmitBudget, so one pathological dispatch round cannot
-// blow the staleness bound the fleet router promises. The model is
-// deliberately first-order — mean build-prepare time once, plus the
-// historical scan time per query — and self-calibrating: whatever
-// sharing and pruning saved in past batches is already in the
-// histogram. With no budget, no attached stats or no history it admits
-// everything (zero behavior change until data exists).
-func (e *Engine) AdmitBatch(queries []*Query) int {
-	n := len(queries)
-	if e.AdmitBudget <= 0 || e.stats == nil || n <= 1 {
-		return n
-	}
-	st := e.stats
-	nq := st.Queries.Load()
-	scanNS := st.ExecScan.Sum()
-	if nq == 0 || scanNS <= 0 {
-		return n
-	}
-	perQuery := float64(scanNS) / float64(nq)
-	budget := float64(e.AdmitBudget) - st.ExecBuildPrepare.Mean()
-	k := int(budget / perQuery)
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	return k
 }

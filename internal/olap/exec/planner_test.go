@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"batchdb/internal/olap"
 )
@@ -441,41 +440,5 @@ func TestPrunedTupleAccounting(t *testing.T) {
 	}
 	if got, want := st.ExecTuplesPruned.Load(), uint64(live-res[0].Rows); got != want {
 		t.Fatalf("ExecTuplesPruned = %d, want exactly live−offered = %d", got, want)
-	}
-}
-
-// TestAdmitBatch pins the admission cost model: with per-query scan
-// history recorded, the admitted prefix is the budget divided by the
-// historical per-query cost, clamped to [1, n]; with no history or no
-// budget everything is admitted.
-func TestAdmitBatch(t *testing.T) {
-	f := buildFixture(t, 1, 16, 4)
-	e := NewEngine(f.replica, 1)
-	var st olap.SchedulerStats
-	e.AttachStats(&st)
-	batch := make([]*Query, 8)
-	for i := range batch {
-		batch[i] = f.regionQuery(0)
-	}
-
-	if got := e.AdmitBatch(batch); got != 8 {
-		t.Fatalf("no budget: admitted %d, want all 8", got)
-	}
-	e.AdmitBudget = 10 * time.Millisecond
-	if got := e.AdmitBatch(batch); got != 8 {
-		t.Fatalf("no history: admitted %d, want all 8", got)
-	}
-	st.Queries.Add(10)
-	st.ExecScan.Record(int64(50 * time.Millisecond)) // 5ms per query
-	if got := e.AdmitBatch(batch); got != 2 {
-		t.Fatalf("10ms budget at 5ms/query: admitted %d, want 2", got)
-	}
-	e.AdmitBudget = time.Microsecond // below one query: still admit one
-	if got := e.AdmitBatch(batch); got != 1 {
-		t.Fatalf("tiny budget: admitted %d, want 1", got)
-	}
-	e.AdmitBudget = time.Minute
-	if got := e.AdmitBatch(batch); got != 8 {
-		t.Fatalf("huge budget: admitted %d, want all 8", got)
 	}
 }

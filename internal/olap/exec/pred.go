@@ -38,9 +38,9 @@ const (
 // form AND-lists; anything inexpressible — string matching,
 // cross-column arithmetic — stays in the residual closures
 // (Query.DriverPred, Probe.Pred), which are ANDed with the declarative
-// part but never pushed down. Construct Preds with CmpInt / CmpFloat /
-// BetweenInt / BetweenFloat / InInt / InFloat; the zero value accepts
-// only ord-key 0 and is almost certainly not what you want.
+// part but never pushed down. Construct Preds with CmpInt / BetweenInt /
+// BetweenFloat / InInt; the zero value accepts only ord-key 0 and is
+// almost certainly not what you want.
 type Pred struct {
 	// Col is the column ordinal in the predicated table's schema.
 	Col int
@@ -88,12 +88,6 @@ func CmpInt(col int, op Op, v int64) Pred {
 	return Pred{Col: col, lo: lo, hi: hi}
 }
 
-// CmpFloat builds `col op v` over a Float64 column.
-func CmpFloat(col int, op Op, v float64) Pred {
-	lo, hi := opInterval(op, storage.OrdKeyFloat64(v))
-	return Pred{Col: col, lo: lo, hi: hi, isFloat: true}
-}
-
 // BetweenInt builds `lo <= col <= hi` over an Int64, Int32 or Time
 // column.
 func BetweenInt(col int, lo, hi int64) Pred {
@@ -109,26 +103,13 @@ func BetweenFloat(col int, lo, hi float64) Pred {
 // for small sets (membership is a linear scan); the set's convex hull
 // is what zone maps prune on.
 func InInt(col int, vs ...int64) Pred {
-	return inPred(col, vs, false)
-}
-
-// InFloat builds `col IN vs` over a Float64 column.
-func InFloat(col int, vs ...float64) Pred {
-	ks := make([]int64, len(vs))
-	for i, v := range vs {
-		ks[i] = storage.OrdKeyFloat64(v)
-	}
-	return inPred(col, ks, true)
-}
-
-func inPred(col int, ks []int64, isFloat bool) Pred {
-	if len(ks) == 0 {
-		return Pred{Col: col, lo: 1, hi: 0, set: []int64{}, isFloat: isFloat}
+	if len(vs) == 0 {
+		return Pred{Col: col, lo: 1, hi: 0, set: []int64{}}
 	}
 	// Sorted sets let the compressed-block filter binary-search
 	// membership; order is irrelevant to IN semantics.
-	slices.Sort(ks)
-	return Pred{Col: col, lo: ks[0], hi: ks[len(ks)-1], set: ks, isFloat: isFloat}
+	slices.Sort(vs)
+	return Pred{Col: col, lo: vs[0], hi: vs[len(vs)-1], set: vs}
 }
 
 // compilePred lowers p to a typed comparison kernel over tuples of s.

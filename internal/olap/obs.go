@@ -66,10 +66,6 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Join-probe lookups: per root step per driver tuple, per tail step per tuple per cohort, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_pred_evals_total",
 		"Probe-filter evaluations (per row of the probed table when bitmapped, build or PK-indexed alike; else per hit).", &st.ExecProbePredEvals, labels...)
-	reg.ObserveCounter("batchdb_olap_admit_splits_total",
-		"Dispatch rounds split by the batch-admission cost model.", &st.AdmitSplits, labels...)
-	reg.ObserveCounter("batchdb_olap_admit_deferred_total",
-		"Queries deferred to a later round by batch admission.", &st.AdmitDeferred, labels...)
 	reg.GaugeFunc("batchdb_olap_busy_seconds",
 		"Cumulative dispatcher busy time (seconds).",
 		func() float64 { return st.Busy.Busy().Seconds() }, labels...)

@@ -113,13 +113,7 @@ type SchedulerStats struct {
 	// cached — work counters, comparable exactly across runs.
 	ExecProbeLookups   obs.Counter
 	ExecProbePredEvals obs.Counter
-	// AdmitSplits counts dispatch rounds the admission hook cut short;
-	// AdmitDeferred counts the queries it pushed into a later round
-	// (each deferred query re-queues behind a fresh sync/apply, so a
-	// split batch never runs on a staler snapshot than an unsplit one).
-	AdmitSplits   obs.Counter
-	AdmitDeferred obs.Counter
-	Busy          obs.BusyTracker
+	Busy               obs.BusyTracker
 }
 
 // Scheduler is the OLAP dispatcher (paper Fig. 1 right, §5 "Query
@@ -154,9 +148,6 @@ type Scheduler[Q, R any] struct {
 	maxBatch  int
 
 	stats SchedulerStats
-	// admit, when set, caps how many of a drained round's queries run
-	// in the next batch; the rest are carried into the following round.
-	admit func(queries []Q) int
 	// fresh tracks snapshot-VID lag and wall-clock staleness across the
 	// loop's sync/apply rounds (paper §3.2 bounded staleness; the HTAP
 	// freshness-lag metric).
@@ -212,17 +203,6 @@ func NewScheduler[Q, R any](replica *Replica, primary Primary, run RunBatchFunc[
 
 // Stats returns the scheduler's counters.
 func (s *Scheduler[Q, R]) Stats() *SchedulerStats { return &s.stats }
-
-// SetAdmit installs a batch-admission hook, called once per dispatch
-// round with the drained queries in arrival order. It returns how many
-// to admit into the next batch; the remainder is deferred — carried to
-// the head of the following round, which re-syncs with the primary and
-// re-applies updates first, so deferral never runs a query on a staler
-// snapshot. Returns outside [1, len(queries)] are clamped (at least
-// one query always runs, so the loop cannot live-lock). Must be set
-// before Start; nil (the default) admits everything, which is exactly
-// the pre-hook behavior.
-func (s *Scheduler[Q, R]) SetAdmit(fn func(queries []Q) int) { s.admit = fn }
 
 // Freshness returns the scheduler's snapshot-freshness tracker.
 func (s *Scheduler[Q, R]) Freshness() *obs.Freshness { return s.fresh }
@@ -452,7 +432,6 @@ func await[T, Q, R any](s *Scheduler[Q, R], ch <-chan T) (v T, ok bool) {
 func (s *Scheduler[Q, R]) loop() {
 	defer close(s.closed)
 	reqs := make([]schedReq[Q, R], 0, 256)
-	var carry []schedReq[Q, R]
 	// formed is when the previous batch formed; quiet counts the
 	// single-query batches since the last one that carried more, and
 	// starts at the threshold so that a scheduler nobody has used
@@ -463,37 +442,20 @@ func (s *Scheduler[Q, R]) loop() {
 	<-beat.C
 	defer beat.Stop()
 	for {
-		// Wait for at least one query (or shutdown). Queries deferred by
-		// the admission hook go first; they are already waiting, so the
-		// loop must not block on the queue while holding them. A shutdown
-		// with carried queries is safe: like queued-but-undrained
-		// requests, their callers unblock on `closed` with
-		// ErrSchedulerClosed.
-		reqs = reqs[:0]
-		if len(carry) > 0 {
-			reqs = append(reqs, carry...)
-			carry = carry[:0]
-			select {
-			case <-s.closing:
-				return
-			default:
-			}
-		} else {
-			r, ok := await(s, s.queue)
-			if !ok {
-				return
-			}
-			reqs = append(reqs, r)
-			// The first query of the next batch is here. Under concurrent
-			// load give the sessions the last batch answered until the beat
-			// to ask again, so that they share this batch. (A round that
-			// starts from deferred queries does not wait: they already have.)
-			if quiet < heartbeatQuiet {
-				if wait := batchHeartbeat - time.Since(formed); wait > 0 {
-					beat.Reset(wait)
-					if _, ok := await(s, beat.C); !ok {
-						return
-					}
+		// Wait for at least one query (or shutdown).
+		r, ok := await(s, s.queue)
+		if !ok {
+			return
+		}
+		reqs = append(reqs[:0], r)
+		// The first query of the next batch is here. Under concurrent
+		// load give the sessions the last batch answered until the beat
+		// to ask again, so that they share this batch.
+		if quiet < heartbeatQuiet {
+			if wait := batchHeartbeat - time.Since(formed); wait > 0 {
+				beat.Reset(wait)
+				if _, ok := await(s, beat.C); !ok {
+					return
 				}
 			}
 		}
@@ -514,26 +476,6 @@ func (s *Scheduler[Q, R]) loop() {
 			quiet = 0
 		} else if quiet < heartbeatQuiet {
 			quiet++
-		}
-
-		// Cost-based admission: let the hook split an oversized round so
-		// one pathological batch cannot blow the staleness budget — the
-		// deferred tail waits on a fresh barrier round before executing.
-		if s.admit != nil && len(reqs) > 1 {
-			qs := make([]Q, len(reqs))
-			for i := range reqs {
-				qs[i] = reqs[i].q
-			}
-			n := s.admit(qs)
-			if n < 1 {
-				n = 1
-			}
-			if n < len(reqs) {
-				carry = append(carry, reqs[n:]...)
-				reqs = reqs[:n]
-				s.stats.AdmitSplits.Inc()
-				s.stats.AdmitDeferred.Add(uint64(len(carry)))
-			}
 		}
 
 		// Freshness barrier: the batch has formed; run the apply round

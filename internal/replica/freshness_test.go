@@ -15,6 +15,7 @@ import (
 	"batchdb/internal/obs"
 	"batchdb/internal/olap"
 	"batchdb/internal/oltp"
+	"batchdb/internal/storage"
 )
 
 func TestFreshnessThroughOutage(t *testing.T) {
@@ -23,8 +24,8 @@ func TestFreshnessThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr()
-	go serveReplicaConns(engine, l)
+	srv := Serve(l, engine, []storage.TableID{1})
+	addr := srv.Addr()
 	engine.Start()
 	defer engine.Close()
 
@@ -73,7 +74,7 @@ func TestFreshnessThroughOutage(t *testing.T) {
 	}
 
 	// Outage: no listener to reconnect to, current connection severed.
-	l.Close()
+	srv.Close()
 	sup.KillConnection()
 	putRange(t, engine, 41, 80) // committed while the replica is dark
 	fresh.ResetLagHigh()
@@ -103,8 +104,7 @@ func TestFreshnessThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", addr, err)
 	}
-	defer l2.Close()
-	go serveReplicaConns(engine, l2)
+	defer Serve(l2, engine, []storage.TableID{1}).Close()
 
 	deadline := time.Now().Add(20 * time.Second)
 	for {

@@ -84,7 +84,6 @@ type Publisher struct {
 	conn   *network.Conn
 	engine *oltp.Engine
 	out    chan outMsg
-	lagged atomic.Bool
 }
 
 // NewPublisher wraps an established connection to a replica node and
@@ -120,14 +119,9 @@ func (p *Publisher) enqueue(mt uint8, buf []byte) {
 	case p.out <- outMsg{mt: mt, buf: buf}:
 	default:
 		network.PutFrameBuf(buf)
-		p.lagged.Store(true)
 		p.conn.Close()
 	}
 }
-
-// Lagged reports whether this publisher severed its connection because
-// the replica fell behind the bounded send queue.
-func (p *Publisher) Lagged() bool { return p.lagged.Load() }
 
 // ApplyUpdates implements oltp.UpdateSink by queueing the push for the
 // send loop. It is called from the OLTP dispatcher at batch boundaries
@@ -201,9 +195,6 @@ func (p *Publisher) Serve() error {
 // wait for the receiver's rendezvous grant, which Serve's Recv loop
 // delivers.
 func ShipSnapshot(conn *network.Conn, store *mvcc.Store, tables []storage.TableID, chunkRows int) (uint64, error) {
-	if chunkRows <= 0 {
-		chunkRows = 4096
-	}
 	ro := store.BeginRO()
 	defer ro.Release()
 	snap := ro.Snapshot()

@@ -162,6 +162,8 @@ func TestBootstrapThenLiveUpdates(t *testing.T) {
 	}
 
 	// Ship the snapshot, then start the engine and apply live updates.
+	// 128-row chunks, not Serve's 4096: the 500 rows must cross several
+	// bootstrap chunks.
 	snapVID, err := ShipSnapshot(c.pub.conn, store, []storage.TableID{1}, 128)
 	if err != nil {
 		t.Fatal(err)

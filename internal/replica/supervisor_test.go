@@ -11,11 +11,9 @@ import (
 	"batchdb/internal/storage"
 )
 
-// servedCluster mirrors the root API's ServeReplicas accept loop: every
-// connection gets a Publisher attached as an engine sink, a bootstrap
-// snapshot shipped, and the sink detached when the connection ends — so
-// a Supervisor can kill its connection, reconnect, and resync against
-// it, exactly like a remote replica node against a live primary.
+// servedCluster is a primary serving replicas through Serve, so a
+// Supervisor can kill its connection, reconnect, and resync against it,
+// exactly like a remote replica node against a live primary.
 type servedCluster struct {
 	engine *oltp.Engine
 	schema *storage.Schema
@@ -48,28 +46,6 @@ func newPutEngine(t *testing.T) (*oltp.Engine, *storage.Schema) {
 	return engine, schema
 }
 
-// serveReplicaConns runs the primary-side accept loop for replica
-// connections on l, mirroring the root API's ServeReplicas.
-func serveReplicaConns(engine *oltp.Engine, l *network.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		pub := NewPublisher(conn, engine)
-		engine.AddSink(pub)
-		go func() {
-			pub.Serve()
-			engine.RemoveSink(pub)
-		}()
-		go func() {
-			if _, err := ShipSnapshot(conn, engine.Store(), []storage.TableID{1}, 64); err != nil {
-				conn.Close()
-			}
-		}()
-	}
-}
-
 func newServedCluster(t *testing.T) *servedCluster {
 	t.Helper()
 	engine, schema := newPutEngine(t)
@@ -77,13 +53,13 @@ func newServedCluster(t *testing.T) *servedCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go serveReplicaConns(engine, l)
+	srv := Serve(l, engine, []storage.TableID{1})
 	engine.Start()
 	t.Cleanup(func() {
-		l.Close()
+		srv.Close()
 		engine.Close()
 	})
-	return &servedCluster{engine: engine, schema: schema, addr: l.Addr()}
+	return &servedCluster{engine: engine, schema: schema, addr: srv.Addr()}
 }
 
 func leU64(b []byte) uint64 {

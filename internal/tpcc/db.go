@@ -22,19 +22,6 @@ type Scale struct {
 	// MaxItemID bounds item ids used in NURand; equals Items.
 }
 
-// SpecScale returns the TPC-C specification cardinalities for the given
-// warehouse count.
-func SpecScale(warehouses int) Scale {
-	return Scale{
-		Warehouses:               warehouses,
-		DistrictsPerWarehouse:    10,
-		CustomersPerDistrict:     3000,
-		InitialOrdersPerDistrict: 3000,
-		UndeliveredOrders:        900,
-		Items:                    100000,
-	}
-}
-
 // SmallScale returns a laptop-test scale with all spec ratios preserved
 // (30% of initial orders undelivered, etc.).
 func SmallScale(warehouses int) Scale {

@@ -13,7 +13,9 @@ import (
 // ConnectReplica node — is built with zone maps and encoded vectors and
 // no option set. The first query records its predicate's column; the
 // apply round before the second activates and encodes it, so the second
-// query's scan must be served by the encoded-block kernels.
+// query's scan must be served by the encoded-block kernels. Each kind
+// also stamps every answer with its snapshot's provenance: a nonzero
+// snapshot VID once a transaction committed, and a nonzero staleness.
 func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
 	f.load(t, 300)
@@ -37,6 +39,11 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
+	// Commit past the bulk load, so a snapshot VID of 0 would mean "no
+	// provenance" rather than "the load".
+	if r := f.db.Exec("deposit", depositArgs(1, 0)); r.Err != nil {
+		t.Fatal(r.Err)
+	}
 
 	regionOne := func() *Query {
 		return &Query{
@@ -66,6 +73,10 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 			}
 			if res.Rows != 100 {
 				t.Fatalf("%s query %d: %d rows, want 100", k.name, round, res.Rows)
+			}
+			if res.SnapshotVID == 0 || res.StalenessNanos == 0 {
+				t.Fatalf("%s query %d: snapshot VID %d, staleness %dns, want both nonzero",
+					k.name, round, res.SnapshotVID, res.StalenessNanos)
 			}
 		}
 		if n := k.stats.ExecBlocksVectorized.Load(); n == 0 {

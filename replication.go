@@ -1,13 +1,10 @@
 package batchdb
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"time"
 
-	"fmt"
-
-	"batchdb/internal/fleet"
 	"batchdb/internal/fleet/node"
 	"batchdb/internal/network"
 	"batchdb/internal/obs"
@@ -17,26 +14,7 @@ import (
 )
 
 // ReplicaServerStats counts the primary's replica-serving activity.
-type ReplicaServerStats struct {
-	// Active is the number of currently connected replica nodes.
-	Active obs.Gauge
-	// Served counts replica connections accepted since ServeReplicas.
-	Served obs.Counter
-	// Disconnects counts replica connections that ended (including
-	// replicas severed for lagging behind the publisher queue).
-	Disconnects obs.Counter
-}
-
-// Register exposes the replica-serving counters through reg as registry
-// views.
-func (s *ReplicaServerStats) Register(reg *obs.Registry, labels ...obs.Label) {
-	reg.ObserveGauge("batchdb_replica_server_active",
-		"Currently connected replica nodes.", &s.Active, labels...)
-	reg.ObserveCounter("batchdb_replica_server_served_total",
-		"Replica connections accepted since ServeReplicas.", &s.Served, labels...)
-	reg.ObserveCounter("batchdb_replica_server_disconnects_total",
-		"Replica connections that ended.", &s.Disconnects, labels...)
-}
+type ReplicaServerStats = replica.ServerStats
 
 // ServeReplicas makes the primary accept remote OLAP replica nodes on
 // addr (use "127.0.0.1:0" to pick a free port; the bound address is
@@ -47,7 +25,8 @@ func (s *ReplicaServerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 // multiple secondaries. When a replica's connection ends (death, lag
 // sever, network fault), its forwarder is detached from the engine so
 // the dispatcher stops encoding pushes for it; the replica is expected
-// to reconnect and resync (see ConnectReplica).
+// to reconnect and resync (see ConnectReplica). Close severs every
+// connected replica.
 func (db *DB) ServeReplicas(addr string) (string, error) {
 	if !db.started {
 		return "", errors.New("batchdb: ServeReplicas before Start")
@@ -56,81 +35,48 @@ func (db *DB) ServeReplicas(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	db.repLn = ln
-	db.repMu.Lock()
-	if db.repConns == nil {
-		db.repConns = make(map[*network.Conn]struct{})
-	}
-	if db.repPubs == nil {
-		db.repPubs = make(map[*network.Conn]*replica.Publisher)
-	}
-	db.repMu.Unlock()
-	db.repSrv.Register(db.reg)
-	db.reg.GaugeFunc("batchdb_replica_send_queue_depth",
-		"Frames queued across all replica publishers (propagation backpressure).",
-		func() float64 {
-			db.repMu.Lock()
-			defer db.repMu.Unlock()
-			n := 0
-			for _, pub := range db.repPubs {
-				n += pub.QueueDepth()
-			}
-			return float64(n)
-		})
-	var analytical []TableID
-	for _, t := range db.order {
-		if t.opts.Analytical {
-			analytical = append(analytical, t.id)
-		}
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			// Register before attaching anything: a connection racing in
-			// while Close drains the map must be severed, never left as a
-			// live replica feed on a stopped engine.
-			db.repMu.Lock()
-			if db.repClosed {
-				db.repMu.Unlock()
-				conn.Close()
-				continue
-			}
-			pub := replica.NewPublisher(conn, db.engine)
-			db.repConns[conn] = struct{}{}
-			db.repPubs[conn] = pub
-			db.repMu.Unlock()
-			// Attach the feed before snapshotting so the replica's VID
-			// floor covers the gap (no loss, no double apply).
-			db.engine.AddSink(pub)
-			db.repSrv.Active.Add(1)
-			db.repSrv.Served.Inc()
-			go func() {
-				pub.Serve()
-				// The connection is gone: detach the forwarder so pushes
-				// stop being encoded for a dead replica.
-				db.engine.RemoveSink(pub)
-				db.repMu.Lock()
-				delete(db.repConns, conn)
-				delete(db.repPubs, conn)
-				db.repMu.Unlock()
-				db.repSrv.Active.Add(-1)
-				db.repSrv.Disconnects.Inc()
-			}()
-			go func() {
-				if _, err := replica.ShipSnapshot(conn, db.store, analytical, 4096); err != nil {
-					conn.Close()
-				}
-			}()
-		}
-	}()
-	return ln.Addr(), nil
+	db.repSrv = replica.Serve(ln, db.engine, db.analyticalTables())
+	db.repSrv.RegisterMetrics(db.reg)
+	return db.repSrv.Addr(), nil
 }
 
-// ReplicaServerStats returns the primary's replica-serving counters.
-func (db *DB) ReplicaServerStats() *ReplicaServerStats { return &db.repSrv }
+// ReplicaServerStats returns the primary's replica-serving counters
+// (all zero before ServeReplicas).
+func (db *DB) ReplicaServerStats() *ReplicaServerStats {
+	if db.repSrv == nil {
+		return &ReplicaServerStats{}
+	}
+	return db.repSrv.Stats()
+}
+
+// analyticalTables lists the tables a replica holds, in creation order.
+func (db *DB) analyticalTables() []TableID {
+	var ids []TableID
+	for _, t := range db.order {
+		if t.opts.Analytical {
+			ids = append(ids, t.id)
+		}
+	}
+	return ids
+}
+
+// attachReplica builds a co-located replica of the analytical tables,
+// attaches it to the primary's update stream and loads the primary's
+// committed state into it. The feed is attached first, so the replica's
+// VID floor discards the updates the snapshot already contains.
+func (db *DB) attachReplica(partitions int) (*olap.Replica, error) {
+	rep := newReplica(partitions)
+	for _, t := range db.order {
+		if t.opts.Analytical {
+			rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
+		}
+	}
+	db.engine.AddSink(rep)
+	if _, err := replica.LoadLocal(rep, db.store, db.analyticalTables()); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
 
 // WorkloadReplica is an additional co-located analytical replica with
 // its own dispatcher — the paper's §7 extension ("separate replica for
@@ -139,8 +85,6 @@ func (db *DB) ReplicaServerStats() *ReplicaServerStats { return &db.repSrv }
 // latency of the online analytical class. It trades memory for
 // isolation, exactly as §7 discusses.
 type WorkloadReplica struct {
-	rep   *olap.Replica
-	execE *exec.Engine
 	sched *olap.Scheduler[*Query, Result]
 }
 
@@ -158,32 +102,12 @@ func (db *DB) AttachWorkloadReplica(workers, partitions int) (*WorkloadReplica, 
 	if partitions <= 0 {
 		partitions = workers
 	}
-	rep := newReplica(partitions, db.cfg.MorselTuples)
-	var analytical []TableID
-	for _, t := range db.order {
-		if t.opts.Analytical {
-			rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
-			analytical = append(analytical, t.id)
-		}
-	}
-	// Attach the feed first, then snapshot: the replica's VID floor
-	// discards updates the snapshot already contains.
-	db.engine.AddSink(rep)
-	if _, err := replica.LoadLocal(rep, db.store, analytical); err != nil {
+	rep, err := db.attachReplica(partitions)
+	if err != nil {
 		return nil, err
 	}
-	rep.SetApplyWorkers(workers)
-	w := &WorkloadReplica{rep: rep, execE: exec.NewEngine(rep, workers)}
-	if db.cfg.MorselTuples > 0 {
-		w.execE.MorselTuples = db.cfg.MorselTuples
-	}
-	w.sched = olap.NewScheduler[*Query, Result](rep, db.engine, w.execE.RunBatch)
-	w.execE.AttachStats(w.sched.Stats())
-	db.repMu.Lock()
-	db.wrSeq++
-	class := fmt.Sprintf("workload-%d", db.wrSeq)
-	db.repMu.Unlock()
-	w.sched.RegisterMetrics(db.reg, obs.L("class", class))
+	w := &WorkloadReplica{sched: exec.NewScheduler(rep, db.engine, workers)}
+	w.sched.RegisterMetrics(db.reg, obs.L("class", fmt.Sprintf("workload-%d", db.wrSeq.Add(1))))
 	w.sched.Start()
 	return w, nil
 }
@@ -211,8 +135,6 @@ type ReplicaNodeConfig struct {
 	Partitions int
 	// Workers bounds scan/build parallelism (default 4).
 	Workers int
-	// MorselTuples is the executor's scan morsel size (default 16384).
-	MorselTuples int
 	// Retry governs dialing (and, after a connection loss, redialing)
 	// the primary; the zero value gives 5 attempts from a 25ms base
 	// delay with exponential backoff and jitter.
@@ -244,52 +166,19 @@ type ReplicaNodeConfig struct {
 // marked Degraded while the feed is down — while the supervisor
 // reconnects with backoff and resyncs from a fresh snapshot.
 //
-// ReplicaNode wraps internal/fleet/node.Node, the unit the fleet router
-// (ConnectFleet) fans queries across.
-type ReplicaNode struct {
-	n *node.Node
-}
+// It is the unit the fleet router (ConnectFleet) fans queries across.
+type ReplicaNode = node.Node
 
 // newReplica returns an empty columnar replica in the one layout every
 // replica serves from: per-block zone maps one scan morsel wide, so block
 // verdicts map one-to-one onto morsels, and encoded column vectors on
 // those blocks. Both are enabled before any load so synopses build
 // incrementally.
-func newReplica(partitions, morselTuples int) *olap.Replica {
+func newReplica(partitions int) *olap.Replica {
 	rep := olap.NewReplica(partitions)
-	if morselTuples <= 0 {
-		morselTuples = exec.DefaultMorselTuples
-	}
-	rep.EnableZoneMaps(morselTuples)
+	rep.EnableZoneMaps(exec.DefaultMorselTuples)
 	rep.EnableCompression()
 	return rep
-}
-
-// newNodeReplica builds the columnar replica a node serves from, with
-// one empty table per declared relation.
-func newNodeReplica(cfg ReplicaNodeConfig, tables []ReplicaTable) *olap.Replica {
-	rep := newReplica(cfg.Partitions, cfg.MorselTuples)
-	for _, t := range tables {
-		hint := t.CapacityHint
-		if hint <= 0 {
-			hint = 1024
-		}
-		rep.CreateTable(t.Schema, hint)
-	}
-	return rep
-}
-
-func (cfg ReplicaNodeConfig) nodeConfig(labels ...obs.Label) node.Config {
-	return node.Config{
-		Workers:        cfg.Workers,
-		MorselTuples:   cfg.MorselTuples,
-		Retry:          cfg.Retry,
-		Transport:      cfg.Transport,
-		ReconnectPause: cfg.ReconnectPause,
-		Fault:          cfg.Fault,
-		Metrics:        cfg.Metrics,
-		MetricsLabels:  labels,
-	}
 }
 
 // ConnectReplica dials a primary's replication address, bootstraps, and
@@ -298,59 +187,21 @@ func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+	rep := newReplica(cfg.Partitions)
+	for _, t := range tables {
+		hint := t.CapacityHint
+		if hint <= 0 {
+			hint = 1024
+		}
+		rep.CreateTable(t.Schema, hint)
 	}
-	rep := newNodeReplica(cfg, tables)
-	n, err := node.Connect(primaryAddr, rep, cfg.nodeConfig(obs.L("class", "remote")))
-	if err != nil {
-		return nil, err
-	}
-	return &ReplicaNode{n: n}, nil
+	return node.Connect(primaryAddr, rep, node.Config{
+		Workers:        cfg.Workers,
+		Retry:          cfg.Retry,
+		Transport:      cfg.Transport,
+		ReconnectPause: cfg.ReconnectPause,
+		Fault:          cfg.Fault,
+		Metrics:        cfg.Metrics,
+		MetricsLabels:  []obs.Label{obs.L("class", "remote")},
+	})
 }
-
-// Query submits one analytical query to this replica node.
-func (n *ReplicaNode) Query(q *Query) (Result, error) { return n.n.Query(q) }
-
-// QueryContext submits one analytical query, honoring ctx during both
-// enqueue and wait. While the node is degraded (feed to the primary
-// down) the result is marked Degraded and carries its snapshot VID and
-// wall-clock staleness, so callers can tell how old the answer is.
-func (n *ReplicaNode) QueryContext(ctx context.Context, q *Query) (Result, error) {
-	return n.n.QueryContext(ctx, q)
-}
-
-// Health reports the node's routing-relevant health signals (connection
-// state, snapshot freshness, scheduler queue depth).
-func (n *ReplicaNode) Health() fleet.Health { return n.n.Health() }
-
-// Stats returns the node's dispatcher counters.
-func (n *ReplicaNode) Stats() *olap.SchedulerStats { return n.n.Stats() }
-
-// Replica exposes the node's local replica state.
-func (n *ReplicaNode) Replica() *olap.Replica { return n.n.Replica() }
-
-// TransportStats returns the node's network counters accumulated across
-// every connection it established (eager vs rendezvous messages, buffer
-// reuse, retries, severed connections).
-func (n *ReplicaNode) TransportStats() *network.Stats { return n.n.TransportStats() }
-
-// ReplicaStats returns the node's robustness counters (reconnects,
-// resyncs, degraded time).
-func (n *ReplicaNode) ReplicaStats() *replica.Stats { return n.n.ReplicaStats() }
-
-// Status reports the replication channel's health: whether the node is
-// connected or serving degraded (stale but consistent) data, how often
-// it reconnected and resynced, and the cumulative degraded time.
-func (n *ReplicaNode) Status() replica.Status { return n.n.Status() }
-
-// KillConnection severs the node's current connection to the primary —
-// a fault hook for tests and operational drills. The node reconnects
-// and resyncs automatically.
-func (n *ReplicaNode) KillConnection() { n.n.KillConnection() }
-
-// InjectFault installs a fault policy on the node's current connection.
-func (n *ReplicaNode) InjectFault(p network.FaultPolicy) { n.n.InjectFault(p) }
-
-// Close disconnects and stops the node.
-func (n *ReplicaNode) Close() { n.n.Close() }
