@@ -140,17 +140,6 @@ type Config struct {
 	// IngestChunkRows is the bulk-load chunk size: one chunk is one
 	// transaction, one WAL record, one unit of atomicity (default 1024).
 	IngestChunkRows int
-	// IngestSLOMultiplier bounds the interactive OLTP p99 during bulk
-	// loads to this multiple of the unloaded baseline (default 1.5).
-	IngestSLOMultiplier float64
-	// IngestMaxChunksPerSec caps the admitted bulk-load chunk rate (and
-	// is the fixed rate when the governor is disabled; 0 = unpaced).
-	IngestMaxChunksPerSec float64
-	// IngestBaselineP99 anchors the ingest SLO; zero auto-measures the
-	// live interactive p99 before each load.
-	IngestBaselineP99 time.Duration
-	// DisableIngestGovernor runs bulk loads open-throttle.
-	DisableIngestGovernor bool
 }
 
 // TableOptions controls a table's replication behaviour.
@@ -497,10 +486,10 @@ func (db *DB) Exec(proc string, args []byte) Response {
 // each chunk commits atomically through the normal WAL/group-commit
 // machinery (and propagates to the OLAP replica like any transaction),
 // and an admission governor throttles the chunk rate to keep the
-// interactive OLTP p99 within Config.IngestSLOMultiplier of its
-// unloaded baseline. Returns when the stream is exhausted and every
-// chunk is durably acknowledged; on error, the report still describes
-// the durable prefix.
+// interactive OLTP p99 within 1.5x its unloaded baseline (the
+// governor's default SLO). Returns when the stream is exhausted and
+// every chunk is durably acknowledged; on error, the report still
+// describes the durable prefix.
 func (db *DB) BulkLoad(table TableID, src func() ([]byte, bool)) (BulkReport, error) {
 	if !db.started {
 		return BulkReport{}, errors.New("batchdb: not started")
@@ -508,15 +497,7 @@ func (db *DB) BulkLoad(table TableID, src func() ([]byte, bool)) (BulkReport, er
 	if _, ok := db.tables[table]; !ok {
 		return BulkReport{}, fmt.Errorf("batchdb: no table %d", table)
 	}
-	l := ingest.NewLoader(db.engine, table, ingest.Config{
-		ChunkRows: db.cfg.IngestChunkRows,
-		Governor: ingest.GovernorConfig{
-			BaselineP99:   db.cfg.IngestBaselineP99,
-			SLOMultiplier: db.cfg.IngestSLOMultiplier,
-			MaxRate:       db.cfg.IngestMaxChunksPerSec,
-		},
-		DisableGovernor: db.cfg.DisableIngestGovernor,
-	})
+	l := ingest.NewLoader(db.engine, table, ingest.Config{ChunkRows: db.cfg.IngestChunkRows})
 	return l.Load(src)
 }
 

@@ -140,6 +140,11 @@ func TestBulkLoadThroughPublicAPI(t *testing.T) {
 	if rep.Rows != n || rep.Chunks != (n+63)/64 {
 		t.Fatalf("report: %d rows in %d chunks", rep.Rows, rep.Chunks)
 	}
+	// The library has one ingest SLO: the governor's 1.5x of the
+	// measured baseline.
+	if want := time.Duration(1.5 * float64(rep.BaselineP99)); rep.BaselineP99 <= 0 || rep.Bound != want {
+		t.Fatalf("bound %v, want 1.5 x baseline %v = %v", rep.Bound, rep.BaselineP99, want)
+	}
 	// The loaded rows are analytics-visible behind the freshness barrier.
 	res, err := f.db.Query(f.totalQuery())
 	if err != nil || res.Err != nil {

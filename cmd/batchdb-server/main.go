@@ -93,10 +93,8 @@ type serverConfig struct {
 	fleet         int
 	queryDeadline time.Duration
 	maxStaleness  time.Duration
-	// Bulk-ingest (LOAD) knobs.
+	// ingestChunkRows is LOAD's chunk size (0 = the loader's default).
 	ingestChunkRows int
-	ingestSLO       float64
-	ingestMaxRate   float64
 }
 
 // server is one running batchdb-server instance: the engine pair, the
@@ -115,10 +113,10 @@ type server struct {
 	nodes  []*node.Node
 	router *fleet.Router[*exec.Query, exec.Result]
 	budget fleet.Budget
-	// Bulk-ingest state: the config the LOAD command builds loaders
-	// from, the next free id in the scratch table, and a mutex
-	// serializing loads (one governed stream at a time).
-	ingestCfg  serverConfig
+	// Bulk-ingest state: LOAD's chunk size, the next free id in the
+	// scratch table, and a mutex serializing loads (one governed stream
+	// at a time).
+	chunkRows  int
 	nextBulkID int64
 	loadMu     sync.Mutex
 }
@@ -137,8 +135,6 @@ func main() {
 	flag.DurationVar(&cfg.queryDeadline, "query-deadline", 2*time.Second, "fleet mode: per-query routing deadline")
 	flag.DurationVar(&cfg.maxStaleness, "max-staleness", time.Second, "fleet mode: snapshot-age bound; older answers come back flagged stale")
 	flag.IntVar(&cfg.ingestChunkRows, "ingest-chunk-rows", 1024, "LOAD: rows per ingest chunk (one chunk = one transaction = one WAL record)")
-	flag.Float64Var(&cfg.ingestSLO, "ingest-slo", 1.5, "LOAD: governor bound as a multiple of the unloaded OLTP p99 baseline")
-	flag.Float64Var(&cfg.ingestMaxRate, "ingest-max-rate", 0, "LOAD: admitted chunk-rate ceiling in chunks/sec (0 = governor default)")
 	flag.Parse()
 
 	s, err := newServer(cfg)
@@ -206,7 +202,7 @@ func newServer(cfg serverConfig) (*server, error) {
 				info.CheckpointVID, info.Replayed, info.ReplayTime, info.FellBack, info.WatermarkVID)
 		}
 	}
-	s := &server{db: db, engine: engine, dur: dur, reg: obs.NewRegistry(), ingestCfg: cfg}
+	s := &server{db: db, engine: engine, dur: dur, reg: obs.NewRegistry(), chunkRows: cfg.ingestChunkRows}
 	s.nextBulkID = recoverBulkNext(engine)
 	s.budget = fleet.Budget{MaxStaleness: cfg.maxStaleness, StalePolicy: fleet.StaleServe}
 	engine.RegisterMetrics(s.reg)
@@ -316,11 +312,13 @@ func (s *server) startFleet(cfg serverConfig) error {
 		rep := chbench.EmptyReplica(s.db, 8)
 		layOut(rep)
 		n, err := node.Connect(s.repSrv.Addr(), rep, node.Config{
-			Workers:        cfg.olapWorkers,
-			Retry:          network.RetryPolicy{Attempts: 50, BaseDelay: 10 * time.Millisecond},
-			ReconnectPause: 50 * time.Millisecond,
-			Metrics:        s.reg,
-			MetricsLabels:  []obs.Label{obs.L("class", "chbench"), obs.L("member", strconv.Itoa(i))},
+			Workers: cfg.olapWorkers,
+			Link: replica.SupervisorConfig{
+				Retry:          network.RetryPolicy{Attempts: 50, BaseDelay: 10 * time.Millisecond},
+				ReconnectPause: 50 * time.Millisecond,
+			},
+			Metrics:       s.reg,
+			MetricsLabels: []obs.Label{obs.L("class", "chbench"), obs.L("member", strconv.Itoa(i))},
 		})
 		if err != nil {
 			return fmt.Errorf("fleet node %d: %w", i, err)
@@ -529,11 +527,7 @@ func (s *server) bulkLoad(n int64, governed bool) (ingest.Report, error) {
 	start := s.nextBulkID
 	next := start
 	l := ingest.NewLoader(s.engine, bulkTableID, ingest.Config{
-		ChunkRows: s.ingestCfg.ingestChunkRows,
-		Governor: ingest.GovernorConfig{
-			SLOMultiplier: s.ingestCfg.ingestSLO,
-			MaxRate:       s.ingestCfg.ingestMaxRate,
-		},
+		ChunkRows:       s.chunkRows,
 		DisableGovernor: !governed,
 	})
 	rep, err := l.Load(func() ([]byte, bool) {

@@ -2,6 +2,7 @@ package batchdb
 
 import (
 	"context"
+	"strconv"
 
 	"batchdb/internal/fleet"
 	"batchdb/internal/obs"
@@ -13,15 +14,15 @@ type (
 	// FleetBudget is the per-query SLO: deadline, staleness bound, and
 	// what to do when the bound cannot be met.
 	FleetBudget = fleet.Budget
-	// RouterConfig parameterizes the fleet router (deadlines, retry and
-	// hedge policy, breaker thresholds, load shedding).
+	// RouterConfig parameterizes the fleet router (deadlines, retry
+	// policy, breaker thresholds, load shedding).
 	RouterConfig = fleet.Config
 	// RouteMeta describes how one query was routed (which member
-	// answered, attempts, hedging, snapshot provenance, Stale flag).
+	// answered, attempts, snapshot provenance, Stale flag).
 	RouteMeta = fleet.Meta
 )
 
-// Staleness policies for FleetBudget/RouterConfig.
+// Staleness policies for FleetBudget.
 const (
 	StaleReject = fleet.StaleReject
 	StaleServe  = fleet.StaleServe
@@ -40,20 +41,20 @@ var (
 type FleetConfig struct {
 	// Replicas is the fleet size (default 3).
 	Replicas int
-	// Node parameterizes each replica node (partitions, workers,
-	// transport, faults). Node.Metrics also receives the router's
-	// instruments.
+	// Node parameterizes each replica node (partitions, workers, link).
+	// Node.Metrics also receives the router's instruments; node i's
+	// carry member=<i>.
 	Node ReplicaNodeConfig
 	// Router parameterizes routing; the zero value gives 2s deadlines,
-	// 3 attempts, StaleReject, and hedging off.
+	// 3 attempts and StaleReject.
 	Router RouterConfig
 }
 
 // Fleet is a router-fronted set of remote OLAP replica nodes: clients
 // submit queries to the fleet, never to a node. The router owns health
-// gating (circuit breaker + freshness + queue depth), bounded
-// retry/hedging under per-query budgets, staleness-bound enforcement,
-// and load shedding — the dispatch tier of ROADMAP item 1.
+// gating (circuit breaker + freshness + queue depth), bounded retry
+// under per-query budgets, staleness-bound enforcement, and load
+// shedding: the fleet's dispatch tier.
 type Fleet struct {
 	nodes  []*ReplicaNode
 	router *fleet.Router[*Query, Result]
@@ -70,7 +71,8 @@ func ConnectFleet(primaryAddr string, cfg FleetConfig, tables []ReplicaTable) (*
 	f := &Fleet{}
 	backends := make([]fleet.Backend[*Query, Result], 0, cfg.Replicas)
 	for i := 0; i < cfg.Replicas; i++ {
-		n, err := ConnectReplica(primaryAddr, cfg.Node, tables)
+		n, err := connectReplica(primaryAddr, cfg.Node, tables,
+			obs.L("class", "remote"), obs.L("member", strconv.Itoa(i)))
 		if err != nil {
 			f.closeNodes()
 			return nil, err
@@ -91,8 +93,8 @@ func ConnectFleet(primaryAddr string, cfg FleetConfig, tables []ReplicaTable) (*
 }
 
 // Query routes one analytical query through the fleet under budget b.
-// The returned RouteMeta reports which node answered, the attempt and
-// hedge counts, and the answer's snapshot provenance; Meta.Stale marks
+// The returned RouteMeta reports which node answered, the attempt
+// count, and the answer's snapshot provenance; Meta.Stale marks
 // an answer served beyond the requested bound under StaleServe.
 func (f *Fleet) Query(ctx context.Context, q *Query, b FleetBudget) (Result, RouteMeta, error) {
 	return f.router.Query(ctx, q, b)

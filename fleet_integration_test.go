@@ -25,9 +25,10 @@ func TestFleetEndToEnd(t *testing.T) {
 	fl, err := ConnectFleet(addr, FleetConfig{
 		Replicas: 2,
 		Node: ReplicaNodeConfig{
-			Partitions:     2,
-			Workers:        2,
-			ReconnectPause: 10 * time.Millisecond,
+			Partitions: 2,
+			Workers:    2,
+			Link:       ReplicaLinkConfig{ReconnectPause: 10 * time.Millisecond},
+			Metrics:    f.db.Metrics(),
 		},
 		Router: RouterConfig{Deadline: 10 * time.Second},
 	}, []ReplicaTable{{Schema: f.schema}})
@@ -37,6 +38,22 @@ func TestFleetEndToEnd(t *testing.T) {
 	defer fl.Close()
 	if got := len(fl.Nodes()); got != 2 {
 		t.Fatalf("fleet size = %d, want 2", got)
+	}
+	// Both nodes share the DB's registry, each under its own member
+	// label.
+	members := map[string]bool{}
+	for _, s := range f.db.Metrics().Samples() {
+		if s.Name != "batchdb_olap_queries_total" {
+			continue
+		}
+		for _, l := range s.Labels {
+			if l.Key == "member" {
+				members[l.Value] = true
+			}
+		}
+	}
+	if !members["0"] || !members["1"] {
+		t.Fatalf("batchdb_olap_queries_total members = %v, want 0 and 1", members)
 	}
 
 	res, meta, err := fl.Query(context.Background(), f.totalQuery(), FleetBudget{})
@@ -119,9 +136,9 @@ func TestReplicaNodeDegradedStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, err := ConnectReplica(addr, ReplicaNodeConfig{
-		Partitions:     2,
-		Workers:        2,
-		ReconnectPause: 10 * time.Millisecond,
+		Partitions: 2,
+		Workers:    2,
+		Link:       ReplicaLinkConfig{ReconnectPause: 10 * time.Millisecond},
 	}, []ReplicaTable{{Schema: f.schema}})
 	if err != nil {
 		t.Fatal(err)

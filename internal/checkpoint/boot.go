@@ -75,7 +75,6 @@ type State struct {
 	man            Manifest
 	lastCkptVID    uint64
 	walBytesAtCkpt int64
-	keep           int
 
 	runnerStop chan struct{}
 	runnerDone chan struct{}
@@ -119,7 +118,6 @@ func Boot(e *oltp.Engine, cfg BootConfig) (*State, BootInfo, error) {
 		inj:     cfg.Inj,
 		stats:   cfg.Stats,
 		store:   e.Store(),
-		keep:    2,
 	}
 	if st.stats == nil {
 		st.stats = &obs.DurabilityStats{}

@@ -24,10 +24,11 @@ type Policy struct {
 	EveryWALBytes int64
 	// Poll is how often triggers are evaluated (default 200 ms).
 	Poll time.Duration
-	// Keep is how many checkpoints to retain (default 2: the newest
-	// plus its fallback; WAL is only truncated below the oldest kept).
-	Keep int
 }
+
+// keepCheckpoints is how many checkpoints are retained: the newest plus
+// its fallback. WAL is only truncated below the oldest kept.
+const keepCheckpoints = 2
 
 // ErrNoProgress reports a manual checkpoint request with no commits
 // since the previous checkpoint.
@@ -41,9 +42,6 @@ var ErrNoProgress = errors.New("checkpoint: no commits since the last checkpoint
 func (st *State) StartRunner(coord Coordinator, pol Policy) {
 	if pol.Poll <= 0 {
 		pol.Poll = 200 * time.Millisecond
-	}
-	if pol.Keep > 0 {
-		st.keep = pol.Keep
 	}
 	st.runnerStop = make(chan struct{})
 	st.runnerDone = make(chan struct{})
@@ -122,8 +120,8 @@ func (st *State) Checkpoint(coord Coordinator) (Info, error) {
 	man.Checkpoints = append(append([]Entry(nil), st.man.Checkpoints...), Entry{
 		VID: w, File: filepath.Base(info.Path), Bytes: info.Bytes,
 	})
-	if len(man.Checkpoints) > st.keep {
-		man.Checkpoints = man.Checkpoints[len(man.Checkpoints)-st.keep:]
+	if len(man.Checkpoints) > keepCheckpoints {
+		man.Checkpoints = man.Checkpoints[len(man.Checkpoints)-keepCheckpoints:]
 	}
 	if err := man.store(st.dir, st.inj); err != nil {
 		// The file exists but is unreferenced; the old manifest stays

@@ -208,9 +208,9 @@ type Vector struct {
 
 	// FOR: value i = base + packed[i] (unsigned offsets, width bits).
 	// Dict: value i = dict[packed[i]] (codes in value order, width bits).
-	base  int64
-	width uint
-	mask  uint64
+	base   int64
+	width  uint
+	mask   uint64
 	packed []uint64
 
 	// dict holds the sorted distinct values (Dict only). Sorted order
@@ -884,7 +884,7 @@ func (v *Vector) filterScalarRange(sel []uint64, dlo, dhi uint64) {
 // instead of 64/w unpack-compare iterations.
 func (v *Vector) filterAlignedRange(sel []uint64, dlo, dhi uint64) {
 	w := v.width
-	s := 2 * w      // SWAR lane width
+	s := 2 * w        // SWAR lane width
 	nf := 32 / int(w) // fields per lane pass (even or odd halves)
 	var H, L uint64
 	switch s {

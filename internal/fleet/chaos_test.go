@@ -87,9 +87,11 @@ func (p *chaosPrimary) connectNode(t *testing.T) *node.Node {
 	rep := olap.NewReplica(2)
 	rep.CreateTable(p.schema, 4096)
 	n, err := node.Connect(p.addr, rep, node.Config{
-		Workers:        2,
-		Retry:          network.RetryPolicy{Attempts: 30, BaseDelay: 5 * time.Millisecond},
-		ReconnectPause: 10 * time.Millisecond,
+		Workers: 2,
+		Link: replica.SupervisorConfig{
+			Retry:          network.RetryPolicy{Attempts: 30, BaseDelay: 5 * time.Millisecond},
+			ReconnectPause: 10 * time.Millisecond,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,9 +320,6 @@ func TestChaosSoak(t *testing.T) {
 	if int(st.Ejections.Load())-int(st.Readmits.Load()) != router.EjectedCount() {
 		t.Fatalf("breaker gauge drift: ejections %d, readmits %d, currently ejected %d",
 			st.Ejections.Load(), st.Readmits.Load(), router.EjectedCount())
-	}
-	if st.HedgeWins.Load() > st.Hedges.Load() {
-		t.Fatal("hedge wins exceed hedges")
 	}
 	t.Logf("soak: %d queries, %d answered (%d stale-served), %d rejected; %d ejections, %d probes, %d readmits, %d retries",
 		st.Queries.Load(), st.Answered.Load(), staleServed.Load(), st.Rejected.Load(),

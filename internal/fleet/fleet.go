@@ -8,7 +8,7 @@
 //
 //   - Per-query budgets. Every query carries a deadline and an optional
 //     max-staleness bound (Budget). The deadline caps the whole routed
-//     operation — queueing, retries, hedges included.
+//     operation — queueing and retries included.
 //
 //   - Health-gated selection. A circuit breaker per member ejects a
 //     replica after consecutive failures; ejected members receive no
@@ -26,11 +26,6 @@
 //     or a member to reconnect, re-opening already-tried members, so a
 //     momentary full-fleet outage shorter than the deadline degrades
 //     latency, not availability.
-//
-//   - Hedging (optional). When an attempt's latency crosses the fleet's
-//     observed p<HedgeQuantile> attempt latency (floored by HedgeAfter),
-//     the router dispatches a second copy to another member and takes
-//     whichever answers first. Lost hedges are abandoned, not awaited.
 //
 //   - Staleness enforcement. Answers are stamped with snapshot
 //     provenance (via the SnapshotMeta structural interface, falling
@@ -89,8 +84,7 @@ type SnapshotMetaer interface {
 type StalePolicy int
 
 const (
-	// StaleDefault defers to the router config (whose own default is
-	// StaleReject).
+	// StaleDefault means StaleReject.
 	StaleDefault StalePolicy = iota
 	// StaleReject returns ErrStalenessUnmet.
 	StaleReject
@@ -109,28 +103,16 @@ type Budget struct {
 }
 
 // Config parameterizes a Router. Zero values select the documented
-// defaults; hedging is off unless HedgeAfter or HedgeQuantile is set.
+// defaults.
 type Config struct {
 	// Deadline is the default per-query deadline (2s).
 	Deadline time.Duration
-	// MaxAttempts bounds primary dispatches per query, each to a member
-	// not yet tried (3).
+	// MaxAttempts bounds dispatches per query, each to a member not yet
+	// tried (3).
 	MaxAttempts int
 	// RetryBackoff is the pause before the first retry, doubling per
 	// retry (2ms).
 	RetryBackoff time.Duration
-	// HedgeAfter, when > 0, hedges any attempt still unanswered after
-	// this long. With HedgeQuantile it acts as the floor under the
-	// adaptive threshold.
-	HedgeAfter time.Duration
-	// HedgeQuantile, when > 0, hedges after the fleet's observed
-	// attempt-latency percentile (e.g. 95 for p95; the [0,100] scale of
-	// obs.Histogram.Percentile). Needs hedgeMinSamples observations
-	// before it activates; until then HedgeAfter alone applies.
-	HedgeQuantile float64
-	// StalePolicy applies to queries that don't set their own
-	// (StaleDefault here means StaleReject).
-	StalePolicy StalePolicy
 	// FailureThreshold is the consecutive-failure count that ejects a
 	// member (3).
 	FailureThreshold int
@@ -181,10 +163,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// hedgeMinSamples is how many attempt-latency observations the adaptive
-// hedge threshold needs before the percentile is trusted.
-const hedgeMinSamples = 50
-
 // maxPickWait caps the doubling pause between re-picks while a query
 // waits, within its deadline, for any member to become routable.
 const maxPickWait = 50 * time.Millisecond
@@ -204,12 +182,8 @@ type Meta struct {
 	// Backend is the index of the member that produced the answer (-1
 	// on failure).
 	Backend int
-	// Attempts counts primary dispatches (1 = first try answered).
+	// Attempts counts dispatches (1 = first try answered).
 	Attempts int
-	// Hedged reports a hedge was dispatched; HedgeWon that the hedge's
-	// answer was the one returned.
-	Hedged   bool
-	HedgeWon bool
 	// Stale marks an answer served beyond the requested staleness bound
 	// under StaleServe. SnapshotVID/StalenessNanos/Degraded carry the
 	// answer's provenance either way.
@@ -257,8 +231,8 @@ func (m *member[Q, R]) ejectedNow() bool {
 
 // tryBeginProbe claims the member's probe slot when it is due: ejected,
 // backoff expired, and no probe in flight. A probe whose caller
-// vanished (deadline, abandoned hedge) is considered expired after
-// expiry and may be reclaimed.
+// vanished (deadline) is considered expired after expiry and may be
+// reclaimed.
 func (m *member[Q, R]) tryBeginProbe(now time.Time, expiry time.Duration) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -428,50 +402,16 @@ func (r *Router[Q, R]) pick(tried map[int]bool, b Budget, policy StalePolicy) (i
 	return -1, pickHealthy, sawStale
 }
 
-// pickHedge selects a healthy member for a hedge dispatch: never a
-// probe, never a stale-only candidate — a hedge exists to beat a slow
-// attempt, not to gamble on a degraded member.
-func (r *Router[Q, R]) pickHedge(tried map[int]bool, b Budget) (int, bool) {
-	n := len(r.members)
-	start := int(r.rr.Add(1)) % n
-	best, bestDepth := -1, 0
-	for o := 0; o < n; o++ {
-		i := (start + o) % n
-		if tried[i] {
-			continue
-		}
-		m := r.members[i]
-		if m.ejectedNow() {
-			continue
-		}
-		h := m.backend.Health()
-		if !h.Connected &&
-			(h.StalenessNanos > int64(r.cfg.EjectStaleness) ||
-				(b.MaxStaleness > 0 && h.StalenessNanos > int64(b.MaxStaleness))) {
-			continue
-		}
-		if h.QueueDepth > r.cfg.MaxQueueDepth {
-			continue
-		}
-		if best < 0 || h.QueueDepth < bestDepth {
-			best, bestDepth = i, h.QueueDepth
-		}
-	}
-	return best, best >= 0
-}
-
 type outcome[R any] struct {
-	res   R
-	err   error
-	idx   int
-	hedge bool
+	res R
+	err error
 }
 
-// dispatch runs one query copy on member m. Success and genuine failure
-// feed the breaker; context.Canceled does not — a canceled dispatch is
-// a hedge loser or an abandoned caller, not evidence about the member.
-// A deadline expiry *is* evidence (the member was too slow) and counts.
-func (r *Router[Q, R]) dispatch(ctx context.Context, m *member[Q, R], q Q, hedge bool, ch chan<- outcome[R]) {
+// dispatch runs q on member m. Success and genuine failure feed the
+// breaker; context.Canceled does not — a canceled dispatch is an
+// abandoned caller, not evidence about the member. A deadline expiry
+// *is* evidence (the member was too slow) and counts.
+func (r *Router[Q, R]) dispatch(ctx context.Context, m *member[Q, R], q Q, ch chan<- outcome[R]) {
 	t0 := time.Now()
 	res, err := m.backend.QueryContext(ctx, q)
 	if err != nil {
@@ -483,74 +423,25 @@ func (r *Router[Q, R]) dispatch(ctx context.Context, m *member[Q, R], q Q, hedge
 		m.recordSuccess(&r.stats)
 		r.stats.AttemptLatency.RecordSince(t0)
 	}
-	ch <- outcome[R]{res: res, err: err, idx: m.idx, hedge: hedge}
+	ch <- outcome[R]{res: res, err: err}
 }
 
-// hedgeDelay computes the current hedge threshold; 0 disables hedging.
-func (r *Router[Q, R]) hedgeDelay() time.Duration {
-	q, after := r.cfg.HedgeQuantile, r.cfg.HedgeAfter
-	if q <= 0 && after <= 0 {
-		return 0
-	}
-	if q > 0 && r.stats.AttemptLatency.Count() >= hedgeMinSamples {
-		if p := time.Duration(r.stats.AttemptLatency.Percentile(q)); p > after {
-			return p
-		}
-	}
-	return after
-}
-
-// attempt dispatches q to member idx and waits for the first answer,
-// hedging to a second member if the hedge threshold passes first.
-// Returns the winning member's index. Losing dispatches are abandoned
-// (the outcome channel is buffered for both).
-func (r *Router[Q, R]) attempt(ctx context.Context, q Q, idx int, tried map[int]bool, b Budget, meta *Meta) (R, int, error) {
-	var zero R
-	ch := make(chan outcome[R], 2)
+// attempt dispatches q to member idx and waits for its answer or for
+// the deadline. A dispatch outlived by its deadline is abandoned (the
+// outcome channel is buffered).
+func (r *Router[Q, R]) attempt(ctx context.Context, q Q, idx int) (R, error) {
+	ch := make(chan outcome[R], 1)
 	m := r.members[idx]
 	m.stats.Routed.Inc()
 	r.stats.Attempts.Inc()
-	go r.dispatch(ctx, m, q, false, ch)
-
-	var hedgeC <-chan time.Time
-	if d := r.hedgeDelay(); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
+	go r.dispatch(ctx, m, q, ch)
+	select {
+	case out := <-ch:
+		return out.res, out.err
+	case <-ctx.Done():
+		var zero R
+		return zero, ctx.Err()
 	}
-	pending := 1
-	var firstErr error
-	for pending > 0 {
-		select {
-		case out := <-ch:
-			pending--
-			if out.err == nil {
-				if out.hedge {
-					meta.HedgeWon = true
-					r.stats.HedgeWins.Inc()
-				}
-				return out.res, out.idx, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if hidx, ok := r.pickHedge(tried, b); ok {
-				tried[hidx] = true
-				meta.Hedged = true
-				r.stats.Hedges.Inc()
-				r.stats.Attempts.Inc()
-				hm := r.members[hidx]
-				hm.stats.Routed.Inc()
-				pending++
-				go r.dispatch(ctx, hm, q, true, ch)
-			}
-		case <-ctx.Done():
-			return zero, -1, ctx.Err()
-		}
-	}
-	return zero, -1, firstErr
 }
 
 // sleepCtx pauses for d or until ctx expires; reports whether the full
@@ -620,9 +511,6 @@ func (r *Router[Q, R]) route(ctx context.Context, q Q, b Budget, meta *Meta) (R,
 	defer cancel()
 	policy := b.StalePolicy
 	if policy == StaleDefault {
-		policy = r.cfg.StalePolicy
-	}
-	if policy == StaleDefault {
 		policy = StaleReject
 	}
 
@@ -675,7 +563,7 @@ func (r *Router[Q, R]) route(ctx context.Context, q Q, b Budget, meta *Meta) (R,
 			r.stats.Probes.Inc()
 		}
 		meta.Attempts++
-		res, winIdx, err := r.attempt(ctx, q, idx, tried, b, meta)
+		res, err := r.attempt(ctx, q, idx)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -683,8 +571,8 @@ func (r *Router[Q, R]) route(ctx context.Context, q Q, b Budget, meta *Meta) (R,
 			}
 			continue
 		}
-		meta.Backend = winIdx
-		vid, ns, degraded := provenanceOf(res, r.members[winIdx].backend.Health())
+		meta.Backend = idx
+		vid, ns, degraded := provenanceOf(res, r.members[idx].backend.Health())
 		meta.SnapshotVID, meta.StalenessNanos, meta.Degraded = vid, ns, degraded
 		if b.MaxStaleness > 0 && ns > int64(b.MaxStaleness) {
 			sawStaleOnly = true
@@ -693,7 +581,7 @@ func (r *Router[Q, R]) route(ctx context.Context, q Q, b Budget, meta *Meta) (R,
 				best = &staleBest[R]{res: res, meta: *meta}
 			}
 			lastErr = fmt.Errorf("fleet: replica %d staleness %v exceeds bound %v: %w",
-				winIdx, time.Duration(ns), b.MaxStaleness, ErrStalenessUnmet)
+				idx, time.Duration(ns), b.MaxStaleness, ErrStalenessUnmet)
 			continue
 		}
 		return res, *meta, nil

@@ -370,30 +370,6 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
-func TestHedgeWins(t *testing.T) {
-	slow := &fakeBackend{health: Health{Connected: true, QueueDepth: 0}, delay: 300 * time.Millisecond}
-	fast := &fakeBackend{health: Health{Connected: true, QueueDepth: 1}}
-	r := newTestRouter(t, Config{HedgeAfter: 20 * time.Millisecond}, slow, fast)
-	t0 := time.Now()
-	res, meta, err := r.Query(context.Background(), 3, Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != 6 {
-		t.Fatalf("res = %d", res)
-	}
-	if !meta.Hedged || !meta.HedgeWon || meta.Backend != 1 {
-		t.Fatalf("meta = %+v, want hedge win from member 1", meta)
-	}
-	if el := time.Since(t0); el > 250*time.Millisecond {
-		t.Fatalf("hedge did not cut latency: %v", el)
-	}
-	st := r.Stats()
-	if st.Hedges.Load() != 1 || st.HedgeWins.Load() != 1 {
-		t.Fatalf("hedges=%d wins=%d", st.Hedges.Load(), st.HedgeWins.Load())
-	}
-}
-
 func TestClosedRouter(t *testing.T) {
 	b := &fakeBackend{health: healthy()}
 	r := newTestRouter(t, Config{}, b)
@@ -433,9 +409,6 @@ func TestCounterConsistency(t *testing.T) {
 	}
 	if st.Attempts.Load() != routed {
 		t.Fatalf("Attempts %d != Σ member routed %d", st.Attempts.Load(), routed)
-	}
-	if st.HedgeWins.Load() > st.Hedges.Load() {
-		t.Fatal("HedgeWins > Hedges")
 	}
 	if int(st.Ejections.Load())-int(st.Readmits.Load()) != r.EjectedCount() {
 		t.Fatal("breaker gauge out of sync with counters")

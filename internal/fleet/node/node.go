@@ -8,7 +8,6 @@ package node
 
 import (
 	"context"
-	"time"
 
 	"batchdb/internal/fleet"
 	"batchdb/internal/network"
@@ -25,13 +24,8 @@ import (
 type Config struct {
 	// Workers bounds scan/build/apply parallelism (default 4).
 	Workers int
-	// Retry, Transport, ReconnectPause, Fault parameterize the
-	// supervised connection exactly as replica.SupervisorConfig. Zero
-	// Send/Grant timeouts default to 10s.
-	Retry          network.RetryPolicy
-	Transport      network.Options
-	ReconnectPause time.Duration
-	Fault          network.FaultPolicy
+	// Link parameterizes the supervised connection to the primary.
+	Link replica.SupervisorConfig
 	// Metrics, when non-nil, receives the node's dispatcher, freshness,
 	// and supervisor instruments under MetricsLabels.
 	Metrics       *obs.Registry
@@ -53,18 +47,7 @@ func Connect(primaryAddr string, rep *olap.Replica, cfg Config) (*Node, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.Transport.SendTimeout <= 0 {
-		cfg.Transport.SendTimeout = 10 * time.Second
-	}
-	if cfg.Transport.GrantTimeout <= 0 {
-		cfg.Transport.GrantTimeout = 10 * time.Second
-	}
-	sup := replica.NewSupervisor(primaryAddr, rep, replica.SupervisorConfig{
-		Retry:          cfg.Retry,
-		Transport:      cfg.Transport,
-		ReconnectPause: cfg.ReconnectPause,
-		Fault:          cfg.Fault,
-	})
+	sup := replica.NewSupervisor(primaryAddr, rep, cfg.Link)
 	sup.Start()
 	if _, err := sup.WaitBootstrap(); err != nil {
 		sup.Close()

@@ -12,7 +12,7 @@ import (
 //	Queries   == Answered + Rejected + Shed
 //	Attempts  == Σ member Routed
 //	Ejections − Readmits == currently ejected members
-//	HedgeWins ≤ Hedges, Probes ≥ Readmits' probe successes
+//	Probes ≥ Readmits' probe successes
 type Stats struct {
 	// Queries counts routed query calls; exactly one of Answered,
 	// Rejected, Shed is counted per call.
@@ -21,16 +21,12 @@ type Stats struct {
 	Rejected obs.Counter
 	// Shed counts queries rejected by the MaxInFlight load gate.
 	Shed obs.Counter
-	// Attempts counts dispatches to members (primaries + hedges);
+	// Attempts counts dispatches to members;
 	// Failures the dispatches that returned a genuine error (cancels
 	// excluded); Retries the re-picks after a failed attempt.
 	Attempts obs.Counter
 	Failures obs.Counter
 	Retries  obs.Counter
-	// Hedges counts hedge dispatches, HedgeWins the hedges whose answer
-	// was the one returned.
-	Hedges    obs.Counter
-	HedgeWins obs.Counter
 	// StaleServed counts answers returned flagged Stale under
 	// StaleServe; StaleRejected counts answers discarded for exceeding
 	// the query's staleness bound.
@@ -42,7 +38,7 @@ type Stats struct {
 	Readmits  obs.Counter
 	// Latency is the end-to-end routed latency (including retries and
 	// backoff); AttemptLatency the per-dispatch latency of successful
-	// attempts (the hedge threshold's input).
+	// attempts.
 	Latency        obs.Histogram
 	AttemptLatency obs.Histogram
 }
@@ -65,15 +61,11 @@ func (st *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.ObserveCounter("batchdb_fleet_shed_total",
 		"Queries shed by the in-flight load gate.", &st.Shed, labels...)
 	reg.ObserveCounter("batchdb_fleet_attempts_total",
-		"Dispatches to fleet members (primaries + hedges).", &st.Attempts, labels...)
+		"Dispatches to fleet members.", &st.Attempts, labels...)
 	reg.ObserveCounter("batchdb_fleet_attempt_failures_total",
 		"Dispatches that returned a genuine error.", &st.Failures, labels...)
 	reg.ObserveCounter("batchdb_fleet_retries_total",
 		"Retry rounds after a failed attempt.", &st.Retries, labels...)
-	reg.ObserveCounter("batchdb_fleet_hedges_total",
-		"Hedge dispatches issued.", &st.Hedges, labels...)
-	reg.ObserveCounter("batchdb_fleet_hedge_wins_total",
-		"Hedges whose answer won.", &st.HedgeWins, labels...)
 	reg.ObserveCounter("batchdb_fleet_stale_served_total",
 		"Answers served beyond the staleness bound, flagged Stale.", &st.StaleServed, labels...)
 	reg.ObserveCounter("batchdb_fleet_stale_rejected_total",

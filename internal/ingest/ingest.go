@@ -27,29 +27,22 @@ import (
 const ProcName = "batchdb.ingest"
 
 // Chunk args layout: [1 flags][2 tableID][4 nrows][4 tupSize][rows...].
-// The grouping mode travels in the args, not in loader state, so WAL
-// replay re-executes exactly the code path the live call took.
-const (
-	chunkHeaderSize = 1 + 2 + 4 + 4
-	flagUngrouped   = 1 << 0 // insert row-at-a-time (baseline for the bench)
-)
+// No flag is defined: the flags byte is always 0, and a chunk carrying
+// any other value is malformed.
+const chunkHeaderSize = 1 + 2 + 4 + 4
 
 // ErrBadChunk reports a malformed chunk encoding.
 var ErrBadChunk = errors.New("ingest: malformed chunk")
 
 // EncodeChunk packs rows destined for table into one stored-procedure
 // argument blob. All rows must have the same length (fixed-size
-// tuples). grouped selects the batch-grouped insert path; false falls
-// back to row-at-a-time insertion (the measured baseline).
-func EncodeChunk(table storage.TableID, rows [][]byte, grouped bool) []byte {
+// tuples).
+func EncodeChunk(table storage.TableID, rows [][]byte) []byte {
 	tupSize := 0
 	if len(rows) > 0 {
 		tupSize = len(rows[0])
 	}
 	buf := make([]byte, chunkHeaderSize, chunkHeaderSize+len(rows)*tupSize)
-	if !grouped {
-		buf[0] = flagUngrouped
-	}
 	binary.LittleEndian.PutUint16(buf[1:], uint16(table))
 	binary.LittleEndian.PutUint32(buf[3:], uint32(len(rows)))
 	binary.LittleEndian.PutUint32(buf[7:], uint32(tupSize))
@@ -65,26 +58,25 @@ func EncodeChunk(table storage.TableID, rows [][]byte, grouped bool) []byte {
 // DecodeChunk unpacks an EncodeChunk blob. The returned rows alias
 // args — safe on both the live path (args outlive the call) and the
 // replay path (the WAL reader allocates a fresh body per record).
-func DecodeChunk(args []byte) (table storage.TableID, rows [][]byte, grouped bool, err error) {
+func DecodeChunk(args []byte) (table storage.TableID, rows [][]byte, err error) {
 	if len(args) < chunkHeaderSize {
-		return 0, nil, false, fmt.Errorf("%w: %d-byte args", ErrBadChunk, len(args))
+		return 0, nil, fmt.Errorf("%w: %d-byte args", ErrBadChunk, len(args))
 	}
-	flags := args[0]
-	if flags&^flagUngrouped != 0 {
-		return 0, nil, false, fmt.Errorf("%w: undefined flags %#02x", ErrBadChunk, flags)
+	if flags := args[0]; flags != 0 {
+		return 0, nil, fmt.Errorf("%w: undefined flags %#02x", ErrBadChunk, flags)
 	}
 	table = storage.TableID(binary.LittleEndian.Uint16(args[1:]))
 	n := int(binary.LittleEndian.Uint32(args[3:]))
 	tupSize := int(binary.LittleEndian.Uint32(args[7:]))
 	body := args[chunkHeaderSize:]
 	if tupSize <= 0 || n <= 0 || len(body) != n*tupSize {
-		return 0, nil, false, fmt.Errorf("%w: %d rows x %d bytes in %d-byte body", ErrBadChunk, n, tupSize, len(body))
+		return 0, nil, fmt.Errorf("%w: %d rows x %d bytes in %d-byte body", ErrBadChunk, n, tupSize, len(body))
 	}
 	rows = make([][]byte, n)
 	for i := range rows {
 		rows[i] = body[i*tupSize : (i+1)*tupSize]
 	}
-	return table, rows, flags&flagUngrouped == 0, nil
+	return table, rows, nil
 }
 
 // RegisterProc installs the bulk-ingest stored procedure on e, in the
@@ -95,7 +87,7 @@ func DecodeChunk(args []byte) (table storage.TableID, rows [][]byte, grouped boo
 func RegisterProc(e *oltp.Engine) {
 	store := e.Store()
 	e.RegisterBulk(ProcName, func(tx *mvcc.Txn, args []byte) ([]byte, error) {
-		tid, rows, grouped, err := DecodeChunk(args)
+		tid, rows, err := DecodeChunk(args)
 		if err != nil {
 			return nil, err
 		}
@@ -106,16 +98,8 @@ func RegisterProc(e *oltp.Engine) {
 		if want := t.Schema.TupleSize(); len(rows[0]) != want {
 			return nil, fmt.Errorf("%w: %d-byte rows for table %d (want %d)", ErrBadChunk, len(rows[0]), tid, want)
 		}
-		if grouped {
-			if _, err := tx.InsertBatch(t, rows); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		for _, r := range rows {
-			if _, err := tx.Insert(t, r); err != nil {
-				return nil, err
-			}
+		if _, err := tx.InsertBatch(t, rows); err != nil {
+			return nil, err
 		}
 		return nil, nil
 	})

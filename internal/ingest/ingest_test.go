@@ -52,23 +52,20 @@ func newItemEngine(t *testing.T, schema *storage.Schema) (*oltp.Engine, *mvcc.Ta
 func TestChunkRoundTrip(t *testing.T) {
 	schema := itemSchema()
 	rows := itemRows(schema, 100, 17)
-	for _, grouped := range []bool{true, false} {
-		args := ingest.EncodeChunk(7, rows, grouped)
-		tid, got, g, err := ingest.DecodeChunk(args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tid != 7 || g != grouped || len(got) != len(rows) {
-			t.Fatalf("decode: table=%d grouped=%v rows=%d", tid, g, len(got))
-		}
-		for i := range rows {
-			if string(got[i]) != string(rows[i]) {
-				t.Fatalf("row %d mismatch", i)
-			}
+	tid, got, err := ingest.DecodeChunk(ingest.EncodeChunk(7, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tid != 7 || len(got) != len(rows) {
+		t.Fatalf("decode: table=%d rows=%d", tid, len(got))
+	}
+	for i := range rows {
+		if string(got[i]) != string(rows[i]) {
+			t.Fatalf("row %d mismatch", i)
 		}
 	}
 	withFlags := func(flags byte) []byte {
-		args := ingest.EncodeChunk(7, rows, true)
+		args := ingest.EncodeChunk(7, rows)
 		args[0] = flags
 		return args
 	}
@@ -78,60 +75,58 @@ func TestChunkRoundTrip(t *testing.T) {
 	}{
 		{"nil", nil},
 		{"short header", []byte{1, 2, 3}},
-		{"torn body", ingest.EncodeChunk(7, rows, true)[:20]},
+		{"torn body", ingest.EncodeChunk(7, rows)[:20]},
+		{"flag bit 0", withFlags(0x01)},
 		{"flag bit 1", withFlags(1 << 1)},
 		{"flag bit 7", withFlags(1 << 7)},
-		{"ungrouped plus bit 3", withFlags(1 | 1<<3)},
+		{"bits 0 and 3", withFlags(1 | 1<<3)},
 		{"all flags", withFlags(0xff)},
 	} {
-		if _, _, _, err := ingest.DecodeChunk(tc.args); !errors.Is(err, ingest.ErrBadChunk) {
+		if _, _, err := ingest.DecodeChunk(tc.args); !errors.Is(err, ingest.ErrBadChunk) {
 			t.Fatalf("decode(%s, %d bytes): want ErrBadChunk, got %v", tc.name, len(tc.args), err)
 		}
 	}
 }
 
-// TestLoaderLoadsRows loads both grouped and ungrouped and verifies
-// exact contents either way.
+// TestLoaderLoadsRows loads a stream in chunks and verifies the exact
+// contents.
 func TestLoaderLoadsRows(t *testing.T) {
-	for _, ungrouped := range []bool{false, true} {
-		schema := itemSchema()
-		e, tbl := newItemEngine(t, schema)
-		const n = 10_000
-		rows := itemRows(schema, 0, n)
+	schema := itemSchema()
+	e, tbl := newItemEngine(t, schema)
+	const n = 10_000
+	rows := itemRows(schema, 0, n)
 
-		l := ingest.NewLoader(e, schema.ID, ingest.Config{
-			ChunkRows:       512,
-			DisableGovernor: true,
-			Ungrouped:       ungrouped,
-		})
-		rep, err := l.Load(ingest.SliceSource(rows))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Rows != n || rep.Chunks != (n+511)/512 {
-			t.Fatalf("report: %d rows in %d chunks", rep.Rows, rep.Chunks)
-		}
-		if rep.FirstVID == 0 || rep.LastVID < rep.FirstVID {
-			t.Fatalf("VID range [%d, %d]", rep.FirstVID, rep.LastVID)
-		}
-		if got := l.Stats().RowsLoaded.Load(); got != n {
-			t.Fatalf("stats counted %d rows", got)
-		}
+	l := ingest.NewLoader(e, schema.ID, ingest.Config{
+		ChunkRows:       512,
+		DisableGovernor: true,
+	})
+	rep, err := l.Load(ingest.SliceSource(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rows != n || rep.Chunks != (n+511)/512 {
+		t.Fatalf("report: %d rows in %d chunks", rep.Rows, rep.Chunks)
+	}
+	if rep.FirstVID == 0 || rep.LastVID < rep.FirstVID {
+		t.Fatalf("VID range [%d, %d]", rep.FirstVID, rep.LastVID)
+	}
+	if got := l.Stats().RowsLoaded.Load(); got != n {
+		t.Fatalf("stats counted %d rows", got)
+	}
 
-		tx := e.Store().BeginRO()
-		for i := 0; i < n; i++ {
-			tup, ok := tx.Get(tbl, uint64(i))
-			if !ok {
-				t.Fatalf("ungrouped=%v: row %d missing", ungrouped, i)
-			}
-			if v := schema.GetInt64(tup, 1); v != int64(i)*3 {
-				t.Fatalf("row %d: val %d", i, v)
-			}
+	tx := e.Store().BeginRO()
+	defer tx.Abort()
+	for i := 0; i < n; i++ {
+		tup, ok := tx.Get(tbl, uint64(i))
+		if !ok {
+			t.Fatalf("row %d missing", i)
 		}
-		if _, ok := tx.Get(tbl, uint64(n)); ok {
-			t.Fatal("phantom row past the stream")
+		if v := schema.GetInt64(tup, 1); v != int64(i)*3 {
+			t.Fatalf("row %d: val %d", i, v)
 		}
-		tx.Abort()
+	}
+	if _, ok := tx.Get(tbl, uint64(n)); ok {
+		t.Fatal("phantom row past the stream")
 	}
 }
 

@@ -22,9 +22,9 @@ type Config struct {
 	// over BaselineWindow before the load starts.
 	Governor GovernorConfig
 	// DisableGovernor runs the load open-throttle at the fixed rate
-	// Governor.MaxRate (0 = completely unpaced). The bench's
-	// governor-off cell uses this to demonstrate the SLO violation the
-	// governor prevents.
+	// Governor.MaxRate (0 = completely unpaced). The server's
+	// `LOAD n OFF` runs unpaced this way; the tests' paced loads set
+	// MaxRate to hold a fixed chunk rate.
 	DisableGovernor bool
 	// SampleEvery is the governor's observation period. Default 50 ms.
 	SampleEvery time.Duration
@@ -38,9 +38,6 @@ type Config struct {
 	// MaxRetries bounds per-chunk retries on write-write conflicts.
 	// Default 8.
 	MaxRetries int
-	// Ungrouped encodes chunks with the row-at-a-time flag — the
-	// pre-grouping baseline the bench compares against.
-	Ungrouped bool
 	// OnChunk, when set, is called after each chunk's group commit is
 	// acknowledged (i.e. the chunk is durable).
 	OnChunk func(ChunkAck)
@@ -282,7 +279,7 @@ func (l *Loader) measureBaseline(hist *obs.Histogram) time.Duration {
 // chunk is durable (oltp.ErrNotDurable is unrecoverable here: the
 // chunk's fate is unknown, and resuming could double-load it).
 func (l *Loader) execChunk(rows [][]byte) (vid uint64, retries int, err error) {
-	args := EncodeChunk(l.table, rows, !l.cfg.Ungrouped)
+	args := EncodeChunk(l.table, rows)
 	for attempt := 0; ; attempt++ {
 		resp := l.e.Exec(ProcName, args)
 		if resp.Err == nil {

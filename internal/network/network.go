@@ -172,17 +172,7 @@ func Dial(addr string, stats *Stats) (*Conn, error) {
 
 // DialOpts connects to a BatchDB peer with the given deadlines.
 func DialOpts(addr string, stats *Stats, opts Options) (*Conn, error) {
-	return dialOnce(addr, stats, opts, 0)
-}
-
-func dialOnce(addr string, stats *Stats, opts Options, timeout time.Duration) (*Conn, error) {
-	var c net.Conn
-	var err error
-	if timeout > 0 {
-		c, err = net.DialTimeout("tcp", addr, timeout)
-	} else {
-		c, err = net.Dial("tcp", addr)
-	}
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("network: dial %s: %w", addr, err)
 	}
@@ -192,8 +182,8 @@ func dialOnce(addr string, stats *Stats, opts Options, timeout time.Duration) (*
 	return NewConnOpts(c, stats, opts), nil
 }
 
-// RetryPolicy parameterizes DialRetry: per-attempt timeout plus
-// exponential backoff with jitter between attempts.
+// RetryPolicy parameterizes DialRetry: exponential backoff with jitter
+// between attempts.
 type RetryPolicy struct {
 	// Attempts is the total number of dial attempts (values below 1 mean
 	// a single try).
@@ -202,12 +192,11 @@ type RetryPolicy struct {
 	// it doubles per attempt up to MaxDelay (default 1s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter adds a uniformly random fraction of the current delay, in
-	// [0, Jitter]; it decorrelates reconnect storms (default 0.2).
-	Jitter float64
-	// DialTimeout bounds each individual attempt. Zero means none.
-	DialTimeout time.Duration
 }
+
+// retryJitter is the largest random fraction of the current delay
+// added to each backoff sleep; it decorrelates reconnect storms.
+const retryJitter = 0.2
 
 func (rp RetryPolicy) withDefaults() RetryPolicy {
 	if rp.Attempts < 1 {
@@ -218,9 +207,6 @@ func (rp RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if rp.MaxDelay <= 0 {
 		rp.MaxDelay = time.Second
-	}
-	if rp.Jitter <= 0 {
-		rp.Jitter = 0.2
 	}
 	return rp
 }
@@ -237,7 +223,7 @@ func DialRetry(addr string, stats *Stats, opts Options, rp RetryPolicy, cancel <
 	var lastErr error
 	for i := 0; i < rp.Attempts; i++ {
 		if i > 0 {
-			d := delay + time.Duration(rand.Float64()*rp.Jitter*float64(delay))
+			d := delay + time.Duration(rand.Float64()*retryJitter*float64(delay))
 			select {
 			case <-time.After(d):
 			case <-cancel:
@@ -249,7 +235,7 @@ func DialRetry(addr string, stats *Stats, opts Options, rp RetryPolicy, cancel <
 			}
 			stats.Retries.Inc()
 		}
-		c, err := dialOnce(addr, stats, opts, rp.DialTimeout)
+		c, err := DialOpts(addr, stats, opts)
 		if err == nil {
 			return c, nil
 		}

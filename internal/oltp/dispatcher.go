@@ -16,6 +16,10 @@ import (
 // client must treat it as unacknowledged.
 var ErrNotDurable = errors.New("oltp: commit not durable")
 
+// maxBatch caps how many queued requests one batch may absorb; the
+// request queue holds two batches' worth.
+const maxBatch = 8192
+
 // dispatch is the OLTP dispatcher loop (paper Fig. 1, §4 "Scheduling"):
 // it runs one batch of requests at a time, performs group commit of the
 // durable log at batch boundaries, and pushes the extracted physical
@@ -23,7 +27,7 @@ var ErrNotDurable = errors.New("oltp: commit not durable")
 func (e *Engine) dispatch() {
 	defer close(e.closed)
 	lastPush := time.Now()
-	pending := make([]request, 0, e.cfg.MaxBatch)
+	pending := make([]request, 0, maxBatch)
 	timer := time.NewTimer(e.cfg.PushPeriod)
 	defer timer.Stop()
 
@@ -45,7 +49,7 @@ func (e *Engine) dispatch() {
 			return
 		}
 	drain:
-		for len(pending) < e.cfg.MaxBatch {
+		for len(pending) < maxBatch {
 			select {
 			case r := <-e.queue:
 				pending = append(pending, r)

@@ -63,9 +63,6 @@ type Config struct {
 	// fires: it is the staleness bound of an idle replica, not a push
 	// cadence. Default 200 ms.
 	PushPeriod time.Duration
-	// MaxBatch caps how many queued requests one batch may absorb.
-	// Default 8192.
-	MaxBatch int
 	// Replicated marks the tables whose updates are extracted and
 	// propagated (paper §8.3 propagates only the relations used by the
 	// analytical workload). Nil propagates every table.
@@ -89,9 +86,6 @@ func (c *Config) fill() {
 	}
 	if c.PushPeriod <= 0 {
 		c.PushPeriod = 200 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8192
 	}
 	if c.GCEveryTxns == 0 {
 		c.GCEveryTxns = 64
@@ -169,7 +163,7 @@ func New(store *mvcc.Store, cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		store:   store,
 		procs:   make(map[string]Procedure),
-		queue:   make(chan request, cfg.MaxBatch*2),
+		queue:   make(chan request, maxBatch*2),
 		syncReq: make(chan chan uint64, 16),
 		ckptReq: make(chan chan uint64, 16),
 		closing: make(chan struct{}),

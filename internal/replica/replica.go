@@ -42,18 +42,6 @@ const (
 	msgBootDone  = 5
 )
 
-// MultiSink fans updates out to several sinks (e.g. the local replica
-// plus one forwarder per remote replica — the paper's elasticity story:
-// the network is fast enough to feed multiple secondaries).
-type MultiSink []oltp.UpdateSink
-
-// ApplyUpdates delivers the push to every sink.
-func (m MultiSink) ApplyUpdates(batches []proplog.Batch, upTo uint64) {
-	for _, s := range m {
-		s.ApplyUpdates(batches, upTo)
-	}
-}
-
 // --- primary side ------------------------------------------------------
 
 // DefaultPublisherQueue bounds the pushes a Publisher buffers for one

@@ -246,7 +246,7 @@ func TestRemoteSchedulerIntegration(t *testing.T) {
 }
 
 func TestMultiSinkFanOut(t *testing.T) {
-	// Two local replicas fed by one engine through MultiSink.
+	// Two local replicas fed by one engine, each attached as a sink.
 	schema := storage.NewSchema(1, "kv", []storage.Column{
 		{Name: "k", Type: storage.Int64},
 		{Name: "v", Type: storage.Int64},
@@ -270,7 +270,8 @@ func TestMultiSinkFanOut(t *testing.T) {
 	r1, r2 := olap.NewReplica(1), olap.NewReplica(1)
 	r1.CreateTable(schema, 64)
 	r2.CreateTable(schema, 64)
-	engine.SetSink(MultiSink{r1, r2})
+	engine.AddSink(r1)
+	engine.AddSink(r2)
 	engine.Start()
 	defer engine.Close()
 

@@ -23,22 +23,21 @@ type Stats struct {
 	Degraded obs.BusyTracker
 }
 
-// SupervisorConfig parameterizes a Supervisor. The zero value gives
-// modest deadlines and persistent reconnection.
+// SupervisorConfig parameterizes a Supervisor: the one declaration of
+// a replica node's link to the primary. NewSupervisor fills every zero
+// field with its default.
 type SupervisorConfig struct {
-	// Retry governs each dial round (attempts, backoff, jitter). The
-	// zero value is replaced with 5 attempts from 25ms base delay.
+	// Retry governs each dial round (attempts, backoff). The zero value
+	// is replaced with 5 attempts from 25ms base delay.
 	Retry network.RetryPolicy
-	// Transport sets per-connection deadlines.
+	// Transport sets per-connection deadlines. Zero Send/Grant timeouts
+	// default to 10s each, so a wedged primary or lost rendezvous grant
+	// surfaces as a connection failure (and a reconnect) instead of a
+	// silent hang.
 	Transport network.Options
 	// ReconnectPause is the pause between failed reconnect rounds
 	// (default 100ms). Reconnect rounds repeat until Close.
 	ReconnectPause time.Duration
-	// NetStats, when non-nil, accumulates transport counters across all
-	// connections the supervisor establishes.
-	NetStats *network.Stats
-	// Stats, when non-nil, receives the robustness counters.
-	Stats *Stats
 	// Fault, when non-nil, is installed on every new connection —
 	// deterministic fault injection for tests and drills.
 	Fault network.FaultPolicy
@@ -103,21 +102,21 @@ func NewSupervisor(addr string, rep *olap.Replica, cfg SupervisorConfig) *Superv
 	if cfg.Retry.Attempts < 1 {
 		cfg.Retry.Attempts = 5
 	}
+	if cfg.Transport.SendTimeout <= 0 {
+		cfg.Transport.SendTimeout = 10 * time.Second
+	}
+	if cfg.Transport.GrantTimeout <= 0 {
+		cfg.Transport.GrantTimeout = 10 * time.Second
+	}
 	if cfg.ReconnectPause <= 0 {
 		cfg.ReconnectPause = 100 * time.Millisecond
-	}
-	if cfg.NetStats == nil {
-		cfg.NetStats = &network.Stats{}
-	}
-	if cfg.Stats == nil {
-		cfg.Stats = &Stats{}
 	}
 	return &Supervisor{
 		addr:      addr,
 		rep:       rep,
 		cfg:       cfg,
-		netStats:  cfg.NetStats,
-		stats:     cfg.Stats,
+		netStats:  &network.Stats{},
+		stats:     &Stats{},
 		firstBoot: make(chan struct{}),
 		closing:   make(chan struct{}),
 		closed:    make(chan struct{}),

@@ -11,7 +11,7 @@ func TestStartAt(t *testing.T) {
 		t.Fatalf("watermark = %d", a.Watermark())
 	}
 	// Leave a hole so the published map is non-empty...
-	a.Allocate()          // 6, never published
+	a.Allocate() // 6, never published
 	a.Publish(a.Allocate() /* 7 */)
 	// ...then reposition, as checkpoint restore does.
 	a.StartAt(42)

@@ -3,7 +3,6 @@ package batchdb
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"batchdb/internal/fleet/node"
 	"batchdb/internal/network"
@@ -15,6 +14,11 @@ import (
 
 // ReplicaServerStats counts the primary's replica-serving activity.
 type ReplicaServerStats = replica.ServerStats
+
+// ReplicaLinkConfig parameterizes a replica node's supervised link to
+// the primary: dial retry, transport deadlines, reconnect pause and
+// fault policy. Zero fields take the supervisor's defaults.
+type ReplicaLinkConfig = replica.SupervisorConfig
 
 // ServeReplicas makes the primary accept remote OLAP replica nodes on
 // addr (use "127.0.0.1:0" to pick a free port; the bound address is
@@ -135,23 +139,12 @@ type ReplicaNodeConfig struct {
 	Partitions int
 	// Workers bounds scan/build parallelism (default 4).
 	Workers int
-	// Retry governs dialing (and, after a connection loss, redialing)
-	// the primary; the zero value gives 5 attempts from a 25ms base
-	// delay with exponential backoff and jitter.
-	Retry network.RetryPolicy
-	// Transport sets per-connection deadlines. Zero Send/Grant timeouts
-	// default to 10s each, so a wedged primary or lost rendezvous grant
-	// surfaces as a connection failure (and a reconnect) instead of a
-	// silent hang.
-	Transport network.Options
-	// ReconnectPause is the pause between failed reconnect rounds
-	// (default 100ms).
-	ReconnectPause time.Duration
-	// Fault, when non-nil, is installed on every connection the node
-	// establishes — deterministic fault injection for tests and drills.
-	Fault network.FaultPolicy
+	// Link parameterizes the supervised connection to the primary
+	// (dial retry, transport deadlines, reconnect pause, fault policy).
+	Link ReplicaLinkConfig
 	// Metrics, when non-nil, receives the node's dispatcher, freshness,
-	// supervisor, and transport instruments (labelled class="remote").
+	// supervisor, and transport instruments (labelled class="remote";
+	// ConnectFleet adds member=<i> to tell its nodes apart).
 	Metrics *obs.Registry
 }
 
@@ -184,6 +177,12 @@ func newReplica(partitions int) *olap.Replica {
 // ConnectReplica dials a primary's replication address, bootstraps, and
 // starts serving queries.
 func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaTable) (*ReplicaNode, error) {
+	return connectReplica(primaryAddr, cfg, tables, obs.L("class", "remote"))
+}
+
+// connectReplica is ConnectReplica with the labels the node's
+// instruments register under.
+func connectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaTable, labels ...obs.Label) (*ReplicaNode, error) {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}
@@ -196,12 +195,9 @@ func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 		rep.CreateTable(t.Schema, hint)
 	}
 	return node.Connect(primaryAddr, rep, node.Config{
-		Workers:        cfg.Workers,
-		Retry:          cfg.Retry,
-		Transport:      cfg.Transport,
-		ReconnectPause: cfg.ReconnectPause,
-		Fault:          cfg.Fault,
-		Metrics:        cfg.Metrics,
-		MetricsLabels:  []obs.Label{obs.L("class", "remote")},
+		Workers:       cfg.Workers,
+		Link:          cfg.Link,
+		Metrics:       cfg.Metrics,
+		MetricsLabels: labels,
 	})
 }
