@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"batchdb"
 	"batchdb/internal/obs"
 )
 
@@ -17,11 +18,10 @@ import (
 // with a cleanup.
 func startTestServer(t *testing.T) *server {
 	t.Helper()
-	s, err := newServer(serverConfig{
-		listen:      "127.0.0.1:0",
-		warehouses:  1,
-		olapWorkers: 2,
-		metricsAddr: "127.0.0.1:0",
+	s, err := newServer(options{
+		listen:     "127.0.0.1:0",
+		warehouses: 1,
+		db:         batchdb.Config{OLAPWorkers: 2, MetricsAddr: "127.0.0.1:0"},
 	})
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
@@ -88,7 +88,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("QUERY: %q", r)
 	}
 
-	resp, err := http.Get("http://" + s.msrv.Addr() + "/metrics")
+	resp, err := http.Get("http://" + s.db.MetricsAddr() + "/metrics")
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	hr, err := http.Get("http://" + s.msrv.Addr() + "/healthz")
+	hr, err := http.Get("http://" + s.db.MetricsAddr() + "/healthz")
 	if err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 // scrapeByName fetches /metrics and indexes the parsed samples by name.
 func scrapeByName(t *testing.T, s *server) map[string][]obs.ParsedSample {
 	t.Helper()
-	resp, err := http.Get("http://" + s.msrv.Addr() + "/metrics")
+	resp, err := http.Get("http://" + s.db.MetricsAddr() + "/metrics")
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
@@ -234,13 +234,12 @@ func TestServerStatsFromRegistry(t *testing.T) {
 // metadata, KILL severs a member's feed without losing query service,
 // and FLEET renders per-member health.
 func TestServerFleetMode(t *testing.T) {
-	s, err := newServer(serverConfig{
-		listen:        "127.0.0.1:0",
-		warehouses:    1,
-		olapWorkers:   2,
-		fleet:         2,
-		queryDeadline: 10 * time.Second,
-		maxStaleness:  5 * time.Second,
+	s, err := newServer(options{
+		listen:     "127.0.0.1:0",
+		warehouses: 1,
+		db:         batchdb.Config{OLAPWorkers: 2},
+		fleet:      batchdb.FleetConfig{Replicas: 2, Router: batchdb.RouterConfig{Deadline: 10 * time.Second}},
+		budget:     batchdb.FleetBudget{MaxStaleness: 5 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("newServer: %v", err)
@@ -304,9 +303,9 @@ func TestServerLoadCommand(t *testing.T) {
 	// Both loads are visible and contiguous: ids 0..4999 present, 5000
 	// absent, values intact.
 	bs := bulkSchema()
-	tx := s.engine.Store().BeginRO()
+	tx := s.db.Store().BeginRO()
 	defer tx.Abort()
-	tbl := s.engine.Store().Table(bulkTableID)
+	tbl := s.db.Store().Table(bulkTableID)
 	for _, id := range []int64{0, 2999, 3000, 4999} {
 		tup, ok := tx.Get(tbl, uint64(id))
 		if !ok {
@@ -336,13 +335,15 @@ func TestServerLoadCommand(t *testing.T) {
 // counter resumes past them so the next LOAD does not collide.
 func TestServerLoadSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := serverConfig{
-		listen:      "127.0.0.1:0",
-		warehouses:  1,
-		olapWorkers: 2,
-		dataDir:     dir,
-		ckptVIDs:    50000,
-		segBytes:    1 << 20,
+	cfg := options{
+		listen:     "127.0.0.1:0",
+		warehouses: 1,
+		db: batchdb.Config{
+			OLAPWorkers:         2,
+			DataDir:             dir,
+			CheckpointEveryVIDs: 50000,
+			WALSegmentBytes:     1 << 20,
+		},
 	}
 	s1, err := newServer(cfg)
 	if err != nil {
@@ -368,8 +369,8 @@ func TestServerLoadSurvivesRestart(t *testing.T) {
 	if s2.nextBulkID != 1500 {
 		t.Fatalf("recovered nextBulkID = %d, want 1500", s2.nextBulkID)
 	}
-	tx := s2.engine.Store().BeginRO()
-	tbl := s2.engine.Store().Table(bulkTableID)
+	tx := s2.db.Store().BeginRO()
+	tbl := s2.db.Store().Table(bulkTableID)
 	for _, id := range []int64{0, 777, 1499} {
 		if _, ok := tx.Get(tbl, uint64(id)); !ok {
 			t.Fatalf("row %d lost across restart", id)
@@ -419,11 +420,76 @@ func TestServerQueryReply(t *testing.T) {
 		t.Fatalf("QUERY Q10 after Q99: %q", r)
 	}
 	// Freshness should show an installed snapshot once a batch ran.
+	installedVID := func() float64 {
+		for _, sm := range s.db.Metrics().Samples() {
+			if sm.Name == "batchdb_freshness_installed_vid" {
+				return sm.Value
+			}
+		}
+		return 0
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.sched.Freshness().InstalledVID() == 0 && time.Now().Before(deadline) {
+	for installedVID() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if s.sched.Freshness().InstalledVID() == 0 {
+	if installedVID() == 0 {
 		t.Error("freshness tracker never observed a snapshot install")
+	}
+}
+
+// TestServerErrorReplies checks the protocol's error answers: commands
+// that need a mode the server was not started in, an unknown command, a
+// transaction on a warehouse that does not exist, a CHECKPOINT with
+// nothing new to cover, and a listen address that is already bound.
+func TestServerErrorReplies(t *testing.T) {
+	s := startTestServer(t)
+	rw, closeConn := dialServer(t, s)
+	defer closeConn()
+	for _, c := range []struct{ cmd, want string }{
+		{"CHECKPOINT", "ERR\tno -data-dir configured"},
+		{"KILL 0", "ERR\tKILL requires -fleet mode"},
+		{"FLEET", "ERR\tFLEET requires -fleet mode"},
+		{"FROB", "ERR\tunknown command \"FROB\""},
+	} {
+		if r := roundTrip(t, rw, c.cmd); r != c.want {
+			t.Errorf("%s: %q, want %q", c.cmd, r, c.want)
+		}
+	}
+	if r := roundTrip(t, rw, "PAYMENT 99 1 5"); !strings.HasPrefix(r, "ERR\t") {
+		t.Errorf("PAYMENT on a missing warehouse: %q", r)
+	}
+	// A malformed argument falls back to its default (warehouse 1).
+	if r := roundTrip(t, rw, "PAYMENT x 1 5"); !strings.HasPrefix(r, "OK\tvid=") {
+		t.Errorf("PAYMENT with a malformed warehouse: %q", r)
+	}
+
+	if _, err := newServer(options{
+		listen:     s.ln.Addr().String(),
+		warehouses: 1,
+		db:         batchdb.Config{OLAPWorkers: 2},
+	}); err == nil {
+		t.Fatal("newServer on a bound address succeeded")
+	}
+
+	d, err := newServer(options{
+		listen:     "127.0.0.1:0",
+		warehouses: 1,
+		db:         batchdb.Config{OLAPWorkers: 2, DataDir: t.TempDir()},
+	})
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	go d.serveLoop()
+	t.Cleanup(d.close)
+	drw, closeD := dialServer(t, d)
+	defer closeD()
+	if r := roundTrip(t, drw, "PAYMENT 1 1 5"); !strings.HasPrefix(r, "OK\tvid=") {
+		t.Fatalf("PAYMENT: %q", r)
+	}
+	if r := roundTrip(t, drw, "CHECKPOINT"); !strings.HasPrefix(r, "OK\tvid=") {
+		t.Fatalf("CHECKPOINT: %q", r)
+	}
+	if r := roundTrip(t, drw, "CHECKPOINT"); r != "OK\tno progress since last checkpoint" {
+		t.Fatalf("CHECKPOINT with nothing new: %q", r)
 	}
 }

@@ -109,12 +109,6 @@ func (f *Fleet) Stats() *fleet.Stats { return f.router.Stats() }
 // Router exposes the underlying router (member health, ejected count).
 func (f *Fleet) Router() *fleet.Router[*Query, Result] { return f.router }
 
-// RegisterMetrics exposes the router's instruments through reg (the
-// nodes register theirs via ReplicaNodeConfig.Metrics at connect time).
-func (f *Fleet) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	f.router.RegisterMetrics(reg, labels...)
-}
-
 // Close stops routing, then closes every node.
 func (f *Fleet) Close() {
 	if f.router != nil {

@@ -3,6 +3,7 @@ package chbench
 import (
 	"batchdb/internal/olap"
 	"batchdb/internal/replica"
+	"batchdb/internal/storage"
 	"batchdb/internal/tpcc"
 )
 
@@ -19,33 +20,30 @@ func NewReplica(db *tpcc.DB, parts int) (*olap.Replica, error) {
 
 // EmptyReplica creates the CH table set without loading data (for
 // remote bootstrap via replica.ShipSnapshot). The replicated (dynamic)
-// tables maintain incremental PK indexes so join probes into them never
-// require a per-batch hash-join build.
+// tables maintain incremental PK indexes, keyed by the primary's own key
+// functions, so join probes into them never require a per-batch
+// hash-join build.
 func EmptyReplica(db *tpcc.DB, parts int) *olap.Replica {
 	rep := olap.NewReplica(parts)
 	sc := db.Scale
-	s := db.Schemas
 	rowHint := sc.Warehouses * sc.DistrictsPerWarehouse * sc.InitialOrdersPerDistrict
-	stock := rep.CreateTable(s.Stock, sc.Warehouses*sc.Items)
-	stock.SetPK(func(t []byte) uint64 {
-		return tpcc.StockKey(s.Stock.GetInt64(t, tpcc.SWID), s.Stock.GetInt64(t, tpcc.SIID))
-	}, sc.Warehouses*sc.Items)
-	cust := rep.CreateTable(s.Customer, sc.Warehouses*sc.DistrictsPerWarehouse*sc.CustomersPerDistrict)
-	cust.SetPK(func(t []byte) uint64 {
-		return tpcc.CustomerKey(s.Customer.GetInt64(t, tpcc.CWID), s.Customer.GetInt64(t, tpcc.CDID), s.Customer.GetInt64(t, tpcc.CID))
-	}, sc.Warehouses*sc.DistrictsPerWarehouse*sc.CustomersPerDistrict)
-	ord := rep.CreateTable(s.Order, rowHint)
-	ord.SetPK(func(t []byte) uint64 {
-		return tpcc.OrderKey(s.Order.GetInt64(t, tpcc.OWID), s.Order.GetInt64(t, tpcc.ODID), s.Order.GetInt64(t, tpcc.OID))
-	}, rowHint)
-	ol := rep.CreateTable(s.OrderLine, rowHint*10)
-	ol.SetPK(func(t []byte) uint64 {
-		return tpcc.OrderLineKey(s.OrderLine.GetInt64(t, tpcc.OLWID), s.OrderLine.GetInt64(t, tpcc.OLDID),
-			s.OrderLine.GetInt64(t, tpcc.OLOID), s.OrderLine.GetInt64(t, tpcc.OLNumber))
-	}, rowHint*10)
-	rep.CreateTable(s.Item, sc.Items)
-	rep.CreateTable(s.Supplier, tpcc.NumSuppliers)
-	rep.CreateTable(s.Nation, tpcc.NumNations)
-	rep.CreateTable(s.Region, tpcc.NumRegions)
+	hint := map[storage.TableID]int{
+		tpcc.TStock:     sc.Warehouses * sc.Items,
+		tpcc.TCustomer:  sc.Warehouses * sc.DistrictsPerWarehouse * sc.CustomersPerDistrict,
+		tpcc.TOrder:     rowHint,
+		tpcc.TOrderLine: rowHint * 10,
+		tpcc.TItem:      sc.Items,
+		tpcc.TSupplier:  tpcc.NumSuppliers,
+		tpcc.TNation:    tpcc.NumNations,
+		tpcc.TRegion:    tpcc.NumRegions,
+	}
+	replicated := tpcc.ReplicatedTables()
+	for _, id := range Tables() {
+		t := db.TableByID(id)
+		rt := rep.CreateTable(t.Schema, hint[id])
+		if replicated[id] {
+			rt.SetPK(t.KeyFn, hint[id])
+		}
+	}
 	return rep
 }

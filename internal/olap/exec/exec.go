@@ -198,7 +198,8 @@ const hashMul = 0x9E3779B97F4A7C15
 type Engine struct {
 	replica *olap.Replica
 	// pool runs the scans and builds (paper: the OLAP replica's
-	// dedicated cores). Concurrent builds share its budget.
+	// dedicated cores). It is the replica's own pool, so apply rounds
+	// and batches share one budget; concurrent builds share it too.
 	pool *olap.Pool
 
 	// MorselTuples is the number of tuple slots per scan morsel; <= 0
@@ -309,24 +310,26 @@ func (e *Engine) cached(key any, v1, v2 any, construct func() any) any {
 	return ce.val
 }
 
-// NewEngine creates an executor with the given parallelism.
+// NewEngine creates an executor over replica with the given
+// parallelism: it sizes the replica's pool to workers and runs its scans
+// and builds on that pool, so apply rounds and batches share one budget.
 func NewEngine(replica *olap.Replica, workers int) *Engine {
+	replica.SetApplyWorkers(workers)
 	return &Engine{
 		replica: replica,
-		pool:    olap.NewPool(workers),
+		pool:    replica.Pool(),
 		cache:   make(map[any]*cacheEntry),
 	}
 }
 
-// NewScheduler builds the analytical stack over rep: the replica's apply
-// pool and an executor of workers each, and the batch dispatcher that
+// NewScheduler builds the analytical stack over rep: an executor of
+// workers sharing the replica's pool, and the batch dispatcher that
 // syncs with primary and runs its batches on that executor. The executor
 // records its phase timings into the dispatcher's stats and stamps every
 // Result with the staleness the dispatcher's freshness tracker reports.
 // The caller registers the dispatcher's metrics under its own labels,
 // then starts it.
 func NewScheduler(rep *olap.Replica, primary olap.Primary, workers int) *olap.Scheduler[*Query, Result] {
-	rep.SetApplyWorkers(workers)
 	e := NewEngine(rep, workers)
 	s := olap.NewScheduler(rep, primary, e.RunBatch)
 	e.AttachStats(s.Stats())

@@ -370,3 +370,27 @@ func BenchmarkShardedBuild(b *testing.B) {
 		})
 	}
 }
+
+// TestEngineSharesReplicaPool pins one pool per replica: the executor
+// sizes the replica's pool to its workers and runs scans and builds on
+// that pool, and a scheduler built over the replica makes no second one.
+func TestEngineSharesReplicaPool(t *testing.T) {
+	f := buildFixture(t, 2, 200, 20)
+	e := NewEngine(f.replica, 3)
+	if e.pool != f.replica.Pool() {
+		t.Fatal("executor and replica hold different pools")
+	}
+	if w := f.replica.Pool().Workers(); w != 3 {
+		t.Fatalf("replica pool has %d workers, want the executor's 3", w)
+	}
+	res := e.RunBatch([]*Query{f.regionQuery(1)}, 0)
+	if res[0].Err != nil || !almostEqual(res[0].Values[0], f.expSum[1]) {
+		t.Fatalf("query on the shared pool: %+v, want sum %v", res[0], f.expSum[1])
+	}
+
+	s := NewScheduler(f.replica, olap.StaticPrimary(0), 2)
+	defer s.Close()
+	if w := f.replica.Pool().Workers(); w != 2 {
+		t.Fatalf("after NewScheduler the replica pool has %d workers, want 2", w)
+	}
+}

@@ -142,8 +142,8 @@ type Replica struct {
 	parts  int
 
 	// pool runs the apply rounds' tasks (steps 1–3 across all tables of
-	// a round) and ActivateSynopses. NumCPU workers unless
-	// SetApplyWorkers says otherwise.
+	// a round), ActivateSynopses and the executor's scans and builds.
+	// NumCPU workers unless SetApplyWorkers says otherwise.
 	pool *Pool
 
 	// pending holds pushed update batches awaiting application. Guarded
@@ -196,14 +196,20 @@ func NewReplica(parts int) *Replica {
 }
 
 // SetApplyWorkers sizes the replica's pool, the parallelism of its apply
-// rounds (the OLAP replica's dedicated cores, matching the exec engine's
-// worker count). Call during wiring, before the scheduler starts
-// applying; n <= 0 is ignored.
+// rounds and of the scans and builds of the executor that shares it
+// (the OLAP replica's dedicated cores). Call during wiring, before the
+// scheduler starts applying; n <= 0 is ignored.
 func (r *Replica) SetApplyWorkers(n int) {
 	if n > 0 {
 		r.pool = NewPool(n)
 	}
 }
+
+// Pool returns the replica's worker pool. The executor over the replica
+// runs its scans and builds on it: a scheduler's apply rounds and its
+// batches run on one goroutine and never overlap, so one pool is the
+// replica's whole CPU budget.
+func (r *Replica) Pool() *Pool { return r.pool }
 
 // CreateTable registers a replicated relation. All DDL must precede use.
 func (r *Replica) CreateTable(schema *storage.Schema, capacityHint int) *Table {

@@ -199,9 +199,6 @@ func (p *Partition) ActivateSynopsisCols(wanted uint64) {
 	}
 }
 
-// ZoneMapped reports whether the partition carries block synopses.
-func (p *Partition) ZoneMapped() bool { return p.zm != nil }
-
 // grow extends the block arrays to cover nslots slots.
 func (z *zoneMap) grow(nslots int) {
 	need := (nslots + z.block - 1) >> z.shift

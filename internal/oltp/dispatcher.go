@@ -13,7 +13,10 @@ import (
 // ErrNotDurable reports a commit whose group-commit flush failed: the
 // transaction committed in memory, but its log record may not have
 // reached stable storage, so its outcome after a crash is unknown. The
-// client must treat it as unacknowledged.
+// client must treat it as unacknowledged. After the first such failure
+// the engine is stopped: every later request gets ErrNotDurable without
+// executing, because a commit logged after the lost batch would sit
+// behind a VID gap that recovery cannot replay across.
 var ErrNotDurable = errors.New("oltp: commit not durable")
 
 // maxBatch caps how many queued requests one batch may absorb; the
@@ -98,6 +101,12 @@ func (e *Engine) dispatch() {
 // before its log record is durable, or a crash could lose an
 // acknowledged transaction.
 func (e *Engine) runBatch(batch []request) {
+	if e.logErr != nil {
+		for _, r := range batch {
+			r.reply <- Response{Err: e.logErr}
+		}
+		return
+	}
 	// The share buffers are the engine's, reused by every batch: a worker
 	// is done with its share before it reports, and the next batch starts
 	// only after every worker has reported.
@@ -123,8 +132,8 @@ func (e *Engine) runBatch(batch []request) {
 		}
 	}
 	e.stats.Batches.Inc()
-	var logErr error
 	if e.log != nil && len(recs) > 0 {
+		var logErr error
 		// Log in commit-VID order so replay is deterministic; committed
 		// VIDs are dense, which recovery asserts.
 		sort.Slice(recs, func(i, j int) bool { return recs[i].commitVID < recs[j].commitVID })
@@ -138,10 +147,14 @@ func (e *Engine) runBatch(batch []request) {
 		if logErr == nil {
 			logErr = e.log.Commit() // group commit for the whole batch
 		}
+		if logErr != nil {
+			// The batch is lost from the log: stop here (ErrNotDurable).
+			e.logErr = fmt.Errorf("%w: %v", ErrNotDurable, logErr)
+		}
 	}
 	for _, a := range acks {
-		if logErr != nil {
-			a.reply <- Response{Err: fmt.Errorf("%w: %v", ErrNotDurable, logErr)}
+		if e.logErr != nil {
+			a.reply <- Response{Err: e.logErr}
 			continue
 		}
 		if a.bulk {
@@ -155,19 +168,26 @@ func (e *Engine) runBatch(batch []request) {
 
 // pushUpdates takes every worker's update buffer (all workers are idle
 // at a batch boundary, so this is race-free) and hands the batches to
-// the sink. Returns the covered watermark.
+// the sink. Returns the covered watermark. Once the log has failed it
+// ships nothing more — the buffers may hold the lost batch's updates —
+// and returns the last watermark it did push, so no replica moves past
+// what the log holds.
 func (e *Engine) pushUpdates() uint64 {
-	covered := e.store.VIDs.Watermark()
 	holder := e.sink.Load()
-	if holder == nil {
-		// NoRep: discard extracted updates so buffers stay bounded.
+	if holder == nil || e.logErr != nil {
+		// NoRep or stopped: discard extracted updates so buffers stay
+		// bounded.
 		for _, w := range e.workers {
 			if w.updates.Len() > 0 {
 				w.updates.Take()
 			}
 		}
-		return covered
+		if e.logErr == nil {
+			e.pushed.Store(e.store.VIDs.Watermark())
+		}
+		return e.pushed.Load()
 	}
+	covered := e.store.VIDs.Watermark()
 	var batches []proplog.Batch
 	for _, w := range e.workers {
 		if w.updates.Len() > 0 {
@@ -177,13 +197,14 @@ func (e *Engine) pushUpdates() uint64 {
 	}
 	holder.s.ApplyUpdates(batches, covered)
 	e.stats.Pushes.Inc()
+	e.pushed.Store(covered)
 	return covered
 }
 
 // drainAndStop flushes extracted updates and fails queued requests
 // during shutdown.
 func (e *Engine) drainAndStop(pending []request) {
-	e.pushUpdates() // final push so no committed update is stranded
+	covered := e.pushUpdates() // final push so no committed update is stranded
 	for _, r := range pending {
 		r.reply <- Response{Err: ErrClosed}
 	}
@@ -192,7 +213,7 @@ func (e *Engine) drainAndStop(pending []request) {
 		case r := <-e.queue:
 			r.reply <- Response{Err: ErrClosed}
 		case s := <-e.syncReq:
-			s <- e.store.VIDs.Watermark()
+			s <- covered
 		case c := <-e.ckptReq:
 			c <- e.store.VIDs.Watermark()
 		default:

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"batchdb/internal/olap"
 	"batchdb/internal/wal"
 )
 
@@ -68,12 +70,12 @@ func TestAckAfterGroupCommit(t *testing.T) {
 		t.Fatalf("failed flush acked as success: %v", r.Err)
 	}
 
-	// Recovery semantics: the transaction still committed in memory (its
-	// log record may or may not have survived), the client just must not
-	// assume either way. Reads see it.
+	// The engine is stopped after a failed flush: even a read, which a
+	// healthy log would not gate, is refused rather than served from
+	// state the log may not hold.
 	fl.setFail(false)
-	if g := e.Exec("get", kvArgs(2, 0)); g.Err != nil {
-		t.Fatalf("in-memory commit invisible after flush failure: %v", g.Err)
+	if g := e.Exec("get", kvArgs(2, 0)); !errors.Is(g.Err, ErrNotDurable) {
+		t.Fatalf("request served after a failed flush: %v", g.Err)
 	}
 }
 
@@ -169,6 +171,134 @@ func TestLogOrderIsDense(t *testing.T) {
 	for i, rec := range fl.appended {
 		if rec.CommitVID != uint64(i+1) {
 			t.Fatalf("log position %d holds VID %d (not dense)", i, rec.CommitVID)
+		}
+	}
+}
+
+// droppingLog keeps the records of every successful group commit and,
+// as wal.Manager.Commit does on a write error, drops the pending batch
+// when a Commit fails.
+type droppingLog struct {
+	mu       sync.Mutex
+	pend     []wal.Record
+	durable  []wal.Record
+	failNext bool
+}
+
+func (d *droppingLog) Append(r wal.Record) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.pend = append(d.pend, r)
+	return nil
+}
+
+func (d *droppingLog) Commit() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pend := d.pend
+	d.pend = nil
+	if d.failNext {
+		d.failNext = false
+		return errors.New("short write")
+	}
+	d.durable = append(d.durable, pend...)
+	return nil
+}
+
+func (d *droppingLog) Close() error { return nil }
+
+// One failed group commit stops the engine: nothing after it is
+// acknowledged or pushed, so the log stays gap-free and recovery holds
+// every acknowledged commit, and no replica gets ahead of the log.
+func TestLogFailureStopsTheEngine(t *testing.T) {
+	e, tbl := newKVEngine(t, Config{Workers: 2, PushPeriod: time.Hour})
+	log := &droppingLog{}
+	rep := olap.NewReplica(2)
+	rep.CreateTable(tbl.Schema, 16).SetPK(tbl.KeyFn, 16)
+	e.SetLog(log)
+	e.SetSink(rep)
+	e.Start()
+	// sync is the OLAP dispatcher's freshness barrier: fetch the latest
+	// snapshot VID from the primary and apply up to it.
+	sync := func() {
+		if _, err := rep.ApplyPending(e.SyncUpdates()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	acked := map[int64]int64{} // key -> value every acknowledged commit implies
+	run := func(proc string, k, v int64) error {
+		r := e.Exec(proc, kvArgs(k, v))
+		if r.Err == nil {
+			switch proc {
+			case "put":
+				acked[k] = v
+			case "add":
+				acked[k] += v
+			}
+		}
+		return r.Err
+	}
+	if err := run("put", 1, 10); err != nil {
+		t.Fatalf("put before the failure: %v", err)
+	}
+	sync()
+
+	log.mu.Lock()
+	log.failNext = true
+	log.mu.Unlock()
+	if err := run("put", 2, 20); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("put in the failed batch: %v, want ErrNotDurable", err)
+	}
+	// More traffic after the one transient failure.
+	var after []error
+	for _, op := range []struct {
+		proc string
+		k, v int64
+	}{{"add", 1, 5}, {"put", 3, 30}, {"get", 1, 0}, {"put", 4, 40}} {
+		after = append(after, run(op.proc, op.k, op.v))
+	}
+	sync()
+	e.Close()
+
+	// The last durable VID ends the log's gap-free prefix: recovery
+	// cannot replay past a missing VID.
+	var lastDurable uint64
+	for _, r := range log.durable {
+		if r.CommitVID != lastDurable+1 {
+			break
+		}
+		lastDurable = r.CommitVID
+	}
+	if got := rep.AppliedVID(); got > lastDurable {
+		t.Fatalf("replica applied VID %d, past the last durable VID %d", got, lastDurable)
+	}
+	if _, ok := rep.Table(tbl.Schema.ID).GetByPK(2); ok {
+		t.Fatal("replica serves the row of the batch the log lost")
+	}
+
+	// Recovery: replay the log into a fresh engine.
+	e2, tbl2 := newKVEngine(t, Config{Workers: 1})
+	defer e2.Close()
+	for _, r := range log.durable {
+		if err := ReplayRecord(e2, r); err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+	}
+	tx := e2.Store().BeginRO()
+	defer tx.Abort()
+	for k, v := range acked {
+		tup, ok := tx.Get(tbl2, uint64(k))
+		if !ok {
+			t.Fatalf("acknowledged key %d lost in recovery", k)
+		}
+		if got := tbl2.Schema.GetInt64(tup, 1); got != v {
+			t.Fatalf("key %d recovered as %d, acknowledged %d", k, got, v)
+		}
+	}
+	for i, err := range after {
+		if !errors.Is(err, ErrNotDurable) {
+			t.Errorf("request %d after the failure: %v, want ErrNotDurable", i, err)
 		}
 	}
 }

@@ -151,6 +151,13 @@ type Engine struct {
 	shares  [][]request
 	log     CommandLog
 	started bool
+	// logErr is the first failed group commit (wrapping ErrNotDurable),
+	// owned by the dispatcher: once set the engine executes nothing.
+	logErr error
+	// pushed is the watermark of the last push (or, with no sink, of
+	// the last batch boundary that would have pushed): what SyncUpdates
+	// reports once the engine closes or its log fails.
+	pushed atomic.Uint64
 
 	stats Stats
 }
@@ -305,6 +312,7 @@ func (e *Engine) Start() {
 		e.store.CollectGarbage()
 	}
 	e.started = true
+	e.pushed.Store(e.store.VIDs.Watermark())
 	for _, w := range e.workers {
 		go w.run()
 	}
@@ -383,18 +391,19 @@ func (e *Engine) CheckpointVID() uint64 {
 // SyncUpdates asks the dispatcher for an immediate push of the physical
 // update log and blocks until the sink has received every update up to
 // the returned VID. This is the "OLAP dispatcher fetches the latest
-// snapshot version" interaction of paper Fig. 1.
+// snapshot version" interaction of paper Fig. 1. A closed engine
+// reports the watermark of its last push.
 func (e *Engine) SyncUpdates() uint64 {
 	reply := make(chan uint64, 1)
 	select {
 	case e.syncReq <- reply:
 	case <-e.closing:
-		return e.LatestVID()
+		return e.pushed.Load()
 	}
 	select {
 	case v := <-reply:
 		return v
 	case <-e.closed:
-		return e.LatestVID()
+		return e.pushed.Load()
 	}
 }

@@ -69,47 +69,60 @@ type DB struct {
 
 // NewDB creates the tables (with secondary indexes) in a fresh store.
 func NewDB(scale Scale) *DB {
-	sch := NewSchemas()
 	st := mvcc.NewStore()
-	db := &DB{Scale: scale, Schemas: sch, Store: st}
+	return Build(scale, st, st.CreateTable)
+}
+
+// CreateFunc creates one relation with its primary key and capacity
+// hint and returns its primary-replica table.
+type CreateFunc func(schema *storage.Schema, keyFn storage.KeyFunc, capacityHint int) *mvcc.Table
+
+// Build creates the twelve TPC-C relations through create, in table-ID
+// order, adds their secondary indexes and returns them bundled over
+// store, the store create places them in. NewDB passes the store's own
+// CreateTable; a caller that owns the tables (batchdb.DB) passes its
+// own, so both get the same tables, hints and indexes.
+func Build(scale Scale, store *mvcc.Store, create CreateFunc) *DB {
+	sch := NewSchemas()
+	db := &DB{Scale: scale, Schemas: sch, Store: store}
 
 	hint := scale.Warehouses * scale.DistrictsPerWarehouse * scale.CustomersPerDistrict
 
-	db.Warehouse = st.CreateTable(sch.Warehouse, func(t []byte) uint64 {
+	db.Warehouse = create(sch.Warehouse, func(t []byte) uint64 {
 		return WarehouseKey(sch.Warehouse.GetInt64(t, WID))
 	}, scale.Warehouses)
-	db.District = st.CreateTable(sch.District, func(t []byte) uint64 {
+	db.District = create(sch.District, func(t []byte) uint64 {
 		return DistrictKey(sch.District.GetInt64(t, DWID), sch.District.GetInt64(t, DID))
 	}, scale.Warehouses*scale.DistrictsPerWarehouse)
-	db.Customer = st.CreateTable(sch.Customer, func(t []byte) uint64 {
+	db.Customer = create(sch.Customer, func(t []byte) uint64 {
 		return CustomerKey(sch.Customer.GetInt64(t, CWID), sch.Customer.GetInt64(t, CDID), sch.Customer.GetInt64(t, CID))
 	}, hint)
-	db.History = st.CreateTable(sch.History, func(t []byte) uint64 {
+	db.History = create(sch.History, func(t []byte) uint64 {
 		return uint64(sch.History.GetInt64(t, HPK))
 	}, hint)
-	db.NewOrder = st.CreateTable(sch.NewOrder, func(t []byte) uint64 {
+	db.NewOrder = create(sch.NewOrder, func(t []byte) uint64 {
 		return NewOrderKey(sch.NewOrder.GetInt64(t, NOWID), sch.NewOrder.GetInt64(t, NODID), sch.NewOrder.GetInt64(t, NOOID))
 	}, hint)
-	db.Order = st.CreateTable(sch.Order, func(t []byte) uint64 {
+	db.Order = create(sch.Order, func(t []byte) uint64 {
 		return OrderKey(sch.Order.GetInt64(t, OWID), sch.Order.GetInt64(t, ODID), sch.Order.GetInt64(t, OID))
 	}, hint)
-	db.OrderLine = st.CreateTable(sch.OrderLine, func(t []byte) uint64 {
+	db.OrderLine = create(sch.OrderLine, func(t []byte) uint64 {
 		return OrderLineKey(sch.OrderLine.GetInt64(t, OLWID), sch.OrderLine.GetInt64(t, OLDID),
 			sch.OrderLine.GetInt64(t, OLOID), sch.OrderLine.GetInt64(t, OLNumber))
 	}, hint*10)
-	db.Item = st.CreateTable(sch.Item, func(t []byte) uint64 {
+	db.Item = create(sch.Item, func(t []byte) uint64 {
 		return ItemKey(sch.Item.GetInt64(t, IID))
 	}, scale.Items)
-	db.Stock = st.CreateTable(sch.Stock, func(t []byte) uint64 {
+	db.Stock = create(sch.Stock, func(t []byte) uint64 {
 		return StockKey(sch.Stock.GetInt64(t, SWID), sch.Stock.GetInt64(t, SIID))
 	}, scale.Warehouses*scale.Items)
-	db.Supplier = st.CreateTable(sch.Supplier, func(t []byte) uint64 {
+	db.Supplier = create(sch.Supplier, func(t []byte) uint64 {
 		return SupplierKey(sch.Supplier.GetInt64(t, SUSuppKey))
 	}, NumSuppliers)
-	db.Nation = st.CreateTable(sch.Nation, func(t []byte) uint64 {
+	db.Nation = create(sch.Nation, func(t []byte) uint64 {
 		return NationKey(sch.Nation.GetInt64(t, NNationKey))
 	}, NumNations)
-	db.Region = st.CreateTable(sch.Region, func(t []byte) uint64 {
+	db.Region = create(sch.Region, func(t []byte) uint64 {
 		return RegionKey(sch.Region.GetInt64(t, RRegionKey))
 	}, NumRegions)
 

@@ -24,17 +24,26 @@ const (
 	ProcStockLevel  = "stock_level"
 )
 
-// RegisterProcs installs the five TPC-C transactions on the engine. With
-// constantSize set, New-Order also deletes the order that falls out of a
+// Procs returns the five TPC-C transactions by name. With constantSize
+// set, New-Order also deletes the order that falls out of a
 // per-district sliding window (and its order lines and any new_order
 // entry), keeping the database size constant — the modification the
 // paper makes for the right-hand plots of Fig. 7a.
+func Procs(db *DB, constantSize bool) map[string]oltp.Procedure {
+	return map[string]oltp.Procedure{
+		ProcNewOrder:    db.newOrderProc(constantSize),
+		ProcPayment:     db.payment,
+		ProcOrderStatus: db.orderStatus,
+		ProcDelivery:    db.delivery,
+		ProcStockLevel:  db.stockLevel,
+	}
+}
+
+// RegisterProcs installs Procs(db, constantSize) on the engine.
 func RegisterProcs(e *oltp.Engine, db *DB, constantSize bool) {
-	e.Register(ProcNewOrder, db.newOrderProc(constantSize))
-	e.Register(ProcPayment, db.payment)
-	e.Register(ProcOrderStatus, db.orderStatus)
-	e.Register(ProcDelivery, db.delivery)
-	e.Register(ProcStockLevel, db.stockLevel)
+	for name, p := range Procs(db, constantSize) {
+		e.Register(name, p)
+	}
 }
 
 func (db *DB) newOrderProc(constantSize bool) oltp.Procedure {

@@ -250,14 +250,6 @@ func distColName(d int) string {
 	return "s_dist_" + string(rune('0'+d/10)) + string(rune('0'+d%10))
 }
 
-// All returns every schema in table-ID order.
-func (s *Schemas) All() []*storage.Schema {
-	return []*storage.Schema{
-		s.Warehouse, s.District, s.Customer, s.History, s.NewOrder, s.Order,
-		s.OrderLine, s.Item, s.Stock, s.Supplier, s.Nation, s.Region,
-	}
-}
-
 // ReplicatedTables lists the relations propagated to the OLAP replica:
 // per paper §8.3 those used by the analytical workload — Stock,
 // Customer, Order and OrderLine (about 85% of updated tuples) — plus

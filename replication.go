@@ -65,14 +65,18 @@ func (db *DB) analyticalTables() []TableID {
 }
 
 // attachReplica builds a co-located replica of the analytical tables,
-// attaches it to the primary's update stream and loads the primary's
+// with a PK index on every Replicate table so join probes into the
+// tables that change never need a per-batch hash build, attaches it to the primary's update stream and loads the primary's
 // committed state into it. The feed is attached first, so the replica's
 // VID floor discards the updates the snapshot already contains.
 func (db *DB) attachReplica(partitions int) (*olap.Replica, error) {
 	rep := newReplica(partitions)
 	for _, t := range db.order {
 		if t.opts.Analytical {
-			rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
+			rt := rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
+			if t.opts.Replicate {
+				rt.SetPK(t.OLTP.KeyFn, t.opts.CapacityHint)
+			}
 		}
 	}
 	db.engine.AddSink(rep)
@@ -89,6 +93,7 @@ func (db *DB) attachReplica(partitions int) (*olap.Replica, error) {
 // latency of the online analytical class. It trades memory for
 // isolation, exactly as §7 discusses.
 type WorkloadReplica struct {
+	rep   *olap.Replica
 	sched *olap.Scheduler[*Query, Result]
 }
 
@@ -110,7 +115,7 @@ func (db *DB) AttachWorkloadReplica(workers, partitions int) (*WorkloadReplica, 
 	if err != nil {
 		return nil, err
 	}
-	w := &WorkloadReplica{sched: exec.NewScheduler(rep, db.engine, workers)}
+	w := &WorkloadReplica{rep: rep, sched: exec.NewScheduler(rep, db.engine, workers)}
 	w.sched.RegisterMetrics(db.reg, obs.L("class", fmt.Sprintf("workload-%d", db.wrSeq.Add(1))))
 	w.sched.Start()
 	return w, nil
@@ -131,6 +136,10 @@ func (w *WorkloadReplica) Close() { w.sched.Close() }
 type ReplicaTable struct {
 	Schema       *Schema
 	CapacityHint int
+	// Key, when set, is the relation's primary key (the primary's
+	// KeyFunc): the node keeps a PK index on it, as a local replica does
+	// for every Replicate table.
+	Key KeyFunc
 }
 
 // ReplicaNodeConfig parameterizes a remote OLAP replica node.
@@ -192,7 +201,10 @@ func connectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 		if hint <= 0 {
 			hint = 1024
 		}
-		rep.CreateTable(t.Schema, hint)
+		rt := rep.CreateTable(t.Schema, hint)
+		if t.Key != nil {
+			rt.SetPK(t.Key, hint)
+		}
 	}
 	return node.Connect(primaryAddr, rep, node.Config{
 		Workers:       cfg.Workers,
