@@ -448,7 +448,7 @@ func (db *DB) Start() error {
 		obs.RegisterDurability(db.reg, db.dur.Stats())
 	}
 	if db.cfg.MetricsAddr != "" {
-		srv, err := obs.Serve(db.cfg.MetricsAddr, db.reg)
+		srv, err := obs.Serve(db.cfg.MetricsAddr, db.reg, db.engine.Err)
 		if err != nil {
 			return err
 		}

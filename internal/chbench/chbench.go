@@ -55,18 +55,8 @@ func (g *Gen) Next() *exec.Query {
 	return g.ByName(QueryNames[g.rng.Intn(len(QueryNames))])
 }
 
-// ByName builds a specific query with randomized predicates. Every
-// instance carries its template name as exec.Query.ShareKey: two
-// instances of the same template differ only in predicate constants,
-// which is exactly the interchangeability the batch planner's shared
-// pipelines require.
+// ByName builds a specific query with randomized predicates.
 func (g *Gen) ByName(name string) *exec.Query {
-	q := g.byName(name)
-	q.ShareKey = name
-	return q
-}
-
-func (g *Gen) byName(name string) *exec.Query {
 	switch name {
 	case "Q2":
 		return g.q2()
@@ -281,8 +271,7 @@ func (g *Gen) supplierOfStock(pred func([]byte) bool) exec.Probe {
 // Sums over driver columns are declarative (exec.SumCol) rather than
 // closures: the compiled typed kernel computes the same value, and the
 // declarative form is what lets the encoded-block aggregate kernels
-// answer whole morsels and lets merged cohorts verify aggregate
-// equality structurally.
+// answer whole morsels.
 func (g *Gen) sumOlAmount() exec.AggSpec { return exec.SumCol(tpcc.OLAmount) }
 
 func countStar() exec.AggSpec { return exec.AggSpec{Kind: exec.Count} }

@@ -9,11 +9,12 @@ import (
 )
 
 // Handler returns an http.Handler serving the registry at /metrics in
-// Prometheus text format, a trivial liveness probe at /healthz, and the
-// Go runtime profiles under /debug/pprof/ (CPU, heap, allocs, mutex,
-// goroutine, trace), so "which layer is spending the time" can be
-// answered on a running server.
-func Handler(r *Registry) http.Handler {
+// Prometheus text format, a health probe at /healthz, and the Go runtime
+// profiles under /debug/pprof/ (CPU, heap, allocs, mutex, goroutine,
+// trace), so "which layer is spending the time" can be answered on a
+// running server. /healthz answers 200 "ok" while health (nil: always)
+// returns nil, and 503 with the error's text once it does not.
+func Handler(r *Registry, health func() error) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -21,6 +22,13 @@ func Handler(r *Registry) http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if health != nil {
+			if err := health(); err != nil {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprintln(w, err)
+				return
+			}
+		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -38,18 +46,18 @@ type Server struct {
 	done chan struct{}
 }
 
-// Serve starts an HTTP server for the registry on addr (e.g.
-// "127.0.0.1:9464"; use port 0 to pick a free port). It returns once
-// the listener is bound; serving continues in a background goroutine
-// until Close.
-func Serve(addr string, r *Registry) (*Server, error) {
+// Serve starts an HTTP server for the registry and the health func (see
+// Handler) on addr (e.g. "127.0.0.1:9464"; use port 0 to pick a free
+// port). It returns once the listener is bound; serving continues in a
+// background goroutine until Close.
+func Serve(addr string, r *Registry, health func() error) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("metrics listener: %w", err)
 	}
 	s := &Server{
 		ln:   ln,
-		srv:  &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second},
+		srv:  &http.Server{Handler: Handler(r, health), ReadHeaderTimeout: 5 * time.Second},
 		done: make(chan struct{}),
 	}
 	go func() {

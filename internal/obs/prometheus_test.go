@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -118,7 +120,7 @@ func TestParsePrometheusRejectsInvalid(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("batchdb_http_total", "h").Add(9)
-	ts := httptest.NewServer(Handler(r))
+	ts := httptest.NewServer(Handler(r, nil))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -161,10 +163,39 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// /healthz follows the health func: 200 "ok" while it returns nil, 503
+// with the error's text once it does not.
+func TestHealthzReportsFailure(t *testing.T) {
+	var failed atomic.Bool
+	ts := httptest.NewServer(Handler(NewRegistry(), func() error {
+		if failed.Load() {
+			return errors.New("log write failed")
+		}
+		return nil
+	}))
+	defer ts.Close()
+	get := func() (int, string) {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get(); code != http.StatusOK || body != "ok\n" {
+		t.Fatalf("healthy: status %d body %q", code, body)
+	}
+	failed.Store(true)
+	if code, body := get(); code != http.StatusServiceUnavailable || !strings.Contains(body, "log write failed") {
+		t.Fatalf("failed: status %d body %q", code, body)
+	}
+}
+
 func TestServeLifecycle(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("batchdb_serve_gauge", "").Set(3)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

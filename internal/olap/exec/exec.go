@@ -87,14 +87,14 @@ type Probe struct {
 	// can run the probe as a shared step (planner.go) instead of once per
 	// query and tuple. A non-empty KeyID names the key extractor; From
 	// says where it reads: -1 = the driver tuple only, k = joined[k]
-	// only, k an earlier probe of the same query. It is a promise of the
-	// ShareKey kind: two probes with equal (Table, BuildKeyID, KeyID)
-	// whose From name the same row compute the same key from it, and
-	// ProbeKey touches nothing else — it is called with a nil driver and
-	// only joined[From] set when the engine resolves the step once per
-	// parent row. ProbeKey stays the reference semantics (it is all the
-	// single-system baseline evaluates). The zero KeyID declares nothing:
-	// the probe runs per surviving tuple, shared only inside its cohort.
+	// only, k an earlier probe of the same query. It is a promise: two
+	// probes with equal (Table, BuildKeyID, KeyID) whose From name the
+	// same row compute the same key from it, and ProbeKey touches nothing
+	// else — it is called with a nil driver and only joined[From] set when
+	// the engine resolves the step once per parent row. ProbeKey stays the
+	// reference semantics (it is all the single-system baseline
+	// evaluates). The zero KeyID declares nothing: the probe runs per
+	// surviving tuple of its query.
 	KeyID string
 	From  int
 	// Where declaratively filters the joined tuple: an AND-list compiled
@@ -141,14 +141,6 @@ type Query struct {
 	// reported per group in Result.Groups, with Result.Values/Rows
 	// holding the totals across groups.
 	GroupBy []GroupCol
-	// ShareKey opts the query into batch-planner pipeline merging:
-	// queries with equal non-empty ShareKeys promise that their
-	// BuildKey/ProbeKey/aggregate closures are interchangeable (same
-	// template, differing only in predicate constants, residual
-	// filters, and group-by prefix depth), so the planner may run them
-	// as one cohort that pays the probe chain and summand extraction
-	// once per tuple. Empty (the default) never merges.
-	ShareKey string
 }
 
 // Result carries one query's aggregate outputs, in AggSpec order.
@@ -578,11 +570,10 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 }
 
 // scanDriver plans and executes one driver table's share of the batch:
-// every query is compiled to its plan (plan.go), the batch planner
-// merges plans into cohorts and co-schedules the cohorts into scan
-// passes (planner.go), and each pass runs the morsel-driven shared
-// scan (scanPass). A compile error fails only that query; the rest of
-// the batch proceeds without it.
+// every query is compiled to its plan (plan.go) and the plans run in one
+// morsel-driven shared scan pass (scanPass) over the step forest the
+// batch planner compiles (planner.go). A compile error fails only that
+// query; the rest of the batch proceeds without it.
 func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepared map[buildID]*source, scanNS, mergeNS *int64) {
 	t := sv.Table(qs[0].Driver)
 	if t == nil {
@@ -599,29 +590,15 @@ func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepar
 			plans = append(plans, p)
 		}
 	}
-	if len(plans) == 0 {
-		return
-	}
-	cohorts := formCohorts(plans)
-	if e.stats != nil {
-		for _, c := range cohorts {
-			if len(c.members) > 1 {
-				e.stats.ExecCohortsShared.Inc()
-				e.stats.ExecQueriesShared.Add(uint64(len(c.members)))
-			}
-		}
-	}
-	for _, sg := range e.formScanGroups(t, cohorts) {
-		e.scanPass(t, sg, scanNS, mergeNS)
+	if len(plans) > 0 {
+		e.scanPass(t, newScanGroup(plans), scanNS, mergeNS)
 	}
 }
 
-// gacc accumulates one group key's per-member aggregate lanes inside a
-// cohort: rows[mi] and vals[mi*naggs+ai] belong to member mi. Workers
-// accumulate at the cohort's finest group-by arity; coarser members
-// are rolled up to their own arity at merge time.
+// gacc accumulates one group of one query: its row count and its
+// aggregate lanes in AggSpec order.
 type gacc struct {
-	rows []int64
+	rows int64
 	vals []float64
 }
 
@@ -671,30 +648,30 @@ func (m *vmask) count() (n int) {
 
 // passWorker is one worker's state for one scan pass: its partial
 // aggregates, the verdicts of the morsel it holds, and the vectors of
-// the tuples it is working on.
+// the tuples it is working on. Everything per query is indexed like
+// scanGroup.plans.
 type passWorker struct {
 	sg *scanGroup
 
 	vals [][]float64
 	rows []int64
-	// groups[ci] is cohort ci's group map (nil until first hit, and
-	// always nil for ungrouped cohorts).
+	// groups[qi] is query qi's group map (nil until first hit, and
+	// always nil for ungrouped queries).
 	groups []map[groupKey]*gacc
-	// aggScratch holds the representative's summands for the tuple (and
-	// the aggregate kernels' block sums), extracted once per cohort and
-	// fanned out to the live members.
+	// aggScratch holds the aggregate kernels' block sums for one query
+	// until all of them are served.
 	aggScratch []float64
 
-	// Per morsel: active holds the per-member block verdicts; qvec marks
-	// members whose Where was evaluated on the encoded blocks (sel[fi]
-	// then holds the exact bitmap); aggDone marks members the aggregate
+	// Per morsel: active holds the per-query block verdicts; qvec marks
+	// queries whose Where was evaluated on the encoded blocks (sel[qi]
+	// then holds the exact bitmap); aggDone marks queries the aggregate
 	// kernels already answered.
 	active, qvec, aggDone []bool
 	sel                   [][]uint64
 	union                 []uint64
 
 	// Per vector: slots are the tuples (slot numbers in the morsel's
-	// partition); live[fi] marks those member fi still wants; rids[ord]
+	// partition); live[qi] marks those query qi still wants; rids[ord]
 	// holds, for root step ord, the id plus one of the row each tuple
 	// matched (stale where no user of the step wanted the tuple).
 	slots [vecSize]int32
@@ -702,12 +679,11 @@ type passWorker struct {
 	live  []vmask
 	rids  [][]uint32
 
-	// Per tuple, in the walk: liveNow is the member mask, chain[pi] the
-	// id plus one of the row matched at probe pi, joined the rows asked
-	// for (cohort.needRow; nil elsewhere).
-	liveNow []bool
-	chain   []uint32
-	joined  [][]byte
+	// Per tuple, in the walk: chain[pi] is the id plus one of the row
+	// matched at probe pi, joined the rows asked for (qplan.needRow; nil
+	// elsewhere).
+	chain  []uint32
+	joined [][]byte
 
 	// Stats, summed into the engine counters at merge. pendingLive
 	// counts live tuples in scanned morsels and offered the tuples that
@@ -721,47 +697,46 @@ type passWorker struct {
 
 func (w *passWorker) init() {
 	sg := w.sg
-	nm := len(sg.flat)
-	w.vals = make([][]float64, nm)
-	w.rows = make([]int64, nm)
+	nq := len(sg.plans)
+	w.vals = make([][]float64, nq)
+	w.rows = make([]int64, nq)
 	nprobes := 0
-	for fi, p := range sg.flat {
-		w.vals[fi] = make([]float64, len(p.q.Aggs))
+	for qi, p := range sg.plans {
+		w.vals[qi] = make([]float64, len(p.q.Aggs))
 		nprobes = max(nprobes, len(p.q.Probes))
 	}
-	w.groups = make([]map[groupKey]*gacc, len(sg.cohorts))
+	w.groups = make([]map[groupKey]*gacc, nq)
 	w.aggScratch = make([]float64, sg.naggsMax)
-	w.active = make([]bool, nm)
-	w.qvec = make([]bool, nm)
-	w.aggDone = make([]bool, nm)
-	w.live = make([]vmask, nm)
+	w.active = make([]bool, nq)
+	w.qvec = make([]bool, nq)
+	w.aggDone = make([]bool, nq)
+	w.live = make([]vmask, nq)
 	w.rids = make([][]uint32, len(sg.roots))
 	for ord := range w.rids {
 		w.rids[ord] = make([]uint32, vecSize)
 	}
-	w.liveNow = make([]bool, nm)
 	w.chain = make([]uint32, nprobes)
 	w.joined = make([][]byte, 0, nprobes)
 }
 
-// scanPass performs one shared morsel-driven scan over the driver
-// table for the scan group's cohorts. Per morsel, each member gets a
-// zone-map verdict; a morsel every member's AND-list disproves is
-// skipped whole. Members the encoded blocks can serve exactly get
+// scanPass performs the one shared morsel-driven scan over the driver
+// table for the scan group's queries. Per morsel, each query gets a
+// zone-map verdict; a morsel every query's AND-list disproves is
+// skipped whole. Queries the encoded blocks can serve exactly get
 // selection bitmaps (FilterRange), and pure driver-side aggregations
 // whose bitmap covers every tuple are answered outright by the
 // encoded-block aggregate kernels without materializing a row. The
 // surviving tuples are taken a vector at a time through the pass's step
-// forest (passWorker.vector): per-member driver predicates, the root
-// steps' lookups with each member's folded bitmaps, and per cohort the
-// walk, summand extraction and accumulation into the members' scalar
-// lanes or the cohort's group map. Per-worker partials merge at the
-// end; scan and merge wall times accumulate into scanNS/mergeNS.
+// forest (passWorker.vector): per-query driver predicates, the root
+// steps' lookups with each query's folded bitmaps, and per query the
+// walk, summand extraction and accumulation into its scalar lanes or
+// its group map. Per-worker partials merge at the end; scan and merge
+// wall times accumulate into scanNS/mergeNS.
 //
 // Pruned-tuple accounting is exact: every scan pass attributes each
 // live tuple to exactly one of offered-to-the-vectors, answered by the
 // aggregate kernels, or pruned — so ExecTuplesPruned ≡ live − offered
-// − answered per pass, never double-counting a tuple that both a
+// − answered, never double-counting a tuple that both a
 // zone-map verdict and an empty FilterRange bitmap rejected.
 func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) {
 	t0 := time.Now()
@@ -793,22 +768,14 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 		if w.sg == nil {
 			continue
 		}
-		for fi, pl := range sg.flat {
-			pl.r.Rows += w.rows[fi]
-			for ai := range w.vals[fi] {
-				pl.r.Values[ai] += w.vals[fi][ai]
+		for qi, p := range sg.plans {
+			p.r.Rows += w.rows[qi]
+			for ai := range w.vals[qi] {
+				p.r.Values[ai] += w.vals[qi][ai]
 			}
 		}
 	}
-	e.mergeGroups(sg, func(ci int) []map[groupKey]*gacc {
-		out := make([]map[groupKey]*gacc, 0, len(workers))
-		for wi := range workers {
-			if workers[wi].groups != nil {
-				out = append(out, workers[wi].groups[ci])
-			}
-		}
-		return out
-	})
+	mergeGroups(sg, workers)
 	if e.stats != nil {
 		e.stats.ExecBlocksScanned.Add(uint64(bScan))
 		e.stats.ExecBlocksSkipped.Add(uint64(bSkip))
@@ -828,17 +795,17 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 // aggregates — and runs the tuples that remain through vector.
 func (w *passWorker) morsel(m morsel) {
 	sg := w.sg
-	// Block verdicts: offer this morsel's tuples only to members whose
+	// Block verdicts: offer this morsel's tuples only to queries whose
 	// pushed-down ranges the block synopses cannot disprove.
 	any := false
-	for fi, p := range sg.flat {
+	for qi, p := range sg.plans {
 		a := true
 		if len(p.ranges) > 0 {
 			a = m.part.RangeMayMatch(m.lo, m.hi, p.ranges)
 		}
-		w.active[fi] = a
-		w.aggDone[fi] = false
-		w.qvec[fi] = false
+		w.active[qi] = a
+		w.aggDone[qi] = false
+		w.qvec[qi] = false
 		any = any || a
 	}
 	if !any {
@@ -850,18 +817,18 @@ func (w *passWorker) morsel(m morsel) {
 	words := (m.hi - m.lo + 63) >> 6
 	if (sg.anyRanges || sg.anyVecAgg) && len(w.union) < words {
 		w.union = make([]uint64, words)
-		w.sel = make([][]uint64, len(sg.flat))
-		for fi := range w.sel {
-			w.sel[fi] = make([]uint64, words)
+		w.sel = make([][]uint64, len(sg.plans))
+		for qi := range w.sel {
+			w.sel[qi] = make([]uint64, words)
 		}
 	}
-	// Vectorized predicates: translate each active member's pushed-down
+	// Vectorized predicates: translate each active query's pushed-down
 	// ranges into an exact per-slot bitmap on the encoded vectors.
-	// Members the encoded path cannot serve keep their kernels.
+	// Queries the encoded path cannot serve keep their kernels.
 	if sg.anyRanges {
-		for fi, p := range sg.flat {
-			w.qvec[fi] = w.active[fi] && len(p.ranges) > 0 &&
-				m.part.FilterRange(m.lo, m.hi, p.ranges, w.sel[fi][:words])
+		for qi, p := range sg.plans {
+			w.qvec[qi] = w.active[qi] && len(p.ranges) > 0 &&
+				m.part.FilterRange(m.lo, m.hi, p.ranges, w.sel[qi][:words])
 		}
 	}
 	// Aggregate kernels: a pure driver-side aggregation whose selection
@@ -870,11 +837,11 @@ func (w *passWorker) morsel(m morsel) {
 	// counters, sums from the packed runs — without materializing a
 	// single row.
 	if sg.anyVecAgg {
-		for fi, p := range sg.flat {
-			if !w.active[fi] || !p.vecAgg {
+		for qi, p := range sg.plans {
+			if !w.active[qi] || !p.vecAgg {
 				continue
 			}
-			if len(p.ranges) > 0 && (!w.qvec[fi] || !allSet(w.sel[fi][:words], m.hi-m.lo)) {
+			if len(p.ranges) > 0 && (!w.qvec[qi] || !allSet(w.sel[qi][:words], m.hi-m.lo)) {
 				continue
 			}
 			ok := true
@@ -893,31 +860,31 @@ func (w *passWorker) morsel(m morsel) {
 				continue
 			}
 			live := int64(m.part.LiveInRange(m.lo, m.hi))
-			w.rows[fi] += live
+			w.rows[qi] += live
 			for ai := range p.q.Aggs {
 				if p.q.Aggs[ai].Kind == Sum {
-					w.vals[fi][ai] += w.aggScratch[ai]
+					w.vals[qi][ai] += w.aggScratch[ai]
 				} else {
-					w.vals[fi][ai] += float64(live)
+					w.vals[qi][ai] += float64(live)
 				}
 			}
-			w.aggDone[fi] = true
+			w.aggDone[qi] = true
 			w.blocksAggVec++
 		}
 		any = false
-		for fi := range sg.flat {
-			if w.active[fi] && !w.aggDone[fi] {
+		for qi := range sg.plans {
+			if w.active[qi] && !w.aggDone[qi] {
 				any = true
 				break
 			}
 		}
 		if !any {
-			// Every active member answered from the encoded blocks: the
+			// Every active query answered from the encoded blocks: the
 			// morsel's tuples were consumed, not pruned.
 			return
 		}
 	}
-	// Union bitmap: when every remaining member has an exact bitmap,
+	// Union bitmap: when every remaining query has an exact bitmap,
 	// materialize only the union of their survivors. An empty union
 	// finishes the morsel — its live tuples count as pruned (each
 	// attributed once, whatever combination of verdicts and bitmaps
@@ -925,8 +892,8 @@ func (w *passWorker) morsel(m morsel) {
 	var sel []uint64
 	if sg.anyRanges {
 		allVec := true
-		for fi := range sg.flat {
-			if w.active[fi] && !w.aggDone[fi] && !w.qvec[fi] {
+		for qi := range sg.plans {
+			if w.active[qi] && !w.aggDone[qi] && !w.qvec[qi] {
 				allVec = false
 				break
 			}
@@ -937,9 +904,9 @@ func (w *passWorker) morsel(m morsel) {
 			anyBit := uint64(0)
 			for wd := range sel {
 				sel[wd] = 0
-				for fi := range sg.flat {
-					if w.qvec[fi] && w.active[fi] && !w.aggDone[fi] {
-						sel[wd] |= w.sel[fi][wd]
+				for qi := range sg.plans {
+					if w.qvec[qi] && w.active[qi] && !w.aggDone[qi] {
+						sel[wd] |= w.sel[qi][wd]
 					}
 				}
 				anyBit |= sel[wd]
@@ -971,18 +938,18 @@ func (w *passWorker) vector(m morsel, n int) {
 	sg, part := w.sg, m.part
 	slots := w.slots[:n]
 
-	// Driver predicates: each member's selection bitmap, typed kernel
+	// Driver predicates: each query's selection bitmap, typed kernel
 	// and residual closure decide which tuples it wants.
 	all := firstN(n)
-	for fi, p := range sg.flat {
-		lv := &w.live[fi]
+	for qi, p := range sg.plans {
+		lv := &w.live[qi]
 		switch {
-		case !w.active[fi] || w.aggDone[fi]:
+		case !w.active[qi] || w.aggDone[qi]:
 			*lv = vmask{}
 			continue
-		case w.qvec[fi]:
+		case w.qvec[qi]:
 			*lv = vmask{}
-			sel := w.sel[fi]
+			sel := w.sel[qi]
 			for i, slot := range slots {
 				off := uint(int(slot) - m.lo)
 				lv[i>>6] |= (sel[off>>6] >> (off & 63) & 1) << (uint(i) & 63)
@@ -1009,15 +976,15 @@ func (w *passWorker) vector(m morsel, n int) {
 		}
 	}
 
-	// Root steps, in forest order: one lookup per tuple that some member
+	// Root steps, in forest order: one lookup per tuple that some query
 	// holding the step still wants — a tight loop of independent key
-	// computations and lookups — then each such member keeps the tuples
-	// whose row its fold passes. A tuple every interested member has
+	// computations and lookups — then each such query keeps the tuples
+	// whose row its fold passes. A tuple every interested query has
 	// dropped by the time a step runs is never looked up there.
 	for _, st := range sg.roots {
 		var need vmask
 		for _, u := range st.users {
-			need.or(&w.live[u.fi])
+			need.or(&w.live[u.qi])
 		}
 		cnt := need.count()
 		if cnt == 0 {
@@ -1051,7 +1018,7 @@ func (w *passWorker) vector(m morsel, n int) {
 			}
 		}
 		for _, u := range st.users {
-			lv := &w.live[u.fi]
+			lv := &w.live[u.qi]
 			for wd, word := range lv {
 				for ; word != 0; word &= word - 1 {
 					i := wd<<6 + bits.TrailingZeros64(word)
@@ -1063,61 +1030,43 @@ func (w *passWorker) vector(m morsel, n int) {
 		}
 	}
 
-	// Cohorts: what survives for any member is walked (if the cohort has
-	// anything left to resolve per tuple), its summands and group key are
-	// extracted once from the representative, and fanned out to the
-	// members it survives for.
-	for ci, c := range sg.cohorts {
-		base := sg.off[ci]
-		members := c.members
-		var any vmask
-		for mi := range members {
-			any.or(&w.live[base+mi])
-		}
-		rep := members[0]
-		naggs := len(rep.q.Aggs)
-		for wd, word := range any {
+	// Queries: each walks the tuples that survive for it (if it has
+	// anything left to resolve per tuple), extracts their summands and
+	// group key, and accumulates.
+	for qi, p := range sg.plans {
+		for wd, word := range w.live[qi] {
 			for ; word != 0; word &= word - 1 {
 				i := wd<<6 + bits.TrailingZeros64(word)
 				tup := part.Tuple(slots[i])
-				for mi := range members {
-					w.liveNow[base+mi] = w.live[base+mi][wd]>>(uint(i)&63)&1 == 1
-				}
-				if c.walk && !w.walk(c, base, i, tup) {
+				if p.walk && !w.walk(p, i, tup) {
 					continue
 				}
-				for ai := 0; ai < naggs; ai++ {
-					if rep.q.Aggs[ai].Kind == Sum {
-						w.aggScratch[ai] = rep.aggOf[ai](tup, w.joined)
+				vals := w.vals[qi]
+				if len(p.groupOf) == 0 {
+					w.rows[qi]++
+				} else {
+					var key groupKey
+					for gi, fn := range p.groupOf {
+						key[gi] = fn(tup, w.joined)
 					}
-				}
-				if c.ngroup == 0 {
-					for mi := range members {
-						if w.liveNow[base+mi] {
-							w.rows[base+mi]++
-							w.accumulate(rep, w.vals[base+mi])
-						}
+					g := w.groups[qi]
+					if g == nil {
+						g = make(map[groupKey]*gacc)
+						w.groups[qi] = g
 					}
-					continue
+					acc := g[key]
+					if acc == nil {
+						acc = &gacc{vals: make([]float64, len(p.q.Aggs))}
+						g[key] = acc
+					}
+					acc.rows++
+					vals = acc.vals
 				}
-				var key groupKey
-				for gi, fn := range rep.groupOf {
-					key[gi] = fn(tup, w.joined)
-				}
-				g := w.groups[ci]
-				if g == nil {
-					g = make(map[groupKey]*gacc)
-					w.groups[ci] = g
-				}
-				acc := g[key]
-				if acc == nil {
-					acc = &gacc{rows: make([]int64, len(members)), vals: make([]float64, len(members)*naggs)}
-					g[key] = acc
-				}
-				for mi := range members {
-					if w.liveNow[base+mi] {
-						acc.rows[mi]++
-						w.accumulate(rep, acc.vals[mi*naggs:])
+				for ai, fn := range p.aggOf {
+					if fn != nil {
+						vals[ai] += fn(tup, w.joined)
+					} else {
+						vals[ai]++ // Count
 					}
 				}
 			}
@@ -1125,36 +1074,22 @@ func (w *passWorker) vector(m morsel, n int) {
 	}
 }
 
-// accumulate adds the tuple's summands (w.aggScratch, the cohort
-// representative rep's) into one member's aggregate lanes.
-func (w *passWorker) accumulate(rep *qplan, vals []float64) {
-	for ai := range rep.q.Aggs {
-		if rep.q.Aggs[ai].Kind == Sum {
-			vals[ai] += w.aggScratch[ai]
-		} else {
-			vals[ai]++
-		}
-	}
-}
-
-// walk finishes tuple i of the vector for cohort c, whose members start
-// at flat index base and survive as w.liveNow says: in chain order it
+// walk finishes tuple i of the vector for plan p: in chain order it
 // recovers each probe's matched row id — a root step's from the vector,
 // a linked step's through the links, a tail step's by the lookup the
-// scan has not made yet — materializes the rows the cohort asked for
-// into w.joined, and applies what is still per hit: tail steps' filters
-// and filters too large to keep as bitmaps. It reports whether any
-// member survives.
-func (w *passWorker) walk(c *cohort, base, i int, tup []byte) bool {
-	rep := c.members[0]
+// scan has not made yet — materializes the rows the plan asked for into
+// w.joined, and applies what is still per hit: tail steps' filters and
+// filters too large to keep as bitmaps. It reports whether the tuple
+// survives.
+func (w *passWorker) walk(p *qplan, i int, tup []byte) bool {
 	w.joined = w.joined[:0]
-	for pi, st := range rep.steps {
+	for pi, st := range p.steps {
 		var rid uint32
 		switch st.kind {
 		case rootStep:
 			rid = w.rids[st.ord][i]
 		case linkedStep:
-			rid = st.link.to[w.chain[rep.q.Probes[pi].From]-1]
+			rid = st.link.to[w.chain[p.q.Probes[pi].From]-1]
 		default:
 			w.probeLookups++
 			if rid = st.src.find(st.key(tup, w.joined)); rid == 0 {
@@ -1163,26 +1098,16 @@ func (w *passWorker) walk(c *cohort, base, i int, tup []byte) bool {
 		}
 		w.chain[pi] = rid
 		var row []byte
-		if c.needRow[pi] {
+		if p.needRow[pi] {
 			row = st.src.row(rid - 1)
 		}
-		if c.perHit[pi] {
-			any := false
-			for mi, m := range c.members {
-				if !w.liveNow[base+mi] {
-					continue
+		if p.perHit[pi] {
+			if lk := &p.lookups[pi]; lk.bits == nil {
+				w.predEvals++
+				if !lk.pred(row) {
+					return false
 				}
-				ok := true
-				if lk := &m.lookups[pi]; lk.bits == nil && lk.pred != nil {
-					w.predEvals++
-					ok = lk.pred(row)
-				} else if lk.bits != nil && st.kind == tailStep {
-					ok = hasBit(lk.bits, rid-1)
-				}
-				w.liveNow[base+mi] = ok
-				any = any || ok
-			}
-			if !any {
+			} else if !hasBit(lk.bits, rid-1) {
 				return false
 			}
 		}
@@ -1191,92 +1116,47 @@ func (w *passWorker) walk(c *cohort, base, i int, tup []byte) bool {
 	return true
 }
 
-// mergeGroups combines the workers' per-cohort group maps at the
-// finest arity, rolls every member up to its own group-by prefix, and
-// emits each member's Groups sorted by key, with its Values/Rows set
-// to the totals. A member of a grouped cohort with no GroupBy of its
-// own (the empty prefix) receives totals only — identical to running
-// it alone as a scalar query.
-func (e *Engine) mergeGroups(sg *scanGroup, workerMaps func(ci int) []map[groupKey]*gacc) {
-	for ci, c := range sg.cohorts {
-		if c.ngroup == 0 {
+// mergeGroups combines the workers' group maps of each grouped query
+// and emits its Groups sorted by key, with its Values/Rows set to the
+// totals.
+func mergeGroups(sg *scanGroup, workers []passWorker) {
+	for qi, p := range sg.plans {
+		arity := len(p.groupOf)
+		if arity == 0 {
 			continue
 		}
-		nmem := len(c.members)
-		naggs := len(c.members[0].q.Aggs)
 		merged := make(map[groupKey]*gacc)
-		for _, g := range workerMaps(ci) {
-			for key, acc := range g {
+		for wi := range workers {
+			if workers[wi].groups == nil {
+				continue
+			}
+			for key, acc := range workers[wi].groups[qi] {
 				dst := merged[key]
 				if dst == nil {
-					dst = &gacc{rows: make([]int64, nmem), vals: make([]float64, nmem*naggs)}
-					merged[key] = dst
+					merged[key] = acc
+					continue
 				}
-				for mi := 0; mi < nmem; mi++ {
-					dst.rows[mi] += acc.rows[mi]
-					for ai := 0; ai < naggs; ai++ {
-						dst.vals[mi*naggs+ai] += acc.vals[mi*naggs+ai]
-					}
+				dst.rows += acc.rows
+				for ai, v := range acc.vals {
+					dst.vals[ai] += v
 				}
 			}
 		}
-		for mi, m := range c.members {
-			arity := m.narity()
-			if arity == 0 {
-				for _, acc := range merged {
-					m.r.Rows += acc.rows[mi]
-					for ai := 0; ai < naggs; ai++ {
-						m.r.Values[ai] += acc.vals[mi*naggs+ai]
-					}
-				}
-				continue
-			}
-			// Roll up to the member's own arity; groups the member never
-			// matched (rows 0 — its lanes were only ever written together
-			// with rows) belong to other members and are dropped.
-			rolled := make(map[groupKey]*gacc)
-			for key, acc := range merged {
-				if acc.rows[mi] == 0 {
-					continue
-				}
-				var pk groupKey
-				copy(pk[:arity], key[:arity])
-				ra := rolled[pk]
-				if ra == nil {
-					ra = &gacc{rows: make([]int64, 1), vals: make([]float64, naggs)}
-					rolled[pk] = ra
-				}
-				ra.rows[0] += acc.rows[mi]
-				for ai := 0; ai < naggs; ai++ {
-					ra.vals[ai] += acc.vals[mi*naggs+ai]
-				}
-			}
-			keys := make([]groupKey, 0, len(rolled))
-			for k := range rolled {
-				keys = append(keys, k)
-			}
-			slices.SortFunc(keys, func(a, b groupKey) int {
-				for i := 0; i < arity; i++ {
-					if a[i] != b[i] {
-						if a[i] < b[i] {
-							return -1
-						}
-						return 1
-					}
-				}
-				return 0
+		keys := make([]groupKey, 0, len(merged))
+		for k := range merged {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, func(a, b groupKey) int { return slices.Compare(a[:], b[:]) })
+		for _, k := range keys {
+			acc := merged[k]
+			p.r.Groups = append(p.r.Groups, GroupResult{
+				Key:    append([]int64(nil), k[:arity]...),
+				Values: acc.vals,
+				Rows:   acc.rows,
 			})
-			for _, k := range keys {
-				ra := rolled[k]
-				m.r.Groups = append(m.r.Groups, GroupResult{
-					Key:    append([]int64(nil), k[:arity]...),
-					Values: ra.vals,
-					Rows:   ra.rows[0],
-				})
-				m.r.Rows += ra.rows[0]
-				for ai := range ra.vals {
-					m.r.Values[ai] += ra.vals[ai]
-				}
+			p.r.Rows += acc.rows
+			for ai, v := range acc.vals {
+				p.r.Values[ai] += v
 			}
 		}
 	}

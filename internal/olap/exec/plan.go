@@ -1,11 +1,11 @@
 // The logical-plan layer (ROADMAP item 5): every Query is compiled
 // into a qplan — the scan → predicate → join-chain → group-by/aggregate
 // pipeline in executable form — before the batch planner (planner.go)
-// decides which plans merge into shared pipelines and how the scan
-// passes are co-scheduled. Keeping compilation separate from cohort
-// formation is what makes sharing semantically invisible: a merged
-// cohort runs the same compiled kernels, lookups and extractors its
-// members would run alone, just arranged so common work happens once.
+// compiles the pass's plans into one step forest. Keeping compilation
+// separate from step sharing is what makes sharing semantically
+// invisible: a query in a batch runs the same compiled kernels, lookups
+// and extractors it would run alone, with the lookups it declares
+// common made once.
 package exec
 
 import (
@@ -21,7 +21,7 @@ import (
 const MaxGroupCols = 4
 
 // groupKey is the fixed-size exact group-by key; only the first
-// ngroup lanes of a cohort are populated, the rest stay zero.
+// len(GroupBy) lanes are populated, the rest stay zero.
 type groupKey [MaxGroupCols]int64
 
 // GroupCol names one group-by column: From selects the tuple it is
@@ -219,9 +219,8 @@ func hasBit(bm []uint64, i uint32) bool { return bm[i>>6]>>(i&63)&1 == 1 }
 
 // qplan is one query compiled against its driver table: predicate
 // kernels and their synopsis form, resolved probe lookups, group-key
-// and aggregate extractors. The planner merges qplans into cohorts and
-// compiles each scan pass's cohorts into one step forest; the scan
-// passes execute them.
+// and aggregate extractors. The planner compiles a driver's plans into
+// one step forest; the scan pass executes them.
 type qplan struct {
 	q *Query
 	r *Result
@@ -232,8 +231,18 @@ type qplan struct {
 	lookups []lookup
 
 	// steps[pi] is the step of the pass's forest that probe pi runs as
-	// (planner.go); the members of a cohort share their representative's.
+	// (planner.go).
 	steps []*step
+
+	// What the scan still does per surviving tuple, after the root steps
+	// and the folded bitmaps have decided which tuples survive (set by
+	// planWalk): needRow[pi] asks for probe pi's matched row in
+	// joined[pi] — a group-by column, a closure summand, a tail step's
+	// key or a per-hit filter reads it — and perHit[pi] says a filter is
+	// still to apply at pi. walk is false when neither is set anywhere:
+	// the tuple goes straight to aggregation.
+	walk            bool
+	needRow, perHit []bool
 
 	// groupOf extracts each GroupBy column's ord key from the surviving
 	// (driver, joined) combination, in GroupBy order.
@@ -250,9 +259,6 @@ type qplan struct {
 	// residual filter, no grouping) whose sums are all declarative.
 	vecAgg bool
 }
-
-// narity returns the plan's group-by arity.
-func (p *qplan) narity() int { return len(p.q.GroupBy) }
 
 // compilePlan lowers q to its executable form against driver table t
 // (the pinned snapshot's view; live is its live-tuple count), resolving

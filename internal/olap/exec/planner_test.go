@@ -83,9 +83,8 @@ func evalRef(f *fixture, rq refQuery) *refResult {
 	return res
 }
 
-// buildRefQuery lowers a refQuery to the executable form, tagging every
-// instance with one ShareKey so the planner may merge them.
-func buildRefQuery(f *fixture, rq refQuery, shareKey string) *Query {
+// buildRefQuery lowers a refQuery to the executable form.
+func buildRefQuery(f *fixture, rq refQuery) *Query {
 	var q *Query
 	if rq.reg >= 0 {
 		q = f.regionQuery(rq.reg)
@@ -99,7 +98,6 @@ func buildRefQuery(f *fixture, rq refQuery, shareKey string) *Query {
 			},
 		}
 	}
-	q.ShareKey = shareKey
 	q.Where = []Pred{BetweenInt(0, rq.idLo, rq.idHi)}
 	switch rq.groupN {
 	case 1:
@@ -183,29 +181,27 @@ func compareResults(t *testing.T, label string, shared, private []Result) {
 // TestPlannerShareParity is the randomized sharing property test:
 // seeded batches of 1 to 14 queries mixing three templates — a plain
 // scan, the region join with a probe that declares nothing (a tail step
-// of its cohort) and the same join declared (one root step for the whole
-// pass) — under every overlap regime — shared scan only (unique share
-// keys), shared pipeline (one key per template, group-by arities 0/1/2)
-// and both mixed — must produce, at 1, 2, 4 and NumCPU workers, the
-// rows/groups each query produces when it runs alone (a batch of one,
-// which has nobody to share with). Each query is also checked against a
-// from-scratch reference evaluation over the raw rows (the part
-// internal/baseline plays for the CH templates in chbench's parity
-// test), so the sides of the parity can't be wrong together.
+// of its query) and the same join declared (one root step for the whole
+// pass) — with group-by arities 0/1/2 must produce, at 1, 2, 4 and
+// NumCPU workers, the rows/groups each query produces when it runs
+// alone (a batch of one, which has nobody to share with). Each query is
+// also checked against a from-scratch reference evaluation over the raw
+// rows (the part internal/baseline plays for the CH templates in
+// chbench's parity test), so the sides of the parity can't be wrong
+// together. Where two declared queries want a driver tuple in common,
+// the batch must make fewer probe lookups than its queries alone — the
+// shared step is what the parity is about, so it must have run.
 func TestPlannerShareParity(t *testing.T) {
 	f := buildFixture(t, 4, 3000, 150)
 	rng := rand.New(rand.NewSource(99))
-	regimes := []string{"sharedKey", "uniqueKeys", "mixed"}
 	templates := []string{"scan", "probe", "declared"}
+	sharedTrials := 0
 	for trial := 0; trial < 9; trial++ {
-		regime := regimes[trial%len(regimes)]
 		n := 1 + rng.Intn(14)
 		rqs := make([]refQuery, n)
 		tmpl := make([]string, n)
-		perTemplate := map[string]int{}
 		for i := range rqs {
 			tmpl[i] = templates[rng.Intn(len(templates))]
-			perTemplate[tmpl[i]]++
 			lo := 1 + rng.Int63n(2000)
 			rqs[i] = refQuery{reg: rng.Int63n(5), idLo: lo, idHi: lo + 200 + rng.Int63n(1500), groupN: rng.Intn(3)}
 			if tmpl[i] == "scan" {
@@ -213,11 +209,7 @@ func TestPlannerShareParity(t *testing.T) {
 			}
 		}
 		mkQuery := func(i int) *Query {
-			key := tmpl[i] // one pipeline per template, as chbench's ShareKeys are
-			if regime == "uniqueKeys" || (regime == "mixed" && i%2 == 1) {
-				key = fmt.Sprintf("solo-%d", i)
-			}
-			q := buildRefQuery(f, rqs[i], key)
+			q := buildRefQuery(f, rqs[i])
 			if tmpl[i] == "declared" {
 				q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
 			}
@@ -231,8 +223,25 @@ func TestPlannerShareParity(t *testing.T) {
 			return batch
 		}
 		alone := make([]Result, n)
+		var aloneLookups uint64
 		for i := range alone {
-			alone[i] = NewEngine(f.replica, 1).RunBatch([]*Query{mkQuery(i)}, 0)[0]
+			e := NewEngine(f.replica, 1)
+			var st olap.SchedulerStats
+			e.AttachStats(&st)
+			alone[i] = e.RunBatch([]*Query{mkQuery(i)}, 0)[0]
+			aloneLookups += st.ExecProbeLookups.Load()
+		}
+		// Declared queries with overlapping id ranges want common driver
+		// tuples, which their shared root step looks up once.
+		common := false
+		for i := range rqs {
+			for j := i + 1; j < n; j++ {
+				common = common || (tmpl[i] == "declared" && tmpl[j] == "declared" &&
+					rqs[i].idLo <= rqs[j].idHi && rqs[j].idLo <= rqs[i].idHi)
+			}
+		}
+		if common {
+			sharedTrials++
 		}
 		for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
 			e := NewEngine(f.replica, workers)
@@ -241,59 +250,27 @@ func TestPlannerShareParity(t *testing.T) {
 			e.AttachStats(&st)
 			shared := e.RunBatch(mkBatch(), 0)
 
-			label := fmt.Sprintf("trial=%d regime=%s n=%d workers=%d", trial, regime, n, workers)
+			label := fmt.Sprintf("trial=%d n=%d workers=%d", trial, n, workers)
 			compareResults(t, label+" batch/alone", shared, alone)
 			for i := range shared {
 				checkAgainstRef(t, fmt.Sprintf("%s query=%d", label, i), f, rqs[i], &shared[i])
 			}
-			canMerge := perTemplate["scan"] > 1 || perTemplate["probe"] > 1 || perTemplate["declared"] > 1
-			if regime == "sharedKey" && canMerge && st.ExecQueriesShared.Load() == 0 {
-				t.Fatalf("%s: no queries merged — sharing parity is vacuous", label)
+			if l := st.ExecProbeLookups.Load(); common && l >= aloneLookups {
+				t.Fatalf("%s: %d probe lookups in the batch, %d alone — the declared step was not shared", label, l, aloneLookups)
 			}
 		}
 	}
-}
-
-// TestFormCohorts pins the merge rules: same non-empty ShareKey with a
-// compatible shape merges (finest group-by first), everything else
-// stays solo, and a batch with nothing to share is all singletons.
-func TestFormCohorts(t *testing.T) {
-	mk := func(key string, naggs int, groupBy ...GroupCol) *qplan {
-		aggs := make([]AggSpec, naggs)
-		for i := range aggs {
-			aggs[i] = AggSpec{Kind: Count}
-		}
-		return &qplan{q: &Query{ShareKey: key, Aggs: aggs, GroupBy: groupBy}}
-	}
-	a := mk("k", 1)
-	b := mk("k", 1, GroupCol{From: -1, Col: 1})
-	c := mk("k", 1, GroupCol{From: -1, Col: 1}, GroupCol{From: -1, Col: 2})
-	diverge := mk("k", 1, GroupCol{From: -1, Col: 3}) // not a prefix of b/c
-	otherKey := mk("other", 1)
-	noKey := mk("", 1)
-	wrongAggs := mk("k", 2)
-
-	cohorts := formCohorts([]*qplan{a, b, c, diverge, otherKey, noKey, wrongAggs})
-	if len(cohorts) != 5 {
-		t.Fatalf("got %d cohorts, want 5", len(cohorts))
-	}
-	main := cohorts[0]
-	if len(main.members) != 3 || main.ngroup != 2 || main.members[0] != c {
-		t.Fatalf("merged cohort: %d members, ngroup %d, finest-first %v",
-			len(main.members), main.ngroup, main.members[0] == c)
-	}
-	if n := len(formCohorts([]*qplan{a, otherKey, noKey, wrongAggs})); n != 4 {
-		t.Fatalf("unshareable plans produced %d cohorts, want 4 singletons", n)
+	if sharedTrials == 0 {
+		t.Fatal("no batch held two declared queries over common driver tuples — sharing parity is vacuous")
 	}
 }
 
-// TestScanGroupSplitParity drives predicate-overlap co-scheduling: two
-// clusters of queries with disjoint driver id hulls on a zone-mapped
-// table must be split into separate scan passes (observable as two
-// verdict sweeps over the morsels), without changing any result. The
-// reference is a twin of the fixture built without zone maps: it has no
-// synopses to consult, so it scans once and decides every tuple.
-func TestScanGroupSplitParity(t *testing.T) {
+// TestOneScanPassPerDriver pins one morsel pass per driver table per
+// batch: four queries whose driver id hulls form two disjoint clusters
+// on a zone-mapped table make one zone-map verdict per morsel, not one
+// per cluster, and answer what the reference and a twin of the fixture
+// built without zone maps (no synopses to consult) answer.
+func TestOneScanPassPerDriver(t *testing.T) {
 	f := buildFixture(t, 1, 4096, 64)
 	f.replica.EnableZoneMaps(256)
 
@@ -306,13 +283,13 @@ func TestScanGroupSplitParity(t *testing.T) {
 	mkBatch := func() []*Query {
 		batch := make([]*Query, len(rqs))
 		for i := range rqs {
-			batch[i] = buildRefQuery(f, rqs[i], fmt.Sprintf("c%d", i))
+			batch[i] = buildRefQuery(f, rqs[i])
 		}
 		return batch
 	}
 
 	// Registration pass records synopsis interest; activation builds the
-	// per-block bounds the co-scheduler's cost model reads.
+	// per-block bounds the verdicts read.
 	reg := NewEngine(f.replica, 2)
 	reg.MorselTuples = 256
 	reg.RunBatch(mkBatch(), 0)
@@ -325,12 +302,13 @@ func TestScanGroupSplitParity(t *testing.T) {
 	e.AttachStats(&st)
 	got := e.RunBatch(mkBatch(), 0)
 	for i := range got {
-		checkAgainstRef(t, fmt.Sprintf("split query=%d", i), f, rqs[i], &got[i])
+		checkAgainstRef(t, fmt.Sprintf("zoned query=%d", i), f, rqs[i], &got[i])
 	}
-	verdicts := st.ExecBlocksScanned.Load() + st.ExecBlocksSkipped.Load()
-	if verdicts != 2*morsels {
-		t.Fatalf("verdicts = %d, want %d (two co-scheduled passes over %d morsels)",
-			verdicts, 2*morsels, morsels)
+	if v := st.ExecBlocksScanned.Load() + st.ExecBlocksSkipped.Load(); v != morsels {
+		t.Fatalf("verdicts = %d, want %d (one pass over %d morsels)", v, morsels, morsels)
+	}
+	if st.ExecBlocksSkipped.Load() == 0 {
+		t.Fatal("no morsel skipped — the zone maps never engaged")
 	}
 
 	twin := buildFixture(t, 1, 4096, 64)
@@ -338,7 +316,7 @@ func TestScanGroupSplitParity(t *testing.T) {
 	e2.MorselTuples = 256
 	var st2 olap.SchedulerStats
 	e2.AttachStats(&st2)
-	compareResults(t, "split-vs-unzoned", got, e2.RunBatch(mkBatch(), 0))
+	compareResults(t, "zoned-vs-unzoned", got, e2.RunBatch(mkBatch(), 0))
 	if v := st2.ExecBlocksScanned.Load() + st2.ExecBlocksSkipped.Load(); v != morsels {
 		t.Fatalf("unzoned verdicts = %d, want %d (one pass)", v, morsels)
 	}

@@ -80,15 +80,15 @@ func TestProbeEmptyBuild(t *testing.T) {
 	}
 }
 
-// Members of one cohort share the probe chain but keep their own
-// filters: with bitmaps each member tests its own bits against the
-// shared ordinal.
-func TestProbeFilterBitmapPerCohortMember(t *testing.T) {
+// Queries that share a declared step keep their own filters: the five
+// region queries look each order's customer up once, together, and each
+// tests its own bitmap against the shared row.
+func TestProbeFilterBitmapPerQuery(t *testing.T) {
 	f := buildFixture(t, 4, 3000, 150)
 	var batch []*Query
 	for reg := int64(0); reg < 5; reg++ {
 		q := f.regionQuery(reg)
-		q.ShareKey = "region"
+		q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
 		batch = append(batch, q)
 	}
 	var st olap.SchedulerStats
@@ -102,10 +102,7 @@ func TestProbeFilterBitmapPerCohortMember(t *testing.T) {
 			t.Fatalf("region %d: got sum %f count %f, want %f / %d", i, res.Values[0], res.Values[1], f.expSum[int64(i)], f.expCount[int64(i)])
 		}
 	}
-	if st.ExecCohortsShared.Load() != 1 {
-		t.Fatalf("the five instances did not merge into one cohort")
-	}
-	// One chain for five members: 3000 lookups, 5 bitmaps of 150 rows.
+	// One step for five queries: 3000 lookups, 5 bitmaps of 150 rows.
 	if l, p := st.ExecProbeLookups.Load(), st.ExecProbePredEvals.Load(); l != 3000 || p != 5*150 {
 		t.Fatalf("%d lookups, %d filter evaluations; want 3000 and 750", l, p)
 	}

@@ -58,12 +58,8 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Scanned morsels evaluated on compressed-block kernels.", &st.ExecBlocksVectorized, labels...)
 	reg.ObserveCounter("batchdb_olap_blocks_agg_vectorized_total",
 		"(Morsel, query) pairs answered by encoded-block aggregate kernels.", &st.ExecBlocksAggVectorized, labels...)
-	reg.ObserveCounter("batchdb_olap_cohorts_shared_total",
-		"Merged cohorts executed as one shared pipeline.", &st.ExecCohortsShared, labels...)
-	reg.ObserveCounter("batchdb_olap_queries_shared_total",
-		"Queries executed as members of a merged cohort.", &st.ExecQueriesShared, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_lookups_total",
-		"Join-probe lookups: per root step per driver tuple, per tail step per tuple per cohort, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
+		"Join-probe lookups: per root step per driver tuple, per tail step per tuple per query, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_pred_evals_total",
 		"Probe-filter evaluations (per row of the probed table when bitmapped, build or PK-indexed alike; else per hit).", &st.ExecProbePredEvals, labels...)
 	reg.GaugeFunc("batchdb_olap_busy_seconds",

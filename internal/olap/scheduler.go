@@ -94,21 +94,15 @@ type SchedulerStats struct {
 	// selection covered every tuple of the morsel, so SUM/COUNT were
 	// computed on the packed runs without materializing a row.
 	ExecBlocksAggVectorized obs.Counter
-	// ExecCohortsShared counts merged cohorts — groups of two or more
-	// queries the batch planner executed as one shared
-	// probe/aggregate pipeline — and ExecQueriesShared their member
-	// queries; ExecQueriesShared / Queries is the batch share rate.
-	ExecCohortsShared obs.Counter
-	ExecQueriesShared obs.Counter
 	// ExecProbeLookups counts join-probe lookups: one per root step per
 	// driver tuple some query holding the step still wants, whatever the
-	// number of queries; one per tail step per tuple per cohort that
+	// number of queries; one per tail step per tuple per query that
 	// reaches it; and, when a link array is made (not when it is found
 	// cached), one per live row of the linked step's parent table.
 	// ExecProbePredEvals counts the probe-filter evaluations: one per
 	// live row of the probed table — a hash build or a PK-indexed table
 	// alike — for a filter the executor turned into a bitmap, one per hit
-	// per live member otherwise (a table larger than the driver). Both
+	// otherwise (a table larger than the driver). Both
 	// are pure functions of data, batch, plan and what the engine has
 	// cached — work counters, comparable exactly across runs.
 	ExecProbeLookups   obs.Counter

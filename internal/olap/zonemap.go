@@ -474,46 +474,6 @@ func (p *Partition) RangeMayMatch(lo, hi int, ranges []ColRange) bool {
 	return false
 }
 
-// MatchingBlockFrac estimates the fraction of the table's non-empty
-// blocks whose synopses admit every conjunct in ranges — the batch
-// planner's predicate-overlap estimator. It is conservative the same
-// way RangeMayMatch is: blocks count as matching when the partition
-// has no zone map or a conjunct column is not yet activated, so an
-// unwarmed table reports 1.0 and the planner keeps a single shared
-// pass. Tables with no blocks report 1.0 too.
-func (t *Table) MatchingBlockFrac(ranges []ColRange) float64 {
-	total, match := 0, 0
-	for _, p := range t.Partitions {
-		z := p.zm
-		if z == nil {
-			n := (len(p.rowIDs) + DefaultMatchBlock - 1) / DefaultMatchBlock
-			total += n
-			match += n
-			continue
-		}
-		for b := range z.live {
-			if z.live[b] == 0 {
-				continue
-			}
-			total++
-			lo, hi := p.blockSlots(b)
-			if p.RangeMayMatch(lo, hi, ranges) {
-				match++
-			}
-		}
-	}
-	if total == 0 {
-		return 1.0
-	}
-	return float64(match) / float64(total)
-}
-
-// DefaultMatchBlock is the nominal block size MatchingBlockFrac
-// assumes for partitions without a zone map (every such block counts
-// as matching anyway; the constant only weights them against mapped
-// partitions).
-const DefaultMatchBlock = 16384
-
 // LiveInRange counts live tuples in the slot range [lo, hi), using
 // block live counters where the range covers whole blocks. The
 // executor uses it to attribute skipped morsels' tuples to the

@@ -101,9 +101,9 @@ func (e *Engine) dispatch() {
 // before its log record is durable, or a crash could lose an
 // acknowledged transaction.
 func (e *Engine) runBatch(batch []request) {
-	if e.logErr != nil {
+	if err := e.Err(); err != nil {
 		for _, r := range batch {
-			r.reply <- Response{Err: e.logErr}
+			r.reply <- Response{Err: err}
 		}
 		return
 	}
@@ -149,12 +149,14 @@ func (e *Engine) runBatch(batch []request) {
 		}
 		if logErr != nil {
 			// The batch is lost from the log: stop here (ErrNotDurable).
-			e.logErr = fmt.Errorf("%w: %v", ErrNotDurable, logErr)
+			err := fmt.Errorf("%w: %v", ErrNotDurable, logErr)
+			e.logErr.Store(&err)
 		}
 	}
+	err := e.Err()
 	for _, a := range acks {
-		if e.logErr != nil {
-			a.reply <- Response{Err: e.logErr}
+		if err != nil {
+			a.reply <- Response{Err: err}
 			continue
 		}
 		if a.bulk {
@@ -174,7 +176,8 @@ func (e *Engine) runBatch(batch []request) {
 // what the log holds.
 func (e *Engine) pushUpdates() uint64 {
 	holder := e.sink.Load()
-	if holder == nil || e.logErr != nil {
+	stopped := e.Err() != nil
+	if holder == nil || stopped {
 		// NoRep or stopped: discard extracted updates so buffers stay
 		// bounded.
 		for _, w := range e.workers {
@@ -182,7 +185,7 @@ func (e *Engine) pushUpdates() uint64 {
 				w.updates.Take()
 			}
 		}
-		if e.logErr == nil {
+		if !stopped {
 			e.pushed.Store(e.store.VIDs.Watermark())
 		}
 		return e.pushed.Load()

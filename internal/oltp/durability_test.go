@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"batchdb/internal/obs"
 	"batchdb/internal/olap"
 	"batchdb/internal/wal"
 )
@@ -209,7 +210,9 @@ func (d *droppingLog) Close() error { return nil }
 
 // One failed group commit stops the engine: nothing after it is
 // acknowledged or pushed, so the log stays gap-free and recovery holds
-// every acknowledged commit, and no replica gets ahead of the log.
+// every acknowledged commit, and no replica gets ahead of the log. The
+// stop is visible: Err returns the failure and batchdb_oltp_log_failed
+// reads 1.
 func TestLogFailureStopsTheEngine(t *testing.T) {
 	e, tbl := newKVEngine(t, Config{Workers: 2, PushPeriod: time.Hour})
 	log := &droppingLog{}
@@ -217,7 +220,18 @@ func TestLogFailureStopsTheEngine(t *testing.T) {
 	rep.CreateTable(tbl.Schema, 16).SetPK(tbl.KeyFn, 16)
 	e.SetLog(log)
 	e.SetSink(rep)
+	reg := obs.NewRegistry()
+	e.RegisterMetrics(reg)
 	e.Start()
+	logFailed := func() float64 {
+		for _, s := range reg.Samples() {
+			if s.Name == "batchdb_oltp_log_failed" {
+				return s.Value
+			}
+		}
+		t.Fatal("batchdb_oltp_log_failed is not exported")
+		return 0
+	}
 	// sync is the OLAP dispatcher's freshness barrier: fetch the latest
 	// snapshot VID from the primary and apply up to it.
 	sync := func() {
@@ -243,12 +257,18 @@ func TestLogFailureStopsTheEngine(t *testing.T) {
 		t.Fatalf("put before the failure: %v", err)
 	}
 	sync()
+	if err, g := e.Err(), logFailed(); err != nil || g != 0 {
+		t.Fatalf("before the failure: Err %v, log_failed %v; want nil and 0", err, g)
+	}
 
 	log.mu.Lock()
 	log.failNext = true
 	log.mu.Unlock()
 	if err := run("put", 2, 20); !errors.Is(err, ErrNotDurable) {
 		t.Fatalf("put in the failed batch: %v, want ErrNotDurable", err)
+	}
+	if err, g := e.Err(), logFailed(); !errors.Is(err, ErrNotDurable) || g != 1 {
+		t.Fatalf("after the failure: Err %v, log_failed %v; want ErrNotDurable and 1", err, g)
 	}
 	// More traffic after the one transient failure.
 	var after []error

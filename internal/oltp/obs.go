@@ -39,6 +39,14 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 // through reg.
 func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	e.stats.Register(reg, labels...)
+	reg.GaugeFunc("batchdb_oltp_log_failed",
+		"1 once a group commit failed and the engine stopped (every request then gets ErrNotDurable), else 0.",
+		func() float64 {
+			if e.Err() != nil {
+				return 1
+			}
+			return 0
+		}, labels...)
 	reg.GaugeFunc("batchdb_oltp_watermark_vid",
 		"Primary committed snapshot watermark.",
 		func() float64 { return float64(e.LatestVID()) }, labels...)

@@ -152,8 +152,9 @@ type Engine struct {
 	log     CommandLog
 	started bool
 	// logErr is the first failed group commit (wrapping ErrNotDurable),
-	// owned by the dispatcher: once set the engine executes nothing.
-	logErr error
+	// set once by the dispatcher: from then on the engine executes
+	// nothing (Err).
+	logErr atomic.Pointer[error]
 	// pushed is the watermark of the last push (or, with no sink, of
 	// the last batch boundary that would have pushed): what SyncUpdates
 	// reports once the engine closes or its log fails.
@@ -342,10 +343,14 @@ var ErrUnknownProc = errors.New("oltp: unknown stored procedure")
 // ErrClosed reports a call submitted after Close.
 var ErrClosed = errors.New("oltp: engine closed")
 
-// Exec submits a stored-procedure call and waits for its outcome.
+// Exec submits a stored-procedure call and waits for its outcome. Once
+// the engine has stopped on a failed log write it answers Err at once.
 func (e *Engine) Exec(proc string, args []byte) Response {
 	if _, ok := e.procs[proc]; !ok {
 		return Response{Err: fmt.Errorf("%w: %q", ErrUnknownProc, proc)}
+	}
+	if err := e.Err(); err != nil {
+		return Response{Err: err}
 	}
 	reply := make(chan Response, 1)
 	select {
@@ -359,6 +364,17 @@ func (e *Engine) Exec(proc string, args []byte) Response {
 	case <-e.closed:
 		return Response{Err: ErrClosed}
 	}
+}
+
+// Err returns the first failed group commit, wrapping ErrNotDurable, or
+// nil while the log holds every acknowledged commit. It is safe to call
+// from any goroutine; once non-nil it never changes, and the engine
+// executes nothing more.
+func (e *Engine) Err() error {
+	if p := e.logErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // LatestVID returns the current committed snapshot watermark.
