@@ -59,7 +59,8 @@ type (
 	Response = oltp.Response
 	// Query is an analytical query (scan + joins + aggregates).
 	Query = exec.Query
-	// Probe is one hash-join step of a Query.
+	// Probe is one join step of a Query: a lookup of the primary key
+	// its ProbeKey returns in the probed table.
 	Probe = exec.Probe
 	// AggSpec is one aggregate output of a Query.
 	AggSpec = exec.AggSpec

@@ -265,7 +265,7 @@ func TestRemoteReplicaNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2},
-		[]ReplicaTable{{Schema: f.schema}})
+		[]ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRemoteReplicaNode(t *testing.T) {
 	}
 
 	// A second replica node can attach (elasticity).
-	node2, err := ConnectReplica(addr, ReplicaNodeConfig{}, []ReplicaTable{{Schema: f.schema}})
+	node2, err := ConnectReplica(addr, ReplicaNodeConfig{}, []ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
 	if err != nil {
 		t.Fatal(err)
 	}

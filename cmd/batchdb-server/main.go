@@ -159,7 +159,7 @@ func (s *server) start(o options) error {
 		analytical[id] = true
 	}
 	// The fleet's nodes hold the same analytical tables as a local
-	// replica would, with the same PK indexes.
+	// replica would, keyed the same way.
 	var replicaTables []batchdb.ReplicaTable
 	var createErr error
 	s.tpcc = tpcc.Build(tpcc.BenchScale(o.warehouses), s.db.Store(),
@@ -176,11 +176,7 @@ func (s *server) start(o options) error {
 				return mvcc.NewTable(schema, key, hint)
 			}
 			if analytical[schema.ID] {
-				rt := batchdb.ReplicaTable{Schema: schema, CapacityHint: hint}
-				if replicated[schema.ID] {
-					rt.Key = key
-				}
-				replicaTables = append(replicaTables, rt)
+				replicaTables = append(replicaTables, batchdb.ReplicaTable{Schema: schema, CapacityHint: hint, Key: key})
 			}
 			return t.OLTP
 		})

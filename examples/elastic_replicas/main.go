@@ -29,9 +29,8 @@ func main() {
 		{Name: "sensor", Type: batchdb.Int64},
 		{Name: "value", Type: batchdb.Float64},
 	}, []int{0})
-	readings, err := db.CreateTable(schema, func(tup []byte) uint64 {
-		return uint64(schema.GetInt64(tup, 0))
-	}, batchdb.TableOptions{Replicate: true})
+	key := func(tup []byte) uint64 { return uint64(schema.GetInt64(tup, 0)) }
+	readings, err := db.CreateTable(schema, key, batchdb.TableOptions{Replicate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func main() {
 	var nodes []*batchdb.ReplicaNode
 	for i := 0; i < 3; i++ {
 		node, err := batchdb.ConnectReplica(addr, batchdb.ReplicaNodeConfig{Partitions: 4},
-			[]batchdb.ReplicaTable{{Schema: schema, CapacityHint: 8192}})
+			[]batchdb.ReplicaTable{{Schema: schema, CapacityHint: 8192, Key: key}})
 		if err != nil {
 			log.Fatal(err)
 		}

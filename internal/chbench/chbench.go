@@ -148,11 +148,8 @@ func colKeyID(s *storage.Schema, col int) string { return s.Name + "." + s.Colum
 // itemProbe joins order lines (or stock) to item through an item-id
 // column of the driver tuple.
 func (g *Gen) itemProbe(driverSchema *storage.Schema, itemCol int, pred func([]byte) bool) exec.Probe {
-	is := g.s.Item
 	return exec.Probe{
-		Table:      tpcc.TItem,
-		BuildKeyID: "pk",
-		BuildKey:   func(t []byte) uint64 { return tpcc.ItemKey(is.GetInt64(t, tpcc.IID)) },
+		Table: tpcc.TItem,
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.ItemKey(driverSchema.GetInt64(d, itemCol))
 		},
@@ -164,13 +161,9 @@ func (g *Gen) itemProbe(driverSchema *storage.Schema, itemCol int, pred func([]b
 
 // ordersFromOrderLine joins order lines to their order.
 func (g *Gen) ordersFromOrderLine(pred func([]byte) bool) exec.Probe {
-	ols, os := g.s.OrderLine, g.s.Order
+	ols := g.s.OrderLine
 	return exec.Probe{
-		Table:      tpcc.TOrder,
-		BuildKeyID: "pk",
-		BuildKey: func(t []byte) uint64 {
-			return tpcc.OrderKey(os.GetInt64(t, tpcc.OWID), os.GetInt64(t, tpcc.ODID), os.GetInt64(t, tpcc.OID))
-		},
+		Table: tpcc.TOrder,
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.OrderKey(ols.GetInt64(d, tpcc.OLWID), ols.GetInt64(d, tpcc.OLDID), ols.GetInt64(d, tpcc.OLOID))
 		},
@@ -183,13 +176,9 @@ func (g *Gen) ordersFromOrderLine(pred func([]byte) bool) exec.Probe {
 // customerFromOrder joins via the previously joined order tuple (index
 // into joined is the position of the orders probe).
 func (g *Gen) customerFromOrder(orderIdx int, pred func([]byte) bool) exec.Probe {
-	cs, os := g.s.Customer, g.s.Order
+	os := g.s.Order
 	return exec.Probe{
-		Table:      tpcc.TCustomer,
-		BuildKeyID: "pk",
-		BuildKey: func(t []byte) uint64 {
-			return tpcc.CustomerKey(cs.GetInt64(t, tpcc.CWID), cs.GetInt64(t, tpcc.CDID), cs.GetInt64(t, tpcc.CID))
-		},
+		Table: tpcc.TCustomer,
 		ProbeKey: func(_ []byte, joined [][]byte) uint64 {
 			o := joined[orderIdx]
 			return tpcc.CustomerKey(os.GetInt64(o, tpcc.OWID), os.GetInt64(o, tpcc.ODID), os.GetInt64(o, tpcc.OCID))
@@ -204,11 +193,8 @@ func (g *Gen) customerFromOrder(orderIdx int, pred func([]byte) bool) exec.Probe
 // index from into joined, schema s) to its nation through nation-key
 // column col.
 func (g *Gen) nationOf(from int, s *storage.Schema, col int, pred func([]byte) bool) exec.Probe {
-	ns := g.s.Nation
 	return exec.Probe{
-		Table:      tpcc.TNation,
-		BuildKeyID: "pk",
-		BuildKey:   func(t []byte) uint64 { return tpcc.NationKey(ns.GetInt64(t, tpcc.NNationKey)) },
+		Table: tpcc.TNation,
 		ProbeKey: func(_ []byte, joined [][]byte) uint64 {
 			return tpcc.NationKey(s.GetInt64(joined[from], col))
 		},
@@ -220,11 +206,9 @@ func (g *Gen) nationOf(from int, s *storage.Schema, col int, pred func([]byte) b
 
 // regionOfNation joins a previously joined nation tuple to region.
 func (g *Gen) regionOfNation(nationIdx int, pred func([]byte) bool) exec.Probe {
-	ns, rs := g.s.Nation, g.s.Region
+	ns := g.s.Nation
 	return exec.Probe{
-		Table:      tpcc.TRegion,
-		BuildKeyID: "pk",
-		BuildKey:   func(t []byte) uint64 { return tpcc.RegionKey(rs.GetInt64(t, tpcc.RRegionKey)) },
+		Table: tpcc.TRegion,
 		ProbeKey: func(_ []byte, joined [][]byte) uint64 {
 			return tpcc.RegionKey(ns.GetInt64(joined[nationIdx], tpcc.NRegionKey))
 		},
@@ -236,11 +220,9 @@ func (g *Gen) regionOfNation(nationIdx int, pred func([]byte) bool) exec.Probe {
 
 // supplierOfOrderLine joins an order line to its CH-derived supplier.
 func (g *Gen) supplierOfOrderLine(pred func([]byte) bool) exec.Probe {
-	ols, sus := g.s.OrderLine, g.s.Supplier
+	ols := g.s.OrderLine
 	return exec.Probe{
-		Table:      tpcc.TSupplier,
-		BuildKeyID: "pk",
-		BuildKey:   func(t []byte) uint64 { return tpcc.SupplierKey(sus.GetInt64(t, tpcc.SUSuppKey)) },
+		Table: tpcc.TSupplier,
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.SupplierKey(tpcc.SupplierOf(ols.GetInt64(d, tpcc.OLSupplyWID), ols.GetInt64(d, tpcc.OLIID)))
 		},
@@ -252,11 +234,9 @@ func (g *Gen) supplierOfOrderLine(pred func([]byte) bool) exec.Probe {
 
 // supplierOfStock joins a stock row to its CH-derived supplier.
 func (g *Gen) supplierOfStock(pred func([]byte) bool) exec.Probe {
-	ss, sus := g.s.Stock, g.s.Supplier
+	ss := g.s.Stock
 	return exec.Probe{
-		Table:      tpcc.TSupplier,
-		BuildKeyID: "pk",
-		BuildKey:   func(t []byte) uint64 { return tpcc.SupplierKey(sus.GetInt64(t, tpcc.SUSuppKey)) },
+		Table: tpcc.TSupplier,
 		ProbeKey: func(d []byte, _ [][]byte) uint64 {
 			return tpcc.SupplierKey(tpcc.SupplierOf(ss.GetInt64(d, tpcc.SWID), ss.GetInt64(d, tpcc.SIID)))
 		},

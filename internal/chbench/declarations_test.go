@@ -99,7 +99,7 @@ func checkDeclarations(q *exec.Query, schemas map[storage.TableID]*storage.Schem
 				return fmt.Errorf("%s %s: key %d from the declared row alone, %d from the whole combination", q.Name, at, keys[i], full)
 			}
 		}
-		id := fmt.Sprintf("%d→%d/%s/%s", parent, pb.Table, pb.BuildKeyID, pb.KeyID)
+		id := fmt.Sprintf("%d→%d/%s", parent, pb.Table, pb.KeyID)
 		if first, ok := seen[id]; !ok {
 			seen[id] = keys
 		} else if fmt.Sprint(first) != fmt.Sprint(keys) {

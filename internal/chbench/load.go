@@ -19,10 +19,9 @@ func NewReplica(db *tpcc.DB, parts int) (*olap.Replica, error) {
 }
 
 // EmptyReplica creates the CH table set without loading data (for
-// remote bootstrap via replica.ShipSnapshot). The replicated (dynamic)
-// tables maintain incremental PK indexes, keyed by the primary's own key
-// functions, so join probes into them never require a per-batch
-// hash-join build.
+// remote bootstrap via replica.ShipSnapshot). Every table is keyed by
+// the primary's own key function, so each join probe is a lookup in the
+// table's PK index.
 func EmptyReplica(db *tpcc.DB, parts int) *olap.Replica {
 	rep := olap.NewReplica(parts)
 	sc := db.Scale
@@ -37,13 +36,9 @@ func EmptyReplica(db *tpcc.DB, parts int) *olap.Replica {
 		tpcc.TNation:    tpcc.NumNations,
 		tpcc.TRegion:    tpcc.NumRegions,
 	}
-	replicated := tpcc.ReplicatedTables()
 	for _, id := range Tables() {
 		t := db.TableByID(id)
-		rt := rep.CreateTable(t.Schema, hint[id])
-		if replicated[id] {
-			rt.SetPK(t.KeyFn, hint[id])
-		}
+		rep.CreateTable(t.Schema, t.KeyFn, hint[id])
 	}
 	return rep
 }

@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -479,6 +481,8 @@ type cutThenRun struct {
 	run func(cut uint64)
 }
 
+func (c cutThenRun) Err() error { return c.e.Err() }
+
 func (c cutThenRun) CheckpointVID() uint64 {
 	w := c.e.CheckpointVID()
 	c.run(w)
@@ -522,5 +526,96 @@ func TestCheckpointSurvivesGCAfterCut(t *testing.T) {
 	}
 	if !SumsEqual(SumAt(rec, 0), want) {
 		t.Fatal("the checkpoint differs from the state at its cut")
+	}
+}
+
+// lossyLog is the engine's WAL losing whole batches: while fail is set,
+// Append drops the records and Commit fails, as a short write does.
+type lossyLog struct {
+	*wal.Manager
+	fail atomic.Bool
+}
+
+func (l *lossyLog) Append(r wal.Record) error {
+	if l.fail.Load() {
+		return nil
+	}
+	return l.Manager.Append(r)
+}
+
+func (l *lossyLog) Commit() error {
+	if l.fail.Load() {
+		return errors.New("short write")
+	}
+	return l.Manager.Commit()
+}
+
+// dirFiles lists every file under dir by its relative path.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			files = append(files, rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// Once a group commit failed, the batch it lost is still in the store and
+// under the watermark, though its client was told it is not durable. A
+// checkpoint then writes no file, truncates no WAL and answers with the
+// engine's ErrNotDurable; recovery restores exactly the acknowledged
+// commits.
+func TestNoCheckpointAfterLogFailure(t *testing.T) {
+	dir := t.TempDir()
+	e1, _ := newKVEngine(t, bootSeedRows)
+	st1, _, err := Boot(e1, BootConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &lossyLog{Manager: st1.WAL()}
+	e1.SetLog(log)
+	e1.Start()
+	// Two checkpoints, so a third would truncate the WAL below the first.
+	for i := int64(1); i <= 2; i++ {
+		mustExec(t, e1, "put", kvArgs(100+i, i))
+		if _, err := st1.Checkpoint(e1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, e1, "put", kvArgs(103, 3))
+	want := SumAt(e1.Store(), 3)
+	log.fail.Store(true)
+	if r := e1.Exec("put", kvArgs(104, 4)); !errors.Is(r.Err, oltp.ErrNotDurable) {
+		t.Fatalf("put in the lost batch: %v, want ErrNotDurable", r.Err)
+	}
+	before := dirFiles(t, dir)
+	if info, err := st1.Checkpoint(e1); !errors.Is(err, oltp.ErrNotDurable) {
+		t.Fatalf("checkpoint after the failed log write: %+v, %v; want ErrNotDurable", info, err)
+	}
+	if after := dirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("the refused checkpoint changed the data directory: %v → %v", before, after)
+	}
+	st1.Close()
+	e1.Close()
+
+	e2, _ := newKVEngine(t, 0)
+	st2, info2, err := Boot(e2, BootConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	defer e2.Close()
+	if info2.CheckpointVID != 2 || info2.WatermarkVID != 3 {
+		t.Fatalf("recovered from checkpoint %d to VID %d, want 2 and 3", info2.CheckpointVID, info2.WatermarkVID)
+	}
+	if !SumsEqual(SumAt(e2.Store(), 3), want) {
+		t.Fatal("recovered state differs from the acknowledged commits")
 	}
 }

@@ -7,11 +7,16 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"batchdb/internal/oltp"
 )
 
 // Coordinator yields consistent cut points; implemented by oltp.Engine.
+// Err is the engine's failed group commit (wrapping oltp.ErrNotDurable),
+// or nil while the log holds every acknowledged commit.
 type Coordinator interface {
 	CheckpointVID() uint64
+	Err() error
 }
 
 // Policy says when the background checkpointer fires.
@@ -38,7 +43,8 @@ var ErrNoProgress = errors.New("checkpoint: no commits since the last checkpoint
 // checks the policy triggers and, when due, takes a checkpoint through
 // coord's batch-boundary rendezvous. The MVCC snapshot scan runs
 // concurrently with OLTP — only the VID capture itself briefly visits
-// the dispatcher.
+// the dispatcher. Once the engine has stopped on a failed log write the
+// runner stops too: no later checkpoint can be taken.
 func (st *State) StartRunner(coord Coordinator, pol Policy) {
 	if pol.Poll <= 0 {
 		pol.Poll = 200 * time.Millisecond
@@ -60,8 +66,12 @@ func (st *State) StartRunner(coord Coordinator, pol Policy) {
 				if !st.due(pol) {
 					continue
 				}
-				if _, err := st.Checkpoint(coord); err != nil && !errors.Is(err, ErrNoProgress) {
+				_, err := st.Checkpoint(coord)
+				if err != nil && !errors.Is(err, ErrNoProgress) {
 					st.stats.CheckpointFailures.Inc()
+				}
+				if errors.Is(err, oltp.ErrNotDurable) {
+					return
 				}
 			}
 		}
@@ -98,6 +108,8 @@ func (st *State) due(pol Policy) bool {
 // write the snapshot file, publish it in the manifest, prune old
 // checkpoint files, and truncate WAL segments below the oldest kept
 // checkpoint (so a corrupt-newest fallback still finds its WAL suffix).
+// After a failed group commit it does none of that and returns the
+// engine's error, which wraps oltp.ErrNotDurable.
 func (st *State) Checkpoint(coord Coordinator) (Info, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -109,6 +121,13 @@ func (st *State) Checkpoint(coord Coordinator) (Info, error) {
 	pin := st.store.BeginRO()
 	defer pin.Release()
 	w := coord.CheckpointVID()
+	// The batch whose log write failed stays in the store and under the
+	// watermark: a checkpoint would make durable what its clients were
+	// told is not, and truncate the WAL behind it. The cut is handed out
+	// after that batch ran, so Err already reports it here.
+	if err := coord.Err(); err != nil {
+		return Info{}, fmt.Errorf("checkpoint: %w", err)
+	}
 	if w <= st.lastCkptVID {
 		return Info{VID: st.lastCkptVID}, ErrNoProgress
 	}

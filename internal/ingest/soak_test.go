@@ -127,7 +127,7 @@ func newSoakRig(t *testing.T, replicaDelay time.Duration) *soakRig {
 	ingest.RegisterProc(e)
 
 	rep := olap.NewReplica(4)
-	rep.CreateTable(schema, 1024)
+	rep.CreateTable(schema, tbl.KeyFn, 1024)
 	if replicaDelay > 0 {
 		e.SetSink(slowSink{inner: rep, delay: replicaDelay})
 	} else {

@@ -514,10 +514,9 @@ func mergeByVIDInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 // deletes locate their tuple through the RowID hash index; inserts take
 // the next free slot. Consecutive field patches of the same tuple from
 // the same transaction share a single index lookup and count as one
-// updated tuple — the paper's Ptup counts tuples, not patches. pk (nil
-// when the table has none) is the table's PK index, kept in step with
-// the slots: pi is p's ordinal in its table, which with the slot makes a
-// row's locator.
+// updated tuple — the paper's Ptup counts tuples, not patches. pk is
+// the table's PK index, kept in step with the slots: pi is p's ordinal
+// in its table, which with the slot makes a row's locator.
 func applyToPartition(p *Partition, entries []*proplog.Entry, pk *flatIndex, pkFn func([]byte) uint64, pi int) (ins, upd, del int, err error) {
 	for i := 0; i < len(entries); i++ {
 		e := entries[i]
@@ -548,9 +547,7 @@ func applyToPartition(p *Partition, entries []*proplog.Entry, pk *flatIndex, pkF
 			if !ok {
 				return ins, upd, del, fmt.Errorf("olap: delete of unknown RowID %d in table %s", e.RowID, p.schema.Name)
 			}
-			if pk != nil {
-				pk.del(pkFn(p.Tuple(slot)), pkLoc(pi, slot))
-			}
+			pk.del(pkFn(p.Tuple(slot)), pkLoc(pi, slot))
 			p.deleteSlot(e.RowID, slot)
 			del++
 		default:

@@ -17,7 +17,7 @@ func TestReplicaCompressionLifecycle(t *testing.T) {
 	r := NewReplica(2)
 	r.EnableZoneMaps(64)
 	r.EnableCompression()
-	tbl := r.CreateTable(s, 64)
+	tbl := r.CreateTable(s, col0Key(s), 64)
 
 	for i := int64(1); i <= 300; i++ {
 		if err := r.LoadTuple(1, uint64(i), tuple(s, i, i%17)); err != nil {
@@ -158,7 +158,7 @@ func TestSumLiveRange(t *testing.T) {
 	r := NewReplica(1)
 	r.EnableZoneMaps(64)
 	r.EnableCompression()
-	tbl := r.CreateTable(s, 64)
+	tbl := r.CreateTable(s, col0Key(s), 64)
 	const n = 256
 	for i := int64(1); i <= n; i++ {
 		tup := s.NewTuple()

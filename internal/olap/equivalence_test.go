@@ -56,8 +56,7 @@ func newEqReplicaOf(t *testing.T, parts, workers int, m *eqModel) *Replica {
 	for ti, live := range m.live {
 		id := storage.TableID(ti + 1)
 		s := eqSchema(id)
-		tbl := r.CreateTable(s, len(live))
-		tbl.SetPK(func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }, len(live))
+		tbl := r.CreateTable(s, col0Key(s), len(live))
 		for _, row := range sortedRows(live) {
 			if err := r.LoadTuple(id, row, tuple(s, int64(row), live[row])); err != nil {
 				t.Fatal(err)
@@ -225,16 +224,14 @@ func captureTable(tv *Table) tableState {
 	}
 	sort.Strings(st.Live)
 	sort.Strings(st.Rid)
-	if tv.pkIdx != nil {
-		tv.pkIdx.each(func(pk, loc uint64) {
-			tup, ok := tv.GetByPK(pk)
-			if !ok || tv.pkFn(tup) != pk {
-				tup = []byte("miss")
-			}
-			st.PK = append(st.PK, fmt.Sprintf("%d:%x=%x", pk, loc, tup))
-		})
-		sort.Strings(st.PK)
-	}
+	tv.pkIdx.each(func(pk, loc uint64) {
+		tup, ok := tv.GetByPK(pk)
+		if !ok || tv.pkFn(tup) != pk {
+			tup = []byte("miss")
+		}
+		st.PK = append(st.PK, fmt.Sprintf("%d:%x=%x", pk, loc, tup))
+	})
+	sort.Strings(st.PK)
 	return st
 }
 

@@ -2,7 +2,6 @@ package exec_test
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -17,15 +16,11 @@ import (
 // The CH-benCHmark side of the probe tests lives in the external test
 // package: chbench imports exec.
 
-// chFixture is one generated TPC-C database with two replicas of it.
-// In builds, the four static dimension tables (item, supplier, nation,
-// region) are probed through hash builds, as the benchmark composes
-// them. In allPK every table carries a PK index, so no query needs a
-// build. Rows have dense ids either way — a build's ordinals, a PK
-// index's locators — so both evaluate a probe filter once per row.
+// chFixture is one generated TPC-C database and a replica of it, every
+// table keyed like its primary (chbench.EmptyReplica).
 type chFixture struct {
-	db            *tpcc.DB
-	builds, allPK *olap.Replica
+	db  *tpcc.DB
+	rep *olap.Replica
 }
 
 func newCHFixture(tb testing.TB, sc tpcc.Scale) *chFixture {
@@ -34,103 +29,11 @@ func newCHFixture(tb testing.TB, sc tpcc.Scale) *chFixture {
 	if err := tpcc.Generate(db, 21); err != nil {
 		tb.Fatal(err)
 	}
-	f := &chFixture{db: db, builds: chbench.EmptyReplica(db, 4), allPK: chbench.EmptyReplica(db, 4)}
-	s := db.Schemas
-	for id, sch := range map[storage.TableID]*storage.Schema{
-		tpcc.TItem: s.Item, tpcc.TSupplier: s.Supplier, tpcc.TNation: s.Nation, tpcc.TRegion: s.Region,
-	} {
-		sch := sch
-		key := sch.Key[0] // single-column integer keys, packed as themselves
-		f.allPK.Table(id).SetPK(func(t []byte) uint64 { return uint64(sch.GetInt64(t, key)) }, 0)
-	}
-	for _, rep := range []*olap.Replica{f.builds, f.allPK} {
-		if _, err := replica.LoadLocal(rep, db.Store, chbench.Tables()); err != nil {
-			tb.Fatal(err)
-		}
+	f := &chFixture{db: db, rep: chbench.EmptyReplica(db, 4)}
+	if _, err := replica.LoadLocal(f.rep, db.Store, chbench.Tables()); err != nil {
+		tb.Fatal(err)
 	}
 	return f
-}
-
-// runCH executes the batch on rep with one worker (so both replicas add
-// their floats in the same order) and returns the results with the
-// batch's probe work counters.
-func runCH(tb testing.TB, rep *olap.Replica, batch []*exec.Query) ([]exec.Result, uint64, uint64) {
-	tb.Helper()
-	var st olap.SchedulerStats
-	e := exec.NewEngine(rep, 1)
-	e.AttachStats(&st)
-	res := e.RunBatch(batch, 0)
-	for i := range res {
-		if res[i].Err != nil {
-			tb.Fatalf("%s: %v", batch[i].Name, res[i].Err)
-		}
-	}
-	return res, st.ExecProbeLookups.Load(), st.ExecProbePredEvals.Load()
-}
-
-func sameAnswer(a, b *exec.Result) error {
-	close := func(x, y float64) bool { return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y)) }
-	if a.Rows != b.Rows || len(a.Groups) != len(b.Groups) {
-		return fmt.Errorf("rows %d / %d, groups %d / %d", a.Rows, b.Rows, len(a.Groups), len(b.Groups))
-	}
-	for i := range a.Values {
-		if !close(a.Values[i], b.Values[i]) {
-			return fmt.Errorf("aggregate %d: %v / %v", i, a.Values[i], b.Values[i])
-		}
-	}
-	for gi := range a.Groups {
-		ga, gb := &a.Groups[gi], &b.Groups[gi]
-		if fmt.Sprint(ga.Key) != fmt.Sprint(gb.Key) || ga.Rows != gb.Rows {
-			return fmt.Errorf("group %d: key %v rows %d / key %v rows %d", gi, ga.Key, ga.Rows, gb.Key, gb.Rows)
-		}
-		for i := range ga.Values {
-			if !close(ga.Values[i], gb.Values[i]) {
-				return fmt.Errorf("group %v aggregate %d: %v / %v", ga.Key, i, ga.Values[i], gb.Values[i])
-			}
-		}
-	}
-	return nil
-}
-
-// filteredRows is what q's probe filters cost: the live rows of every
-// table q filters, once each.
-func filteredRows(rep *olap.Replica, q *exec.Query) uint64 {
-	var n uint64
-	for i := range q.Probes {
-		if p := &q.Probes[i]; p.Pred != nil || len(p.Where) > 0 {
-			n += uint64(rep.Table(p.Table).Live())
-		}
-	}
-	return n
-}
-
-// TestProbeBuildEqualsPKIndex: on all 14 templates × 5 predicate seeds,
-// probing the dimension tables through hash builds and through PK
-// indexes gives the same answer for the same work — the same lookups,
-// and one filter evaluation per row of every filtered table, Q12's
-// filter on the PK-probed orders included.
-func TestProbeBuildEqualsPKIndex(t *testing.T) {
-	f := newCHFixture(t, tpcc.BenchScale(1))
-	for seed := int64(1); seed <= 5; seed++ {
-		for _, name := range chbench.QueryNames {
-			// Two generators on one seed: each replica gets its own query
-			// instance with the same predicate constants.
-			qb := chbench.NewGen(f.db.Schemas, seed).ByName(name)
-			qp := chbench.NewGen(f.db.Schemas, seed).ByName(name)
-			rb, lb, eb := runCH(t, f.builds, []*exec.Query{qb})
-			rp, lp, ep := runCH(t, f.allPK, []*exec.Query{qp})
-			label := fmt.Sprintf("seed %d %s", seed, name)
-			if err := sameAnswer(&rb[0], &rp[0]); err != nil {
-				t.Fatalf("%s: build / PK-index answers differ: %v", label, err)
-			}
-			if lb != lp {
-				t.Fatalf("%s: %d lookups with builds, %d through PK indexes", label, lb, lp)
-			}
-			if want := filteredRows(f.builds, qb); eb != want || ep != want {
-				t.Fatalf("%s: %d filter evaluations with builds, %d through PK indexes, want %d (rows of the filtered tables)", label, eb, ep, want)
-			}
-		}
-	}
 }
 
 // TestProbeWorkCounters pins the probe work of one batch of the 14
@@ -155,7 +58,7 @@ func TestProbeWorkCounters(t *testing.T) {
 	const wantLookups, wantEvals = 115285, 53392
 	for _, workers := range []int{1, 2} {
 		var st olap.SchedulerStats
-		e := exec.NewEngine(f.builds, workers)
+		e := exec.NewEngine(f.rep, workers)
 		e.AttachStats(&st)
 		for i, r := range e.RunBatch(batch, 0) {
 			if r.Err != nil {
@@ -189,7 +92,7 @@ func TestBatchLookupsSublinear(t *testing.T) {
 		t.Fatalf("%d order-line templates, want 12", len(batch))
 	}
 	var st olap.SchedulerStats
-	e := exec.NewEngine(f.builds, 2)
+	e := exec.NewEngine(f.rep, 2)
 	e.AttachStats(&st)
 	run := func(qs []*exec.Query) uint64 {
 		before := st.ExecProbeLookups.Load()
@@ -200,7 +103,7 @@ func TestBatchLookupsSublinear(t *testing.T) {
 		}
 		return st.ExecProbeLookups.Load() - before
 	}
-	live := func(id storage.TableID) uint64 { return uint64(f.builds.Table(id).Live()) }
+	live := func(id storage.TableID) uint64 { return uint64(f.rep.Table(id).Live()) }
 	lines := live(tpcc.TOrderLine)
 	// orders → customer → nation → region and supplier → nation → region.
 	links := live(tpcc.TOrder) + live(tpcc.TCustomer) + live(tpcc.TSupplier) + live(tpcc.TNation)
@@ -221,19 +124,19 @@ func TestBatchLookupsSublinear(t *testing.T) {
 }
 
 // BenchmarkProbeChain times the per-tuple probe path on the two shapes
-// that bound it: Q5's seven-step chain (two PK-index probes, five build
-// probes, two filters) and Q16's two filtered build probes. One op is
+// that bound it: Q5's seven-step chain of PK-index probes (two filters)
+// and Q16's two filtered probes into item and supplier. One op is
 // one single-query batch over BenchScale(1)'s 30 000 order lines; the
 // per-tuple metrics divide by that. allocs/tuple is the pin: a batch
 // allocates its plan, partials and group maps once, a tuple nothing.
 func BenchmarkProbeChain(b *testing.B) {
 	f := newCHFixture(b, tpcc.BenchScale(1))
-	tuples := f.builds.Table(tpcc.TOrderLine).Live()
+	tuples := f.rep.Table(tpcc.TOrderLine).Live()
 	for _, name := range []string{"Q5", "Q16"} {
 		b.Run(name, func(b *testing.B) {
 			q := chbench.NewGen(f.db.Schemas, 1).ByName(name)
-			e := exec.NewEngine(f.builds, 1)
-			e.RunBatch([]*exec.Query{q}, 0) // construct and cache the builds
+			e := exec.NewEngine(f.rep, 1)
+			e.RunBatch([]*exec.Query{q}, 0) // construct and cache the link arrays
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
@@ -272,7 +175,7 @@ func roundRobinBatch(g *chbench.Gen, start, n int) []*exec.Query {
 
 // BenchmarkBatchSize times batches of one to seven queries over the
 // benchmark's database and replica (BenchScale(4) in 8 partitions, zone
-// maps and compression on, dimension tables probed through builds),
+// maps and compression on, every table probed through its PK index),
 // averaged over the 14 rotations of the template cycle so that every
 // size meets every template. A batch is worth forming when n queries
 // cost well under n times one: ms/batch should grow far slower than n,
@@ -299,7 +202,7 @@ func BenchmarkBatchSize(b *testing.B) {
 			batches := make([][]*exec.Query, rotations)
 			for s := range batches {
 				batches[s] = roundRobinBatch(g, s, n)
-				e.RunBatch(batches[s], 0) // construct and cache builds and links
+				e.RunBatch(batches[s], 0) // construct and cache the link arrays
 			}
 			rep.ActivateSynopses() // the columns the batches filter on, as an apply round would
 			before := st.ExecProbeLookups.Load()

@@ -9,21 +9,20 @@
 //   - Shared scans: each driver table is scanned once per batch; every
 //     tuple is offered to all queries driving off that table, so memory
 //     bandwidth is paid once regardless of batch size.
-//   - Shared join builds: hash-join build sides are keyed by
-//     (table, build-key id) and built at most once per batch; all
-//     queries probing the same table through the same key share the
-//     build. Builds over tables whose data did not change since the
-//     last batch (static dimensions like nation or item) are cached
-//     across batches and revalidated by the table's data version.
+//   - Shared joins: every join is a primary-key equi-join, and every
+//     replica table keeps a PK index keyed like the primary's rows
+//     (olap.Replica.CreateTable), so the index is the join's build side:
+//     always current, never rebuilt, shared by every query of the
+//     batch. A probe is one lookup in the flat index plus the tuple it
+//     locates. Probes with the same key read from the same row are
+//     made once per batch (planner.go), and what is derived from a
+//     table's rows is cached across batches for as long as its data
+//     version holds (static dimensions like nation or item).
 //
-// Scans — driver scans and build-side scans alike — are morsel-driven:
-// each partition's slot space is cut into fixed-size ranges
-// (MorselTuples) that workers pull off an atomic cursor, so scan
-// parallelism is bounded by the engine's worker count rather than by
-// partition count or skew. A build side is one flat open-addressed
-// table cut into regions by key hash, so construction is lock-free and
-// parallel in both its scan and its insert phase, and a probe is one
-// array access plus the tuple it names.
+// Scans are morsel-driven: each partition's slot space is cut into
+// fixed-size ranges (MorselTuples) that workers pull off an atomic
+// cursor, so scan parallelism is bounded by the engine's worker count
+// rather than by partition count or skew.
 //
 // Per paper §8.1 the query model is scan + equi-join + aggregate, which
 // covers the modified CH-benCHmark query set in Appendix A.
@@ -67,38 +66,33 @@ type AggSpec struct {
 	colSet bool
 }
 
-// Probe is one hash-join step: the driver row (plus previously joined
-// rows) produces a key that must find a match in the build table.
+// Probe is one join step: the driver row (plus previously joined rows)
+// produces the primary key of the row it must find in Table.
 type Probe struct {
-	// Table is the build-side relation.
+	// Table is the probed relation.
 	Table storage.TableID
-	// BuildKeyID names the build key so independent queries can share
-	// the build ("pk" for primary-key builds). Probes with equal
-	// (Table, BuildKeyID) share one hash table per batch.
-	BuildKeyID string
-	// BuildKey extracts the join key from a build-side tuple. Must be
-	// unique per tuple (primary-key joins; the CH query set satisfies
-	// this).
-	BuildKey func(tup []byte) uint64
-	// ProbeKey computes the lookup key from the driver tuple and the
-	// previously joined tuples.
+	// ProbeKey computes, from the driver tuple and the previously joined
+	// tuples, the primary key of the probed row: the value Table's key
+	// function (the primary's, which keys the replica's PK index) returns
+	// for it. The engine looks it up in the table's PK index, and the
+	// single-system baseline reads the primary's row under it.
 	ProbeKey func(driver []byte, joined [][]byte) uint64
 	// KeyID and From declare what ProbeKey reads, so the batch planner
 	// can run the probe as a shared step (planner.go) instead of once per
 	// query and tuple. A non-empty KeyID names the key extractor; From
 	// says where it reads: -1 = the driver tuple only, k = joined[k]
 	// only, k an earlier probe of the same query. It is a promise: two
-	// probes with equal (Table, BuildKeyID, KeyID) whose From name the
-	// same row compute the same key from it, and ProbeKey touches nothing
-	// else — it is called with a nil driver and only joined[From] set when
-	// the engine resolves the step once per parent row. ProbeKey stays the
+	// probes with equal (Table, KeyID) whose From name the same row
+	// compute the same key from it, and ProbeKey touches nothing else —
+	// it is called with a nil driver and only joined[From] set when the
+	// engine resolves the step once per parent row. ProbeKey stays the
 	// reference semantics (it is all the single-system baseline
 	// evaluates). The zero KeyID declares nothing: the probe runs per
 	// surviving tuple of its query.
 	KeyID string
 	From  int
 	// Where declaratively filters the joined tuple: an AND-list compiled
-	// to typed kernels against the build table's schema. Where is never
+	// to typed kernels against the probed table's schema. Where is never
 	// pushed down to synopses — it only replaces closure dispatch with
 	// typed kernels.
 	Where []Pred
@@ -106,9 +100,9 @@ type Probe struct {
 	// ANDed with Where, nil accepts all.
 	//
 	// A probe filter (Where and Pred alike) must be a pure function of
-	// the build-side tuple it is handed: no state, no dependence on the
+	// the probed tuple it is handed: no state, no dependence on the
 	// driver tuple or on call order. The engine decides per batch whether
-	// to call it on each hash match or once per row of the build (the
+	// to call it on each match or once per row of the table (the
 	// verdicts kept as a bitmap the matches index), so it may run on
 	// rows no driver tuple ever reaches, and a different number of times
 	// from one batch to the next.
@@ -116,7 +110,7 @@ type Probe struct {
 }
 
 // Query is one analytical query: scan a driver table, filter, run a
-// chain of hash-join probes, and aggregate the surviving combinations.
+// chain of join probes, and aggregate the surviving combinations.
 type Query struct {
 	// Name labels the query in reports (e.g. "Q5").
 	Name string
@@ -182,16 +176,12 @@ func (r Result) SnapshotMeta() (vid uint64, stalenessNanos int64, degraded bool)
 // balancing (morsel-driven execution à la HyPer).
 const DefaultMorselTuples = 16384
 
-// hashMul is the Fibonacci-hashing multiplier used to spread build keys
-// across shards (the same constant partitions RowIDs in olap).
-const hashMul = 0x9E3779B97F4A7C15
-
 // Engine executes query batches against an OLAP replica.
 type Engine struct {
 	replica *olap.Replica
-	// pool runs the scans and builds (paper: the OLAP replica's
-	// dedicated cores). It is the replica's own pool, so apply rounds
-	// and batches share one budget; concurrent builds share it too.
+	// pool runs the scans (paper: the OLAP replica's dedicated cores).
+	// It is the replica's own pool, so apply rounds and batches share one
+	// budget.
 	pool *olap.Pool
 
 	// MorselTuples is the number of tuple slots per scan morsel; <= 0
@@ -205,89 +195,33 @@ type Engine struct {
 	// wall-clock staleness.
 	fresh *obs.Freshness
 
-	// cache holds what outlives a batch — hash builds (by buildID) and
-	// link arrays (by linkID) — each revalidated against the data versions
-	// of the tables it was made from.
+	// cache holds the link arrays (by linkID, planner.go), which outlive
+	// a batch: each is revalidated against the data versions of the two
+	// tables it was made from.
 	mu    sync.Mutex
-	cache map[any]*cacheEntry
+	cache map[linkID]*cacheEntry
 }
 
-type buildID struct {
-	table storage.TableID
-	key   string
-}
-
-// build is one shared hash-join build side: a flat open-addressed table
-// from join key to row ordinal (linear probing, load at most one half)
-// and a copy of the build's tuples laid out by ordinal, so a probe is
-// two dependent memory accesses — slot, tuple — with no slice header in
-// between, and a cached build keeps no partition of an old table
-// version alive. The table is cut into equal power-of-two regions picked
-// by the hash's top bits — one region per construction shard, so each
-// is filled by one worker without locks — and a probe run wraps inside
-// its region. Ordinals are dense, which is what lets a probe filter be
-// evaluated once per row into a bitmap (lookup.bits) instead of once
-// per hit.
-type build struct {
-	ents []buildSlot
-	// tuples holds row ord, of nrows, at [ord*tupleSize, (ord+1)*tupleSize).
-	tuples    []byte
-	tupleSize int
-	nrows     int
-	// region = h >> (64-rbits) (a shift by 64 when there is one region,
-	// which Go defines to yield 0); home slot = (h << rbits) >> pshift,
-	// inside the region's 1<<(64-pshift) slots.
-	rbits, pshift uint8
-}
-
-// buildSlot is one slot of a build's table, 16 bytes: ref is the row
-// ordinal plus one, 0 marking an empty slot.
-type buildSlot struct {
-	key uint64
-	ref uint32
-}
-
-// find returns the ordinal of the row stored under key, plus one; 0 is a
-// miss.
-func (b *build) find(key uint64) uint32 {
-	h := key * hashMul
-	mask := uint64(1)<<(64-b.pshift) - 1
-	region := b.ents[(h>>(64-b.rbits))<<(64-b.pshift):][:mask+1]
-	for i := (h << b.rbits) >> b.pshift; ; i++ {
-		e := &region[i&mask]
-		if e.ref == 0 || e.key == key {
-			return e.ref
-		}
-	}
-}
-
-// row returns the build tuple with ordinal ord.
-func (b *build) row(ord uint32) []byte {
-	off := int(ord) * b.tupleSize
-	return b.tuples[off : off+b.tupleSize]
-}
-
-// cacheEntry is the check-or-claim cache slot for one build or link
-// array, valid for what it was made from: v1 and v2 are table data
-// versions or, for a link array over a build, the build itself
-// (source.token). The done channel is the in-flight marker: installing
-// the entry under mu claims the construction, and every other caller
-// that finds a matching entry blocks on done instead of redundantly
-// constructing (sync.Once-style, but keyed and version-checked).
+// cacheEntry is the check-or-claim cache slot for one link array, valid
+// for the data versions v1, v2 of the tables it was made from. The done
+// channel is the in-flight marker: installing the entry under mu claims
+// the construction, and every other caller that finds a matching entry
+// blocks on done instead of redundantly constructing (sync.Once-style,
+// but keyed and version-checked).
 type cacheEntry struct {
-	v1, v2 any
+	v1, v2 uint64
 	done   chan struct{}
-	val    any
+	val    *linkArray
 }
 
-// cached returns the structure cached under key for versions (v1, v2),
+// cached returns the link array cached under key for versions (v1, v2),
 // constructing it if the cache misses. Check and claim are one critical
 // section: the first caller to observe a stale (or absent) entry
 // installs a fresh one with an open done channel and constructs outside
 // the lock; every concurrent caller for the same key and versions blocks
-// on done and shares the result, so a structure is made at most once per
+// on done and shares the result, so an array is made at most once per
 // data version no matter how many batches race.
-func (e *Engine) cached(key any, v1, v2 any, construct func() any) any {
+func (e *Engine) cached(key linkID, v1, v2 uint64, construct func() *linkArray) *linkArray {
 	e.mu.Lock()
 	if ce := e.cache[key]; ce != nil && ce.v1 == v1 && ce.v2 == v2 {
 		e.mu.Unlock()
@@ -304,13 +238,13 @@ func (e *Engine) cached(key any, v1, v2 any, construct func() any) any {
 
 // NewEngine creates an executor over replica with the given
 // parallelism: it sizes the replica's pool to workers and runs its scans
-// and builds on that pool, so apply rounds and batches share one budget.
+// on that pool, so apply rounds and batches share one budget.
 func NewEngine(replica *olap.Replica, workers int) *Engine {
 	replica.SetApplyWorkers(workers)
 	return &Engine{
 		replica: replica,
 		pool:    replica.Pool(),
-		cache:   make(map[any]*cacheEntry),
+		cache:   make(map[linkID]*cacheEntry),
 	}
 }
 
@@ -330,8 +264,8 @@ func NewScheduler(rep *olap.Replica, primary olap.Primary, workers int) *olap.Sc
 }
 
 // AttachStats points the engine at a scheduler's stats block so
-// RunBatch records its per-phase timings (build-prepare, scan, merge)
-// there.
+// RunBatch records its per-phase timings (source preparation, scan,
+// merge) there.
 func (e *Engine) AttachStats(st *olap.SchedulerStats) { e.stats = st }
 
 // AttachFreshness points the engine at the scheduler's freshness
@@ -404,7 +338,7 @@ func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 		results[i].StalenessNanos = stale
 	}
 
-	// Stage 1: ensure every needed join build exists and is current.
+	// Stage 1: resolve every probed table to its source.
 	t0 := time.Now()
 	prepared := e.prepareSources(sv, queries)
 	if e.stats != nil {
@@ -433,140 +367,22 @@ func (e *Engine) RunBatch(queries []*Query, snap uint64) []Result {
 	return results
 }
 
-// prepareSources resolves every probe target of the batch to its source,
-// constructing (or revalidating) the shared hash-join build sides, all
-// concurrently — each construction is itself morsel-parallel, with the
-// engine's pool keeping combined parallelism at its worker budget.
-// Tables that maintain an incremental PK index are probed through it
-// directly (for "pk" probes), so they never need a build — the key
-// property that keeps per-batch setup cost independent of table size
-// while updates stream in. The returned map pins the batch's builds so
-// later cache evictions can't race the scan.
-func (e *Engine) prepareSources(sv *olap.Snapshot, queries []*Query) map[buildID]*source {
-	type needed struct {
-		id buildID
-		t  *olap.Table
-		fn func(tup []byte) uint64
-	}
-	var needs []needed
-	srcs := make(map[buildID]*source)
+// prepareSources resolves every table the batch probes to its source:
+// the pinned view of the table, probed through its PK index, which the
+// apply rounds keep current — so per-batch setup costs nothing that
+// grows with a table's size while updates stream in. A probe into a
+// table the snapshot lacks gets no source; compilePlan fails the
+// queries that make it and the rest of the batch runs.
+func (e *Engine) prepareSources(sv *olap.Snapshot, queries []*Query) map[storage.TableID]*source {
+	srcs := make(map[storage.TableID]*source)
 	for _, q := range queries {
-		for i := range q.Probes {
-			p := &q.Probes[i]
-			id := buildID{p.Table, p.BuildKeyID}
-			if _, seen := srcs[id]; seen {
-				continue
-			}
-			t := sv.Table(p.Table)
-			switch {
-			case t == nil:
-				// compilePlan fails the queries that probe it; the rest of
-				// the batch runs.
-			case t.HasPKIndex() && p.BuildKeyID == "pk":
-				srcs[id] = pkSource(id, t)
-			default:
-				srcs[id] = nil
-				needs = append(needs, needed{id, t, p.BuildKey})
+		for _, p := range q.Probes {
+			if t := sv.Table(p.Table); t != nil && srcs[p.Table] == nil {
+				srcs[p.Table] = newSource(t)
 			}
 		}
 	}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for _, n := range needs {
-		wg.Add(1)
-		go func(n needed) {
-			defer wg.Done()
-			// The build scans the pinned table, and the cache is keyed by
-			// its data version, which every round that applies entries to
-			// it bumps — a build made at the same version read the same
-			// data.
-			b := e.cached(n.id, n.t.Version(), nil, func() any { return e.constructBuild(n.t, n.fn) }).(*build)
-			mu.Lock()
-			srcs[n.id] = &source{id: n.id, token: b, b: b, nrows: b.nrows}
-			mu.Unlock()
-		}(n)
-	}
-	wg.Wait()
 	return srcs
-}
-
-// constructBuild materializes one build in two parallel phases: (A) a
-// morsel-driven scan appends (key, tuple) pairs into per-worker
-// per-shard buckets — no synchronization, each worker owns its bucket
-// rows; (B) each shard's region of the table, and its run of the tuple
-// array, is filled by exactly one worker from the buckets all scan
-// workers left for it. A duplicate key keeps the tuple inserted last.
-func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *build {
-	nshards, rbits := 1, uint8(0)
-	for nshards < e.pool.Workers() {
-		nshards <<= 1
-		rbits++
-	}
-	type kv struct {
-		k uint64
-		v []byte
-	}
-	ms := e.morsels(t.Partitions)
-	nw := max(min(e.pool.Workers(), len(ms)), 1)
-	local := make([][][]kv, nw)
-	for i := range local {
-		local[i] = make([][]kv, nshards)
-	}
-	e.pool.ForEach(len(ms), func(worker, i int) {
-		m, buckets := ms[i], local[worker]
-		var slots [vecSize]int32
-		for from := m.lo; from < m.hi; {
-			var n int
-			n, from = m.part.LiveSlots(m.lo, m.hi, nil, from, slots[:])
-			for _, slot := range slots[:n] {
-				tup := m.part.Tuple(slot)
-				k := keyFn(tup)
-				si := (k * hashMul) >> (64 - rbits)
-				buckets[si] = append(buckets[si], kv{k, tup})
-			}
-		}
-	})
-	// Size every region for the fullest shard, and give shard si the
-	// ordinals [first[si], first[si+1]).
-	first := make([]int, nshards+1)
-	most := 0
-	for si := 0; si < nshards; si++ {
-		n := 0
-		for w := range local {
-			n += len(local[w][si])
-		}
-		first[si+1] = first[si] + n
-		most = max(most, n)
-	}
-	slots, pshift := 2, uint8(63)
-	for slots < 2*most {
-		slots <<= 1
-		pshift--
-	}
-	ts := t.Schema.TupleSize()
-	b := &build{
-		ents:   make([]buildSlot, nshards*slots),
-		tuples: make([]byte, first[nshards]*ts), tupleSize: ts, nrows: first[nshards],
-		rbits: rbits, pshift: pshift,
-	}
-	e.pool.ForEach(nshards, func(_, si int) {
-		region, mask := b.ents[si*slots:][:slots], uint64(slots-1)
-		ord := uint32(first[si])
-		for w := range local {
-			for _, p := range local[w][si] {
-				copy(b.row(ord), p.v)
-				ord++ // from here the slot's ref: the ordinal plus one
-				i := (p.k * hashMul << rbits) >> pshift
-				for region[i&mask].ref != 0 && region[i&mask].key != p.k {
-					i++
-				}
-				region[i&mask] = buildSlot{p.k, ord}
-			}
-		}
-	})
-	return b
 }
 
 // scanDriver plans and executes one driver table's share of the batch:
@@ -574,7 +390,7 @@ func (e *Engine) constructBuild(t *olap.Table, keyFn func(tup []byte) uint64) *b
 // morsel-driven shared scan pass (scanPass) over the step forest the
 // batch planner compiles (planner.go). A compile error fails only that
 // query; the rest of the batch proceeds without it.
-func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepared map[buildID]*source, scanNS, mergeNS *int64) {
+func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepared map[storage.TableID]*source, scanNS, mergeNS *int64) {
 	t := sv.Table(qs[0].Driver)
 	if t == nil {
 		err := fmt.Errorf("exec: unknown driver table %d", qs[0].Driver)
@@ -994,21 +810,13 @@ func (w *passWorker) vector(m morsel, n int) {
 		rids := w.rids[st.ord][:n]
 		src, key := st.src, st.key
 		if cnt == n {
-			// Keys first, lookups second: the second loop makes no call, so
-			// many of its loads are in flight at once.
+			// Keys first, lookups second: the lookup loop (FindPKs) makes no
+			// call, so many of its loads are in flight at once.
 			keys := w.keys[:n]
 			for i, slot := range slots {
 				keys[i] = key(part.Tuple(slot), nil)
 			}
-			if b := src.b; b != nil {
-				for i, k := range keys {
-					rids[i] = b.find(k)
-				}
-			} else {
-				for i, k := range keys {
-					rids[i] = src.find(k)
-				}
-			}
+			src.t.FindPKs(keys, src.base, rids)
 		} else {
 			for wd, word := range need {
 				for ; word != 0; word &= word - 1 {

@@ -10,15 +10,22 @@ import (
 	"testing"
 
 	"batchdb/internal/olap"
+	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 )
 
 // Test fixture: orders(id, cust, amount) joined with customers(id,
-// region) — a miniature of the CH shape.
+// region) — a miniature of the CH shape. Every table is keyed by its
+// column 0.
 const (
 	tblOrders    storage.TableID = 1
 	tblCustomers storage.TableID = 2
 )
+
+// col0Key is the primary key of a schema keyed by its Int64 column 0.
+func col0Key(s *storage.Schema) func([]byte) uint64 {
+	return func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }
+}
 
 type fixture struct {
 	replica *olap.Replica
@@ -48,8 +55,8 @@ func buildFixture(t testing.TB, parts, orders, customers int) *fixture {
 		nOrders:  orders,
 	}
 	f.replica = olap.NewReplica(parts)
-	f.replica.CreateTable(f.orders, orders)
-	f.replica.CreateTable(f.custs, customers)
+	f.replica.CreateTable(f.orders, col0Key(f.orders), orders)
+	f.replica.CreateTable(f.custs, col0Key(f.custs), customers)
 
 	rng := rand.New(rand.NewSource(7))
 	regionOf := map[int64]int64{}
@@ -87,17 +94,78 @@ func (f *fixture) regionQuery(reg int64) *Query {
 		Name:   "regionSum",
 		Driver: tblOrders,
 		Probes: []Probe{{
-			Table:      tblCustomers,
-			BuildKeyID: "pk",
-			BuildKey:   func(tup []byte) uint64 { return uint64(f.custs.GetInt64(tup, 0)) },
-			ProbeKey:   func(d []byte, _ [][]byte) uint64 { return uint64(f.orders.GetInt64(d, 1)) },
-			Pred:       func(tup []byte) bool { return f.custs.GetInt64(tup, 1) == reg },
+			Table:    tblCustomers,
+			ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.orders.GetInt64(d, 1)) },
+			Pred:     func(tup []byte) bool { return f.custs.GetInt64(tup, 1) == reg },
 		}},
 		Aggs: []AggSpec{
 			{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.orders.GetFloat64(d, 2) }},
 			{Kind: Count},
 		},
 	}
+}
+
+// tblBonus is the regions(id, bonus) table addRegions creates: region
+// r has bonus r*100.
+const tblBonus storage.TableID = 3
+
+func (f *fixture) addRegions(t testing.TB) *storage.Schema {
+	t.Helper()
+	regions := storage.NewSchema(tblBonus, "regions", []storage.Column{
+		{Name: "id", Type: storage.Int64},
+		{Name: "bonus", Type: storage.Float64},
+	}, []int{0})
+	f.replica.CreateTable(regions, col0Key(regions), 5)
+	for rID := int64(0); rID < 5; rID++ {
+		tup := regions.NewTuple()
+		regions.PutInt64(tup, 0, rID)
+		regions.PutFloat64(tup, 1, float64(rID)*100)
+		if err := f.replica.LoadTuple(tblBonus, uint64(rID)+1, tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return regions
+}
+
+// bonusQuery sums, over all orders, the bonus of the order's customer's
+// region: orders → customers → regions, the second probe's key read from
+// the customer row. With declared keys the second probe is a linked
+// step, resolved through a cached link array from customer rows to
+// region rows.
+func (f *fixture) bonusQuery(regions *storage.Schema, declared bool) *Query {
+	q := &Query{
+		Name:   "chain",
+		Driver: tblOrders,
+		Probes: []Probe{
+			{
+				Table:    tblCustomers,
+				ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.orders.GetInt64(d, 1)) },
+			},
+			{
+				Table: tblBonus,
+				ProbeKey: func(_ []byte, joined [][]byte) uint64 {
+					return uint64(f.custs.GetInt64(joined[0], 1))
+				},
+			},
+		},
+		Aggs: []AggSpec{{Kind: Sum, Value: func(_ []byte, joined [][]byte) float64 {
+			return regions.GetFloat64(joined[1], 1)
+		}}},
+	}
+	if declared {
+		q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
+		q.Probes[1].KeyID, q.Probes[1].From = "c.region", 0
+	}
+	return q
+}
+
+// bonusWant is the bonusQuery answer the fixture's data implies.
+func (f *fixture) bonusWant() float64 {
+	want := 0.0
+	for reg, cnt := range f.expCount {
+		want += float64(reg) * 100 * float64(cnt)
+	}
+	return want
 }
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-6*(1+math.Abs(a)+math.Abs(b)) }
@@ -169,23 +237,23 @@ func TestSharedBatchEqualsIndividual(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchesBuildOnce exercises the check-or-claim build
-// cache: many concurrent RunBatch calls against one engine must
-// construct the (unchanged) build side exactly once — every BuildKey
-// invocation is counted, and one construction costs one invocation per
-// build-side tuple.
+// TestConcurrentBatchesBuildOnce exercises the check-or-claim cache:
+// many concurrent RunBatch calls against one engine must construct the
+// link array over the (unchanged) customers and regions exactly once —
+// every call of the linked probe's key is counted, and one construction
+// makes one per customer row.
 func TestConcurrentBatchesBuildOnce(t *testing.T) {
 	const customers = 200
 	f := buildFixture(t, 4, 1000, customers)
+	regions := f.addRegions(t)
 	e := NewEngine(f.replica, 2)
 	var keyCalls atomic.Int64
 	mkQuery := func() *Query {
-		q := f.regionQuery(1)
-		q.Probes[0].BuildKeyID = "counted"
-		inner := q.Probes[0].BuildKey
-		q.Probes[0].BuildKey = func(tup []byte) uint64 {
+		q := f.bonusQuery(regions, true)
+		inner := q.Probes[1].ProbeKey
+		q.Probes[1].ProbeKey = func(d []byte, joined [][]byte) uint64 {
 			keyCalls.Add(1)
-			return inner(tup)
+			return inner(d, joined)
 		}
 		return q
 	}
@@ -203,102 +271,58 @@ func TestConcurrentBatchesBuildOnce(t *testing.T) {
 		if res[0].Err != nil {
 			t.Fatalf("batch %d: %v", i, res[0].Err)
 		}
-		if !almostEqual(res[0].Values[0], f.expSum[1]) {
-			t.Fatalf("batch %d: sum %f, want %f", i, res[0].Values[0], f.expSum[1])
+		if !almostEqual(res[0].Values[0], f.bonusWant()) {
+			t.Fatalf("batch %d: sum %f, want %f", i, res[0].Values[0], f.bonusWant())
 		}
 	}
 	if n := keyCalls.Load(); n != customers {
-		t.Fatalf("BuildKey called %d times, want exactly %d (one construction)", n, customers)
+		t.Fatalf("linked ProbeKey called %d times, want exactly %d (one construction)", n, customers)
 	}
 }
 
+// TestBuildCacheInvalidation: an apply round that moves every customer
+// into region 1 changes the customers' data version, so the cached link
+// array from customers to regions is remade and the query sees the move.
 func TestBuildCacheInvalidation(t *testing.T) {
 	f := buildFixture(t, 2, 100, 10)
+	regions := f.addRegions(t)
 	e := NewEngine(f.replica, 1)
-	q := f.regionQuery(1)
+	q := f.bonusQuery(regions, true)
 	before := e.RunBatch([]*Query{q}, 0)
-
-	// Move every customer into region 1: the build must be rebuilt, and
-	// the query must now see the total.
-	tbl := f.replica.Table(tblCustomers)
-	for _, p := range tbl.Partitions {
-		var ids []uint64
-		p.Scan(func(rowID uint64, _ []byte) bool { ids = append(ids, rowID); return true })
-		for _, id := range ids {
-			tup, _ := p.Get(id)
-			cp := append([]byte(nil), tup...)
-			f.custs.PutInt64(cp, 1, 1)
-			p.Delete(id)
-			p.Insert(id, cp)
-		}
+	if before[0].Err != nil || !almostEqual(before[0].Values[0], f.bonusWant()) {
+		t.Fatalf("before the round: %+v, want sum %f", before[0], f.bonusWant())
 	}
-	// Simulate an applied update round bumping the version.
-	f.replica.LoadTuple(tblCustomers, 9999, func() []byte {
-		tup := f.custs.NewTuple()
-		f.custs.PutInt64(tup, 0, 9999)
-		f.custs.PutInt64(tup, 1, 2)
-		return tup
-	}())
+
+	tup := f.custs.NewTuple()
+	f.custs.PutInt64(tup, 1, 1)
+	off, size := f.custs.Offset(1), f.custs.ColSize(1)
+	region1 := tup[off : off+size]
+	buf := proplog.NewBuffer(0)
+	for c := 1; c <= 10; c++ {
+		buf.Add(tblCustomers, proplog.Entry{VID: 1, Kind: proplog.Update, RowID: uint64(c), Offset: uint32(off), Size: uint32(size), Data: region1})
+	}
+	f.replica.ApplyUpdates([]proplog.Batch{buf.Take()}, 1)
+	if _, err := f.replica.ApplyPending(1); err != nil {
+		t.Fatal(err)
+	}
 
 	after := e.RunBatch([]*Query{q}, 0)
-	if almostEqual(before[0].Values[0], f.total) {
-		t.Fatalf("fixture degenerate: before already equals total")
-	}
-	if !almostEqual(after[0].Values[0], f.total) {
-		t.Fatalf("after rebuild sum = %f, want total %f (stale build cache?)", after[0].Values[0], f.total)
+	if want := 100 * float64(f.nOrders); !almostEqual(after[0].Values[0], want) {
+		t.Fatalf("after the round sum = %f, want %f (stale link array?)", after[0].Values[0], want)
 	}
 }
 
 func TestMultiProbeChain(t *testing.T) {
-	// orders -> customers -> regions(virtual): chain through two builds,
-	// where the second probe's key comes from the first joined row.
+	// orders -> customers -> regions: a chain through two tables, where
+	// the second probe's key comes from the first joined row.
 	f := buildFixture(t, 2, 500, 50)
-	regions := storage.NewSchema(3, "regions", []storage.Column{
-		{Name: "id", Type: storage.Int64},
-		{Name: "bonus", Type: storage.Float64},
-	}, []int{0})
-	f.replica.CreateTable(regions, 5)
-	for rID := int64(0); rID < 5; rID++ {
-		tup := regions.NewTuple()
-		regions.PutInt64(tup, 0, rID)
-		regions.PutFloat64(tup, 1, float64(rID)*100)
-		if err := f.replica.LoadTuple(3, uint64(rID)+1, tup); err != nil {
-			t.Fatal(err)
-		}
-	}
+	regions := f.addRegions(t)
 	e := NewEngine(f.replica, 2)
-	q := &Query{
-		Name:   "chain",
-		Driver: tblOrders,
-		Probes: []Probe{
-			{
-				Table: tblCustomers, BuildKeyID: "pk",
-				BuildKey: func(tup []byte) uint64 { return uint64(f.custs.GetInt64(tup, 0)) },
-				ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.orders.GetInt64(d, 1)) },
-			},
-			{
-				Table: 3, BuildKeyID: "pk",
-				BuildKey: func(tup []byte) uint64 { return uint64(regions.GetInt64(tup, 0)) },
-				// Key depends on the previously joined customer row.
-				ProbeKey: func(_ []byte, joined [][]byte) uint64 {
-					return uint64(f.custs.GetInt64(joined[0], 1))
-				},
-			},
-		},
-		Aggs: []AggSpec{{Kind: Sum, Value: func(_ []byte, joined [][]byte) float64 {
-			return regions.GetFloat64(joined[1], 1)
-		}}},
-	}
-	res := e.RunBatch([]*Query{q}, 0)
+	res := e.RunBatch([]*Query{f.bonusQuery(regions, false)}, 0)
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	// Reference: for each order, bonus of its customer's region.
-	want := 0.0
-	for reg, cnt := range f.expCount {
-		want += float64(reg) * 100 * float64(cnt)
-	}
-	if !almostEqual(res[0].Values[0], want) {
+	if want := f.bonusWant(); !almostEqual(res[0].Values[0], want) {
 		t.Fatalf("chained sum = %f, want %f", res[0].Values[0], want)
 	}
 }
@@ -351,29 +375,9 @@ func BenchmarkMorselScan(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedBuild(b *testing.B) {
-	// Build-side heavy: tiny driver, large build table; a fresh engine
-	// per iteration keeps the build cache cold so construction dominates.
-	f := buildFixture(b, 8, 500, 20000)
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := NewEngine(f.replica, w)
-				e.MorselTuples = 2048
-				q := f.regionQuery(1)
-				q.Probes[0].BuildKeyID = "bench" // force hash-build construction
-				if res := e.RunBatch([]*Query{q}, 0); res[0].Err != nil {
-					b.Fatal(res[0].Err)
-				}
-			}
-		})
-	}
-}
-
 // TestEngineSharesReplicaPool pins one pool per replica: the executor
-// sizes the replica's pool to its workers and runs scans and builds on
-// that pool, and a scheduler built over the replica makes no second one.
+// sizes the replica's pool to its workers and runs its scans on that
+// pool, and a scheduler built over the replica makes no second one.
 func TestEngineSharesReplicaPool(t *testing.T) {
 	f := buildFixture(t, 2, 200, 20)
 	e := NewEngine(f.replica, 3)

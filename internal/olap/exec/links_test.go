@@ -12,9 +12,8 @@ import (
 
 // linkFixture is a three-step chain whose every table takes updates:
 // lines(id, order, amount) → orders(id, cust) → customers(id, region) →
-// regions(id, bonus). orders and customers carry PK indexes, so their
-// row ids are locator-derived and their slots are reused after deletes;
-// regions is probed through a hash build.
+// regions(id, bonus). Row ids are locator-derived, and the slots of
+// deleted orders and customers are reused.
 type linkFixture struct {
 	replica                           *olap.Replica
 	lines, orders, customers, regions *storage.Schema
@@ -45,13 +44,10 @@ func newLinkFixture(t *testing.T) *linkFixture {
 		nextLine: 1, nextOrder: 1, nextCust: 1,
 	}
 	f.replica = olap.NewReplica(3)
-	f.replica.CreateTable(f.lines, 64)
-	pkOf := func(s *storage.Schema) func([]byte) uint64 {
-		return func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }
-	}
-	f.replica.CreateTable(f.orders, 64).SetPK(pkOf(f.orders), 64)
-	f.replica.CreateTable(f.customers, 64).SetPK(pkOf(f.customers), 64)
-	f.replica.CreateTable(f.regions, nRegions)
+	f.replica.CreateTable(f.lines, col0Key(f.lines), 64)
+	f.replica.CreateTable(f.orders, col0Key(f.orders), 64)
+	f.replica.CreateTable(f.customers, col0Key(f.customers), 64)
+	f.replica.CreateTable(f.regions, col0Key(f.regions), nRegions)
 	for r := int64(0); r < nRegions; r++ {
 		tup := f.regions.NewTuple()
 		f.regions.PutInt64(tup, 0, r)
@@ -126,20 +122,17 @@ func (f *linkFixture) apply(t *testing.T, rng *rand.Rand, rd round) {
 // orders → customers.
 func (f *linkFixture) queries(region int64) []*Query {
 	toOrder := Probe{
-		Table: tblLOrders, BuildKeyID: "pk",
-		BuildKey: func(tup []byte) uint64 { return uint64(f.orders.GetInt64(tup, 0)) },
+		Table:    tblLOrders,
 		ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.lines.GetInt64(d, 1)) },
 		KeyID:    "line.order", From: -1,
 	}
 	toCust := Probe{
-		Table: tblLCusts, BuildKeyID: "pk",
-		BuildKey: func(tup []byte) uint64 { return uint64(f.customers.GetInt64(tup, 0)) },
+		Table:    tblLCusts,
 		ProbeKey: func(_ []byte, j [][]byte) uint64 { return uint64(f.orders.GetInt64(j[0], 1)) },
 		KeyID:    "order.cust", From: 0,
 	}
 	toRegion := Probe{
-		Table: tblRegions, BuildKeyID: "pk",
-		BuildKey: func(tup []byte) uint64 { return uint64(f.regions.GetInt64(tup, 0)) },
+		Table:    tblRegions,
 		ProbeKey: func(_ []byte, j [][]byte) uint64 { return uint64(f.customers.GetInt64(j[1], 1)) },
 		KeyID:    "cust.region", From: 1,
 	}
@@ -174,17 +167,17 @@ func (f *linkFixture) linkStates(e *Engine) map[string]linkState {
 		keyID         string
 	}{{tblLOrders, tblLCusts, "order.cust"}, {tblLCusts, tblRegions, "cust.region"}} {
 		e.mu.Lock()
-		ce := e.cache[linkID{buildID{l.parent, "pk"}, buildID{l.child, "pk"}, l.keyID}]
+		ce := e.cache[linkID{l.parent, l.child, l.keyID}]
 		e.mu.Unlock()
-		out[l.keyID] = linkState{sv.Table(l.parent).Version(), sv.Table(l.child).Version(), ce.val.(*linkArray)}
+		out[l.keyID] = linkState{sv.Table(l.parent).Version(), sv.Table(l.child).Version(), ce.val}
 	}
 	return out
 }
 
 // TestLinksFollowApply: between batches, apply rounds insert into every
 // table of a chain of linked steps, delete rows and reuse their slots.
-// After each round the long-lived engine — whose link arrays and builds
-// outlive the batches — answers as a fresh engine does, and it has remade
+// After each round the long-lived engine — whose link arrays outlive the
+// batches — answers as a fresh engine does, and it has remade
 // a link array exactly when the data version of the link's parent or
 // child table changed.
 func TestLinksFollowApply(t *testing.T) {

@@ -77,31 +77,26 @@ func (a AggSpec) Summand(s *storage.Schema) (func(driver []byte, joined [][]byte
 	return func(driver []byte, _ [][]byte) float64 { return fn(driver) }, nil
 }
 
-// source is what a probe step looks rows up in, as one batch sees it: a
-// shared hash build or, when b is nil, the pinned view of a table with
-// an incremental PK index. Either way its rows carry dense ids — a
-// build's ordinals; for a PK-probed table the slots of the partitions
-// before the row's, plus its slot (dead slots keep their ids and are
-// never found) — which is what lets a probe filter become a bitmap over
-// the rows and a linked step a link array from parent row to child row.
-// Ids are stable for one data version of the table: a slot never moves
-// while its row lives, and two views at one version hold the same slots.
+// source is what a probe step looks rows up in, as one batch sees it:
+// the pinned view of a table, probed through its PK index. Its rows
+// carry dense ids — the slots of the partitions before the row's, plus
+// its slot (dead slots keep their ids and are never found) — which is
+// what lets a probe filter become a bitmap over the rows and a linked
+// step a link array from parent row to child row. Ids are stable for
+// one data version of the table: a slot never moves while its row
+// lives, and two views at one version hold the same slots.
 type source struct {
-	id buildID
-	// token is what the row ids are valid for, comparable with ==: the
-	// build itself (a rebuild may order its rows differently) or the
-	// PK-indexed table's data version.
-	token any
-	b     *build
-	pk    *olap.Table
-	// base[i] is the id of slot 0 of pk's partition i.
+	t *olap.Table
+	// version is the table's data version, for which the row ids hold.
+	version uint64
+	// base[i] is the id of slot 0 of t's partition i.
 	base  []uint32
 	nrows int
 }
 
-// pkSource wraps the view t of a PK-indexed table.
-func pkSource(id buildID, t *olap.Table) *source {
-	s := &source{id: id, token: t.Version(), pk: t, base: make([]uint32, len(t.Partitions))}
+// newSource wraps the pinned view t of a table.
+func newSource(t *olap.Table) *source {
+	s := &source{t: t, version: t.Version(), base: make([]uint32, len(t.Partitions))}
 	for i, p := range t.Partitions {
 		s.base[i] = uint32(s.nrows)
 		s.nrows += p.Slots()
@@ -111,10 +106,7 @@ func pkSource(id buildID, t *olap.Table) *source {
 
 // find returns the id of the row stored under key, plus one; 0 is a miss.
 func (s *source) find(key uint64) uint32 {
-	if s.b != nil {
-		return s.b.find(key)
-	}
-	part, slot, ok := s.pk.FindPK(key)
+	part, slot, ok := s.t.FindPK(key)
 	if !ok {
 		return 0
 	}
@@ -123,19 +115,15 @@ func (s *source) find(key uint64) uint32 {
 
 // row returns the tuple with id rid.
 func (s *source) row(rid uint32) []byte {
-	if s.b != nil {
-		return s.b.row(rid)
-	}
 	pi := len(s.base) - 1
 	for s.base[pi] > rid {
 		pi--
 	}
-	return s.pk.Partitions[pi].Tuple(int32(rid - s.base[pi]))
+	return s.t.Partitions[pi].Tuple(int32(rid - s.base[pi]))
 }
 
-// rowChunk is a run of a source's row ids: ordinals [lo, hi) of a build
-// (part nil) or slots [lo, hi) of one partition, whose slot 0 has id
-// base.
+// rowChunk is a run of a source's row ids: slots [lo, hi) of one
+// partition, whose slot 0 has id base.
 type rowChunk struct {
 	part   *olap.Partition
 	base   uint32
@@ -146,13 +134,7 @@ type rowChunk struct {
 // per-row work over a source parallelizes the way scans do.
 func (s *source) chunks(mt int) []rowChunk {
 	var cs []rowChunk
-	if s.b != nil {
-		for lo := 0; lo < s.nrows; lo += mt {
-			cs = append(cs, rowChunk{lo: lo, hi: min(lo+mt, s.nrows)})
-		}
-		return cs
-	}
-	for pi, p := range s.pk.Partitions {
+	for pi, p := range s.t.Partitions {
 		for lo, n := 0, p.Slots(); lo < n; lo += mt {
 			cs = append(cs, rowChunk{part: p, base: s.base[pi], lo: lo, hi: min(lo+mt, n)})
 		}
@@ -162,12 +144,6 @@ func (s *source) chunks(mt int) []rowChunk {
 
 // scan calls fn for every live row of the chunk with its id and tuple.
 func (s *source) scan(c rowChunk, fn func(rid uint32, tup []byte)) {
-	if c.part == nil {
-		for ord := uint32(c.lo); ord < uint32(c.hi); ord++ {
-			fn(ord, s.b.row(ord))
-		}
-		return
-	}
 	var slots [256]int32
 	for from := c.lo; from < c.hi; {
 		var n int
@@ -194,7 +170,7 @@ type lookup struct {
 // the filter: the source has at most as many rows as the driver has live
 // tuples (driverLive), so evaluating every row — including rows no
 // driver tuple reaches — costs no more than evaluating every hit could.
-// A 5 000-row item build probed by 120 000 order lines is the common
+// A 5 000-row item table probed by 120 000 order lines is the common
 // case; a source larger than its driver keeps per-hit evaluation. It
 // returns the number of evaluations made.
 func (lk *lookup) evalOncePerRow(driverLive int) int {
@@ -265,7 +241,7 @@ type qplan struct {
 // probes to the batch's sources. A nil return means the query failed to
 // compile; its error is already recorded in r and the rest of the batch
 // proceeds without it.
-func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Query, r *Result, srcs map[buildID]*source) *qplan {
+func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Query, r *Result, srcs map[storage.TableID]*source) *qplan {
 	p := &qplan{q: q, r: r}
 	k, rg, err := compileWhere(t.Schema, q.Where)
 	if err != nil {
@@ -298,11 +274,7 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 			r.Err = err
 			return nil
 		}
-		lk := lookup{src: srcs[buildID{pb.Table, pb.BuildKeyID}], pred: andPred(wherePred, pb.Pred)}
-		if lk.src == nil {
-			r.Err = fmt.Errorf("exec: missing build for table %d key %q", pb.Table, pb.BuildKeyID)
-			return nil
-		}
+		lk := lookup{src: srcs[pb.Table], pred: andPred(wherePred, pb.Pred)}
 		predEvals += lk.evalOncePerRow(live)
 		p.lookups[pi] = lk
 	}

@@ -14,6 +14,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync/atomic"
+
+	"batchdb/internal/storage"
 )
 
 // scanGroup is the one morsel pass over a driver table: the plans it
@@ -49,11 +51,11 @@ func newScanGroup(plans []*qplan) *scanGroup {
 //   - a linked step's key comes from the row another root or linked step
 //     matched (From == k). It is a pure function of that row, so it is
 //     resolved once per parent row into a link array — parent row id →
-//     child row id — cached beside the builds for as long as both tables
-//     keep their data version. The scan never looks it up: each query's
-//     filters along a path of linked steps fold into one bitmap over the
-//     root's rows (foldOf), and the rows themselves are reached through
-//     the links only for tuples that survive;
+//     child row id — cached for as long as both tables keep their data
+//     version. The scan never looks it up: each query's filters along a
+//     path of linked steps fold into one bitmap over the root's rows
+//     (foldOf), and the rows themselves are reached through the links
+//     only for tuples that survive;
 //   - a tail step is a probe that declares nothing (or hangs off one):
 //     nobody shares it, and it runs per surviving tuple of its query, in
 //     chain order.
@@ -100,7 +102,7 @@ type rootUser struct {
 
 // linkID names a link array in the engine's cache.
 type linkID struct {
-	parent, child buildID
+	parent, child storage.TableID
 	keyID         string
 }
 
@@ -117,8 +119,8 @@ type linkArray struct {
 // parallel like a scan, counted in ExecProbeLookups — unless the cached
 // one was made from these very sources.
 func (e *Engine) linksFor(parent, child *source, pb *Probe) *linkArray {
-	id := linkID{parent.id, child.id, pb.KeyID}
-	return e.cached(id, parent.token, child.token, func() any {
+	id := linkID{parent.t.Schema.ID, child.t.Schema.ID, pb.KeyID}
+	return e.cached(id, parent.version, child.version, func() *linkArray {
 		la := &linkArray{to: make([]uint32, parent.nrows)}
 		chunks := parent.chunks(e.morselTuples())
 		var rows, misses atomic.Int64
@@ -142,7 +144,7 @@ func (e *Engine) linksFor(parent, child *source, pb *Probe) *linkArray {
 			e.stats.ExecProbeLookups.Add(uint64(rows.Load()))
 		}
 		return la
-	}).(*linkArray)
+	})
 }
 
 // compileForest turns the pass's plans into its step forest: every
@@ -152,7 +154,7 @@ func (e *Engine) linksFor(parent, child *source, pb *Probe) *linkArray {
 func (e *Engine) compileForest(sg *scanGroup) {
 	type stepKey struct {
 		parent *step
-		id     buildID
+		id     storage.TableID
 		keyID  string
 	}
 	seen := make(map[stepKey]*step)
@@ -166,7 +168,7 @@ func (e *Engine) compileForest(sg *scanGroup) {
 				parent = p.steps[pb.From]
 			}
 			if pb.KeyID != "" && (parent == nil || parent.kind != tailStep) {
-				k := stepKey{parent: parent, id: st.src.id, keyID: pb.KeyID}
+				k := stepKey{parent: parent, id: st.src.t.Schema.ID, keyID: pb.KeyID}
 				if shared := seen[k]; shared != nil {
 					st = shared
 				} else if seen[k] = st; parent == nil {

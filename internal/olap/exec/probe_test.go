@@ -22,9 +22,9 @@ func probeCounts(t *testing.T, f *fixture, q *Query) (Result, uint64, uint64) {
 	return res[0], st.ExecProbeLookups.Load(), st.ExecProbePredEvals.Load()
 }
 
-// A probe filter over a build no larger than the driver is evaluated
-// once per build row; over a build larger than the driver it is
-// evaluated per hit, by the walk. Both give the reference answer, and
+// A probe filter over a probed table no larger than the driver is
+// evaluated once per row of the table; over a table larger than the
+// driver it is evaluated per hit, by the walk. Both give the reference answer, and
 // the counters say which one ran.
 func TestProbeFilterBitmapAndFallback(t *testing.T) {
 	cases := []struct {
@@ -64,11 +64,12 @@ func TestProbeFilterBitmapAndFallback(t *testing.T) {
 	}
 }
 
-// An empty build: every probe misses, no filter is ever evaluated, and
-// the zero-row bitmap is never indexed.
+// An empty probed table: every probe misses, no filter is ever
+// evaluated, and the zero-row bitmap is never indexed.
 func TestProbeEmptyBuild(t *testing.T) {
 	f := buildFixture(t, 2, 200, 20)
-	f.replica.CreateTable(storage.NewSchema(3, "nobody", f.custs.Columns, f.custs.Key), 0)
+	nobody := storage.NewSchema(3, "nobody", f.custs.Columns, f.custs.Key)
+	f.replica.CreateTable(nobody, col0Key(nobody), 0)
 	q := f.regionQuery(1)
 	q.Probes[0].Table = 3
 	res, lookups, evals := probeCounts(t, f, q)

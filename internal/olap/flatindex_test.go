@@ -229,8 +229,7 @@ func TestPKIndexConcurrentPartitionWriters(t *testing.T) {
 func TestGetByPKMissAndReinsert(t *testing.T) {
 	r := NewReplica(4)
 	s := kvSchema()
-	tbl := r.CreateTable(s, 64)
-	tbl.SetPK(func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }, 64)
+	tbl := r.CreateTable(s, col0Key(s), 64)
 	for k := int64(1); k <= 50; k++ {
 		if err := r.LoadTuple(1, uint64(k), tuple(s, k, k*10)); err != nil {
 			t.Fatal(err)
@@ -274,8 +273,7 @@ func BenchmarkGetByPK(b *testing.B) {
 		{Name: "v", Type: storage.Int64},
 		{Name: "pad", Type: storage.String, Size: 48},
 	}, []int{0})
-	tbl := r.CreateTable(s, rows)
-	tbl.SetPK(func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }, rows)
+	tbl := r.CreateTable(s, col0Key(s), rows)
 	keys := make([]uint64, rows)
 	for i := range keys {
 		// TPC-C's order-line packing: ((w<<4|d)<<32|o)<<4 | n.

@@ -19,6 +19,11 @@ func kvSchema() *storage.Schema {
 	}, []int{0})
 }
 
+// col0Key is the primary key of a schema keyed by its Int64 column 0.
+func col0Key(s *storage.Schema) func([]byte) uint64 {
+	return func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }
+}
+
 func tuple(s *storage.Schema, k, v int64) []byte {
 	t := s.NewTuple()
 	s.PutInt64(t, 0, k)
@@ -226,7 +231,7 @@ func mkEntry(vid uint64, kind proplog.Kind, rowID uint64, off uint32, data []byt
 func TestApplyPendingThreeSteps(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(4)
-	r.CreateTable(s, 64)
+	r.CreateTable(s, col0Key(s), 64)
 
 	// Two workers, interleaved VIDs (like paper Fig. 4).
 	w0 := proplog.Batch{Worker: 0, Tables: []proplog.TableBatch{{Table: 1, Entries: []proplog.Entry{
@@ -299,7 +304,7 @@ func TestApplyMatchesReference(t *testing.T) {
 	}
 	f := func(actions []action, parts uint8) bool {
 		r := NewReplica(int(parts%7) + 1)
-		r.CreateTable(s, 64)
+		r.CreateTable(s, col0Key(s), 64)
 		ref := make(map[uint64]int64)
 		buffers := map[int]*proplog.Buffer{}
 		vid := uint64(0)
@@ -396,7 +401,7 @@ func (f *fakePrimary) commitRow(row uint64, val int64) {
 func TestSchedulerBatchesAndApplies(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, 64)
+	r.CreateTable(s, col0Key(s), 64)
 	p := &fakePrimary{replica: r, schema: s}
 
 	// Query counts live rows at execution time.
@@ -437,7 +442,7 @@ func TestSchedulerBatchesAndApplies(t *testing.T) {
 func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, 64)
+	r.CreateTable(s, col0Key(s), 64)
 	p := &fakePrimary{replica: r, schema: s}
 	sched := NewScheduler(r, p, func(queries []int, _ uint64) []int { return queries })
 	sched.Start()
@@ -480,7 +485,7 @@ func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 func TestSchedulerSharedBatch(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, 64)
+	r.CreateTable(s, col0Key(s), 64)
 	p := &fakePrimary{replica: r, schema: s}
 
 	var mu sync.Mutex
@@ -521,7 +526,7 @@ func TestSchedulerSharedBatch(t *testing.T) {
 func TestSchedulerClose(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(1)
-	r.CreateTable(s, 4)
+	r.CreateTable(s, col0Key(s), 4)
 	sched := NewScheduler(r, StaticPrimary(0), func(q []int, _ uint64) []int {
 		return make([]int, len(q))
 	})
@@ -535,7 +540,7 @@ func TestSchedulerClose(t *testing.T) {
 func TestLoadTuple(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(3)
-	r.CreateTable(s, 16)
+	r.CreateTable(s, col0Key(s), 16)
 	for i := uint64(1); i <= 9; i++ {
 		if err := r.LoadTuple(1, i, tuple(s, int64(i), int64(i))); err != nil {
 			t.Fatal(err)
@@ -562,7 +567,7 @@ func TestLoadTuple(t *testing.T) {
 func TestApplyDivergenceSurfaced(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(1)
-	r.CreateTable(s, 4)
+	r.CreateTable(s, col0Key(s), 4)
 	b := proplog.NewBuffer(0)
 	b.Add(1, mkEntry(1, proplog.Update, 42, 0, u64le(1))) // row 42 never inserted
 	batch := b.Take()

@@ -119,7 +119,7 @@ func newBank(t *testing.T, pushPeriod time.Duration, capacity int) (*oltp.Engine
 	})
 
 	rep := olap.NewReplica(4)
-	rep.CreateTable(schema, 256)
+	rep.CreateTable(schema, tbl.KeyFn, 256)
 	engine.SetSink(rep)
 	return engine, rep, schema
 }

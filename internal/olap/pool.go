@@ -5,13 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a bounded set of workers for fan-out work: the replica's apply
-// rounds and the executor's scans and builds each own one. ForEach runs
+// Pool is a bounded set of workers for fan-out work: a replica's apply
+// rounds and the scans of the executor over it run on one. ForEach runs
 // a set of tasks on up to Workers() goroutines pulling indices off an
 // atomic work-stealing cursor; every task also holds a slot of the
-// pool's semaphore, so concurrent ForEach calls on one pool (the
-// executor builds several join sides at once) share its budget instead
-// of multiplying it. A task must not call ForEach on the pool it runs
+// pool's semaphore, so concurrent ForEach calls on one pool (batches
+// run concurrently on one executor) share its budget instead of
+// multiplying it. A task must not call ForEach on the pool it runs
 // on: it would wait for slots its own caller may be holding.
 type Pool struct {
 	workers int

@@ -41,16 +41,17 @@ type Table struct {
 	wantedSyn atomic.Uint64
 
 	// version counts data-changing events (loads and applied update
-	// rounds). The shared-execution engine uses it to cache join build
-	// sides for tables that did not change — static dimension tables
-	// keep their builds across batches.
+	// rounds). The shared-execution engine keeps what it derives from the
+	// table's rows (link arrays) for as long as the version holds, so a
+	// table that did not change (static dimensions like nation or item)
+	// keeps them across batches.
 	version uint64
 
-	// pkFn and pkIdx implement an optional primary-key index
-	// (pk -> tuple locator, flatindex.go) maintained incrementally during
-	// load and update application. The shared-execution engine probes it
-	// for join lookups into tables that change every batch, so no
-	// hash-join build side ever has to be rebuilt from a full scan.
+	// pkFn and pkIdx are the table's primary-key index (pk -> tuple
+	// locator, flatindex.go), keyed like the primary's rows and
+	// maintained incrementally during load and update application. Every
+	// join probe of the shared-execution engine is a lookup in it, so no
+	// join ever needs a build side made from a full scan.
 	pkFn  func(tup []byte) uint64
 	pkIdx *flatIndex
 
@@ -62,19 +63,6 @@ type Table struct {
 // Version returns the table's data version; it changes whenever tuples
 // are loaded or updates applied.
 func (t *Table) Version() uint64 { return t.version }
-
-// SetPK installs a primary-key extractor and enables the incremental PK
-// index. Must be called before any data is loaded. Primary keys must be
-// immutable under updates (BatchDB's workloads guarantee this; the
-// primary replica's rows are keyed the same way).
-func (t *Table) SetPK(fn func(tup []byte) uint64, capacityHint int) {
-	t.pkFn = fn
-	t.pkHint = capacityHint
-	t.pkIdx = newFlatIndex(capacityHint)
-}
-
-// HasPKIndex reports whether the table maintains a PK index.
-func (t *Table) HasPKIndex() bool { return t.pkIdx != nil }
 
 // GetByPK resolves a primary key to the live tuple bytes (aliasing
 // partition storage): one probe of the PK index, then a slice of the
@@ -98,6 +86,22 @@ func (t *Table) FindPK(pk uint64) (part int, slot int32, ok bool) {
 	return int(loc>>32) - 1, int32(uint32(loc)), ok
 }
 
+// FindPKs is FindPK over a vector of keys, in the executor's dense row
+// ids: ids[i] is base[part] + slot + 1 for keys[i]'s row, base[p] being
+// the id of partition p's slot 0, or 0 where no live row has the key.
+// One call per vector leaves the lookup loop without calls, so its
+// loads overlap in the memory system.
+func (t *Table) FindPKs(keys []uint64, base []uint32, ids []uint32) {
+	for i, k := range keys {
+		loc, ok := t.pkIdx.get(k)
+		if !ok {
+			ids[i] = 0
+			continue
+		}
+		ids[i] = base[int(loc>>32)-1] + uint32(loc) + 1
+	}
+}
+
 // insert places a tuple in the partition its RowID routes to and
 // indexes its primary key there (load and resync reload; apply rounds
 // go through applyToPartition).
@@ -106,12 +110,11 @@ func (t *Table) insert(rowID uint64, tup []byte) error {
 	return insertIndexed(t.Partitions[pi], pi, rowID, tup, t.pkIdx, t.pkFn)
 }
 
-// insertIndexed places a tuple in p, partition pi of its table, and —
-// when the table has a PK index — stores the slot it landed in under
-// its primary key in pk.
+// insertIndexed places a tuple in p, partition pi of its table, and
+// stores the slot it landed in under its primary key in pk.
 func insertIndexed(p *Partition, pi int, rowID uint64, tup []byte, pk *flatIndex, pkFn func([]byte) uint64) error {
 	slot, err := p.insert(rowID, tup)
-	if err == nil && pk != nil {
+	if err == nil {
 		pk.put(pkFn(tup), pkLoc(pi, slot))
 	}
 	return err
@@ -142,7 +145,7 @@ type Replica struct {
 	parts  int
 
 	// pool runs the apply rounds' tasks (steps 1–3 across all tables of
-	// a round), ActivateSynopses and the executor's scans and builds.
+	// a round), ActivateSynopses and the executor's scans.
 	// NumCPU workers unless SetApplyWorkers says otherwise.
 	pool *Pool
 
@@ -196,7 +199,7 @@ func NewReplica(parts int) *Replica {
 }
 
 // SetApplyWorkers sizes the replica's pool, the parallelism of its apply
-// rounds and of the scans and builds of the executor that shares it
+// rounds and of the scans of the executor that shares it
 // (the OLAP replica's dedicated cores). Call during wiring, before the
 // scheduler starts applying; n <= 0 is ignored.
 func (r *Replica) SetApplyWorkers(n int) {
@@ -206,14 +209,22 @@ func (r *Replica) SetApplyWorkers(n int) {
 }
 
 // Pool returns the replica's worker pool. The executor over the replica
-// runs its scans and builds on it: a scheduler's apply rounds and its
+// runs its scans on it: a scheduler's apply rounds and its
 // batches run on one goroutine and never overlap, so one pool is the
 // replica's whole CPU budget.
 func (r *Replica) Pool() *Pool { return r.pool }
 
-// CreateTable registers a replicated relation. All DDL must precede use.
-func (r *Replica) CreateTable(schema *storage.Schema, capacityHint int) *Table {
-	t := &Table{Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock, compress: r.compress}
+// CreateTable registers a replicated relation whose rows are keyed by
+// key, the primary's key function for the relation: the table keeps a
+// PK index on it, through which every join probe into the table looks
+// its rows up. Primary keys must be unique and immutable under updates
+// (the primary's rows are keyed the same way). capacityHint sizes the
+// partitions and the index. All DDL must precede use.
+func (r *Replica) CreateTable(schema *storage.Schema, key func(tup []byte) uint64, capacityHint int) *Table {
+	t := &Table{
+		Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock, compress: r.compress,
+		pkFn: key, pkHint: capacityHint, pkIdx: newFlatIndex(capacityHint),
+	}
 	for i := 0; i < r.parts; i++ {
 		p := NewPartition(schema, t.capHint)
 		if t.zmBlock > 0 {
@@ -540,9 +551,7 @@ func (r *Replica) applyReload(rl *Reload) error {
 			}
 		}
 		t.Partitions = parts
-		if t.pkIdx != nil {
-			t.pkIdx = newFlatIndex(t.pkHint)
-		}
+		t.pkIdx = newFlatIndex(t.pkHint)
 		t.version++
 		for _, row := range rl.rows[t.Schema.ID] {
 			if err := t.insert(row.rowID, row.tup); err != nil {

@@ -13,7 +13,7 @@ import (
 // instead of panicking on a double channel close.
 func TestSchedulerCloseIdempotent(t *testing.T) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), 16)
+	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
 	s := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		return make([]int, len(qs))
 	})
@@ -30,7 +30,7 @@ func TestSchedulerCloseIdempotent(t *testing.T) {
 func TestLastApplyConcurrentRead(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, 64)
+	r.CreateTable(s, col0Key(s), 64)
 	sched := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		return make([]int, len(qs))
 	})
@@ -66,7 +66,7 @@ func TestLastApplyConcurrentRead(t *testing.T) {
 func TestApplyErrorKeepsVersion(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, 16)
+	tbl := r.CreateTable(s, col0Key(s), 16)
 	good := proplog.Batch{Worker: 0, Tables: []proplog.TableBatch{{Table: 1, Entries: []proplog.Entry{
 		mkEntry(1, proplog.Insert, 1, 0, tuple(s, 1, 10)),
 	}}}}
@@ -177,7 +177,7 @@ func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
 func TestReloadInstall(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, 16)
+	tbl := r.CreateTable(s, col0Key(s), 16)
 	for i := int64(1); i <= 5; i++ {
 		if err := r.LoadTuple(1, uint64(i), tuple(s, i, i)); err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestReloadInstall(t *testing.T) {
 func TestReloadBuffersResyncUpdates(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, 16)
+	tbl := r.CreateTable(s, col0Key(s), 16)
 	// Pre-outage state: rows 1..3 at floor 5.
 	for i := int64(1); i <= 3; i++ {
 		if err := r.LoadTuple(1, uint64(i), tuple(s, i, i)); err != nil {
@@ -295,8 +295,7 @@ func TestReloadBuffersResyncUpdates(t *testing.T) {
 func TestReloadRebuildsPKIndex(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, 16)
-	tbl.SetPK(func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }, 16)
+	tbl := r.CreateTable(s, col0Key(s), 16)
 	if err := r.LoadTuple(1, 1, tuple(s, 7, 70)); err != nil {
 		t.Fatal(err)
 	}

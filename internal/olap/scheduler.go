@@ -65,8 +65,8 @@ type SchedulerStats struct {
 	// stall a batch ever sees.
 	SnapWait obs.Histogram
 	// ExecBuildPrepare, ExecScan and ExecMerge split each batch's
-	// execution into its phases — shared hash-build construction or
-	// revalidation, the morsel-driven driver scans, and the per-worker
+	// execution into its phases — resolving each probed table to its
+	// PK-indexed source, the morsel-driven driver scans, and the per-worker
 	// partial-aggregate merge. Recorded by the exec engine when it is
 	// attached via Engine.AttachStats (one sample per batch each).
 	ExecBuildPrepare obs.Histogram
@@ -100,11 +100,10 @@ type SchedulerStats struct {
 	// reaches it; and, when a link array is made (not when it is found
 	// cached), one per live row of the linked step's parent table.
 	// ExecProbePredEvals counts the probe-filter evaluations: one per
-	// live row of the probed table — a hash build or a PK-indexed table
-	// alike — for a filter the executor turned into a bitmap, one per hit
-	// otherwise (a table larger than the driver). Both
-	// are pure functions of data, batch, plan and what the engine has
-	// cached — work counters, comparable exactly across runs.
+	// live row of the probed table for a filter the executor turned into
+	// a bitmap, one per hit otherwise (a table larger than the driver).
+	// Both are pure functions of data, batch, plan and what the engine
+	// has cached — work counters, comparable exactly across runs.
 	ExecProbeLookups   obs.Counter
 	ExecProbePredEvals obs.Counter
 	Busy               obs.BusyTracker

@@ -17,7 +17,7 @@ import (
 func TestApplyScratchReleasesChunks(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(4)
-	r.CreateTable(s, 64)
+	r.CreateTable(s, col0Key(s), 64)
 
 	const tupleSize = 16
 	var freed atomic.Int64

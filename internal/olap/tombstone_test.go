@@ -26,7 +26,7 @@ func TestInsertReservedRowID(t *testing.T) {
 func TestReplicaLoadTupleReservedRowID(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, 16)
+	r.CreateTable(s, col0Key(s), 16)
 	if err := r.LoadTuple(1, 0, tuple(s, 1, 1)); err == nil {
 		t.Fatal("load of reserved RowID 0 accepted")
 	}
@@ -38,7 +38,7 @@ func TestReplicaLoadTupleReservedRowID(t *testing.T) {
 func TestReloadLoadTupleReservedRowID(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, 16)
+	r.CreateTable(s, col0Key(s), 16)
 	rl := r.NewReload()
 	if err := rl.LoadTuple(1, 0, tuple(s, 1, 1)); err == nil {
 		t.Fatal("reload of reserved RowID 0 accepted")

@@ -58,7 +58,7 @@ func newCluster(t *testing.T) *testCluster {
 
 	// Replica node.
 	rep := olap.NewReplica(2)
-	rep.CreateTable(schema, 1024)
+	rep.CreateTable(schema, tbl.KeyFn, 1024)
 
 	// Wire them over loopback TCP.
 	l, err := network.Listen("127.0.0.1:0", nil)
@@ -268,8 +268,8 @@ func TestMultiSinkFanOut(t *testing.T) {
 		return nil, err
 	})
 	r1, r2 := olap.NewReplica(1), olap.NewReplica(1)
-	r1.CreateTable(schema, 64)
-	r2.CreateTable(schema, 64)
+	r1.CreateTable(schema, tbl.KeyFn, 64)
+	r2.CreateTable(schema, tbl.KeyFn, 64)
 	engine.AddSink(r1)
 	engine.AddSink(r2)
 	engine.Start()

@@ -1,6 +1,7 @@
 package batchdb
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2},
-		[]ReplicaTable{{Schema: f.schema}})
+		[]ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,30 +87,14 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 }
 
 // TestReplicateTablesKeepPKIndex pins the replicas' PK indexes: on the
-// DB's own replica, a workload replica and a remote node declared with
-// each table's Key, every Replicate table keeps a PK index (join probes
-// into a changing table need no per-batch build) and an Analytical-only
-// table does not. A node declared without Key keeps no index at all.
+// DB's own replica, a workload replica and a remote node, every
+// analytical table — the Replicate accounts and the Analytical-only
+// regions alike — is keyed like its primary, so GetByPK resolves every
+// loaded row (every join probe is a lookup in that index).
 func TestReplicateTablesKeepPKIndex(t *testing.T) {
 	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
-	regions := NewSchema(2, "regions", []Column{
-		{Name: "id", Type: Int64},
-		{Name: "name", Type: Int64},
-	}, []int{0})
-	regionKey := func(tup []byte) uint64 { return uint64(regions.GetInt64(tup, 0)) }
-	rt, err := f.db.CreateTable(regions, regionKey, TableOptions{Analytical: true, CapacityHint: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	regions, regionKey := f.addRegions(t)
 	f.load(t, 100)
-	for i := int64(0); i < 3; i++ {
-		tup := regions.NewTuple()
-		regions.PutInt64(tup, 0, i)
-		regions.PutInt64(tup, 1, 10*i)
-		if _, err := rt.Load(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := f.db.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,42 +109,93 @@ func TestReplicateTablesKeepPKIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	connect := func(tables []ReplicaTable) *ReplicaNode {
-		t.Helper()
-		n, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2}, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Close)
-		return n
-	}
-	keyed := connect([]ReplicaTable{
+	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2}, []ReplicaTable{
 		{Schema: f.schema, Key: f.tbl.OLTP.KeyFn},
-		{Schema: regions},
+		{Schema: regions, Key: regionKey},
 	})
-	unkeyed := connect([]ReplicaTable{{Schema: f.schema}, {Schema: regions}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
 
 	for _, k := range []struct {
-		name          string
-		rep           *olap.Replica
-		accountsHasPK bool
+		name string
+		rep  *olap.Replica
 	}{
-		{"db", f.db.Replica(), true},
-		{"workload", wr.rep, true},
-		{"node with Key", keyed.Replica(), true},
-		{"node without Key", unkeyed.Replica(), false},
+		{"db", f.db.Replica()},
+		{"workload", wr.rep},
+		{"node", node.Replica()},
 	} {
-		if got := k.rep.Table(f.schema.ID).HasPKIndex(); got != k.accountsHasPK {
-			t.Errorf("%s: Replicate table HasPKIndex = %v, want %v", k.name, got, k.accountsHasPK)
+		if _, ok := k.rep.Table(f.schema.ID).GetByPK(100); !ok {
+			t.Errorf("%s: PK index of the Replicate table misses account 100", k.name)
 		}
-		if k.rep.Table(regions.ID).HasPKIndex() {
-			t.Errorf("%s: Analytical-only table keeps a PK index", k.name)
-		}
-		// The index resolves every loaded account.
-		if k.accountsHasPK {
-			if _, ok := k.rep.Table(f.schema.ID).GetByPK(100); !ok {
-				t.Errorf("%s: PK index misses account 100", k.name)
+		for i := uint64(0); i < 3; i++ {
+			tup, ok := k.rep.Table(regions.ID).GetByPK(i)
+			if !ok || regions.GetInt64(tup, 1) != 10*int64(i) {
+				t.Errorf("%s: PK index of the Analytical-only table resolves region %d to %v, %v", k.name, i, tup, ok)
 			}
 		}
 	}
+}
+
+// TestReplicaTableKeyRequired: a remote replica keys every table like
+// its primary, so ConnectReplica and ConnectFleet refuse a ReplicaTable
+// without Key, naming the table, before they dial.
+func TestReplicaTableKeyRequired(t *testing.T) {
+	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
+	regions, _ := f.addRegions(t)
+	f.load(t, 10)
+	if err := f.db.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.db.Close()
+	addr, err := f.db.ServeReplicas("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := []ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}, {Schema: regions}}
+	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2}, tables)
+	if err == nil {
+		node.Close()
+		t.Fatal("ConnectReplica accepted a table without Key")
+	}
+	if !strings.Contains(err.Error(), `"regions"`) {
+		t.Errorf("ConnectReplica error %q does not name the table", err)
+	}
+	fl, err := ConnectFleet(addr, FleetConfig{Replicas: 2}, tables)
+	if err == nil {
+		fl.Close()
+		t.Fatal("ConnectFleet accepted a table without Key")
+	}
+	if !strings.Contains(err.Error(), `"regions"`) {
+		t.Errorf("ConnectFleet error %q does not name the table", err)
+	}
+	if n := f.db.ReplicaServerStats().Served.Load(); n != 0 {
+		t.Errorf("the primary served %d replica connections, want none", n)
+	}
+}
+
+// addRegions creates an Analytical-only regions(id, name) table keyed
+// by id, with regions 0..2 loaded (name 10*id), and returns its schema
+// and key.
+func (f *accountsFixture) addRegions(t *testing.T) (*Schema, KeyFunc) {
+	t.Helper()
+	regions := NewSchema(2, "regions", []Column{
+		{Name: "id", Type: Int64},
+		{Name: "name", Type: Int64},
+	}, []int{0})
+	regionKey := func(tup []byte) uint64 { return uint64(regions.GetInt64(tup, 0)) }
+	rt, err := f.db.CreateTable(regions, regionKey, TableOptions{Analytical: true, CapacityHint: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		tup := regions.NewTuple()
+		regions.PutInt64(tup, 0, i)
+		regions.PutInt64(tup, 1, 10*i)
+		if _, err := rt.Load(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return regions, regionKey
 }

@@ -65,18 +65,16 @@ func (db *DB) analyticalTables() []TableID {
 }
 
 // attachReplica builds a co-located replica of the analytical tables,
-// with a PK index on every Replicate table so join probes into the
-// tables that change never need a per-batch hash build, attaches it to the primary's update stream and loads the primary's
-// committed state into it. The feed is attached first, so the replica's
-// VID floor discards the updates the snapshot already contains.
+// each keyed by its primary's key function so every join probe is a
+// lookup in the table's PK index, attaches it to the primary's update
+// stream and loads the primary's committed state into it. The feed is
+// attached first, so the replica's VID floor discards the updates the
+// snapshot already contains.
 func (db *DB) attachReplica(partitions int) (*olap.Replica, error) {
 	rep := newReplica(partitions)
 	for _, t := range db.order {
 		if t.opts.Analytical {
-			rt := rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
-			if t.opts.Replicate {
-				rt.SetPK(t.OLTP.KeyFn, t.opts.CapacityHint)
-			}
+			rep.CreateTable(t.OLTP.Schema, t.OLTP.KeyFn, t.opts.CapacityHint)
 		}
 	}
 	db.engine.AddSink(rep)
@@ -136,9 +134,10 @@ func (w *WorkloadReplica) Close() { w.sched.Close() }
 type ReplicaTable struct {
 	Schema       *Schema
 	CapacityHint int
-	// Key, when set, is the relation's primary key (the primary's
-	// KeyFunc): the node keeps a PK index on it, as a local replica does
-	// for every Replicate table.
+	// Key is the relation's primary key, the primary's KeyFunc for it
+	// (required). The node keeps a PK index on it, as a local replica
+	// does for every analytical table, and every join probe into the
+	// relation is a lookup in that index.
 	Key KeyFunc
 }
 
@@ -184,7 +183,7 @@ func newReplica(partitions int) *olap.Replica {
 }
 
 // ConnectReplica dials a primary's replication address, bootstraps, and
-// starts serving queries.
+// starts serving queries. Every table needs its Key.
 func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaTable) (*ReplicaNode, error) {
 	return connectReplica(primaryAddr, cfg, tables, obs.L("class", "remote"))
 }
@@ -192,6 +191,11 @@ func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 // connectReplica is ConnectReplica with the labels the node's
 // instruments register under.
 func connectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaTable, labels ...obs.Label) (*ReplicaNode, error) {
+	for _, t := range tables {
+		if t.Key == nil {
+			return nil, fmt.Errorf("batchdb: replica table %q (id %d) has no Key", t.Schema.Name, t.Schema.ID)
+		}
+	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}
@@ -201,10 +205,7 @@ func connectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 		if hint <= 0 {
 			hint = 1024
 		}
-		rt := rep.CreateTable(t.Schema, hint)
-		if t.Key != nil {
-			rt.SetPK(t.Key, hint)
-		}
+		rep.CreateTable(t.Schema, t.Key, hint)
 	}
 	return node.Connect(primaryAddr, rep, node.Config{
 		Workers:       cfg.Workers,
