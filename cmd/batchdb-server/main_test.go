@@ -214,7 +214,7 @@ func TestServerStatsFromRegistry(t *testing.T) {
 		"batchdb_olap_exec_probe_pred_evals_total",
 		"batchdb_olap_apply_rounds_total{cause=barrier",
 		"batchdb_olap_apply_rounds_total{cause=push",
-		"batchdb_olap_blocks_reencoded_total",
+		"batchdb_olap_blocks_skipped_total",
 		"batchdb_olap_pinned_snapshots",
 	} {
 		if !strings.Contains(stats, want) {

@@ -249,9 +249,8 @@ func (g *Gen) supplierOfStock(pred func([]byte) bool) exec.Probe {
 // --- aggregates ----------------------------------------------------------
 
 // Sums over driver columns are declarative (exec.SumCol) rather than
-// closures: the compiled typed kernel computes the same value, and the
-// declarative form is what lets the encoded-block aggregate kernels
-// answer whole morsels.
+// closures: the compiled typed kernel reads the column at its fixed
+// offset.
 func (g *Gen) sumOlAmount() exec.AggSpec { return exec.SumCol(tpcc.OLAmount) }
 
 func countStar() exec.AggSpec { return exec.AggSpec{Kind: exec.Count} }

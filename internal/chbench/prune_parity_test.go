@@ -34,9 +34,6 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	}
 	const morsel = 512 // small blocks: many verdicts per partition
 	rep.EnableZoneMaps(morsel)
-	// Encoded vectors ride along: the engines below also vectorize, so
-	// this parity run covers compressed execution too.
-	rep.EnableCompression()
 	raw, err := NewReplica(db, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,8 @@
 // load with background checkpointing, kill it at that point (leaving
 // exactly the bytes a dying process would leave, including torn
 // writes), recover a fresh instance from the same directory, and assert
-// the restored state matches the acknowledged commits exactly.
+// the restored state matches the acknowledged commits exactly and holds
+// everything the instance pushed to its replicas.
 package checkpoint_test
 
 import (
@@ -17,6 +18,7 @@ import (
 	"batchdb/internal/crash"
 	"batchdb/internal/mvcc"
 	"batchdb/internal/oltp"
+	"batchdb/internal/proplog"
 	"batchdb/internal/tpcc"
 )
 
@@ -48,6 +50,16 @@ func newTPCCEngineGC(t *testing.T, seed bool, gcEveryTxns int) (*tpcc.DB, *oltp.
 	return db, e
 }
 
+// pushWatermark is an update sink that keeps the highest watermark it
+// was pushed: every update at or below it may have been served by a
+// replica.
+type pushWatermark struct{ max atomic.Uint64 }
+
+func (p *pushWatermark) ApplyUpdates(_ []proplog.Batch, upTo uint64) {
+	for cur := p.max.Load(); upTo > cur && !p.max.CompareAndSwap(cur, upTo); cur = p.max.Load() {
+	}
+}
+
 func TestCrashRecoveryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix is not short")
@@ -71,6 +83,8 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pushed := &pushWatermark{}
+	e1.AddSink(pushed)
 	e1.Start()
 
 	// Fire on the second hit, with half of any in-flight buffer reaching
@@ -117,7 +131,8 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 	}
 	// Checkpoint driver: a tight loop standing in for the background
 	// runner so the checkpoint/manifest/truncate crash points are reached
-	// quickly and deterministically.
+	// quickly and deterministically. Each tick also syncs, as a replica's
+	// freshness barrier does, so updates are pushed throughout the run.
 	ckptDone := make(chan struct{})
 	go func() {
 		defer close(ckptDone)
@@ -131,6 +146,7 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 			if inj.Crashed() {
 				return
 			}
+			e1.SyncUpdates()
 			if w := e1.LatestVID(); w-last >= 15 {
 				if _, err := st1.Checkpoint(e1); err != nil {
 					if errors.Is(err, crash.ErrCrashed) {
@@ -164,8 +180,9 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 	origStore := e1.Store()
 	// The simulated process is dead: nothing may touch the directory
 	// again (Close on the crashed log fails; ignore it). The in-memory
-	// store survives as the oracle.
+	// store survives as the oracle. Close makes the engine's last push.
 	_ = e1.Close()
+	served := pushed.max.Load()
 
 	// --- restart ---
 	has, err := checkpoint.DirHasCheckpoint(dir)
@@ -190,6 +207,9 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 	}
 	if w > origLatest {
 		t.Fatalf("recovered watermark %d beyond anything executed (%d)", w, origLatest)
+	}
+	if served > w {
+		t.Fatalf("pushed watermark %d > recovered watermark %d: a replica may have served updates the log lost", served, w)
 	}
 	if got := uint64(info.Replayed); got != w-info.CheckpointVID {
 		t.Fatalf("replayed %d records, want the tail %d (watermark %d - checkpoint %d)",

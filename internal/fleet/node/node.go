@@ -18,7 +18,7 @@ import (
 )
 
 // Config parameterizes one replica node. The replica itself (tables
-// created, zone maps/compression enabled) is supplied by the caller, so
+// created, zone maps enabled) is supplied by the caller, so
 // any schema set — root DB tables, CH-benCHmark, test fixtures — wires
 // the same way.
 type Config struct {

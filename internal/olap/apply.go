@@ -144,8 +144,8 @@ type ApplyStats struct {
 	// Reloaded reports that a staged resync snapshot replaced the
 	// replica's contents at the start of this round.
 	Reloaded bool
-	// Maintained reports that the round had synopsis or encoded-vector
-	// maintenance to do, whether or not it had entries.
+	// Maintained reports that the round had synopsis maintenance to do,
+	// whether or not it had entries.
 	Maintained bool
 	// Step1 orders per-worker update sets by VID; Step2 routes them to
 	// partitions by hash(RowID); Step3 applies them through the RowID
@@ -154,10 +154,6 @@ type ApplyStats struct {
 	Step1, Step2, Step3 time.Duration
 	// PerTable splits the work by relation.
 	PerTable map[storage.TableID]*TableApplyStats
-
-	// reencoded counts the blocks whose encoded vectors the round rebuilt;
-	// the scheduler folds it into its counter.
-	reencoded int
 }
 
 // ApplyPending applies every queued update with VID <= target, in VID
@@ -176,17 +172,10 @@ type ApplyStats struct {
 // where it was, but the failed tables are half-applied, which is why the
 // error is sticky (applyErr) and the scheduler treats it as fatal.
 //
-// A round started here re-encodes every stale block before it returns;
-// the scheduler's rounds go through applyPending and say whether they do.
+// Every round does the same maintenance, whatever started it: it
+// activates the requested synopsis columns and re-summarizes the blocks
+// it dirtied.
 func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
-	return r.applyPending(target, true)
-}
-
-// applyPending is ApplyPending with the round's maintenance spelt out:
-// synopses are re-summarized in every round, stale encoded vectors are
-// rebuilt only when reencode is set — until then FilterRange and
-// SumLiveRange refuse their blocks and the scan reads the rows.
-func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error) {
 	// Take the staged resync snapshot (reconnect after connection loss),
 	// the queued batches and the floor in one atomic step: batches that
 	// were spliced in together with a reload must never be drained
@@ -194,14 +183,14 @@ func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error)
 	// be wiped by the reload, unrecoverable below its floor).
 	rl, batches, floor := r.takeWork()
 	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
-	stats.Maintained = r.needsMaintenance(reencode)
+	stats.Maintained = r.needsMaintenance()
 	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !stats.Maintained {
 		return stats, nil // nothing to apply
 	}
 
 	r.beginRound()
 	defer r.endRound()
-	outs, err := r.applyRound(&stats, rl, batches, floor, target, reencode)
+	outs, err := r.applyRound(&stats, rl, batches, floor, target)
 	if err != nil {
 		r.mu.Lock()
 		r.applyErr = err
@@ -223,31 +212,27 @@ func (r *Replica) applyPending(target uint64, reencode bool) (ApplyStats, error)
 
 // tableOut is one table's outcome of an apply round.
 type tableOut struct {
-	ts        TableApplyStats
-	entries   int
-	reencoded int
-	err       error
+	ts      TableApplyStats
+	entries int
+	err     error
 }
 
 // partOut is one (table, partition) step-3 task's outcome.
 type partOut struct {
 	step2, step3  time.Duration
 	ins, upd, del int
-	reencoded     int
 	err           error
 }
 
 // applyRound is the body of one round: optional reload, stream grouping,
 // then the three steps as three flat phases on the replica's pool — step
 // 1 per touched table, step 2 per routing chunk across all tables, step 3
-// (with synopsis and encoded-vector maintenance) per touched (table,
-// partition) — and the fold of their stats into st. A table is touched
-// when it has entries or a pending maintenance step (requested-but-
-// inactive synopsis columns — a reload rebuilt them empty — or, in a
-// round that re-encodes, stale encoded blocks). It returns one outcome
-// per registered table (nil for tables the round did not touch) and the
-// first error in registration order.
-func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64, reencode bool) ([]*tableOut, error) {
+// (with synopsis maintenance) per touched (table, partition) — and the
+// fold of their stats into st. A table is touched when it has entries or
+// requested-but-inactive synopsis columns (a reload rebuilt them empty).
+// It returns one outcome per registered table (nil for tables the round
+// did not touch) and the first error in registration order.
+func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch, floor, target uint64) ([]*tableOut, error) {
 	if rl != nil {
 		// The reload installs first: it raises the floor so stale queued
 		// updates the snapshot already contains are discarded below.
@@ -263,7 +248,7 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 	outs := make([]*tableOut, len(r.order))
 	var touched []int
 	for ti, t := range r.order {
-		if len(t.scratch.streams) > 0 || t.needsMaintenance(reencode) {
+		if len(t.scratch.streams) > 0 || t.needsMaintenance() {
 			outs[ti] = &tableOut{}
 			touched = append(touched, ti)
 		}
@@ -322,7 +307,7 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		t := r.order[ti]
 		w := t.wantedSyn.Load()
 		for pi, p := range t.Partitions {
-			if t.scratch.routed(pi) > 0 || p.needsMaintenance(w, reencode) {
+			if t.scratch.routed(pi) > 0 || p.needsMaintenance(w) {
 				parts = append(parts, part{ti, pi, w})
 			}
 		}
@@ -345,14 +330,6 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 			// updates dirtied, inside the same task (and the same Step3
 			// timing) — queries never see a dirty block.
 			p.ResummarizeDirty()
-			// Then, in a round that re-encodes, rebuild the encoded vectors
-			// of the blocks that inserts and patches staled since the last
-			// such round, after the synopses are exact again (re-encoding
-			// reuses the block min as fill and FOR base). In any other round
-			// the blocks stay flagged.
-			if reencode {
-				o.reencoded = p.ReencodeDirty()
-			}
 		}
 		o.step3 = time.Since(t0)
 	})
@@ -363,7 +340,6 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		o.ts.Inserted += po.ins
 		o.ts.Updated += po.upd
 		o.ts.Deleted += po.del
-		o.reencoded += po.reencoded
 		if po.err != nil && o.err == nil {
 			o.err = po.err
 		}
@@ -379,7 +355,6 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		st.Step1 += o.ts.Step1
 		st.Step2 += o.ts.Step2
 		st.Step3 += o.ts.Step3
-		st.reencoded += o.reencoded
 		if o.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("olap: apply to table %s: %w", t.Schema.Name, o.err)
 		}
@@ -420,26 +395,25 @@ func (r *Replica) groupStreams(batches []proplog.Batch, floor, target uint64) {
 }
 
 // needsMaintenance reports whether the partition has requested-but-
-// inactive synopsis columns (w is the table's request mask) or — for a
-// round that re-encodes — stale encoded blocks: work an apply round must
-// pick up even with no entries for it.
-func (p *Partition) needsMaintenance(w uint64, reencode bool) bool {
-	return p.zm != nil && ((w != 0 && p.zm.active&w != w) || (reencode && p.enc != nil && p.enc.anyStale))
+// inactive synopsis columns (w is the table's request mask): work an
+// apply round must pick up even with no entries for it.
+func (p *Partition) needsMaintenance(w uint64) bool {
+	return p.zm != nil && w != 0 && p.zm.active&w != w
 }
 
-func (t *Table) needsMaintenance(reencode bool) bool {
+func (t *Table) needsMaintenance() bool {
 	w := t.wantedSyn.Load()
 	for _, p := range t.Partitions {
-		if p.needsMaintenance(w, reencode) {
+		if p.needsMaintenance(w) {
 			return true
 		}
 	}
 	return false
 }
 
-func (r *Replica) needsMaintenance(reencode bool) bool {
+func (r *Replica) needsMaintenance() bool {
 	for _, t := range r.order {
-		if t.needsMaintenance(reencode) {
+		if t.needsMaintenance() {
 			return true
 		}
 	}

@@ -36,8 +36,8 @@ var eqRanges = [][]ColRange{
 	{{Col: 1, Lo: 200, Hi: 300}}, // matches nothing: every block is disproved
 }
 
-// newEqReplica builds a replica of ntables zone-mapped, compressed,
-// PK-indexed tables with rows [1, loaded] each, synopses on v active.
+// newEqReplica builds a replica of ntables zone-mapped, PK-indexed
+// tables with rows [1, loaded] each, synopses on v active.
 // The row values depend only on (table, row), so two calls with equal
 // arguments produce identical replicas.
 func newEqReplica(t *testing.T, ntables, parts, workers, loaded int) *Replica {
@@ -52,7 +52,6 @@ func newEqReplicaOf(t *testing.T, parts, workers int, m *eqModel) *Replica {
 	r := NewReplica(parts)
 	r.SetApplyWorkers(workers)
 	r.EnableZoneMaps(eqBlock)
-	r.EnableCompression()
 	for ti, live := range m.live {
 		id := storage.TableID(ti + 1)
 		s := eqSchema(id)
@@ -176,8 +175,7 @@ type tableState struct {
 	// it ("miss" when the key does not resolve to a tuple carrying it).
 	PK []string
 	// Verdicts holds, per partition, block and eqRanges entry, the
-	// zone-map verdict, the encoded filter's served flag and selection
-	// (masked to live slots), and the encoded SUM(v)/COUNT answer.
+	// zone-map verdict.
 	Verdicts []string
 }
 
@@ -196,30 +194,11 @@ func captureTable(tv *Table) tableState {
 			st.Rid = append(st.Rid, fmt.Sprintf("%d:%d/%d", rowID, pi, int32(loc)))
 		})
 		for lo := 0; lo < p.Slots(); lo += eqBlock {
-			hi := lo + eqBlock
-			if hi > p.Slots() {
-				hi = p.Slots()
-			}
-			var liveMask uint64
-			for i := lo; i < hi; i++ {
-				if p.rowIDs[i] != 0 {
-					liveMask |= 1 << uint(i-lo)
-				}
-			}
+			hi := min(lo+eqBlock, p.Slots())
 			for ri, rg := range eqRanges {
-				var sel [1]uint64
-				served := p.FilterRange(lo, hi, rg, sel[:])
-				if !served {
-					sel[0] = 0
-				}
-				st.Verdicts = append(st.Verdicts, fmt.Sprintf("p%d[%d,%d) r%d: may=%v served=%v sel=%x",
-					pi, lo, hi, ri, p.RangeMayMatch(lo, hi, rg), served, sel[0]&liveMask))
+				st.Verdicts = append(st.Verdicts, fmt.Sprintf("p%d[%d,%d) r%d: may=%v",
+					pi, lo, hi, ri, p.RangeMayMatch(lo, hi, rg)))
 			}
-			sum, rows, ok := p.SumLiveRange(lo, hi, 1)
-			if !ok {
-				sum, rows = 0, 0
-			}
-			st.Verdicts = append(st.Verdicts, fmt.Sprintf("p%d[%d,%d) sum=%v rows=%d ok=%v", pi, lo, hi, sum, rows, ok))
 		}
 	}
 	sort.Strings(st.Live)
@@ -293,61 +272,6 @@ func pendingEntries(r *Replica) int {
 	return n
 }
 
-// checkEncodedExact asserts the contract a deferred re-encode leans on:
-// for every block and eqRanges entry of every table, the encoded filter
-// either refuses the block (the scan then reads its rows) or selects
-// exactly the live slots whose v satisfies the range, never from a stale
-// vector, and the encoded sum either refuses or equals the sum over the
-// block's rows. It returns how many (block, range) pairs were served and
-// how many refused.
-func checkEncodedExact(t *testing.T, stage string, r *Replica) (served, refused int) {
-	t.Helper()
-	for _, tbl := range r.Tables() {
-		s := tbl.Schema
-		for pi, p := range tbl.Partitions {
-			for lo := 0; lo < p.Slots(); lo += eqBlock {
-				hi := min(lo+eqBlock, p.Slots())
-				var sum float64
-				live := 0
-				for i := lo; i < hi; i++ {
-					if p.rowIDs[i] != 0 {
-						live++
-						sum += float64(s.GetInt64(p.Tuple(int32(i)), 1))
-					}
-				}
-				for ri, rg := range eqRanges {
-					var want, sel [1]uint64
-					for i := lo; i < hi; i++ {
-						if v := s.GetInt64(p.Tuple(int32(i)), 1); p.rowIDs[i] != 0 && v >= rg[0].Lo && v <= rg[0].Hi {
-							want[0] |= 1 << uint(i-lo)
-						}
-					}
-					if !p.FilterRange(lo, hi, rg, sel[:]) {
-						refused++
-						continue
-					}
-					if ci := p.zm.colPos[rg[0].Col]; p.enc.stale[lo/eqBlock]&(1<<uint(ci)) != 0 {
-						t.Fatalf("%s: table %s p%d[%d,%d) range %d: served from a stale vector", stage, s.Name, pi, lo, hi, ri)
-					}
-					served++
-					for i := lo; i < hi; i++ {
-						if p.rowIDs[i] == 0 {
-							sel[0] &^= 1 << uint(i-lo) // a dead slot's verdict is a don't-care
-						}
-					}
-					if sel != want {
-						t.Fatalf("%s: table %s p%d[%d,%d) range %d: encoded filter selects %064b, rows say %064b", stage, s.Name, pi, lo, hi, ri, sel[0], want[0])
-					}
-				}
-				if got, rows, ok := p.SumLiveRange(lo, hi, 1); ok && (got != sum || int(rows) != live) {
-					t.Fatalf("%s: table %s p%d[%d,%d): encoded sum %v over %d rows, rows say %v over %d", stage, s.Name, pi, lo, hi, got, rows, sum, live)
-				}
-			}
-		}
-	}
-	return served, refused
-}
-
 // applyCases are the replica and delta shapes the apply equivalence tests
 // run: perTable entries per table over rows [1, loaded] of each.
 var applyCases = []struct {
@@ -358,8 +282,7 @@ var applyCases = []struct {
 	seeds                   int  // of the split test
 	sharded                 bool // a round must take the sharded step-2 router
 }{
-	// Table 1 takes few enough entries for its rows that the last round
-	// replays the blocks' patch journals; table 2's overflow.
+	// Table 1 takes few entries for its rows, table 2 many.
 	{name: "journal-and-overflow", tables: 2, parts: 4, applyWrk: 2, loaded: 6000, workers: 3,
 		perTable: []int{300, 2400}, seeds: 6},
 	{name: "mixed", tables: 2, parts: 4, applyWrk: 2, loaded: 500, workers: 3,
@@ -382,8 +305,7 @@ var applyCases = []struct {
 // the second round takes the rest. After each round the in-place replica
 // and a replica freshly loaded with the model's rows hold the same live
 // rows, resolve every primary key to the same bytes, and answer every
-// pushed-down range and the column sum alike through zone maps and
-// encoded kernels.
+// pushed-down range alike through zone maps.
 func TestApplyInPlaceEqualsClone(t *testing.T) {
 	for ci, tc := range applyCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -397,7 +319,7 @@ func TestApplyInPlaceEqualsClone(t *testing.T) {
 			r.ApplyUpdates(first, mid)
 			r.ApplyUpdates(second, last)
 
-			var served, disproved int
+			var disproved int
 			for _, round := range []struct {
 				target uint64
 				clone  *Replica
@@ -412,8 +334,8 @@ func TestApplyInPlaceEqualsClone(t *testing.T) {
 				if tc.sharded && len(r.Table(1).scratch.router) < 2 {
 					t.Fatalf("%s: step 2 did not shard its routing (router buffers: %d)", stage, len(r.Table(1).scratch.router))
 				}
-				got, s, d := readerView(r)
-				want, _, _ := readerView(round.clone)
+				got, d := readerView(r)
+				want, _ := readerView(round.clone)
 				if !reflect.DeepEqual(got, want) {
 					for i := range got {
 						if i >= len(want) || got[i] != want[i] {
@@ -422,10 +344,10 @@ func TestApplyInPlaceEqualsClone(t *testing.T) {
 					}
 					t.Fatalf("%s: the clone shows %d more lines", stage, len(want)-len(got))
 				}
-				served, disproved = served+s, disproved+d
+				disproved += d
 			}
-			if served == 0 || disproved == 0 {
-				t.Fatalf("vacuous: %d blocks filter-served, %d disproved in place", served, disproved)
+			if disproved == 0 {
+				t.Fatal("vacuous: the zone map disproved no block in place")
 			}
 			checkModel(t, "in place", r, m)
 			checkModel(t, "clone", endClone, m)
@@ -436,11 +358,9 @@ func TestApplyInPlaceEqualsClone(t *testing.T) {
 // readerView is what a reader can observe of a replica's tables, slot
 // placement aside: the live rows, what every primary key resolves to,
 // and, per eqRanges entry, the count and sum of v over the matching rows
-// as a scan computes them — skipping blocks the zone map disproves and
-// taking the encoded filter's selection where it serves the block — and
-// the encoded column sum over every block. It also counts the blocks
-// the encoded filter served and the zone map disproved.
-func readerView(r *Replica) (view []string, served, disproved int) {
+// as a scan computes them — skipping blocks the zone map disproves. It
+// also counts the blocks the zone map disproved.
+func readerView(r *Replica) (view []string, disproved int) {
 	for _, tv := range r.Tables() {
 		s := tv.Schema
 		view = append(view, captureTable(tv).Live...)
@@ -453,8 +373,6 @@ func readerView(r *Replica) (view []string, served, disproved int) {
 		view = append(view, pks...)
 		counts := make([]int, len(eqRanges))
 		sums := make([]int64, len(eqRanges))
-		var colSum float64
-		var colRows int
 		for _, p := range tv.Partitions {
 			for lo := 0; lo < p.Slots(); lo += eqBlock {
 				hi := min(lo+eqBlock, p.Slots())
@@ -463,14 +381,8 @@ func readerView(r *Replica) (view []string, served, disproved int) {
 						disproved++
 						continue
 					}
-					var sel [1]uint64
-					if p.FilterRange(lo, hi, rg, sel[:]) {
-						served++
-					} else {
-						sel[0] = ^uint64(0)
-					}
 					for i := lo; i < hi; i++ {
-						if sel[0]&(1<<uint(i-lo)) == 0 || p.rowIDs[i] == 0 {
+						if p.rowIDs[i] == 0 {
 							continue
 						}
 						if v := s.GetInt64(p.Tuple(int32(i)), 1); v >= rg[0].Lo && v <= rg[0].Hi {
@@ -479,54 +391,35 @@ func readerView(r *Replica) (view []string, served, disproved int) {
 						}
 					}
 				}
-				if sum, rows, ok := p.SumLiveRange(lo, hi, 1); ok {
-					colSum, colRows = colSum+sum, colRows+int(rows)
-				} else {
-					for i := lo; i < hi; i++ {
-						if p.rowIDs[i] != 0 {
-							colSum, colRows = colSum+float64(s.GetInt64(p.Tuple(int32(i)), 1)), colRows+1
-						}
-					}
-				}
 			}
 		}
 		for ri := range eqRanges {
 			view = append(view, fmt.Sprintf("%s range %d: count=%d sum=%d", s.Name, ri, counts[ri], sums[ri]))
 		}
-		view = append(view, fmt.Sprintf("%s sum(v)=%v over %d rows", s.Name, colSum, colRows))
 	}
-	return view, served, disproved
+	return view, disproved
 }
 
 // TestApplySplitEqualsOneRound pins that cutting a delta into rounds is
 // invisible in the result, which is what lets the scheduler apply a
 // cycle's updates a piece at a time, in push rounds and a barrier round: the
 // same seeded delta applied as one round, and as two to six rounds at
-// seeded random VID cuts with the re-encode deferred to the last, leaves
-// identical slot storage, RowID and PK indexes, zone-map verdicts and
-// encoded-kernel answers, and both hold exactly the model's rows. Every
-// cut below the last VID requeues exactly the entries above it. Between
-// the rounds of the split twin — where a batch would read blocks whose
-// vectors are stale — the encoded kernels refuse exactly the stale
-// block-columns and are exact on the rest. A resync reload then replaces
-// both twins' contents alike.
+// seeded random VID cuts, leaves identical slot storage, RowID and PK
+// indexes and zone-map verdicts, and both hold exactly the model's rows.
+// Every cut below the last VID requeues exactly the entries above it. A
+// resync reload then replaces both twins' contents alike.
 func TestApplySplitEqualsOneRound(t *testing.T) {
-	served, refused := 0, 0 // between the rounds, over all cases
 	for ci, tc := range applyCases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= int64(tc.seeds); seed++ {
 				applySplitCase(t, seed+int64(100*ci), tc.tables, tc.parts, tc.applyWrk, tc.loaded, tc.workers,
-					tc.perTable, tc.sharded, &served, &refused)
+					tc.perTable, tc.sharded)
 			}
 		})
 	}
-	if served == 0 || refused == 0 {
-		t.Fatalf("between the rounds %d block-columns were served and %d refused — the case is vacuous", served, refused)
-	}
 }
 
-func applySplitCase(t *testing.T, seed int64, tables, parts, applyWrk, loaded, workers int, perTable []int,
-	sharded bool, served, refused *int) {
+func applySplitCase(t *testing.T, seed int64, tables, parts, applyWrk, loaded, workers int, perTable []int, sharded bool) {
 	rnd := rand.New(rand.NewSource(2900 + seed))
 	whole := newEqReplica(t, tables, parts, applyWrk, loaded)
 	split := newEqReplica(t, tables, parts, applyWrk, loaded)
@@ -549,22 +442,15 @@ func applySplitCase(t *testing.T, seed int64, tables, parts, applyWrk, loaded, w
 	cuts[rounds-1] = last
 	slices.Sort(cuts)
 	for i, target := range cuts {
-		if _, err := split.applyPending(target, i == rounds-1); err != nil {
+		if _, err := split.ApplyPending(target); err != nil {
 			t.Fatalf("seed %d round %d (target %d): %v", seed, i, target, err)
 		}
 		// genDelta gives every VID in (10, last] one entry.
 		if n := pendingEntries(split); uint64(n) != last-target {
 			t.Fatalf("seed %d round %d (target %d): %d entries requeued, want %d", seed, i, target, n, last-target)
 		}
-		s, n := checkEncodedExact(t, fmt.Sprintf("seed %d after round %d of %d", seed, i+1, rounds), split)
-		if i < rounds-1 {
-			*served, *refused = *served+s, *refused+n
-		}
 	}
 	compareTwins(t, fmt.Sprintf("seed %d: %d rounds vs one", seed, rounds), whole, split)
-	if n, _ := checkEncodedExact(t, "one round", whole); n == 0 {
-		t.Fatalf("seed %d: vacuous: the encoded filter served no block", seed)
-	}
 	checkModel(t, "one round", whole, m)
 	checkModel(t, "split", split, m)
 
@@ -599,9 +485,6 @@ func applySplitCase(t *testing.T, seed int64, tables, parts, applyWrk, loaded, w
 		}
 	}
 	compareTwins(t, fmt.Sprintf("seed %d: after the resync reload", seed), whole, split)
-	if n, _ := checkEncodedExact(t, "after the resync reload", split); n == 0 {
-		t.Fatalf("seed %d: vacuous: after the reload the encoded filter served no block", seed)
-	}
 	checkModel(t, "reloaded one round", whole, m)
 	checkModel(t, "reloaded split", split, m)
 }

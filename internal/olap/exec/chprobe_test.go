@@ -175,7 +175,7 @@ func roundRobinBatch(g *chbench.Gen, start, n int) []*exec.Query {
 
 // BenchmarkBatchSize times batches of one to seven queries over the
 // benchmark's database and replica (BenchScale(4) in 8 partitions, zone
-// maps and compression on, every table probed through its PK index),
+// maps on, every table probed through its PK index),
 // averaged over the 14 rotations of the template cycle so that every
 // size meets every template. A batch is worth forming when n queries
 // cost well under n times one: ms/batch should grow far slower than n,
@@ -188,7 +188,6 @@ func BenchmarkBatchSize(b *testing.B) {
 	}
 	rep := chbench.EmptyReplica(db, 8)
 	rep.EnableZoneMaps(exec.DefaultMorselTuples)
-	rep.EnableCompression()
 	if _, err := replica.LoadLocal(rep, db.Store, chbench.Tables()); err != nil {
 		b.Fatal(err)
 	}

@@ -52,8 +52,7 @@ const (
 // AggSpec is one output aggregate of a query. For Sum, Value extracts
 // the summand from the matched row combination; for Count, Value is
 // ignored. SumCol builds the declarative form — a driver-column
-// summand the engine compiles to a typed kernel and, when a whole
-// morsel qualifies, computes directly on the encoded column blocks.
+// summand the engine compiles to a typed kernel.
 type AggSpec struct {
 	Kind AggKind
 	// Value receives the driver tuple and the tuples joined so far (in
@@ -407,7 +406,7 @@ func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepar
 		}
 	}
 	if len(plans) > 0 {
-		e.scanPass(t, newScanGroup(plans), scanNS, mergeNS)
+		e.scanPass(t, &scanGroup{plans: plans}, scanNS, mergeNS)
 	}
 }
 
@@ -416,23 +415,6 @@ func (e *Engine) scanDriver(sv *olap.Snapshot, qs []*Query, rs []*Result, prepar
 type gacc struct {
 	rows int64
 	vals []float64
-}
-
-// allSet reports whether the first n bits of sel are all ones.
-func allSet(sel []uint64, n int) bool {
-	full := n >> 6
-	for w := 0; w < full; w++ {
-		if sel[w] != ^uint64(0) {
-			return false
-		}
-	}
-	if tail := uint(n & 63); tail != 0 {
-		m := ^uint64(0) >> (64 - tail)
-		if sel[full]&m != m {
-			return false
-		}
-	}
-	return true
 }
 
 // vmask is one bit per tuple of a vector: bit i ↔ the vector's slot i.
@@ -474,17 +456,9 @@ type passWorker struct {
 	// groups[qi] is query qi's group map (nil until first hit, and
 	// always nil for ungrouped queries).
 	groups []map[groupKey]*gacc
-	// aggScratch holds the aggregate kernels' block sums for one query
-	// until all of them are served.
-	aggScratch []float64
 
-	// Per morsel: active holds the per-query block verdicts; qvec marks
-	// queries whose Where was evaluated on the encoded blocks (sel[qi]
-	// then holds the exact bitmap); aggDone marks queries the aggregate
-	// kernels already answered.
-	active, qvec, aggDone []bool
-	sel                   [][]uint64
-	union                 []uint64
+	// Per morsel: active holds the per-query block verdicts.
+	active []bool
 
 	// Per vector: slots are the tuples (slot numbers in the morsel's
 	// partition); live[qi] marks those query qi still wants; rids[ord]
@@ -501,11 +475,8 @@ type passWorker struct {
 	chain  []uint32
 	joined [][]byte
 
-	// Stats, summed into the engine counters at merge. pendingLive
-	// counts live tuples in scanned morsels and offered the tuples that
-	// reached the vectors; their difference is what bitmaps pruned.
-	blocksScanned, blocksSkipped, blocksVectorized, blocksAggVec int64
-	tuplesPruned, pendingLive, offered                           int64
+	// Stats, summed into the engine counters at merge.
+	blocksScanned, blocksSkipped, tuplesPruned int64
 	// probeLookups counts root-step and tail-step lookups and predEvals
 	// the probe filters evaluated on a hit.
 	probeLookups, predEvals int64
@@ -522,10 +493,7 @@ func (w *passWorker) init() {
 		nprobes = max(nprobes, len(p.q.Probes))
 	}
 	w.groups = make([]map[groupKey]*gacc, nq)
-	w.aggScratch = make([]float64, sg.naggsMax)
 	w.active = make([]bool, nq)
-	w.qvec = make([]bool, nq)
-	w.aggDone = make([]bool, nq)
 	w.live = make([]vmask, nq)
 	w.rids = make([][]uint32, len(sg.roots))
 	for ord := range w.rids {
@@ -538,22 +506,13 @@ func (w *passWorker) init() {
 // scanPass performs the one shared morsel-driven scan over the driver
 // table for the scan group's queries. Per morsel, each query gets a
 // zone-map verdict; a morsel every query's AND-list disproves is
-// skipped whole. Queries the encoded blocks can serve exactly get
-// selection bitmaps (FilterRange), and pure driver-side aggregations
-// whose bitmap covers every tuple are answered outright by the
-// encoded-block aggregate kernels without materializing a row. The
-// surviving tuples are taken a vector at a time through the pass's step
-// forest (passWorker.vector): per-query driver predicates, the root
-// steps' lookups with each query's folded bitmaps, and per query the
-// walk, summand extraction and accumulation into its scalar lanes or
-// its group map. Per-worker partials merge at the end; scan and merge
-// wall times accumulate into scanNS/mergeNS.
-//
-// Pruned-tuple accounting is exact: every scan pass attributes each
-// live tuple to exactly one of offered-to-the-vectors, answered by the
-// aggregate kernels, or pruned — so ExecTuplesPruned ≡ live − offered
-// − answered, never double-counting a tuple that both a
-// zone-map verdict and an empty FilterRange bitmap rejected.
+// skipped whole, and its live tuples count as pruned. The tuples of
+// every other morsel are taken a vector at a time through the pass's
+// step forest (passWorker.vector): per-query driver predicates, the
+// root steps' lookups with each query's folded bitmaps, and per query
+// the walk, summand extraction and accumulation into its scalar lanes
+// or its group map. Per-worker partials merge at the end; scan and
+// merge wall times accumulate into scanNS/mergeNS.
 func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) {
 	t0 := time.Now()
 	e.compileForest(sg)
@@ -571,16 +530,14 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 		*scanNS += int64(time.Since(t0))
 	}
 	t1 := time.Now()
-	var bScan, bSkip, tPrune, bVec, bAggVec, lookups, predEvals int64
+	var bScan, bSkip, tPrune, lookups, predEvals int64
 	for wi := range workers {
 		w := &workers[wi]
 		lookups += w.probeLookups
 		predEvals += w.predEvals
 		bScan += w.blocksScanned
 		bSkip += w.blocksSkipped
-		bVec += w.blocksVectorized
-		bAggVec += w.blocksAggVec
-		tPrune += w.tuplesPruned + w.pendingLive - w.offered
+		tPrune += w.tuplesPruned
 		if w.sg == nil {
 			continue
 		}
@@ -596,8 +553,6 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 		e.stats.ExecBlocksScanned.Add(uint64(bScan))
 		e.stats.ExecBlocksSkipped.Add(uint64(bSkip))
 		e.stats.ExecTuplesPruned.Add(uint64(tPrune))
-		e.stats.ExecBlocksVectorized.Add(uint64(bVec))
-		e.stats.ExecBlocksAggVectorized.Add(uint64(bAggVec))
 		e.stats.ExecProbeLookups.Add(uint64(lookups))
 		e.stats.ExecProbePredEvals.Add(uint64(predEvals))
 	}
@@ -606,22 +561,14 @@ func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) 
 	}
 }
 
-// morsel settles what the block synopses and the encoded vectors can
-// settle for the morsel — verdicts, selection bitmaps, whole-morsel
-// aggregates — and runs the tuples that remain through vector.
+// morsel asks the block synopses for each query's verdict on the
+// morsel, skips it when every query's is negative, and otherwise runs
+// its live tuples through vector.
 func (w *passWorker) morsel(m morsel) {
-	sg := w.sg
-	// Block verdicts: offer this morsel's tuples only to queries whose
-	// pushed-down ranges the block synopses cannot disprove.
 	any := false
-	for qi, p := range sg.plans {
-		a := true
-		if len(p.ranges) > 0 {
-			a = m.part.RangeMayMatch(m.lo, m.hi, p.ranges)
-		}
+	for qi, p := range w.sg.plans {
+		a := len(p.ranges) == 0 || m.part.RangeMayMatch(m.lo, m.hi, p.ranges)
 		w.active[qi] = a
-		w.aggDone[qi] = false
-		w.qvec[qi] = false
 		any = any || a
 	}
 	if !any {
@@ -630,118 +577,9 @@ func (w *passWorker) morsel(m morsel) {
 		return
 	}
 	w.blocksScanned++
-	words := (m.hi - m.lo + 63) >> 6
-	if (sg.anyRanges || sg.anyVecAgg) && len(w.union) < words {
-		w.union = make([]uint64, words)
-		w.sel = make([][]uint64, len(sg.plans))
-		for qi := range w.sel {
-			w.sel[qi] = make([]uint64, words)
-		}
-	}
-	// Vectorized predicates: translate each active query's pushed-down
-	// ranges into an exact per-slot bitmap on the encoded vectors.
-	// Queries the encoded path cannot serve keep their kernels.
-	if sg.anyRanges {
-		for qi, p := range sg.plans {
-			w.qvec[qi] = w.active[qi] && len(p.ranges) > 0 &&
-				m.part.FilterRange(m.lo, m.hi, p.ranges, w.sel[qi][:words])
-		}
-	}
-	// Aggregate kernels: a pure driver-side aggregation whose selection
-	// covers every tuple of the morsel (no Where, or an all-set bitmap)
-	// is answered from the encoded blocks — counts from the live
-	// counters, sums from the packed runs — without materializing a
-	// single row.
-	if sg.anyVecAgg {
-		for qi, p := range sg.plans {
-			if !w.active[qi] || !p.vecAgg {
-				continue
-			}
-			if len(p.ranges) > 0 && (!w.qvec[qi] || !allSet(w.sel[qi][:words], m.hi-m.lo)) {
-				continue
-			}
-			ok := true
-			for ai, col := range p.aggCol {
-				if p.q.Aggs[ai].Kind != Sum {
-					continue
-				}
-				s, _, served := m.part.SumLiveRange(m.lo, m.hi, col)
-				if !served {
-					ok = false
-					break
-				}
-				w.aggScratch[ai] = s
-			}
-			if !ok {
-				continue
-			}
-			live := int64(m.part.LiveInRange(m.lo, m.hi))
-			w.rows[qi] += live
-			for ai := range p.q.Aggs {
-				if p.q.Aggs[ai].Kind == Sum {
-					w.vals[qi][ai] += w.aggScratch[ai]
-				} else {
-					w.vals[qi][ai] += float64(live)
-				}
-			}
-			w.aggDone[qi] = true
-			w.blocksAggVec++
-		}
-		any = false
-		for qi := range sg.plans {
-			if w.active[qi] && !w.aggDone[qi] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			// Every active query answered from the encoded blocks: the
-			// morsel's tuples were consumed, not pruned.
-			return
-		}
-	}
-	// Union bitmap: when every remaining query has an exact bitmap,
-	// materialize only the union of their survivors. An empty union
-	// finishes the morsel — its live tuples count as pruned (each
-	// attributed once, whatever combination of verdicts and bitmaps
-	// rejected it).
-	var sel []uint64
-	if sg.anyRanges {
-		allVec := true
-		for qi := range sg.plans {
-			if w.active[qi] && !w.aggDone[qi] && !w.qvec[qi] {
-				allVec = false
-				break
-			}
-		}
-		if allVec {
-			w.blocksVectorized++
-			sel = w.union[:words]
-			anyBit := uint64(0)
-			for wd := range sel {
-				sel[wd] = 0
-				for qi := range sg.plans {
-					if w.qvec[qi] && w.active[qi] && !w.aggDone[qi] {
-						sel[wd] |= w.sel[qi][wd]
-					}
-				}
-				anyBit |= sel[wd]
-			}
-			if anyBit == 0 {
-				w.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
-				return
-			}
-		}
-	}
-	if sg.anyRanges {
-		w.pendingLive += int64(m.part.LiveInRange(m.lo, m.hi))
-	}
 	for from := m.lo; from < m.hi; {
 		var n int
-		n, from = m.part.LiveSlots(m.lo, m.hi, sel, from, w.slots[:])
-		if sg.anyRanges {
-			w.offered += int64(n)
-		}
+		n, from = m.part.LiveSlots(m.hi, from, w.slots[:])
 		if n > 0 {
 			w.vector(m, n)
 		}
@@ -754,22 +592,15 @@ func (w *passWorker) vector(m morsel, n int) {
 	sg, part := w.sg, m.part
 	slots := w.slots[:n]
 
-	// Driver predicates: each query's selection bitmap, typed kernel
-	// and residual closure decide which tuples it wants.
+	// Driver predicates: each query's typed kernel and residual closure
+	// decide which tuples it wants.
 	all := firstN(n)
 	for qi, p := range sg.plans {
 		lv := &w.live[qi]
 		switch {
-		case !w.active[qi] || w.aggDone[qi]:
+		case !w.active[qi]:
 			*lv = vmask{}
 			continue
-		case w.qvec[qi]:
-			*lv = vmask{}
-			sel := w.sel[qi]
-			for i, slot := range slots {
-				off := uint(int(slot) - m.lo)
-				lv[i>>6] |= (sel[off>>6] >> (off & 63) & 1) << (uint(i) & 63)
-			}
 		case p.kernel != nil:
 			*lv = vmask{}
 			for i, slot := range slots {

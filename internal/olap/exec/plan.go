@@ -47,9 +47,7 @@ type GroupResult struct {
 
 // SumCol builds the declarative form of a Sum aggregate: the summand
 // is driver column col, read by a typed kernel compiled against the
-// driver schema instead of a closure. Declarative sums are what the
-// encoded-block aggregate kernels can serve without materializing
-// tuples; closure aggregates always run row-at-a-time.
+// driver schema instead of a closure.
 func SumCol(col int) AggSpec {
 	return AggSpec{Kind: Sum, col: col, colSet: true}
 }
@@ -147,7 +145,7 @@ func (s *source) scan(c rowChunk, fn func(rid uint32, tup []byte)) {
 	var slots [256]int32
 	for from := c.lo; from < c.hi; {
 		var n int
-		n, from = c.part.LiveSlots(c.lo, c.hi, nil, from, slots[:])
+		n, from = c.part.LiveSlots(c.hi, from, slots[:])
 		for _, slot := range slots[:n] {
 			fn(c.base+uint32(slot), c.part.Tuple(slot))
 		}
@@ -224,16 +222,8 @@ type qplan struct {
 	// (driver, joined) combination, in GroupBy order.
 	groupOf []func(driver []byte, joined [][]byte) int64
 
-	// aggOf extracts each Sum aggregate's summand (nil for Count);
-	// aggCol is the declarative driver column behind it, or -1 when the
-	// aggregate is a closure or a Count.
-	aggOf  []func(driver []byte, joined [][]byte) float64
-	aggCol []int
-
-	// vecAgg marks plans the encoded-block aggregate kernels can answer
-	// whole morsels for: a pure driver-side aggregation (no probes, no
-	// residual filter, no grouping) whose sums are all declarative.
-	vecAgg bool
+	// aggOf extracts each Sum aggregate's summand (nil for Count).
+	aggOf []func(driver []byte, joined [][]byte) float64
 }
 
 // compilePlan lowers q to its executable form against driver table t
@@ -296,11 +286,8 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 	}
 
 	p.aggOf = make([]func([]byte, [][]byte) float64, len(q.Aggs))
-	p.aggCol = make([]int, len(q.Aggs))
-	p.vecAgg = len(q.Probes) == 0 && q.DriverPred == nil && len(q.GroupBy) == 0
 	for ai := range q.Aggs {
 		a := &q.Aggs[ai]
-		p.aggCol[ai] = -1
 		if a.Kind == Count {
 			continue
 		}
@@ -311,7 +298,6 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 				return nil
 			}
 			p.aggOf[ai] = func(driver []byte, _ [][]byte) float64 { return fn(driver) }
-			p.aggCol[ai] = a.col
 			continue
 		}
 		if a.Value == nil {
@@ -319,21 +305,6 @@ func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Quer
 			return nil
 		}
 		p.aggOf[ai] = a.Value
-		p.vecAgg = false // closure summand: must see the row
-	}
-	if p.vecAgg {
-		// The aggregate kernels read encoded vectors of the summand
-		// columns; request their synopses so the next quiesced window
-		// activates (and encodes) them like any filtered column.
-		var rgs []olap.ColRange
-		for _, c := range p.aggCol {
-			if c >= 0 {
-				rgs = append(rgs, olap.ColRange{Col: c})
-			}
-		}
-		if len(rgs) > 0 {
-			t.RequestSynopses(rgs)
-		}
 	}
 	return p
 }

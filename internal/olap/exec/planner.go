@@ -25,21 +25,6 @@ type scanGroup struct {
 	// roots are the pass's root steps, in the order the scan runs them
 	// (compileForest).
 	roots []*step
-	// anyRanges / anyVecAgg gate the pruning and aggregate fast paths.
-	anyRanges bool
-	anyVecAgg bool
-	// naggsMax sizes the per-worker summand scratch.
-	naggsMax int
-}
-
-func newScanGroup(plans []*qplan) *scanGroup {
-	sg := &scanGroup{plans: plans}
-	for _, p := range plans {
-		sg.anyRanges = sg.anyRanges || len(p.ranges) > 0
-		sg.anyVecAgg = sg.anyVecAgg || p.vecAgg
-		sg.naggsMax = max(sg.naggsMax, len(p.q.Aggs))
-	}
-	return sg
 }
 
 // A step is one probe as the pass runs it. Probes of different queries

@@ -106,8 +106,6 @@ func InInt(col int, vs ...int64) Pred {
 	if len(vs) == 0 {
 		return Pred{Col: col, lo: 1, hi: 0, set: []int64{}}
 	}
-	// Sorted sets let the compressed-block filter binary-search
-	// membership; order is irrelevant to IN semantics.
 	slices.Sort(vs)
 	return Pred{Col: col, lo: vs[0], hi: vs[len(vs)-1], set: vs}
 }
@@ -181,9 +179,8 @@ func compileWhere(s *storage.Schema, preds []Pred) (func(tup []byte) bool, []ola
 			return nil, nil, err
 		}
 		kernels[i] = k
-		// Set rides along for the compressed-block filter (exact IN
-		// membership); synopsis pruning uses only the [Lo, Hi] hull.
-		ranges[i] = olap.ColRange{Col: p.Col, Lo: p.lo, Hi: p.hi, Set: p.set}
+		// An IN-list prunes on its convex hull.
+		ranges[i] = olap.ColRange{Col: p.Col, Lo: p.lo, Hi: p.hi}
 	}
 	if len(kernels) == 1 {
 		return kernels[0], ranges, nil
@@ -212,8 +209,8 @@ func (q *Query) DriverFilter(s *storage.Schema) (func(tup []byte) bool, error) {
 	return andPred(k, q.DriverPred), nil
 }
 
-// Filter compiles the probe's declarative Where against the build
-// table's schema s and conjoins the residual Pred (nil accepts all).
+// Filter compiles the probe's declarative Where against the probed,
+// PK-indexed table's schema s and conjoins the residual Pred (nil accepts all).
 func (p *Probe) Filter(s *storage.Schema) (func(tup []byte) bool, error) {
 	k, _, err := compileWhere(s, p.Where)
 	if err != nil {

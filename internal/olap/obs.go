@@ -38,8 +38,6 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 			"Apply rounds by what started them: a batch on the freshness barrier, or a push.",
 			&st.ApplyRounds[c], with(obs.L("cause", roundCause(c).String()))...)
 	}
-	reg.ObserveCounter("batchdb_olap_blocks_reencoded_total",
-		"Blocks whose encoded vectors apply rounds rebuilt.", &st.BlocksReencoded, labels...)
 	reg.ObserveHistogram("batchdb_olap_snapshot_wait_ns",
 		"Dispatcher freshness-barrier wait per batch (nanoseconds).", &st.SnapWait, labels...)
 	reg.ObserveHistogram("batchdb_olap_exec_phase_ns",
@@ -54,14 +52,10 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Morsels skipped by zone-map verdicts.", &st.ExecBlocksSkipped, labels...)
 	reg.ObserveCounter("batchdb_olap_tuples_pruned_total",
 		"Live tuples inside skipped morsels.", &st.ExecTuplesPruned, labels...)
-	reg.ObserveCounter("batchdb_olap_blocks_vectorized_total",
-		"Scanned morsels evaluated on compressed-block kernels.", &st.ExecBlocksVectorized, labels...)
-	reg.ObserveCounter("batchdb_olap_blocks_agg_vectorized_total",
-		"(Morsel, query) pairs answered by encoded-block aggregate kernels.", &st.ExecBlocksAggVectorized, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_lookups_total",
 		"Join-probe lookups: per root step per driver tuple, per tail step per tuple per query, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_pred_evals_total",
-		"Probe-filter evaluations (per row of the probed table when bitmapped, build or PK-indexed alike; else per hit).", &st.ExecProbePredEvals, labels...)
+		"Probe-filter evaluations (per row of the probed, PK-indexed table when bitmapped; else per hit).", &st.ExecProbePredEvals, labels...)
 	reg.GaugeFunc("batchdb_olap_busy_seconds",
 		"Cumulative dispatcher busy time (seconds).",
 		func() float64 { return st.Busy.Busy().Seconds() }, labels...)

@@ -108,8 +108,7 @@ func TestPartitionScanRange(t *testing.T) {
 }
 
 // LiveSlots, taken in vectors of any size from any resume point, yields
-// the live slots of the range in order — all of them without a selection
-// bitmap, the selected ones with — and never a tombstone.
+// the live slots of the range in order, and never a tombstone.
 func TestPartitionLiveSlots(t *testing.T) {
 	s := kvSchema()
 	p := NewPartition(s, 4)
@@ -121,42 +120,31 @@ func TestPartitionLiveSlots(t *testing.T) {
 	for _, rid := range []uint64{1, 64, 65, 130, 200} {
 		p.Delete(rid)
 	}
-	collect := func(lo, hi int, sel []uint64, vec int) []int32 {
+	collect := func(lo, hi, vec int) []int32 {
 		var got []int32
 		out := make([]int32, vec)
 		for from := lo; from < hi; {
 			var n int
-			n, from = p.LiveSlots(lo, hi, sel, from, out)
+			n, from = p.LiveSlots(hi, from, out)
 			got = append(got, out[:n]...)
 		}
 		return got
 	}
 	for _, rg := range [][2]int{{0, 200}, {3, 131}, {64, 128}, {190, 1000}} {
 		lo, hi := rg[0], rg[1]
-		sel := make([]uint64, (hi-lo+63)>>6)
-		var wantAll, wantSel []int32
+		var want []int32
 		for slot := lo; slot < hi && slot < p.Slots(); slot++ {
-			if slot%3 == 0 {
-				sel[(slot-lo)>>6] |= 1 << uint((slot-lo)&63)
-			}
-			if _, live := p.Get(uint64(slot + 1)); !live { // row i sits in slot i-1
-				continue
-			}
-			wantAll = append(wantAll, int32(slot))
-			if slot%3 == 0 {
-				wantSel = append(wantSel, int32(slot))
+			if _, live := p.Get(uint64(slot + 1)); live { // row i sits in slot i-1
+				want = append(want, int32(slot))
 			}
 		}
 		for _, vec := range []int{1, 7, 64, 1024} {
-			if got := collect(lo, hi, nil, vec); !slices.Equal(got, wantAll) {
-				t.Fatalf("[%d,%d) vectors of %d: slots %v, want %v", lo, hi, vec, got, wantAll)
-			}
-			if got := collect(lo, hi, sel, vec); !slices.Equal(got, wantSel) {
-				t.Fatalf("[%d,%d) vectors of %d, selected: slots %v, want %v", lo, hi, vec, got, wantSel)
+			if got := collect(lo, hi, vec); !slices.Equal(got, want) {
+				t.Fatalf("[%d,%d) vectors of %d: slots %v, want %v", lo, hi, vec, got, want)
 			}
 		}
 	}
-	for _, slot := range collect(0, 200, nil, 16) {
+	for _, slot := range collect(0, 200, 16) {
 		if got := s.GetInt64(p.Tuple(slot), 0); got != int64(slot)+1 {
 			t.Fatalf("slot %d holds key %d", slot, got)
 		}

@@ -19,7 +19,6 @@ package olap
 
 import (
 	"fmt"
-	"math/bits"
 
 	"batchdb/internal/storage"
 )
@@ -58,10 +57,6 @@ type Partition struct {
 	// zm holds the optional per-block min/max synopses (zonemap.go);
 	// nil when zone maps are disabled.
 	zm *zoneMap
-
-	// enc holds the optional per-block encoded column vectors
-	// (compress.go); nil when compression is disabled. Requires zm.
-	enc *encStore
 }
 
 // NewPartition creates an empty partition sized for capacityHint tuples.
@@ -114,9 +109,6 @@ func (p *Partition) insert(rowID uint64, tuple []byte) (int32, error) {
 	p.live++
 	if p.zm != nil {
 		p.zmInsert(slot)
-		if p.enc != nil {
-			p.enc.markStale(p, slot)
-		}
 	}
 	return slot, nil
 }
@@ -140,9 +132,6 @@ func (p *Partition) PatchSlot(slot int32, offset uint32, data []byte) error {
 	}
 	if int(offset)+len(data) > p.tupleSize {
 		return fmt.Errorf("olap: update beyond tuple bounds (table %s, offset %d, size %d)", p.schema.Name, offset, len(data))
-	}
-	if p.enc != nil {
-		p.enc.markStaleIfOverlap(p, slot, offset, len(data))
 	}
 	if p.zm != nil && len(p.zm.actCols) > 0 {
 		p.zmPatchSlot(slot, offset, data)
@@ -233,41 +222,19 @@ func (p *Partition) ScanRange(lo, hi int, fn func(rowID uint64, tuple []byte) bo
 
 // LiveSlots is the vector form of the scan: it fills out with the slot
 // numbers of live tuples in [from, hi) — hi clamped to the allocated
-// slots — whose bit is set in sel (bit i of sel corresponds to slot
-// lo+i; a nil sel selects every slot), in slot order, and returns how
-// many it wrote and the slot to resume from (hi once the range is
-// exhausted, so callers loop while next < hi). The executor takes a morsel a vector at a time: one call
+// slots — in slot order, and returns how many it wrote and the slot to
+// resume from (hi once the range is exhausted, so callers loop while
+// next < hi). The executor takes a morsel a vector at a time: one call
 // per vector, then tight loops over out with Tuple — no callback per
-// tuple. With sel it is the materialization step of the compressed scan
-// path: the executor filters whole encoded blocks into sel without
-// decoding and touches only the surviving tuples. Dead slots are skipped
-// even when selected — a dead slot's encoded verdict is a don't-care.
-func (p *Partition) LiveSlots(lo, hi int, sel []uint64, from int, out []int32) (n, next int) {
+// tuple.
+func (p *Partition) LiveSlots(hi, from int, out []int32) (n, next int) {
 	end := min(hi, len(p.rowIDs))
 	i := max(from, 0)
-	if sel == nil {
-		for ; i < end && n < len(out); i++ {
-			if p.rowIDs[i] != 0 {
-				out[n] = int32(i)
-				n++
-			}
-		}
-	}
-	for sel != nil && i < end && n < len(out) {
-		off := i - lo
-		m := sel[off>>6] >> (uint(off) & 63)
-		if m == 0 {
-			i += 64 - off&63 // rest of this word is unselected
-			continue
-		}
-		if i += bits.TrailingZeros64(m); i >= end {
-			break
-		}
+	for ; i < end && n < len(out); i++ {
 		if p.rowIDs[i] != 0 {
 			out[n] = int32(i)
 			n++
 		}
-		i++
 	}
 	if i >= end {
 		return n, hi

@@ -26,11 +26,6 @@ type Table struct {
 	// partitions with their synopses.
 	zmBlock int
 
-	// compress records whether the table's partitions carry per-block
-	// encoded column vectors (compress.go); retained, like zmBlock, so
-	// resync reloads rebuild partitions compressed.
-	compress bool
-
 	// wantedSyn accumulates the synopsis columns queries have pushed
 	// predicates on (a bitmask over the partitions' synopsis column
 	// list). Written with atomic ORs from the executor's compile path —
@@ -166,8 +161,6 @@ type Replica struct {
 	// zmBlock is the zone-map block size applied to tables created from
 	// now on (and, via EnableZoneMaps, to existing ones).
 	zmBlock int
-	// compress mirrors zmBlock for the encoded-vector layer.
-	compress bool
 
 	// snapMu guards the reader pins, the running round's flag and the
 	// count of rounds waiting for the pins to drop (snapshot.go);
@@ -222,16 +215,13 @@ func (r *Replica) Pool() *Pool { return r.pool }
 // partitions and the index. All DDL must precede use.
 func (r *Replica) CreateTable(schema *storage.Schema, key func(tup []byte) uint64, capacityHint int) *Table {
 	t := &Table{
-		Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock, compress: r.compress,
+		Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock,
 		pkFn: key, pkHint: capacityHint, pkIdx: newFlatIndex(capacityHint),
 	}
 	for i := 0; i < r.parts; i++ {
 		p := NewPartition(schema, t.capHint)
 		if t.zmBlock > 0 {
 			p.EnableZoneMap(t.zmBlock)
-			if t.compress {
-				p.EnableCompression()
-			}
 		}
 		t.Partitions = append(t.Partitions, p)
 	}
@@ -262,23 +252,11 @@ func (r *Replica) EnableZoneMaps(blockTuples int) {
 	}
 }
 
-// EnableCompression attaches per-block encoded column vectors
-// (compress.go) to every partition of every table, and to tables
-// created or rebuilt later. Requires zone maps (EnableZoneMaps first)
-// with blocks of at least 64 slots; partitions without them are left
-// uncompressed. Vectors cover the active synopsis columns and are
-// built — and kept fresh — in the quiesced windows that already
-// maintain the synopses, so enabling compression adds no new phases.
-// Must run in a quiesced window.
-func (r *Replica) EnableCompression() {
-	r.compress = true
-	for _, t := range r.order {
-		t.compress = true
-		for _, p := range t.Partitions {
-			p.EnableCompression()
-		}
-	}
-}
+// EnableCompression does nothing: a replica keeps no encoded column
+// vectors beside its rows. It stays only because the benchmark module's
+// SUT (benchmark/sut.go and benchmark/layers.go) calls it; it goes once
+// those calls do.
+func (r *Replica) EnableCompression() {}
 
 // RequestSynopses records interest in the synopsis columns the given
 // pushed-down ranges filter on. Safe to call concurrently with query
@@ -314,13 +292,11 @@ func (t *Table) RequestSynopses(ranges []ColRange) {
 
 // ActivateSynopses materializes bounds for every column queries have
 // requested since the last activation (one exact column scan per
-// partition, one pool task each) and re-encodes any stale compressed
-// blocks, so every non-stale vector a query batch sees is
-// current. Every apply round does the same per partition it touches;
-// this entry point is for callers that run query batches without an
-// interleaved apply (benchmarks, tests). It mutates the canonical
-// partitions in place, so it must run in a quiesced window: no pinned
-// reader, no apply round.
+// partition, one pool task each). Every apply round does the same per
+// partition it touches; this entry point is for callers that run query
+// batches without an interleaved apply (benchmarks, tests). It mutates
+// the canonical partitions in place, so it must run in a quiesced
+// window: no pinned reader, no apply round.
 func (r *Replica) ActivateSynopses() {
 	type part struct {
 		p *Partition
@@ -330,14 +306,13 @@ func (r *Replica) ActivateSynopses() {
 	for _, t := range r.order {
 		w := t.wantedSyn.Load()
 		for _, p := range t.Partitions {
-			if p.needsMaintenance(w, true) {
+			if p.needsMaintenance(w) {
 				parts = append(parts, part{p, w})
 			}
 		}
 	}
 	r.pool.ForEach(len(parts), func(_, i int) {
 		parts[i].p.ActivateSynopsisCols(parts[i].w)
-		parts[i].p.ReencodeDirty()
 	})
 }
 
@@ -545,9 +520,6 @@ func (r *Replica) applyReload(rl *Reload) error {
 			parts[i] = NewPartition(t.Schema, t.capHint)
 			if t.zmBlock > 0 {
 				parts[i].EnableZoneMap(t.zmBlock)
-				if t.compress {
-					parts[i].EnableCompression()
-				}
 			}
 		}
 		t.Partitions = parts

@@ -55,10 +55,7 @@ type SchedulerStats struct {
 	ApplyTime        obs.Histogram
 	ApplyRoundsEmpty obs.Counter
 	// ApplyRounds counts every round by what started it (roundCause).
-	// BlocksReencoded counts the blocks whose encoded vectors rounds
-	// rebuilt.
-	ApplyRounds     [numRoundCauses]obs.Counter
-	BlocksReencoded obs.Counter
+	ApplyRounds [numRoundCauses]obs.Counter
 	// SnapWait measures the dispatcher's freshness barrier: how long a
 	// formed batch waits for an apply round covering its formation time
 	// before it pins a snapshot and executes — the only apply-induced
@@ -76,24 +73,11 @@ type SchedulerStats struct {
 	// dispatcher's zone-map verdicts: morsels whose block synopses could
 	// satisfy at least one query in the batch, vs morsels every
 	// interested query's pushed-down predicates disproved (skipped
-	// without touching a tuple). ExecTuplesPruned attributes each live
-	// tuple a scan pass elided exactly once — whether a zone-map verdict
-	// skipped its whole morsel or a selection bitmap dropped it before
-	// materialization; tuples consumed by the encoded-block aggregate
-	// kernels count as answered, not pruned.
+	// without touching a tuple). ExecTuplesPruned counts the live tuples
+	// of the skipped morsels.
 	ExecBlocksScanned obs.Counter
 	ExecBlocksSkipped obs.Counter
 	ExecTuplesPruned  obs.Counter
-	// ExecBlocksVectorized counts scanned morsels whose predicate
-	// evaluation ran on the compressed-block kernels (every active
-	// query's selection bitmap came from FilterRange; only survivors
-	// were materialized from the raw rows).
-	ExecBlocksVectorized obs.Counter
-	// ExecBlocksAggVectorized counts (morsel, query) pairs the
-	// encoded-block aggregate kernels answered outright — the query's
-	// selection covered every tuple of the morsel, so SUM/COUNT were
-	// computed on the packed runs without materializing a row.
-	ExecBlocksAggVectorized obs.Counter
 	// ExecProbeLookups counts join-probe lookups: one per root step per
 	// driver tuple some query holding the step still wants, whatever the
 	// number of queries; one per tail step per tuple per query that
@@ -343,10 +327,6 @@ func (s *Scheduler[Q, R]) QueryContext(ctx context.Context, q Q) (R, error) {
 // apply the propagated updates. A push round that would find nothing is
 // not started: every forced sync's own push kicks one after the barrier
 // round that forced it has taken the push.
-//
-// Stale encoded blocks are rebuilt by barrier rounds only: one per batch,
-// just before it pins. Push rounds leave them flagged, and the scan reads
-// their rows.
 func (s *Scheduler[Q, R]) round(cause roundCause) {
 	if cause == causePush && s.replica.caughtUp(s.lastSeen) {
 		return
@@ -376,13 +356,12 @@ func (s *Scheduler[Q, R]) round(cause roundCause) {
 	// Observed before the apply so the lag high-watermark captures the
 	// pre-apply backlog (e.g. the spike right after a reconnect).
 	s.fresh.ObserveWatermark(target, confirmed)
-	st, err := s.replica.applyPending(target, cause == causeBarrier)
+	st, err := s.replica.ApplyPending(target)
 	if st.Entries > 0 || st.Reloaded || st.Maintained {
 		s.stats.ApplyTime.RecordSince(t0)
 	} else {
 		s.stats.ApplyRoundsEmpty.Inc()
 	}
-	s.stats.BlocksReencoded.Add(uint64(st.reencoded))
 	s.applyMu.Lock()
 	s.lastApply = st
 	s.applyMu.Unlock()

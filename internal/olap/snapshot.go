@@ -5,7 +5,7 @@ import "batchdb/internal/storage"
 // Snapshot is a pinned reader's handle on the replica: the replica's one
 // version, held still at the VID it had when the pin was taken. There is
 // no copy behind it — Table and Tables return the canonical tables —
-// because no apply round writes while any pin is held (applyPending waits
+// because no apply round writes while any pin is held (ApplyPending waits
 // for the last Unpin, and PinSnapshot waits for a running round).
 type Snapshot struct {
 	r   *Replica

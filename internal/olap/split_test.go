@@ -72,12 +72,11 @@ func newTPCCDelta(tb testing.TB, scale tpcc.Scale, pushes, txnsPerPush int) *tpc
 }
 
 // fresh copies the pre-delta rows into a replica wired like the
-// benchmark's — 8 partitions, zone maps and compression on — with the
+// benchmark's — 8 partitions, zone maps on — with the
 // synopsis columns the 14 templates filter on active.
 func (d *tpccDelta) fresh(tb testing.TB) *olap.Replica {
 	rep := chbench.EmptyReplica(d.db, 8)
 	rep.EnableZoneMaps(exec.DefaultMorselTuples)
-	rep.EnableCompression()
 	rep.SetApplyWorkers(2)
 	for _, t := range d.base.Tables() {
 		for _, p := range t.Partitions {
@@ -95,9 +94,8 @@ func (d *tpccDelta) fresh(tb testing.TB) *olap.Replica {
 }
 
 // applySplit feeds the pushes to rep in `rounds` equal groups, one apply
-// round each, stale blocks re-encoded in the last only — as the
-// scheduler's rounds between two batches do — and returns the entries
-// applied.
+// round each — as the scheduler's rounds between two batches do — and
+// returns the entries applied.
 func (d *tpccDelta) applySplit(tb testing.TB, rep *olap.Replica, rounds int) (entries int) {
 	n := len(d.pushes.upTo)
 	for r := 0; r < rounds; r++ {
@@ -105,7 +103,7 @@ func (d *tpccDelta) applySplit(tb testing.TB, rep *olap.Replica, rounds int) (en
 		for p := lo; p < hi; p++ {
 			rep.ApplyUpdates(d.pushes.batches[p], d.pushes.upTo[p])
 		}
-		st, err := rep.ApplyPendingDeferred(d.pushes.upTo[hi-1], r == rounds-1)
+		st, err := rep.ApplyPending(d.pushes.upTo[hi-1])
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -116,8 +114,8 @@ func (d *tpccDelta) applySplit(tb testing.TB, rep *olap.Replica, rounds int) (en
 
 // TestApplySplitAnswersMatch is the 14-template half of the split oracle
 // (TestApplySplitEqualsOneRound has the storage half): a TPC-C delta
-// applied as one round and as 2 to 6 rounds with the re-encode deferred
-// to the last gives every CH template the same answer.
+// applied as one round and as 2 to 6 rounds gives every CH template the
+// same answer.
 func TestApplySplitAnswersMatch(t *testing.T) {
 	d := newTPCCDelta(t, tpcc.BenchScale(1), 6, 100)
 	answers := func(rounds int) []exec.Result {

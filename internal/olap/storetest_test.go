@@ -9,9 +9,8 @@ import (
 )
 
 // TestStoreConformance runs the partition conformance suite against the
-// row partition in every storage configuration: bare, zone-mapped, and
-// zone-mapped with encoded vectors, pinning every configuration to one
-// contract. The contract: RowID 0 is the reserved tombstone sentinel,
+// row partition in every storage configuration, bare and zone-mapped,
+// pinning both to one contract. The contract: RowID 0 is the reserved tombstone sentinel,
 // duplicate inserts and patches to dead slots are rejected, deletes
 // recycle slots without growing the slot space, and scans skip
 // tombstones. Extend the suite when extending that surface.
@@ -29,13 +28,6 @@ func TestStoreConformance(t *testing.T) {
 			p.ActivateSynopsisCols(^uint64(0))
 			return p
 		}},
-		{"Compressed", func() *Partition {
-			p := NewPartition(conformanceSchema(), 16)
-			p.EnableZoneMap(64)
-			p.ActivateSynopsisCols(^uint64(0))
-			p.EnableCompression()
-			return p
-		}},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,7 +39,7 @@ func TestStoreConformance(t *testing.T) {
 
 // conformanceSchema is the relation the suite drives partitions with: a
 // mix of every numeric type plus a string column, so field patches cross
-// both encodable and non-encodable byte ranges.
+// both synopsis and non-synopsis byte ranges.
 func conformanceSchema() *storage.Schema {
 	return storage.NewSchema(990, "storetest", []storage.Column{
 		{Name: "id", Type: storage.Int64},

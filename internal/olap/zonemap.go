@@ -15,16 +15,9 @@ import (
 // (IN-lists to their convex hull) before asking partitions which slot
 // blocks might match; a block whose [min, max] misses any conjunct's
 // interval cannot contain a qualifying tuple.
-//
-// Set, when non-nil, additionally requires membership (an IN-list,
-// sorted ascending); [Lo, Hi] then hold its convex hull. RangeMayMatch
-// prunes on the hull alone — still sound — while the compressed-block
-// filter (FilterRange) evaluates the membership exactly, which is what
-// lets the executor skip the per-tuple kernel for vectorized blocks.
 type ColRange struct {
 	Col    int
 	Lo, Hi int64
-	Set    []int64
 }
 
 // maxSynopsisCols caps the per-block bookkeeping (and lets the dirty
@@ -186,16 +179,6 @@ func (p *Partition) ActivateSynopsisCols(wanted uint64) {
 				ci: int32(ci), typ: z.types[ci],
 			})
 		}
-	}
-	if p.enc != nil {
-		// Encoded vectors cover exactly the active column set; a wider
-		// set means every block must re-encode. The caller's quiesced
-		// window runs ReencodeDirty right after activation.
-		for b := range p.enc.stale {
-			p.enc.stale[b] = ^uint64(0)
-			p.enc.full[b] = ^uint64(0)
-		}
-		p.enc.anyStale = true
 	}
 }
 
@@ -361,30 +344,6 @@ func (p *Partition) blockSlots(b int) (lo, hi int) {
 		hi = len(p.rowIDs)
 	}
 	return lo, hi
-}
-
-// recomputeBlock re-derives block b's synopsis — every active column's
-// bounds and supports, plus the live count — exactly from its slots.
-func (p *Partition) recomputeBlock(b int) {
-	z := p.zm
-	base := b * len(z.cols)
-	for _, c := range z.actCols {
-		z.syn[base+int(c.ci)] = colSyn{min: math.MaxInt64, max: math.MinInt64}
-	}
-	lo, hi := p.blockSlots(b)
-	live := int32(0)
-	for i := lo; i < hi; i++ {
-		if p.rowIDs[i] == 0 {
-			continue
-		}
-		live++
-		tup := p.data[i*p.tupleSize:]
-		for _, c := range z.actCols {
-			z.admit(base+int(c.ci), ordKeyAt(tup, c.off, c.typ))
-		}
-	}
-	z.live[b] = live
-	z.dirtyCols[b] = 0
 }
 
 // recomputeBlockCols re-derives exactly the masked columns of block b.

@@ -9,15 +9,15 @@ import (
 	"batchdb/internal/olap/exec"
 )
 
-// TestEveryReplicaServesVectorizedScans pins that each public kind of
+// TestEveryReplicaServesPrunedScans pins that each public kind of
 // replica — the DB's own, an AttachWorkloadReplica one and a
-// ConnectReplica node — is built with zone maps and encoded vectors and
-// no option set. The first query records its predicate's column; the
-// apply round before the second activates and encodes it, so the second
-// query's scan must be served by the encoded-block kernels. Each kind
-// also stamps every answer with its snapshot's provenance: a nonzero
-// snapshot VID once a transaction committed, and a nonzero staleness.
-func TestEveryReplicaServesVectorizedScans(t *testing.T) {
+// ConnectReplica node — is built with zone maps and no option set. The
+// first query records its predicate's column; the apply round before the
+// next activates its synopses, so a query on a value no row holds must
+// skip blocks without reading them. Each kind also stamps every answer
+// with its snapshot's provenance: a nonzero snapshot VID once a
+// transaction committed, and a nonzero staleness.
+func TestEveryReplicaServesPrunedScans(t *testing.T) {
 	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
 	f.load(t, 300)
 	if err := f.db.Start(); err != nil {
@@ -46,11 +46,11 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 
-	regionOne := func() *Query {
+	region := func(lo, hi int64) *Query {
 		return &Query{
-			Name:   "regionOne",
+			Name:   "region",
 			Driver: 1,
-			Where:  []exec.Pred{exec.BetweenInt(2, 1, 1)},
+			Where:  []exec.Pred{exec.BetweenInt(2, lo, hi)},
 			Aggs:   []AggSpec{{Kind: Count}},
 		}
 	}
@@ -65,7 +65,7 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 	}
 	for _, k := range kinds {
 		for round := 0; round < 2; round++ {
-			res, err := k.query(regionOne())
+			res, err := k.query(region(1, 1))
 			if err == nil {
 				err = res.Err
 			}
@@ -80,8 +80,18 @@ func TestEveryReplicaServesVectorizedScans(t *testing.T) {
 					k.name, round, res.SnapshotVID, res.StalenessNanos)
 			}
 		}
-		if n := k.stats.ExecBlocksVectorized.Load(); n == 0 {
-			t.Fatalf("%s: no block served by the encoded-block kernels after an apply round", k.name)
+		res, err := k.query(region(99, 99))
+		if err == nil {
+			err = res.Err
+		}
+		if err != nil {
+			t.Fatalf("%s query on an absent value: %v", k.name, err)
+		}
+		if res.Rows != 0 {
+			t.Fatalf("%s query on an absent value: %d rows, want 0", k.name, res.Rows)
+		}
+		if n := k.stats.ExecBlocksSkipped.Load(); n == 0 {
+			t.Fatalf("%s: no block skipped by the zone maps after an apply round", k.name)
 		}
 	}
 }

@@ -172,13 +172,11 @@ type ReplicaNode = node.Node
 
 // newReplica returns an empty columnar replica in the one layout every
 // replica serves from: per-block zone maps one scan morsel wide, so block
-// verdicts map one-to-one onto morsels, and encoded column vectors on
-// those blocks. Both are enabled before any load so synopses build
-// incrementally.
+// verdicts map one-to-one onto morsels. They are enabled before any load
+// so synopses build incrementally.
 func newReplica(partitions int) *olap.Replica {
 	rep := olap.NewReplica(partitions)
 	rep.EnableZoneMaps(exec.DefaultMorselTuples)
-	rep.EnableCompression()
 	return rep
 }
 
