@@ -59,9 +59,14 @@ type (
 	Response = oltp.Response
 	// Query is an analytical query (scan + joins + aggregates).
 	Query = exec.Query
-	// Probe is one join step of a Query: a lookup of the primary key
-	// its ProbeKey returns in the probed table.
+	// Probe is one join step of a Query: a lookup, in the probed table,
+	// of the primary key its declared Key packs from the columns of a row
+	// already in hand.
 	Probe = exec.Probe
+	// KeyField is one field of a Probe's Key.
+	KeyField = exec.KeyField
+	// Pred is one conjunct of a Query's or a Probe's Where.
+	Pred = exec.Pred
 	// AggSpec is one aggregate output of a Query.
 	AggSpec = exec.AggSpec
 	// Result is a Query's outcome.
@@ -87,6 +92,15 @@ const (
 	Sum   = exec.Sum
 	Count = exec.Count
 )
+
+// Comparison operators of CmpInt.
+const EQ, LT, LE, GT, GE = exec.EQ, exec.LT, exec.LE, exec.GT, exec.GE
+
+// SumCol is a Sum aggregate of the driver's numeric column col.
+func SumCol(col int) AggSpec { return exec.SumCol(col) }
+
+// CmpInt is the conjunct `col op v` over an integer or time column.
+func CmpInt(col int, op exec.Op, v int64) Pred { return exec.CmpInt(col, op, v) }
 
 // NewSchema builds a relation schema; see storage.NewSchema.
 func NewSchema(id TableID, name string, cols []Column, key []int) *Schema {

@@ -72,9 +72,7 @@ func (f *accountsFixture) totalQuery() *Query {
 	return &Query{
 		Name:   "total",
 		Driver: 1,
-		Aggs: []AggSpec{{Kind: Sum, Value: func(tup []byte, _ [][]byte) float64 {
-			return float64(f.schema.GetInt64(tup, 1))
-		}}},
+		Aggs:   []AggSpec{SumCol(1)},
 	}
 }
 

@@ -59,13 +59,12 @@ func Example() {
 	res, err := db.Query(&batchdb.Query{
 		Name:   "total",
 		Driver: 1,
-		Aggs: []batchdb.AggSpec{{Kind: batchdb.Sum, Value: func(tup []byte, _ [][]byte) float64 {
-			return float64(schema.GetInt64(tup, 1))
-		}}},
+		Where:  []batchdb.Pred{batchdb.CmpInt(1, batchdb.GT, 0)},
+		Aggs:   []batchdb.AggSpec{batchdb.SumCol(1), {Kind: batchdb.Count}},
 	})
 	if err != nil || res.Err != nil {
 		log.Fatal(err, res.Err)
 	}
-	fmt.Printf("total bumps: %.0f\n", res.Values[0])
-	// Output: total bumps: 10
+	fmt.Printf("total bumps: %.0f over %.0f counters\n", res.Values[0], res.Values[1])
+	// Output: total bumps: 10 over 3 counters
 }

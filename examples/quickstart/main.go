@@ -75,19 +75,11 @@ func main() {
 	// query runs on the secondary replica, one batch at a time, on the
 	// latest committed snapshot — the deposits above are visible.
 	for region := int64(0); region < 5; region++ {
-		region := region
 		q := &batchdb.Query{
 			Name:   fmt.Sprintf("region-%d", region),
 			Driver: 1,
-			DriverPred: func(tup []byte) bool {
-				return schema.GetInt64(tup, 2) == region
-			},
-			Aggs: []batchdb.AggSpec{
-				{Kind: batchdb.Sum, Value: func(tup []byte, _ [][]byte) float64 {
-					return schema.GetFloat64(tup, 1)
-				}},
-				{Kind: batchdb.Count},
-			},
+			Where:  []batchdb.Pred{batchdb.CmpInt(2, batchdb.EQ, region)},
+			Aggs:   []batchdb.AggSpec{batchdb.SumCol(1), {Kind: batchdb.Count}},
 		}
 		res, err := db.Query(q)
 		if err != nil || res.Err != nil {

@@ -23,12 +23,15 @@
 package baseline
 
 import (
+	"slices"
+	"strings"
 	"time"
 
 	"batchdb/internal/mvcc"
 	"batchdb/internal/obs"
 	"batchdb/internal/olap/exec"
 	"batchdb/internal/oltp"
+	"batchdb/internal/storage"
 	"batchdb/internal/tpcc"
 )
 
@@ -250,72 +253,50 @@ func (e *Engine) runQuery(r queryReq) {
 	defer tx.Release()
 
 	res := exec.Result{Query: q, Values: make([]float64, len(q.Aggs))}
+	// Run only what the engine would: declarations that fit the schemas.
+	if res.Err = q.Check(func(id storage.TableID) *storage.Schema {
+		if t := e.db.TableByID(id); t != nil {
+			return t.Schema
+		}
+		return nil
+	}); res.Err != nil {
+		r.reply <- res
+		return
+	}
 	driver := e.db.TableByID(q.Driver)
-	if driver == nil {
-		res.Err = errUnknownTable
-		r.reply <- res
-		return
-	}
-	// Compile the declarative predicates (Where) once per query and
-	// conjoin them with the residual closures, mirroring the replica
-	// executor's semantics.
-	driverPred, err := q.DriverFilter(driver.Schema)
-	if err != nil {
-		res.Err = err
-		r.reply <- res
-		return
-	}
-	probePreds := make([]func([]byte) bool, len(q.Probes))
+	probed := make([]*mvcc.Table, len(q.Probes))
 	for i := range q.Probes {
-		bt := e.db.TableByID(q.Probes[i].Table)
-		if bt == nil {
-			res.Err = errUnknownTable
-			r.reply <- res
-			return
-		}
-		if probePreds[i], err = q.Probes[i].Filter(bt.Schema); err != nil {
-			res.Err = err
-			r.reply <- res
-			return
-		}
+		probed[i] = e.db.TableByID(q.Probes[i].Table)
 	}
-	summands := make([]func([]byte, [][]byte) float64, len(q.Aggs))
-	for ai := range q.Aggs {
-		if summands[ai], err = q.Aggs[ai].Summand(driver.Schema); err != nil {
-			res.Err = err
-			r.reply <- res
-			return
-		}
-	}
-	joined := make([][]byte, 0, 8)
+	ds := driver.Schema
+	joined := make([][]byte, 0, len(q.Probes))
 	driver.ScanChains(func(c *mvcc.Chain) bool {
 		rec := tx.ReadChain(c)
 		if rec == nil {
 			return true
 		}
 		tup := rec.Data
-		if driverPred != nil && !driverPred(tup) {
+		if !Accepts(ds, q.Where, tup) {
 			return true
 		}
 		joined = joined[:0]
 		for i := range q.Probes {
 			p := &q.Probes[i]
-			bt := e.db.TableByID(p.Table)
-			if bt == nil {
-				res.Err = errUnknownTable
-				return false
+			fs, from := ds, tup
+			if p.From >= 0 {
+				fs, from = probed[p.From].Schema, joined[p.From]
 			}
-			match, ok := tx.Get(bt, p.ProbeKey(tup, joined))
-			if !ok || (probePreds[i] != nil && !probePreds[i](match)) {
+			match, ok := tx.Get(probed[i], KeyOf(fs, p.Key, from))
+			if !ok || !Accepts(probed[i].Schema, p.Where, match) {
 				return true
 			}
 			joined = append(joined, match)
 		}
 		res.Rows++
-		for ai := range q.Aggs {
-			switch q.Aggs[ai].Kind {
+		for ai, a := range q.Aggs {
+			switch a.Kind {
 			case exec.Sum:
-				res.Values[ai] += summands[ai](tup, joined)
+				res.Values[ai] += Summand(ds, a, tup)
 			case exec.Count:
 				res.Values[ai]++
 			}
@@ -327,8 +308,59 @@ func (e *Engine) runQuery(r queryReq) {
 	r.reply <- res
 }
 
-var errUnknownTable = errUnknown{}
+// The scalar evaluator: the declared parts of a query (exec.Pred,
+// exec.KeyField, exec.AggSpec) evaluated one tuple at a time through
+// the schema's accessors. It shares no code with the engine's vector
+// kernels, so an answer both give alike has been computed twice,
+// independently.
 
-type errUnknown struct{}
+// Accepts reports whether tup of schema s passes every conjunct of
+// preds.
+func Accepts(s *storage.Schema, preds []exec.Pred, tup []byte) bool {
+	for _, p := range preds {
+		var ok bool
+		switch p.Kind {
+		case exec.IntRange, exec.FloatRange:
+			v := s.OrdKey(tup, p.Col)
+			ok = p.Lo <= v && v <= p.Hi && (p.In == nil || slices.Contains(p.In, v))
+		case exec.StrPrefix:
+			ok = strings.HasPrefix(s.GetString(tup, p.Col), p.Str)
+		case exec.StrEqual:
+			ok = s.GetString(tup, p.Col) == p.Str
+		case exec.StrContains:
+			ok = strings.Contains(s.GetString(tup, p.Col), p.Str)
+		}
+		if ok == p.Not {
+			return false
+		}
+	}
+	return true
+}
 
-func (errUnknown) Error() string { return "baseline: unknown table" }
+// KeyOf is the probe key the fields declare, read from tup of schema s.
+func KeyOf(s *storage.Schema, key []exec.KeyField, tup []byte) uint64 {
+	var k uint64
+	for _, f := range key {
+		v := intAt(s, tup, f.Col)
+		if f.Mod > 0 {
+			v = v * intAt(s, tup, f.MulCol) % f.Mod
+		}
+		k |= uint64(v) << f.Shift
+	}
+	return k
+}
+
+func intAt(s *storage.Schema, tup []byte, col int) int64 {
+	if s.Columns[col].Type == storage.Int32 {
+		return int64(s.GetInt32(tup, col))
+	}
+	return s.GetInt64(tup, col)
+}
+
+// Summand is what Sum aggregate a adds for driver tuple tup of schema s.
+func Summand(s *storage.Schema, a exec.AggSpec, tup []byte) float64 {
+	if s.Columns[a.Col].Type == storage.Float64 {
+		return s.GetFloat64(tup, a.Col)
+	}
+	return float64(intAt(s, tup, a.Col))
+}

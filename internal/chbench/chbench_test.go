@@ -2,13 +2,16 @@ package chbench
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
+	"batchdb/internal/baseline"
 	"batchdb/internal/mvcc"
 	"batchdb/internal/olap"
 	"batchdb/internal/olap/exec"
 	"batchdb/internal/oltp"
+	"batchdb/internal/storage"
 	"batchdb/internal/tpcc"
 )
 
@@ -69,17 +72,14 @@ func TestQ10MatchesHandComputation(t *testing.T) {
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	// Recompute with the same predicate (Q10's filter is declarative
-	// now; DriverFilter compiles it the same way the engine does).
-	pred, err := q.DriverFilter(db.Schemas.OrderLine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Recompute by hand: Q10 is the order lines delivered on or after
+	// its date.
+	date := q.Where[0].Lo
 	var want float64
 	ols := db.Schemas.OrderLine
 	for _, p := range rep.Table(tpcc.TOrderLine).Partitions {
 		p.Scan(func(_ uint64, tup []byte) bool {
-			if pred(tup) {
+			if ols.GetInt64(tup, tpcc.OLDeliveryD) >= date {
 				want += ols.GetFloat64(tup, tpcc.OLAmount)
 			}
 			return true
@@ -113,9 +113,7 @@ func TestQ3PartitionsByNation(t *testing.T) {
 	for n := 0; n < tpcc.NumNations; n++ {
 		q := g.ByName("Q3")
 		// Rebind the nation predicate deterministically.
-		nName := nationName(n)
-		ns := db.Schemas.Nation
-		q.Probes[2].Pred = func(t []byte) bool { return ns.GetString(t, tpcc.NName) == nName }
+		q.Probes[2].Where = []exec.Pred{exec.EqualStr(tpcc.NName, nationName(n))}
 		queries = append(queries, q)
 	}
 	results := eng.RunBatch(queries, 0)
@@ -234,5 +232,63 @@ func TestSchedulerEndToEnd(t *testing.T) {
 	}
 	if rep.AppliedVID() == 0 {
 		t.Fatal("scheduler never applied updates")
+	}
+}
+
+// TestProbeKeysPackLikeTPCC holds every probe builder's declared key to
+// the tpcc key function of the table it probes: over random rows of the
+// table the key is read from, the key the declaration packs (as
+// internal/baseline evaluates it; the engine's kernels are held to that
+// evaluator by exec's kernel test) is the one the function packs.
+func TestProbeKeysPackLikeTPCC(t *testing.T) {
+	s := tpcc.NewSchemas()
+	i64 := func(sc *storage.Schema, tup []byte, c int) int64 { return sc.GetInt64(tup, c) }
+	cases := []struct {
+		name string
+		pb   exec.Probe
+		from *storage.Schema
+		want func(tup []byte) uint64
+	}{
+		{"order of a line", ordersFromOrderLine(), s.OrderLine, func(tup []byte) uint64 {
+			return tpcc.OrderKey(i64(s.OrderLine, tup, tpcc.OLWID), i64(s.OrderLine, tup, tpcc.OLDID), i64(s.OrderLine, tup, tpcc.OLOID))
+		}},
+		{"customer of an order", customerFromOrder(0), s.Order, func(tup []byte) uint64 {
+			return tpcc.CustomerKey(i64(s.Order, tup, tpcc.OWID), i64(s.Order, tup, tpcc.ODID), i64(s.Order, tup, tpcc.OCID))
+		}},
+		{"item of a line", itemProbe(tpcc.OLIID), s.OrderLine, func(tup []byte) uint64 {
+			return tpcc.ItemKey(i64(s.OrderLine, tup, tpcc.OLIID))
+		}},
+		{"item of a stock row", itemProbe(tpcc.SIID), s.Stock, func(tup []byte) uint64 {
+			return tpcc.ItemKey(i64(s.Stock, tup, tpcc.SIID))
+		}},
+		{"supplier of a line", supplierOfOrderLine(), s.OrderLine, func(tup []byte) uint64 {
+			return tpcc.SupplierKey(tpcc.SupplierOf(i64(s.OrderLine, tup, tpcc.OLSupplyWID), i64(s.OrderLine, tup, tpcc.OLIID)))
+		}},
+		{"supplier of a stock row", supplierOfStock(), s.Stock, func(tup []byte) uint64 {
+			return tpcc.SupplierKey(tpcc.SupplierOf(i64(s.Stock, tup, tpcc.SWID), i64(s.Stock, tup, tpcc.SIID)))
+		}},
+		{"nation of a customer", nationOf(0, tpcc.CNationKey), s.Customer, func(tup []byte) uint64 {
+			return tpcc.NationKey(i64(s.Customer, tup, tpcc.CNationKey))
+		}},
+		{"nation of a supplier", nationOf(0, tpcc.SUNationKey), s.Supplier, func(tup []byte) uint64 {
+			return tpcc.NationKey(i64(s.Supplier, tup, tpcc.SUNationKey))
+		}},
+		{"region of a nation", regionOfNation(0), s.Nation, func(tup []byte) uint64 {
+			return tpcc.RegionKey(i64(s.Nation, tup, tpcc.NRegionKey))
+		}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range cases {
+		for i := 0; i < 256; i++ {
+			tup := tc.from.NewTuple()
+			for c, col := range tc.from.Columns {
+				if col.Type == storage.Int64 {
+					tc.from.PutInt64(tup, c, rng.Int63n(1<<(4+rng.Intn(28))))
+				}
+			}
+			if got, want := baseline.KeyOf(tc.from, tc.pb.Key, tup), tc.want(tup); got != want {
+				t.Fatalf("%s: declared key %#x, tpcc packs %#x", tc.name, got, want)
+			}
+		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 // the pass's step forest in ever different combinations — must produce,
 // at every worker count, what each query produces run alone on the
 // replica and what internal/baseline computes for it over the primary's
-// MVCC store, which shares no code with the executor beyond the query's
-// closures. Rows and groups must match exactly; float aggregates may
-// differ by accumulation order only.
+// MVCC store, whose scalar evaluator of the query's declarations shares
+// no code with the executor's vector kernels. Rows and groups must match
+// exactly; float aggregates may differ by accumulation order only.
 func TestSharedParityRandomizedBatches(t *testing.T) {
 	db := tpcc.NewDB(tpcc.SmallScale(2))
 	if err := tpcc.Generate(db, 21); err != nil {

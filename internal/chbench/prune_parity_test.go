@@ -64,17 +64,11 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	// burst it prunes every block, afterwards only the blocks holding
 	// freshly inserted order lines survive.
 	tailO := int64(db.Scale.InitialOrdersPerDistrict) + 1
-	ols := db.Schemas.OrderLine
 	batch = append(batch, &exec.Query{
 		Name:   "tailOrders",
 		Driver: tpcc.TOrderLine,
 		Where:  []exec.Pred{exec.CmpInt(tpcc.OLOID, exec.GE, tailO)},
-		Aggs: []exec.AggSpec{
-			{Kind: exec.Count},
-			{Kind: exec.Sum, Value: func(d []byte, _ [][]byte) float64 {
-				return float64(ols.GetInt64(d, tpcc.OLQuantity))
-			}},
-		},
+		Aggs:   []exec.AggSpec{{Kind: exec.Count}, exec.SumCol(tpcc.OLQuantity)},
 	})
 
 	// Registration pass: compiling the batch with pruning enabled
@@ -173,7 +167,7 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	var maxOID int64
 	for _, p := range rep.Table(tpcc.TOrderLine).Partitions {
 		p.Scan(func(_ uint64, tup []byte) bool {
-			if v := ols.GetInt64(tup, tpcc.OLOID); v > maxOID {
+			if v := db.Schemas.OrderLine.GetInt64(tup, tpcc.OLOID); v > maxOID {
 				maxOID = v
 			}
 			return true

@@ -87,10 +87,6 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 	e1.AddSink(pushed)
 	e1.Start()
 
-	// Fire on the second hit, with half of any in-flight buffer reaching
-	// the file — a torn write right in the middle of a frame.
-	inj.Arm(crash.Plan{Point: pt, Countdown: 2, TearFrac: 0.5})
-
 	// Concurrent TPC-C clients; each records the highest commit VID that
 	// was ACKNOWLEDGED to it (Err == nil). Everything at or below
 	// maxAcked must survive recovery.
@@ -162,7 +158,21 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 		}
 	}()
 
+	// Arm only once a push has carried a nonzero watermark, so that the
+	// served ⇒ durable check below has something served to hold. Fire on
+	// the second hit from then, with half of any in-flight buffer
+	// reaching the file — a torn write right in the middle of a frame.
 	deadline := time.Now().Add(30 * time.Second)
+	for pushed.max.Load() == 0 {
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			<-ckptDone
+			t.Fatal("no push carried a nonzero watermark")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inj.Arm(crash.Plan{Point: pt, Countdown: 2, TearFrac: 0.5})
 	for !inj.Crashed() {
 		if time.Now().After(deadline) {
 			close(stop)
@@ -207,6 +217,9 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 	}
 	if w > origLatest {
 		t.Fatalf("recovered watermark %d beyond anything executed (%d)", w, origLatest)
+	}
+	if served == 0 {
+		t.Fatalf("no push carried a nonzero watermark before the crash at %s: served ⇒ durable is vacuous", pt)
 	}
 	if served > w {
 		t.Fatalf("pushed watermark %d > recovered watermark %d: a replica may have served updates the log lost", served, w)

@@ -74,8 +74,8 @@ func TestProbeWorkCounters(t *testing.T) {
 // TestBatchLookupsSublinear: the twelve order-line templates compute
 // three distinct keys from an order line between them — its order, its
 // item, its supplier — so one batch of all twelve makes at most three
-// lookups per order line (3.2 with slack for a tail step, of which the
-// templates have none), plus one per parent row for each link array the
+// lookups per order line (3.2 with slack), plus one per parent row for
+// each link array the
 // engine has to make; a second batch finds the links cached. Run one at a
 // time the same queries make more than twice as many. A counter test: no
 // clock.
@@ -179,7 +179,7 @@ func roundRobinBatch(g *chbench.Gen, start, n int) []*exec.Query {
 // averaged over the 14 rotations of the template cycle so that every
 // size meets every template. A batch is worth forming when n queries
 // cost well under n times one: ms/batch should grow far slower than n,
-// and lookups/batch (root and tail lookups plus link construction, a
+// and lookups/batch (root-step lookups plus link construction, a
 // work counter) says why.
 func BenchmarkBatchSize(b *testing.B) {
 	db := tpcc.NewDB(tpcc.BenchScale(4))

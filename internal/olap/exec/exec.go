@@ -49,82 +49,54 @@ const (
 	Count
 )
 
-// AggSpec is one output aggregate of a query. For Sum, Value extracts
-// the summand from the matched row combination; for Count, Value is
-// ignored. SumCol builds the declarative form — a driver-column
-// summand the engine compiles to a typed kernel.
+// AggSpec is one output aggregate of a query: Count counts the
+// surviving row combinations; Sum adds up numeric column Col of their
+// driver tuples (build it with SumCol).
 type AggSpec struct {
 	Kind AggKind
-	// Value receives the driver tuple and the tuples joined so far (in
-	// probe order).
-	Value func(driver []byte, joined [][]byte) float64
-	// col, colSet carry the declarative driver-column summand installed
-	// by SumCol; the zero value (plain struct-literal construction)
-	// keeps the closure path.
-	col    int
-	colSet bool
+	Col  int
 }
 
-// Probe is one join step: the driver row (plus previously joined rows)
-// produces the primary key of the row it must find in Table.
+// Probe is one join step: a key computed from a row already in hand —
+// the driver tuple or a row an earlier probe matched — is the primary
+// key of the row to find in Table, and the PK index of Table finds it.
+// Every part of it is declared, so the engine compiles it to kernels
+// that run a vector at a time, and two probes of a batch that declare
+// the same thing are one step (planner.go).
 type Probe struct {
 	// Table is the probed relation.
 	Table storage.TableID
-	// ProbeKey computes, from the driver tuple and the previously joined
-	// tuples, the primary key of the probed row: the value Table's key
-	// function (the primary's, which keys the replica's PK index) returns
-	// for it. The engine looks it up in the table's PK index, and the
-	// single-system baseline reads the primary's row under it.
-	ProbeKey func(driver []byte, joined [][]byte) uint64
-	// KeyID and From declare what ProbeKey reads, so the batch planner
-	// can run the probe as a shared step (planner.go) instead of once per
-	// query and tuple. A non-empty KeyID names the key extractor; From
-	// says where it reads: -1 = the driver tuple only, k = joined[k]
-	// only, k an earlier probe of the same query. It is a promise: two
-	// probes with equal (Table, KeyID) whose From name the same row
-	// compute the same key from it, and ProbeKey touches nothing else —
-	// it is called with a nil driver and only joined[From] set when the
-	// engine resolves the step once per parent row. ProbeKey stays the
-	// reference semantics (it is all the single-system baseline
-	// evaluates). The zero KeyID declares nothing: the probe runs per
-	// surviving tuple of its query.
-	KeyID string
-	From  int
-	// Where declaratively filters the joined tuple: an AND-list compiled
-	// to typed kernels against the probed table's schema. Where is never
-	// pushed down to synopses — it only replaces closure dispatch with
-	// typed kernels.
+	// From names the row the key is read from: -1 the driver tuple, k
+	// the row probe k (an earlier probe of the same query) matched.
+	From int
+	// Key is the primary key of the probed row, as Table's key function
+	// (the primary's, which keys the replica's PK index) packs it: its
+	// fields, integer columns of the From row shifted left, ORed
+	// together (KeyCol, MulMod). At most MaxKeyFields fields.
+	Key []KeyField
+	// Where filters the matched row: an AND-list compiled against the
+	// probed table's schema. It is never pushed down to synopses. The
+	// engine decides per batch whether to evaluate it on each match or
+	// once per row of the table (the verdicts kept as a bitmap the
+	// matches index), so it may run on rows no driver tuple reaches.
 	Where []Pred
-	// Pred is the residual filter for anything Where cannot express;
-	// ANDed with Where, nil accepts all.
-	//
-	// A probe filter (Where and Pred alike) must be a pure function of
-	// the probed tuple it is handed: no state, no dependence on the
-	// driver tuple or on call order. The engine decides per batch whether
-	// to call it on each match or once per row of the table (the
-	// verdicts kept as a bitmap the matches index), so it may run on
-	// rows no driver tuple ever reaches, and a different number of times
-	// from one batch to the next.
-	Pred func(tup []byte) bool
 }
 
 // Query is one analytical query: scan a driver table, filter, run a
-// chain of join probes, and aggregate the surviving combinations.
+// chain of join probes, and aggregate the surviving combinations. Every
+// part of it is a declaration (pred.go), compiled per batch against the
+// snapshot's schemas; a declaration that does not fit its schema fails
+// the query's Result.Err, and the rest of the batch runs.
 type Query struct {
 	// Name labels the query in reports (e.g. "Q5").
 	Name string
 	// Driver is the scanned fact table.
 	Driver storage.TableID
-	// Where is the declarative driver filter: an AND-list of column
-	// comparisons (pred.go) compiled into typed kernels and pushed down
-	// to the partitions' per-block zone maps, letting the morsel
+	// Where is the driver filter: an AND-list of conjuncts (pred.go)
+	// compiled into vector kernels; its numeric conjuncts are also pushed
+	// down to the partitions' per-block zone maps, letting the morsel
 	// dispatcher skip slot blocks that provably cannot satisfy it.
 	Where []Pred
-	// DriverPred is the residual driver filter for predicates Where
-	// cannot express (string matching, cross-column arithmetic). It is
-	// ANDed with Where and never participates in pruning; nil accepts
-	// all.
-	DriverPred func(tup []byte) bool
 	// Probes are applied in order; a missed probe drops the row.
 	Probes []Probe
 	// Aggs produce the output values.
@@ -465,20 +437,32 @@ type passWorker struct {
 	// holds, for root step ord, the id plus one of the row each tuple
 	// matched (stale where no user of the step wanted the tuple).
 	slots [vecSize]int32
-	keys  [vecSize]uint64
 	live  []vmask
 	rids  [][]uint32
+	// Scratch of the kernels: sel/at a compacted slot vector and where
+	// its entries sit in slots, keys, buf and mul column and key
+	// vectors, found the row ids of a compacted lookup, sums[ai] and
+	// gkeys[gi] the summands and group keys of the survivors.
+	sel   [vecSize]int32
+	at    [vecSize]int32
+	keys  [vecSize]uint64
+	buf   [vecSize]uint64
+	mul   [vecSize]uint64
+	found [vecSize]uint32
+	sums  [][vecSize]float64
+	gkeys [MaxGroupCols][vecSize]int64
 
 	// Per tuple, in the walk: chain[pi] is the id plus one of the row
 	// matched at probe pi, joined the rows asked for (qplan.needRow; nil
-	// elsewhere).
+	// elsewhere), hit the slot a per-hit filter runs on.
 	chain  []uint32
 	joined [][]byte
+	hit    [1]int32
 
 	// Stats, summed into the engine counters at merge.
 	blocksScanned, blocksSkipped, tuplesPruned int64
-	// probeLookups counts root-step and tail-step lookups and predEvals
-	// the probe filters evaluated on a hit.
+	// probeLookups counts root-step lookups and predEvals the probe
+	// filters evaluated on a hit.
 	probeLookups, predEvals int64
 }
 
@@ -487,11 +471,13 @@ func (w *passWorker) init() {
 	nq := len(sg.plans)
 	w.vals = make([][]float64, nq)
 	w.rows = make([]int64, nq)
-	nprobes := 0
+	nprobes, naggs := 0, 0
 	for qi, p := range sg.plans {
 		w.vals[qi] = make([]float64, len(p.q.Aggs))
 		nprobes = max(nprobes, len(p.q.Probes))
+		naggs = max(naggs, len(p.q.Aggs))
 	}
+	w.sums = make([][vecSize]float64, naggs)
 	w.groups = make([]map[groupKey]*gacc, nq)
 	w.active = make([]bool, nq)
 	w.live = make([]vmask, nq)
@@ -510,9 +496,10 @@ func (w *passWorker) init() {
 // every other morsel are taken a vector at a time through the pass's
 // step forest (passWorker.vector): per-query driver predicates, the
 // root steps' lookups with each query's folded bitmaps, and per query
-// the walk, summand extraction and accumulation into its scalar lanes
-// or its group map. Per-worker partials merge at the end; scan and
-// merge wall times accumulate into scanNS/mergeNS.
+// the walk, the column reads of summands and group keys, and
+// accumulation into its scalar lanes or its group map. Per-worker
+// partials merge at the end; scan and merge wall times accumulate into
+// scanNS/mergeNS.
 func (e *Engine) scanPass(t *olap.Table, sg *scanGroup, scanNS, mergeNS *int64) {
 	t0 := time.Now()
 	e.compileForest(sg)
@@ -587,45 +574,27 @@ func (w *passWorker) morsel(m morsel) {
 }
 
 // vector runs the first n tuples of w.slots, all of morsel m, through
-// the pass, a stage at a time.
+// the pass, a stage at a time, each stage a kernel over the vector.
 func (w *passWorker) vector(m morsel, n int) {
 	sg, part := w.sg, m.part
 	slots := w.slots[:n]
 
-	// Driver predicates: each query's typed kernel and residual closure
-	// decide which tuples it wants.
-	all := firstN(n)
+	// Driver predicates: each query's kernels decide which tuples it
+	// wants.
 	for qi, p := range sg.plans {
 		lv := &w.live[qi]
-		switch {
-		case !w.active[qi]:
+		if !w.active[qi] {
 			*lv = vmask{}
 			continue
-		case p.kernel != nil:
-			*lv = vmask{}
-			for i, slot := range slots {
-				if p.kernel(part.Tuple(slot)) {
-					lv[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		default:
-			*lv = all
 		}
-		if dp := p.q.DriverPred; dp != nil {
-			for wd, word := range lv {
-				for ; word != 0; word &= word - 1 {
-					i := wd<<6 + bits.TrailingZeros64(word)
-					if !dp(part.Tuple(slots[i])) {
-						lv[wd] &^= 1 << (uint(i) & 63)
-					}
-				}
-			}
-		}
+		*lv = firstN(n)
+		p.where.filter(part, slots, lv, w.buf[:])
 	}
 
-	// Root steps, in forest order: one lookup per tuple that some query
-	// holding the step still wants — a tight loop of independent key
-	// computations and lookups — then each such query keeps the tuples
+	// Root steps, in forest order: the keys of the tuples some query
+	// holding the step still wants, computed a column at a time, then
+	// one call-free lookup loop over them (FindPKs) — independent loads
+	// the memory system overlaps — then each such query keeps the tuples
 	// whose row its fold passes. A tuple every interested query has
 	// dropped by the time a step runs is never looked up there.
 	for _, st := range sg.roots {
@@ -639,21 +608,16 @@ func (w *passWorker) vector(m morsel, n int) {
 		}
 		w.probeLookups += int64(cnt)
 		rids := w.rids[st.ord][:n]
-		src, key := st.src, st.key
 		if cnt == n {
-			// Keys first, lookups second: the lookup loop (FindPKs) makes no
-			// call, so many of its loads are in flight at once.
-			keys := w.keys[:n]
-			for i, slot := range slots {
-				keys[i] = key(part.Tuple(slot), nil)
-			}
-			src.t.FindPKs(keys, src.base, rids)
+			st.key.vector(part, slots, w.keys[:], w.buf[:], w.mul[:])
+			st.src.t.FindPKs(w.keys[:n], st.src.base, rids)
 		} else {
-			for wd, word := range need {
-				for ; word != 0; word &= word - 1 {
-					i := wd<<6 + bits.TrailingZeros64(word)
-					rids[i] = src.find(key(part.Tuple(slots[i]), nil))
-				}
+			sel := w.compact(slots, &need)
+			st.key.vector(part, sel, w.keys[:], w.buf[:], w.mul[:])
+			found := w.found[:cnt]
+			st.src.t.FindPKs(w.keys[:cnt], st.src.base, found)
+			for j, i := range w.at[:cnt] {
+				rids[i] = found[j]
 			}
 		}
 		for _, u := range st.users {
@@ -669,85 +633,129 @@ func (w *passWorker) vector(m morsel, n int) {
 		}
 	}
 
-	// Queries: each walks the tuples that survive for it (if it has
-	// anything left to resolve per tuple), extracts their summands and
-	// group key, and accumulates.
 	for qi, p := range sg.plans {
-		for wd, word := range w.live[qi] {
-			for ; word != 0; word &= word - 1 {
-				i := wd<<6 + bits.TrailingZeros64(word)
-				tup := part.Tuple(slots[i])
-				if p.walk && !w.walk(p, i, tup) {
-					continue
-				}
-				vals := w.vals[qi]
-				if len(p.groupOf) == 0 {
-					w.rows[qi]++
-				} else {
-					var key groupKey
-					for gi, fn := range p.groupOf {
-						key[gi] = fn(tup, w.joined)
-					}
-					g := w.groups[qi]
-					if g == nil {
-						g = make(map[groupKey]*gacc)
-						w.groups[qi] = g
-					}
-					acc := g[key]
-					if acc == nil {
-						acc = &gacc{vals: make([]float64, len(p.q.Aggs))}
-						g[key] = acc
-					}
-					acc.rows++
-					vals = acc.vals
-				}
-				for ai, fn := range p.aggOf {
-					if fn != nil {
-						vals[ai] += fn(tup, w.joined)
-					} else {
-						vals[ai]++ // Count
-					}
+		w.aggregate(qi, p, part)
+	}
+}
+
+// compact gathers the slots of the tuples marked in m into w.sel, and
+// where each sits in slots into w.at; it returns the compacted vector.
+func (w *passWorker) compact(slots []int32, m *vmask) []int32 {
+	k := 0
+	for wd, word := range m {
+		for ; word != 0; word &= word - 1 {
+			i := wd<<6 + bits.TrailingZeros64(word)
+			w.sel[k], w.at[k] = slots[i], int32(i)
+			k++
+		}
+	}
+	return w.sel[:k]
+}
+
+// aggregate finishes query qi's survivors of the vector: it walks them
+// (if the plan has anything left to resolve per tuple), reads their
+// group keys and summands a column at a time over the compacted
+// survivors, and accumulates into the query's lanes or its group map.
+func (w *passWorker) aggregate(qi int, p *qplan, part *olap.Partition) {
+	lv := &w.live[qi]
+	k := 0
+	for wd, word := range lv {
+		for ; word != 0; word &= word - 1 {
+			i := wd<<6 + bits.TrailingZeros64(word)
+			if p.walk && !w.walk(p, i) {
+				continue
+			}
+			for gi, g := range p.groups {
+				if g.from >= 0 {
+					w.gkeys[gi][k] = g.col.ord(w.joined[g.from])
 				}
 			}
+			w.sel[k] = w.slots[i]
+			k++
+		}
+	}
+	if k == 0 {
+		return
+	}
+	sel := w.sel[:k]
+	for gi, g := range p.groups {
+		if g.from == -1 {
+			v := w.buf[:k]
+			part.ReadCol(sel, g.col.off, g.col.size, v)
+			g.col.ords(v)
+			for j, x := range v {
+				w.gkeys[gi][j] = int64(x)
+			}
+		}
+	}
+	for ai, a := range p.q.Aggs {
+		out := w.sums[ai][:k]
+		if a.Kind == Count {
+			for j := range out {
+				out[j] = 1
+			}
+			continue
+		}
+		c, v := p.sums[ai], w.buf[:k]
+		part.ReadCol(sel, c.off, c.size, v)
+		c.floats(v, out)
+	}
+	if len(p.groups) == 0 {
+		w.rows[qi] += int64(k)
+		for ai := range p.q.Aggs {
+			for _, v := range w.sums[ai][:k] {
+				w.vals[qi][ai] += v
+			}
+		}
+		return
+	}
+	g := w.groups[qi]
+	if g == nil {
+		g = make(map[groupKey]*gacc)
+		w.groups[qi] = g
+	}
+	for j := 0; j < k; j++ {
+		var key groupKey
+		for gi := range p.groups {
+			key[gi] = w.gkeys[gi][j]
+		}
+		acc := g[key]
+		if acc == nil {
+			acc = &gacc{vals: make([]float64, len(p.q.Aggs))}
+			g[key] = acc
+		}
+		acc.rows++
+		for ai := range acc.vals {
+			acc.vals[ai] += w.sums[ai][j]
 		}
 	}
 }
 
 // walk finishes tuple i of the vector for plan p: in chain order it
 // recovers each probe's matched row id — a root step's from the vector,
-// a linked step's through the links, a tail step's by the lookup the
-// scan has not made yet — materializes the rows the plan asked for into
-// w.joined, and applies what is still per hit: tail steps' filters and
-// filters too large to keep as bitmaps. It reports whether the tuple
-// survives.
-func (w *passWorker) walk(p *qplan, i int, tup []byte) bool {
+// a linked step's through the links — materializes the rows the plan
+// asked for into w.joined, and applies the filters too large to keep as
+// bitmaps. It reports whether the tuple survives.
+func (w *passWorker) walk(p *qplan, i int) bool {
 	w.joined = w.joined[:0]
 	for pi, st := range p.steps {
 		var rid uint32
-		switch st.kind {
-		case rootStep:
+		if st.kind == rootStep {
 			rid = w.rids[st.ord][i]
-		case linkedStep:
+		} else {
 			rid = st.link.to[w.chain[p.q.Probes[pi].From]-1]
-		default:
-			w.probeLookups++
-			if rid = st.src.find(st.key(tup, w.joined)); rid == 0 {
-				return false
-			}
 		}
 		w.chain[pi] = rid
 		var row []byte
-		if p.needRow[pi] {
-			row = st.src.row(rid - 1)
-		}
-		if p.perHit[pi] {
-			if lk := &p.lookups[pi]; lk.bits == nil {
+		if p.needRow[pi] || p.perHit[pi] {
+			part, slot := st.src.locate(rid - 1)
+			row, w.hit[0] = part.Tuple(slot), slot
+			if p.perHit[pi] {
 				w.predEvals++
-				if !lk.pred(row) {
+				m := firstN(1)
+				if p.lookups[pi].where.filter(part, w.hit[:], &m, w.buf[:]); m[0] == 0 {
 					return false
 				}
-			} else if !hasBit(lk.bits, rid-1) {
-				return false
 			}
 		}
 		w.joined = append(w.joined, row)
@@ -760,7 +768,7 @@ func (w *passWorker) walk(p *qplan, i int, tup []byte) bool {
 // totals.
 func mergeGroups(sg *scanGroup, workers []passWorker) {
 	for qi, p := range sg.plans {
-		arity := len(p.groupOf)
+		arity := len(p.groups)
 		if arity == 0 {
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"batchdb/internal/olap"
@@ -49,6 +48,7 @@ func buildFixture(t testing.TB, parts, orders, customers int) *fixture {
 		custs: storage.NewSchema(tblCustomers, "customers", []storage.Column{
 			{Name: "id", Type: storage.Int64},
 			{Name: "region", Type: storage.Int64},
+			{Name: "name", Type: storage.String, Size: 8},
 		}, []int{0}),
 		expSum:   map[int64]float64{},
 		expCount: map[int64]int64{},
@@ -66,6 +66,7 @@ func buildFixture(t testing.TB, parts, orders, customers int) *fixture {
 		tup := f.custs.NewTuple()
 		f.custs.PutInt64(tup, 0, int64(c))
 		f.custs.PutInt64(tup, 1, reg)
+		f.custs.PutString(tup, 2, fmt.Sprintf("c%d", c))
 		if err := f.replica.LoadTuple(tblCustomers, uint64(c), tup); err != nil {
 			t.Fatal(err)
 		}
@@ -87,21 +88,19 @@ func buildFixture(t testing.TB, parts, orders, customers int) *fixture {
 	return f
 }
 
-// regionQuery builds "SELECT SUM(amount) FROM orders, customers WHERE
-// o.cust = c.id AND c.region = reg".
+// regionQuery builds "SELECT SUM(amount), COUNT(*) FROM orders,
+// customers WHERE o.cust = c.id AND c.region = reg".
 func (f *fixture) regionQuery(reg int64) *Query {
 	return &Query{
 		Name:   "regionSum",
 		Driver: tblOrders,
 		Probes: []Probe{{
-			Table:    tblCustomers,
-			ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.orders.GetInt64(d, 1)) },
-			Pred:     func(tup []byte) bool { return f.custs.GetInt64(tup, 1) == reg },
+			Table: tblCustomers,
+			From:  -1,
+			Key:   []KeyField{KeyCol(1, 0)},
+			Where: []Pred{CmpInt(1, EQ, reg)},
 		}},
-		Aggs: []AggSpec{
-			{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.orders.GetFloat64(d, 2) }},
-			{Kind: Count},
-		},
+		Aggs: []AggSpec{SumCol(2), {Kind: Count}},
 	}
 }
 
@@ -127,39 +126,34 @@ func (f *fixture) addRegions(t testing.TB) *storage.Schema {
 	return regions
 }
 
-// bonusQuery sums, over all orders, the bonus of the order's customer's
-// region: orders → customers → regions, the second probe's key read from
-// the customer row. With declared keys the second probe is a linked
-// step, resolved through a cached link array from customer rows to
-// region rows.
-func (f *fixture) bonusQuery(regions *storage.Schema, declared bool) *Query {
-	q := &Query{
+// bonusQuery counts, per region bonus, the orders of the customers of
+// the region: orders → customers → regions, the second probe's key read
+// from the customer row, so it is a linked step, resolved through a
+// cached link array from customer rows to region rows.
+func (f *fixture) bonusQuery() *Query {
+	return &Query{
 		Name:   "chain",
 		Driver: tblOrders,
 		Probes: []Probe{
-			{
-				Table:    tblCustomers,
-				ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.orders.GetInt64(d, 1)) },
-			},
-			{
-				Table: tblBonus,
-				ProbeKey: func(_ []byte, joined [][]byte) uint64 {
-					return uint64(f.custs.GetInt64(joined[0], 1))
-				},
-			},
+			{Table: tblCustomers, From: -1, Key: []KeyField{KeyCol(1, 0)}},
+			{Table: tblBonus, From: 0, Key: []KeyField{KeyCol(1, 0)}},
 		},
-		Aggs: []AggSpec{{Kind: Sum, Value: func(_ []byte, joined [][]byte) float64 {
-			return regions.GetFloat64(joined[1], 1)
-		}}},
+		GroupBy: []GroupCol{{From: 1, Col: 1}},
+		Aggs:    []AggSpec{{Kind: Count}},
 	}
-	if declared {
-		q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
-		q.Probes[1].KeyID, q.Probes[1].From = "c.region", 0
-	}
-	return q
 }
 
-// bonusWant is the bonusQuery answer the fixture's data implies.
+// bonusSum is the sum over a bonusQuery result's orders of their
+// region's bonus.
+func bonusSum(r Result) float64 {
+	sum := 0.0
+	for _, g := range r.Groups {
+		sum += storage.Float64FromOrdKey(g.Key[0]) * float64(g.Rows)
+	}
+	return sum
+}
+
+// bonusWant is the bonusSum the fixture's data implies.
 func (f *fixture) bonusWant() float64 {
 	want := 0.0
 	for reg, cnt := range f.expCount {
@@ -176,10 +170,7 @@ func TestScanOnlyQuery(t *testing.T) {
 	q := &Query{
 		Name:   "totalSum",
 		Driver: tblOrders,
-		Aggs: []AggSpec{
-			{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.orders.GetFloat64(d, 2) }},
-			{Kind: Count},
-		},
+		Aggs:   []AggSpec{SumCol(2), {Kind: Count}},
 	}
 	res := e.RunBatch([]*Query{q}, 0)
 	if res[0].Err != nil {
@@ -240,30 +231,22 @@ func TestSharedBatchEqualsIndividual(t *testing.T) {
 // TestConcurrentBatchesBuildOnce exercises the check-or-claim cache:
 // many concurrent RunBatch calls against one engine must construct the
 // link array over the (unchanged) customers and regions exactly once —
-// every call of the linked probe's key is counted, and one construction
-// makes one per customer row.
+// the lookups counted are each batch's root step, one per order, and
+// one construction's, one per customer row.
 func TestConcurrentBatchesBuildOnce(t *testing.T) {
-	const customers = 200
-	f := buildFixture(t, 4, 1000, customers)
-	regions := f.addRegions(t)
+	const orders, customers, batches = 1000, 200, 8
+	f := buildFixture(t, 4, orders, customers)
+	f.addRegions(t)
 	e := NewEngine(f.replica, 2)
-	var keyCalls atomic.Int64
-	mkQuery := func() *Query {
-		q := f.bonusQuery(regions, true)
-		inner := q.Probes[1].ProbeKey
-		q.Probes[1].ProbeKey = func(d []byte, joined [][]byte) uint64 {
-			keyCalls.Add(1)
-			return inner(d, joined)
-		}
-		return q
-	}
+	var st olap.SchedulerStats
+	e.AttachStats(&st)
 	var wg sync.WaitGroup
-	results := make([][]Result, 8)
+	results := make([][]Result, batches)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = e.RunBatch([]*Query{mkQuery()}, 0)
+			results[i] = e.RunBatch([]*Query{f.bonusQuery()}, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -271,12 +254,12 @@ func TestConcurrentBatchesBuildOnce(t *testing.T) {
 		if res[0].Err != nil {
 			t.Fatalf("batch %d: %v", i, res[0].Err)
 		}
-		if !almostEqual(res[0].Values[0], f.bonusWant()) {
-			t.Fatalf("batch %d: sum %f, want %f", i, res[0].Values[0], f.bonusWant())
+		if !almostEqual(bonusSum(res[0]), f.bonusWant()) {
+			t.Fatalf("batch %d: sum %f, want %f", i, bonusSum(res[0]), f.bonusWant())
 		}
 	}
-	if n := keyCalls.Load(); n != customers {
-		t.Fatalf("linked ProbeKey called %d times, want exactly %d (one construction)", n, customers)
+	if n, want := st.ExecProbeLookups.Load(), uint64(batches*orders+customers); n != want {
+		t.Fatalf("%d probe lookups, want exactly %d (one link construction)", n, want)
 	}
 }
 
@@ -285,11 +268,11 @@ func TestConcurrentBatchesBuildOnce(t *testing.T) {
 // array from customers to regions is remade and the query sees the move.
 func TestBuildCacheInvalidation(t *testing.T) {
 	f := buildFixture(t, 2, 100, 10)
-	regions := f.addRegions(t)
+	f.addRegions(t)
 	e := NewEngine(f.replica, 1)
-	q := f.bonusQuery(regions, true)
+	q := f.bonusQuery()
 	before := e.RunBatch([]*Query{q}, 0)
-	if before[0].Err != nil || !almostEqual(before[0].Values[0], f.bonusWant()) {
+	if before[0].Err != nil || !almostEqual(bonusSum(before[0]), f.bonusWant()) {
 		t.Fatalf("before the round: %+v, want sum %f", before[0], f.bonusWant())
 	}
 
@@ -307,23 +290,30 @@ func TestBuildCacheInvalidation(t *testing.T) {
 	}
 
 	after := e.RunBatch([]*Query{q}, 0)
-	if want := 100 * float64(f.nOrders); !almostEqual(after[0].Values[0], want) {
-		t.Fatalf("after the round sum = %f, want %f (stale link array?)", after[0].Values[0], want)
+	if want := 100 * float64(f.nOrders); !almostEqual(bonusSum(after[0]), want) {
+		t.Fatalf("after the round sum = %f, want %f (stale link array?)", bonusSum(after[0]), want)
 	}
 }
 
+// TestMultiProbeChain: orders -> customers -> regions, a chain through
+// two tables where the second probe's key comes from the first joined
+// row: a linked step, made once per customer row.
 func TestMultiProbeChain(t *testing.T) {
-	// orders -> customers -> regions: a chain through two tables, where
-	// the second probe's key comes from the first joined row.
-	f := buildFixture(t, 2, 500, 50)
-	regions := f.addRegions(t)
+	const orders, customers = 500, 50
+	f := buildFixture(t, 2, orders, customers)
+	f.addRegions(t)
 	e := NewEngine(f.replica, 2)
-	res := e.RunBatch([]*Query{f.bonusQuery(regions, false)}, 0)
+	var st olap.SchedulerStats
+	e.AttachStats(&st)
+	res := e.RunBatch([]*Query{f.bonusQuery()}, 0)
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	if want := f.bonusWant(); !almostEqual(res[0].Values[0], want) {
-		t.Fatalf("chained sum = %f, want %f", res[0].Values[0], want)
+	if want := f.bonusWant(); !almostEqual(bonusSum(res[0]), want) {
+		t.Fatalf("chained sum = %f, want %f", bonusSum(res[0]), want)
+	}
+	if l := st.ExecProbeLookups.Load(); l != orders+customers {
+		t.Fatalf("%d probe lookups, want %d (the root step and the link array)", l, orders+customers)
 	}
 }
 
@@ -356,10 +346,7 @@ func BenchmarkMorselScan(b *testing.B) {
 	q := &Query{
 		Name:   "totalSum",
 		Driver: tblOrders,
-		Aggs: []AggSpec{
-			{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.orders.GetFloat64(d, 2) }},
-			{Kind: Count},
-		},
+		Aggs:   []AggSpec{SumCol(2), {Kind: Count}},
 	}
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

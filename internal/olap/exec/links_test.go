@@ -121,24 +121,12 @@ func (f *linkFixture) apply(t *testing.T, rng *rand.Rand, rd round) {
 // order. All three share the root step; the first two share the link
 // orders → customers.
 func (f *linkFixture) queries(region int64) []*Query {
-	toOrder := Probe{
-		Table:    tblLOrders,
-		ProbeKey: func(d []byte, _ [][]byte) uint64 { return uint64(f.lines.GetInt64(d, 1)) },
-		KeyID:    "line.order", From: -1,
-	}
-	toCust := Probe{
-		Table:    tblLCusts,
-		ProbeKey: func(_ []byte, j [][]byte) uint64 { return uint64(f.orders.GetInt64(j[0], 1)) },
-		KeyID:    "order.cust", From: 0,
-	}
-	toRegion := Probe{
-		Table:    tblRegions,
-		ProbeKey: func(_ []byte, j [][]byte) uint64 { return uint64(f.customers.GetInt64(j[1], 1)) },
-		KeyID:    "cust.region", From: 1,
-	}
-	amount := AggSpec{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.lines.GetFloat64(d, 2) }}
+	toOrder := Probe{Table: tblLOrders, From: -1, Key: []KeyField{KeyCol(1, 0)}}
+	toCust := Probe{Table: tblLCusts, From: 0, Key: []KeyField{KeyCol(1, 0)}}
+	toRegion := Probe{Table: tblRegions, From: 1, Key: []KeyField{KeyCol(1, 0)}}
+	amount := SumCol(2)
 	notRegion := toRegion
-	notRegion.Pred = func(tup []byte) bool { return f.regions.GetInt64(tup, 0) != region }
+	notRegion.Where = []Pred{Not(CmpInt(0, EQ, region))}
 	inRegion := toCust
 	inRegion.Where = []Pred{CmpInt(1, EQ, region)}
 	return []*Query{
@@ -162,14 +150,14 @@ func (f *linkFixture) linkStates(e *Engine) map[string]linkState {
 	sv := f.replica.PinSnapshot()
 	defer sv.Unpin()
 	out := map[string]linkState{}
-	for _, l := range []struct {
-		parent, child storage.TableID
-		keyID         string
-	}{{tblLOrders, tblLCusts, "order.cust"}, {tblLCusts, tblRegions, "cust.region"}} {
+	for name, l := range map[string]linkID{
+		"order.cust":  {tblLOrders, tblLCusts, keySig{n: 1, fields: [MaxKeyFields]KeyField{KeyCol(1, 0)}}},
+		"cust.region": {tblLCusts, tblRegions, keySig{n: 1, fields: [MaxKeyFields]KeyField{KeyCol(1, 0)}}},
+	} {
 		e.mu.Lock()
-		ce := e.cache[linkID{l.parent, l.child, l.keyID}]
+		ce := e.cache[l]
 		e.mu.Unlock()
-		out[l.keyID] = linkState{sv.Table(l.parent).Version(), sv.Table(l.child).Version(), ce.val}
+		out[name] = linkState{sv.Table(l.parent).Version(), sv.Table(l.child).Version(), ce.val}
 	}
 	return out
 }

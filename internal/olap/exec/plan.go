@@ -3,13 +3,14 @@
 // pipeline in executable form — before the batch planner (planner.go)
 // compiles the pass's plans into one step forest. Keeping compilation
 // separate from step sharing is what makes sharing semantically
-// invisible: a query in a batch runs the same compiled kernels, lookups
-// and extractors it would run alone, with the lookups it declares
-// common made once.
+// invisible: a query in a batch runs the same compiled kernels and
+// lookups it would run alone, with the lookups it declares common made
+// once.
 package exec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"batchdb/internal/olap"
 	"batchdb/internal/storage"
@@ -45,35 +46,8 @@ type GroupResult struct {
 	Rows   int64
 }
 
-// SumCol builds the declarative form of a Sum aggregate: the summand
-// is driver column col, read by a typed kernel compiled against the
-// driver schema instead of a closure.
-func SumCol(col int) AggSpec {
-	return AggSpec{Kind: Sum, col: col, colSet: true}
-}
-
-// Summand returns the aggregate's summand extractor over a (driver,
-// joined) tuple combination: the Value closure when set, otherwise a
-// typed kernel compiled against driver schema s for a declarative
-// SumCol. Count aggregates return nil. External executors (the
-// single-system baseline) use this so declarative and closure
-// aggregates evaluate identically everywhere.
-func (a AggSpec) Summand(s *storage.Schema) (func(driver []byte, joined [][]byte) float64, error) {
-	if a.Kind == Count {
-		return nil, nil
-	}
-	if !a.colSet {
-		if a.Value == nil {
-			return nil, fmt.Errorf("exec: Sum aggregate needs Value or SumCol")
-		}
-		return a.Value, nil
-	}
-	fn, err := compileColValue(s, a.col)
-	if err != nil {
-		return nil, err
-	}
-	return func(driver []byte, _ [][]byte) float64 { return fn(driver) }, nil
-}
+// SumCol is a Sum aggregate of the driver's numeric column col.
+func SumCol(col int) AggSpec { return AggSpec{Kind: Sum, Col: col} }
 
 // source is what a probe step looks rows up in, as one batch sees it:
 // the pinned view of a table, probed through its PK index. Its rows
@@ -102,22 +76,13 @@ func newSource(t *olap.Table) *source {
 	return s
 }
 
-// find returns the id of the row stored under key, plus one; 0 is a miss.
-func (s *source) find(key uint64) uint32 {
-	part, slot, ok := s.t.FindPK(key)
-	if !ok {
-		return 0
-	}
-	return s.base[part] + uint32(slot) + 1
-}
-
-// row returns the tuple with id rid.
-func (s *source) row(rid uint32) []byte {
+// locate returns the partition and slot of the row with id rid.
+func (s *source) locate(rid uint32) (*olap.Partition, int32) {
 	pi := len(s.base) - 1
 	for s.base[pi] > rid {
 		pi--
 	}
-	return s.t.Partitions[pi].Tuple(int32(rid - s.base[pi]))
+	return s.t.Partitions[pi], int32(rid - s.base[pi])
 }
 
 // rowChunk is a run of a source's row ids: slots [lo, hi) of one
@@ -140,27 +105,29 @@ func (s *source) chunks(mt int) []rowChunk {
 	return cs
 }
 
-// scan calls fn for every live row of the chunk with its id and tuple.
-func (s *source) scan(c rowChunk, fn func(rid uint32, tup []byte)) {
-	var slots [256]int32
+// eachVector calls fn with each vector of live slots of the chunk, up to
+// len(slots) at a time.
+func (c rowChunk) eachVector(slots []int32, fn func(slots []int32)) {
 	for from := c.lo; from < c.hi; {
 		var n int
-		n, from = c.part.LiveSlots(c.hi, from, slots[:])
-		for _, slot := range slots[:n] {
-			fn(c.base+uint32(slot), c.part.Tuple(slot))
+		n, from = c.part.LiveSlots(c.hi, from, slots)
+		if n > 0 {
+			fn(slots[:n])
 		}
 	}
 }
 
 // lookup is one probe of one query resolved against the snapshot: the
-// source its step looks rows up in, plus the probe's compiled filter.
+// source its step looks rows up in, plus the probe's compiled key and
+// filter.
 type lookup struct {
-	src  *source
-	pred func(tup []byte) bool
-	// bits, when non-nil, is pred evaluated once over every live row of
-	// src: bit rid is the verdict for src.row(rid), and the scan tests
-	// bits — folded along the step's path, see planner.go — instead of
-	// calling pred on each hit.
+	src   *source
+	key   keyKernel
+	where where
+	// bits, when non-nil, is the filter evaluated once over every live
+	// row of src: bit rid is the verdict for the row with id rid, and
+	// the scan tests bits — folded along the step's path, see
+	// planner.go — instead of evaluating the filter on each hit.
 	bits []uint64
 }
 
@@ -170,18 +137,25 @@ type lookup struct {
 // driver tuple reaches — costs no more than evaluating every hit could.
 // A 5 000-row item table probed by 120 000 order lines is the common
 // case; a source larger than its driver keeps per-hit evaluation. It
-// returns the number of evaluations made.
+// returns the number of rows evaluated.
 func (lk *lookup) evalOncePerRow(driverLive int) int {
-	if lk.pred == nil || lk.src.nrows > driverLive {
+	if len(lk.where) == 0 || lk.src.nrows > driverLive {
 		return 0
 	}
 	lk.bits = make([]uint64, (lk.src.nrows+63)>>6)
+	var slots [vecSize]int32
+	var buf [vecSize]uint64
 	n := 0
 	for _, c := range lk.src.chunks(lk.src.nrows) {
-		lk.src.scan(c, func(rid uint32, tup []byte) {
-			n++
-			if lk.pred(tup) {
-				lk.bits[rid>>6] |= 1 << (rid & 63)
+		c.eachVector(slots[:], func(slots []int32) {
+			n += len(slots)
+			m := firstN(len(slots))
+			lk.where.filter(c.part, slots, &m, buf[:])
+			for wd, word := range m {
+				for ; word != 0; word &= word - 1 {
+					rid := c.base + uint32(slots[wd<<6+bits.TrailingZeros64(word)])
+					lk.bits[rid>>6] |= 1 << (rid & 63)
+				}
 			}
 		})
 	}
@@ -191,15 +165,22 @@ func (lk *lookup) evalOncePerRow(driverLive int) int {
 // hasBit reports bit i of bm.
 func hasBit(bm []uint64, i uint32) bool { return bm[i>>6]>>(i&63)&1 == 1 }
 
+// groupCol is a GroupCol compiled: the column, in the driver tuple
+// (from == -1) or in the row probe from matched.
+type groupCol struct {
+	from int
+	col  column
+}
+
 // qplan is one query compiled against its driver table: predicate
 // kernels and their synopsis form, resolved probe lookups, group-key
-// and aggregate extractors. The planner compiles a driver's plans into
-// one step forest; the scan pass executes them.
+// and summand columns. The planner compiles a driver's plans into one
+// step forest; the scan pass executes them.
 type qplan struct {
 	q *Query
 	r *Result
 
-	kernel func(tup []byte) bool
+	where  where
 	ranges []olap.ColRange
 
 	lookups []lookup
@@ -211,19 +192,16 @@ type qplan struct {
 	// What the scan still does per surviving tuple, after the root steps
 	// and the folded bitmaps have decided which tuples survive (set by
 	// planWalk): needRow[pi] asks for probe pi's matched row in
-	// joined[pi] — a group-by column, a closure summand, a tail step's
-	// key or a per-hit filter reads it — and perHit[pi] says a filter is
-	// still to apply at pi. walk is false when neither is set anywhere:
-	// the tuple goes straight to aggregation.
+	// joined[pi], for a group-by column, and perHit[pi] says the filter
+	// at pi is applied to the matched row there (it has no bitmap). walk
+	// is false when neither is set anywhere: the tuple goes straight to
+	// aggregation.
 	walk            bool
 	needRow, perHit []bool
 
-	// groupOf extracts each GroupBy column's ord key from the surviving
-	// (driver, joined) combination, in GroupBy order.
-	groupOf []func(driver []byte, joined [][]byte) int64
-
-	// aggOf extracts each Sum aggregate's summand (nil for Count).
-	aggOf []func(driver []byte, joined [][]byte) float64
+	groups []groupCol
+	// sums[ai] is the summand column of Sum aggregate ai.
+	sums []column
 }
 
 // compilePlan lowers q to its executable form against driver table t
@@ -232,123 +210,95 @@ type qplan struct {
 // compile; its error is already recorded in r and the rest of the batch
 // proceeds without it.
 func (e *Engine) compilePlan(sv *olap.Snapshot, t *olap.Table, live int, q *Query, r *Result, srcs map[storage.TableID]*source) *qplan {
-	p := &qplan{q: q, r: r}
-	k, rg, err := compileWhere(t.Schema, q.Where)
+	p, err := compile(q, func(id storage.TableID) *storage.Schema {
+		if s := srcs[id]; s != nil {
+			return s.t.Schema
+		}
+		if id == t.Schema.ID {
+			return t.Schema
+		}
+		return nil
+	})
 	if err != nil {
-		r.Err = err
+		r.Err = fmt.Errorf("exec: query %s: %w", q.Name, err)
 		return nil
 	}
-	p.kernel, p.ranges = k, rg
-	if len(rg) > 0 {
+	p.r = r
+	if len(p.ranges) > 0 {
 		// Record which columns this query filters on, so the next
 		// quiesced window activates their block synopses — the first
 		// scan runs unpruned, every later one skips blocks.
-		t.RequestSynopses(rg)
+		t.RequestSynopses(p.ranges)
 	}
-
-	p.lookups = make([]lookup, len(q.Probes))
 	predEvals := 0
-	for pi := range q.Probes {
-		pb := &q.Probes[pi]
-		pt := sv.Table(pb.Table)
-		if pt == nil {
-			r.Err = fmt.Errorf("exec: probe into unknown table %d", pb.Table)
-			return nil
-		}
-		if pb.KeyID != "" && (pb.From < -1 || pb.From >= pi) {
-			r.Err = fmt.Errorf("exec: query %s probe %d declares its key From %d, not an earlier probe or -1", q.Name, pi, pb.From)
-			return nil
-		}
-		wherePred, _, err := compileWhere(pt.Schema, pb.Where)
-		if err != nil {
-			r.Err = err
-			return nil
-		}
-		lk := lookup{src: srcs[pb.Table], pred: andPred(wherePred, pb.Pred)}
-		predEvals += lk.evalOncePerRow(live)
-		p.lookups[pi] = lk
+	for pi := range p.lookups {
+		p.lookups[pi].src = srcs[q.Probes[pi].Table]
+		predEvals += p.lookups[pi].evalOncePerRow(live)
 	}
 	if e.stats != nil {
 		e.stats.ExecProbePredEvals.Add(uint64(predEvals))
 	}
-
-	if len(q.GroupBy) > MaxGroupCols {
-		r.Err = fmt.Errorf("exec: query %s groups by %d columns (max %d)", q.Name, len(q.GroupBy), MaxGroupCols)
-		return nil
-	}
-	for _, gc := range q.GroupBy {
-		fn, err := e.compileGroupCol(sv, t, q, gc)
-		if err != nil {
-			r.Err = err
-			return nil
-		}
-		p.groupOf = append(p.groupOf, fn)
-	}
-
-	p.aggOf = make([]func([]byte, [][]byte) float64, len(q.Aggs))
-	for ai := range q.Aggs {
-		a := &q.Aggs[ai]
-		if a.Kind == Count {
-			continue
-		}
-		if a.colSet {
-			fn, err := compileColValue(t.Schema, a.col)
-			if err != nil {
-				r.Err = fmt.Errorf("exec: query %s aggregate %d: %w", q.Name, ai, err)
-				return nil
-			}
-			p.aggOf[ai] = func(driver []byte, _ [][]byte) float64 { return fn(driver) }
-			continue
-		}
-		if a.Value == nil {
-			r.Err = fmt.Errorf("exec: query %s aggregate %d: Sum needs Value or SumCol", q.Name, ai)
-			return nil
-		}
-		p.aggOf[ai] = a.Value
-	}
 	return p
 }
 
-// compileGroupCol lowers one group-by column to an ord-key extractor.
-func (e *Engine) compileGroupCol(sv *olap.Snapshot, t *olap.Table, q *Query, gc GroupCol) (func(driver []byte, joined [][]byte) int64, error) {
-	var s *storage.Schema
-	if gc.From == -1 {
-		s = t.Schema
-	} else {
-		if gc.From < 0 || gc.From >= len(q.Probes) {
-			return nil, fmt.Errorf("exec: query %s group-by From %d out of probe range", q.Name, gc.From)
-		}
-		pt := sv.Table(q.Probes[gc.From].Table)
-		if pt == nil {
-			return nil, fmt.Errorf("exec: query %s group-by probes unknown table %d", q.Name, q.Probes[gc.From].Table)
-		}
-		s = pt.Schema
-	}
-	if gc.Col < 0 || gc.Col >= len(s.Columns) || !s.Columns[gc.Col].Type.Numeric() {
-		return nil, fmt.Errorf("exec: query %s group-by column %d is not a numeric column of %s", q.Name, gc.Col, s.Name)
-	}
-	col, from := gc.Col, gc.From
-	if from == -1 {
-		return func(driver []byte, _ [][]byte) int64 { return s.OrdKey(driver, col) }, nil
-	}
-	return func(_ []byte, joined [][]byte) int64 { return s.OrdKey(joined[from], col) }, nil
+// Check compiles q against the schemas schemaOf returns (nil for an
+// unknown table) and reports the first declaration that does not fit
+// them, the error the engine fails the query with. Evaluators outside
+// the engine (internal/baseline) run only what it accepts.
+func (q *Query) Check(schemaOf func(storage.TableID) *storage.Schema) error {
+	_, err := compile(q, schemaOf)
+	return err
 }
 
-// compileColValue lowers a declarative summand column to a typed
-// float64 reader over driver tuples.
-func compileColValue(s *storage.Schema, col int) (func(tup []byte) float64, error) {
-	if col < 0 || col >= len(s.Columns) || !s.Columns[col].Type.Numeric() {
-		return nil, fmt.Errorf("column %d is not a numeric column of %s", col, s.Name)
+// compile lowers q to a plan whose lookups have no source yet.
+func compile(q *Query, schemaOf func(storage.TableID) *storage.Schema) (*qplan, error) {
+	p := &qplan{q: q}
+	tables := []*storage.Schema{schemaOf(q.Driver)} // the driver, then each probe's table
+	if tables[0] == nil {
+		return nil, fmt.Errorf("unknown driver table %d", q.Driver)
 	}
-	switch s.Columns[col].Type {
-	case storage.Float64:
-		g := s.GetFloat64
-		return func(tup []byte) float64 { return g(tup, col) }, nil
-	case storage.Int32:
-		g := s.GetInt32
-		return func(tup []byte) float64 { return float64(g(tup, col)) }, nil
-	default: // Int64, Time
-		g := s.GetInt64
-		return func(tup []byte) float64 { return float64(g(tup, col)) }, nil
+	var err error
+	if p.where, p.ranges, err = compileWhere(tables[0], q.Where); err != nil {
+		return nil, err
 	}
+	p.lookups = make([]lookup, len(q.Probes))
+	for pi, pb := range q.Probes {
+		ps := schemaOf(pb.Table)
+		switch {
+		case ps == nil:
+			return nil, fmt.Errorf("probe %d into unknown table %d", pi, pb.Table)
+		case pb.From < -1 || pb.From >= pi:
+			return nil, fmt.Errorf("probe %d reads its key From %d, not an earlier probe or -1", pi, pb.From)
+		}
+		tables = append(tables, ps)
+		lk := &p.lookups[pi]
+		if lk.key, err = compileKey(tables[pb.From+1], pb.Key); err == nil {
+			lk.where, _, err = compileWhere(ps, pb.Where)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("probe %d: %w", pi, err)
+		}
+	}
+	if len(q.GroupBy) > MaxGroupCols {
+		return nil, fmt.Errorf("groups by %d columns (max %d)", len(q.GroupBy), MaxGroupCols)
+	}
+	for _, gc := range q.GroupBy {
+		if gc.From < -1 || gc.From >= len(q.Probes) {
+			return nil, fmt.Errorf("group-by From %d out of probe range", gc.From)
+		}
+		c, err := columnOf(tables[gc.From+1], gc.Col, numerics...)
+		if err != nil {
+			return nil, fmt.Errorf("group-by: %w", err)
+		}
+		p.groups = append(p.groups, groupCol{gc.From, c})
+	}
+	p.sums = make([]column, len(q.Aggs))
+	for ai, a := range q.Aggs {
+		if a.Kind == Sum {
+			if p.sums[ai], err = columnOf(tables[0], a.Col, numerics...); err != nil {
+				return nil, fmt.Errorf("aggregate %d: %w", ai, err)
+			}
+		}
+	}
+	return p, nil
 }

@@ -5,9 +5,9 @@
 // step forest (compileForest), so a lookup is made once per driver tuple
 // for every query that needs it, whatever its template, and a step whose
 // key is a function of a row already matched is resolved once per such
-// row, not per tuple. Step sharing is opt-in via Probe.KeyID and
-// otherwise purely structural, so a batch with zero overlap degenerates
-// to disjoint steps in one pass.
+// row, not per tuple. A step's identity is structural — the row its key
+// is read from, the probed table and the key declaration — so a batch
+// with zero overlap degenerates to disjoint steps in one pass.
 package exec
 
 import (
@@ -28,43 +28,36 @@ type scanGroup struct {
 }
 
 // A step is one probe as the pass runs it. Probes of different queries
-// that declare the same thing (Probe.KeyID) are one step:
+// that declare the same thing — the same parent step, table and key —
+// are one step:
 //
 //   - a root step's key comes from the driver tuple (From == -1). The
-//     scan looks it up once per driver tuple for every query of the pass
-//     that has it, a vector at a time;
+//     scan computes the keys of a vector and looks them up once per
+//     driver tuple for every query of the pass that has it;
 //   - a linked step's key comes from the row another root or linked step
-//     matched (From == k). It is a pure function of that row, so it is
+//     matched (From == k). It is a function of that row alone, so it is
 //     resolved once per parent row into a link array — parent row id →
 //     child row id — cached for as long as both tables keep their data
 //     version. The scan never looks it up: each query's filters along a
 //     path of linked steps fold into one bitmap over the root's rows
 //     (foldOf), and the rows themselves are reached through the links
-//     only for tuples that survive;
-//   - a tail step is a probe that declares nothing (or hangs off one):
-//     nobody shares it, and it runs per surviving tuple of its query, in
-//     chain order.
+//     only for tuples that survive.
 //
-// A join is a conjunction, so running the root steps first and the tail
-// last changes no answer; joined[] still holds the matched rows in probe
-// order. What breaks the promise behind KeyID/From is a ProbeKey that
-// reads more than it declares (it is handed a nil driver and only
-// joined[From] when links are made) or two probes that share a KeyID and
-// compute different keys; chbench's TestProbeDeclarationsMatchClosures
-// holds the 14 templates to it.
+// A join is a conjunction, so running the root steps first and the
+// linked ones through their links changes no answer; joined[] still
+// holds the matched rows in probe order.
 type stepKind uint8
 
 const (
-	tailStep stepKind = iota
-	rootStep
+	rootStep stepKind = iota
 	linkedStep
 )
 
 type step struct {
 	kind stepKind
 	src  *source
-	// key is the ProbeKey of the first probe compiled into the step.
-	key func(driver []byte, joined [][]byte) uint64
+	// key is the compiled key of the first probe compiled into the step.
+	key keyKernel
 
 	// Root steps: ord indexes the scan's row-id vectors; users are the
 	// pass's queries whose chains hold the step.
@@ -88,7 +81,7 @@ type rootUser struct {
 // linkID names a link array in the engine's cache.
 type linkID struct {
 	parent, child storage.TableID
-	keyID         string
+	key           keySig
 }
 
 // linkArray resolves a linked step: to[parent row id] is the child row id
@@ -99,27 +92,34 @@ type linkArray struct {
 	total bool
 }
 
-// linksFor returns the link array of the linked step pb from parent's
-// rows to child's, resolving it — one lookup per live parent row, in
-// parallel like a scan, counted in ExecProbeLookups — unless the cached
-// one was made from these very sources.
-func (e *Engine) linksFor(parent, child *source, pb *Probe) *linkArray {
-	id := linkID{parent.t.Schema.ID, child.t.Schema.ID, pb.KeyID}
+// linksFor returns the link array of a linked step with key key from
+// parent's rows to child's, resolving it — the key of every live parent
+// row a vector at a time and one lookup per row, in parallel like a
+// scan, counted in ExecProbeLookups — unless the cached one was made
+// from these very sources.
+func (e *Engine) linksFor(parent, child *source, key *keyKernel) *linkArray {
+	id := linkID{parent.t.Schema.ID, child.t.Schema.ID, key.sig}
 	return e.cached(id, parent.version, child.version, func() *linkArray {
 		la := &linkArray{to: make([]uint32, parent.nrows)}
 		chunks := parent.chunks(e.morselTuples())
 		var rows, misses atomic.Int64
 		e.pool.ForEach(len(chunks), func(_, i int) {
-			joined := make([][]byte, pb.From+1)
+			var slots [vecSize]int32
+			var keys, buf, mul [vecSize]uint64
+			var found [vecSize]uint32
+			c := chunks[i]
 			n, miss := 0, 0
-			parent.scan(chunks[i], func(rid uint32, tup []byte) {
-				joined[pb.From] = tup
-				to := child.find(pb.ProbeKey(nil, joined))
-				la.to[rid] = to
-				n++
-				if to == 0 {
-					miss++
+			c.eachVector(slots[:], func(slots []int32) {
+				key.vector(c.part, slots, keys[:], buf[:], mul[:])
+				child.t.FindPKs(keys[:len(slots)], child.base, found[:len(slots)])
+				for j, slot := range slots {
+					to := found[j]
+					la.to[c.base+uint32(slot)] = to
+					if to == 0 {
+						miss++
+					}
 				}
+				n += len(slots)
 			})
 			rows.Add(int64(n))
 			misses.Add(int64(miss))
@@ -140,28 +140,26 @@ func (e *Engine) compileForest(sg *scanGroup) {
 	type stepKey struct {
 		parent *step
 		id     storage.TableID
-		keyID  string
+		key    keySig
 	}
 	seen := make(map[stepKey]*step)
 	for qi, p := range sg.plans {
 		p.steps = make([]*step, len(p.q.Probes))
 		for pi := range p.q.Probes {
-			pb := &p.q.Probes[pi]
-			st := &step{src: p.lookups[pi].src, key: pb.ProbeKey}
+			pb, lk := &p.q.Probes[pi], &p.lookups[pi]
+			st := &step{src: lk.src, key: lk.key}
 			var parent *step
-			if pb.KeyID != "" && pb.From >= 0 {
+			if pb.From >= 0 {
 				parent = p.steps[pb.From]
 			}
-			if pb.KeyID != "" && (parent == nil || parent.kind != tailStep) {
-				k := stepKey{parent: parent, id: st.src.t.Schema.ID, keyID: pb.KeyID}
-				if shared := seen[k]; shared != nil {
-					st = shared
-				} else if seen[k] = st; parent == nil {
-					st.kind, st.ord = rootStep, len(sg.roots)
-					sg.roots = append(sg.roots, st)
-				} else {
-					st.kind, st.link = linkedStep, e.linksFor(parent.src, st.src, pb)
-				}
+			k := stepKey{parent: parent, id: st.src.t.Schema.ID, key: lk.key.sig}
+			if shared := seen[k]; shared != nil {
+				st = shared
+			} else if seen[k] = st; parent == nil {
+				st.kind, st.ord = rootStep, len(sg.roots)
+				sg.roots = append(sg.roots, st)
+			} else {
+				st.kind, st.link = linkedStep, e.linksFor(parent.src, st.src, &lk.key)
 			}
 			p.steps[pi] = st
 		}
@@ -242,25 +240,14 @@ func foldOf(m *qplan, pi int) []uint64 {
 func (p *qplan) planWalk() {
 	p.needRow = make([]bool, len(p.steps))
 	p.perHit = make([]bool, len(p.steps))
-	// A tail step's key and a closure summand may read any joined row.
-	all := false
-	for _, st := range p.steps {
-		all = all || st.kind == tailStep
-	}
-	for ai := range p.q.Aggs {
-		all = all || (p.q.Aggs[ai].Kind == Sum && !p.q.Aggs[ai].colSet)
-	}
-	for _, gc := range p.q.GroupBy {
-		if gc.From >= 0 {
-			p.needRow[gc.From] = true
+	for _, g := range p.groups {
+		if g.from >= 0 {
+			p.needRow[g.from] = true
 		}
 	}
-	for pi, st := range p.steps {
-		if lk := &p.lookups[pi]; lk.pred != nil && (lk.bits == nil || st.kind == tailStep) {
-			p.perHit[pi] = true
-			p.needRow[pi] = p.needRow[pi] || lk.bits == nil
-		}
-		p.needRow[pi] = p.needRow[pi] || all
+	for pi := range p.steps {
+		lk := &p.lookups[pi]
+		p.perHit[pi] = len(lk.where) > 0 && lk.bits == nil
 		p.walk = p.walk || p.needRow[pi] || p.perHit[pi]
 	}
 }

@@ -92,10 +92,7 @@ func buildRefQuery(f *fixture, rq refQuery) *Query {
 		q = &Query{
 			Name:   "scanRef",
 			Driver: tblOrders,
-			Aggs: []AggSpec{
-				{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.orders.GetFloat64(d, 2) }},
-				{Kind: Count},
-			},
+			Aggs:   []AggSpec{SumCol(2), {Kind: Count}},
 		}
 	}
 	q.Where = []Pred{BetweenInt(0, rq.idLo, rq.idHi)}
@@ -180,9 +177,10 @@ func compareResults(t *testing.T, label string, shared, private []Result) {
 
 // TestPlannerShareParity is the randomized sharing property test:
 // seeded batches of 1 to 14 queries mixing three templates — a plain
-// scan, the region join with a probe that declares nothing (a tail step
-// of its query) and the same join declared (one root step for the whole
-// pass) — with group-by arities 0/1/2 must produce, at 1, 2, 4 and
+// scan, the region join (one root step for the whole pass) and the same
+// join with its key declared another way, as the OR of the customer
+// column with itself (the same keys from another step) — with group-by
+// arities 0/1/2 must produce, at 1, 2, 4 and
 // NumCPU workers, the rows/groups each query produces when it runs
 // alone (a batch of one, which has nobody to share with). Each query is
 // also checked against a from-scratch reference evaluation over the raw
@@ -194,7 +192,7 @@ func compareResults(t *testing.T, label string, shared, private []Result) {
 func TestPlannerShareParity(t *testing.T) {
 	f := buildFixture(t, 4, 3000, 150)
 	rng := rand.New(rand.NewSource(99))
-	templates := []string{"scan", "probe", "declared"}
+	templates := []string{"scan", "declared", "twice"}
 	sharedTrials := 0
 	for trial := 0; trial < 9; trial++ {
 		n := 1 + rng.Intn(14)
@@ -210,8 +208,8 @@ func TestPlannerShareParity(t *testing.T) {
 		}
 		mkQuery := func(i int) *Query {
 			q := buildRefQuery(f, rqs[i])
-			if tmpl[i] == "declared" {
-				q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
+			if tmpl[i] == "twice" {
+				q.Probes[0].Key = []KeyField{KeyCol(1, 0), KeyCol(1, 0)}
 			}
 			return q
 		}
@@ -339,7 +337,7 @@ func TestPrunedTupleAccounting(t *testing.T) {
 			Where:  []Pred{BetweenInt(0, lo, hi)},
 			Aggs: []AggSpec{
 				{Kind: Count},
-				{Kind: Sum, Value: func(d []byte, _ [][]byte) float64 { return f.orders.GetFloat64(d, 2) }},
+				SumCol(2),
 			},
 		}
 	}

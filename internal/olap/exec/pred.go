@@ -1,26 +1,32 @@
-// Declarative predicates and their compiled comparison kernels.
+// The declared forms of a query's parts and the vector kernels they
+// compile to.
 //
-// A Pred describes one conjunct — column, operator, typed constant —
-// instead of hiding it in an opaque closure. That buys two things:
-// compile lowers the conjunct to a typed kernel that reads the column
-// at its fixed offset in the tuple layout (no per-tuple schema
-// dispatch), and the same conjunct is exported as an olap.ColRange so
-// the morsel dispatcher can test it against per-block zone-map synopses
-// and skip blocks that cannot satisfy it. Everything compares in the
-// order-preserving int64 key space of storage.Schema.OrdKey, so kernel
-// and synopsis verdicts can never disagree.
+// Every part of a query is data, not code: a filter conjunct is a Pred
+// (column ∘ constant), a probe key a list of KeyFields (columns of one
+// row, shifted and ORed), a summand or group key a column ordinal. Each
+// compiles against its table's schema to a kernel that knows the
+// column's fixed offset in the tuple layout and runs over a vector of
+// slots: one olap.Partition.ReadCol per column, then a call-free loop
+// that compares, packs or sums. The numeric conjuncts also lower to
+// olap.ColRange, so the morsel dispatcher can test them against
+// per-block zone maps; they compare in the order-preserving int64 key
+// space of storage.Schema.OrdKey, so kernel and synopsis verdicts can
+// never disagree. String conjuncts and negations never prune.
 package exec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"batchdb/internal/olap"
 	"batchdb/internal/storage"
 )
 
-// Op enumerates the comparison operators a Pred can carry.
+// Op enumerates the comparison operators CmpInt takes.
 type Op uint8
 
 // Comparison operators. BETWEEN and IN have dedicated constructors.
@@ -32,71 +38,92 @@ const (
 	GE
 )
 
-// Pred is one conjunct of a declarative predicate: column ∘ constant
-// with ∘ ∈ {EQ, LT, LE, GT, GE}, plus BETWEEN and small IN via their
-// own constructors. Predicates on a query (Query.Where, Probe.Where)
-// form AND-lists; anything inexpressible — string matching,
-// cross-column arithmetic — stays in the residual closures
-// (Query.DriverPred, Probe.Pred), which are ANDed with the declarative
-// part but never pushed down. Construct Preds with CmpInt / BetweenInt /
-// BetweenFloat / InInt; the zero value accepts only ord-key 0 and is
-// almost certainly not what you want.
-type Pred struct {
-	// Col is the column ordinal in the predicated table's schema.
-	Col int
+// PredKind says how a Pred tests its column.
+type PredKind uint8
 
-	// lo, hi is the accepted ord-key interval, inclusive (empty when
-	// lo > hi). set, when non-nil, additionally requires membership
-	// (IN-lists); lo/hi then hold the set's convex hull so synopsis
+// Predicate kinds. The zero kind is no predicate: a zero Pred fails its
+// query's compile.
+const (
+	noPred PredKind = iota
+	// IntRange: an Int64, Int32 or Time column in [Lo, Hi] (and in In,
+	// when set).
+	IntRange
+	// FloatRange: a Float64 column whose ord key is in [Lo, Hi].
+	FloatRange
+	// StrPrefix, StrEqual, StrContains: a String column (its NUL padding
+	// trimmed, as storage.Schema.GetBytes trims it) starts with, equals
+	// or contains Str.
+	StrPrefix
+	StrEqual
+	StrContains
+)
+
+// Pred is one conjunct of a declared filter (Query.Where, Probe.Where,
+// AND-lists). Build it with a constructor — CmpInt, BetweenInt,
+// BetweenFloat, InInt, HasPrefix, EqualStr, Contains, Not; the fields
+// are exported so that evaluators outside the engine (internal/baseline)
+// can read the declaration.
+type Pred struct {
+	// Col is the column ordinal in the filtered table's schema.
+	Col  int
+	Kind PredKind
+	// Lo, Hi is the accepted ord-key interval, inclusive (empty when
+	// Lo > Hi). In, when non-nil, additionally requires membership
+	// (IN-lists, sorted); Lo/Hi then hold its convex hull so synopsis
 	// pruning still applies.
-	lo, hi int64
-	set    []int64
-	// isFloat records which constructor family built the Pred; compile
-	// checks it against the column's type.
-	isFloat bool
+	Lo, Hi int64
+	In     []int64
+	// Str is the constant of a string kind.
+	Str string
+	// Not accepts exactly what the conjunct without it rejects.
+	Not bool
 }
 
 // opInterval lowers (op, v) to the inclusive ord-key interval it
-// accepts. LT and GT step by one ord key, which is exact: integers step
-// by 1, and adjacent float64s are adjacent ord keys.
-func opInterval(op Op, v int64) (lo, hi int64) {
+// accepts; ok is false for an unknown op. LT and GT step by one ord
+// key, which is exact: integers step by 1, and adjacent float64s are
+// adjacent ord keys.
+func opInterval(op Op, v int64) (lo, hi int64, ok bool) {
 	switch op {
 	case EQ:
-		return v, v
+		return v, v, true
 	case LT:
 		if v == math.MinInt64 {
-			return 1, 0 // empty
+			return 1, 0, true // empty
 		}
-		return math.MinInt64, v - 1
+		return math.MinInt64, v - 1, true
 	case LE:
-		return math.MinInt64, v
+		return math.MinInt64, v, true
 	case GT:
 		if v == math.MaxInt64 {
-			return 1, 0 // empty
+			return 1, 0, true // empty
 		}
-		return v + 1, math.MaxInt64
+		return v + 1, math.MaxInt64, true
 	case GE:
-		return v, math.MaxInt64
-	default:
-		panic(fmt.Sprintf("exec: unknown Op %d", op))
+		return v, math.MaxInt64, true
 	}
+	return 0, 0, false
 }
 
-// CmpInt builds `col op v` over an Int64, Int32 or Time column.
+// CmpInt builds `col op v` over an Int64, Int32 or Time column. An
+// unknown op builds a Pred that fails its query's compile.
 func CmpInt(col int, op Op, v int64) Pred {
-	lo, hi := opInterval(op, v)
-	return Pred{Col: col, lo: lo, hi: hi}
+	lo, hi, ok := opInterval(op, v)
+	if !ok {
+		return Pred{Col: col}
+	}
+	return Pred{Col: col, Kind: IntRange, Lo: lo, Hi: hi}
 }
 
 // BetweenInt builds `lo <= col <= hi` over an Int64, Int32 or Time
 // column.
 func BetweenInt(col int, lo, hi int64) Pred {
-	return Pred{Col: col, lo: lo, hi: hi}
+	return Pred{Col: col, Kind: IntRange, Lo: lo, Hi: hi}
 }
 
 // BetweenFloat builds `lo <= col <= hi` over a Float64 column.
 func BetweenFloat(col int, lo, hi float64) Pred {
-	return Pred{Col: col, lo: storage.OrdKeyFloat64(lo), hi: storage.OrdKeyFloat64(hi), isFloat: true}
+	return Pred{Col: col, Kind: FloatRange, Lo: storage.OrdKeyFloat64(lo), Hi: storage.OrdKeyFloat64(hi)}
 }
 
 // InInt builds `col IN vs` over an Int64, Int32 or Time column. Meant
@@ -104,128 +131,318 @@ func BetweenFloat(col int, lo, hi float64) Pred {
 // is what zone maps prune on.
 func InInt(col int, vs ...int64) Pred {
 	if len(vs) == 0 {
-		return Pred{Col: col, lo: 1, hi: 0, set: []int64{}}
+		return Pred{Col: col, Kind: IntRange, Lo: 1, Hi: 0, In: []int64{}}
 	}
+	vs = slices.Clone(vs)
 	slices.Sort(vs)
-	return Pred{Col: col, lo: vs[0], hi: vs[len(vs)-1], set: vs}
+	return Pred{Col: col, Kind: IntRange, Lo: vs[0], Hi: vs[len(vs)-1], In: vs}
 }
 
-// compilePred lowers p to a typed comparison kernel over tuples of s.
-// The kernel is monomorphic per column type: one fixed-offset load, one
-// inclusive interval test in ord-key space (IN adds a membership scan
-// behind the interval prefilter).
-func compilePred(s *storage.Schema, p Pred) (func(tup []byte) bool, error) {
-	if p.Col < 0 || p.Col >= len(s.Columns) {
-		return nil, fmt.Errorf("exec: predicate column %d out of range for table %s", p.Col, s.Name)
+// HasPrefix builds `col LIKE 'prefix%'` over a String column.
+func HasPrefix(col int, prefix string) Pred { return Pred{Col: col, Kind: StrPrefix, Str: prefix} }
+
+// EqualStr builds `col = v` over a String column.
+func EqualStr(col int, v string) Pred { return Pred{Col: col, Kind: StrEqual, Str: v} }
+
+// Contains builds `col LIKE '%sub%'` over a String column.
+func Contains(col int, sub string) Pred { return Pred{Col: col, Kind: StrContains, Str: sub} }
+
+// Not negates p.
+func Not(p Pred) Pred {
+	p.Not = !p.Not
+	return p
+}
+
+// MaxKeyFields caps a probe key's fields, so that a key declaration is
+// a fixed-size value: the step forest and the link cache compare
+// declarations as map keys. A TPC-C key has at most four.
+const MaxKeyFields = 4
+
+// KeyField is one field of a declared probe key (Probe.Key): column Col
+// of the row the probe's From names, read as an integer (Int64, or
+// Int32 sign-extended), shifted left by Shift; a key ORs its fields.
+// With Mod > 0 the field is instead (Col · MulCol) mod Mod, as Go's
+// int64 arithmetic computes it, then shifted: the CH-benCHmark's
+// supplier of a stock row is MulMod(s_w_id, s_i_id, 10000).
+type KeyField struct {
+	Col    int
+	Shift  uint8
+	MulCol int
+	Mod    int64
+}
+
+// KeyCol is the field "column col shifted left by shift".
+func KeyCol(col int, shift uint8) KeyField { return KeyField{Col: col, Shift: shift} }
+
+// MulMod is the field "(column a · column b) mod mod".
+func MulMod(a, b int, mod int64) KeyField { return KeyField{Col: a, MulCol: b, Mod: mod} }
+
+// --- compiled forms --------------------------------------------------------
+
+// Column types by what may read them.
+var (
+	integers = []storage.Type{storage.Int64, storage.Int32}
+	numerics = []storage.Type{storage.Int64, storage.Int32, storage.Time, storage.Float64}
+)
+
+// column is a column compiled against its schema: where its bytes sit
+// in the tuple and how they read.
+type column struct {
+	off, size int
+	typ       storage.Type
+}
+
+// columnOf compiles column col of s, which must be of one of types.
+func columnOf(s *storage.Schema, col int, types ...storage.Type) (column, error) {
+	if col < 0 || col >= len(s.Columns) || !slices.Contains(types, s.Columns[col].Type) {
+		return column{}, fmt.Errorf("column %d of %s is not of a type in %v", col, s.Name, types)
 	}
-	c := s.Columns[p.Col]
-	if !c.Type.Numeric() {
-		return nil, fmt.Errorf("exec: predicate on non-numeric column %s.%s (use the residual closure)", s.Name, c.Name)
-	}
-	if p.isFloat != (c.Type == storage.Float64) {
-		return nil, fmt.Errorf("exec: predicate constant type does not match column %s.%s (%s)", s.Name, c.Name, c.Type)
-	}
-	col := p.Col
-	lo, hi := p.lo, p.hi
-	if p.set != nil {
-		set := p.set
-		return func(tup []byte) bool {
-			v := s.OrdKey(tup, col)
-			if v < lo || v > hi {
-				return false
-			}
-			for _, m := range set {
-				if v == m {
-					return true
-				}
-			}
-			return false
-		}, nil
-	}
-	switch c.Type {
-	case storage.Float64:
-		g := s.GetFloat64
-		return func(tup []byte) bool {
-			v := storage.OrdKeyFloat64(g(tup, col))
-			return v >= lo && v <= hi
-		}, nil
+	return column{s.Offset(col), s.ColSize(col), s.Columns[col].Type}, nil
+}
+
+// ords turns raw column values, as olap.Partition.ReadCol reads them,
+// into ord keys in place.
+func (c column) ords(v []uint64) {
+	switch c.typ {
 	case storage.Int32:
-		g := s.GetInt32
-		return func(tup []byte) bool {
-			v := int64(g(tup, col))
-			return v >= lo && v <= hi
-		}, nil
-	default: // Int64, Time
-		g := s.GetInt64
-		return func(tup []byte) bool {
-			v := g(tup, col)
-			return v >= lo && v <= hi
-		}, nil
+		for i, x := range v {
+			v[i] = uint64(int64(int32(uint32(x))))
+		}
+	case storage.Float64:
+		for i, x := range v {
+			v[i] = x ^ (uint64(int64(x)>>63) | 1<<63)
+		}
 	}
 }
 
-// compileWhere compiles an AND-list into a single kernel plus the
-// synopsis form pushed down to the partitions' block checks. An empty
-// list yields a nil kernel ("accept all") and no ranges.
-func compileWhere(s *storage.Schema, preds []Pred) (func(tup []byte) bool, []olap.ColRange, error) {
-	if len(preds) == 0 {
-		return nil, nil, nil
+// ord is the column's ord key in one tuple: the one-row form of
+// ReadCol and ords.
+func (c column) ord(tup []byte) int64 {
+	v := [1]uint64{uint64(binary.LittleEndian.Uint32(tup[c.off:]))}
+	if c.size == 8 {
+		v[0] = binary.LittleEndian.Uint64(tup[c.off:])
 	}
-	kernels := make([]func([]byte) bool, len(preds))
-	ranges := make([]olap.ColRange, len(preds))
-	for i, p := range preds {
+	c.ords(v[:])
+	return int64(v[0])
+}
+
+// floats turns raw column values into the float64s they hold.
+func (c column) floats(v []uint64, out []float64) {
+	switch c.typ {
+	case storage.Float64:
+		for i, x := range v {
+			out[i] = math.Float64frombits(x)
+		}
+	case storage.Int32:
+		for i, x := range v {
+			out[i] = float64(int32(uint32(x)))
+		}
+	default:
+		for i, x := range v {
+			out[i] = float64(int64(x))
+		}
+	}
+}
+
+// predKernel is one conjunct compiled against its table's schema.
+type predKernel struct {
+	kind   PredKind
+	col    column
+	lo, hi int64
+	in     []int64
+	str    []byte
+	not    bool
+}
+
+func compilePred(s *storage.Schema, p Pred) (predKernel, error) {
+	var types []storage.Type
+	switch p.Kind {
+	case IntRange:
+		types = []storage.Type{storage.Int64, storage.Int32, storage.Time}
+	case FloatRange:
+		types = []storage.Type{storage.Float64}
+	case StrPrefix, StrEqual, StrContains:
+		types = []storage.Type{storage.String}
+	}
+	c, err := columnOf(s, p.Col, types...)
+	if err != nil {
+		return predKernel{}, fmt.Errorf("predicate of kind %d (zero: none): %w", p.Kind, err)
+	}
+	return predKernel{kind: p.Kind, col: c, lo: p.Lo, hi: p.Hi, in: p.In, str: []byte(p.Str), not: p.Not}, nil
+}
+
+// where is a compiled AND-list; the empty list accepts everything.
+type where []predKernel
+
+// compileWhere compiles an AND-list into its kernels plus the synopsis
+// form pushed down to the partitions' block checks: every numeric
+// conjunct that is not negated (an IN-list prunes on its convex hull).
+func compileWhere(s *storage.Schema, preds []Pred) (where, []olap.ColRange, error) {
+	var ks where
+	var ranges []olap.ColRange
+	for _, p := range preds {
 		k, err := compilePred(s, p)
 		if err != nil {
 			return nil, nil, err
 		}
-		kernels[i] = k
-		// An IN-list prunes on its convex hull.
-		ranges[i] = olap.ColRange{Col: p.Col, Lo: p.lo, Hi: p.hi}
+		ks = append(ks, k)
+		if (p.Kind == IntRange || p.Kind == FloatRange) && !p.Not {
+			ranges = append(ranges, olap.ColRange{Col: p.Col, Lo: p.Lo, Hi: p.Hi})
+		}
 	}
-	if len(kernels) == 1 {
-		return kernels[0], ranges, nil
-	}
-	return func(tup []byte) bool {
-		for _, k := range kernels {
-			if !k(tup) {
-				return false
+	return ks, ranges, nil
+}
+
+// filter clears in m the bit of every tuple of the vector — slot i of
+// part at bit i — that a conjunct rejects; m has no bit past the vector.
+// buf is scratch of at least len(slots).
+func (w where) filter(part *olap.Partition, slots []int32, m *vmask, buf []uint64) {
+	n := len(slots)
+	for ki := range w {
+		k := &w[ki]
+		var got vmask
+		switch k.kind {
+		case IntRange, FloatRange:
+			v := buf[:n]
+			part.ReadCol(slots, k.col.off, k.col.size, v)
+			k.col.ords(v)
+			k.inRange(v, &got)
+		default:
+			for i, slot := range slots {
+				if k.matchStr(part.Tuple(slot)) {
+					got[i>>6] |= 1 << (uint(i) & 63)
+				}
 			}
 		}
-		return true
-	}, ranges, nil
+		var flip uint64
+		if k.not {
+			flip = ^uint64(0)
+		}
+		none := true
+		for wd := range m {
+			m[wd] &= got[wd] ^ flip
+			none = none && m[wd] == 0
+		}
+		if none {
+			return
+		}
+	}
 }
 
-// DriverFilter compiles the query's declarative Where against the
-// driver schema s and conjoins the residual DriverPred, returning the
-// query's complete driver-tuple filter (nil accepts all). It lets
-// out-of-engine evaluators — the single-instance baselines, reference
-// computations in tests — apply exactly the predicate the engine pushes
-// down.
-func (q *Query) DriverFilter(s *storage.Schema) (func(tup []byte) bool, error) {
-	k, _, err := compileWhere(s, q.Where)
-	if err != nil {
-		return nil, err
+// inRange sets in got the bits of the ord keys v that fall in the
+// kernel's interval (and its set).
+func (k *predKernel) inRange(v []uint64, got *vmask) {
+	if k.lo > k.hi {
+		return
 	}
-	return andPred(k, q.DriverPred), nil
+	lo, span := k.lo, uint64(k.hi-k.lo)
+	for base := 0; base < len(v); base += 64 {
+		var word uint64
+		for j, x := range v[base:min(base+64, len(v))] {
+			if uint64(int64(x)-lo) <= span {
+				word |= 1 << uint(j)
+			}
+		}
+		if k.in != nil {
+			for rest := word; rest != 0; rest &= rest - 1 {
+				j := bits.TrailingZeros64(rest)
+				if !slices.Contains(k.in, int64(v[base+j])) {
+					word &^= 1 << uint(j)
+				}
+			}
+		}
+		got[base>>6] = word
+	}
 }
 
-// Filter compiles the probe's declarative Where against the probed,
-// PK-indexed table's schema s and conjoins the residual Pred (nil accepts all).
-func (p *Probe) Filter(s *storage.Schema) (func(tup []byte) bool, error) {
-	k, _, err := compileWhere(s, p.Where)
-	if err != nil {
-		return nil, err
+// matchStr tests a string conjunct, without its negation, on one tuple.
+func (k *predKernel) matchStr(tup []byte) bool {
+	f := tup[k.col.off : k.col.off+k.col.size]
+	end := len(f)
+	for end > 0 && f[end-1] == 0 {
+		end--
 	}
-	return andPred(k, p.Pred), nil
+	f = f[:end]
+	switch k.kind {
+	case StrPrefix:
+		return bytes.HasPrefix(f, k.str)
+	case StrEqual:
+		return bytes.Equal(f, k.str)
+	default:
+		return bytes.Contains(f, k.str)
+	}
 }
 
-// andPred conjoins two optional filters; nil means "accept all".
-func andPred(a, b func(tup []byte) bool) func(tup []byte) bool {
-	if a == nil {
-		return b
+// keySig is a key declaration as a comparable value: two probes whose
+// parent rows, tables and keySigs are equal are one step.
+type keySig struct {
+	n      int
+	fields [MaxKeyFields]KeyField
+}
+
+// keyField is one KeyField compiled against the schema of the row it
+// reads.
+type keyField struct {
+	col, mul column
+	shift    uint8
+	mod      int64
+}
+
+// keyKernel is a compiled probe key.
+type keyKernel struct {
+	sig    keySig
+	fields []keyField
+}
+
+// compileKey compiles a key declaration against the schema s of the row
+// it reads.
+func compileKey(s *storage.Schema, fields []KeyField) (keyKernel, error) {
+	if len(fields) == 0 || len(fields) > MaxKeyFields {
+		return keyKernel{}, fmt.Errorf("a probe key has 1 to %d fields, not %d", MaxKeyFields, len(fields))
 	}
-	if b == nil {
-		return a
+	k := keyKernel{sig: keySig{n: len(fields)}}
+	for i, f := range fields {
+		kf := keyField{shift: f.Shift, mod: f.Mod}
+		var err error
+		if kf.col, err = columnOf(s, f.Col, integers...); err == nil && f.Mod != 0 {
+			kf.mul, err = columnOf(s, f.MulCol, integers...)
+		}
+		switch {
+		case err != nil:
+			return keyKernel{}, fmt.Errorf("key field %d: %w", i, err)
+		case f.Shift > 63:
+			return keyKernel{}, fmt.Errorf("key field %d shifts past bit 63", i)
+		case f.Mod < 0:
+			return keyKernel{}, fmt.Errorf("key field %d has a negative modulus", i)
+		case f.Mod == 0:
+			f.MulCol = 0 // not read
+		}
+		k.sig.fields[i] = f
+		k.fields = append(k.fields, kf)
 	}
-	return func(tup []byte) bool { return a(tup) && b(tup) }
+	return k, nil
+}
+
+// vector computes the keys of a vector of tuples — slot i of part into
+// keys[i] — one field at a time: a column read, then a call-free loop
+// that sign-extends, multiplies, shifts and ORs. buf and mul are
+// scratch of at least len(slots).
+func (k *keyKernel) vector(part *olap.Partition, slots []int32, keys, buf, mul []uint64) {
+	n := len(slots)
+	keys, v, m := keys[:n], buf[:n], mul[:n]
+	clear(keys)
+	for _, f := range k.fields {
+		part.ReadCol(slots, f.col.off, f.col.size, v)
+		f.col.ords(v) // integers: their value
+		if f.mod > 0 {
+			part.ReadCol(slots, f.mul.off, f.mul.size, m)
+			f.mul.ords(m)
+			for i, x := range v {
+				v[i] = uint64(int64(x) * int64(m[i]) % f.mod)
+			}
+		}
+		for i, x := range v {
+			keys[i] |= x << f.shift
+		}
+	}
 }

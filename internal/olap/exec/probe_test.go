@@ -40,12 +40,7 @@ func TestProbeFilterBitmapAndFallback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildFixture(t, 3, tc.orders, tc.customers)
 			for reg := int64(0); reg < 5; reg++ {
-				// As a tail step for the even regions, declared (a root step)
-				// for the odd: the same work either way.
 				q := f.regionQuery(reg)
-				if reg%2 == 1 {
-					q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
-				}
 				res, lookups, evals := probeCounts(t, f, q)
 				if !almostEqual(res.Values[0], f.expSum[reg]) || int64(res.Values[1]) != f.expCount[reg] {
 					t.Fatalf("region %d: got sum %f count %f, want %f / %d", reg, res.Values[0], res.Values[1], f.expSum[reg], f.expCount[reg])
@@ -88,9 +83,7 @@ func TestProbeFilterBitmapPerQuery(t *testing.T) {
 	f := buildFixture(t, 4, 3000, 150)
 	var batch []*Query
 	for reg := int64(0); reg < 5; reg++ {
-		q := f.regionQuery(reg)
-		q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
-		batch = append(batch, q)
+		batch = append(batch, f.regionQuery(reg))
 	}
 	var st olap.SchedulerStats
 	e := NewEngine(f.replica, 2)
@@ -114,10 +107,9 @@ func TestProbeFilterBitmapPerQuery(t *testing.T) {
 func TestRootStepTwiceInChain(t *testing.T) {
 	f := buildFixture(t, 3, 2000, 100)
 	q := f.regionQuery(0)
-	q.Probes[0].KeyID, q.Probes[0].From = "o.cust", -1
-	q.Probes[0].Pred = func(tup []byte) bool { return f.custs.GetInt64(tup, 1) >= 1 }
+	q.Probes[0].Where = []Pred{CmpInt(1, GE, 1)}
 	again := q.Probes[0]
-	again.Pred = func(tup []byte) bool { return f.custs.GetInt64(tup, 1) <= 3 }
+	again.Where = []Pred{CmpInt(1, LE, 3)}
 	q.Probes = append(q.Probes, again)
 	res, lookups, evals := probeCounts(t, f, q)
 	var sum float64
@@ -134,17 +126,42 @@ func TestRootStepTwiceInChain(t *testing.T) {
 	}
 }
 
-// A declaration that names no earlier probe fails its query, not the
-// batch.
+// A declaration its schema does not fit fails its query at compile
+// time, without a panic, and the query beside it in the batch runs.
 func TestBadDeclarationFailsItsQuery(t *testing.T) {
 	f := buildFixture(t, 2, 100, 10)
-	bad := f.regionQuery(1)
-	bad.Probes[0].KeyID, bad.Probes[0].From = "o.cust", 0
-	res := NewEngine(f.replica, 1).RunBatch([]*Query{bad, f.regionQuery(1)}, 0)
-	if res[0].Err == nil {
-		t.Fatal("a probe declaring its key From itself compiled")
+	cases := map[string]func(q *Query){
+		"key field on a float column": func(q *Query) { q.Probes[0].Key = []KeyField{KeyCol(2, 0)} },
+		"key field on a string column": func(q *Query) {
+			q.Probes = append(q.Probes, Probe{Table: tblCustomers, From: 0, Key: []KeyField{KeyCol(2, 0)}})
+		},
+		"MulMod by a float column":      func(q *Query) { q.Probes[0].Key = []KeyField{MulMod(1, 2, 7)} },
+		"shift past bit 63":             func(q *Query) { q.Probes[0].Key = []KeyField{KeyCol(1, 64)} },
+		"no key":                        func(q *Query) { q.Probes[0].Key = nil },
+		"too many key fields":           func(q *Query) { q.Probes[0].Key = make([]KeyField, MaxKeyFields+1) },
+		"string op on a numeric column": func(q *Query) { q.Probes[0].Where = []Pred{HasPrefix(1, "x")} },
+		"string op on the driver":       func(q *Query) { q.Where = []Pred{Not(Contains(0, "x"))} },
+		"numeric op on a string column": func(q *Query) { q.Probes[0].Where = []Pred{CmpInt(2, EQ, 1)} },
+		"float op on an integer column": func(q *Query) { q.Where = []Pred{BetweenFloat(1, 0, 1)} },
+		"unknown operator":              func(q *Query) { q.Where = []Pred{CmpInt(1, Op(42), 1)} },
+		"zero predicate":                func(q *Query) { q.Where = []Pred{{}} },
+		"predicate column out of range": func(q *Query) { q.Where = []Pred{CmpInt(9, EQ, 1)} },
+		"From itself":                   func(q *Query) { q.Probes[0].From = 0 },
+		"From a later probe":            func(q *Query) { q.Probes = append(q.Probes, q.Probes[0]); q.Probes[0].From = 1 },
+		"From below the driver":         func(q *Query) { q.Probes[0].From = -2 },
+		"Sum of a string column":        func(q *Query) { q.Driver, q.Probes, q.Aggs = tblCustomers, nil, []AggSpec{SumCol(2)} },
+		"group by a string column":      func(q *Query) { q.GroupBy = []GroupCol{{From: 0, Col: 2}} },
+		"group by a probe that is not":  func(q *Query) { q.GroupBy = []GroupCol{{From: 1, Col: 0}} },
 	}
-	if res[1].Err != nil || !almostEqual(res[1].Values[0], f.expSum[1]) {
-		t.Fatalf("the query beside it: err %v, sum %f, want %f", res[1].Err, res[1].Values[0], f.expSum[1])
+	for name, spoil := range cases {
+		bad := f.regionQuery(1)
+		spoil(bad)
+		res := NewEngine(f.replica, 1).RunBatch([]*Query{bad, f.regionQuery(1)}, 0)
+		if res[0].Err == nil {
+			t.Errorf("%s: compiled", name)
+		}
+		if res[1].Err != nil || !almostEqual(res[1].Values[0], f.expSum[1]) {
+			t.Errorf("%s: the query beside it: err %v, sum %f, want %f", name, res[1].Err, res[1].Values[0], f.expSum[1])
+		}
 	}
 }

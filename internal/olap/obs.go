@@ -53,7 +53,7 @@ func (st *SchedulerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.ObserveCounter("batchdb_olap_tuples_pruned_total",
 		"Live tuples inside skipped morsels.", &st.ExecTuplesPruned, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_lookups_total",
-		"Join-probe lookups: per root step per driver tuple, per tail step per tuple per query, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
+		"Join-probe lookups: per root step per driver tuple, per parent row when a link array is made.", &st.ExecProbeLookups, labels...)
 	reg.ObserveCounter("batchdb_olap_exec_probe_pred_evals_total",
 		"Probe-filter evaluations (per row of the probed, PK-indexed table when bitmapped; else per hit).", &st.ExecProbePredEvals, labels...)
 	reg.GaugeFunc("batchdb_olap_busy_seconds",

@@ -18,6 +18,7 @@
 package olap
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"batchdb/internal/storage"
@@ -240,6 +241,23 @@ func (p *Partition) LiveSlots(hi, from int, out []int32) (n, next int) {
 		return n, hi
 	}
 	return n, i
+}
+
+// ReadCol is the column read of the vector form: for each slot of slots
+// it loads the size-byte (4 or 8) little-endian field at byte offset off
+// of the slot's tuple into out, zero-extended — one column of a vector
+// in a call-free loop, the load the executor's kernels start from.
+func (p *Partition) ReadCol(slots []int32, off, size int, out []uint64) {
+	ts, data := p.tupleSize, p.data
+	if size == 4 {
+		for i, s := range slots {
+			out[i] = uint64(binary.LittleEndian.Uint32(data[int(s)*ts+off:]))
+		}
+		return
+	}
+	for i, s := range slots {
+		out[i] = binary.LittleEndian.Uint64(data[int(s)*ts+off:])
+	}
 }
 
 // Get returns the tuple bytes for rowID (aliasing partition storage).

@@ -80,9 +80,8 @@ type SchedulerStats struct {
 	ExecTuplesPruned  obs.Counter
 	// ExecProbeLookups counts join-probe lookups: one per root step per
 	// driver tuple some query holding the step still wants, whatever the
-	// number of queries; one per tail step per tuple per query that
-	// reaches it; and, when a link array is made (not when it is found
-	// cached), one per live row of the linked step's parent table.
+	// number of queries; and, when a link array is made (not when it is
+	// found cached), one per live row of the linked step's parent table.
 	// ExecProbePredEvals counts the probe-filter evaluations: one per
 	// live row of the probed table for a filter the executor turned into
 	// a bitmap, one per hit otherwise (a table larger than the driver).

@@ -211,9 +211,9 @@ func (s *Schema) FieldBytes(tup []byte, i int) []byte {
 // --- order-preserving keys -------------------------------------------
 
 // Numeric reports whether t is a fixed-width type with a total order —
-// the types eligible for zone-map synopses and compiled comparison
-// kernels. String columns are excluded (predicates on them stay in
-// residual closures).
+// the types eligible for zone-map synopses and range conjuncts. String
+// columns are excluded (their conjuncts compile to string kernels and
+// never prune).
 func (t Type) Numeric() bool {
 	switch t {
 	case Int64, Int32, Float64, Time:
