@@ -263,7 +263,7 @@ func TestRemoteReplicaNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2},
-		[]ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
+		[]ReplicaTable{{Schema: f.schema}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestRemoteReplicaNode(t *testing.T) {
 	}
 
 	// A second replica node can attach (elasticity).
-	node2, err := ConnectReplica(addr, ReplicaNodeConfig{}, []ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
+	node2, err := ConnectReplica(addr, ReplicaNodeConfig{}, []ReplicaTable{{Schema: f.schema}})
 	if err != nil {
 		t.Fatal(err)
 	}

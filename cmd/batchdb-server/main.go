@@ -176,7 +176,7 @@ func (s *server) start(o options) error {
 				return mvcc.NewTable(schema, key, hint)
 			}
 			if analytical[schema.ID] {
-				replicaTables = append(replicaTables, batchdb.ReplicaTable{Schema: schema, CapacityHint: hint, Key: key})
+				replicaTables = append(replicaTables, batchdb.ReplicaTable{Schema: schema, CapacityHint: hint})
 			}
 			return t.OLTP
 		})

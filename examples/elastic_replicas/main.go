@@ -68,7 +68,7 @@ func main() {
 	var nodes []*batchdb.ReplicaNode
 	for i := 0; i < 3; i++ {
 		node, err := batchdb.ConnectReplica(addr, batchdb.ReplicaNodeConfig{Partitions: 4},
-			[]batchdb.ReplicaTable{{Schema: schema, CapacityHint: 8192, Key: key}})
+			[]batchdb.ReplicaTable{{Schema: schema, CapacityHint: 8192}})
 		if err != nil {
 			log.Fatal(err)
 		}

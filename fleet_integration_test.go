@@ -31,7 +31,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			Metrics:    f.db.Metrics(),
 		},
 		Router: RouterConfig{Deadline: 10 * time.Second},
-	}, []ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
+	}, []ReplicaTable{{Schema: f.schema}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestReplicaNodeDegradedStaleness(t *testing.T) {
 		Partitions: 2,
 		Workers:    2,
 		Link:       ReplicaLinkConfig{ReconnectPause: 10 * time.Millisecond},
-	}, []ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
+	}, []ReplicaTable{{Schema: f.schema}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ func NewReplica(db *tpcc.DB, parts int) (*olap.Replica, error) {
 }
 
 // EmptyReplica creates the CH table set without loading data (for
-// remote bootstrap via replica.ShipSnapshot). Every table is keyed by
-// the primary's own key function, so each join probe is a lookup in the
-// table's PK index.
+// remote bootstrap via replica.ShipSnapshot). Rows arrive under the
+// primary's packed keys, so each join probe is a lookup in the index of
+// the partition its key hashes to.
 func EmptyReplica(db *tpcc.DB, parts int) *olap.Replica {
 	rep := olap.NewReplica(parts)
 	sc := db.Scale
@@ -37,8 +37,7 @@ func EmptyReplica(db *tpcc.DB, parts int) *olap.Replica {
 		tpcc.TRegion:    tpcc.NumRegions,
 	}
 	for _, id := range Tables() {
-		t := db.TableByID(id)
-		rep.CreateTable(t.Schema, t.KeyFn, hint[id])
+		rep.CreateTable(db.TableByID(id).Schema, hint[id])
 	}
 	return rep
 }

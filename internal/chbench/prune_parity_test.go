@@ -166,11 +166,10 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	// holding its lines can survive the synopsis test.
 	var maxOID int64
 	for _, p := range rep.Table(tpcc.TOrderLine).Partitions {
-		p.Scan(func(_ uint64, tup []byte) bool {
+		eachLive(p, func(tup []byte) {
 			if v := db.Schemas.OrderLine.GetInt64(tup, tpcc.OLOID); v > maxOID {
 				maxOID = v
 			}
-			return true
 		})
 	}
 	maintained := append(batch, &exec.Query{

@@ -85,7 +85,7 @@ func newChaosPrimary(t *testing.T) *chaosPrimary {
 func (p *chaosPrimary) connectNode(t *testing.T) *node.Node {
 	t.Helper()
 	rep := olap.NewReplica(2)
-	rep.CreateTable(p.schema, func(tup []byte) uint64 { return uint64(p.schema.GetInt64(tup, 0)) }, 4096)
+	rep.CreateTable(p.schema, 4096)
 	n, err := node.Connect(p.addr, rep, node.Config{
 		Workers: 2,
 		Link: replica.SupervisorConfig{

@@ -127,7 +127,7 @@ func newSoakRig(t *testing.T, replicaDelay time.Duration) *soakRig {
 	ingest.RegisterProc(e)
 
 	rep := olap.NewReplica(4)
-	rep.CreateTable(schema, tbl.KeyFn, 1024)
+	rep.CreateTable(schema, 1024)
 	if replicaDelay > 0 {
 		e.SetSink(slowSink{inner: rep, delay: replicaDelay})
 	} else {
@@ -139,10 +139,9 @@ func newSoakRig(t *testing.T, replicaDelay time.Duration) *soakRig {
 		var ta tally
 		ta.snap = sv.VID()
 		for _, p := range sv.Table(bulkTableID).Partitions {
-			p.Scan(func(_ uint64, tup []byte) bool {
+			eachLive(p, func(tup []byte) {
 				ta.count++
 				ta.sum += schema.GetInt64(tup, 1)
-				return true
 			})
 		}
 		out := make([]tally, len(queries))
@@ -432,5 +431,18 @@ func verifyBulkRows(t *testing.T, rig *soakRig, n int) {
 	}
 	if _, ok := tx.Get(rig.tbl, uint64(n)); ok {
 		t.Fatal("phantom bulk row past the load")
+	}
+}
+
+// eachLive calls fn with every live tuple of p, a vector of slots at a
+// time (Partition.LiveSlots).
+func eachLive(p *olap.Partition, fn func(tup []byte)) {
+	slots := make([]int32, 64)
+	for next := 0; next < p.Slots(); {
+		var n int
+		n, next = p.LiveSlots(p.Slots(), next, slots)
+		for _, s := range slots[:n] {
+			fn(p.Tuple(s))
+		}
 	}
 }

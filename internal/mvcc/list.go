@@ -19,8 +19,9 @@ const chunkSize = 4096
 // follows the live rows, not the rows ever inserted.
 //
 // Scan order is therefore arbitrary — a new chain may land in any
-// recycled slot. No consumer depends on insertion order: checkpoints and
-// bootstraps carry RowIDs, and every other reader aggregates.
+// recycled slot. No consumer depends on insertion order: checkpoints
+// carry RowIDs, bootstraps carry primary keys, and every other reader
+// aggregates.
 type chainList struct {
 	dir    atomic.Pointer[[]*listChunk]
 	length atomic.Int64 // slots ever reserved (high-water mark)

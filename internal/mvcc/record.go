@@ -39,9 +39,11 @@ func isMarker(v uint64) bool { return v&markerBit != 0 && v != vid.Infinity }
 
 // Record is one version of a row.
 type Record struct {
-	// RowID is the hidden primary-key surrogate propagated to the OLAP
-	// replica (paper §5). All versions of one logical row share it; a
-	// re-insert after a delete starts a fresh RowID.
+	// RowID is a per-row surrogate (paper §5's hidden RowID): all
+	// versions of one logical row share it, and a re-insert after a
+	// delete starts a fresh one. Only checkpoints read it, as part of
+	// their on-disk row format; propagation and the OLAP replica name a
+	// row by its chain's packed primary key (Chain.Key).
 	RowID uint64
 
 	vidFrom atomic.Uint64

@@ -12,7 +12,7 @@ import (
 // routeShardMin is the minimum number of merged entries each step-2
 // routing chunk must have before a table's routing is split; below
 // 2*routeShardMin one chunk wins (a pool hand-off costs more than
-// hashing a few thousand RowIDs).
+// hashing a few thousand keys).
 const routeShardMin = 4096
 
 // applyScratch holds one table's reusable apply buffers, so steady-state
@@ -91,16 +91,15 @@ func (sc *applyScratch) route(chunks, nparts int) {
 	sc.chunks = chunks
 }
 
-// routeChunk routes chunk g of the merged stream by hash(RowID).
-// Contiguous chunks keep VID order: chunk g holds strictly earlier
-// stream positions than chunk g+1.
+// routeChunk routes chunk g of the merged stream to the partitions its
+// keys hash to (partitionOf). Contiguous chunks keep VID order: chunk g
+// holds strictly earlier stream positions than chunk g+1.
 func (sc *applyScratch) routeChunk(g int) {
 	n := len(sc.merged)
 	buf := sc.router[g]
-	nparts := uint64(len(buf))
 	for _, e := range sc.merged[g*n/sc.chunks : (g+1)*n/sc.chunks] {
-		h := e.RowID * 0x9E3779B97F4A7C15
-		buf[h%nparts] = append(buf[h%nparts], e)
+		pi := partitionOf(e.Key, len(buf))
+		buf[pi] = append(buf[pi], e)
 	}
 }
 
@@ -148,9 +147,9 @@ type ApplyStats struct {
 	// whether or not it had entries.
 	Maintained bool
 	// Step1 orders per-worker update sets by VID; Step2 routes them to
-	// partitions by hash(RowID); Step3 applies them through the RowID
-	// hash index. Each is CPU time summed over the round's pool tasks,
-	// matching the paper's per-step CPU-time accounting.
+	// partitions by hash(key); Step3 applies them through each
+	// partition's key index. Each is CPU time summed over the round's
+	// pool tasks, matching the paper's per-step CPU-time accounting.
 	Step1, Step2, Step3 time.Duration
 	// PerTable splits the work by relation.
 	PerTable map[storage.TableID]*TableApplyStats
@@ -170,19 +169,26 @@ type ApplyStats struct {
 //
 // A failed round bumps no table version and leaves the applied VID
 // where it was, but the failed tables are half-applied, which is why the
-// error is sticky (applyErr) and the scheduler treats it as fatal.
+// error is sticky: every later call returns it without taking work, and
+// the scheduler treats it as fatal.
 //
 // Every round does the same maintenance, whatever started it: it
 // activates the requested synopsis columns and re-summarizes the blocks
 // it dirtied.
 func (r *Replica) ApplyPending(target uint64) (ApplyStats, error) {
+	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
+	r.mu.Lock()
+	err := r.applyErr
+	r.mu.Unlock()
+	if err != nil {
+		return stats, err
+	}
 	// Take the staged resync snapshot (reconnect after connection loss),
 	// the queued batches and the floor in one atomic step: batches that
 	// were spliced in together with a reload must never be drained
 	// without it (they would land on stale pre-reconnect data and then
 	// be wiped by the reload, unrecoverable below its floor).
 	rl, batches, floor := r.takeWork()
-	stats := ApplyStats{Target: target, PerTable: make(map[storage.TableID]*TableApplyStats)}
 	stats.Maintained = r.needsMaintenance()
 	if rl == nil && len(batches) == 0 && target <= r.AppliedVID() && !stats.Maintained {
 		return stats, nil // nothing to apply
@@ -269,7 +275,7 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		o.ts.Step1 = time.Since(start)
 	})
 
-	// Step 2: route entries to partitions by hash(RowID), preserving VID
+	// Step 2: route entries to partitions by hash(key), preserving VID
 	// order within each partition. A large table's stream is cut into
 	// contiguous chunks routed as separate tasks.
 	type chunk struct{ ti, g int }
@@ -296,8 +302,10 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		outs[c.ti].ts.Step2 += step2[i]
 	}
 
-	// Step 3: apply per touched partition through the RowID hash index
-	// (the expensive, random-access step).
+	// Step 3: apply per touched partition through its key index (the
+	// expensive, random-access step). A delete and a re-insert of one key
+	// route to one partition, so they apply in VID order on one
+	// goroutine, and every index has a single writer.
 	type part struct {
 		ti, pi int
 		w      uint64
@@ -324,7 +332,7 @@ func (r *Replica) applyRound(st *ApplyStats, rl *Reload, batches []proplog.Batch
 		// before new entries land — the incremental maintenance below
 		// then covers exactly the active set.
 		p.ActivateSynopsisCols(parts[i].w)
-		o.ins, o.upd, o.del, o.err = applyToPartition(p, entries, t.pkIdx, t.pkFn, pi)
+		o.ins, o.upd, o.del, o.err = applyToPartition(p, entries)
 		if o.err == nil {
 			// Re-summarize blocks this round's deletes and bound-narrowing
 			// updates dirtied, inside the same task (and the same Step3
@@ -485,31 +493,29 @@ func mergeByVIDInto(out []*proplog.Entry, ws []workerStream) []*proplog.Entry {
 }
 
 // applyToPartition executes step 3 for one partition: updates and
-// deletes locate their tuple through the RowID hash index; inserts take
-// the next free slot. Consecutive field patches of the same tuple from
-// the same transaction share a single index lookup and count as one
-// updated tuple — the paper's Ptup counts tuples, not patches. pk is
-// the table's PK index, kept in step with the slots: pi is p's ordinal
-// in its table, which with the slot makes a row's locator.
-func applyToPartition(p *Partition, entries []*proplog.Entry, pk *flatIndex, pkFn func([]byte) uint64, pi int) (ins, upd, del int, err error) {
+// deletes locate their tuple through the partition's key index; inserts
+// take the next free slot. Consecutive field patches of the same tuple
+// from the same transaction share a single index lookup and count as one
+// updated tuple — the paper's Ptup counts tuples, not patches.
+func applyToPartition(p *Partition, entries []*proplog.Entry) (ins, upd, del int, err error) {
 	for i := 0; i < len(entries); i++ {
 		e := entries[i]
 		switch e.Kind {
 		case proplog.Insert:
-			if aerr := insertIndexed(p, pi, e.RowID, e.Data, pk, pkFn); aerr != nil {
+			if aerr := p.Insert(e.Key, e.Data); aerr != nil {
 				return ins, upd, del, aerr
 			}
 			ins++
 		case proplog.Update:
-			slot, ok := p.Locate(e.RowID)
+			slot, ok := p.Locate(e.Key)
 			if !ok {
-				return ins, upd, del, fmt.Errorf("olap: update of unknown RowID %d", e.RowID)
+				return ins, upd, del, fmt.Errorf("olap: update of unknown key %d", e.Key)
 			}
 			if aerr := p.PatchSlot(slot, e.Offset, e.Data); aerr != nil {
 				return ins, upd, del, aerr
 			}
 			for i+1 < len(entries) && entries[i+1].Kind == proplog.Update &&
-				entries[i+1].RowID == e.RowID && entries[i+1].VID == e.VID {
+				entries[i+1].Key == e.Key && entries[i+1].VID == e.VID {
 				i++
 				if aerr := p.PatchSlot(slot, entries[i].Offset, entries[i].Data); aerr != nil {
 					return ins, upd, del, aerr
@@ -517,12 +523,9 @@ func applyToPartition(p *Partition, entries []*proplog.Entry, pk *flatIndex, pkF
 			}
 			upd++
 		case proplog.Delete:
-			slot, ok := p.Locate(e.RowID)
-			if !ok {
-				return ins, upd, del, fmt.Errorf("olap: delete of unknown RowID %d in table %s", e.RowID, p.schema.Name)
+			if aerr := p.Delete(e.Key); aerr != nil {
+				return ins, upd, del, aerr
 			}
-			pk.del(pkFn(p.Tuple(slot)), pkLoc(pi, slot))
-			p.deleteSlot(e.RowID, slot)
 			del++
 		default:
 			return ins, upd, del, fmt.Errorf("olap: unknown update kind %d", e.Kind)

@@ -46,7 +46,7 @@ func newEqReplica(t *testing.T, ntables, parts, workers, loaded int) *Replica {
 }
 
 // newEqReplicaOf builds a replica like newEqReplica's that holds exactly
-// the model's live rows, loaded in RowID order into fresh structures.
+// the model's live rows, loaded in key order into fresh structures.
 func newEqReplicaOf(t *testing.T, parts, workers int, m *eqModel) *Replica {
 	t.Helper()
 	r := NewReplica(parts)
@@ -55,7 +55,7 @@ func newEqReplicaOf(t *testing.T, parts, workers int, m *eqModel) *Replica {
 	for ti, live := range m.live {
 		id := storage.TableID(ti + 1)
 		s := eqSchema(id)
-		tbl := r.CreateTable(s, col0Key(s), len(live))
+		tbl := r.CreateTable(s, len(live))
 		for _, row := range sortedRows(live) {
 			if err := r.LoadTuple(id, row, tuple(s, int64(row), live[row])); err != nil {
 				t.Fatal(err)
@@ -67,7 +67,7 @@ func newEqReplicaOf(t *testing.T, parts, workers int, m *eqModel) *Replica {
 	return r
 }
 
-// sortedRows returns the RowIDs of live in increasing order (slot
+// sortedRows returns the keys of live in increasing order (slot
 // placement follows load order).
 func sortedRows(live map[uint64]int64) []uint64 {
 	rows := make([]uint64, 0, len(live))
@@ -79,7 +79,7 @@ func sortedRows(live map[uint64]int64) []uint64 {
 }
 
 // eqModel is the reference state a delta stream is generated against:
-// per table, live RowID -> v, plus the keys of deleted rows.
+// per table, live key -> v, plus the keys of deleted rows.
 type eqModel struct {
 	live    []map[uint64]int64
 	deleted []map[uint64]bool
@@ -99,7 +99,7 @@ func newEqModel(ntables, loaded int) *eqModel {
 }
 
 // genDelta produces perTable[i] well-formed entries for table i+1 —
-// inserts of fresh RowIDs, patches of v and deletes of live rows —
+// inserts of fresh keys, patches of v and deletes of live rows —
 // with globally increasing VIDs (one per entry, starting above
 // firstVID) spread at random over the given number of workers, and
 // advances the model to the stream's end state. It returns one batch
@@ -117,7 +117,7 @@ func genDelta(rnd *rand.Rand, m *eqModel, workers int, perTable []int, firstVID 
 		}
 	}
 	vid := firstVID
-	// Fresh RowIDs, far above the loaded range; a stream takes at most
+	// Fresh keys, far above the loaded range; a stream takes at most
 	// one per VID, so streams with disjoint VIDs insert disjoint rows.
 	next := uint64(1<<20) + firstVID
 	for len(open) > 0 {
@@ -164,16 +164,15 @@ func genDelta(rnd *rand.Rand, m *eqModel, workers int, perTable []int, firstVID 
 type tableState struct {
 	Version uint64
 	// Raw is each partition's slot storage verbatim: tuple bytes, slot
-	// RowIDs (0 = tombstone) and the free list.
+	// live flags and the free list.
 	Raw [][]byte
-	// Live is "rowID:tuple" for every live tuple, sorted.
+	// Live is "partition/slot:tuple" for every live tuple, sorted.
 	Live []string
-	// Rid is "rowID:partition/slot" for every RowID-index entry, sorted.
-	Rid []string
-	// PK is "pk:locator=tuple" for every PK-index entry, sorted: where
-	// the index says the row is, and the bytes GetByPK hands a probe for
-	// it ("miss" when the key does not resolve to a tuple carrying it).
-	PK []string
+	// Index is "key:partition/slot=tuple" for every entry of the
+	// partitions' indexes, sorted: where the index says the row is, and
+	// the bytes GetByPK hands a probe for it ("miss" when the key does not
+	// resolve to a tuple carrying it).
+	Index []string
 	// Verdicts holds, per partition, block and eqRanges entry, the
 	// zone-map verdict.
 	Verdicts []string
@@ -184,14 +183,17 @@ func captureTable(tv *Table) tableState {
 	for pi, p := range tv.Partitions {
 		var raw bytes.Buffer
 		raw.Write(p.data)
-		fmt.Fprint(&raw, p.rowIDs, p.free, p.live)
+		fmt.Fprint(&raw, p.alive, p.free, p.live)
 		st.Raw = append(st.Raw, raw.Bytes())
-		p.Scan(func(rowID uint64, tup []byte) bool {
-			st.Live = append(st.Live, fmt.Sprintf("%d:%x", rowID, tup))
-			return true
-		})
-		p.index.each(func(rowID, loc uint64) {
-			st.Rid = append(st.Rid, fmt.Sprintf("%d:%d/%d", rowID, pi, int32(loc)))
+		for _, slot := range liveSlots(p) {
+			st.Live = append(st.Live, fmt.Sprintf("%d/%d:%x", pi, slot, p.Tuple(slot)))
+		}
+		p.index.each(func(key uint64, slot int32) {
+			tup, ok := tv.GetByPK(key)
+			if !ok || tv.Schema.GetInt64(tup, 0) != int64(key) {
+				tup = []byte("miss")
+			}
+			st.Index = append(st.Index, fmt.Sprintf("%d:%d/%d=%x", key, pi, slot, tup))
 		})
 		for lo := 0; lo < p.Slots(); lo += eqBlock {
 			hi := min(lo+eqBlock, p.Slots())
@@ -202,15 +204,7 @@ func captureTable(tv *Table) tableState {
 		}
 	}
 	sort.Strings(st.Live)
-	sort.Strings(st.Rid)
-	tv.pkIdx.each(func(pk, loc uint64) {
-		tup, ok := tv.GetByPK(pk)
-		if !ok || tv.pkFn(tup) != pk {
-			tup = []byte("miss")
-		}
-		st.PK = append(st.PK, fmt.Sprintf("%d:%x=%x", pk, loc, tup))
-	})
-	sort.Strings(st.PK)
+	sort.Strings(st.Index)
 	return st
 }
 
@@ -236,7 +230,7 @@ func diffStates(a, b []tableState) string {
 }
 
 // checkModel asserts the replica holds exactly the model's live rows and
-// that the PK index resolves exactly those keys.
+// that the partitions' indexes resolve exactly those keys.
 func checkModel(t *testing.T, stage string, r *Replica, m *eqModel) {
 	t.Helper()
 	for ti, tbl := range r.Tables() {
@@ -244,8 +238,12 @@ func checkModel(t *testing.T, stage string, r *Replica, m *eqModel) {
 		if tbl.Live() != len(m.live[ti]) {
 			t.Fatalf("%s: table %d live = %d, model %d", stage, ti+1, tbl.Live(), len(m.live[ti]))
 		}
-		if tbl.pkIdx.size() != len(m.live[ti]) {
-			t.Fatalf("%s: table %d PK index holds %d keys, model %d", stage, ti+1, tbl.pkIdx.size(), len(m.live[ti]))
+		indexed := 0
+		for _, p := range tbl.Partitions {
+			indexed += p.index.size()
+		}
+		if indexed != len(m.live[ti]) {
+			t.Fatalf("%s: table %d indexes hold %d keys, model %d", stage, ti+1, indexed, len(m.live[ti]))
 		}
 		for row, v := range m.live[ti] {
 			tup, ok := tbl.GetByPK(row)
@@ -255,7 +253,7 @@ func checkModel(t *testing.T, stage string, r *Replica, m *eqModel) {
 		}
 		for row := range m.deleted[ti] {
 			if _, ok := tbl.GetByPK(row); ok {
-				t.Fatalf("%s: table %d deleted row %d still resolves through the PK index", stage, ti+1, row)
+				t.Fatalf("%s: table %d deleted row %d still resolves through its index", stage, ti+1, row)
 			}
 		}
 	}
@@ -363,14 +361,18 @@ func TestApplyInPlaceEqualsClone(t *testing.T) {
 func readerView(r *Replica) (view []string, disproved int) {
 	for _, tv := range r.Tables() {
 		s := tv.Schema
-		view = append(view, captureTable(tv).Live...)
-		var pks []string
-		tv.pkIdx.each(func(pk, _ uint64) {
-			tup, _ := tv.GetByPK(pk)
-			pks = append(pks, fmt.Sprintf("%s pk %d=%x", s.Name, pk, tup))
-		})
-		sort.Strings(pks)
-		view = append(view, pks...)
+		var rows []string
+		for _, p := range tv.Partitions {
+			for _, slot := range liveSlots(p) {
+				rows = append(rows, fmt.Sprintf("%s row %x", s.Name, p.Tuple(slot)))
+			}
+			p.index.each(func(key uint64, _ int32) {
+				tup, _ := tv.GetByPK(key)
+				rows = append(rows, fmt.Sprintf("%s pk %d=%x", s.Name, key, tup))
+			})
+		}
+		sort.Strings(rows)
+		view = append(view, rows...)
 		counts := make([]int, len(eqRanges))
 		sums := make([]int64, len(eqRanges))
 		for _, p := range tv.Partitions {
@@ -382,7 +384,7 @@ func readerView(r *Replica) (view []string, disproved int) {
 						continue
 					}
 					for i := lo; i < hi; i++ {
-						if p.rowIDs[i] == 0 {
+						if !p.alive[i] {
 							continue
 						}
 						if v := s.GetInt64(p.Tuple(int32(i)), 1); v >= rg[0].Lo && v <= rg[0].Hi {
@@ -404,8 +406,8 @@ func readerView(r *Replica) (view []string, disproved int) {
 // invisible in the result, which is what lets the scheduler apply a
 // cycle's updates a piece at a time, in push rounds and a barrier round: the
 // same seeded delta applied as one round, and as two to six rounds at
-// seeded random VID cuts, leaves identical slot storage, RowID and PK
-// indexes and zone-map verdicts, and both hold exactly the model's rows.
+// seeded random VID cuts, leaves identical slot storage, key indexes
+// and zone-map verdicts, and both hold exactly the model's rows.
 // Every cut below the last VID requeues exactly the entries above it. A
 // resync reload then replaces both twins' contents alike.
 func TestApplySplitEqualsOneRound(t *testing.T) {
@@ -454,7 +456,7 @@ func applySplitCase(t *testing.T, seed int64, tables, parts, applyWrk, loaded, w
 	checkModel(t, "one round", whole, m)
 	checkModel(t, "split", split, m)
 
-	// A resync reload replaces every structure, PK index included, with
+	// A resync reload replaces every structure, indexes included, with
 	// freshly built ones, and the floor rises to its VID.
 	for _, r := range []*Replica{whole, split} {
 		rl := r.NewReload()

@@ -21,11 +21,6 @@ const (
 	tblCustomers storage.TableID = 2
 )
 
-// col0Key is the primary key of a schema keyed by its Int64 column 0.
-func col0Key(s *storage.Schema) func([]byte) uint64 {
-	return func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }
-}
-
 type fixture struct {
 	replica *olap.Replica
 	orders  *storage.Schema
@@ -55,8 +50,8 @@ func buildFixture(t testing.TB, parts, orders, customers int) *fixture {
 		nOrders:  orders,
 	}
 	f.replica = olap.NewReplica(parts)
-	f.replica.CreateTable(f.orders, col0Key(f.orders), orders)
-	f.replica.CreateTable(f.custs, col0Key(f.custs), customers)
+	f.replica.CreateTable(f.orders, orders)
+	f.replica.CreateTable(f.custs, customers)
 
 	rng := rand.New(rand.NewSource(7))
 	regionOf := map[int64]int64{}
@@ -114,12 +109,12 @@ func (f *fixture) addRegions(t testing.TB) *storage.Schema {
 		{Name: "id", Type: storage.Int64},
 		{Name: "bonus", Type: storage.Float64},
 	}, []int{0})
-	f.replica.CreateTable(regions, col0Key(regions), 5)
+	f.replica.CreateTable(regions, 5)
 	for rID := int64(0); rID < 5; rID++ {
 		tup := regions.NewTuple()
 		regions.PutInt64(tup, 0, rID)
 		regions.PutFloat64(tup, 1, float64(rID)*100)
-		if err := f.replica.LoadTuple(tblBonus, uint64(rID)+1, tup); err != nil {
+		if err := f.replica.LoadTuple(tblBonus, uint64(rID), tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +277,7 @@ func TestBuildCacheInvalidation(t *testing.T) {
 	region1 := tup[off : off+size]
 	buf := proplog.NewBuffer(0)
 	for c := 1; c <= 10; c++ {
-		buf.Add(tblCustomers, proplog.Entry{VID: 1, Kind: proplog.Update, RowID: uint64(c), Offset: uint32(off), Size: uint32(size), Data: region1})
+		buf.Add(tblCustomers, proplog.Entry{VID: 1, Kind: proplog.Update, Key: uint64(c), Offset: uint32(off), Size: uint32(size), Data: region1})
 	}
 	f.replica.ApplyUpdates([]proplog.Batch{buf.Take()}, 1)
 	if _, err := f.replica.ApplyPending(1); err != nil {

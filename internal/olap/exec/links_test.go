@@ -18,7 +18,7 @@ type linkFixture struct {
 	replica                           *olap.Replica
 	lines, orders, customers, regions *storage.Schema
 	vid                               uint64
-	// Next free RowIDs / keys, and the live rows the test may delete.
+	// Next free keys, and the live rows the test may delete.
 	nextLine, nextOrder, nextCust int64
 	liveOrders, liveCusts         []int64
 }
@@ -44,15 +44,15 @@ func newLinkFixture(t *testing.T) *linkFixture {
 		nextLine: 1, nextOrder: 1, nextCust: 1,
 	}
 	f.replica = olap.NewReplica(3)
-	f.replica.CreateTable(f.lines, col0Key(f.lines), 64)
-	f.replica.CreateTable(f.orders, col0Key(f.orders), 64)
-	f.replica.CreateTable(f.customers, col0Key(f.customers), 64)
-	f.replica.CreateTable(f.regions, col0Key(f.regions), nRegions)
+	f.replica.CreateTable(f.lines, 64)
+	f.replica.CreateTable(f.orders, 64)
+	f.replica.CreateTable(f.customers, 64)
+	f.replica.CreateTable(f.regions, nRegions)
 	for r := int64(0); r < nRegions; r++ {
 		tup := f.regions.NewTuple()
 		f.regions.PutInt64(tup, 0, r)
 		f.regions.PutFloat64(tup, 1, float64(r)*100)
-		if err := f.replica.LoadTuple(tblRegions, uint64(r)+1, tup); err != nil {
+		if err := f.replica.LoadTuple(tblRegions, uint64(r), tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,8 +69,8 @@ func (f *linkFixture) apply(t *testing.T, rng *rand.Rand, rd round) {
 	t.Helper()
 	f.vid++
 	buf := proplog.NewBuffer(0)
-	add := func(table storage.TableID, kind proplog.Kind, rowID int64, data []byte) {
-		buf.Add(table, proplog.Entry{VID: f.vid, Kind: kind, RowID: uint64(rowID), Size: uint32(len(data)), Data: data})
+	add := func(table storage.TableID, kind proplog.Kind, key int64, data []byte) {
+		buf.Add(table, proplog.Entry{VID: f.vid, Kind: kind, Key: uint64(key), Size: uint32(len(data)), Data: data})
 	}
 	// Deletes first, so that the inserts of the same round reuse the
 	// slots. Lines of a deleted order (orders of a deleted customer) stay:

@@ -37,22 +37,21 @@ type refResult struct {
 func evalRef(f *fixture, rq refQuery) *refResult {
 	regionOf := map[int64]int64{}
 	for _, p := range f.replica.Table(tblCustomers).Partitions {
-		p.Scan(func(_ uint64, tup []byte) bool {
+		eachLive(p, 0, p.Slots(), func(tup []byte) {
 			regionOf[f.custs.GetInt64(tup, 0)] = f.custs.GetInt64(tup, 1)
-			return true
 		})
 	}
 	res := &refResult{groups: map[[2]int64]*refGroup{}}
 	for _, p := range f.replica.Table(tblOrders).Partitions {
-		p.Scan(func(_ uint64, tup []byte) bool {
+		eachLive(p, 0, p.Slots(), func(tup []byte) {
 			id := f.orders.GetInt64(tup, 0)
 			if id < rq.idLo || id > rq.idHi {
-				return true
+				return
 			}
 			cust := f.orders.GetInt64(tup, 1)
 			reg, ok := regionOf[cust]
 			if !ok || (rq.reg >= 0 && reg != rq.reg) {
-				return true
+				return
 			}
 			amt := f.orders.GetFloat64(tup, 2)
 			res.rows++
@@ -77,7 +76,6 @@ func evalRef(f *fixture, rq refQuery) *refResult {
 				g.sum += amt
 				g.count++
 			}
-			return true
 		})
 	}
 	return res
@@ -352,11 +350,10 @@ func TestPrunedTupleAccounting(t *testing.T) {
 	for _, p := range f.replica.Table(tblOrders).Partitions {
 		for mlo := 0; mlo < p.Slots(); mlo += 256 {
 			live, hit := 0, false
-			p.ScanRange(mlo, mlo+256, func(_ uint64, tup []byte) bool {
+			eachLive(p, mlo, mlo+256, func(tup []byte) {
 				live++
 				v := f.orders.GetInt64(tup, 0)
 				hit = hit || (v >= lo && v <= hi)
-				return true
 			})
 			if !hit {
 				skipped++
@@ -385,5 +382,18 @@ func TestPrunedTupleAccounting(t *testing.T) {
 	}
 	if got := st.ExecTuplesPruned.Load(); got != pruned {
 		t.Fatalf("ExecTuplesPruned = %d, want exactly the %d live tuples of the skipped morsels", got, pruned)
+	}
+}
+
+// eachLive calls fn with every live tuple of p in the slot range
+// [lo, hi), a vector of slots at a time (Partition.LiveSlots).
+func eachLive(p *olap.Partition, lo, hi int, fn func(tup []byte)) {
+	slots := make([]int32, 64)
+	for next := lo; next < hi; {
+		var n int
+		n, next = p.LiveSlots(hi, next, slots)
+		for _, s := range slots[:n] {
+			fn(p.Tuple(s))
+		}
 	}
 }

@@ -51,7 +51,7 @@ const (
 	// FloatRange: a Float64 column whose ord key is in [Lo, Hi].
 	FloatRange
 	// StrPrefix, StrEqual, StrContains: a String column (its NUL padding
-	// trimmed, as storage.Schema.GetBytes trims it) starts with, equals
+	// trimmed, as storage.Schema.GetString trims it) starts with, equals
 	// or contains Str.
 	StrPrefix
 	StrEqual

@@ -64,7 +64,7 @@ func TestProbeFilterBitmapAndFallback(t *testing.T) {
 func TestProbeEmptyBuild(t *testing.T) {
 	f := buildFixture(t, 2, 200, 20)
 	nobody := storage.NewSchema(3, "nobody", f.custs.Columns, f.custs.Key)
-	f.replica.CreateTable(nobody, col0Key(nobody), 0)
+	f.replica.CreateTable(nobody, 0)
 	q := f.regionQuery(1)
 	q.Probes[0].Table = 3
 	res, lookups, evals := probeCounts(t, f, q)

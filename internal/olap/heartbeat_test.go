@@ -61,7 +61,7 @@ func (l *batchLog) batches() int {
 
 func newHeartbeatScheduler(t *testing.T) (*Scheduler[int, int], *batchLog) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+	r.CreateTable(kvSchema(), 16)
 	l := &batchLog{}
 	s := NewScheduler(r, StaticPrimary(0), l.run)
 	s.Start()

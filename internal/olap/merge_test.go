@@ -25,9 +25,9 @@ func makeMergeStreams(k, perStream int, seed int64) []workerStream {
 			run := 1 + rng.Intn(4)
 			for j := 0; j < run; j++ {
 				ws[i].entries = append(ws[i].entries, proplog.Entry{
-					VID:   vid,
-					Kind:  proplog.Update,
-					RowID: uint64(rng.Intn(1 << 20)),
+					VID:  vid,
+					Kind: proplog.Update,
+					Key:  uint64(rng.Intn(1 << 20)),
 				})
 			}
 		}

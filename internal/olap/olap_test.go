@@ -19,16 +19,23 @@ func kvSchema() *storage.Schema {
 	}, []int{0})
 }
 
-// col0Key is the primary key of a schema keyed by its Int64 column 0.
-func col0Key(s *storage.Schema) func([]byte) uint64 {
-	return func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }
-}
-
 func tuple(s *storage.Schema, k, v int64) []byte {
 	t := s.NewTuple()
 	s.PutInt64(t, 0, k)
 	s.PutInt64(t, 1, v)
 	return t
+}
+
+// liveSlots lists p's live slots in slot order, through the vector scan.
+func liveSlots(p *Partition) []int32 {
+	var out []int32
+	buf := make([]int32, 64)
+	for next := 0; next < p.Slots(); {
+		var n int
+		n, next = p.LiveSlots(p.Slots(), next, buf)
+		out = append(out, buf[:n]...)
+	}
+	return out
 }
 
 func TestPartitionInsertGetScan(t *testing.T) {
@@ -46,16 +53,14 @@ func TestPartitionInsertGetScan(t *testing.T) {
 	if !ok || s.GetInt64(tup, 1) != 50 {
 		t.Fatalf("Get(5) = %v,%v", tup, ok)
 	}
-	seen := 0
-	p.Scan(func(rowID uint64, tup []byte) bool {
-		if s.GetInt64(tup, 1) != int64(rowID)*10 {
-			t.Fatalf("scan row %d has value %d", rowID, s.GetInt64(tup, 1))
+	slots := liveSlots(p)
+	for _, slot := range slots {
+		if tup := p.Tuple(slot); s.GetInt64(tup, 1) != s.GetInt64(tup, 0)*10 {
+			t.Fatalf("scan row %d has value %d", s.GetInt64(tup, 0), s.GetInt64(tup, 1))
 		}
-		seen++
-		return true
-	})
-	if seen != 10 {
-		t.Fatalf("scanned %d rows", seen)
+	}
+	if len(slots) != 10 {
+		t.Fatalf("scanned %d rows", len(slots))
 	}
 }
 
@@ -70,40 +75,33 @@ func TestPartitionScanRange(t *testing.T) {
 	p.Delete(5) // tombstone inside the first range
 
 	// Covering the slot space with disjoint ranges must reproduce a full
-	// Scan, whatever the morsel boundaries.
+	// scan, whatever the morsel boundaries.
+	want := liveSlots(p)
+	if len(want) != 19 {
+		t.Fatalf("full scan saw %d rows, want 19", len(want))
+	}
 	for _, step := range []int{1, 3, 7, 20, 1000} {
-		var got []uint64
+		var got []int32
+		out := make([]int32, 4)
 		for lo := 0; lo < p.Slots(); lo += step {
-			p.ScanRange(lo, lo+step, func(rowID uint64, tup []byte) bool {
-				if s.GetInt64(tup, 1) != int64(rowID)*10 {
-					t.Fatalf("step %d: row %d has value %d", step, rowID, s.GetInt64(tup, 1))
-				}
-				got = append(got, rowID)
-				return true
-			})
+			for from := lo; from < lo+step; {
+				var n int
+				n, from = p.LiveSlots(lo+step, from, out)
+				got = append(got, out[:n]...)
+			}
 		}
-		var want []uint64
-		p.Scan(func(rowID uint64, _ []byte) bool { want = append(want, rowID); return true })
-		if len(got) != len(want) {
-			t.Fatalf("step %d: ranged scan saw %d rows, full scan %d", step, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: ranged scan saw slots %v, full scan %v", step, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: row %d = %d, want %d", step, i, got[i], want[i])
+		for _, slot := range got {
+			if tup := p.Tuple(slot); s.GetInt64(tup, 1) != s.GetInt64(tup, 0)*10 || s.GetInt64(tup, 0) == 5 {
+				t.Fatalf("step %d: slot %d holds row %d, value %d", step, slot, s.GetInt64(tup, 0), s.GetInt64(tup, 1))
 			}
 		}
 	}
-	// Out-of-bounds and early-stop behavior.
-	p.ScanRange(-5, 3, func(rowID uint64, _ []byte) bool {
-		if rowID > 3 {
-			t.Fatalf("negative lo leaked row %d", rowID)
-		}
-		return true
-	})
-	n := 0
-	p.ScanRange(0, p.Slots(), func(uint64, []byte) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d rows", n)
+	// A negative start is clamped to slot 0.
+	if n, _ := p.LiveSlots(3, -5, make([]int32, 8)); n != 3 {
+		t.Fatalf("LiveSlots(3, -5) found %d slots, want 3", n)
 	}
 }
 
@@ -163,12 +161,11 @@ func TestPartitionDeleteReusesSlot(t *testing.T) {
 		t.Fatalf("Live=%d Slots=%d", p.Live(), p.Slots())
 	}
 	// Tombstone skipped by scan.
-	p.Scan(func(rowID uint64, _ []byte) bool {
-		if rowID == 1 {
+	for _, slot := range liveSlots(p) {
+		if s.GetInt64(p.Tuple(slot), 0) == 1 {
 			t.Fatal("tombstoned row visible in scan")
 		}
-		return true
-	})
+	}
 	// New insert reuses the freed slot.
 	p.Insert(3, tuple(s, 3, 3))
 	if p.Slots() != 2 {
@@ -197,13 +194,13 @@ func TestPartitionErrors(t *testing.T) {
 func TestPartitionFieldUpdate(t *testing.T) {
 	s := kvSchema()
 	p := NewPartition(s, 4)
-	p.Insert(1, tuple(s, 7, 100))
+	p.Insert(7, tuple(s, 7, 100))
 	patch := make([]byte, 8)
 	binary.LittleEndian.PutUint64(patch, 200)
-	if err := p.UpdateField(1, uint32(s.Offset(1)), patch); err != nil {
+	if err := p.UpdateField(7, uint32(s.Offset(1)), patch); err != nil {
 		t.Fatal(err)
 	}
-	tup, _ := p.Get(1)
+	tup, _ := p.Get(7)
 	if s.GetInt64(tup, 1) != 200 {
 		t.Fatalf("after patch v = %d", s.GetInt64(tup, 1))
 	}
@@ -212,14 +209,14 @@ func TestPartitionFieldUpdate(t *testing.T) {
 	}
 }
 
-func mkEntry(vid uint64, kind proplog.Kind, rowID uint64, off uint32, data []byte) proplog.Entry {
-	return proplog.Entry{VID: vid, Kind: kind, RowID: rowID, Offset: off, Size: uint32(len(data)), Data: data}
+func mkEntry(vid uint64, kind proplog.Kind, key uint64, off uint32, data []byte) proplog.Entry {
+	return proplog.Entry{VID: vid, Kind: kind, Key: key, Offset: off, Size: uint32(len(data)), Data: data}
 }
 
 func TestApplyPendingThreeSteps(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(4)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 
 	// Two workers, interleaved VIDs (like paper Fig. 4).
 	w0 := proplog.Batch{Worker: 0, Tables: []proplog.TableBatch{{Table: 1, Entries: []proplog.Entry{
@@ -246,11 +243,11 @@ func TestApplyPendingThreeSteps(t *testing.T) {
 	if tbl.Live() != 2 {
 		t.Fatalf("live = %d, want 2 (rows 10,30)", tbl.Live())
 	}
-	tup, ok := tbl.Partitions[tbl.partitionOf(10)].Get(10)
+	tup, ok := tbl.GetByPK(10)
 	if !ok || s.GetInt64(tup, 1) != 111 {
 		t.Fatalf("row 10 = %v,%v; want v=111", tup, ok)
 	}
-	if _, ok := tbl.Partitions[tbl.partitionOf(20)].Get(20); ok {
+	if _, ok := tbl.GetByPK(20); ok {
 		t.Fatal("deleted row 20 present")
 	}
 	if r.AppliedVID() != 5 {
@@ -292,7 +289,7 @@ func TestApplyMatchesReference(t *testing.T) {
 	}
 	f := func(actions []action, parts uint8) bool {
 		r := NewReplica(int(parts%7) + 1)
-		r.CreateTable(s, col0Key(s), 64)
+		r.CreateTable(s, 64)
 		ref := make(map[uint64]int64)
 		buffers := map[int]*proplog.Buffer{}
 		vid := uint64(0)
@@ -341,18 +338,15 @@ func TestApplyMatchesReference(t *testing.T) {
 		if tbl.Live() != len(ref) {
 			return false
 		}
-		ok := true
 		for _, p := range tbl.Partitions {
-			p.Scan(func(rowID uint64, tup []byte) bool {
-				want, exists := ref[rowID]
-				if !exists || s.GetInt64(tup, 1) != want {
-					ok = false
+			for _, slot := range liveSlots(p) {
+				tup := p.Tuple(slot)
+				if want, exists := ref[uint64(s.GetInt64(tup, 0))]; !exists || s.GetInt64(tup, 1) != want {
 					return false
 				}
-				return true
-			})
+			}
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -389,7 +383,7 @@ func (f *fakePrimary) commitRow(row uint64, val int64) {
 func TestSchedulerBatchesAndApplies(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 	p := &fakePrimary{replica: r, schema: s}
 
 	// Query counts live rows at execution time.
@@ -430,7 +424,7 @@ func TestSchedulerBatchesAndApplies(t *testing.T) {
 func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 	p := &fakePrimary{replica: r, schema: s}
 	sched := NewScheduler(r, p, func(queries []int, _ uint64) []int { return queries })
 	sched.Start()
@@ -473,7 +467,7 @@ func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 func TestSchedulerSharedBatch(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 	p := &fakePrimary{replica: r, schema: s}
 
 	var mu sync.Mutex
@@ -514,7 +508,7 @@ func TestSchedulerSharedBatch(t *testing.T) {
 func TestSchedulerClose(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(1)
-	r.CreateTable(s, col0Key(s), 4)
+	r.CreateTable(s, 4)
 	sched := NewScheduler(r, StaticPrimary(0), func(q []int, _ uint64) []int {
 		return make([]int, len(q))
 	})
@@ -528,7 +522,7 @@ func TestSchedulerClose(t *testing.T) {
 func TestLoadTuple(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(3)
-	r.CreateTable(s, col0Key(s), 16)
+	r.CreateTable(s, 16)
 	for i := uint64(1); i <= 9; i++ {
 		if err := r.LoadTuple(1, i, tuple(s, int64(i), int64(i))); err != nil {
 			t.Fatal(err)
@@ -555,7 +549,7 @@ func TestLoadTuple(t *testing.T) {
 func TestApplyDivergenceSurfaced(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(1)
-	r.CreateTable(s, col0Key(s), 4)
+	r.CreateTable(s, 4)
 	b := proplog.NewBuffer(0)
 	b.Add(1, mkEntry(1, proplog.Update, 42, 0, u64le(1))) // row 42 never inserted
 	batch := b.Take()

@@ -119,7 +119,7 @@ func newBank(t *testing.T, pushPeriod time.Duration, capacity int) (*oltp.Engine
 	})
 
 	rep := olap.NewReplica(4)
-	rep.CreateTable(schema, tbl.KeyFn, 256)
+	rep.CreateTable(schema, 256)
 	engine.SetSink(rep)
 	return engine, rep, schema
 }
@@ -322,11 +322,16 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause, pushPeriod ti
 // exposes.
 func scanBalances(schema *storage.Schema, sv *olap.Snapshot) map[int64]int64 {
 	bals := make(map[int64]int64)
+	slots := make([]int32, 64)
 	for _, p := range sv.Table(1).Partitions {
-		p.Scan(func(_ uint64, tup []byte) bool {
-			bals[schema.GetInt64(tup, 0)] = schema.GetInt64(tup, 1)
-			return true
-		})
+		for next := 0; next < p.Slots(); {
+			var n int
+			n, next = p.LiveSlots(p.Slots(), next, slots)
+			for _, slot := range slots[:n] {
+				tup := p.Tuple(slot)
+				bals[schema.GetInt64(tup, 0)] = schema.GetInt64(tup, 1)
+			}
+		}
 	}
 	return bals
 }

@@ -12,7 +12,7 @@ import (
 // instead of blocking until the batch finishes.
 func TestQueryContextDeadline(t *testing.T) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+	r.CreateTable(kvSchema(), 16)
 	block := make(chan struct{})
 	s := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		<-block
@@ -33,7 +33,7 @@ func TestQueryContextDeadline(t *testing.T) {
 // A canceled context must release the caller during the wait phase too.
 func TestQueryContextCancel(t *testing.T) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+	r.CreateTable(kvSchema(), 16)
 	block := make(chan struct{})
 	s := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		<-block
@@ -72,7 +72,7 @@ func TestQueryCloseRaceNeverBlocks(t *testing.T) {
 	}
 	for iter := 0; iter < iters; iter++ {
 		r := NewReplica(1)
-		r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+		r.CreateTable(kvSchema(), 16)
 		s := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 			return make([]int, len(qs))
 		})
@@ -112,7 +112,7 @@ func TestQueryCloseRaceNeverBlocks(t *testing.T) {
 // waiting for a loop that doesn't exist.
 func TestCloseNeverStarted(t *testing.T) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+	r.CreateTable(kvSchema(), 16)
 	s := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		return make([]int, len(qs))
 	})
@@ -143,7 +143,7 @@ func TestCloseNeverStarted(t *testing.T) {
 // the close signal may never shadow a ready result.
 func TestAnswerPreferredOverClose(t *testing.T) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+	r.CreateTable(kvSchema(), 16)
 	var entered sync.Once
 	enteredC := make(chan struct{})
 	release := make(chan struct{})

@@ -10,16 +10,15 @@ import (
 	"batchdb/internal/storage"
 )
 
-// Table is one replicated relation: its schema and hash(RowID)
-// partitions.
+// Table is one replicated relation: its schema and partitions, each row
+// in the partition its primary key hashes to (partitionOf).
 type Table struct {
 	Schema     *storage.Schema
 	Partitions []*Partition
 
-	// capHint (per partition) and pkHint are retained so a resync reload
-	// can rebuild partitions and the PK index with the original sizing.
+	// capHint (per partition) is retained so a resync reload can rebuild
+	// partitions with the original sizing.
 	capHint int
-	pkHint  int
 
 	// zmBlock is the zone-map block size (slots per synopsis block);
 	// 0 means zone maps are disabled. Retained so resync reloads rebuild
@@ -42,14 +41,6 @@ type Table struct {
 	// keeps them across batches.
 	version uint64
 
-	// pkFn and pkIdx are the table's primary-key index (pk -> tuple
-	// locator, flatindex.go), keyed like the primary's rows and
-	// maintained incrementally during load and update application. Every
-	// join probe of the shared-execution engine is a lookup in it, so no
-	// join ever needs a build side made from a full scan.
-	pkFn  func(tup []byte) uint64
-	pkIdx *flatIndex
-
 	// scratch holds the table's reusable apply buffers (see applyScratch),
 	// used only by the apply round's tasks.
 	scratch applyScratch
@@ -60,9 +51,9 @@ type Table struct {
 func (t *Table) Version() uint64 { return t.version }
 
 // GetByPK resolves a primary key to the live tuple bytes (aliasing
-// partition storage): one probe of the PK index, then a slice of the
-// located partition's tuple array. It takes no lock — see flatIndex for
-// why a reader never meets a writer.
+// partition storage): one probe of the key's partition index, then a
+// slice of that partition's tuple array. It takes no lock — see
+// flatIndex for why a reader never meets a writer.
 func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
 	part, slot, ok := t.FindPK(pk)
 	if !ok {
@@ -75,51 +66,62 @@ func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
 // partition's ordinal and the slot, which never moves while the row
 // lives. The executor turns the pair into a dense row id (the slots of
 // the partitions before it, plus the slot) to index per-row bitmaps and
-// link arrays of the table version it has pinned.
+// link arrays of the table version it has pinned. Every join probe of
+// the shared-execution engine is such a lookup, so no join ever needs a
+// build side made from a full scan.
 func (t *Table) FindPK(pk uint64) (part int, slot int32, ok bool) {
-	loc, ok := t.pkIdx.get(pk)
-	return int(loc>>32) - 1, int32(uint32(loc)), ok
+	part = partitionOf(pk, len(t.Partitions))
+	slot, ok = t.Partitions[part].Locate(pk)
+	return part, slot, ok
 }
 
 // FindPKs is FindPK over a vector of keys, in the executor's dense row
 // ids: ids[i] is base[part] + slot + 1 for keys[i]'s row, base[p] being
 // the id of partition p's slot 0, or 0 where no live row has the key.
 // One call per vector leaves the lookup loop without calls, so its
-// loads overlap in the memory system.
+// loads overlap in the memory system; routing the vector to its
+// partitions in a first pass, through ids, keeps that loop short enough
+// for many of its misses to be in flight at once.
 func (t *Table) FindPKs(keys []uint64, base []uint32, ids []uint32) {
+	parts := t.Partitions
+	ids = ids[:len(keys)]
 	for i, k := range keys {
-		loc, ok := t.pkIdx.get(k)
+		ids[i] = uint32(partitionOf(k, len(parts)))
+	}
+	for i, k := range keys {
+		pi := ids[i]
+		loc, ok := parts[pi].index.get(k)
 		if !ok {
 			ids[i] = 0
 			continue
 		}
-		ids[i] = base[int(loc>>32)-1] + uint32(loc) + 1
+		ids[i] = base[pi] + uint32(loc) // loc is the slot plus one
 	}
 }
 
-// insert places a tuple in the partition its RowID routes to and
-// indexes its primary key there (load and resync reload; apply rounds
-// go through applyToPartition).
-func (t *Table) insert(rowID uint64, tup []byte) error {
-	pi := t.partitionOf(rowID)
-	return insertIndexed(t.Partitions[pi], pi, rowID, tup, t.pkIdx, t.pkFn)
+// insert places a tuple in the partition its key routes to (load and
+// resync reload; apply rounds go through applyToPartition).
+func (t *Table) insert(key uint64, tup []byte) error {
+	return t.Partitions[partitionOf(key, len(t.Partitions))].Insert(key, tup)
 }
 
-// insertIndexed places a tuple in p, partition pi of its table, and
-// stores the slot it landed in under its primary key in pk.
-func insertIndexed(p *Partition, pi int, rowID uint64, tup []byte, pk *flatIndex, pkFn func([]byte) uint64) error {
-	slot, err := p.insert(rowID, tup)
-	if err == nil {
-		pk.put(pkFn(tup), pkLoc(pi, slot))
-	}
-	return err
-}
-
-// partitionOf routes a RowID to its partition's ordinal (paper §5:
-// horizontal soft-partitioning on a hash of the RowID attribute).
-func (t *Table) partitionOf(rowID uint64) int {
-	h := rowID * 0x9E3779B97F4A7C15
-	return int(h % uint64(len(t.Partitions)))
+// partitionOf routes a primary key to its partition's ordinal among n
+// (paper §5: horizontal soft-partitioning on a hash of the row
+// identity). Load, reload, apply step 2 and query probes all route
+// through it, so a row is always found where it was placed.
+//
+// It folds the index's hash product to 32 bits, high half into low, and
+// maps that onto [0, n) by a multiply and a shift: no division on the
+// executor's lookup loop. The fold depends on every key bit, where the
+// product's low bits alone would not — packed keys keep a small field
+// there (an order line's number), and a remainder of n = 8 would skew
+// the partitions by it. Each bit of the fold mixes a low bit of the
+// product with a high one, so fixing the partition fixes none of the
+// bits the index reads: a partition's keys spread over all of its
+// shards and home slots.
+func partitionOf(key uint64, n int) int {
+	h := key * flatHashMul
+	return int(uint64(uint32(h^h>>32)) * uint64(n) >> 32)
 }
 
 // Live returns the number of live tuples across all partitions.
@@ -207,17 +209,13 @@ func (r *Replica) SetApplyWorkers(n int) {
 // replica's whole CPU budget.
 func (r *Replica) Pool() *Pool { return r.pool }
 
-// CreateTable registers a replicated relation whose rows are keyed by
-// key, the primary's key function for the relation: the table keeps a
-// PK index on it, through which every join probe into the table looks
-// its rows up. Primary keys must be unique and immutable under updates
-// (the primary's rows are keyed the same way). capacityHint sizes the
-// partitions and the index. All DDL must precede use.
-func (r *Replica) CreateTable(schema *storage.Schema, key func(tup []byte) uint64, capacityHint int) *Table {
-	t := &Table{
-		Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock,
-		pkFn: key, pkHint: capacityHint, pkIdx: newFlatIndex(capacityHint),
-	}
+// CreateTable registers a replicated relation. Its rows arrive keyed by
+// the primary's packed primary key, which must be unique and immutable
+// under updates (the primary's rows are keyed the same way); every
+// partition indexes its rows by it. capacityHint sizes the partitions
+// and their indexes. All DDL must precede use.
+func (r *Replica) CreateTable(schema *storage.Schema, capacityHint int) *Table {
+	t := &Table{Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock}
 	for i := 0; i < r.parts; i++ {
 		p := NewPartition(schema, t.capHint)
 		if t.zmBlock > 0 {
@@ -325,15 +323,15 @@ func (r *Replica) Tables() []*Table { return r.order }
 // Partitions returns the partition count per table.
 func (r *Replica) Partitions() int { return r.parts }
 
-// LoadTuple inserts one tuple during initial load (VID 0 state), before
-// the replica starts receiving propagated updates.
-func (r *Replica) LoadTuple(id storage.TableID, rowID uint64, tuple []byte) error {
+// LoadTuple inserts one tuple under its primary key during initial load
+// (VID 0 state), before the replica starts receiving propagated updates.
+func (r *Replica) LoadTuple(id storage.TableID, key uint64, tuple []byte) error {
 	t := r.tables[id]
 	if t == nil {
 		return fmt.Errorf("olap: load into unknown table %d", id)
 	}
 	t.version++
-	return t.insert(rowID, tuple)
+	return t.insert(key, tuple)
 }
 
 // ApplyUpdates implements the primary's update sink: pushed batches are
@@ -433,8 +431,8 @@ type Reload struct {
 }
 
 type reloadRow struct {
-	rowID uint64
-	tup   []byte
+	key uint64
+	tup []byte
 }
 
 // NewReload starts staging a replacement snapshot.
@@ -442,19 +440,19 @@ func (r *Replica) NewReload() *Reload {
 	return &Reload{r: r, rows: make(map[storage.TableID][]reloadRow)}
 }
 
-// LoadTuple stages one snapshot tuple. The caller owns tup; pass a copy
-// if the backing buffer is recycled.
-func (rl *Reload) LoadTuple(id storage.TableID, rowID uint64, tup []byte) error {
-	if rl.r.tables[id] == nil {
+// LoadTuple stages one snapshot tuple under its primary key. The caller
+// owns tup; pass a copy if the backing buffer is recycled. A tuple of
+// the wrong width fails here, at the source, rather than the apply round
+// that installs the reload.
+func (rl *Reload) LoadTuple(id storage.TableID, key uint64, tup []byte) error {
+	t := rl.r.tables[id]
+	if t == nil {
 		return fmt.Errorf("olap: reload of unknown table %d", id)
 	}
-	if rowID == 0 {
-		// RowID 0 is the partitions' tombstone sentinel; staging it would
-		// surface as silent divergence (a live-counted, scan-invisible
-		// row) only after the reload installs. Fail at the source instead.
-		return fmt.Errorf("olap: reload of reserved RowID 0 into table %d", id)
+	if len(tup) != t.Schema.TupleSize() {
+		return fmt.Errorf("olap: reload of a %d-byte tuple into table %s of %d-byte tuples", len(tup), t.Schema.Name, t.Schema.TupleSize())
 	}
-	rl.rows[id] = append(rl.rows[id], reloadRow{rowID: rowID, tup: tup})
+	rl.rows[id] = append(rl.rows[id], reloadRow{key: key, tup: tup})
 	return nil
 }
 
@@ -509,7 +507,7 @@ func (r *Replica) InstallReload(rl *Reload, snapVID uint64) {
 }
 
 // applyReload replaces every table's contents with the staged snapshot:
-// fresh partitions and a fresh PK index, sized like the originals. It
+// fresh partitions, sized like the originals. It
 // runs inside an apply round, which no reader overlaps, so none observes
 // a half-replaced table set. Tables absent from the snapshot
 // become empty — the primary shipped no rows for them.
@@ -523,10 +521,9 @@ func (r *Replica) applyReload(rl *Reload) error {
 			}
 		}
 		t.Partitions = parts
-		t.pkIdx = newFlatIndex(t.pkHint)
 		t.version++
 		for _, row := range rl.rows[t.Schema.ID] {
-			if err := t.insert(row.rowID, row.tup); err != nil {
+			if err := t.insert(row.key, row.tup); err != nil {
 				return err
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // instead of panicking on a double channel close.
 func TestSchedulerCloseIdempotent(t *testing.T) {
 	r := NewReplica(1)
-	r.CreateTable(kvSchema(), col0Key(kvSchema()), 16)
+	r.CreateTable(kvSchema(), 16)
 	s := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		return make([]int, len(qs))
 	})
@@ -30,7 +30,7 @@ func TestSchedulerCloseIdempotent(t *testing.T) {
 func TestLastApplyConcurrentRead(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 	sched := NewScheduler(r, StaticPrimary(0), func(qs []int, _ uint64) []int {
 		return make([]int, len(qs))
 	})
@@ -66,7 +66,7 @@ func TestLastApplyConcurrentRead(t *testing.T) {
 func TestApplyErrorKeepsVersion(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, col0Key(s), 16)
+	tbl := r.CreateTable(s, 16)
 	good := proplog.Batch{Worker: 0, Tables: []proplog.TableBatch{{Table: 1, Entries: []proplog.Entry{
 		mkEntry(1, proplog.Insert, 1, 0, tuple(s, 1, 10)),
 	}}}}
@@ -77,11 +77,11 @@ func TestApplyErrorKeepsVersion(t *testing.T) {
 	before := tbl.Version()
 
 	bad := proplog.Batch{Worker: 0, Tables: []proplog.TableBatch{{Table: 1, Entries: []proplog.Entry{
-		mkEntry(2, proplog.Update, 999, 0, u64le(1)), // unknown RowID
+		mkEntry(2, proplog.Update, 999, 0, u64le(1)), // unknown key
 	}}}}
 	r.ApplyUpdates([]proplog.Batch{bad}, 2)
 	if _, err := r.ApplyPending(2); err == nil {
-		t.Fatal("apply of unknown RowID succeeded")
+		t.Fatal("apply of unknown key succeeded")
 	}
 	if got := tbl.Version(); got != before {
 		t.Fatalf("version bumped on failed round: %d -> %d", before, got)
@@ -93,7 +93,8 @@ func TestApplyErrorKeepsVersion(t *testing.T) {
 // until then the reader sees the replica exactly as before — and then
 // fails like the first: in place, so the error is sticky, the failed
 // table's version and the applied VID do not move, and the good entries
-// ahead of the bad one have landed.
+// ahead of the bad one have landed. A valid round after it returns the
+// same error, takes nothing from the queue and applies nothing.
 func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
 	for _, pinned := range []bool{false, true} {
 		name := "in-place"
@@ -112,7 +113,7 @@ func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
 				{Table: 1, Entries: []proplog.Entry{
 					mkEntry(1, proplog.Insert, 5000, 0, tuple(s1, 5000, 1)),
 					mkEntry(2, proplog.Update, 7, uint32(s1.Offset(1)), u64le(99)),
-					mkEntry(3, proplog.Update, 999999, uint32(s1.Offset(1)), u64le(1)), // unknown RowID
+					mkEntry(3, proplog.Update, 999999, uint32(s1.Offset(1)), u64le(1)), // unknown key
 				}},
 				{Table: 2, Entries: []proplog.Entry{
 					mkEntry(4, proplog.Insert, 5000, 0, tuple(s2, 5000, 1)),
@@ -143,7 +144,7 @@ func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
 				st, err = r.ApplyPending(4)
 			}
 			if err == nil || !strings.Contains(err.Error(), "eq1") {
-				t.Fatalf("apply of unknown RowID: err = %v, want one naming table eq1", err)
+				t.Fatalf("apply of unknown key: err = %v, want one naming table eq1", err)
 			}
 			if st.Entries != 4 {
 				t.Fatalf("failed round reported %d entries, want 4", st.Entries)
@@ -167,6 +168,23 @@ func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
 			if n := r.PinnedSnapshots(); n != 0 {
 				t.Fatalf("%d pins outstanding after the round", n)
 			}
+
+			failed := captureTables(r.Tables())
+			r.ApplyUpdates([]proplog.Batch{{Worker: 0, Tables: []proplog.TableBatch{{Table: 2, Entries: []proplog.Entry{
+				mkEntry(5, proplog.Update, 7, uint32(s2.Offset(1)), u64le(42)),
+			}}}}}, 5)
+			if _, again := r.ApplyPending(5); again != err {
+				t.Fatalf("the round after a failure returned %v, want the sticky %v", again, err)
+			}
+			if d := diffStates(failed, captureTables(r.Tables())); d != "" {
+				t.Fatalf("the round after a failure applied work: %s", d)
+			}
+			if n := pendingEntries(r); n != 1 {
+				t.Fatalf("the round after a failure left %d entries queued, want 1", n)
+			}
+			if got := r.AppliedVID(); got != 0 {
+				t.Fatalf("the round after a failure advanced AppliedVID to %d", got)
+			}
 		})
 	}
 }
@@ -177,7 +195,7 @@ func TestApplyFailureInPlaceAndUnderPin(t *testing.T) {
 func TestReloadInstall(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, col0Key(s), 16)
+	tbl := r.CreateTable(s, 16)
 	for i := int64(1); i <= 5; i++ {
 		if err := r.LoadTuple(1, uint64(i), tuple(s, i, i)); err != nil {
 			t.Fatal(err)
@@ -211,7 +229,7 @@ func TestReloadInstall(t *testing.T) {
 	if got := tbl.Live(); got != 4 {
 		t.Fatalf("rows after reload = %d, want 4 (3 snapshot + 1 live)", got)
 	}
-	if _, ok := tbl.Partitions[tbl.partitionOf(1)].Get(1); ok {
+	if _, ok := tbl.GetByPK(1); ok {
 		t.Fatal("pre-reload row survived the reload")
 	}
 	if r.AppliedVID() != 12 {
@@ -232,7 +250,7 @@ func TestReloadInstall(t *testing.T) {
 func TestReloadBuffersResyncUpdates(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, col0Key(s), 16)
+	tbl := r.CreateTable(s, 16)
 	// Pre-outage state: rows 1..3 at floor 5.
 	for i := int64(1); i <= 3; i++ {
 		if err := r.LoadTuple(1, uint64(i), tuple(s, i, i)); err != nil {
@@ -282,25 +300,25 @@ func TestReloadBuffersResyncUpdates(t *testing.T) {
 	if got := tbl.Live(); got != 2 {
 		t.Fatalf("rows after install = %d, want 2", got)
 	}
-	if _, ok := tbl.Partitions[tbl.partitionOf(200)].Get(200); !ok {
+	if _, ok := tbl.GetByPK(200); !ok {
 		t.Fatal("post-snapshot buffered update lost across the reload")
 	}
-	if _, ok := tbl.Partitions[tbl.partitionOf(1)].Get(1); ok {
+	if _, ok := tbl.GetByPK(1); ok {
 		t.Fatal("pre-reload row survived the reload")
 	}
 }
 
-// Reload rebuilds the PK index with the staged rows: old keys vanish,
-// staged keys resolve.
+// Reload rebuilds the partitions' key indexes with the staged rows: old
+// keys vanish, staged keys resolve.
 func TestReloadRebuildsPKIndex(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	tbl := r.CreateTable(s, col0Key(s), 16)
-	if err := r.LoadTuple(1, 1, tuple(s, 7, 70)); err != nil {
+	tbl := r.CreateTable(s, 16)
+	if err := r.LoadTuple(1, 7, tuple(s, 7, 70)); err != nil {
 		t.Fatal(err)
 	}
 	rl := r.NewReload()
-	if err := rl.LoadTuple(1, 2, tuple(s, 8, 80)); err != nil {
+	if err := rl.LoadTuple(1, 8, tuple(s, 8, 80)); err != nil {
 		t.Fatal(err)
 	}
 	r.InstallReload(rl, 5)

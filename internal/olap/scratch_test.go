@@ -17,11 +17,11 @@ import (
 func TestApplyScratchReleasesChunks(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(4)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 
 	const tupleSize = 16
 	var freed atomic.Int64
-	rowID, vid := uint64(0), uint64(0)
+	key, vid := uint64(0), uint64(0)
 	sizes := []int{3 * routeShardMin, 512, 64, 8} // the first round takes the sharded router too
 	for _, n := range sizes {
 		// One receive chunk per round; every entry's Data aliases it, as
@@ -30,11 +30,11 @@ func TestApplyScratchReleasesChunks(t *testing.T) {
 		runtime.SetFinalizer(&chunk[0], func(*byte) { freed.Add(1) })
 		entries := make([]proplog.Entry, n)
 		for i := range entries {
-			rowID++
+			key++
 			vid++
 			data := chunk[i*tupleSize : (i+1)*tupleSize : (i+1)*tupleSize]
-			copy(data, tuple(s, int64(rowID), int64(vid)))
-			entries[i] = proplog.Entry{VID: vid, Kind: proplog.Insert, RowID: rowID, Size: tupleSize, Data: data}
+			copy(data, tuple(s, int64(key), int64(vid)))
+			entries[i] = proplog.Entry{VID: vid, Kind: proplog.Insert, Key: key, Size: tupleSize, Data: data}
 		}
 		r.ApplyUpdates([]proplog.Batch{{Worker: 0, Tables: []proplog.TableBatch{{Table: s.ID, Entries: entries}}}}, vid)
 		if st, err := r.ApplyPending(vid); err != nil || st.Entries != n {
@@ -44,8 +44,8 @@ func TestApplyScratchReleasesChunks(t *testing.T) {
 	if _, err := r.ApplyPending(vid); err != nil { // quiet round
 		t.Fatal(err)
 	}
-	if got := r.Table(s.ID).Live(); got != int(rowID) {
-		t.Fatalf("live rows = %d, want %d", got, rowID)
+	if got := r.Table(s.ID).Live(); got != int(key) {
+		t.Fatalf("live rows = %d, want %d", got, key)
 	}
 
 	deadline := time.Now().Add(5 * time.Second)

@@ -78,14 +78,20 @@ func (d *tpccDelta) fresh(tb testing.TB) *olap.Replica {
 	rep := chbench.EmptyReplica(d.db, 8)
 	rep.EnableZoneMaps(exec.DefaultMorselTuples)
 	rep.SetApplyWorkers(2)
+	slots := make([]int32, 64)
 	for _, t := range d.base.Tables() {
+		key := d.db.TableByID(t.Schema.ID).KeyFn
 		for _, p := range t.Partitions {
-			p.Scan(func(rowID uint64, tup []byte) bool {
-				if err := rep.LoadTuple(t.Schema.ID, rowID, append([]byte(nil), tup...)); err != nil {
-					tb.Fatal(err)
+			for next := 0; next < p.Slots(); {
+				var n int
+				n, next = p.LiveSlots(p.Slots(), next, slots)
+				for _, slot := range slots[:n] {
+					tup := append([]byte(nil), p.Tuple(slot)...)
+					if err := rep.LoadTuple(t.Schema.ID, key(tup), tup); err != nil {
+						tb.Fatal(err)
+					}
 				}
-				return true
-			})
+			}
 		}
 	}
 	exec.NewEngine(rep, 1).RunBatch(d.queries, 0)

@@ -10,7 +10,7 @@ import (
 
 // TestStoreConformance runs the partition conformance suite against the
 // row partition in every storage configuration, bare and zone-mapped,
-// pinning both to one contract. The contract: RowID 0 is the reserved tombstone sentinel,
+// pinning both to one contract. The contract: key 0 is an ordinary key,
 // duplicate inserts and patches to dead slots are rejected, deletes
 // recycle slots without growing the slot space, and scans skip
 // tombstones. Extend the suite when extending that surface.
@@ -60,13 +60,17 @@ func conformanceTuple(s *storage.Schema, id int64, a int32, b float64, c int64) 
 	return tup
 }
 
-// conformanceDirected checks the explicit error contract: the reserved sentinel,
+// conformanceDirected checks the explicit error contract: no reserved key,
 // duplicates, dead-slot patches, bounds, unknown rows, and slot
 // recycling.
 func conformanceDirected(t *testing.T, p *Partition) {
 	s := conformanceSchema()
-	if err := p.Insert(0, conformanceTuple(s, 0, 0, 0, 0)); err == nil {
-		t.Fatal("insert of reserved RowID 0 accepted")
+	// Key 0 is a row like any other; deleting it frees slot 0 for key 1.
+	if err := p.Insert(0, conformanceTuple(s, 0, 0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delete(0); err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Insert(1, conformanceTuple(s, 1, 10, 1.5, 100)); err != nil {
 		t.Fatal(err)
@@ -119,12 +123,11 @@ func conformanceDirected(t *testing.T, p *Partition) {
 	if p.Live() != 1 || p.Slots() != 2 {
 		t.Fatalf("Live=%d Slots=%d after delete", p.Live(), p.Slots())
 	}
-	p.Scan(func(rowID uint64, _ []byte) bool {
-		if rowID == 1 {
+	for _, sl := range liveSlots(p) {
+		if s.GetInt64(p.Tuple(sl), 0) == 1 {
 			t.Fatal("tombstoned row visible in scan")
 		}
-		return true
-	})
+	}
 
 	// Recycling: the freed slot is reused, the slot space does not grow,
 	// and the stale handle now addresses the recycled tuple — patching
@@ -155,26 +158,28 @@ func conformanceRandomized(t *testing.T, p *Partition) {
 		if p.Live() != len(model) {
 			t.Fatalf("Live=%d, model has %d", p.Live(), len(model))
 		}
-		seen := 0
-		p.Scan(func(rowID uint64, tup []byte) bool {
-			want, ok := model[rowID]
+		for rid, want := range model {
+			slot, ok := p.Locate(rid)
 			if !ok {
-				t.Fatalf("scan surfaced unknown row %d", rowID)
+				t.Fatalf("row %d not located", rid)
 			}
-			if string(tup) != string(want) {
-				t.Fatalf("row %d: scan %x, model %x", rowID, tup, want)
+			if tup := p.Tuple(slot); string(tup) != string(want) {
+				t.Fatalf("row %d: slot %d holds %x, model %x", rid, slot, tup, want)
 			}
-			seen++
-			return true
-		})
-		if seen != len(model) {
+		}
+		if seen := len(liveSlots(p)); seen != len(model) {
 			t.Fatalf("scan saw %d rows, model has %d", seen, len(model))
 		}
 		// Ranged scans cover the same rows, whatever the cut.
 		step := 1 + rng.Intn(p.Slots()+1)
 		ranged := 0
+		out := make([]int32, 16)
 		for lo := 0; lo < p.Slots(); lo += step {
-			p.ScanRange(lo, lo+step, func(uint64, []byte) bool { ranged++; return true })
+			for from := lo; from < lo+step; {
+				var n int
+				n, from = p.LiveSlots(lo+step, from, out)
+				ranged += n
+			}
 		}
 		if ranged != len(model) {
 			t.Fatalf("ranged scan saw %d rows, model has %d", ranged, len(model))

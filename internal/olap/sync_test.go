@@ -74,7 +74,7 @@ type flushFixture struct {
 func newFlushFixture(t *testing.T) *flushFixture {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, col0Key(s), 1024)
+	r.CreateTable(s, 1024)
 	f := &flushFixture{p: newFlushPrimary(r, s), stop: make(chan struct{})}
 	f.sched = NewScheduler(r, f.p, func(queries []int, snap uint64) []uint64 {
 		time.Sleep(5 * time.Millisecond)
@@ -202,7 +202,7 @@ func TestGapRoundsDormantOffTheHeartbeat(t *testing.T) {
 func TestPushRoundsWaitForTheBatch(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
-	r.CreateTable(s, col0Key(s), 64)
+	r.CreateTable(s, 64)
 	p := &fakePrimary{replica: r, schema: s}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var hold, released sync.Once

@@ -136,12 +136,12 @@ func (p *Partition) EnableZoneMap(blockTuples int) {
 		z.types[ci] = p.schema.Columns[c].Type
 	}
 	p.zm = z
-	z.grow(len(p.rowIDs))
+	z.grow(len(p.alive))
 	for b := range z.live {
 		lo, hi := p.blockSlots(b)
 		n := int32(0)
 		for i := lo; i < hi; i++ {
-			if p.rowIDs[i] != 0 {
+			if p.alive[i] {
 				n++
 			}
 		}
@@ -234,7 +234,7 @@ func (p *Partition) zmInsert(slot int32) {
 	z := p.zm
 	b := int(slot) >> z.shift
 	if b >= len(z.live) {
-		z.grow(len(p.rowIDs))
+		z.grow(len(p.alive))
 	}
 	z.live[b]++
 	if len(z.actCols) == 0 {
@@ -293,7 +293,7 @@ func (p *Partition) zmPatchSlot(slot int32, offset uint32, data []byte) {
 }
 
 // zmDelete retires a tombstoned slot's support (the tuple bytes are
-// still in place — Delete only clears the rowID). An emptied block
+// still in place — Delete only clears the live flag). An emptied block
 // resets to the exact empty sentinel; otherwise columns whose bound
 // lost its last supporter go dirty.
 func (p *Partition) zmDelete(slot int32) {
@@ -340,8 +340,8 @@ func (p *Partition) zmDelete(slot int32) {
 func (p *Partition) blockSlots(b int) (lo, hi int) {
 	lo = b << p.zm.shift
 	hi = lo + p.zm.block
-	if hi > len(p.rowIDs) {
-		hi = len(p.rowIDs)
+	if hi > len(p.alive) {
+		hi = len(p.alive)
 	}
 	return lo, hi
 }
@@ -359,7 +359,7 @@ func (p *Partition) recomputeBlockCols(b int, mask uint64) {
 		bi := base + ci
 		z.syn[bi] = colSyn{min: math.MaxInt64, max: math.MinInt64}
 		for i := lo; i < hi; i++ {
-			if p.rowIDs[i] == 0 {
+			if !p.alive[i] {
 				continue
 			}
 			z.admit(bi, z.key(p.data[i*p.tupleSize:], ci))
@@ -400,8 +400,8 @@ func (p *Partition) RangeMayMatch(lo, hi int, ranges []ColRange) bool {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(p.rowIDs) {
-		hi = len(p.rowIDs)
+	if hi > len(p.alive) {
+		hi = len(p.alive)
 	}
 	if lo >= hi {
 		return false
@@ -441,8 +441,8 @@ func (p *Partition) LiveInRange(lo, hi int) int {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(p.rowIDs) {
-		hi = len(p.rowIDs)
+	if hi > len(p.alive) {
+		hi = len(p.alive)
 	}
 	if lo >= hi {
 		return 0
@@ -451,7 +451,7 @@ func (p *Partition) LiveInRange(lo, hi int) int {
 	if z == nil {
 		n := 0
 		for i := lo; i < hi; i++ {
-			if p.rowIDs[i] != 0 {
+			if p.alive[i] {
 				n++
 			}
 		}
@@ -472,7 +472,7 @@ func (p *Partition) LiveInRange(lo, hi int) int {
 			end = hi
 		}
 		for ; i < end; i++ {
-			if p.rowIDs[i] != 0 {
+			if p.alive[i] {
 				n++
 			}
 		}

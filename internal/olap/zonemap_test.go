@@ -39,7 +39,7 @@ func zmCheck(t *testing.T, p *Partition) {
 			}
 			want := colSyn{min: math.MaxInt64, max: math.MinInt64}
 			for i := lo; i < hi; i++ {
-				if p.rowIDs[i] == 0 {
+				if !p.alive[i] {
 					continue
 				}
 				k := p.schema.OrdKey(p.data[i*p.tupleSize:(i+1)*p.tupleSize], col)
@@ -62,7 +62,7 @@ func zmCheck(t *testing.T, p *Partition) {
 			}
 		}
 		for i := lo; i < hi; i++ {
-			if p.rowIDs[i] != 0 {
+			if p.alive[i] {
 				live++
 			}
 		}
@@ -165,7 +165,7 @@ func TestZoneMapRandomApplyRounds(t *testing.T) {
 							continue
 						}
 						for i := blo; i < bhi; i++ {
-							if p.rowIDs[i] == 0 {
+							if !p.alive[i] {
 								continue
 							}
 							k := s.OrdKey(p.data[i*p.tupleSize:(i+1)*p.tupleSize], col)

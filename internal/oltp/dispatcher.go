@@ -149,7 +149,7 @@ func (e *Engine) runBatch(batch []request) {
 		}
 		if logErr != nil {
 			// The batch is lost from the log: stop here (ErrNotDurable).
-			err := fmt.Errorf("%w: %v", ErrNotDurable, logErr)
+			err := fmt.Errorf("%w: %w", ErrNotDurable, logErr)
 			e.logErr.Store(&err)
 		}
 	}

@@ -217,7 +217,7 @@ func TestLogFailureStopsTheEngine(t *testing.T) {
 	e, tbl := newKVEngine(t, Config{Workers: 2, PushPeriod: time.Hour})
 	log := &droppingLog{}
 	rep := olap.NewReplica(2)
-	rep.CreateTable(tbl.Schema, tbl.KeyFn, 16)
+	rep.CreateTable(tbl.Schema, 16)
 	e.SetLog(log)
 	e.SetSink(rep)
 	reg := obs.NewRegistry()

@@ -156,7 +156,8 @@ func (w *worker) execOne(req request, res *workerResult) {
 // extract converts the transaction's write set into physical update-log
 // entries (paper Fig. 3). Inserts carry the whole tuple; updates carry
 // either per-field patches or the whole tuple image depending on
-// configuration; deletes carry just the RowID.
+// configuration; deletes carry just the key. Every entry names its row by
+// the chain's packed primary key, which the replica indexes it under.
 func (w *worker) extract(writes []mvcc.WriteOp, commitVID uint64) {
 	e := w.engine
 	for i := range writes {
@@ -168,7 +169,7 @@ func (w *worker) extract(writes []mvcc.WriteOp, commitVID uint64) {
 		switch op.Kind {
 		case mvcc.OpInsert:
 			w.updates.Add(id, proplog.Entry{
-				VID: commitVID, Kind: proplog.Insert, RowID: op.New.RowID,
+				VID: commitVID, Kind: proplog.Insert, Key: op.Chain.Key,
 				Offset: 0, Size: uint32(len(op.New.Data)), Data: op.New.Data,
 			})
 			e.stats.PushedTuples.Inc()
@@ -189,7 +190,7 @@ func (w *worker) extract(writes []mvcc.WriteOp, commitVID uint64) {
 						j++
 					}
 					w.updates.Add(id, proplog.Entry{
-						VID: commitVID, Kind: proplog.Update, RowID: op.New.RowID,
+						VID: commitVID, Kind: proplog.Update, Key: op.Chain.Key,
 						Offset: uint32(off), Size: uint32(end - off),
 						Data: op.New.Data[off:end],
 					})
@@ -197,14 +198,14 @@ func (w *worker) extract(writes []mvcc.WriteOp, commitVID uint64) {
 				}
 			} else {
 				w.updates.Add(id, proplog.Entry{
-					VID: commitVID, Kind: proplog.Update, RowID: op.New.RowID,
+					VID: commitVID, Kind: proplog.Update, Key: op.Chain.Key,
 					Offset: 0, Size: uint32(len(op.New.Data)), Data: op.New.Data,
 				})
 			}
 			e.stats.PushedTuples.Inc()
 		case mvcc.OpDelete:
 			w.updates.Add(id, proplog.Entry{
-				VID: commitVID, Kind: proplog.Delete, RowID: op.Old.RowID,
+				VID: commitVID, Kind: proplog.Delete, Key: op.Chain.Key,
 			})
 			e.stats.PushedTuples.Inc()
 		}

@@ -52,9 +52,11 @@ type Entry struct {
 	VID uint64
 	// Kind says whether this inserts, patches, or deletes a tuple.
 	Kind Kind
-	// RowID uniquely identifies the target tuple at the OLAP replica
-	// (the hidden primary-key surrogate, paper §5).
-	RowID uint64
+	// Key is the target row's packed primary key (storage.KeyFunc): its
+	// identity from the primary's chain to the replica's partition index.
+	// The paper ships a hidden row-identifier surrogate instead (§5), as its
+	// keys may be wide; here every key is a unique, immutable uint64.
+	Key uint64
 	// Offset and Size delimit the patched byte range for updates; for
 	// inserts Offset is 0 and Size the full tuple width; for deletes
 	// both are 0.
@@ -191,7 +193,7 @@ func AppendEncode(dst []byte, b *Batch) []byte {
 			e := &tb.Entries[j]
 			dst = binary.LittleEndian.AppendUint64(dst, e.VID)
 			dst = append(dst, byte(e.Kind))
-			dst = binary.LittleEndian.AppendUint64(dst, e.RowID)
+			dst = binary.LittleEndian.AppendUint64(dst, e.Key)
 			dst = binary.LittleEndian.AppendUint32(dst, e.Offset)
 			dst = binary.LittleEndian.AppendUint32(dst, e.Size)
 			dst = append(dst, e.Data...)
@@ -264,7 +266,7 @@ func Decode(buf []byte) (Batch, error) {
 			e := &b.Tables[t].Entries[i]
 			e.VID = binary.LittleEndian.Uint64(buf[pos:])
 			e.Kind = Kind(buf[pos+8])
-			e.RowID = binary.LittleEndian.Uint64(buf[pos+9:])
+			e.Key = binary.LittleEndian.Uint64(buf[pos+9:])
 			e.Offset = binary.LittleEndian.Uint32(buf[pos+17:])
 			e.Size = binary.LittleEndian.Uint32(buf[pos+21:])
 			pos += 25

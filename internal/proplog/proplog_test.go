@@ -11,9 +11,9 @@ import (
 
 func TestBufferAccumulatesPerTable(t *testing.T) {
 	b := NewBuffer(3)
-	b.Add(1, Entry{VID: 1, Kind: Insert, RowID: 10, Size: 2, Data: []byte{1, 2}})
-	b.Add(2, Entry{VID: 1, Kind: Delete, RowID: 20})
-	b.Add(1, Entry{VID: 2, Kind: Update, RowID: 10, Offset: 4, Size: 1, Data: []byte{9}})
+	b.Add(1, Entry{VID: 1, Kind: Insert, Key: 10, Size: 2, Data: []byte{1, 2}})
+	b.Add(2, Entry{VID: 1, Kind: Delete, Key: 20})
+	b.Add(1, Entry{VID: 2, Kind: Update, Key: 10, Offset: 4, Size: 1, Data: []byte{9}})
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d", b.Len())
 	}
@@ -39,10 +39,10 @@ func TestBufferAccumulatesPerTable(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	b := NewBuffer(7)
-	b.Add(4, Entry{VID: 100, Kind: Insert, RowID: 1, Size: 3, Data: []byte{1, 2, 3}})
-	b.Add(4, Entry{VID: 101, Kind: Update, RowID: 1, Offset: 8, Size: 2, Data: []byte{5, 6}})
-	b.Add(4, Entry{VID: 102, Kind: Delete, RowID: 1})
-	b.Add(9, Entry{VID: 100, Kind: Insert, RowID: 2, Size: 1, Data: []byte{7}})
+	b.Add(4, Entry{VID: 100, Kind: Insert, Key: 1, Size: 3, Data: []byte{1, 2, 3}})
+	b.Add(4, Entry{VID: 101, Kind: Update, Key: 1, Offset: 8, Size: 2, Data: []byte{5, 6}})
+	b.Add(4, Entry{VID: 102, Kind: Delete, Key: 1})
+	b.Add(9, Entry{VID: 100, Kind: Insert, Key: 2, Size: 1, Data: []byte{7}})
 	batch := b.Take()
 
 	enc := AppendEncode(nil, &batch)
@@ -59,7 +59,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		for i := range batch.Tables[ti].Entries {
 			w, g := batch.Tables[ti].Entries[i], got.Tables[ti].Entries[i]
-			if w.VID != g.VID || w.Kind != g.Kind || w.RowID != g.RowID ||
+			if w.VID != g.VID || w.Kind != g.Kind || w.Key != g.Key ||
 				w.Offset != g.Offset || w.Size != g.Size || !bytes.Equal(w.Data, g.Data) {
 				t.Fatalf("entry %d/%d: %+v != %+v", ti, i, g, w)
 			}
@@ -69,7 +69,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	b := NewBuffer(0)
-	b.Add(1, Entry{VID: 1, Kind: Insert, RowID: 1, Size: 8, Data: make([]byte, 8)})
+	b.Add(1, Entry{VID: 1, Kind: Insert, Key: 1, Size: 8, Data: make([]byte, 8)})
 	batch := b.Take()
 	enc := AppendEncode(nil, &batch)
 	for cut := 1; cut < len(enc); cut++ {
@@ -86,15 +86,15 @@ func TestDecodeMalformed(t *testing.T) {
 	encode := func(entries ...Entry) []byte {
 		return AppendEncode(nil, &Batch{Worker: 1, Tables: []TableBatch{{Table: 3, Entries: entries}}})
 	}
-	ins := Entry{VID: 5, Kind: Insert, RowID: 9, Size: 2, Data: []byte{1, 2}}
+	ins := Entry{VID: 5, Kind: Insert, Key: 9, Size: 2, Data: []byte{1, 2}}
 	for _, tc := range []struct {
 		name string
 		buf  []byte
 		want error
 	}{
-		{"kind above Delete", encode(ins, Entry{VID: 6, Kind: Delete + 1, RowID: 9}), ErrMalformed},
-		{"kind 255", encode(Entry{VID: 6, Kind: 255, RowID: 9, Size: 1, Data: []byte{7}}), ErrMalformed},
-		{"delete with data", encode(ins, Entry{VID: 6, Kind: Delete, RowID: 9, Size: 1, Data: []byte{7}}), ErrMalformed},
+		{"kind above Delete", encode(ins, Entry{VID: 6, Kind: Delete + 1, Key: 9}), ErrMalformed},
+		{"kind 255", encode(Entry{VID: 6, Kind: 255, Key: 9, Size: 1, Data: []byte{7}}), ErrMalformed},
+		{"delete with data", encode(ins, Entry{VID: 6, Kind: Delete, Key: 9, Size: 1, Data: []byte{7}}), ErrMalformed},
 		{"one trailing byte", append(encode(ins), 0), ErrMalformed},
 		{"a second batch after the first", append(encode(ins), encode(ins)...), ErrMalformed},
 		{"cut mid-entry", encode(ins)[:20], ErrTruncated},
@@ -133,7 +133,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for ti := range batch.Tables {
 			for i := range batch.Tables[ti].Entries {
 				w, g := batch.Tables[ti].Entries[i], got.Tables[ti].Entries[i]
-				if w.VID != g.VID || w.Kind != g.Kind || w.RowID != g.RowID ||
+				if w.VID != g.VID || w.Kind != g.Kind || w.Key != g.Key ||
 					w.Offset != g.Offset || !bytes.Equal(w.Data, g.Data) {
 					return false
 				}

@@ -39,7 +39,7 @@ func TestSyncWithOversizedPush(t *testing.T) {
 	})
 
 	rep := olap.NewReplica(2)
-	rep.CreateTable(schema, tbl.KeyFn, 4096)
+	rep.CreateTable(schema, 4096)
 
 	l, err := network.Listen("127.0.0.1:0", nil)
 	if err != nil {

@@ -1,0 +1,119 @@
+package replica
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"testing"
+
+	"batchdb/internal/mvcc"
+	"batchdb/internal/network"
+	"batchdb/internal/olap"
+	"batchdb/internal/storage"
+)
+
+// FuzzBootRows holds the replica's bootstrap-row decoder to what a
+// resyncing replica needs from bytes off the network:
+// Client.handleBootRows never panics, and a message it accepts stages
+// exactly the (key, tuple) rows it encodes, which the installed reload
+// then serves by key.
+//
+//	go test -run '^$' -fuzz '^FuzzBootRows$' -fuzztime 15s ./internal/replica/
+func FuzzBootRows(f *testing.F) {
+	schema := storage.NewSchema(1, "kv", []storage.Column{
+		{Name: "k", Type: storage.Int64},
+		{Name: "v", Type: storage.Int64},
+	}, []int{0})
+	for _, frame := range shippedBootRows(f, schema) {
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+	}
+	f.Add([]byte{1, 0, 0, 0, 0, 0})                                     // no rows
+	f.Add([]byte{9, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown table
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		rep := olap.NewReplica(2)
+		tbl := rep.CreateTable(schema, 16)
+		c := NewResyncClient(nil, rep)
+		if err := c.handleBootRows(msg); err != nil {
+			return
+		}
+		// Accepted: the header names the table and the row count, and the
+		// rows fill the rest of the message exactly.
+		n := int(binary.LittleEndian.Uint32(msg[2:]))
+		want := map[uint64][]byte{}
+		for i, pos := 0, 6; i < n; i++ {
+			l := int(binary.LittleEndian.Uint32(msg[pos+8:]))
+			want[binary.LittleEndian.Uint64(msg[pos:])] = msg[pos+12 : pos+12+l]
+			pos += 12 + l
+		}
+		if got := c.staged.Rows(); got != n {
+			t.Fatalf("accepted %d rows, staged %d", n, got)
+		}
+		rep.InstallReload(c.staged, 1)
+		_, err := rep.ApplyPending(1)
+		if len(want) < n {
+			if err == nil {
+				t.Fatalf("a reload of %d rows under %d keys installed", n, len(want))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("installing the accepted rows: %v", err)
+		}
+		if tbl.Live() != n {
+			t.Fatalf("the reload serves %d rows, the message encodes %d", tbl.Live(), n)
+		}
+		for key, tup := range want {
+			if got, ok := tbl.GetByPK(key); !ok || !bytes.Equal(got, tup) {
+				t.Fatalf("key %d serves %x,%v; the message encodes %x", key, got, ok, tup)
+			}
+		}
+	})
+}
+
+// shippedBootRows returns the bootRows payloads ShipSnapshot sends for
+// a small table — keys 0 to 4, three rows a chunk — over an in-memory
+// connection.
+func shippedBootRows(tb testing.TB, schema *storage.Schema) [][]byte {
+	tb.Helper()
+	store := mvcc.NewStore()
+	tbl := store.CreateTable(schema, func(tup []byte) uint64 { return uint64(schema.GetInt64(tup, 0)) }, 16)
+	for k := int64(0); k < 5; k++ {
+		tup := schema.NewTuple()
+		schema.PutInt64(tup, 0, k)
+		schema.PutInt64(tup, 1, 10*k)
+		if _, err := tbl.LoadRow(tup); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	a, b := net.Pipe()
+	src, dst := network.NewConn(a, nil), network.NewConn(b, nil)
+	defer src.Close()
+	defer dst.Close()
+	shipped := make(chan error, 1)
+	go func() {
+		_, err := ShipSnapshot(src, store, []storage.TableID{1}, 3)
+		shipped <- err
+	}()
+	var frames [][]byte
+	for {
+		mt, payload, release, err := dst.Recv()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if mt == msgBootDone {
+			break
+		}
+		frames = append(frames, append([]byte(nil), payload...))
+		if release != nil {
+			release()
+		}
+	}
+	if err := <-shipped; err != nil {
+		tb.Fatal(err)
+	}
+	if len(frames) != 2 {
+		tb.Fatalf("ShipSnapshot sent %d row chunks, want 2", len(frames))
+	}
+	return frames
+}

@@ -30,7 +30,7 @@ func TestFreshnessThroughOutage(t *testing.T) {
 	defer engine.Close()
 
 	rep := olap.NewReplica(2)
-	rep.CreateTable(schema, col0Key(schema), 1024)
+	rep.CreateTable(schema, 1024)
 	sup := NewSupervisor(addr, rep, SupervisorConfig{
 		Retry:          network.RetryPolicy{Attempts: 3, BaseDelay: 5 * time.Millisecond},
 		ReconnectPause: 10 * time.Millisecond,

@@ -9,7 +9,8 @@
 //	primary -> replica: updates         (pushed update batches + upTo)
 //	primary -> replica: syncReply       (covered VID; ordered after the
 //	                                     updates it covers)
-//	primary -> replica: bootRows        (snapshot chunk during bootstrap)
+//	primary -> replica: bootRows        (snapshot chunk during bootstrap:
+//	                                     one table's (key, tuple) rows)
 //	primary -> replica: bootDone        (snapshot VID)
 //
 // Because the connection delivers in order and the primary writes the
@@ -212,7 +213,7 @@ func ShipSnapshot(conn *network.Conn, store *mvcc.Store, tables []storage.TableI
 			if rec == nil {
 				return true
 			}
-			buf = binary.LittleEndian.AppendUint64(buf, rec.RowID)
+			buf = binary.LittleEndian.AppendUint64(buf, c.Key)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Data)))
 			buf = append(buf, rec.Data...)
 			n++
@@ -260,7 +261,7 @@ func LoadLocal(rep *olap.Replica, store *mvcc.Store, tables []storage.TableID) (
 				return true
 			}
 			tup := append([]byte(nil), rec.Data...)
-			if err := rep.LoadTuple(id, rec.RowID, tup); err != nil {
+			if err := rep.LoadTuple(id, c.Key, tup); err != nil {
 				loadErr = err
 				return false
 			}
@@ -438,7 +439,7 @@ func (c *Client) handleBootRows(payload []byte) error {
 		if len(payload)-pos < 12 {
 			return errors.New("replica: truncated bootstrap row")
 		}
-		rowID := binary.LittleEndian.Uint64(payload[pos:])
+		key := binary.LittleEndian.Uint64(payload[pos:])
 		l := int(binary.LittleEndian.Uint32(payload[pos+8:]))
 		pos += 12
 		if len(payload)-pos < l {
@@ -447,12 +448,15 @@ func (c *Client) handleBootRows(payload []byte) error {
 		tup := append([]byte(nil), payload[pos:pos+l]...)
 		pos += l
 		if c.staged != nil {
-			if err := c.staged.LoadTuple(id, rowID, tup); err != nil {
+			if err := c.staged.LoadTuple(id, key, tup); err != nil {
 				return err
 			}
-		} else if err := c.replica.LoadTuple(id, rowID, tup); err != nil {
+		} else if err := c.replica.LoadTuple(id, key, tup); err != nil {
 			return err
 		}
+	}
+	if pos != len(payload) {
+		return errors.New("replica: bytes after the last bootstrap row")
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func newCluster(t *testing.T) *testCluster {
 
 	// Replica node.
 	rep := olap.NewReplica(2)
-	rep.CreateTable(schema, tbl.KeyFn, 1024)
+	rep.CreateTable(schema, 1024)
 
 	// Wire them over loopback TCP.
 	l, err := network.Listen("127.0.0.1:0", nil)
@@ -129,9 +129,8 @@ func TestRemoteReplicaEndToEnd(t *testing.T) {
 	}
 	sum := int64(0)
 	for _, p := range tbl.Partitions {
-		p.Scan(func(_ uint64, tup []byte) bool {
+		eachLive(p, func(tup []byte) {
 			sum += c.schema.GetInt64(tup, 1)
-			return true
 		})
 	}
 	want := int64(0)
@@ -193,9 +192,8 @@ func TestBootstrapThenLiveUpdates(t *testing.T) {
 	tbl := c.replica.Table(1)
 	sum := int64(0)
 	for _, p := range tbl.Partitions {
-		p.Scan(func(_ uint64, tup []byte) bool {
+		eachLive(p, func(tup []byte) {
 			sum += c.schema.GetInt64(tup, 1)
-			return true
 		})
 	}
 	want := int64(0)
@@ -268,8 +266,8 @@ func TestMultiSinkFanOut(t *testing.T) {
 		return nil, err
 	})
 	r1, r2 := olap.NewReplica(1), olap.NewReplica(1)
-	r1.CreateTable(schema, tbl.KeyFn, 64)
-	r2.CreateTable(schema, tbl.KeyFn, 64)
+	r1.CreateTable(schema, 64)
+	r2.CreateTable(schema, 64)
 	engine.AddSink(r1)
 	engine.AddSink(r2)
 	engine.Start()
@@ -285,6 +283,19 @@ func TestMultiSinkFanOut(t *testing.T) {
 		}
 		if r.Table(1).Live() != 10 {
 			t.Fatalf("fan-out replica has %d rows", r.Table(1).Live())
+		}
+	}
+}
+
+// eachLive calls fn with every live tuple of p, a vector of slots at a
+// time (Partition.LiveSlots).
+func eachLive(p *olap.Partition, fn func(tup []byte)) {
+	slots := make([]int32, 64)
+	for next := 0; next < p.Slots(); {
+		var n int
+		n, next = p.LiveSlots(p.Slots(), next, slots)
+		for _, s := range slots[:n] {
+			fn(p.Tuple(s))
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestServeCloseSeversReplicas(t *testing.T) {
 	}
 
 	late := olap.NewReplica(1)
-	late.CreateTable(schema, col0Key(schema), 64)
+	late.CreateTable(schema, 64)
 	lateSup := NewSupervisor(srv.Addr(), late, SupervisorConfig{
 		Retry: network.RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond},
 	})

@@ -62,11 +62,6 @@ func newServedCluster(t *testing.T) *servedCluster {
 	return &servedCluster{engine: engine, schema: schema, addr: srv.Addr()}
 }
 
-// col0Key is the primary key of the kv schema: its Int64 column 0.
-func col0Key(s *storage.Schema) func([]byte) uint64 {
-	return func(tup []byte) uint64 { return uint64(s.GetInt64(tup, 0)) }
-}
-
 func leU64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
@@ -83,7 +78,7 @@ func (sc *servedCluster) put(t *testing.T, from, to int64) {
 
 func newTestSupervisor(sc *servedCluster) (*Supervisor, *olap.Replica) {
 	rep := olap.NewReplica(2)
-	rep.CreateTable(sc.schema, col0Key(sc.schema), 1024)
+	rep.CreateTable(sc.schema, 1024)
 	sup := NewSupervisor(sc.addr, rep, SupervisorConfig{
 		Retry:          network.RetryPolicy{Attempts: 20, BaseDelay: 5 * time.Millisecond},
 		ReconnectPause: 10 * time.Millisecond,

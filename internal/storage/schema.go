@@ -75,9 +75,11 @@ type Schema struct {
 	ID      TableID
 	Name    string
 	Columns []Column
-	// Key lists the column ordinals forming the primary key. The key is
-	// used by the OLTP replica's primary index; the hidden RowID (paper
-	// §5) is managed outside the schema.
+	// Key lists the column ordinals forming the primary key. Packed into
+	// a uint64 (KeyFunc), it keys the OLTP replica's primary index and is
+	// each row's identity on the propagation wire and in the OLAP
+	// replica's partition indexes, where the paper uses a hidden RowID
+	// (§5).
 	Key []int
 
 	offsets   []int
@@ -177,20 +179,12 @@ func (s *Schema) PutFloat64(tup []byte, i int, v float64) {
 // GetString reads column i of tup, trimming NUL padding. The result is
 // a copy the caller may keep.
 func (s *Schema) GetString(tup []byte, i int) string {
-	return string(s.GetBytes(tup, i))
-}
-
-// GetBytes is GetString without the copy: the NUL-trimmed field,
-// aliasing tup. For predicates that look at a string and let go of it
-// (compare with the bytes package); a caller that retains the value
-// wants GetString.
-func (s *Schema) GetBytes(tup []byte, i int) []byte {
 	b := tup[s.offsets[i] : s.offsets[i]+s.Columns[i].Size]
 	end := len(b)
 	for end > 0 && b[end-1] == 0 {
 		end--
 	}
-	return b[:end]
+	return string(b[:end])
 }
 
 // PutString writes column i of tup, truncating to the column width and

@@ -58,6 +58,9 @@ func TestAccessorsRoundTrip(t *testing.T) {
 func TestPutStringTruncatesAndPads(t *testing.T) {
 	s := sampleSchema()
 	tup := s.NewTuple()
+	if got := s.GetString(tup, 3); got != "" {
+		t.Errorf("all-NUL field = %q, want empty", got)
+	}
 	s.PutString(tup, 3, "this string is far too long for the field")
 	if got := s.GetString(tup, 3); got != "this string is f" {
 		t.Errorf("truncated string = %q", got)
@@ -65,29 +68,6 @@ func TestPutStringTruncatesAndPads(t *testing.T) {
 	s.PutString(tup, 3, "short")
 	if got := s.GetString(tup, 3); got != "short" {
 		t.Errorf("after overwrite with shorter value = %q (stale bytes not padded?)", got)
-	}
-}
-
-// GetBytes is GetString's value without the copy: same trimming, but
-// aliasing the tuple, so a later write to the field shows through it
-// and not through a string taken earlier.
-func TestGetBytesAliasesTuple(t *testing.T) {
-	s := sampleSchema()
-	tup := s.NewTuple()
-	if got := s.GetBytes(tup, 3); len(got) != 0 {
-		t.Errorf("all-NUL field = %q, want empty", got)
-	}
-	s.PutString(tup, 3, "short")
-	b, str := s.GetBytes(tup, 3), s.GetString(tup, 3)
-	if string(b) != "short" || str != "short" {
-		t.Fatalf("GetBytes = %q, GetString = %q", b, str)
-	}
-	s.PutString(tup, 3, "SHOUT")
-	if string(b) != "SHOUT" || str != "short" {
-		t.Errorf("after overwrite GetBytes' slice = %q (want the new bytes), the earlier string = %q (want the old)", b, str)
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = s.GetBytes(tup, 3) }); n != 0 {
-		t.Errorf("GetBytes allocates %v times per call", n)
 	}
 }
 

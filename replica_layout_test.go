@@ -1,7 +1,6 @@
 package batchdb
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +34,7 @@ func TestEveryReplicaServesPrunedScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2},
-		[]ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}})
+		[]ReplicaTable{{Schema: f.schema}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestEveryReplicaServesPrunedScans(t *testing.T) {
 // loaded row (every join probe is a lookup in that index).
 func TestReplicateTablesKeepPKIndex(t *testing.T) {
 	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
-	regions, regionKey := f.addRegions(t)
+	regions := f.addRegions(t)
 	f.load(t, 100)
 	if err := f.db.Start(); err != nil {
 		t.Fatal(err)
@@ -120,8 +119,8 @@ func TestReplicateTablesKeepPKIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2}, []ReplicaTable{
-		{Schema: f.schema, Key: f.tbl.OLTP.KeyFn},
-		{Schema: regions, Key: regionKey},
+		{Schema: f.schema},
+		{Schema: regions},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,47 +147,9 @@ func TestReplicateTablesKeepPKIndex(t *testing.T) {
 	}
 }
 
-// TestReplicaTableKeyRequired: a remote replica keys every table like
-// its primary, so ConnectReplica and ConnectFleet refuse a ReplicaTable
-// without Key, naming the table, before they dial.
-func TestReplicaTableKeyRequired(t *testing.T) {
-	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
-	regions, _ := f.addRegions(t)
-	f.load(t, 10)
-	if err := f.db.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer f.db.Close()
-	addr, err := f.db.ServeReplicas("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := []ReplicaTable{{Schema: f.schema, Key: f.tbl.OLTP.KeyFn}, {Schema: regions}}
-	node, err := ConnectReplica(addr, ReplicaNodeConfig{Partitions: 2, Workers: 2}, tables)
-	if err == nil {
-		node.Close()
-		t.Fatal("ConnectReplica accepted a table without Key")
-	}
-	if !strings.Contains(err.Error(), `"regions"`) {
-		t.Errorf("ConnectReplica error %q does not name the table", err)
-	}
-	fl, err := ConnectFleet(addr, FleetConfig{Replicas: 2}, tables)
-	if err == nil {
-		fl.Close()
-		t.Fatal("ConnectFleet accepted a table without Key")
-	}
-	if !strings.Contains(err.Error(), `"regions"`) {
-		t.Errorf("ConnectFleet error %q does not name the table", err)
-	}
-	if n := f.db.ReplicaServerStats().Served.Load(); n != 0 {
-		t.Errorf("the primary served %d replica connections, want none", n)
-	}
-}
-
 // addRegions creates an Analytical-only regions(id, name) table keyed
-// by id, with regions 0..2 loaded (name 10*id), and returns its schema
-// and key.
-func (f *accountsFixture) addRegions(t *testing.T) (*Schema, KeyFunc) {
+// by id, with regions 0..2 loaded (name 10*id), and returns its schema.
+func (f *accountsFixture) addRegions(t *testing.T) *Schema {
 	t.Helper()
 	regions := NewSchema(2, "regions", []Column{
 		{Name: "id", Type: Int64},
@@ -207,5 +168,5 @@ func (f *accountsFixture) addRegions(t *testing.T) (*Schema, KeyFunc) {
 			t.Fatal(err)
 		}
 	}
-	return regions, regionKey
+	return regions
 }

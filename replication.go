@@ -74,7 +74,7 @@ func (db *DB) attachReplica(partitions int) (*olap.Replica, error) {
 	rep := newReplica(partitions)
 	for _, t := range db.order {
 		if t.opts.Analytical {
-			rep.CreateTable(t.OLTP.Schema, t.OLTP.KeyFn, t.opts.CapacityHint)
+			rep.CreateTable(t.OLTP.Schema, t.opts.CapacityHint)
 		}
 	}
 	db.engine.AddSink(rep)
@@ -130,15 +130,12 @@ func (w *WorkloadReplica) Stats() *olap.SchedulerStats { return w.sched.Stats() 
 func (w *WorkloadReplica) Close() { w.sched.Close() }
 
 // ReplicaTable declares one relation of a remote replica node; the
-// schema must match the primary's definition.
+// schema must match the primary's definition. The primary ships every
+// row under its packed primary key, which the node indexes, so every
+// join probe into the relation is a lookup by key.
 type ReplicaTable struct {
 	Schema       *Schema
 	CapacityHint int
-	// Key is the relation's primary key, the primary's KeyFunc for it
-	// (required). The node keeps a PK index on it, as a local replica
-	// does for every analytical table, and every join probe into the
-	// relation is a lookup in that index.
-	Key KeyFunc
 }
 
 // ReplicaNodeConfig parameterizes a remote OLAP replica node.
@@ -181,7 +178,7 @@ func newReplica(partitions int) *olap.Replica {
 }
 
 // ConnectReplica dials a primary's replication address, bootstraps, and
-// starts serving queries. Every table needs its Key.
+// starts serving queries.
 func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaTable) (*ReplicaNode, error) {
 	return connectReplica(primaryAddr, cfg, tables, obs.L("class", "remote"))
 }
@@ -189,11 +186,6 @@ func ConnectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 // connectReplica is ConnectReplica with the labels the node's
 // instruments register under.
 func connectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaTable, labels ...obs.Label) (*ReplicaNode, error) {
-	for _, t := range tables {
-		if t.Key == nil {
-			return nil, fmt.Errorf("batchdb: replica table %q (id %d) has no Key", t.Schema.Name, t.Schema.ID)
-		}
-	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}
@@ -203,7 +195,7 @@ func connectReplica(primaryAddr string, cfg ReplicaNodeConfig, tables []ReplicaT
 		if hint <= 0 {
 			hint = 1024
 		}
-		rep.CreateTable(t.Schema, t.Key, hint)
+		rep.CreateTable(t.Schema, hint)
 	}
 	return node.Connect(primaryAddr, rep, node.Config{
 		Workers:       cfg.Workers,
