@@ -187,7 +187,7 @@ func (t *Table) AddSecondary(name string, fn mvcc.SecondaryKeyFunc) *mvcc.Second
 }
 
 // Load installs a tuple as initial data (VID 0). Must precede Start.
-func (t *Table) Load(tup []byte) (uint64, error) { return t.OLTP.LoadRow(tup) }
+func (t *Table) Load(tup []byte) error { return t.OLTP.LoadRow(tup) }
 
 // DB is a BatchDB instance: the paper's single system interface over
 // the two replicas.

@@ -55,7 +55,7 @@ func (f *accountsFixture) load(t *testing.T, n int) {
 		f.schema.PutInt64(tup, 0, int64(i))
 		f.schema.PutInt64(tup, 1, 100)
 		f.schema.PutInt64(tup, 2, int64(i%3))
-		if _, err := f.tbl.Load(tup); err != nil {
+		if err := f.tbl.Load(tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,6 +150,45 @@ func TestBulkLoadThroughPublicAPI(t *testing.T) {
 	}
 	if want := float64(10*100 + n*7); res.Values[0] != want {
 		t.Fatalf("total after bulk load = %f, want %f", res.Values[0], want)
+	}
+}
+
+// TestWrongWidthInsertAborts: a procedure that inserts a tuple of the
+// wrong width aborts instead of committing a row the replica cannot
+// store, so the apply round behind the next query does not fail (it
+// used to panic the scheduler). Loading and bulk loading refuse such a
+// tuple the same way.
+func TestWrongWidthInsertAborts(t *testing.T) {
+	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2})
+	f.load(t, 10)
+	wide := make([]byte, 2*f.schema.TupleSize())
+	if err := f.tbl.Load(wide); err == nil {
+		t.Fatal("Load accepted a tuple of twice the width")
+	}
+	if err := f.db.Register("wide", func(tx *Txn, _ []byte) ([]byte, error) {
+		return nil, tx.Insert(f.tbl.OLTP, append([]byte(nil), wide...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.db.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.db.Close()
+	if r := f.db.Exec("wide", nil); r.Err == nil {
+		t.Fatal("a tuple of twice the width committed")
+	}
+	if _, err := f.db.BulkLoadRows(f.tbl.ID(), [][]byte{wide}); err == nil {
+		t.Fatal("BulkLoadRows accepted a tuple of twice the width")
+	}
+	if r := f.db.Exec("deposit", depositArgs(1, 5)); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	res, err := f.db.Query(f.totalQuery())
+	if err != nil || res.Err != nil {
+		t.Fatalf("query after the refused inserts: %v / %v", err, res.Err)
+	}
+	if want := float64(10*100 + 5); res.Values[0] != want {
+		t.Fatalf("total = %f, want %f", res.Values[0], want)
 	}
 }
 

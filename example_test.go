@@ -40,7 +40,7 @@ func Example() {
 	for i := int64(1); i <= 3; i++ {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, i)
-		if _, err := counters.Load(tup); err != nil {
+		if err := counters.Load(tup); err != nil {
 			log.Fatal(err)
 		}
 	}

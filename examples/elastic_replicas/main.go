@@ -39,7 +39,7 @@ func main() {
 		schema.PutInt64(tup, 0, int64(binary.LittleEndian.Uint64(args)))
 		schema.PutInt64(tup, 1, int64(binary.LittleEndian.Uint64(args[8:])))
 		schema.PutFloat64(tup, 2, float64(binary.LittleEndian.Uint64(args[16:]))/100)
-		_, err := tx.Insert(readings.OLTP, tup)
+		err := tx.Insert(readings.OLTP, tup)
 		return nil, err
 	}); err != nil {
 		log.Fatal(err)
@@ -50,7 +50,7 @@ func main() {
 		schema.PutInt64(tup, 0, i)
 		schema.PutInt64(tup, 1, i%16)
 		schema.PutFloat64(tup, 2, float64(i%100))
-		if _, err := readings.Load(tup); err != nil {
+		if err := readings.Load(tup); err != nil {
 			log.Fatal(err)
 		}
 	}

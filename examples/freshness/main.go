@@ -47,7 +47,7 @@ func measure(pushPeriod time.Duration) time.Duration {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, int64(binary.LittleEndian.Uint64(args)))
 		schema.PutInt64(tup, 1, 1)
-		_, err := tx.Insert(events.OLTP, tup)
+		err := tx.Insert(events.OLTP, tup)
 		return nil, err
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ func main() {
 		schema.PutInt64(tup, 0, i)
 		schema.PutFloat64(tup, 1, 100)
 		schema.PutInt64(tup, 2, i%5)
-		if _, err := accounts.Load(tup); err != nil {
+		if err := accounts.Load(tup); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -270,12 +270,7 @@ func (e *Engine) runQuery(r queryReq) {
 	}
 	ds := driver.Schema
 	joined := make([][]byte, 0, len(q.Probes))
-	driver.ScanChains(func(c *mvcc.Chain) bool {
-		rec := tx.ReadChain(c)
-		if rec == nil {
-			return true
-		}
-		tup := rec.Data
+	driver.Scan(tx, func(_ uint64, tup []byte) bool {
 		if !Accepts(ds, q.Where, tup) {
 			return true
 		}

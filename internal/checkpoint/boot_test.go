@@ -39,7 +39,7 @@ func newKVEngineWith(t *testing.T, seedRows int64, cfg oltp.Config) (*oltp.Engin
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, k)
 		schema.PutInt64(tup, 1, v)
-		if _, err := tx.Insert(tbl, tup); err != nil {
+		if err := tx.Insert(tbl, tup); err != nil {
 			return nil, err
 		}
 		return nil, nil

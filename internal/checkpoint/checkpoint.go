@@ -12,13 +12,20 @@
 // one otherwise) and replays only WAL records with CommitVID above the
 // checkpoint VID; WAL segments below the fallback point are truncated.
 //
-// On-disk format (ckpt-<vid>.ck): an 8-byte magic, then CRC-framed
-// blocks [len u32][crc32C u32][kind u8 + payload]:
+// On-disk format v2 (ckpt-<vid>.ck): the 8-byte magic "BDBCKPT2", then
+// CRC-framed blocks [len u32][crc32C u32][kind u8 + payload]:
 //
 //	header  — checkpoint VID, table count
-//	rows    — table id + a chunk of (rowID, tuple) pairs
+//	rows    — one row chunk (proplog.RowChunker): a table id and
+//	          that table's rows, each as (packed primary key, tuple)
 //	table   — table id + total row count (closes one table)
 //	trailer — total row count over all tables (proves completeness)
+//
+// A row is named by its primary key, as on the replication wire; the
+// version-1 format named it by a per-row surrogate the store no longer
+// keeps. A v1 file fails Verify on its magic (ErrInvalid), so recovery
+// falls back past it instead of parsing it the wrong way. Restore checks
+// each stored key against the tuple it names.
 //
 // The file is written to a temp name, fsynced, atomically renamed, and
 // the directory fsynced; a MANIFEST (updated the same way) records which
@@ -39,10 +46,11 @@ import (
 
 	"batchdb/internal/crash"
 	"batchdb/internal/mvcc"
+	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 )
 
-const fileMagic = "BDBCKPT1"
+const fileMagic = "BDBCKPT2"
 
 const (
 	kindHeader  = 1
@@ -99,14 +107,17 @@ func (w *injWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (w *injWriter) frame(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+// frame writes one block: its length and CRC, the kind byte, and body.
+func (w *injWriter) frame(kind byte, body []byte) error {
+	var hdr [9]byte
+	hdr[8] = kind
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(1+len(body)))
+	crc := crc32.Update(crc32.Checksum(hdr[8:], crcTable), crcTable, body)
+	binary.LittleEndian.PutUint32(hdr[4:], crc)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(body)
 	return err
 }
 
@@ -162,10 +173,9 @@ func writeBody(w *injWriter, store *mvcc.Store, snap uint64) (int, error) {
 	}
 	tables := store.Tables()
 	var buf []byte
-	buf = append(buf[:0], kindHeader)
 	buf = binary.LittleEndian.AppendUint64(buf, snap)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))
-	if err := w.frame(buf); err != nil {
+	if err := w.frame(kindHeader, buf); err != nil {
 		return 0, err
 	}
 
@@ -174,54 +184,22 @@ func writeBody(w *injWriter, store *mvcc.Store, snap uint64) (int, error) {
 	totalRows := 0
 	for _, t := range tables {
 		id := t.Schema.ID
-		tableRows := uint64(0)
-		chunk := make([]byte, 0, 1<<16)
-		count := 0
-		flush := func() error {
-			if count == 0 {
-				return nil
-			}
-			buf = append(buf[:0], kindRows)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(id))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-			buf = append(buf, chunk...)
-			chunk = chunk[:0]
-			count = 0
-			return w.frame(buf)
-		}
-		var scanErr error
-		t.ScanChains(func(c *mvcc.Chain) bool {
-			rec := ro.ReadChain(c)
-			if rec == nil {
-				return true // not visible at snap (inserted later or deleted)
-			}
-			chunk = binary.LittleEndian.AppendUint64(chunk, rec.RowID)
-			chunk = binary.LittleEndian.AppendUint32(chunk, uint32(len(rec.Data)))
-			chunk = append(chunk, rec.Data...)
-			count++
-			tableRows++
-			if count >= rowsPerFrame {
-				scanErr = flush()
-			}
-			return scanErr == nil
+		rows := proplog.NewRowChunker(id, rowsPerFrame, func(chunk []byte) error {
+			return w.frame(kindRows, chunk)
 		})
-		if scanErr != nil {
-			return 0, scanErr
-		}
-		if err := flush(); err != nil {
+		t.Scan(ro, rows.Add)
+		if err := rows.Flush(); err != nil {
 			return 0, err
 		}
-		buf = append(buf[:0], kindTable)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(id))
-		buf = binary.LittleEndian.AppendUint64(buf, tableRows)
-		if err := w.frame(buf); err != nil {
+		buf = binary.LittleEndian.AppendUint16(buf[:0], uint16(id))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rows.Rows()))
+		if err := w.frame(kindTable, buf); err != nil {
 			return 0, err
 		}
-		totalRows += int(tableRows)
+		totalRows += rows.Rows()
 	}
-	buf = append(buf[:0], kindTrailer)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(totalRows))
-	if err := w.frame(buf); err != nil {
+	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(totalRows))
+	if err := w.frame(kindTrailer, buf); err != nil {
 		return 0, err
 	}
 	return totalRows, nil
@@ -232,7 +210,7 @@ func writeBody(w *injWriter, store *mvcc.Store, snap uint64) (int, error) {
 // CRCs, per-table counts against their table frames, and the trailer's
 // grand total. Any deviation is ErrInvalid — a checkpoint is only
 // usable when provably complete.
-func read(path string, row func(table storage.TableID, rowID uint64, data []byte) error) (vid uint64, err error) {
+func read(path string, row func(table storage.TableID, key uint64, data []byte) error) (vid uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -296,36 +274,25 @@ func read(path string, row func(table storage.TableID, rowID uint64, data []byte
 			vid = binary.LittleEndian.Uint64(body[1:])
 			tableCount = binary.LittleEndian.Uint32(body[9:])
 		case kindRows:
-			if !sawHeader || len(body) < 1+2+4 {
-				return 0, fmt.Errorf("%w: bad rows frame", ErrInvalid)
+			if !sawHeader {
+				return 0, fmt.Errorf("%w: rows before the header", ErrInvalid)
 			}
-			id := storage.TableID(binary.LittleEndian.Uint16(body[1:]))
-			if hasOpen && id != openTable {
-				return 0, fmt.Errorf("%w: interleaved tables", ErrInvalid)
-			}
-			openTable, hasOpen = id, true
-			count := binary.LittleEndian.Uint32(body[3:])
-			p := body[7:]
-			for i := uint32(0); i < count; i++ {
-				if len(p) < 12 {
-					return 0, fmt.Errorf("%w: short row", ErrInvalid)
+			err := proplog.DecodeRowChunk(body[1:], func(id storage.TableID, key uint64, data []byte) error {
+				if hasOpen && id != openTable {
+					return fmt.Errorf("%w: interleaved tables", ErrInvalid)
 				}
-				rowID := binary.LittleEndian.Uint64(p)
-				dl := binary.LittleEndian.Uint32(p[8:])
-				p = p[12:]
-				if uint32(len(p)) < dl {
-					return 0, fmt.Errorf("%w: short row data", ErrInvalid)
-				}
-				if row != nil {
-					if err := row(id, rowID, p[:dl]); err != nil {
-						return 0, err
-					}
-				}
-				p = p[dl:]
+				openTable, hasOpen = id, true
 				rowsSeen[id]++
+				if row != nil {
+					return row(id, key, data)
+				}
+				return nil
+			})
+			if errors.Is(err, proplog.ErrBadRowChunk) {
+				err = fmt.Errorf("%w: %v", ErrInvalid, err)
 			}
-			if len(p) != 0 {
-				return 0, fmt.Errorf("%w: trailing bytes in rows frame", ErrInvalid)
+			if err != nil {
+				return 0, err
 			}
 		case kindTable:
 			if !sawHeader || len(body) != 1+2+8 {
@@ -374,19 +341,24 @@ func Verify(path string) (uint64, error) {
 }
 
 // Restore loads a verified checkpoint into an empty store: every row is
-// installed at VID 0 under its original RowID (the OLAP replica's row
-// identity), and the caller repositions the VID allocator at the
-// returned checkpoint VID so WAL replay resumes the dense sequence.
+// installed at VID 0 (mvcc.Table.LoadRow), and the caller repositions
+// the VID allocator at the returned checkpoint VID so WAL replay resumes
+// the dense sequence. A row the table cannot take — of the wrong width,
+// under a key already loaded, or stored under a key that is not its
+// tuple's — is ErrInvalid.
 func Restore(path string, store *mvcc.Store) (uint64, int, error) {
 	rows := 0
-	vid, err := read(path, func(id storage.TableID, rowID uint64, data []byte) error {
+	vid, err := read(path, func(id storage.TableID, key uint64, data []byte) error {
 		t := store.Table(id)
 		if t == nil {
 			return fmt.Errorf("checkpoint: restore: unknown table %d (DDL mismatch)", id)
 		}
-		tup := append([]byte(nil), data...)
-		if err := t.LoadRowWithID(rowID, tup); err != nil {
-			return fmt.Errorf("checkpoint: restore table %d row %d: %w", id, rowID, err)
+		err := t.LoadRow(append([]byte(nil), data...))
+		if err == nil && t.KeyFn(data) != key {
+			err = fmt.Errorf("row stored under key %d holds key %d", key, t.KeyFn(data))
+		}
+		if err != nil {
+			return fmt.Errorf("%w: restore table %s: %v", ErrInvalid, t.Schema.Name, err)
 		}
 		rows++
 		return nil

@@ -1,13 +1,18 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"batchdb/internal/mvcc"
+	"batchdb/internal/proplog"
 	"batchdb/internal/storage"
 )
 
@@ -29,7 +34,7 @@ func loadKV(t testing.TB, tbl *mvcc.Table, k, v int64) {
 	tup := tbl.Schema.NewTuple()
 	tbl.Schema.PutInt64(tup, 0, k)
 	tbl.Schema.PutInt64(tup, 1, v)
-	if _, err := tbl.LoadRow(tup); err != nil {
+	if err := tbl.LoadRow(tup); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,23 +82,36 @@ func TestWriteVerifyRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestorePreservesRowIDs(t *testing.T) {
+// TestRestoreReproducesSumAndKeys restores a checkpoint taken after
+// deletes, updates and an insert of key 0, and checks the fingerprint and that
+// every key reads its own tuple.
+func TestRestoreReproducesSumAndKeys(t *testing.T) {
 	store, tbl := newKVStore()
 	for i := int64(1); i <= 50; i++ {
 		loadKV(t, tbl, i, i)
 	}
-	want := map[uint64]uint64{} // key -> RowID
-	ro := store.BeginROAt(0)
-	tbl.ScanChains(func(c *mvcc.Chain) bool {
-		if r := ro.ReadChain(c); r != nil {
-			want[c.Key] = r.RowID
+	tx := store.BeginAt(0)
+	for k := uint64(1); k <= 50; k += 7 {
+		if err := tx.Delete(tbl, k); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	ro.Release()
+	}
+	for k := uint64(3); k <= 50; k += 7 {
+		if err := tx.Update(tbl, k, []int{1}, func(tup []byte) { tbl.Schema.PutInt64(tup, 1, -int64(k)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tup := tbl.Schema.NewTuple()
+	tbl.Schema.PutInt64(tup, 0, 0)
+	if err := tx.Insert(tbl, tup); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	dir := t.TempDir()
-	info, err := Write(dir, store, 0, nil)
+	info, err := Write(t.TempDir(), store, snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,28 +119,116 @@ func TestRestorePreservesRowIDs(t *testing.T) {
 	if _, _, err := Restore(info.Path, rec); err != nil {
 		t.Fatal(err)
 	}
-	ro2 := rec.BeginROAt(0)
+	if !SumsEqual(SumAt(store, snap), SumAt(rec, 0)) {
+		t.Fatalf("restored fingerprint %v, original %v", SumAt(rec, 0), SumAt(store, snap))
+	}
+	ro, ro2 := store.BeginROAt(snap), rec.BeginROAt(0)
+	defer ro.Release()
 	defer ro2.Release()
-	tbl2.ScanChains(func(c *mvcc.Chain) bool {
-		r := ro2.ReadChain(c)
-		if r == nil {
-			t.Errorf("key %d missing", c.Key)
-			return true
-		}
-		if r.RowID != want[c.Key] {
-			t.Errorf("key %d: RowID %d, want %d", c.Key, r.RowID, want[c.Key])
+	want := 0
+	tbl.Scan(ro, func(key uint64, tup []byte) bool {
+		want++
+		if got, ok := ro2.Get(tbl2, key); !ok || !bytes.Equal(got, tup) {
+			t.Errorf("key %d restores as %x,%v, want %x", key, got, ok, tup)
 		}
 		return true
 	})
-	// The allocator must be past the largest restored RowID.
-	var max uint64
-	for _, id := range want {
-		if id > max {
-			max = id
+	tbl2.Scan(ro2, func(key uint64, tup []byte) bool {
+		if tbl2.KeyFn(tup) != key {
+			t.Errorf("restored key %d holds the tuple of key %d", key, tbl2.KeyFn(tup))
 		}
+		want--
+		return true
+	})
+	if want != 0 {
+		t.Fatalf("restore holds %d rows more or fewer than the original", -want)
 	}
-	if got := tbl2.AllocRowID(); got <= max {
-		t.Fatalf("AllocRowID after restore = %d, must exceed %d", got, max)
+}
+
+// row is one hand-built checkpoint row: the u64 it is stored under and
+// its tuple.
+type row struct {
+	key uint64
+	tup []byte
+}
+
+// handBuiltFile returns a checkpoint file with the given magic and one
+// table (id 1) of rows, every frame carrying a correct length and CRC.
+func handBuiltFile(t *testing.T, magic string, rows []row) string {
+	t.Helper()
+	file := []byte(magic)
+	frame := func(body []byte) {
+		file = binary.LittleEndian.AppendUint32(file, uint32(len(body)))
+		file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(body, crcTable))
+		file = append(file, body...)
+	}
+	frame(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64([]byte{kindHeader}, 9), 1))
+	chunks := proplog.NewRowChunker(1, len(rows), func(chunk []byte) error {
+		frame(append([]byte{kindRows}, chunk...))
+		return nil
+	})
+	for _, r := range rows {
+		chunks.Add(r.key, r.tup)
+	}
+	chunks.Flush()
+	frame(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint16([]byte{kindTable}, 1), uint64(len(rows))))
+	frame(binary.LittleEndian.AppendUint64([]byte{kindTrailer}, uint64(len(rows))))
+	path := filepath.Join(t.TempDir(), "hand.ck")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func kvTup(tbl *mvcc.Table, k, v int64) []byte {
+	tup := tbl.Schema.NewTuple()
+	tbl.Schema.PutInt64(tup, 0, k)
+	tbl.Schema.PutInt64(tup, 1, v)
+	return tup
+}
+
+// TestVerifyRefusesV1File: a version-1 file — rows under a per-row
+// surrogate in the same bytes a v2 key takes, every CRC valid — is
+// ErrInvalid on its magic, for Verify and Restore alike.
+func TestVerifyRefusesV1File(t *testing.T) {
+	rec, tbl := newKVStore()
+	path := handBuiltFile(t, "BDBCKPT1", []row{{17, kvTup(tbl, 1, 10)}, {3, kvTup(tbl, 2, 20)}})
+	if _, err := Verify(path); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Verify(v1) = %v, want ErrInvalid", err)
+	}
+	if _, _, err := Restore(path, rec); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Restore(v1) = %v, want ErrInvalid", err)
+	}
+	if n := tbl.NumChains(); n != 0 {
+		t.Fatalf("a refused v1 file loaded %d rows", n)
+	}
+	// The same rows under their keys and the v2 magic restore.
+	path = handBuiltFile(t, fileMagic, []row{{1, kvTup(tbl, 1, 10)}, {2, kvTup(tbl, 2, 20)}})
+	if _, n, err := Restore(path, rec); err != nil || n != 2 {
+		t.Fatalf("Restore(v2) = %d rows, %v", n, err)
+	}
+}
+
+// TestRestoreRejectsBadRows: a file whose frames are sound but whose
+// rows the table cannot take verifies, and fails Restore with
+// ErrInvalid naming the table.
+func TestRestoreRejectsBadRows(t *testing.T) {
+	_, tbl := newKVStore()
+	for name, rows := range map[string][]row{
+		"key not the tuple's": {{1, kvTup(tbl, 1, 10)}, {5, kvTup(tbl, 2, 20)}},
+		"wrong width":         {{1, kvTup(tbl, 1, 10)}, {2, append(kvTup(tbl, 2, 20), 0)}},
+		"short tuple":         {{1, kvTup(tbl, 1, 10)}, {2, kvTup(tbl, 2, 20)[:8]}},
+		"duplicate key":       {{1, kvTup(tbl, 1, 10)}, {1, kvTup(tbl, 1, 11)}},
+	} {
+		path := handBuiltFile(t, fileMagic, rows)
+		if _, err := Verify(path); err != nil {
+			t.Fatalf("%s: Verify = %v; the frames are sound", name, err)
+		}
+		rec, _ := newKVStore()
+		_, _, err := Restore(path, rec)
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "table kv") {
+			t.Errorf("%s: Restore = %v, want ErrInvalid naming table kv", name, err)
+		}
 	}
 }
 
@@ -222,7 +328,7 @@ func TestSumAtOrderIndependence(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		loadKV(t, ta, i, i*3)
 	}
-	for i := int64(100); i >= 1; i-- { // reverse load order: RowIDs differ
+	for i := int64(100); i >= 1; i-- { // reverse load order: scan orders differ
 		loadKV(t, tb, i, i*3)
 	}
 	if !SumsEqual(SumAt(a, 0), SumAt(b, 0)) {

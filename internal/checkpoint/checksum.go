@@ -12,9 +12,8 @@ import (
 // TableSum is a content fingerprint of one table at a snapshot: the row
 // count plus an order-independent checksum (the wrapping sum of per-row
 // FNV-1a hashes over primary key and tuple bytes). Two stores hold the
-// same logical state at a snapshot iff their TableSums match — RowIDs
-// are deliberately excluded, since scan order (and thus load order) may
-// differ between an original run and a recovered one.
+// same logical state at a snapshot iff their TableSums match, whatever
+// order their scans visit the rows in.
 type TableSum struct {
 	Table storage.TableID `json:"table"`
 	Rows  uint64          `json:"rows"`
@@ -32,15 +31,11 @@ func SumAt(store *mvcc.Store, snap uint64) []TableSum {
 	for _, t := range store.Tables() {
 		ts := TableSum{Table: t.Schema.ID}
 		var kb [8]byte
-		t.ScanChains(func(c *mvcc.Chain) bool {
-			rec := ro.ReadChain(c)
-			if rec == nil {
-				return true
-			}
+		t.Scan(ro, func(key uint64, tup []byte) bool {
 			h := fnv.New64a()
-			binary.LittleEndian.PutUint64(kb[:], c.Key)
+			binary.LittleEndian.PutUint64(kb[:], key)
 			h.Write(kb[:])
-			h.Write(rec.Data)
+			h.Write(tup)
 			ts.Sum += h.Sum64()
 			ts.Rows++
 			return true

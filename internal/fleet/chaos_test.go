@@ -66,7 +66,7 @@ func newChaosPrimary(t *testing.T) *chaosPrimary {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, schema.GetInt64(args, 0))
 		schema.PutInt64(tup, 1, schema.GetInt64(args, 1))
-		_, err := tx.Insert(tbl, tup)
+		err := tx.Insert(tbl, tup)
 		return nil, err
 	})
 	l, err := network.Listen("127.0.0.1:0", nil)

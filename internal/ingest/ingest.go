@@ -95,12 +95,6 @@ func RegisterProc(e *oltp.Engine) {
 		if t == nil {
 			return nil, fmt.Errorf("ingest: no table %d", tid)
 		}
-		if want := t.Schema.TupleSize(); len(rows[0]) != want {
-			return nil, fmt.Errorf("%w: %d-byte rows for table %d (want %d)", ErrBadChunk, len(rows[0]), tid, want)
-		}
-		if _, err := tx.InsertBatch(t, rows); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, tx.InsertBatch(t, rows)
 	})
 }

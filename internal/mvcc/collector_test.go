@@ -190,7 +190,7 @@ func TestCollectorMatchesSweep(t *testing.T) {
 		}
 	}
 	insert := func(k int64, r gcRow) func(*Table, *Txn) error {
-		return func(tbl *Table, tx *Txn) error { _, err := tx.Insert(tbl, gcTuple(tbl, k, r)); return err }
+		return func(tbl *Table, tx *Txn) error { err := tx.Insert(tbl, gcTuple(tbl, k, r)); return err }
 	}
 	remove := func(k int64) func(*Table, *Txn) error {
 		return func(tbl *Table, tx *Txn) error { return tx.Delete(tbl, uint64(k)) }
@@ -361,7 +361,7 @@ func TestCollectorsConcurrent(t *testing.T) {
 	s, tbl, sec := gcTable()
 	setup := s.Begin()
 	for k := int64(0); k < keys; k += 2 {
-		if _, err := setup.Insert(tbl, gcTuple(tbl, k, gcRow{k % groups, 0})); err != nil {
+		if err := setup.Insert(tbl, gcTuple(tbl, k, gcRow{k % groups, 0})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,7 +441,7 @@ func TestCollectorsConcurrent(t *testing.T) {
 				var err error
 				switch rng.Intn(5) {
 				case 0:
-					_, err = tx.Insert(tbl, gcTuple(tbl, k, gcRow{grp, int64(i)}))
+					err = tx.Insert(tbl, gcTuple(tbl, k, gcRow{grp, int64(i)}))
 				case 1:
 					err = tx.Delete(tbl, uint64(k))
 				case 2:

@@ -140,7 +140,7 @@ func TestConcurrentInsertRace(t *testing.T) {
 				tup := tbl.Schema.NewTuple()
 				tbl.Schema.PutInt64(tup, 0, k)
 				tbl.Schema.PutInt64(tup, 1, int64(r))
-				if _, err := tx.Insert(tbl, tup); err == nil {
+				if err := tx.Insert(tbl, tup); err == nil {
 					if _, err := tx.Commit(); err == nil {
 						wins.Add(1)
 					}
@@ -297,7 +297,7 @@ func TestGCConcurrentWithWriters(t *testing.T) {
 					tup := tbl.Schema.NewTuple()
 					tbl.Schema.PutInt64(tup, 0, k)
 					tbl.Schema.PutInt64(tup, 1, int64(i))
-					_, err = tx.Insert(tbl, tup)
+					err = tx.Insert(tbl, tup)
 				}
 				if err != nil {
 					tx.Abort()
@@ -343,7 +343,7 @@ func TestSerialHistoryMatchesMap(t *testing.T) {
 				tup := tbl.Schema.NewTuple()
 				tbl.Schema.PutInt64(tup, 0, int64(k))
 				tbl.Schema.PutInt64(tup, 1, o.Val)
-				_, err = tx.Insert(tbl, tup)
+				err = tx.Insert(tbl, tup)
 				if _, exists := ref[k]; exists {
 					if !errors.Is(err, ErrDuplicateKey) {
 						return false

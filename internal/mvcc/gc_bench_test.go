@@ -41,7 +41,7 @@ func BenchmarkGCPerTxn(b *testing.B) {
 			s, tbl, _ := gcTable()
 			load := s.Begin()
 			for k := int64(0); k < rows; k++ {
-				if _, err := load.Insert(tbl, gcTuple(tbl, k, gcRow{k % 7, 0})); err != nil {
+				if err := load.Insert(tbl, gcTuple(tbl, k, gcRow{k % 7, 0})); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +54,7 @@ func BenchmarkGCPerTxn(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				oldest, next := int64(i), int64(i)+rows
 				tx := s.Begin()
-				_, err := tx.Insert(tbl, gcTuple(tbl, next, gcRow{next % 7, 0}))
+				err := tx.Insert(tbl, gcTuple(tbl, next, gcRow{next % 7, 0}))
 				if err == nil {
 					err = tx.Delete(tbl, uint64(oldest))
 				}

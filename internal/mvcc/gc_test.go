@@ -28,7 +28,7 @@ func TestGCPrunesSecondaryIndex(t *testing.T) {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, i)
 		schema.PutInt64(tup, 1, 1)
-		if _, err := tx.Insert(tbl, tup); err != nil {
+		if err := tx.Insert(tbl, tup); err != nil {
 			t.Fatal(err)
 		}
 	}

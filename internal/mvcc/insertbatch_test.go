@@ -34,8 +34,8 @@ func mkTup(schema *storage.Schema, id, val int64) []byte {
 }
 
 // TestInsertBatchParity inserts the same rows through Insert and
-// InsertBatch in two stores and checks identical visible state,
-// secondary-index content, and RowID block contiguity.
+// InsertBatch in two stores and checks identical visible state and
+// secondary-index content.
 func TestInsertBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	stA, tblA, schema := batchTestTable(1)
@@ -52,7 +52,7 @@ func TestInsertBatchParity(t *testing.T) {
 
 	txA := stA.Begin()
 	for _, tup := range tupsA {
-		if _, err := txA.Insert(tblA, tup); err != nil {
+		if err := txA.Insert(tblA, tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,8 +61,7 @@ func TestInsertBatchParity(t *testing.T) {
 	}
 
 	txB := stB.Begin()
-	base, err := txB.InsertBatch(tblB, tupsB)
-	if err != nil {
+	if err := txB.InsertBatch(tblB, tupsB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := txB.Commit(); err != nil {
@@ -72,7 +71,7 @@ func TestInsertBatchParity(t *testing.T) {
 	roA, roB := stA.BeginRO(), stB.BeginRO()
 	defer roA.Release()
 	defer roB.Release()
-	for i, id := range ids {
+	for _, id := range ids {
 		a, okA := roA.Get(tblA, uint64(id))
 		b, okB := roB.Get(tblB, uint64(id))
 		if !okA || !okB {
@@ -80,11 +79,6 @@ func TestInsertBatchParity(t *testing.T) {
 		}
 		if schema.GetInt64(a, 1) != schema.GetInt64(b, 1) {
 			t.Fatalf("row %d: value mismatch", id)
-		}
-		// RowIDs are a contiguous block in input order.
-		rec, _ := roB.GetRecord(tblB, uint64(id))
-		if rec.RowID != base+uint64(i) {
-			t.Fatalf("row %d: RowID %d, want %d (base %d + %d)", id, rec.RowID, base+uint64(i), base, i)
 		}
 	}
 
@@ -111,7 +105,7 @@ func TestInsertBatchErrors(t *testing.T) {
 	st, tbl, schema := batchTestTable(1)
 
 	tx := st.Begin()
-	if _, err := tx.Insert(tbl, mkTup(schema, 7, 70)); err != nil {
+	if err := tx.Insert(tbl, mkTup(schema, 7, 70)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tx.Commit(); err != nil {
@@ -120,7 +114,7 @@ func TestInsertBatchErrors(t *testing.T) {
 
 	// Intra-batch duplicate.
 	tx = st.Begin()
-	_, err := tx.InsertBatch(tbl, [][]byte{mkTup(schema, 1, 1), mkTup(schema, 1, 2)})
+	err := tx.InsertBatch(tbl, [][]byte{mkTup(schema, 1, 1), mkTup(schema, 1, 2)})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("intra-batch duplicate: %v, want ErrDuplicateKey", err)
 	}
@@ -129,7 +123,7 @@ func TestInsertBatchErrors(t *testing.T) {
 	// Duplicate against a committed row; the batch prefix must unwind on
 	// abort.
 	tx = st.Begin()
-	_, err = tx.InsertBatch(tbl, [][]byte{mkTup(schema, 100, 1), mkTup(schema, 7, 2)})
+	err = tx.InsertBatch(tbl, [][]byte{mkTup(schema, 100, 1), mkTup(schema, 7, 2)})
 	if !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("resident duplicate: %v, want ErrDuplicateKey", err)
 	}
@@ -145,11 +139,11 @@ func TestInsertBatchErrors(t *testing.T) {
 
 	// Write-write conflict against a concurrent uncommitted insert.
 	tx1 := st.Begin()
-	if _, err := tx1.Insert(tbl, mkTup(schema, 200, 1)); err != nil {
+	if err := tx1.Insert(tbl, mkTup(schema, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := st.Begin()
-	_, err = tx2.InsertBatch(tbl, [][]byte{mkTup(schema, 201, 1), mkTup(schema, 200, 2)})
+	err = tx2.InsertBatch(tbl, [][]byte{mkTup(schema, 201, 1), mkTup(schema, 200, 2)})
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("conflict with pending insert: %v, want ErrConflict", err)
 	}
@@ -179,7 +173,7 @@ func TestInsertBatchConcurrent(t *testing.T) {
 					tups = append(tups, mkTup(schema, id, id*2))
 				}
 				tx := st.Begin()
-				if _, err := tx.InsertBatch(tbl, tups); err != nil {
+				if err := tx.InsertBatch(tbl, tups); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					tx.Abort()
 					return

@@ -20,8 +20,8 @@ const chunkSize = 4096
 //
 // Scan order is therefore arbitrary — a new chain may land in any
 // recycled slot. No consumer depends on insertion order: checkpoints
-// carry RowIDs, bootstraps carry primary keys, and every other reader
-// aggregates.
+// and bootstraps name every row by its primary key, and every other
+// reader aggregates.
 type chainList struct {
 	dir    atomic.Pointer[[]*listChunk]
 	length atomic.Int64 // slots ever reserved (high-water mark)

@@ -1,92 +1,69 @@
 package mvcc
 
 import (
+	"errors"
 	"testing"
-
-	"batchdb/internal/storage"
+	"unsafe"
 )
 
-func newLoadTable() (*Store, *Table) {
-	s := NewStore()
-	schema := storage.NewSchema(1, "kv", []storage.Column{
-		{Name: "k", Type: storage.Int64},
-		{Name: "v", Type: storage.Int64},
-	}, []int{0})
-	t := s.CreateTable(schema, func(tup []byte) uint64 {
-		return uint64(schema.GetInt64(tup, 0))
-	}, 64)
-	return s, t
-}
-
-func loadTup(tbl *Table, k, v int64) []byte {
-	tup := tbl.Schema.NewTuple()
-	tbl.Schema.PutInt64(tup, 0, k)
-	tbl.Schema.PutInt64(tup, 1, v)
-	return tup
-}
-
-func TestLoadRowWithID(t *testing.T) {
-	s, tbl := newLoadTable()
-	// Restore rows under explicit, out-of-order RowIDs (as checkpoint
-	// restore does; scan order is not insertion order).
-	for _, r := range []struct{ k, rowID int64 }{{1, 17}, {2, 3}, {3, 99}} {
-		if err := tbl.LoadRowWithID(uint64(r.rowID), loadTup(tbl, r.k, r.k*10)); err != nil {
-			t.Fatal(err)
-		}
+func TestLoadRowVisibleToAllSnapshots(t *testing.T) {
+	s, tbl := testTable(t)
+	if err := tbl.LoadRow(kvTuple(tbl, 1, 11)); err != nil {
+		t.Fatal(err)
 	}
-	ro := s.BeginROAt(0)
-	defer ro.Release()
-	for _, want := range []struct{ k, rowID int64 }{{1, 17}, {2, 3}, {3, 99}} {
-		rec, ok := ro.GetRecord(tbl, uint64(want.k))
-		if !ok {
-			t.Fatalf("key %d missing", want.k)
-		}
-		if rec.RowID != uint64(want.rowID) {
-			t.Fatalf("key %d: RowID = %d, want %d", want.k, rec.RowID, want.rowID)
-		}
-	}
-	// The allocator must have been bumped past the maximum restored
-	// RowID so later inserts cannot collide.
-	if got := tbl.AllocRowID(); got != 100 {
-		t.Fatalf("next RowID = %d, want 100", got)
-	}
-	// Duplicate keys are refused like LoadRow.
-	if err := tbl.LoadRowWithID(200, loadTup(tbl, 1, 0)); err != ErrDuplicateKey {
+	if err := tbl.LoadRow(kvTuple(tbl, 1, 12)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate load: %v", err)
-	}
-}
-
-// TestLoadRowWithIDReservedRowID pins the tombstone-sentinel fix:
-// RowID 0 marks dead slots in the OLAP partitions, so a restored row
-// under it would replicate as a live-counted but scan-invisible tuple.
-// AllocRowID starts at 1, so no legitimate checkpoint contains it.
-func TestLoadRowWithIDReservedRowID(t *testing.T) {
-	s, tbl := newLoadTable()
-	if err := tbl.LoadRowWithID(0, loadTup(tbl, 1, 11)); err == nil {
-		t.Fatal("load of reserved RowID 0 accepted")
-	}
-	// The rejected load must leave no trace: the key stays loadable.
-	if err := tbl.LoadRowWithID(7, loadTup(tbl, 1, 11)); err != nil {
-		t.Fatal(err)
-	}
-	ro := s.BeginROAt(0)
-	defer ro.Release()
-	if rec, ok := ro.GetRecord(tbl, 1); !ok || rec.RowID != 7 {
-		t.Fatalf("key 1 after rejected load: %+v %v", rec, ok)
-	}
-}
-
-func TestLoadRowWithIDVisibleToAllSnapshots(t *testing.T) {
-	s, tbl := newLoadTable()
-	if err := tbl.LoadRowWithID(5, loadTup(tbl, 1, 11)); err != nil {
-		t.Fatal(err)
 	}
 	// VID-0 data is the "initial load": visible at snapshot 0 and later.
 	for _, snap := range []uint64{0, 1, 1 << 40} {
 		ro := s.BeginROAt(snap)
-		if _, ok := ro.Get(tbl, 1); !ok {
-			t.Fatalf("restored row invisible at snapshot %d", snap)
+		if v, ok := getVal(ro, tbl, 1); !ok || v != 11 {
+			t.Fatalf("loaded row at snapshot %d = %d,%v", snap, v, ok)
 		}
 		ro.Release()
 	}
+}
+
+// TestWrongWidthTupleRejected pins that every way a row enters the
+// store refuses a tuple that is not the schema's width, and leaves its
+// key free: the replica stores fixed-width slots, so such a row would
+// commit here and fail every apply round after.
+func TestWrongWidthTupleRejected(t *testing.T) {
+	s, tbl := testTable(t)
+	long := append(kvTuple(tbl, 1, 1), make([]byte, 8)...)
+	short := kvTuple(tbl, 1, 1)[:8]
+	for _, bad := range [][]byte{long, short} {
+		if err := tbl.LoadRow(bad); err == nil {
+			t.Fatalf("LoadRow accepted a %d-byte tuple", len(bad))
+		}
+		tx := s.Begin()
+		if err := tx.Insert(tbl, bad); err == nil {
+			t.Fatalf("Insert accepted a %d-byte tuple", len(bad))
+		}
+		if err := tx.InsertBatch(tbl, [][]byte{kvTuple(tbl, 2, 2), bad}); err == nil {
+			t.Fatalf("InsertBatch accepted a %d-byte tuple", len(bad))
+		}
+		tx.Abort()
+	}
+	if n := tbl.NumChains(); n != 0 {
+		t.Fatalf("rejected tuples left %d chains", n)
+	}
+	tx := s.Begin()
+	mustInsert(t, tx, tbl, 1, 7)
+	commit(t, tx)
+}
+
+// TestRecordSize pins the per-version footprint: 48 bytes is a size
+// class of its own, where one more word would be allocated as 64.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 48 {
+		t.Fatalf("Record is %d bytes, want 48", n)
+	}
+}
+
+func kvTuple(tbl *Table, k, v int64) []byte {
+	tup := tbl.Schema.NewTuple()
+	tbl.Schema.PutInt64(tup, 0, k)
+	tbl.Schema.PutInt64(tup, 1, v)
+	return tup
 }

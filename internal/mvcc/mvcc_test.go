@@ -22,16 +22,14 @@ func testTable(t *testing.T) (*Store, *Table) {
 	return s, tbl
 }
 
-func mustInsert(t *testing.T, tx *Txn, tbl *Table, k, v int64) uint64 {
+func mustInsert(t *testing.T, tx *Txn, tbl *Table, k, v int64) {
 	t.Helper()
 	tup := tbl.Schema.NewTuple()
 	tbl.Schema.PutInt64(tup, 0, k)
 	tbl.Schema.PutInt64(tup, 1, v)
-	rowID, err := tx.Insert(tbl, tup)
-	if err != nil {
+	if err := tx.Insert(tbl, tup); err != nil {
 		t.Fatalf("Insert(%d,%d): %v", k, v, err)
 	}
-	return rowID
 }
 
 func getVal(tx *Txn, tbl *Table, k int64) (int64, bool) {
@@ -180,7 +178,7 @@ func TestAbortRollsBack(t *testing.T) {
 func TestDeleteAndReinsert(t *testing.T) {
 	s, tbl := testTable(t)
 	tx := s.Begin()
-	r1 := mustInsert(t, tx, tbl, 1, 1)
+	mustInsert(t, tx, tbl, 1, 1)
 	commit(t, tx)
 
 	d := s.Begin()
@@ -196,11 +194,8 @@ func TestDeleteAndReinsert(t *testing.T) {
 	ro.Release()
 
 	i2 := s.Begin()
-	r2 := mustInsert(t, i2, tbl, 1, 42)
+	mustInsert(t, i2, tbl, 1, 42)
 	commit(t, i2)
-	if r2 == r1 {
-		t.Fatal("re-insert reused RowID; must get a fresh one")
-	}
 	ro2 := s.BeginRO()
 	defer ro2.Release()
 	if v, ok := getVal(ro2, tbl, 1); !ok || v != 42 {
@@ -216,7 +211,7 @@ func TestDuplicateInsert(t *testing.T) {
 	tx2 := s.Begin()
 	tup := tbl.Schema.NewTuple()
 	tbl.Schema.PutInt64(tup, 0, 1)
-	if _, err := tx2.Insert(tbl, tup); !errors.Is(err, ErrDuplicateKey) {
+	if err := tx2.Insert(tbl, tup); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("duplicate insert: %v", err)
 	}
 	tx2.Abort()
@@ -306,7 +301,7 @@ func TestReadOnlyCannotWrite(t *testing.T) {
 	ro := s.BeginRO()
 	defer ro.Release()
 	tup := tbl.Schema.NewTuple()
-	if _, err := ro.Insert(tbl, tup); err == nil {
+	if err := ro.Insert(tbl, tup); err == nil {
 		t.Fatal("read-only insert succeeded")
 	}
 	if err := ro.Update(tbl, 1, nil, func([]byte) {}); err == nil {
@@ -336,7 +331,7 @@ func TestSecondaryIndexScan(t *testing.T) {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, i)
 		schema.PutInt64(tup, 1, i%3) // ages 0,1,2
-		if _, err := tx.Insert(tbl, tup); err != nil {
+		if err := tx.Insert(tbl, tup); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,15 +37,10 @@ const abortedMarker = markerBit
 // marker.
 func isMarker(v uint64) bool { return v&markerBit != 0 && v != vid.Infinity }
 
-// Record is one version of a row.
+// Record is one version of a row. It carries no row identity of its
+// own: a row is named by its chain's packed primary key (Chain.Key) in
+// propagation, in the OLAP replica and on disk.
 type Record struct {
-	// RowID is a per-row surrogate (paper §5's hidden RowID): all
-	// versions of one logical row share it, and a re-insert after a
-	// delete starts a fresh one. Only checkpoints read it, as part of
-	// their on-disk row format; propagation and the OLAP replica name a
-	// row by its chain's packed primary key (Chain.Key).
-	RowID uint64
-
 	vidFrom atomic.Uint64
 	vidTo   atomic.Uint64
 

@@ -2,7 +2,6 @@ package mvcc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"batchdb/internal/index"
 	"batchdb/internal/storage"
@@ -38,8 +37,6 @@ type Table struct {
 	pk     *index.Hash[*Chain]
 	chains *chainList
 	sec    []*Secondary
-
-	nextRowID atomic.Uint64
 }
 
 // NewTable creates an empty table. capacityHint sizes the primary index.
@@ -116,62 +113,44 @@ func (t *Table) getOrCreateChains(keys []uint64, out []*Chain) {
 	}, out, inserted)
 }
 
-// AllocRowID returns a fresh RowID for a newly inserted logical row.
-func (t *Table) AllocRowID() uint64 { return t.nextRowID.Add(1) }
-
-// AllocRowIDs reserves n consecutive RowIDs and returns the first — one
-// atomic op for a whole bulk-insert chunk.
-func (t *Table) AllocRowIDs(n int) uint64 {
-	return t.nextRowID.Add(uint64(n)) - uint64(n) + 1
+// checkWidth rejects a tuple that is not exactly the schema's width.
+// Every tuple passes it before KeyFn reads it, and the OLAP replica
+// stores fixed-width slots: a row of another width would commit here
+// and fail every apply round that replays it.
+func (t *Table) checkWidth(tup []byte) error {
+	if len(tup) != t.Schema.TupleSize() {
+		return fmt.Errorf("mvcc: a %d-byte tuple in table %s of %d-byte tuples", len(tup), t.Schema.Name, t.Schema.TupleSize())
+	}
+	return nil
 }
 
 // LoadRow installs a tuple at VID 0, the "initial load" state visible to
 // every snapshot. It bypasses transactional machinery and must only be
-// used to populate the database before the engine starts (it is what
-// recovery re-runs before replaying the command log). Returns the
-// assigned RowID.
-func (t *Table) LoadRow(tup []byte) (uint64, error) {
-	key := t.KeyFn(tup)
-	c := t.getOrCreateChain(key)
-	if c.Head() != nil {
-		return 0, ErrDuplicateKey
+// used to populate the database before the engine starts: seed loading,
+// which recovery re-runs before replaying the command log, and
+// checkpoint restore.
+func (t *Table) LoadRow(tup []byte) error {
+	if err := t.checkWidth(tup); err != nil {
+		return err
 	}
-	rec := newRecord(t.AllocRowID(), 0, tup, nil)
-	if !c.head.CompareAndSwap(nil, rec) {
-		return 0, ErrDuplicateKey
+	c := t.getOrCreateChain(t.KeyFn(tup))
+	if !c.head.CompareAndSwap(nil, newRecord(0, tup, nil)) {
+		return ErrDuplicateKey
 	}
 	t.indexInto(c, tup)
-	return rec.RowID, nil
+	return nil
 }
 
-// LoadRowWithID installs a tuple at VID 0 under an explicit RowID — the
-// checkpoint-restore counterpart of LoadRow. RowIDs are the OLAP
-// replica's row identity, so a restored store must reproduce them
-// exactly; the allocator is bumped past the largest restored RowID so
-// later inserts cannot collide.
-func (t *Table) LoadRowWithID(rowID uint64, tup []byte) error {
-	if rowID == 0 {
-		// AllocRowID starts at 1; RowID 0 is the OLAP partitions'
-		// tombstone sentinel. Restoring a row under it would replicate as
-		// a live-counted but scan-invisible tuple — reject it at load.
-		return fmt.Errorf("mvcc: load of reserved RowID 0 in table %s", t.Schema.Name)
-	}
-	key := t.KeyFn(tup)
-	c := t.getOrCreateChain(key)
-	if c.Head() != nil {
-		return ErrDuplicateKey
-	}
-	rec := newRecord(rowID, 0, tup, nil)
-	if !c.head.CompareAndSwap(nil, rec) {
-		return ErrDuplicateKey
-	}
-	t.indexInto(c, tup)
-	for {
-		cur := t.nextRowID.Load()
-		if cur >= rowID || t.nextRowID.CompareAndSwap(cur, rowID) {
-			return nil
+// Scan calls fn with the key and tuple of every row visible to tx, each
+// once and in no particular order, until fn returns false. The tuple is
+// the store's immutable image: fn may keep it but must not modify it.
+func (t *Table) Scan(tx *Txn, fn func(key uint64, tup []byte) bool) {
+	t.chains.forEach(func(c *Chain) bool {
+		if r := tx.read(c); r != nil {
+			return fn(c.Key, r.Data)
 		}
-	}
+		return true
+	})
 }
 
 // ScanChains visits every chain in the table (all versions, all states),

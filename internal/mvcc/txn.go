@@ -126,16 +126,6 @@ func (tx *Txn) Get(t *Table, key uint64) ([]byte, bool) {
 	return r.Data, true
 }
 
-// GetRecord is Get returning the version record (for RowID access).
-func (tx *Txn) GetRecord(t *Table, key uint64) (*Record, bool) {
-	c := t.getChain(key)
-	if c == nil {
-		return nil, false
-	}
-	r := tx.read(c)
-	return r, r != nil
-}
-
 // ReadChain returns the version of an already-located chain visible to
 // this transaction (used by secondary-index scans).
 func (tx *Txn) ReadChain(c *Chain) *Record { return tx.read(c) }
@@ -151,26 +141,29 @@ func (tx *Txn) findOp(c *Chain) *WriteOp {
 }
 
 // Insert adds a new row. The tuple is adopted (not copied); callers must
-// not reuse it. Returns the assigned RowID.
-func (tx *Txn) Insert(t *Table, tup []byte) (uint64, error) {
+// not reuse it.
+func (tx *Txn) Insert(t *Table, tup []byte) error {
 	if tx.ReadOnly() {
-		return 0, errors.New("mvcc: insert in read-only transaction")
+		return errors.New("mvcc: insert in read-only transaction")
 	}
-	c, err := tx.insertIntoChain(t, t.getOrCreateChain(t.KeyFn(tup)), t.AllocRowID(), tup)
+	if err := t.checkWidth(tup); err != nil {
+		return err
+	}
+	c, err := tx.insertIntoChain(t, t.getOrCreateChain(t.KeyFn(tup)), tup)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	t.indexInto(c, tup)
-	return tx.ops[len(tx.ops)-1].New.RowID, nil
+	return nil
 }
 
 // insertIntoChain runs the insert protocol against a resolved chain,
-// installing tup under rowID and recording the write-set entry. It
+// installing tup and recording the write-set entry. It
 // returns the chain actually written (re-resolved if GC retired the
 // original mid-flight). Secondary indexing is the caller's job — the
 // single-key path indexes immediately, the batch path amortizes it into
 // one PutBatch per index.
-func (tx *Txn) insertIntoChain(t *Table, c *Chain, rowID uint64, tup []byte) (*Chain, error) {
+func (tx *Txn) insertIntoChain(t *Table, c *Chain, tup []byte) (*Chain, error) {
 	for {
 		head := c.head.Load()
 		if head == retiredRecord {
@@ -182,7 +175,7 @@ func (tx *Txn) insertIntoChain(t *Table, c *Chain, rowID uint64, tup []byte) (*C
 			continue
 		}
 		if head == nil {
-			rec := newRecord(rowID, tx.id, tup, nil)
+			rec := newRecord(tx.id, tup, nil)
 			if !c.head.CompareAndSwap(nil, rec) {
 				continue // racing inserter; re-evaluate
 			}
@@ -215,7 +208,7 @@ func (tx *Txn) insertIntoChain(t *Table, c *Chain, rowID uint64, tup []byte) (*C
 		if to > tx.snap {
 			return nil, ErrConflict // deleted after our snapshot
 		}
-		rec := newRecord(rowID, tx.id, tup, head)
+		rec := newRecord(tx.id, tup, head)
 		if !c.head.CompareAndSwap(head, rec) {
 			return nil, ErrConflict // lost the re-insert race
 		}
@@ -227,21 +220,19 @@ func (tx *Txn) insertIntoChain(t *Table, c *Chain, rowID uint64, tup []byte) (*C
 // InsertBatch adds many new rows in one transaction with batch-grouped
 // index access (the ALEX pattern: group keys by target structure before
 // touching it). Chains for the whole batch resolve with one primary-
-// index lock per touched shard, RowIDs come from one block reservation,
-// and each secondary index is populated by a single sorted PutBatch.
-// Tuples are adopted; the rows commit or abort atomically with the rest
-// of the transaction. Returns the first RowID of the contiguous block
-// assigned to the batch (in input order). On error the already-
-// installed prefix stays in the write set for Abort to unwind.
-func (tx *Txn) InsertBatch(t *Table, tups [][]byte) (uint64, error) {
+// index lock per touched shard, and each secondary index is populated
+// by a single sorted PutBatch. Tuples are adopted; the rows commit or
+// abort atomically with the rest of the transaction. On error the
+// already-installed prefix stays in the write set for Abort to unwind.
+func (tx *Txn) InsertBatch(t *Table, tups [][]byte) error {
 	if tx.ReadOnly() {
-		return 0, errors.New("mvcc: insert in read-only transaction")
-	}
-	if len(tups) == 0 {
-		return 0, nil
+		return errors.New("mvcc: insert in read-only transaction")
 	}
 	keys := make([]uint64, len(tups))
 	for i, tup := range tups {
+		if err := t.checkWidth(tup); err != nil {
+			return err
+		}
 		keys[i] = t.KeyFn(tup)
 	}
 	// Duplicate keys inside one batch can never both commit — reject
@@ -249,17 +240,16 @@ func (tx *Txn) InsertBatch(t *Table, tups [][]byte) (uint64, error) {
 	seen := make(map[uint64]struct{}, len(keys))
 	for _, k := range keys {
 		if _, dup := seen[k]; dup {
-			return 0, ErrDuplicateKey
+			return ErrDuplicateKey
 		}
 		seen[k] = struct{}{}
 	}
 	chains := make([]*Chain, len(keys))
 	t.getOrCreateChains(keys, chains)
-	base := t.AllocRowIDs(len(tups))
 	for i, tup := range tups {
-		c, err := tx.insertIntoChain(t, chains[i], base+uint64(i), tup)
+		c, err := tx.insertIntoChain(t, chains[i], tup)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		chains[i] = c
 	}
@@ -274,11 +264,11 @@ func (tx *Txn) InsertBatch(t *Table, tups [][]byte) (uint64, error) {
 			s.sl.PutBatch(skeys, chains)
 		}
 	}
-	return base, nil
+	return nil
 }
 
-func newRecord(rowID, from uint64, tup []byte, older *Record) *Record {
-	r := &Record{RowID: rowID, Data: tup}
+func newRecord(from uint64, tup []byte, older *Record) *Record {
+	r := &Record{Data: tup}
 	r.vidFrom.Store(from)
 	r.vidTo.Store(vid.Infinity)
 	r.older.Store(older)
@@ -344,7 +334,7 @@ func (tx *Txn) Update(t *Table, key uint64, cols []int, mutate func(tup []byte))
 	data := make([]byte, len(head.Data))
 	copy(data, head.Data)
 	mutate(data)
-	rec := newRecord(head.RowID, tx.id, data, head)
+	rec := newRecord(tx.id, data, head)
 	if !c.head.CompareAndSwap(head, rec) {
 		// Cannot happen while we hold the write lock; recover anyway.
 		head.vidTo.CompareAndSwap(tx.id, vid.Infinity)
@@ -365,7 +355,7 @@ func (tx *Txn) updateOwn(t *Table, c *Chain, head *Record, cols []int, mutate fu
 	data := make([]byte, len(head.Data))
 	copy(data, head.Data)
 	mutate(data)
-	rec := newRecord(head.RowID, tx.id, data, head.older.Load())
+	rec := newRecord(tx.id, data, head.older.Load())
 	if !c.head.CompareAndSwap(head, rec) {
 		return ErrConflict
 	}

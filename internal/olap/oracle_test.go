@@ -74,7 +74,10 @@ func transferArgs(from, to, amt int64) []byte {
 // period, so that pushes land while audits run and their rounds wait for
 // the audit to unpin. Either way an audit must equal the serial replay
 // at its snapshot, and its snapshot must cover every commit acknowledged
-// before the audit was submitted.
+// before the audit was submitted. Writers run past their quota until the
+// case is not vacuous — the audits saw two snapshots and, with the short
+// push period, a push round ran — or a deadline passes, which fails the
+// checks below; no case depends on the host's timing to exercise itself.
 func TestSnapshotIsolationOracle(t *testing.T) {
 	t.Run("lone", func(t *testing.T) { snapshotIsolationOracle(t, 1, 0, 5*time.Millisecond) })
 	t.Run("paced", func(t *testing.T) { snapshotIsolationOracle(t, 3, 4*time.Millisecond, 5*time.Millisecond) })
@@ -101,7 +104,7 @@ func newBank(t *testing.T, pushPeriod time.Duration, capacity int) (*oltp.Engine
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, id)
 		schema.PutInt64(tup, 1, bal)
-		_, err := tx.Insert(tbl, tup)
+		err := tx.Insert(tbl, tup)
 		return nil, err
 	})
 	engine.Register("transfer", func(tx *mvcc.Txn, args []byte) ([]byte, error) {
@@ -190,7 +193,15 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause, pushPeriod ti
 		txnsPerWriter  = 150
 		auditInterval  = 2 * time.Millisecond
 		conflictBudget = 100
+		exerciseBudget = time.Minute
 	)
+	// varied is set once an audit saw a snapshot other than the first
+	// audit's.
+	var varied atomic.Bool
+	exercised := func() bool {
+		return varied.Load() && (pushPeriod > auditInterval || sched.Stats().ApplyRounds[olap.CausePush].Load() > 0)
+	}
+	deadline := time.Now().Add(exerciseBudget)
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -198,7 +209,7 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause, pushPeriod ti
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < txnsPerWriter; i++ {
+			for i := 0; i < txnsPerWriter || !exercised() && time.Now().Before(deadline); i++ {
 				from := 1 + rng.Int63n(oracleAccounts)
 				to := 1 + rng.Int63n(oracleAccounts-1)
 				if to >= from {
@@ -256,6 +267,9 @@ func snapshotIsolationOracle(t *testing.T, sessions int, txnPause, pushPeriod ti
 					return
 				}
 				auditMu.Lock()
+				if len(audits) > 0 && a.snap != audits[0].snap {
+					varied.Store(true)
+				}
 				audits = append(audits, a)
 				auditMu.Unlock()
 				time.Sleep(auditInterval)

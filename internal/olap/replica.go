@@ -216,16 +216,23 @@ func (r *Replica) Pool() *Pool { return r.pool }
 // and their indexes. All DDL must precede use.
 func (r *Replica) CreateTable(schema *storage.Schema, capacityHint int) *Table {
 	t := &Table{Schema: schema, capHint: capacityHint / r.parts, zmBlock: r.zmBlock}
-	for i := 0; i < r.parts; i++ {
-		p := NewPartition(schema, t.capHint)
-		if t.zmBlock > 0 {
-			p.EnableZoneMap(t.zmBlock)
-		}
-		t.Partitions = append(t.Partitions, p)
-	}
+	t.Partitions = r.freshPartitions(t)
 	r.tables[schema.ID] = t
 	r.order = append(r.order, t)
 	return t
+}
+
+// freshPartitions returns empty partitions for t, sized and synopsized
+// as CreateTable built its first ones.
+func (r *Replica) freshPartitions(t *Table) []*Partition {
+	parts := make([]*Partition, r.parts)
+	for i := range parts {
+		parts[i] = NewPartition(t.Schema, t.capHint)
+		if t.zmBlock > 0 {
+			parts[i].EnableZoneMap(t.zmBlock)
+		}
+	}
+	return parts
 }
 
 // EnableZoneMaps attaches per-block min/max synopses with blockTuples
@@ -323,8 +330,9 @@ func (r *Replica) Tables() []*Table { return r.order }
 // Partitions returns the partition count per table.
 func (r *Replica) Partitions() int { return r.parts }
 
-// LoadTuple inserts one tuple under its primary key during initial load
-// (VID 0 state), before the replica starts receiving propagated updates.
+// LoadTuple inserts a copy of one tuple under its primary key during
+// initial load (VID 0 state), before the replica starts receiving
+// propagated updates.
 func (r *Replica) LoadTuple(id storage.TableID, key uint64, tuple []byte) error {
 	t := r.tables[id]
 	if t == nil {
@@ -414,9 +422,10 @@ func (r *Replica) SetFloor(v uint64) {
 // tables' contents with it and raises the VID floor to the snapshot's
 // VID.
 type Reload struct {
-	r    *Replica
-	rows map[storage.TableID][]reloadRow
-	vid  uint64
+	// parts holds every table's staged partitions, filled as the rows
+	// arrive; the round that installs the reload swaps them in.
+	parts map[storage.TableID][]*Partition
+	vid   uint64
 
 	// batches buffers update pushes that arrive while the snapshot is
 	// still being staged. They must not enter the replica's live pending
@@ -430,30 +439,26 @@ type Reload struct {
 	covered uint64
 }
 
-type reloadRow struct {
-	key uint64
-	tup []byte
-}
-
-// NewReload starts staging a replacement snapshot.
+// NewReload starts staging a replacement snapshot into fresh, empty
+// partitions for every table (all DDL precedes use).
 func (r *Replica) NewReload() *Reload {
-	return &Reload{r: r, rows: make(map[storage.TableID][]reloadRow)}
+	rl := &Reload{parts: make(map[storage.TableID][]*Partition, len(r.order))}
+	for _, t := range r.order {
+		rl.parts[t.Schema.ID] = r.freshPartitions(t)
+	}
+	return rl
 }
 
-// LoadTuple stages one snapshot tuple under its primary key. The caller
-// owns tup; pass a copy if the backing buffer is recycled. A tuple of
-// the wrong width fails here, at the source, rather than the apply round
-// that installs the reload.
+// LoadTuple stages a copy of one snapshot tuple under its primary key,
+// in the partition the key routes to. An unknown table, a tuple of the
+// wrong width and a key the snapshot already holds fail here, at the
+// source, so the round that installs the reload cannot fail.
 func (rl *Reload) LoadTuple(id storage.TableID, key uint64, tup []byte) error {
-	t := rl.r.tables[id]
-	if t == nil {
+	parts := rl.parts[id]
+	if parts == nil {
 		return fmt.Errorf("olap: reload of unknown table %d", id)
 	}
-	if len(tup) != t.Schema.TupleSize() {
-		return fmt.Errorf("olap: reload of a %d-byte tuple into table %s of %d-byte tuples", len(tup), t.Schema.Name, t.Schema.TupleSize())
-	}
-	rl.rows[id] = append(rl.rows[id], reloadRow{key: key, tup: tup})
-	return nil
+	return parts[partitionOf(key, len(parts))].Insert(key, tup)
 }
 
 // ApplyUpdates buffers an update push received while the snapshot is
@@ -471,8 +476,10 @@ func (rl *Reload) ApplyUpdates(batches []proplog.Batch, upTo uint64) {
 // Rows returns the number of staged tuples.
 func (rl *Reload) Rows() int {
 	n := 0
-	for _, rows := range rl.rows {
-		n += len(rows)
+	for _, parts := range rl.parts {
+		for _, p := range parts {
+			n += p.Live()
+		}
 	}
 	return n
 }
@@ -506,28 +513,15 @@ func (r *Replica) InstallReload(rl *Reload, snapVID uint64) {
 	}
 }
 
-// applyReload replaces every table's contents with the staged snapshot:
-// fresh partitions, sized like the originals. It
-// runs inside an apply round, which no reader overlaps, so none observes
-// a half-replaced table set. Tables absent from the snapshot
-// become empty — the primary shipped no rows for them.
-func (r *Replica) applyReload(rl *Reload) error {
+// applyReload swaps every table's partitions for the staged ones and
+// raises the floor to the snapshot's VID. It runs inside an apply round,
+// which no reader overlaps, so none observes a half-replaced table set.
+// Tables absent from the snapshot become empty — the primary shipped no
+// rows for them.
+func (r *Replica) applyReload(rl *Reload) {
 	for _, t := range r.order {
-		parts := make([]*Partition, len(t.Partitions))
-		for i := range parts {
-			parts[i] = NewPartition(t.Schema, t.capHint)
-			if t.zmBlock > 0 {
-				parts[i].EnableZoneMap(t.zmBlock)
-			}
-		}
-		t.Partitions = parts
+		t.Partitions = rl.parts[t.Schema.ID]
 		t.version++
-		for _, row := range rl.rows[t.Schema.ID] {
-			if err := t.insert(row.key, row.tup); err != nil {
-				return err
-			}
-		}
 	}
 	r.SetFloor(rl.vid)
-	return nil
 }

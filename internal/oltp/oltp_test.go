@@ -42,7 +42,7 @@ func registerKVProcs(e *Engine, tbl *mvcc.Table) {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, k)
 		schema.PutInt64(tup, 1, v)
-		if _, err := tx.Insert(tbl, tup); err != nil {
+		if err := tx.Insert(tbl, tup); err != nil {
 			return nil, err
 		}
 		return nil, nil

@@ -34,7 +34,7 @@ func TestSyncWithOversizedPush(t *testing.T) {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, int64(binary.LittleEndian.Uint64(args)))
 		schema.PutString(tup, 1, "x")
-		_, err := tx.Insert(tbl, tup)
+		err := tx.Insert(tbl, tup)
 		return nil, err
 	})
 

@@ -14,9 +14,9 @@ import (
 
 // FuzzBootRows holds the replica's bootstrap-row decoder to what a
 // resyncing replica needs from bytes off the network:
-// Client.handleBootRows never panics, and a message it accepts stages
-// exactly the (key, tuple) rows it encodes, which the installed reload
-// then serves by key.
+// Client.handleBootRows never panics, it refuses a message that names
+// one key twice, and a message it accepts stages exactly the (key,
+// tuple) rows it encodes, which the installed reload then serves by key.
 //
 //	go test -run '^$' -fuzz '^FuzzBootRows$' -fuzztime 15s ./internal/replica/
 func FuzzBootRows(f *testing.F) {
@@ -24,11 +24,15 @@ func FuzzBootRows(f *testing.F) {
 		{Name: "k", Type: storage.Int64},
 		{Name: "v", Type: storage.Int64},
 	}, []int{0})
-	for _, frame := range shippedBootRows(f, schema) {
+	frames := shippedBootRows(f, schema)
+	for _, frame := range frames {
 		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
 	}
-	f.Add([]byte{1, 0, 0, 0, 0, 0})                                     // no rows
+	f.Add([]byte{1, 0, 0, 0, 0, 0}) // no rows
+	dup := append([]byte(nil), frames[0]...)
+	binary.LittleEndian.PutUint32(dup[2:], 6)
+	f.Add(append(dup, frames[0][6:]...))                                // every row twice
 	f.Add([]byte{9, 0, 1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown table
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		rep := olap.NewReplica(2)
@@ -46,18 +50,14 @@ func FuzzBootRows(f *testing.F) {
 			want[binary.LittleEndian.Uint64(msg[pos:])] = msg[pos+12 : pos+12+l]
 			pos += 12 + l
 		}
+		if len(want) < n {
+			t.Fatalf("accepted %d rows under %d keys", n, len(want))
+		}
 		if got := c.staged.Rows(); got != n {
 			t.Fatalf("accepted %d rows, staged %d", n, got)
 		}
 		rep.InstallReload(c.staged, 1)
-		_, err := rep.ApplyPending(1)
-		if len(want) < n {
-			if err == nil {
-				t.Fatalf("a reload of %d rows under %d keys installed", n, len(want))
-			}
-			return
-		}
-		if err != nil {
+		if _, err := rep.ApplyPending(1); err != nil {
 			t.Fatalf("installing the accepted rows: %v", err)
 		}
 		if tbl.Live() != n {
@@ -71,6 +71,35 @@ func FuzzBootRows(f *testing.F) {
 	})
 }
 
+// TestBootRowsRejectDuplicateAcrossChunks: a resync snapshot that ships
+// one key in two chunks fails the connection at the second chunk; the
+// replica keeps serving its old data, and its apply rounds keep working.
+func TestBootRowsRejectDuplicateAcrossChunks(t *testing.T) {
+	schema := storage.NewSchema(1, "kv", []storage.Column{
+		{Name: "k", Type: storage.Int64},
+		{Name: "v", Type: storage.Int64},
+	}, []int{0})
+	frames := shippedBootRows(t, schema)
+	rep := olap.NewReplica(2)
+	tbl := rep.CreateTable(schema, 16)
+	if err := NewClient(nil, rep).handleBootRows(frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	c := NewResyncClient(nil, rep)
+	if err := c.handleBootRows(frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.handleBootRows(frames[0]); err == nil {
+		t.Fatal("a resync snapshot shipping one key twice was accepted")
+	}
+	if _, err := rep.ApplyPending(1); err != nil {
+		t.Fatalf("apply round after the refused resync: %v", err)
+	}
+	if tbl.Live() != 3 {
+		t.Fatalf("replica serves %d rows, want its 3 old ones", tbl.Live())
+	}
+}
+
 // shippedBootRows returns the bootRows payloads ShipSnapshot sends for
 // a small table — keys 0 to 4, three rows a chunk — over an in-memory
 // connection.
@@ -82,7 +111,7 @@ func shippedBootRows(tb testing.TB, schema *storage.Schema) [][]byte {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, k)
 		schema.PutInt64(tup, 1, 10*k)
-		if _, err := tbl.LoadRow(tup); err != nil {
+		if err := tbl.LoadRow(tup); err != nil {
 			tb.Fatal(err)
 		}
 	}

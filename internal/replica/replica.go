@@ -192,43 +192,11 @@ func ShipSnapshot(conn *network.Conn, store *mvcc.Store, tables []storage.TableI
 		if t == nil {
 			return 0, fmt.Errorf("replica: snapshot of unknown table %d", id)
 		}
-		var buf []byte
-		var n int
-		var scanErr error
-		flush := func() error {
-			if n == 0 {
-				return nil
-			}
-			hdr := make([]byte, 6, 6+len(buf))
-			binary.LittleEndian.PutUint16(hdr, uint16(id))
-			binary.LittleEndian.PutUint32(hdr[2:], uint32(n))
-			if err := conn.Send(msgBootRows, append(hdr, buf...)); err != nil {
-				return err
-			}
-			buf, n = buf[:0], 0
-			return nil
-		}
-		t.ScanChains(func(c *mvcc.Chain) bool {
-			rec := ro.ReadChain(c)
-			if rec == nil {
-				return true
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, c.Key)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Data)))
-			buf = append(buf, rec.Data...)
-			n++
-			if n >= chunkRows {
-				if err := flush(); err != nil {
-					scanErr = err
-					return false
-				}
-			}
-			return true
+		rows := proplog.NewRowChunker(id, chunkRows, func(chunk []byte) error {
+			return conn.Send(msgBootRows, chunk)
 		})
-		if scanErr != nil {
-			return 0, scanErr
-		}
-		if err := flush(); err != nil {
+		t.Scan(ro, rows.Add)
+		if err := rows.Flush(); err != nil {
 			return 0, err
 		}
 	}
@@ -254,21 +222,13 @@ func LoadLocal(rep *olap.Replica, store *mvcc.Store, tables []storage.TableID) (
 		if t == nil {
 			return 0, fmt.Errorf("replica: local load of unknown table %d", id)
 		}
-		var loadErr error
-		t.ScanChains(func(c *mvcc.Chain) bool {
-			rec := ro.ReadChain(c)
-			if rec == nil {
-				return true
-			}
-			tup := append([]byte(nil), rec.Data...)
-			if err := rep.LoadTuple(id, c.Key, tup); err != nil {
-				loadErr = err
-				return false
-			}
-			return true
+		var err error
+		t.Scan(ro, func(key uint64, tup []byte) bool {
+			err = rep.LoadTuple(id, key, tup)
+			return err == nil
 		})
-		if loadErr != nil {
-			return 0, loadErr
+		if err != nil {
+			return 0, err
 		}
 	}
 	rep.SetFloor(snap)
@@ -428,37 +388,15 @@ func (c *Client) handleUpdates(payload []byte) error {
 	return nil
 }
 
+// handleBootRows loads one row chunk into the replica, or into the
+// staged reload during a resync. Either copies the tuples, so they may
+// alias the receive buffer.
 func (c *Client) handleBootRows(payload []byte) error {
-	if len(payload) < 6 {
-		return errors.New("replica: short bootstrap message")
+	load := c.replica.LoadTuple
+	if c.staged != nil {
+		load = c.staged.LoadTuple
 	}
-	id := storage.TableID(binary.LittleEndian.Uint16(payload))
-	n := int(binary.LittleEndian.Uint32(payload[2:]))
-	pos := 6
-	for i := 0; i < n; i++ {
-		if len(payload)-pos < 12 {
-			return errors.New("replica: truncated bootstrap row")
-		}
-		key := binary.LittleEndian.Uint64(payload[pos:])
-		l := int(binary.LittleEndian.Uint32(payload[pos+8:]))
-		pos += 12
-		if len(payload)-pos < l {
-			return errors.New("replica: truncated bootstrap tuple")
-		}
-		tup := append([]byte(nil), payload[pos:pos+l]...)
-		pos += l
-		if c.staged != nil {
-			if err := c.staged.LoadTuple(id, key, tup); err != nil {
-				return err
-			}
-		} else if err := c.replica.LoadTuple(id, key, tup); err != nil {
-			return err
-		}
-	}
-	if pos != len(payload) {
-		return errors.New("replica: bytes after the last bootstrap row")
-	}
-	return nil
+	return proplog.DecodeRowChunk(payload, load)
 }
 
 // WaitBootstrap blocks until the snapshot finished loading and returns

@@ -45,7 +45,7 @@ func newCluster(t *testing.T) *testCluster {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, k)
 		schema.PutInt64(tup, 1, v)
-		_, err := tx.Insert(tbl, tup)
+		err := tx.Insert(tbl, tup)
 		return nil, err
 	})
 	engine.Register("add", func(tx *mvcc.Txn, args []byte) ([]byte, error) {
@@ -152,7 +152,7 @@ func TestBootstrapThenLiveUpdates(t *testing.T) {
 		tup := c.schema.NewTuple()
 		c.schema.PutInt64(tup, 0, i)
 		c.schema.PutInt64(tup, 1, i)
-		if _, err := tx.Insert(c.tbl, tup); err != nil {
+		if err := tx.Insert(c.tbl, tup); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestMultiSinkFanOut(t *testing.T) {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, k)
 		schema.PutInt64(tup, 1, k)
-		_, err := tx.Insert(tbl, tup)
+		err := tx.Insert(tbl, tup)
 		return nil, err
 	})
 	r1, r2 := olap.NewReplica(1), olap.NewReplica(1)

@@ -40,7 +40,7 @@ func newPutEngine(t *testing.T) (*oltp.Engine, *storage.Schema) {
 		tup := schema.NewTuple()
 		schema.PutInt64(tup, 0, int64(leU64(args)))
 		schema.PutInt64(tup, 1, int64(leU64(args[8:])))
-		_, err := tx.Insert(tbl, tup)
+		err := tx.Insert(tbl, tup)
 		return nil, err
 	})
 	return engine, schema

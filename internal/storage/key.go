@@ -1,21 +1,5 @@
 package storage
 
-// KeyString encodes the primary-key columns of tup into an opaque,
-// equality-comparable string. It is the generic (slower) fallback used
-// when a table does not install a packed uint64 key function; workload
-// packages such as internal/tpcc provide dense uint64 packers instead.
-func (s *Schema) KeyString(tup []byte) string {
-	n := 0
-	for _, k := range s.Key {
-		n += s.ColSize(k)
-	}
-	b := make([]byte, 0, n)
-	for _, k := range s.Key {
-		b = append(b, s.FieldBytes(tup, k)...)
-	}
-	return string(b)
-}
-
 // KeyFunc extracts a dense uint64 primary key from a tuple. Workloads
 // install one per table so the OLTP primary index and the update log can
 // address rows without allocation.

@@ -78,8 +78,8 @@ type Schema struct {
 	// Key lists the column ordinals forming the primary key. Packed into
 	// a uint64 (KeyFunc), it keys the OLTP replica's primary index and is
 	// each row's identity on the propagation wire and in the OLAP
-	// replica's partition indexes, where the paper uses a hidden RowID
-	// (§5).
+	// replica's partition indexes, where the paper uses a hidden row
+	// identifier (§5).
 	Key []int
 
 	offsets   []int

@@ -94,28 +94,6 @@ func TestFieldBytesAliases(t *testing.T) {
 	}
 }
 
-func TestKeyString(t *testing.T) {
-	s := NewSchema(2, "composite", []Column{
-		{Name: "a", Type: Int32},
-		{Name: "pad", Type: String, Size: 3},
-		{Name: "b", Type: Int32},
-	}, []int{0, 2})
-	t1, t2, t3 := s.NewTuple(), s.NewTuple(), s.NewTuple()
-	s.PutInt32(t1, 0, 1)
-	s.PutInt32(t1, 2, 2)
-	s.PutInt32(t2, 0, 1)
-	s.PutInt32(t2, 2, 2)
-	s.PutString(t2, 1, "xyz") // non-key column must not matter
-	s.PutInt32(t3, 0, 2)
-	s.PutInt32(t3, 2, 1)
-	if s.KeyString(t1) != s.KeyString(t2) {
-		t.Error("equal keys encode differently")
-	}
-	if s.KeyString(t1) == s.KeyString(t3) {
-		t.Error("distinct keys collide")
-	}
-}
-
 // Property: int64/float64/string round-trips hold for arbitrary values.
 func TestAccessorsProperty(t *testing.T) {
 	s := sampleSchema()

@@ -86,7 +86,7 @@ func genRegionsNations(db *DB, rng *rand.Rand) error {
 		t := s.NewTuple()
 		s.PutInt64(t, RRegionKey, r)
 		s.PutString(t, RName, fmt.Sprintf("REGION_%d", r))
-		if _, err := db.Region.LoadRow(t); err != nil {
+		if err := db.Region.LoadRow(t); err != nil {
 			return err
 		}
 	}
@@ -96,7 +96,7 @@ func genRegionsNations(db *DB, rng *rand.Rand) error {
 		n.PutInt64(t, NNationKey, k)
 		n.PutString(t, NName, fmt.Sprintf("NATION_%02d", k))
 		n.PutInt64(t, NRegionKey, k%NumRegions)
-		if _, err := db.Nation.LoadRow(t); err != nil {
+		if err := db.Nation.LoadRow(t); err != nil {
 			return err
 		}
 	}
@@ -117,7 +117,7 @@ func genSuppliers(db *DB, rng *rand.Rand) error {
 			comment = comment[:10] + "Complaints" + comment[20:]
 		}
 		s.PutString(t, SUComment, comment)
-		if _, err := db.Supplier.LoadRow(t); err != nil {
+		if err := db.Supplier.LoadRow(t); err != nil {
 			return err
 		}
 	}
@@ -137,7 +137,7 @@ func genItems(db *DB, rng *rand.Rand) error {
 			data = data[:5] + "ORIGINAL" + data[13:]
 		}
 		s.PutString(t, IData, data)
-		if _, err := db.Item.LoadRow(t); err != nil {
+		if err := db.Item.LoadRow(t); err != nil {
 			return err
 		}
 	}
@@ -156,7 +156,7 @@ func genWarehouse(db *DB, rng *rand.Rand, w int64) error {
 	ws.PutString(t, WZip, randZip(rng))
 	ws.PutFloat64(t, WTax, float64(rng.Intn(2001))/10000)
 	ws.PutFloat64(t, WYtd, 300000)
-	if _, err := db.Warehouse.LoadRow(t); err != nil {
+	if err := db.Warehouse.LoadRow(t); err != nil {
 		return err
 	}
 
@@ -175,7 +175,7 @@ func genWarehouse(db *DB, rng *rand.Rand, w int64) error {
 			data = data[:5] + "ORIGINAL" + data[13:]
 		}
 		ss.PutString(st, SData, data)
-		if _, err := db.Stock.LoadRow(st); err != nil {
+		if err := db.Stock.LoadRow(st); err != nil {
 			return err
 		}
 	}
@@ -202,7 +202,7 @@ func genDistrict(db *DB, rng *rand.Rand, w, d int64) error {
 	ds.PutFloat64(t, DTax, float64(rng.Intn(2001))/10000)
 	ds.PutFloat64(t, DYtd, 30000)
 	ds.PutInt64(t, DNextOID, int64(db.Scale.InitialOrdersPerDistrict)+1)
-	if _, err := db.District.LoadRow(t); err != nil {
+	if err := db.District.LoadRow(t); err != nil {
 		return err
 	}
 
@@ -242,7 +242,7 @@ func genDistrict(db *DB, rng *rand.Rand, w, d int64) error {
 		cs.PutInt64(ct, CDeliveryCnt, 0)
 		cs.PutString(ct, CData, randStr(rng, 100, 250))
 		cs.PutInt64(ct, CNationKey, rng.Int63n(NumNations))
-		if _, err := db.Customer.LoadRow(ct); err != nil {
+		if err := db.Customer.LoadRow(ct); err != nil {
 			return err
 		}
 
@@ -258,7 +258,7 @@ func genDistrict(db *DB, rng *rand.Rand, w, d int64) error {
 		hs.PutInt64(ht, HDate, LoadEpoch)
 		hs.PutFloat64(ht, HAmount, 10)
 		hs.PutString(ht, HData, randStr(rng, 12, 24))
-		if _, err := db.History.LoadRow(ht); err != nil {
+		if err := db.History.LoadRow(ht); err != nil {
 			return err
 		}
 	}
@@ -285,7 +285,7 @@ func genDistrict(db *DB, rng *rand.Rand, w, d int64) error {
 		}
 		os.PutInt64(ot, OOlCnt, olCnt)
 		os.PutInt64(ot, OAllLocal, 1)
-		if _, err := db.Order.LoadRow(ot); err != nil {
+		if err := db.Order.LoadRow(ot); err != nil {
 			return err
 		}
 		for n := int64(1); n <= olCnt; n++ {
@@ -305,7 +305,7 @@ func genDistrict(db *DB, rng *rand.Rand, w, d int64) error {
 			// non-degenerate amounts on day one.
 			ols.PutFloat64(lt, OLAmount, float64(1+rng.Intn(999999))/100)
 			ols.PutString(lt, OLDistInfo, randStr(rng, 24, 24))
-			if _, err := db.OrderLine.LoadRow(lt); err != nil {
+			if err := db.OrderLine.LoadRow(lt); err != nil {
 				return err
 			}
 		}
@@ -314,7 +314,7 @@ func genDistrict(db *DB, rng *rand.Rand, w, d int64) error {
 			nos.PutInt64(nt, NOOID, o)
 			nos.PutInt64(nt, NODID, d)
 			nos.PutInt64(nt, NOWID, w)
-			if _, err := db.NewOrder.LoadRow(nt); err != nil {
+			if err := db.NewOrder.LoadRow(nt); err != nil {
 				return err
 			}
 		}

@@ -99,14 +99,14 @@ func (db *DB) newOrder(tx *mvcc.Txn, a NewOrderArgs, constantSize bool) ([]byte,
 	s.Order.PutInt64(ot, OEntryD, a.EntryD)
 	s.Order.PutInt64(ot, OOlCnt, int64(len(a.Lines)))
 	s.Order.PutInt64(ot, OAllLocal, allLocal)
-	if _, err := tx.Insert(db.Order, ot); err != nil {
+	if err := tx.Insert(db.Order, ot); err != nil {
 		return nil, err
 	}
 	nt := s.NewOrder.NewTuple()
 	s.NewOrder.PutInt64(nt, NOOID, oID)
 	s.NewOrder.PutInt64(nt, NODID, a.DID)
 	s.NewOrder.PutInt64(nt, NOWID, a.WID)
-	if _, err := tx.Insert(db.NewOrder, nt); err != nil {
+	if err := tx.Insert(db.NewOrder, nt); err != nil {
 		return nil, err
 	}
 
@@ -154,7 +154,7 @@ func (db *DB) newOrder(tx *mvcc.Txn, a NewOrderArgs, constantSize bool) ([]byte,
 		s.OrderLine.PutInt64(lt, OLQuantity, l.Quantity)
 		s.OrderLine.PutFloat64(lt, OLAmount, amount)
 		s.OrderLine.PutString(lt, OLDistInfo, distInfo)
-		if _, err := tx.Insert(db.OrderLine, lt); err != nil {
+		if err := tx.Insert(db.OrderLine, lt); err != nil {
 			return nil, err
 		}
 	}
@@ -294,7 +294,7 @@ func (db *DB) payment(tx *mvcc.Txn, raw []byte) ([]byte, error) {
 	s.History.PutInt64(ht, HDate, a.Date)
 	s.History.PutFloat64(ht, HAmount, a.Amount)
 	s.History.PutString(ht, HData, "payment")
-	if _, err := tx.Insert(db.History, ht); err != nil {
+	if err := tx.Insert(db.History, ht); err != nil {
 		return nil, err
 	}
 	return nil, nil

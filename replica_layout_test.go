@@ -164,7 +164,7 @@ func (f *accountsFixture) addRegions(t *testing.T) *Schema {
 		tup := regions.NewTuple()
 		regions.PutInt64(tup, 0, i)
 		regions.PutInt64(tup, 1, 10*i)
-		if _, err := rt.Load(tup); err != nil {
+		if err := rt.Load(tup); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -122,7 +122,7 @@ func loadLedger(t *testing.T, db *DB, n int) {
 		for c := range perms {
 			s.PutInt64(tup, c+1, int64(perms[c][i]))
 		}
-		if _, err := tbl.Load(tup); err != nil {
+		if err := tbl.Load(tup); err != nil {
 			t.Fatal(err)
 		}
 	}
