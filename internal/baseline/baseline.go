@@ -23,12 +23,9 @@
 package baseline
 
 import (
-	"slices"
 	"strings"
-	"time"
 
 	"batchdb/internal/mvcc"
-	"batchdb/internal/obs"
 	"batchdb/internal/olap/exec"
 	"batchdb/internal/oltp"
 	"batchdb/internal/storage"
@@ -55,15 +52,6 @@ func (p Policy) String() string {
 	return "oltp-priority"
 }
 
-// Stats exposes the baseline engine's counters.
-type Stats struct {
-	TxnCommitted obs.Counter
-	TxnAborted   obs.Counter
-	Queries      obs.Counter
-	TxnLatency   obs.Histogram
-	QueryLatency obs.Histogram
-}
-
 // Engine is a single-replica engine running hybrid workloads on shared
 // data and shared workers.
 type Engine struct {
@@ -74,21 +62,17 @@ type Engine struct {
 	queryQ chan queryReq
 	stop   chan struct{}
 	done   []chan struct{}
-
-	stats Stats
 }
 
 type txnReq struct {
-	proc    string
-	args    []byte
-	reply   chan oltp.Response
-	arrived time.Time
+	proc  string
+	args  []byte
+	reply chan oltp.Response
 }
 
 type queryReq struct {
-	q       *exec.Query
-	reply   chan exec.Result
-	arrived time.Time
+	q     *exec.Query
+	reply chan exec.Result
 }
 
 // procFor resolves the TPC-C procedure by name against the shared DB.
@@ -132,9 +116,6 @@ func registerAll(db *tpcc.DB) procTable {
 	}
 }
 
-// Stats returns the engine's counters.
-func (e *Engine) Stats() *Stats { return &e.stats }
-
 // Close stops the workers.
 func (e *Engine) Close() {
 	close(e.stop)
@@ -147,7 +128,7 @@ func (e *Engine) Close() {
 func (e *Engine) ExecTxn(proc string, args []byte) oltp.Response {
 	reply := make(chan oltp.Response, 1)
 	select {
-	case e.txnQ <- txnReq{proc: proc, args: args, reply: reply, arrived: time.Now()}:
+	case e.txnQ <- txnReq{proc: proc, args: args, reply: reply}:
 	case <-e.stop:
 		return oltp.Response{Err: oltp.ErrClosed}
 	}
@@ -163,7 +144,7 @@ func (e *Engine) ExecTxn(proc string, args []byte) oltp.Response {
 func (e *Engine) Query(q *exec.Query) exec.Result {
 	reply := make(chan exec.Result, 1)
 	select {
-	case e.queryQ <- queryReq{q: q, reply: reply, arrived: time.Now()}:
+	case e.queryQ <- queryReq{q: q, reply: reply}:
 	case <-e.stop:
 		return exec.Result{Err: oltp.ErrClosed}
 	}
@@ -228,18 +209,14 @@ func (e *Engine) runTxn(procs procTable, t txnReq) {
 	payload, err := proc(tx, t.args)
 	if err != nil {
 		tx.Abort()
-		e.stats.TxnAborted.Inc()
 		t.reply <- oltp.Response{Err: err}
 		return
 	}
 	cv, err := tx.Commit()
 	if err != nil {
-		e.stats.TxnAborted.Inc()
 		t.reply <- oltp.Response{Err: err}
 		return
 	}
-	e.stats.TxnCommitted.Inc()
-	e.stats.TxnLatency.RecordSince(t.arrived)
 	t.reply <- oltp.Response{Payload: payload, CommitVID: cv}
 }
 
@@ -298,8 +275,6 @@ func (e *Engine) runQuery(r queryReq) {
 		}
 		return true
 	})
-	e.stats.Queries.Inc()
-	e.stats.QueryLatency.RecordSince(r.arrived)
 	r.reply <- res
 }
 
@@ -317,7 +292,7 @@ func Accepts(s *storage.Schema, preds []exec.Pred, tup []byte) bool {
 		switch p.Kind {
 		case exec.IntRange, exec.FloatRange:
 			v := s.OrdKey(tup, p.Col)
-			ok = p.Lo <= v && v <= p.Hi && (p.In == nil || slices.Contains(p.In, v))
+			ok = p.Lo <= v && v <= p.Hi
 		case exec.StrPrefix:
 			ok = strings.HasPrefix(s.GetString(tup, p.Col), p.Str)
 		case exec.StrEqual:

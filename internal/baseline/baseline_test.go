@@ -3,12 +3,14 @@ package baseline
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"batchdb/internal/chbench"
 	"batchdb/internal/mvcc"
 	"batchdb/internal/olap/exec"
+	"batchdb/internal/replica"
 	"batchdb/internal/tpcc"
 )
 
@@ -48,8 +50,8 @@ func TestTxnAndQueryCorrectness(t *testing.T) {
 // with BatchDB's replica-based executor on the same data.
 func TestBaselineAgreesWithReplicaExecutor(t *testing.T) {
 	db := newBaselineDB(t)
-	rep, err := chbench.NewReplica(db, 2)
-	if err != nil {
+	rep := chbench.EmptyReplica(db, 2)
+	if _, err := replica.LoadLocal(rep, db.Store, chbench.Tables()); err != nil {
 		t.Fatal(err)
 	}
 	eng := exec.NewEngine(rep, 1)
@@ -85,6 +87,7 @@ func TestOLTPPriorityStarvesAnalytics(t *testing.T) {
 	// while a query waits.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var committed atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -96,7 +99,9 @@ func TestOLTPPriorityStarvesAnalytics(t *testing.T) {
 			default:
 			}
 			proc, args := drv.Next()
-			e.ExecTxn(proc, args)
+			if r := e.ExecTxn(proc, args); r.Err == nil {
+				committed.Add(1)
+			}
 		}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -114,7 +119,7 @@ func TestOLTPPriorityStarvesAnalytics(t *testing.T) {
 	if queryLatency <= 0 {
 		t.Fatal("implausible query latency")
 	}
-	if e.Stats().TxnCommitted.Load() == 0 {
+	if committed.Load() == 0 {
 		t.Fatal("no transactions committed during saturation")
 	}
 }

@@ -49,11 +49,6 @@ var QueryNames = []string{
 	"Q2", "Q3", "Q5", "Q7", "Q8", "Q9", "Q10", "Q11", "Q12", "Q14", "Q16", "Q17", "Q19", "Q20",
 }
 
-// Next returns a random query from the set with fresh predicates.
-func (g *Gen) Next() *exec.Query {
-	return g.ByName(QueryNames[g.rng.Intn(len(QueryNames))])
-}
-
 // ByName builds a specific query with randomized predicates.
 func (g *Gen) ByName(name string) *exec.Query {
 	switch name {
@@ -158,7 +153,7 @@ func regionOfNation(nationIdx int, where ...exec.Pred) exec.Probe {
 }
 
 // supplierOfOrderLine joins an order line to its CH-derived supplier:
-// tpcc.SupplierOf(ol_supply_w_id, ol_i_id).
+// su_suppkey = (ol_supply_w_id * ol_i_id) mod 10000.
 func supplierOfOrderLine(where ...exec.Pred) exec.Probe {
 	return exec.Probe{Table: tpcc.TSupplier, From: -1, Key: []exec.KeyField{
 		exec.MulMod(tpcc.OLSupplyWID, tpcc.OLIID, tpcc.NumSuppliers),
@@ -166,7 +161,7 @@ func supplierOfOrderLine(where ...exec.Pred) exec.Probe {
 }
 
 // supplierOfStock joins a stock row to its CH-derived supplier:
-// tpcc.SupplierOf(s_w_id, s_i_id).
+// su_suppkey = (s_w_id * s_i_id) mod 10000.
 func supplierOfStock(where ...exec.Pred) exec.Probe {
 	return exec.Probe{Table: tpcc.TSupplier, From: -1, Key: []exec.KeyField{
 		exec.MulMod(tpcc.SWID, tpcc.SIID, tpcc.NumSuppliers),

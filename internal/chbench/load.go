@@ -2,21 +2,9 @@ package chbench
 
 import (
 	"batchdb/internal/olap"
-	"batchdb/internal/replica"
 	"batchdb/internal/storage"
 	"batchdb/internal/tpcc"
 )
-
-// NewReplica creates an OLAP replica with the CH-benCHmark tables,
-// bootstrapped from the primary's current committed state. parts is the
-// partition count (paper: one per OLAP worker core).
-func NewReplica(db *tpcc.DB, parts int) (*olap.Replica, error) {
-	rep := EmptyReplica(db, parts)
-	if _, err := replica.LoadLocal(rep, db.Store, Tables()); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
 
 // EmptyReplica creates the CH table set without loading data (for
 // remote bootstrap via replica.ShipSnapshot). Rows arrive under the

@@ -72,12 +72,14 @@ func TestPruningParityAcrossWorkers(t *testing.T) {
 	})
 
 	// Registration pass: compiling the batch with pruning enabled
-	// records per-column synopsis interest; ActivateSynopses then
-	// materializes the bounds as the scheduler's apply prologue would.
+	// records per-column synopsis interest; the next apply round then
+	// materializes the bounds.
 	reg := exec.NewEngine(rep, 2)
 	reg.MorselTuples = morsel
 	reg.RunBatch(batch, 0)
-	rep.ActivateSynopses()
+	if _, err := rep.ApplyPending(0); err != nil {
+		t.Fatal(err)
+	}
 
 	compare := func(label string, want, got []exec.Result, qs []*exec.Query) {
 		t.Helper()

@@ -261,13 +261,6 @@ func (st *State) Stats() *obs.DurabilityStats { return st.stats }
 // WAL returns the segment manager (the engine's command log).
 func (st *State) WAL() *wal.Manager { return st.wal }
 
-// Close stops the checkpointer. The WAL manager itself is owned by the
-// engine (installed via SetLog) and closed by engine.Close.
-func (st *State) Close() error {
-	st.StopRunner()
-	return nil
-}
-
 // removeTemps deletes leftover *.tmp files (checkpoints or manifests a
 // dying process never renamed into place).
 func removeTemps(dir string) {

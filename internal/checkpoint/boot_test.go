@@ -99,7 +99,7 @@ func TestBootFreshThenRecoverFromSeed(t *testing.T) {
 	}
 	mustExec(t, e1, "add", kvArgs(100, 5))
 	wantSums := SumAt(e1.Store(), uint64(writes+1))
-	st1.Close()
+	st1.StopRunner()
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBootFreshThenRecoverFromSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
+	defer st2.StopRunner()
 	defer e2.Close()
 	if info2.Fresh || info2.CheckpointVID != 0 {
 		t.Fatalf("info2 = %+v", info2)
@@ -159,7 +159,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		mustExec(t, e1, "add", kvArgs(1000+i, 1))
 	}
 	wantSums := SumAt(e1.Store(), before+after)
-	st1.Close()
+	st1.StopRunner()
 	e1.Close()
 
 	// A checkpoint exists: recovery must run WITHOUT the seed and replay
@@ -173,7 +173,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
+	defer st2.StopRunner()
 	defer e2.Close()
 	if info2.CheckpointVID != before || info2.FellBack {
 		t.Fatalf("info2 = %+v", info2)
@@ -200,7 +200,7 @@ func TestSeedMismatchFailsLoudly(t *testing.T) {
 	}
 	e1.Start()
 	mustExec(t, e1, "put", kvArgs(100, 1))
-	st1.Close()
+	st1.StopRunner()
 	e1.Close()
 
 	e2, _ := newKVEngine(t, bootSeedRows+3) // different seed
@@ -219,7 +219,7 @@ func TestSeedMismatchFailsLoudly(t *testing.T) {
 	if info.Replayed != 1 {
 		t.Fatalf("replayed = %d", info.Replayed)
 	}
-	st3.Close()
+	st3.StopRunner()
 	e3.Close()
 }
 
@@ -265,7 +265,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	}
 	final := uint64(n1 + n2 + n3)
 	wantSums := SumAt(e1.Store(), final)
-	st1.Close()
+	st1.StopRunner()
 	e1.Close()
 
 	corruptFile(t, ck2.Path)
@@ -297,7 +297,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if _, err := os.Stat(ck2.Path); !os.IsNotExist(err) {
 		t.Fatalf("corrupt checkpoint not deleted: %v", err)
 	}
-	st2.Close()
+	st2.StopRunner()
 	e2.Close()
 
 	e3, _ := newKVEngine(t, 0)
@@ -305,7 +305,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st3.Close()
+	defer st3.StopRunner()
 	defer e3.Close()
 	if info3.FellBack || info3.CheckpointVID != n1 {
 		t.Fatalf("after demotion: %+v", info3)
@@ -335,7 +335,7 @@ func TestAllCheckpointsCorruptFallsBackToSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSums := SumAt(e1.Store(), writes)
-	st1.Close()
+	st1.StopRunner()
 	e1.Close()
 	corruptFile(t, ck.Path)
 
@@ -353,7 +353,7 @@ func TestAllCheckpointsCorruptFallsBackToSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
+	defer st2.StopRunner()
 	defer e2.Close()
 	if !info2.FellBack || info2.CheckpointVID != 0 {
 		t.Fatalf("info2 = %+v", info2)
@@ -376,7 +376,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	}
 	e1.Start()
 	defer e1.Close()
-	defer st1.Close()
+	defer st1.StopRunner()
 
 	ckpts := 0
 	for round := 0; round < 4; round++ {
@@ -436,7 +436,7 @@ func TestBackgroundRunnerCheckpoints(t *testing.T) {
 	}
 	e1.Start()
 	defer e1.Close()
-	defer st1.Close()
+	defer st1.StopRunner()
 	st1.StartRunner(e1, Policy{EveryVIDs: 10, Poll: 5 * time.Millisecond})
 
 	for i := int64(0); i < 30; i++ {
@@ -464,7 +464,7 @@ func TestManualCheckpointNoProgress(t *testing.T) {
 	}
 	e1.Start()
 	defer e1.Close()
-	defer st1.Close()
+	defer st1.StopRunner()
 	mustExec(t, e1, "put", kvArgs(100, 1))
 	if _, err := st1.Checkpoint(e1); err != nil {
 		t.Fatal(err)
@@ -499,7 +499,7 @@ func TestCheckpointSurvivesGCAfterCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer st.StopRunner()
 	e.Start()
 	defer e.Close()
 	mustExec(t, e, "add", kvArgs(1, 1))
@@ -602,7 +602,7 @@ func TestNoCheckpointAfterLogFailure(t *testing.T) {
 	if after := dirFiles(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("the refused checkpoint changed the data directory: %v → %v", before, after)
 	}
-	st1.Close()
+	st1.StopRunner()
 	e1.Close()
 
 	e2, _ := newKVEngine(t, 0)
@@ -610,7 +610,7 @@ func TestNoCheckpointAfterLogFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
+	defer st2.StopRunner()
 	defer e2.Close()
 	if info2.CheckpointVID != 2 || info2.WatermarkVID != 3 {
 		t.Fatalf("recovered from checkpoint %d to VID %d, want 2 and 3", info2.CheckpointVID, info2.WatermarkVID)

@@ -209,7 +209,7 @@ func runCrashPoint(t *testing.T, pt crash.Point) {
 		t.Fatalf("recovery after crash at %s: %v", pt, err)
 	}
 	defer e2.Close()
-	defer st2.Close()
+	defer st2.StopRunner()
 
 	w := info.WatermarkVID
 	if w < acked {
@@ -283,7 +283,7 @@ func TestRecoveryBoundedByTail(t *testing.T) {
 	}
 	run(40)
 	tail := e1.LatestVID() - info.VID
-	st1.Close()
+	st1.StopRunner()
 	e1.Close()
 
 	_, e2 := newTPCCEngine(t, false)
@@ -292,7 +292,7 @@ func TestRecoveryBoundedByTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	defer st2.Close()
+	defer st2.StopRunner()
 	if rinfo.CheckpointVID != info.VID {
 		t.Fatalf("recovered from vid %d, want checkpoint %d", rinfo.CheckpointVID, info.VID)
 	}
@@ -359,7 +359,7 @@ func TestCheckpointsUnderLiveGC(t *testing.T) {
 	<-ckptDone
 	w := e1.LatestVID()
 	want := checkpoint.SumAt(e1.Store(), w)
-	st1.Close()
+	st1.StopRunner()
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestCheckpointsUnderLiveGC(t *testing.T) {
 		t.Fatalf("recovery from a checkpoint taken under GC: %v", err)
 	}
 	defer e2.Close()
-	defer st2.Close()
+	defer st2.StopRunner()
 	if info.WatermarkVID != w || info.CheckpointVID == 0 {
 		t.Fatalf("recovered to %d from checkpoint %d, want watermark %d from a checkpoint", info.WatermarkVID, info.CheckpointVID, w)
 	}

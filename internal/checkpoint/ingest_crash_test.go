@@ -225,7 +225,7 @@ func runIngestCrashPoint(t *testing.T, pt crash.Point) {
 		t.Fatalf("recovery after crash at %s: %v", pt, err)
 	}
 	defer e2.Close()
-	defer st2.Close()
+	defer st2.StopRunner()
 
 	w := info.WatermarkVID
 	if w < acked {

@@ -316,9 +316,6 @@ func NewRouter[Q, R any](backends []Backend[Q, R], cfg Config) (*Router[Q, R], e
 // Stats returns the router's counters.
 func (r *Router[Q, R]) Stats() *Stats { return &r.stats }
 
-// Members returns the fleet size.
-func (r *Router[Q, R]) Members() int { return len(r.members) }
-
 // EjectedCount returns how many members the breaker currently holds
 // ejected. Invariant: Ejections − Readmits == EjectedCount.
 func (r *Router[Q, R]) EjectedCount() int {

@@ -439,8 +439,8 @@ func TestRegisterMetrics(t *testing.T) {
 			t.Fatalf("scrape missing %q:\n%s", want, out)
 		}
 	}
-	if r.Members() != 2 {
-		t.Fatalf("members = %d", r.Members())
+	if n := len(r.members); n != 2 {
+		t.Fatalf("members = %d", n)
 	}
 	_ = r.MemberHealth(0)
 }

@@ -110,14 +110,8 @@ func (n *Node) Stats() *olap.SchedulerStats { return n.sched.Stats() }
 // Replica exposes the node's local replica state.
 func (n *Node) Replica() *olap.Replica { return n.rep }
 
-// Freshness returns the node's snapshot-freshness tracker.
-func (n *Node) Freshness() *obs.Freshness { return n.sched.Freshness() }
-
 // TransportStats returns the node's network counters.
 func (n *Node) TransportStats() *network.Stats { return n.sup.NetStats() }
-
-// ReplicaStats returns the node's robustness counters.
-func (n *Node) ReplicaStats() *replica.Stats { return n.sup.Stats() }
 
 // Status reports the replication channel's health.
 func (n *Node) Status() replica.Status { return n.sup.Status() }

@@ -12,7 +12,7 @@ import (
 func TestHashGetOrPutBatch(t *testing.T) {
 	h := NewHash[*int](64)
 	pre := 17
-	h.Put(100, &pre)
+	h.PutIfAbsent(100, &pre)
 
 	keys := []uint64{1, 100, 2, 1, 3, 100}
 	out := make([]*int, len(keys))
@@ -76,8 +76,8 @@ func TestHashGetOrPutBatchRandomized(t *testing.T) {
 			}
 		}
 	}
-	if h.Len() != len(oracle) {
-		t.Fatalf("Len = %d, oracle has %d", h.Len(), len(oracle))
+	if n := hashLen(h); n != len(oracle) {
+		t.Fatalf("Len = %d, oracle has %d", n, len(oracle))
 	}
 
 	// Concurrent batches over an overlapping key space: all callers must
@@ -138,11 +138,11 @@ func TestSkipListPutBatch(t *testing.T) {
 			oracle[k] = vals[i]
 		}
 	}
-	if sl.Len() != len(oracle) {
-		t.Fatalf("Len = %d, oracle has %d", sl.Len(), len(oracle))
+	if n := slLen(sl); n != len(oracle) {
+		t.Fatalf("Len = %d, oracle has %d", n, len(oracle))
 	}
 	for k, want := range oracle {
-		got, ok := sl.Get(k)
+		got, ok := slGet(sl, k)
 		if !ok || got != want {
 			t.Fatalf("Get(%d) = %d,%v want %d", k, got, ok, want)
 		}

@@ -67,14 +67,6 @@ func (h *Hash[V]) Get(key uint64) (V, bool) {
 	return v, ok
 }
 
-// Put stores value under key, replacing any existing entry.
-func (h *Hash[V]) Put(key uint64, v V) {
-	s := h.shard(key)
-	s.mu.Lock()
-	s.m[key] = v
-	s.mu.Unlock()
-}
-
 // PutIfAbsent stores value under key only if no entry exists. It returns
 // the resident value and whether the put took effect.
 func (h *Hash[V]) PutIfAbsent(key uint64, v V) (V, bool) {
@@ -155,31 +147,6 @@ func (h *Hash[V]) CompareAndDelete(key uint64, eq func(V) bool) bool {
 	}
 	s.mu.Unlock()
 	return false
-}
-
-// Delete removes key. It reports whether an entry was removed.
-func (h *Hash[V]) Delete(key uint64) bool {
-	s := h.shard(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	if ok {
-		delete(s.m, key)
-	}
-	s.mu.Unlock()
-	return ok
-}
-
-// Len returns the number of entries. It is linearizable only in
-// quiescent states.
-func (h *Hash[V]) Len() int {
-	n := 0
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
 }
 
 // Range calls fn for every entry until fn returns false. Entries

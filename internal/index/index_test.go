@@ -8,6 +8,41 @@ import (
 	"testing/quick"
 )
 
+// anyValue is the CompareAndDelete predicate that deletes whatever the
+// key holds.
+func anyValue[V any](V) bool { return true }
+
+// hashLen counts h's entries through Range.
+func hashLen[V any](h *Hash[V]) int {
+	n := 0
+	h.Range(func(uint64, V) bool { n++; return true })
+	return n
+}
+
+// hashPut stores v under key, replacing any entry.
+func hashPut[V any](h *Hash[V], key uint64, v V) {
+	h.CompareAndDelete(key, anyValue[V])
+	h.PutIfAbsent(key, v)
+}
+
+// slGet is a point lookup through Seek, the list's reader path.
+func slGet[V any](s *SkipList[V], key uint64) (V, bool) {
+	if it := s.Seek(key); it.Valid() && it.Key() == key {
+		return it.Value(), true
+	}
+	var zero V
+	return zero, false
+}
+
+// slLen counts s's keys by iteration.
+func slLen[V any](s *SkipList[V]) int {
+	n := 0
+	for it := s.Min(); it.Valid(); it.Next() {
+		n++
+	}
+	return n
+}
+
 // --- Hash --------------------------------------------------------------
 
 func TestHashBasic(t *testing.T) {
@@ -15,23 +50,22 @@ func TestHashBasic(t *testing.T) {
 	if _, ok := h.Get(1); ok {
 		t.Fatal("Get on empty index returned ok")
 	}
-	h.Put(1, "a")
-	h.Put(2, "b")
+	h.PutIfAbsent(1, "a")
+	h.PutIfAbsent(2, "b")
 	if v, ok := h.Get(1); !ok || v != "a" {
 		t.Fatalf("Get(1) = %q,%v", v, ok)
 	}
-	h.Put(1, "a2")
-	if v, _ := h.Get(1); v != "a2" {
-		t.Fatalf("Put did not replace: %q", v)
+	if hashLen(h) != 2 {
+		t.Fatalf("Len = %d", hashLen(h))
 	}
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d", h.Len())
+	if h.CompareAndDelete(1, func(v string) bool { return v == "b" }) {
+		t.Fatal("CompareAndDelete removed an entry whose value did not match")
 	}
-	if !h.Delete(1) || h.Delete(1) {
-		t.Fatal("Delete semantics wrong")
+	if !h.CompareAndDelete(1, anyValue[string]) || h.CompareAndDelete(1, anyValue[string]) {
+		t.Fatal("CompareAndDelete semantics wrong")
 	}
-	if h.Len() != 1 {
-		t.Fatalf("Len after delete = %d", h.Len())
+	if hashLen(h) != 1 {
+		t.Fatalf("Len after delete = %d", hashLen(h))
 	}
 }
 
@@ -48,7 +82,7 @@ func TestHashPutIfAbsent(t *testing.T) {
 func TestHashRange(t *testing.T) {
 	h := NewHash[int](16)
 	for i := uint64(0); i < 100; i++ {
-		h.Put(i, int(i)*2)
+		h.PutIfAbsent(i, int(i)*2)
 	}
 	seen := make(map[uint64]int)
 	h.Range(func(k uint64, v int) bool {
@@ -81,7 +115,7 @@ func TestHashConcurrent(t *testing.T) {
 			defer wg.Done()
 			base := uint64(w * perWorker)
 			for i := uint64(0); i < perWorker; i++ {
-				h.Put(base+i, base+i)
+				h.PutIfAbsent(base+i, base+i)
 			}
 			for i := uint64(0); i < perWorker; i++ {
 				if v, ok := h.Get(base + i); !ok || v != base+i {
@@ -92,8 +126,8 @@ func TestHashConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if h.Len() != workers*perWorker {
-		t.Fatalf("Len = %d, want %d", h.Len(), workers*perWorker)
+	if n := hashLen(h); n != workers*perWorker {
+		t.Fatalf("Len = %d, want %d", n, workers*perWorker)
 	}
 }
 
@@ -111,13 +145,13 @@ func TestHashMatchesReference(t *testing.T) {
 			k := op.Key % 64 // force collisions
 			if op.Del {
 				delete(ref, k)
-				h.Delete(k)
+				h.CompareAndDelete(k, anyValue[int])
 			} else {
 				ref[k] = op.Val
-				h.Put(k, op.Val)
+				hashPut(h, k, op.Val)
 			}
 		}
-		if h.Len() != len(ref) {
+		if hashLen(h) != len(ref) {
 			return false
 		}
 		for k, v := range ref {
@@ -136,26 +170,29 @@ func TestHashMatchesReference(t *testing.T) {
 
 func TestSkipListBasic(t *testing.T) {
 	s := NewSkipList[string](1)
-	if _, ok := s.Get(5); ok {
+	if _, ok := slGet(s, 5); ok {
 		t.Fatal("Get on empty list returned ok")
 	}
 	s.Put(5, "five")
 	s.Put(1, "one")
 	s.Put(9, "nine")
-	if v, ok := s.Get(5); !ok || v != "five" {
+	if v, ok := slGet(s, 5); !ok || v != "five" {
 		t.Fatalf("Get(5) = %q,%v", v, ok)
 	}
 	s.Put(5, "FIVE")
-	if v, _ := s.Get(5); v != "FIVE" {
+	if v, _ := slGet(s, 5); v != "FIVE" {
 		t.Fatalf("replace failed: %q", v)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if slLen(s) != 3 {
+		t.Fatalf("Len = %d", slLen(s))
 	}
-	if !s.Delete(5) || s.Delete(5) {
-		t.Fatal("Delete semantics wrong")
+	if s.CompareAndDelete(5, func(v string) bool { return v == "five" }) {
+		t.Fatal("CompareAndDelete removed an entry whose value did not match")
 	}
-	if _, ok := s.Get(5); ok {
+	if !s.CompareAndDelete(5, anyValue[string]) || s.CompareAndDelete(5, anyValue[string]) {
+		t.Fatal("CompareAndDelete semantics wrong")
+	}
+	if _, ok := slGet(s, 5); ok {
 		t.Fatal("deleted key still present")
 	}
 }
@@ -219,14 +256,11 @@ func TestSkipListMatchesReference(t *testing.T) {
 			k := op.Key % 128
 			if op.Del {
 				delete(ref, k)
-				s.Delete(k)
+				s.CompareAndDelete(k, anyValue[int])
 			} else {
 				ref[k] = op.Val
 				s.Put(k, op.Val)
 			}
-		}
-		if s.Len() != len(ref) {
-			return false
 		}
 		var prev uint64
 		first := true
@@ -269,7 +303,7 @@ func TestSkipListConcurrentReadersWriter(t *testing.T) {
 				}
 				// Even keys are permanent: they must always be found.
 				k := uint64(rand.Intn(500)) * 2
-				if v, ok := s.Get(k); !ok || v != k {
+				if v, ok := slGet(s, k); !ok || v != k {
 					t.Errorf("lost permanent key %d", k)
 					return
 				}
@@ -292,7 +326,7 @@ func TestSkipListConcurrentReadersWriter(t *testing.T) {
 		if i%2 == 0 {
 			s.Put(k, k)
 		} else {
-			s.Delete(k)
+			s.CompareAndDelete(k, anyValue[uint64])
 		}
 	}
 	close(stop)
@@ -307,11 +341,11 @@ func TestSkipListDeleteTallNode(t *testing.T) {
 		s.Put(i, int(i))
 	}
 	for i := uint64(0); i < 2000; i++ {
-		if !s.Delete(i) {
-			t.Fatalf("Delete(%d) = false", i)
+		if !s.CompareAndDelete(i, anyValue[int]) {
+			t.Fatalf("CompareAndDelete(%d) = false", i)
 		}
 	}
-	if s.Len() != 0 || s.Min().Valid() {
+	if s.Min().Valid() {
 		t.Fatal("list not empty after deleting all keys")
 	}
 }

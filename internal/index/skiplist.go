@@ -11,18 +11,17 @@ const maxLevel = 24
 
 // SkipList is an ordered concurrent map from uint64 keys to V.
 //
-// Readers (Get, Seek, iteration) are lock-free: they only follow atomic
-// next pointers, so they never block behind writers and always observe a
-// structurally consistent list. Writers (Put, Delete) serialize on an
-// internal mutex; see the package comment for why this is an acceptable
-// substitute for the paper's lock-free Bw-Tree.
+// Readers (Seek, iteration) are lock-free: they only follow atomic next
+// pointers, so they never block behind writers and always observe a
+// structurally consistent list. Writers (Put, PutBatch, CompareAndDelete)
+// serialize on an internal mutex; see the package comment for why this
+// is an acceptable substitute for the paper's lock-free Bw-Tree.
 type SkipList[V any] struct {
 	head  *slNode[V]
 	level atomic.Int32
 
 	wmu sync.Mutex
 	rng *rand.Rand
-	len atomic.Int64
 }
 
 type slNode[V any] struct {
@@ -70,25 +69,6 @@ func (s *SkipList[V]) findPreds(key uint64, preds *[maxLevel]*slNode[V]) *slNode
 	return x.next[0].Load()
 }
 
-// Get returns the value stored under key.
-func (s *SkipList[V]) Get(key uint64) (V, bool) {
-	x := s.head
-	for i := int(s.level.Load()) - 1; i >= 0; i-- {
-		for {
-			nxt := x.next[i].Load()
-			if nxt == nil || nxt.key > key {
-				break
-			}
-			if nxt.key == key {
-				return *nxt.val.Load(), true
-			}
-			x = nxt
-		}
-	}
-	var zero V
-	return zero, false
-}
-
 // Put inserts or replaces the value under key.
 func (s *SkipList[V]) Put(key uint64, v V) {
 	s.wmu.Lock()
@@ -117,7 +97,6 @@ func (s *SkipList[V]) Put(key uint64, v V) {
 	for i := 0; i < lvl; i++ {
 		preds[i].next[i].Store(n)
 	}
-	s.len.Add(1)
 }
 
 // PutBatch inserts or replaces every (keys[i], vals[i]) pair under one
@@ -187,13 +166,7 @@ func (s *SkipList[V]) PutBatch(keys []uint64, vals []V) {
 		for i := 0; i < lvl; i++ {
 			preds[i].next[i].Store(n)
 		}
-		s.len.Add(1)
 	}
-}
-
-// Delete removes key, reporting whether it was present.
-func (s *SkipList[V]) Delete(key uint64) bool {
-	return s.CompareAndDelete(key, func(V) bool { return true })
 }
 
 // CompareAndDelete removes key only if its value satisfies eq, reporting
@@ -215,12 +188,8 @@ func (s *SkipList[V]) CompareAndDelete(key uint64, eq func(V) bool) bool {
 			preds[i].next[i].Store(cand.next[i].Load())
 		}
 	}
-	s.len.Add(-1)
 	return true
 }
-
-// Len returns the number of keys currently stored.
-func (s *SkipList[V]) Len() int { return int(s.len.Load()) }
 
 // Seek returns an iterator positioned at the smallest key >= key.
 func (s *SkipList[V]) Seek(key uint64) *Iterator[V] {

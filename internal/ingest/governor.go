@@ -17,17 +17,18 @@ type GovernorConfig struct {
 	// 256.
 	MinRate float64
 	MaxRate float64
-	// IncreaseStep is the additive probe applied when the signal is
-	// comfortably under the bound. Default (MaxRate-MinRate)/64.
-	IncreaseStep float64
-	// DecreaseFactor is the multiplicative cut applied on a bound
-	// violation. Default 0.5.
-	DecreaseFactor float64
-	// Headroom defines the hold band: the rate only increases while
-	// p99 < Headroom * bound, so the controller parks between probe and
-	// cut instead of oscillating against the bound. Default 0.85.
-	Headroom float64
 }
+
+// The control law's shape: an additive probe adds 1/probeSteps of the
+// rate range when the signal is comfortably under the bound, a bound
+// violation cuts the rate by decreaseFactor, and the rate only
+// increases while p99 < headroom * bound, so the controller parks
+// between probe and cut instead of oscillating against the bound.
+const (
+	probeSteps     = 64
+	decreaseFactor = 0.5
+	headroom       = 0.85
+)
 
 func (c *GovernorConfig) fill() {
 	if c.SLOMultiplier <= 1 {
@@ -38,15 +39,6 @@ func (c *GovernorConfig) fill() {
 	}
 	if c.MaxRate <= c.MinRate {
 		c.MaxRate = c.MinRate * 1024
-	}
-	if c.IncreaseStep <= 0 {
-		c.IncreaseStep = (c.MaxRate - c.MinRate) / 64
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.5
-	}
-	if c.Headroom <= 0 || c.Headroom > 1 {
-		c.Headroom = 0.85
 	}
 }
 
@@ -113,22 +105,22 @@ func (g *Governor) Observe(p99 time.Duration) float64 {
 	switch {
 	case p99 > 0 && float64(p99) > bound:
 		g.slowStart = false
-		g.rate *= g.cfg.DecreaseFactor
+		g.rate *= decreaseFactor
 		if g.rate < g.cfg.MinRate {
 			g.rate = g.cfg.MinRate
 		}
 		g.throttles++
-	case p99 <= 0 || float64(p99) < g.cfg.Headroom*bound:
+	case p99 <= 0 || float64(p99) < headroom*bound:
 		if g.slowStart {
 			g.rate *= 2
 		} else {
-			g.rate += g.cfg.IncreaseStep
+			g.rate += (g.cfg.MaxRate - g.cfg.MinRate) / probeSteps
 		}
 		if g.rate > g.cfg.MaxRate {
 			g.rate = g.cfg.MaxRate
 		}
 		g.probes++
-		// Inside the hold band [Headroom*bound, bound]: park.
+		// Inside the hold band [headroom*bound, bound]: park.
 	}
 	return g.rate
 }

@@ -50,7 +50,7 @@ func TestGovernorConverges(t *testing.T) {
 		// Rate below which the plant sits under the headroom threshold
 		// (the governor's probe region). headroom*mult > 1 for every
 		// generated multiplier, so rHead is well-defined.
-		rHead := knee + (cfg.Headroom*mult-1)/beta
+		rHead := knee + (headroom*mult-1)/beta
 
 		const (
 			ticks  = 300
@@ -94,9 +94,9 @@ func TestGovernorConverges(t *testing.T) {
 		// probe region by at most one step, and a slow-start park sits at
 		// most one doubling past rHead but never past the crossing.
 		// Floor: cuts only fire above the crossing rate, so a cut lands
-		// no lower than DecreaseFactor*rStar, and a park sits at rHead or
+		// no lower than decreaseFactor*rStar, and a park sits at rHead or
 		// above.
-		hi := rHead + cfg.IncreaseStep
+		hi := rHead + (cfg.MaxRate-cfg.MinRate)/probeSteps
 		park := 2 * rHead
 		if park > rStar {
 			park = rStar
@@ -107,7 +107,7 @@ func TestGovernorConverges(t *testing.T) {
 		if hi > cfg.MaxRate {
 			hi = cfg.MaxRate
 		}
-		lo := cfg.DecreaseFactor * rStar
+		lo := decreaseFactor * rStar
 		if rHead < lo {
 			lo = rHead
 		}
@@ -123,7 +123,7 @@ func TestGovernorConverges(t *testing.T) {
 			}
 		}
 		// No oscillation beyond bound: a violation is cut back under the
-		// crossing within at most two observations (DecreaseFactor^2
+		// crossing within at most two observations (decreaseFactor^2
 		// times any reachable rate sits below rStar for every generated
 		// plant), so three consecutive violating rates cannot happen.
 		for i := 2; i < len(rates); i++ {

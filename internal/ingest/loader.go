@@ -35,9 +35,6 @@ type Config struct {
 	// BaselineWindow is how long to measure the unloaded baseline p99
 	// when Governor.BaselineP99 is zero. Default 250 ms.
 	BaselineWindow time.Duration
-	// MaxRetries bounds per-chunk retries on write-write conflicts.
-	// Default 8.
-	MaxRetries int
 	// OnChunk, when set, is called after each chunk's group commit is
 	// acknowledged (i.e. the chunk is durable).
 	OnChunk func(ChunkAck)
@@ -55,9 +52,6 @@ func (c *Config) fill() {
 	}
 	if c.BaselineWindow <= 0 {
 		c.BaselineWindow = 250 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
 	}
 }
 
@@ -120,9 +114,6 @@ func NewLoader(e *oltp.Engine, table storage.TableID, cfg Config) *Loader {
 	cfg.fill()
 	return &Loader{e: e, table: table, cfg: cfg}
 }
-
-// Stats returns the loader's counters for metrics registration.
-func (l *Loader) Stats() *Stats { return &l.stats }
 
 // Rate returns the currently admitted chunk rate (chunks/sec), or 0
 // before a governed load has started.
@@ -274,6 +265,9 @@ func (l *Loader) measureBaseline(hist *obs.Histogram) time.Duration {
 	return time.Millisecond
 }
 
+// maxChunkRetries bounds a chunk's retries on write-write conflicts.
+const maxChunkRetries = 8
+
 // execChunk submits one chunk, retrying conflicts. The ack only
 // arrives after the chunk's group commit, so a nil error means the
 // chunk is durable (oltp.ErrNotDurable is unrecoverable here: the
@@ -285,7 +279,7 @@ func (l *Loader) execChunk(rows [][]byte) (vid uint64, retries int, err error) {
 		if resp.Err == nil {
 			return resp.CommitVID, retries, nil
 		}
-		if !errors.Is(resp.Err, mvcc.ErrConflict) || attempt >= l.cfg.MaxRetries {
+		if !errors.Is(resp.Err, mvcc.ErrConflict) || attempt >= maxChunkRetries {
 			return 0, retries, fmt.Errorf("ingest: chunk failed after %d retries: %w", retries, resp.Err)
 		}
 		retries++

@@ -367,7 +367,7 @@ func TestIngestSoakCheckpointMidLoad(t *testing.T) {
 	close(ckptStop)
 	<-ckptDone
 	rig.sched.Close()
-	st.Close()
+	st.StopRunner()
 	if err := rig.engine.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestIngestSoakCheckpointMidLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	defer st2.Close()
+	defer st2.StopRunner()
 	if info.WatermarkVID < rep.LastVID {
 		t.Fatalf("recovered watermark %d below last acked chunk VID %d", info.WatermarkVID, rep.LastVID)
 	}

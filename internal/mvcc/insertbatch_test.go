@@ -85,7 +85,7 @@ func TestInsertBatchParity(t *testing.T) {
 	// Secondary indexes carry identical entry sets.
 	count := func(tbl *Table, ro *Txn) int {
 		n := 0
-		for it := tbl.Secondary("by_val").Seek(0); it.Valid(); it.Next() {
+		for it := tbl.sec[0].Seek(0); it.Valid(); it.Next() { // by_val
 			if ro.ReadChain(it.Value()) != nil {
 				n++
 			}

@@ -57,16 +57,6 @@ func (t *Table) AddSecondary(name string, fn SecondaryKeyFunc) *Secondary {
 	return s
 }
 
-// Secondary returns the named secondary index, or nil.
-func (t *Table) Secondary(name string) *Secondary {
-	for _, s := range t.sec {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // getChain returns the version chain for key, or nil.
 func (t *Table) getChain(key uint64) *Chain {
 	c, _ := t.pk.Get(key)

@@ -144,11 +144,6 @@ type Conn struct {
 	stats *Stats
 }
 
-// NewConn wraps an established net.Conn with no deadlines.
-func NewConn(c net.Conn, stats *Stats) *Conn {
-	return NewConnOpts(c, stats, Options{})
-}
-
 // NewConnOpts wraps an established net.Conn with the given deadlines.
 func NewConnOpts(c net.Conn, stats *Stats, opts Options) *Conn {
 	if stats == nil {

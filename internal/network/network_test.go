@@ -204,7 +204,7 @@ func rendezvous(sz uint64) []byte {
 // accepts a frame returns it rather than failing on a short stream.
 func feed(t testing.TB, data []byte) *Conn {
 	a, b := net.Pipe()
-	c := NewConn(b, nil)
+	c := NewConnOpts(b, nil, Options{})
 	// The write fails once the Conn refuses a frame and closes its end;
 	// Recv's error is what the caller checks.
 	go a.Write(data)
@@ -281,7 +281,7 @@ func FuzzRecv(f *testing.F) {
 	f.Add(rendezvous(1 << 63))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := net.Pipe()
-		c := NewConn(b, nil)
+		c := NewConnOpts(b, nil, Options{})
 		// An accepted announcement reserves a buffer of its size: sever
 		// above a few MiB so an input cannot make the fuzzer allocate
 		// gigabytes.
@@ -297,7 +297,7 @@ func FuzzRecv(f *testing.F) {
 		}()
 		go io.Copy(io.Discard, a)
 		w := &wire{}
-		resend := NewConn(w, nil)
+		resend := NewConnOpts(w, nil, Options{})
 		pos := 0
 		for {
 			mt, p, release, err := c.Recv()

@@ -159,14 +159,6 @@ func (f *Freshness) InstalledVID() uint64 {
 	return f.installed
 }
 
-// LagHigh returns the highest VID lag ever observed — the backlog peak
-// after an outage, which the live lag gauge only shows transiently.
-func (f *Freshness) LagHigh() int64 { return f.lagHigh.Load() }
-
-// ResetLagHigh clears the lag high-watermark (between measurement
-// phases).
-func (f *Freshness) ResetLagHigh() { f.lagHigh.Set(0) }
-
 // Register exposes the tracker through reg under the batchdb_freshness
 // namespace. The lag and staleness gauges are evaluated live at scrape
 // time.

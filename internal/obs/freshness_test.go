@@ -65,8 +65,8 @@ func TestFreshnessLagAndStalenessBehind(t *testing.T) {
 	if s := f.StalenessNanos(); s != 0 {
 		t.Fatalf("staleness after confirmed re-sync %d, want 0", s)
 	}
-	if f.LagHigh() != 15 {
-		t.Fatalf("lag high %d, want 15", f.LagHigh())
+	if high := f.lagHigh.Load(); high != 15 {
+		t.Fatalf("lag high %d, want 15", high)
 	}
 }
 
@@ -78,10 +78,9 @@ func TestFreshnessOutageRisesThenRecovers(t *testing.T) {
 	f, c := newFakeFreshness()
 	f.ObserveWatermark(100, true)
 	f.ObserveInstall(100)
-	// Clear the bootstrap spike (watermark 100 over installed 0), the
-	// way both the bench harness and the outage regression test do
-	// between measurement phases.
-	f.ResetLagHigh()
+	// Clear the bootstrap spike (watermark 100 over installed 0), so the
+	// high-watermark below is the outage's alone.
+	f.lagHigh.Set(0)
 
 	for i := 0; i < 5; i++ {
 		c.advance(time.Second)
@@ -108,10 +107,10 @@ func TestFreshnessOutageRisesThenRecovers(t *testing.T) {
 	if s := f.StalenessNanos(); s != 0 {
 		t.Fatalf("post-install staleness %d, want 0", s)
 	}
-	if f.LagHigh() != 80 {
-		t.Fatalf("lag high %d, want 80 (the reconnect spike)", f.LagHigh())
+	if high := f.lagHigh.Load(); high != 80 {
+		t.Fatalf("lag high %d, want 80 (the reconnect spike)", high)
 	}
-	if got := f.stalenessHist.Count(); got != 2 {
+	if got := f.stalenessHist.count.Load(); got != 2 {
 		t.Fatalf("staleness samples %d, want 2", got)
 	}
 }

@@ -72,12 +72,6 @@ func (h *Histogram) Record(v int64) {
 // RecordSince records the elapsed time since start in nanoseconds.
 func (h *Histogram) RecordSince(start time.Time) { h.Record(int64(time.Since(start))) }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all recorded samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Snapshot is a coherent point-in-time copy of a Histogram: its Count
 // always equals the sum of its Buckets, so ranks computed from Count
 // can never run past the bucket mass (the incoherence a raw concurrent
@@ -91,7 +85,7 @@ type Snapshot struct {
 	// (count stable across the bucket scan): Sum is then the exact
 	// sample sum. Otherwise Count/Buckets are still mutually coherent
 	// but Sum is reconstructed from bucket edges (<= ~3% relative
-	// error), keeping Mean inside the recorded value range.
+	// error), keeping Sum/Count inside the recorded value range.
 	Exact bool
 }
 
@@ -163,14 +157,6 @@ func (s *Snapshot) Delta(prev *Snapshot) Snapshot {
 	return d
 }
 
-// Mean returns the snapshot's arithmetic mean, or 0 if empty.
-func (s *Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Percentile returns the value at quantile p in [0,100] — the upper
 // edge of the bucket containing the p-th sample of this snapshot.
 func (s *Snapshot) Percentile(p float64) int64 {
@@ -189,26 +175,6 @@ func (s *Snapshot) Percentile(p float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the arithmetic mean of the samples, or 0 if empty. It is
-// computed from one coherent snapshot, so concurrent Records cannot
-// pair a fresh sum with a stale count.
-func (h *Histogram) Mean() float64 {
-	s := h.Snapshot()
-	return s.Mean()
-}
-
-// Max returns the largest recorded sample.
-func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// Percentile returns the value at quantile p in [0,100]. The result is
-// the upper edge of the bucket containing the p-th sample. The rank and
-// the bucket scan come from one coherent snapshot (see Snapshot), so a
-// concurrent Record can never make the rank run past the bucket mass.
-func (h *Histogram) Percentile(p float64) int64 {
-	s := h.Snapshot()
-	return s.Percentile(p)
 }
 
 // Counter is a concurrent event counter.

@@ -44,30 +44,32 @@ func TestHistogramPercentiles(t *testing.T) {
 	for i := int64(1); i <= 1000; i++ {
 		h.Record(i)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("Count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 1000 {
+		t.Fatalf("Count = %d", s.Count)
 	}
 	checks := []struct {
 		p    float64
 		want int64
 	}{{50, 500}, {90, 900}, {99, 990}, {100, 1000}}
 	for _, c := range checks {
-		got := h.Percentile(c.p)
+		got := s.Percentile(c.p)
 		if float64(got) < float64(c.want)*0.95 || float64(got) > float64(c.want)*1.08 {
 			t.Errorf("p%.0f = %d, want ~%d", c.p, got, c.want)
 		}
 	}
-	if h.Max() != 1000 {
-		t.Errorf("Max = %d", h.Max())
+	if s.Max != 1000 {
+		t.Errorf("Max = %d", s.Max)
 	}
-	if m := h.Mean(); m < 495 || m > 506 {
+	if m := float64(s.Sum) / float64(s.Count); m < 495 || m > 506 {
 		t.Errorf("Mean = %f", m)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := &Histogram{}
-	if h.Percentile(99) != 0 || h.Mean() != 0 || h.Count() != 0 {
+	s := h.Snapshot()
+	if s.Percentile(99) != 0 || s.Sum != 0 || s.Count != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 }
@@ -86,13 +88,14 @@ func TestPercentileAccuracyProperty(t *testing.T) {
 			h.Record(vals[i])
 		}
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		s := h.Snapshot()
 		for _, p := range []float64{50, 90, 99} {
 			rank := int(math.Ceil(p/100*float64(len(vals)))) - 1
 			if rank < 0 {
 				rank = 0
 			}
 			exact := vals[rank]
-			got := h.Percentile(p)
+			got := s.Percentile(p)
 			if float64(got) < float64(exact) || float64(got) > float64(exact)*1.04+32 {
 				return false
 			}
@@ -117,8 +120,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != 40000 {
-		t.Fatalf("Count = %d", h.Count())
+	if s := h.Snapshot(); s.Count != 40000 {
+		t.Fatalf("Count = %d", s.Count)
 	}
 }
 

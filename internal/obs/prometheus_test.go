@@ -26,9 +26,14 @@ func findParsed(t *testing.T, samples []ParsedSample, name string) ParsedSample 
 func TestWritePrometheusParsesAndEscapes(t *testing.T) {
 	r := NewRegistry()
 	nasty := "a\\b\"c\nd"
-	r.Counter("batchdb_esc_total", "help with \\ and\nnewline", L("path", nasty)).Add(5)
-	r.Gauge("batchdb_esc_gauge", "g").Set(-7)
-	h := r.Histogram("batchdb_esc_ns", "h")
+	var c Counter
+	var g Gauge
+	var h Histogram
+	r.ObserveCounter("batchdb_esc_total", "help with \\ and\nnewline", &c, L("path", nasty))
+	r.ObserveGauge("batchdb_esc_gauge", "g", &g)
+	r.ObserveHistogram("batchdb_esc_ns", "h", &h)
+	c.Add(5)
+	g.Set(-7)
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i * 1000)
 	}
@@ -79,7 +84,8 @@ func TestWritePrometheusParsesAndEscapes(t *testing.T) {
 // Counters must be monotone across scrapes even while being written.
 func TestCountersMonotoneAcrossScrapes(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("batchdb_mono_total", "")
+	var c Counter
+	r.ObserveCounter("batchdb_mono_total", "", &c)
 	prev := -1.0
 	for i := 0; i < 200; i++ {
 		c.Add(uint64(i % 3))
@@ -119,7 +125,9 @@ func TestParsePrometheusRejectsInvalid(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("batchdb_http_total", "h").Add(9)
+	var c Counter
+	r.ObserveCounter("batchdb_http_total", "h", &c)
+	c.Add(9)
 	ts := httptest.NewServer(Handler(r, nil))
 	defer ts.Close()
 
@@ -194,7 +202,9 @@ func TestHealthzReportsFailure(t *testing.T) {
 
 func TestServeLifecycle(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("batchdb_serve_gauge", "").Set(3)
+	var g Gauge
+	r.ObserveGauge("batchdb_serve_gauge", "", &g)
+	g.Set(3)
 	srv, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ type family struct {
 // atomic, histograms are exported via coherent snapshots).
 //
 // Registration is by (name, labels): registering the same series twice
-// returns/keeps the first instrument, so wiring code can be idempotent.
+// with the same instrument is a no-op, so wiring code can be idempotent.
 // Registering a name with a different kind, or a series with a
 // different live instrument, panics — those are wiring bugs.
 type Registry struct {
@@ -132,10 +132,9 @@ func labelKey(labels []Label) string {
 	return b.String()
 }
 
-// register get-or-creates the series (name, labels). mk builds the
-// instrument when the series is new; adopt, when non-nil, is an
-// existing instrument to install (a registry view of a stats struct).
-func (r *Registry) register(name, help string, kind Kind, labels []Label, mk func() any, adopt any) any {
+// register binds the series (name, labels) to inst, a live instrument
+// of a subsystem's stats struct or an export-time callback.
+func (r *Registry) register(name, help string, kind Kind, labels []Label, inst any) {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -159,79 +158,44 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label, mk fun
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, kind, f.kind))
 	}
 	if s := f.series[key]; s != nil {
-		if adopt != nil && s.inst != adopt {
+		if s.inst != inst {
 			panic(fmt.Sprintf("obs: series %q%v already bound to a different instrument", name, labels))
 		}
-		return s.inst
-	}
-	inst := adopt
-	if inst == nil {
-		inst = mk()
+		return
 	}
 	s := &series{labels: sorted, inst: inst}
 	f.series[key] = s
 	f.order = append(f.order, s)
-	return s.inst
-}
-
-// Counter get-or-creates a registry-owned counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	inst := r.register(name, help, KindCounter, labels, func() any { return new(Counter) }, nil)
-	c, ok := inst.(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("obs: series %q is not a counter", name))
-	}
-	return c
-}
-
-// Gauge get-or-creates a registry-owned gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	inst := r.register(name, help, KindGauge, labels, func() any { return new(Gauge) }, nil)
-	g, ok := inst.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: series %q is not a gauge", name))
-	}
-	return g
-}
-
-// Histogram get-or-creates a registry-owned histogram.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	inst := r.register(name, help, KindHistogram, labels, func() any { return new(Histogram) }, nil)
-	h, ok := inst.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: series %q is not a histogram", name))
-	}
-	return h
 }
 
 // ObserveCounter registers an existing counter as a series (a registry
 // view over a subsystem's stats struct). Idempotent for the same
 // instrument.
 func (r *Registry) ObserveCounter(name, help string, c *Counter, labels ...Label) {
-	r.register(name, help, KindCounter, labels, nil, c)
+	r.register(name, help, KindCounter, labels, c)
 }
 
 // ObserveGauge registers an existing gauge as a series.
 func (r *Registry) ObserveGauge(name, help string, g *Gauge, labels ...Label) {
-	r.register(name, help, KindGauge, labels, nil, g)
+	r.register(name, help, KindGauge, labels, g)
 }
 
 // ObserveHistogram registers an existing histogram as a series.
 func (r *Registry) ObserveHistogram(name, help string, h *Histogram, labels ...Label) {
-	r.register(name, help, KindHistogram, labels, nil, h)
+	r.register(name, help, KindHistogram, labels, h)
 }
 
 // CounterFunc registers a callback evaluated at export time as a
 // counter series. fn must be monotone non-decreasing and safe for
 // concurrent use.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	r.register(name, help, KindCounter, labels, nil, fn)
+	r.register(name, help, KindCounter, labels, fn)
 }
 
 // GaugeFunc registers a callback evaluated at export time as a gauge
 // series. fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, KindGauge, labels, nil, fn)
+	r.register(name, help, KindGauge, labels, fn)
 }
 
 // Sample is one exported time-series value.

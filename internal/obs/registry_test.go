@@ -25,34 +25,43 @@ outer:
 	return Sample{}
 }
 
-func TestRegistryGetOrCreate(t *testing.T) {
+// A series is its name and label set, labels in any order: other label
+// values make another series, and reordered labels name the same one.
+func TestRegistrySeriesIdentity(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("batchdb_test_total", "help", L("class", "a"))
-	c2 := r.Counter("batchdb_test_total", "help", L("class", "a"))
-	if c1 != c2 {
-		t.Fatal("same series returned different counters")
+	var a, b Gauge
+	r.ObserveGauge("batchdb_test_gauge", "", &a, L("a", "1"), L("b", "2"))
+	r.ObserveGauge("batchdb_test_gauge", "", &a, L("b", "2"), L("a", "1"))
+	r.ObserveGauge("batchdb_test_gauge", "", &b, L("a", "1"), L("b", "3"))
+	a.Set(1)
+	b.Set(2)
+	s := r.Samples()
+	if len(s) != 2 {
+		t.Fatalf("%d samples, want one per label set", len(s))
 	}
-	c3 := r.Counter("batchdb_test_total", "help", L("class", "b"))
-	if c3 == c1 {
-		t.Fatal("different label values shared a counter")
+	if v := findSample(t, s, "batchdb_test_gauge", L("a", "1"), L("b", "2")).Value; v != 1 {
+		t.Fatalf("series {a=1,b=2} exported %v, want 1", v)
 	}
-	// Label order must not matter.
-	g1 := r.Gauge("batchdb_test_gauge", "", L("a", "1"), L("b", "2"))
-	g2 := r.Gauge("batchdb_test_gauge", "", L("b", "2"), L("a", "1"))
-	if g1 != g2 {
-		t.Fatal("label order changed series identity")
+	if v := findSample(t, s, "batchdb_test_gauge", L("a", "1"), L("b", "3")).Value; v != 2 {
+		t.Fatalf("series {a=1,b=3} exported %v, want 2", v)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reordered labels with another instrument did not panic: label order changed series identity")
+		}
+	}()
+	r.ObserveGauge("batchdb_test_gauge", "", &b, L("b", "2"), L("a", "1"))
 }
 
 func TestRegistryKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("batchdb_conflict", "")
+	r.ObserveCounter("batchdb_conflict", "", new(Counter))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter name as a gauge did not panic")
 		}
 	}()
-	r.Gauge("batchdb_conflict", "")
+	r.ObserveGauge("batchdb_conflict", "", new(Gauge))
 }
 
 func TestRegistryInvalidNamePanics(t *testing.T) {
@@ -63,7 +72,7 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 					t.Fatalf("name %q did not panic", name)
 				}
 			}()
-			NewRegistry().Counter(name, "")
+			NewRegistry().ObserveCounter(name, "", new(Counter))
 		}()
 	}
 }
@@ -94,6 +103,11 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8
 	const perWorker = 500
+	var (
+		counters [workers]Counter
+		gauges   [workers]Gauge
+		hist     Histogram
+	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	expDone := make(chan struct{})
@@ -129,9 +143,12 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			lbl := L("worker", string(rune('a'+w)))
 			for i := 0; i < perWorker; i++ {
-				r.Counter("batchdb_conc_total", "h", lbl).Inc()
-				r.Gauge("batchdb_conc_gauge", "h", lbl).Set(int64(i))
-				r.Histogram("batchdb_conc_ns", "h").Record(int64(i + 1))
+				r.ObserveCounter("batchdb_conc_total", "h", &counters[w], lbl)
+				counters[w].Inc()
+				r.ObserveGauge("batchdb_conc_gauge", "h", &gauges[w], lbl)
+				gauges[w].Set(int64(i))
+				r.ObserveHistogram("batchdb_conc_ns", "h", &hist)
+				hist.Record(int64(i + 1))
 			}
 		}(w)
 	}
@@ -170,8 +187,12 @@ func TestRegistryFuncs(t *testing.T) {
 
 func TestRenderLine(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("batchdb_line_total", "", L("class", "x")).Add(3)
-	r.Gauge("batchdb_line_gauge", "").Set(-1)
+	var c Counter
+	var g Gauge
+	r.ObserveCounter("batchdb_line_total", "", &c, L("class", "x"))
+	r.ObserveGauge("batchdb_line_gauge", "", &g)
+	c.Add(3)
+	g.Set(-1)
 	line := r.RenderLine()
 	for _, want := range []string{"batchdb_line_total{class=x}=3", "batchdb_line_gauge=-1"} {
 		if !strings.Contains(line, want) {

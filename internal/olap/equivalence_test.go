@@ -63,7 +63,9 @@ func newEqReplicaOf(t *testing.T, parts, workers int, m *eqModel) *Replica {
 		}
 		tbl.RequestSynopses(eqRanges[0])
 	}
-	r.ActivateSynopses()
+	if _, err := r.ApplyPending(0); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
@@ -265,7 +267,9 @@ func pendingEntries(r *Replica) int {
 	defer r.mu.Unlock()
 	n := 0
 	for i := range r.pending {
-		n += r.pending[i].NumEntries()
+		for _, tb := range r.pending[i].Tables {
+			n += len(tb.Entries)
+		}
 	}
 	return n
 }

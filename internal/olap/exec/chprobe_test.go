@@ -203,7 +203,10 @@ func BenchmarkBatchSize(b *testing.B) {
 				batches[s] = roundRobinBatch(g, s, n)
 				e.RunBatch(batches[s], 0) // construct and cache the link arrays
 			}
-			rep.ActivateSynopses() // the columns the batches filter on, as an apply round would
+			// An apply round activates the columns the batches filter on.
+			if _, err := rep.ApplyPending(0); err != nil {
+				b.Fatal(err)
+			}
 			before := st.ExecProbeLookups.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

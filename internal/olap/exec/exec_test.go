@@ -139,11 +139,16 @@ func (f *fixture) bonusQuery() *Query {
 }
 
 // bonusSum is the sum over a bonusQuery result's orders of their
-// region's bonus.
+// region's bonus. A group's key is the bonus's order-preserving key.
 func bonusSum(r Result) float64 {
+	bonus := map[int64]float64{}
+	for rID := 0; rID < 5; rID++ {
+		b := float64(rID) * 100
+		bonus[storage.OrdKeyFloat64(b)] = b
+	}
 	sum := 0.0
 	for _, g := range r.Groups {
-		sum += storage.Float64FromOrdKey(g.Key[0]) * float64(g.Rows)
+		sum += bonus[g.Key[0]] * float64(g.Rows)
 	}
 	return sum
 }

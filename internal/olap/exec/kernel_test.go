@@ -109,17 +109,10 @@ func (f *kernelFixture) randPred(rng *rand.Rand) exec.Pred {
 			}
 			return v
 		}
-		switch rng.Intn(3) {
-		case 0:
+		if rng.Intn(2) == 0 {
 			p = exec.CmpInt(c, exec.Op(rng.Intn(5)), clamp(f.randInt(rng)))
-		case 1:
+		} else {
 			p = exec.BetweenInt(c, clamp(f.randInt(rng)), clamp(f.randInt(rng)))
-		default:
-			vs := make([]int64, rng.Intn(4))
-			for i := range vs {
-				vs[i] = clamp(f.randInt(rng))
-			}
-			p = exec.InInt(c, vs...)
 		}
 	}
 	if rng.Intn(4) == 0 {

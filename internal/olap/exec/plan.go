@@ -37,8 +37,8 @@ type GroupCol struct {
 
 // GroupResult is one group's aggregate outputs. Key holds the group-by
 // columns' ord keys in GroupBy order (integer and time columns are
-// their values; float columns are their order-preserving keys —
-// storage.Float64FromOrdKey recovers the float). Values and Rows
+// their values; float columns are their order-preserving keys,
+// storage.OrdKeyFloat64). Values and Rows
 // mirror Result.Values / Result.Rows, restricted to the group.
 type GroupResult struct {
 	Key    []int64

@@ -289,7 +289,9 @@ func TestOneScanPassPerDriver(t *testing.T) {
 	reg := NewEngine(f.replica, 2)
 	reg.MorselTuples = 256
 	reg.RunBatch(mkBatch(), 0)
-	f.replica.ActivateSynopses()
+	if _, err := f.replica.ApplyPending(0); err != nil {
+		t.Fatal(err)
+	}
 
 	const morsels = 4096 / 256
 	e := NewEngine(f.replica, 2)
@@ -342,7 +344,9 @@ func TestPrunedTupleAccounting(t *testing.T) {
 	reg := NewEngine(f.replica, 1)
 	reg.MorselTuples = 256
 	reg.RunBatch([]*Query{mkQuery()}, 0)
-	f.replica.ActivateSynopses()
+	if _, err := f.replica.ApplyPending(0); err != nil {
+		t.Fatal(err)
+	}
 
 	// The synopses are exact after activation, so a morsel is skipped
 	// exactly when none of its live tuples falls in [lo, hi].

@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"batchdb/internal/olap"
@@ -29,7 +28,7 @@ import (
 // Op enumerates the comparison operators CmpInt takes.
 type Op uint8
 
-// Comparison operators. BETWEEN and IN have dedicated constructors.
+// Comparison operators. BETWEEN has dedicated constructors.
 const (
 	EQ Op = iota
 	LT
@@ -44,9 +43,8 @@ type PredKind uint8
 // Predicate kinds. The zero kind is no predicate: a zero Pred fails its
 // query's compile.
 const (
-	noPred PredKind = iota
-	// IntRange: an Int64, Int32 or Time column in [Lo, Hi] (and in In,
-	// when set).
+	_ PredKind = iota
+	// IntRange: an Int64, Int32 or Time column in [Lo, Hi].
 	IntRange
 	// FloatRange: a Float64 column whose ord key is in [Lo, Hi].
 	FloatRange
@@ -60,7 +58,7 @@ const (
 
 // Pred is one conjunct of a declared filter (Query.Where, Probe.Where,
 // AND-lists). Build it with a constructor — CmpInt, BetweenInt,
-// BetweenFloat, InInt, HasPrefix, EqualStr, Contains, Not; the fields
+// BetweenFloat, HasPrefix, EqualStr, Contains, Not; the fields
 // are exported so that evaluators outside the engine (internal/baseline)
 // can read the declaration.
 type Pred struct {
@@ -68,11 +66,8 @@ type Pred struct {
 	Col  int
 	Kind PredKind
 	// Lo, Hi is the accepted ord-key interval, inclusive (empty when
-	// Lo > Hi). In, when non-nil, additionally requires membership
-	// (IN-lists, sorted); Lo/Hi then hold its convex hull so synopsis
-	// pruning still applies.
+	// Lo > Hi).
 	Lo, Hi int64
-	In     []int64
 	// Str is the constant of a string kind.
 	Str string
 	// Not accepts exactly what the conjunct without it rejects.
@@ -124,18 +119,6 @@ func BetweenInt(col int, lo, hi int64) Pred {
 // BetweenFloat builds `lo <= col <= hi` over a Float64 column.
 func BetweenFloat(col int, lo, hi float64) Pred {
 	return Pred{Col: col, Kind: FloatRange, Lo: storage.OrdKeyFloat64(lo), Hi: storage.OrdKeyFloat64(hi)}
-}
-
-// InInt builds `col IN vs` over an Int64, Int32 or Time column. Meant
-// for small sets (membership is a linear scan); the set's convex hull
-// is what zone maps prune on.
-func InInt(col int, vs ...int64) Pred {
-	if len(vs) == 0 {
-		return Pred{Col: col, Kind: IntRange, Lo: 1, Hi: 0, In: []int64{}}
-	}
-	vs = slices.Clone(vs)
-	slices.Sort(vs)
-	return Pred{Col: col, Kind: IntRange, Lo: vs[0], Hi: vs[len(vs)-1], In: vs}
 }
 
 // HasPrefix builds `col LIKE 'prefix%'` over a String column.
@@ -249,7 +232,6 @@ type predKernel struct {
 	kind   PredKind
 	col    column
 	lo, hi int64
-	in     []int64
 	str    []byte
 	not    bool
 }
@@ -268,7 +250,7 @@ func compilePred(s *storage.Schema, p Pred) (predKernel, error) {
 	if err != nil {
 		return predKernel{}, fmt.Errorf("predicate of kind %d (zero: none): %w", p.Kind, err)
 	}
-	return predKernel{kind: p.Kind, col: c, lo: p.Lo, hi: p.Hi, in: p.In, str: []byte(p.Str), not: p.Not}, nil
+	return predKernel{kind: p.Kind, col: c, lo: p.Lo, hi: p.Hi, str: []byte(p.Str), not: p.Not}, nil
 }
 
 // where is a compiled AND-list; the empty list accepts everything.
@@ -276,7 +258,7 @@ type where []predKernel
 
 // compileWhere compiles an AND-list into its kernels plus the synopsis
 // form pushed down to the partitions' block checks: every numeric
-// conjunct that is not negated (an IN-list prunes on its convex hull).
+// conjunct that is not negated.
 func compileWhere(s *storage.Schema, preds []Pred) (where, []olap.ColRange, error) {
 	var ks where
 	var ranges []olap.ColRange
@@ -330,7 +312,7 @@ func (w where) filter(part *olap.Partition, slots []int32, m *vmask, buf []uint6
 }
 
 // inRange sets in got the bits of the ord keys v that fall in the
-// kernel's interval (and its set).
+// kernel's interval.
 func (k *predKernel) inRange(v []uint64, got *vmask) {
 	if k.lo > k.hi {
 		return
@@ -341,14 +323,6 @@ func (k *predKernel) inRange(v []uint64, got *vmask) {
 		for j, x := range v[base:min(base+64, len(v))] {
 			if uint64(int64(x)-lo) <= span {
 				word |= 1 << uint(j)
-			}
-		}
-		if k.in != nil {
-			for rest := word; rest != 0; rest &= rest - 1 {
-				j := bits.TrailingZeros64(rest)
-				if !slices.Contains(k.in, int64(v[base+j])) {
-					word &^= 1 << uint(j)
-				}
 			}
 		}
 		got[base>>6] = word

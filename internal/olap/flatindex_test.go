@@ -173,7 +173,8 @@ func TestRidIndexMatchesOracle(t *testing.T) {
 				}
 			case op < 65 && live:
 				v := int64(rnd.Intn(1000))
-				if err := p.UpdateField(k, uint32(s.Offset(1)), u64le(v)); err != nil {
+				slot, _ := p.Locate(k)
+				if err := p.PatchSlot(slot, uint32(s.Offset(1)), u64le(v)); err != nil {
 					t.Fatal(err)
 				}
 				oracle[k] = v

@@ -183,10 +183,11 @@ func TestPartitionErrors(t *testing.T) {
 	if err := p.Delete(99); err == nil {
 		t.Fatal("delete of unknown row accepted")
 	}
-	if err := p.UpdateField(99, 0, []byte{1}); err == nil {
-		t.Fatal("update of unknown row accepted")
+	if _, ok := p.Locate(99); ok {
+		t.Fatal("unknown row located")
 	}
-	if err := p.UpdateField(1, 100, []byte{1}); err == nil {
+	slot, _ := p.Locate(1)
+	if err := p.PatchSlot(slot, 100, []byte{1}); err == nil {
 		t.Fatal("out-of-bounds update accepted")
 	}
 }
@@ -197,7 +198,8 @@ func TestPartitionFieldUpdate(t *testing.T) {
 	p.Insert(7, tuple(s, 7, 100))
 	patch := make([]byte, 8)
 	binary.LittleEndian.PutUint64(patch, 200)
-	if err := p.UpdateField(7, uint32(s.Offset(1)), patch); err != nil {
+	slot, _ := p.Locate(7)
+	if err := p.PatchSlot(slot, uint32(s.Offset(1)), patch); err != nil {
 		t.Fatal(err)
 	}
 	tup, _ := p.Get(7)
@@ -436,14 +438,14 @@ func TestApplyTimeSkipsEmptyRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, empty := st.ApplyTime.Count(), st.ApplyRoundsEmpty.Load(); n != 0 || empty < 3 {
+	if n, empty := st.ApplyTime.Snapshot().Count, st.ApplyRoundsEmpty.Load(); n != 0 || empty < 3 {
 		t.Fatalf("three barriers, nothing committed: %d apply-time samples, %d empty rounds; want 0 and at least 3", n, empty)
 	}
 	p.commitRow(1, 10)
 	if _, err := sched.Query(3); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.ApplyTime.Count(); n != 1 {
+	if n := st.ApplyTime.Snapshot().Count; n != 1 {
 		t.Fatalf("one commit applied: %d apply-time samples, want 1", n)
 	}
 	if got := st.AppliedEntries.Load(); got != 1 {

@@ -135,17 +135,6 @@ func (p *Partition) PatchSlot(slot int32, offset uint32, data []byte) error {
 	return nil
 }
 
-// UpdateField patches [offset, offset+len(data)) of the tuple with the
-// given key in place (paper §5: updates are applied at the granularity
-// of single attributes).
-func (p *Partition) UpdateField(key uint64, offset uint32, data []byte) error {
-	slot, ok := p.Locate(key)
-	if !ok {
-		return fmt.Errorf("olap: update of unknown key %d in table %s", key, p.schema.Name)
-	}
-	return p.PatchSlot(slot, offset, data)
-}
-
 // Delete tombstones the tuple with the given key and recycles its slot.
 func (p *Partition) Delete(key uint64) error {
 	slot, ok := p.Locate(key)
@@ -205,15 +194,6 @@ func (p *Partition) ReadCol(slots []int32, off, size int, out []uint64) {
 	for i, s := range slots {
 		out[i] = binary.LittleEndian.Uint64(data[int(s)*ts+off:])
 	}
-}
-
-// Get returns the tuple bytes for key (aliasing partition storage).
-func (p *Partition) Get(key uint64) ([]byte, bool) {
-	slot, ok := p.Locate(key)
-	if !ok {
-		return nil, false
-	}
-	return p.Tuple(slot), true
 }
 
 // Tuple returns the bytes of an allocated slot (aliasing partition

@@ -50,25 +50,9 @@ type Table struct {
 // are loaded or updates applied.
 func (t *Table) Version() uint64 { return t.version }
 
-// GetByPK resolves a primary key to the live tuple bytes (aliasing
-// partition storage): one probe of the key's partition index, then a
-// slice of that partition's tuple array. It takes no lock — see
-// flatIndex for why a reader never meets a writer.
-func (t *Table) GetByPK(pk uint64) ([]byte, bool) {
-	part, slot, ok := t.FindPK(pk)
-	if !ok {
-		return nil, false
-	}
-	return t.Partitions[part].Tuple(slot), true
-}
-
 // FindPK resolves a primary key to where its live tuple sits: the
 // partition's ordinal and the slot, which never moves while the row
-// lives. The executor turns the pair into a dense row id (the slots of
-// the partitions before it, plus the slot) to index per-row bitmaps and
-// link arrays of the table version it has pinned. Every join probe of
-// the shared-execution engine is such a lookup, so no join ever needs a
-// build side made from a full scan.
+// lives. It is the one-key form of FindPKs, the executor's lookup.
 func (t *Table) FindPK(pk uint64) (part int, slot int32, ok bool) {
 	part = partitionOf(pk, len(t.Partitions))
 	slot, ok = t.Partitions[part].Locate(pk)
@@ -142,7 +126,7 @@ type Replica struct {
 	parts  int
 
 	// pool runs the apply rounds' tasks (steps 1–3 across all tables of
-	// a round), ActivateSynopses and the executor's scans.
+	// a round) and the executor's scans.
 	// NumCPU workers unless SetApplyWorkers says otherwise.
 	pool *Pool
 
@@ -240,8 +224,8 @@ func (r *Replica) freshPartitions(t *Table) []*Partition {
 // partition of every table, and to tables created or rebuilt (resync
 // reloads) later. Column bounds materialize lazily: the executor
 // records which columns queries push predicates on
-// (Table.RequestSynopses) and the next apply round — or an explicit
-// ActivateSynopses call — activates them with one exact column scan.
+// (Table.RequestSynopses) and the next apply round activates them with
+// one exact column scan.
 // Must run in a quiesced window: during wiring, or between a batch and
 // the next apply round. blockTuples <= 0 disables zone maps.
 func (r *Replica) EnableZoneMaps(blockTuples int) {
@@ -266,8 +250,8 @@ func (r *Replica) EnableCompression() {}
 // RequestSynopses records interest in the synopsis columns the given
 // pushed-down ranges filter on. Safe to call concurrently with query
 // execution (it only ORs an atomic mask); the columns become active —
-// and start paying their maintenance cost — at the next quiesced
-// window (ApplyPending, or an explicit ActivateSynopses). The executor
+// and start paying their maintenance cost — at the next apply round
+// (ApplyPending). The executor
 // calls this for every compiled range predicate, so a scan's first run
 // is unpruned and every later run skips blocks.
 func (t *Table) RequestSynopses(ranges []ColRange) {
@@ -295,40 +279,8 @@ func (t *Table) RequestSynopses(ranges []ColRange) {
 	}
 }
 
-// ActivateSynopses materializes bounds for every column queries have
-// requested since the last activation (one exact column scan per
-// partition, one pool task each). Every apply round does the same per
-// partition it touches; this entry point is for callers that run query
-// batches without an interleaved apply (benchmarks, tests). It mutates
-// the canonical partitions in place, so it must run in a quiesced
-// window: no pinned reader, no apply round.
-func (r *Replica) ActivateSynopses() {
-	type part struct {
-		p *Partition
-		w uint64
-	}
-	var parts []part
-	for _, t := range r.order {
-		w := t.wantedSyn.Load()
-		for _, p := range t.Partitions {
-			if p.needsMaintenance(w) {
-				parts = append(parts, part{p, w})
-			}
-		}
-	}
-	r.pool.ForEach(len(parts), func(_, i int) {
-		parts[i].p.ActivateSynopsisCols(parts[i].w)
-	})
-}
-
 // Table returns the replicated table with the given ID, or nil.
 func (r *Replica) Table(id storage.TableID) *Table { return r.tables[id] }
-
-// Tables returns all replicated tables in creation order.
-func (r *Replica) Tables() []*Table { return r.order }
-
-// Partitions returns the partition count per table.
-func (r *Replica) Partitions() int { return r.parts }
 
 // LoadTuple inserts a copy of one tuple under its primary key during
 // initial load (VID 0 state), before the replica starts receiving
@@ -471,17 +423,6 @@ func (rl *Reload) ApplyUpdates(batches []proplog.Batch, upTo uint64) {
 	if upTo > rl.covered {
 		rl.covered = upTo
 	}
-}
-
-// Rows returns the number of staged tuples.
-func (rl *Reload) Rows() int {
-	n := 0
-	for _, parts := range rl.parts {
-		for _, p := range parts {
-			n += p.Live()
-		}
-	}
-	return n
 }
 
 // InstallReload queues rl for atomic installation by the next

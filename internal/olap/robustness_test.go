@@ -25,9 +25,10 @@ func TestSchedulerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// LastApply may be read by benchmark reporters while the dispatcher
-// loop writes it between batches; run both concurrently under -race.
-func TestLastApplyConcurrentRead(t *testing.T) {
+// The scheduler's stats may be read by metric scrapes and benchmark
+// reporters while the dispatcher loop writes them; run both
+// concurrently under -race.
+func TestStatsConcurrentRead(t *testing.T) {
 	s := kvSchema()
 	r := NewReplica(2)
 	r.CreateTable(s, 64)
@@ -47,7 +48,9 @@ func TestLastApplyConcurrentRead(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = sched.LastApply()
+				st := sched.Stats()
+				_ = st.AppliedEntries.Load()
+				_ = st.ApplyTime.Snapshot()
 			}
 		}
 	}()

@@ -129,12 +129,6 @@ type Scheduler[Q, R any] struct {
 	// freshness-lag metric).
 	fresh *obs.Freshness
 
-	// lastApply records the most recent apply round's stats for
-	// inspection by benchmarks (Table 1). Written by the loop, read by
-	// LastApply; applyMu makes the snapshot consistent.
-	applyMu   sync.Mutex
-	lastApply ApplyStats
-
 	// applyKick carries push kicks to the loop (capacity 1: kicks
 	// coalesce).
 	applyKick chan struct{}
@@ -182,14 +176,6 @@ func (s *Scheduler[Q, R]) Stats() *SchedulerStats { return &s.stats }
 
 // Freshness returns the scheduler's snapshot-freshness tracker.
 func (s *Scheduler[Q, R]) Freshness() *obs.Freshness { return s.fresh }
-
-// LastApply returns the statistics of the most recent update-application
-// round.
-func (s *Scheduler[Q, R]) LastApply() ApplyStats {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	return s.lastApply
-}
 
 // Start launches the dispatcher's loop. Extra calls are no-ops, and so
 // is Start after Close: once closed, no loop may run (it would
@@ -361,9 +347,6 @@ func (s *Scheduler[Q, R]) round(cause roundCause) {
 	} else {
 		s.stats.ApplyRoundsEmpty.Inc()
 	}
-	s.applyMu.Lock()
-	s.lastApply = st
-	s.applyMu.Unlock()
 	s.stats.AppliedEntries.Add(uint64(st.Entries))
 	if err != nil {
 		// Replica divergence is unrecoverable; surface loudly.

@@ -19,9 +19,6 @@ func (s *Snapshot) VID() uint64 { return s.vid }
 // Table returns the table with the given ID, or nil.
 func (s *Snapshot) Table(id storage.TableID) *Table { return s.r.tables[id] }
 
-// Tables returns the tables in creation order.
-func (s *Snapshot) Tables() []*Table { return s.r.order }
-
 // Unpin releases the snapshot; the last Unpin lets a waiting apply round
 // start. Each PinSnapshot must be matched by exactly one Unpin.
 func (s *Snapshot) Unpin() {

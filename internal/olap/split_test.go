@@ -95,7 +95,9 @@ func (d *tpccDelta) fresh(tb testing.TB) *olap.Replica {
 		}
 	}
 	exec.NewEngine(rep, 1).RunBatch(d.queries, 0)
-	rep.ActivateSynopses()
+	if _, err := rep.ApplyPending(0); err != nil {
+		tb.Fatal(err)
+	}
 	return rep
 }
 

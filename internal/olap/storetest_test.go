@@ -104,8 +104,8 @@ func conformanceDirected(t *testing.T, p *Partition) {
 	if err := p.PatchSlot(int32(p.Slots()), 0, []byte{1}); err == nil {
 		t.Fatal("beyond-slots patch accepted")
 	}
-	if err := p.UpdateField(99, 0, []byte{1}); err == nil {
-		t.Fatal("update of unknown row accepted")
+	if _, ok := p.Locate(99); ok {
+		t.Fatal("unknown row located")
 	}
 	if err := p.Delete(99); err == nil {
 		t.Fatal("delete of unknown row accepted")
@@ -198,12 +198,13 @@ func conformanceRandomized(t *testing.T, p *Partition) {
 				model[nextRow] = append([]byte(nil), tup...)
 				live = append(live, nextRow)
 				nextRow++
-			case k < 8: // patch one random column through UpdateField
+			case k < 8: // patch one random column through PatchSlot
 				rid := live[rng.Intn(len(live))]
 				col := rng.Intn(len(s.Columns))
 				patch := make([]byte, s.ColSize(col))
 				rng.Read(patch)
-				if err := p.UpdateField(rid, uint32(s.Offset(col)), patch); err != nil {
+				slot, _ := p.Locate(rid)
+				if err := p.PatchSlot(slot, uint32(s.Offset(col)), patch); err != nil {
 					t.Fatal(err)
 				}
 				copy(model[rid][s.Offset(col):], patch)

@@ -12,8 +12,7 @@ import (
 // tuple's column Col must fall in [Lo, Hi], inclusive, in the
 // order-preserving key space of storage.Schema.OrdKey. The executor
 // lowers every declarative predicate to one ColRange per conjunct
-// (IN-lists to their convex hull) before asking partitions which slot
-// blocks might match; a block whose [min, max] misses any conjunct's
+// before asking partitions which slot blocks might match; a block whose [min, max] misses any conjunct's
 // interval cannot contain a qualifying tuple.
 type ColRange struct {
 	Col    int

@@ -131,7 +131,8 @@ func TestZoneMapRandomApplyRounds(t *testing.T) {
 						full := s.NewTuple()
 						randVal(full, col)
 						patch := full[s.Offset(col) : s.Offset(col)+s.ColSize(col)]
-						if err := p.UpdateField(rid, uint32(s.Offset(col)), patch); err != nil {
+						slot, _ := p.Locate(rid)
+						if err := p.PatchSlot(slot, uint32(s.Offset(col)), patch); err != nil {
 							t.Fatal(err)
 						}
 					default: // delete (frees a slot later inserts reuse)

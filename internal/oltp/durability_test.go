@@ -293,7 +293,7 @@ func TestLogFailureStopsTheEngine(t *testing.T) {
 	if got := rep.AppliedVID(); got > lastDurable {
 		t.Fatalf("replica applied VID %d, past the last durable VID %d", got, lastDurable)
 	}
-	if _, ok := rep.Table(tbl.Schema.ID).GetByPK(2); ok {
+	if _, _, ok := rep.Table(tbl.Schema.ID).FindPK(2); ok {
 		t.Fatal("replica serves the row of the batch the log lost")
 	}
 

@@ -79,25 +79,6 @@ type Batch struct {
 	Tables []TableBatch
 }
 
-// Empty reports whether the batch carries no entries.
-func (b *Batch) Empty() bool {
-	for i := range b.Tables {
-		if len(b.Tables[i].Entries) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// NumEntries counts all entries in the batch.
-func (b *Batch) NumEntries() int {
-	n := 0
-	for i := range b.Tables {
-		n += len(b.Tables[i].Entries)
-	}
-	return n
-}
-
 // Buffer accumulates one worker's updates between pushes. It is owned by
 // a single OLTP worker and requires no synchronization (paper §4: "each
 // thread prepares its own set of updates").

@@ -53,9 +53,6 @@ func FuzzBootRows(f *testing.F) {
 		if len(want) < n {
 			t.Fatalf("accepted %d rows under %d keys", n, len(want))
 		}
-		if got := c.staged.Rows(); got != n {
-			t.Fatalf("accepted %d rows, staged %d", n, got)
-		}
 		rep.InstallReload(c.staged, 1)
 		if _, err := rep.ApplyPending(1); err != nil {
 			t.Fatalf("installing the accepted rows: %v", err)
@@ -64,8 +61,12 @@ func FuzzBootRows(f *testing.F) {
 			t.Fatalf("the reload serves %d rows, the message encodes %d", tbl.Live(), n)
 		}
 		for key, tup := range want {
-			if got, ok := tbl.GetByPK(key); !ok || !bytes.Equal(got, tup) {
-				t.Fatalf("key %d serves %x,%v; the message encodes %x", key, got, ok, tup)
+			part, slot, ok := tbl.FindPK(key)
+			if !ok {
+				t.Fatalf("key %d is not served; the message encodes %x", key, tup)
+			}
+			if got := tbl.Partitions[part].Tuple(slot); !bytes.Equal(got, tup) {
+				t.Fatalf("key %d serves %x; the message encodes %x", key, got, tup)
 			}
 		}
 	})
@@ -116,7 +117,7 @@ func shippedBootRows(tb testing.TB, schema *storage.Schema) [][]byte {
 		}
 	}
 	a, b := net.Pipe()
-	src, dst := network.NewConn(a, nil), network.NewConn(b, nil)
+	src, dst := network.NewConnOpts(a, nil, network.Options{}), network.NewConnOpts(b, nil, network.Options{})
 	defer src.Close()
 	defer dst.Close()
 	shipped := make(chan error, 1)

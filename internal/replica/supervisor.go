@@ -30,18 +30,15 @@ type SupervisorConfig struct {
 	// Retry governs each dial round (attempts, backoff). The zero value
 	// is replaced with 5 attempts from 25ms base delay.
 	Retry network.RetryPolicy
-	// Transport sets per-connection deadlines. Zero Send/Grant timeouts
-	// default to 10s each, so a wedged primary or lost rendezvous grant
-	// surfaces as a connection failure (and a reconnect) instead of a
-	// silent hang.
-	Transport network.Options
 	// ReconnectPause is the pause between failed reconnect rounds
 	// (default 100ms). Reconnect rounds repeat until Close.
 	ReconnectPause time.Duration
-	// Fault, when non-nil, is installed on every new connection —
-	// deterministic fault injection for tests and drills.
-	Fault network.FaultPolicy
 }
+
+// linkTimeout is every link's send and rendezvous-grant deadline, so a
+// wedged primary or a lost grant surfaces as a connection failure (and
+// a reconnect) instead of a silent hang.
+const linkTimeout = 10 * time.Second
 
 // Status is a point-in-time view of the replication channel.
 type Status struct {
@@ -101,12 +98,6 @@ type Supervisor struct {
 func NewSupervisor(addr string, rep *olap.Replica, cfg SupervisorConfig) *Supervisor {
 	if cfg.Retry.Attempts < 1 {
 		cfg.Retry.Attempts = 5
-	}
-	if cfg.Transport.SendTimeout <= 0 {
-		cfg.Transport.SendTimeout = 10 * time.Second
-	}
-	if cfg.Transport.GrantTimeout <= 0 {
-		cfg.Transport.GrantTimeout = 10 * time.Second
 	}
 	if cfg.ReconnectPause <= 0 {
 		cfg.ReconnectPause = 100 * time.Millisecond
@@ -182,9 +173,6 @@ func (s *Supervisor) Status() Status {
 	return st
 }
 
-// Stats returns the robustness counters.
-func (s *Supervisor) Stats() *Stats { return s.stats }
-
 // NetStats returns the transport counters accumulated across every
 // connection this supervisor established.
 func (s *Supervisor) NetStats() *network.Stats { return s.netStats }
@@ -202,8 +190,7 @@ func (s *Supervisor) KillConnection() {
 }
 
 // InjectFault installs a fault policy on the current connection only
-// (no-op when disconnected). For persistent injection across reconnects
-// use SupervisorConfig.Fault.
+// (no-op when disconnected).
 func (s *Supervisor) InjectFault(p network.FaultPolicy) {
 	s.mu.Lock()
 	conn := s.curConn
@@ -253,7 +240,8 @@ func (s *Supervisor) run() {
 			return
 		default:
 		}
-		conn, err := network.DialRetry(s.addr, s.netStats, s.cfg.Transport, s.cfg.Retry, s.closing)
+		opts := network.Options{SendTimeout: linkTimeout, GrantTimeout: linkTimeout}
+		conn, err := network.DialRetry(s.addr, s.netStats, opts, s.cfg.Retry, s.closing)
 		if err != nil {
 			s.noteError(err)
 			if first {
@@ -267,9 +255,6 @@ func (s *Supervisor) run() {
 			case <-time.After(s.cfg.ReconnectPause):
 			}
 			continue
-		}
-		if s.cfg.Fault != nil {
-			conn.SetFaultPolicy(s.cfg.Fault)
 		}
 		// Record the connection before (re)bootstrapping so Close and
 		// KillConnection can sever it while the snapshot is still in

@@ -84,15 +84,15 @@ type Schema struct {
 
 	offsets   []int
 	tupleSize int
-	byName    map[string]int
 }
 
 // NewSchema computes the physical layout for the given columns and
 // validates the key. It panics on invalid definitions, which are
 // programming errors.
 func NewSchema(id TableID, name string, cols []Column, key []int) *Schema {
-	s := &Schema{ID: id, Name: name, Columns: cols, Key: key, byName: make(map[string]int, len(cols))}
+	s := &Schema{ID: id, Name: name, Columns: cols, Key: key}
 	s.offsets = make([]int, len(cols))
+	names := make(map[string]bool, len(cols))
 	off := 0
 	for i, c := range cols {
 		size := c.Type.fixedSize()
@@ -104,10 +104,10 @@ func NewSchema(id TableID, name string, cols []Column, key []int) *Schema {
 		}
 		s.offsets[i] = off
 		off += size
-		if _, dup := s.byName[c.Name]; dup {
+		if names[c.Name] {
 			panic(fmt.Sprintf("schema %s: duplicate column %s", name, c.Name))
 		}
-		s.byName[c.Name] = i
+		names[c.Name] = true
 	}
 	s.tupleSize = off
 	for _, k := range key {
@@ -131,14 +131,6 @@ func (s *Schema) ColSize(i int) int {
 		return c.Size
 	}
 	return c.Type.fixedSize()
-}
-
-// ColumnIndex returns the ordinal of the named column, or -1.
-func (s *Schema) ColumnIndex(name string) int {
-	if i, ok := s.byName[name]; ok {
-		return i
-	}
-	return -1
 }
 
 // NewTuple allocates a zeroed tuple for this schema.
@@ -197,11 +189,6 @@ func (s *Schema) PutString(tup []byte, i int, v string) {
 	}
 }
 
-// FieldBytes returns the raw bytes of column i, aliasing tup.
-func (s *Schema) FieldBytes(tup []byte, i int) []byte {
-	return tup[s.offsets[i] : s.offsets[i]+s.ColSize(i)]
-}
-
 // --- order-preserving keys -------------------------------------------
 
 // Numeric reports whether t is a fixed-width type with a total order —
@@ -229,20 +216,6 @@ func OrdKeyFloat64(f float64) int64 {
 		u ^= 1 << 63
 	}
 	return int64(u)
-}
-
-// Float64FromOrdKey inverts OrdKeyFloat64: the key's order-preserving
-// bit transform is a bijection, so the original float64 is recovered
-// exactly. Consumers that aggregate in the encoded (ord-key) domain
-// use it to convert run/dictionary values back before summing.
-func Float64FromOrdKey(k int64) float64 {
-	u := uint64(k)
-	if u>>63 != 0 {
-		u ^= 1 << 63
-	} else {
-		u = ^u
-	}
-	return math.Float64frombits(u)
 }
 
 // OrdKey reads column i of tup as an order-preserving int64 key:

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -68,29 +67,6 @@ func TestPutStringTruncatesAndPads(t *testing.T) {
 	s.PutString(tup, 3, "short")
 	if got := s.GetString(tup, 3); got != "short" {
 		t.Errorf("after overwrite with shorter value = %q (stale bytes not padded?)", got)
-	}
-}
-
-func TestColumnIndex(t *testing.T) {
-	s := sampleSchema()
-	if i := s.ColumnIndex("price"); i != 2 {
-		t.Errorf("ColumnIndex(price) = %d", i)
-	}
-	if i := s.ColumnIndex("nope"); i != -1 {
-		t.Errorf("ColumnIndex(nope) = %d", i)
-	}
-}
-
-func TestFieldBytesAliases(t *testing.T) {
-	s := sampleSchema()
-	tup := s.NewTuple()
-	fb := s.FieldBytes(tup, 1)
-	if len(fb) != 4 {
-		t.Fatalf("FieldBytes len = %d", len(fb))
-	}
-	s.PutInt32(tup, 1, 0x01020304)
-	if !bytes.Equal(fb, []byte{4, 3, 2, 1}) {
-		t.Errorf("FieldBytes does not alias tuple storage: %v", fb)
 	}
 }
 

@@ -5,15 +5,6 @@ import (
 	"time"
 )
 
-// Mix is the standard TPC-C transaction mix in percent.
-var Mix = map[string]int{
-	ProcNewOrder:    45,
-	ProcPayment:     43,
-	ProcOrderStatus: 4,
-	ProcDelivery:    4,
-	ProcStockLevel:  4,
-}
-
 // Driver generates TPC-C transaction requests. Each client owns one
 // Driver (they are not safe for concurrent use); all randomness is drawn
 // here and shipped in the arguments, so stored procedures stay

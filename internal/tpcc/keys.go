@@ -53,10 +53,6 @@ func NationKey(k int64) uint64 { return uint64(k) }
 // RegionKey packs a region primary key.
 func RegionKey(k int64) uint64 { return uint64(k) }
 
-// SupplierOf derives the CH-benCHmark's stock->supplier relationship:
-// su_suppkey = (s_w_id * s_i_id) mod 10000.
-func SupplierOf(w, i int64) int64 { return (w * i) % NumSuppliers }
-
 // Secondary index keys ---------------------------------------------------
 
 // CustomerNameKey orders customers by (w, d, hash(last), c): lookups by

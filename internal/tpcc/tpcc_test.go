@@ -239,10 +239,8 @@ func countVisible(t *testing.T, db *DB, tbl *mvcc.Table) int {
 	ro := db.Store.BeginRO()
 	defer ro.Release()
 	n := 0
-	tbl.ScanChains(func(c *mvcc.Chain) bool {
-		if ro.ReadChain(c) != nil {
-			n++
-		}
+	tbl.Scan(ro, func(uint64, []byte) bool {
+		n++
 		return true
 	})
 	return n
@@ -284,14 +282,10 @@ func TestPaymentByName(t *testing.T) {
 	defer ro.Release()
 	s := db.Schemas.Customer
 	found := false
-	db.Customer.ScanChains(func(c *mvcc.Chain) bool {
-		rec := ro.ReadChain(c)
-		if rec == nil {
-			return true
-		}
-		if s.GetString(rec.Data, CLast) == LastName(0) &&
-			s.GetInt64(rec.Data, CWID) == 1 && s.GetInt64(rec.Data, CDID) == 1 &&
-			s.GetInt64(rec.Data, CPaymentCnt) > 1 {
+	db.Customer.Scan(ro, func(_ uint64, tup []byte) bool {
+		if s.GetString(tup, CLast) == LastName(0) &&
+			s.GetInt64(tup, CWID) == 1 && s.GetInt64(tup, CDID) == 1 &&
+			s.GetInt64(tup, CPaymentCnt) > 1 {
 			found = true
 			return false
 		}

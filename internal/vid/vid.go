@@ -30,7 +30,6 @@ type Allocator struct {
 	mu        sync.Mutex
 	watermark atomic.Uint64 // highest fully published prefix
 	published map[uint64]struct{}
-	waiters   []chan struct{}
 }
 
 // NewAllocator returns an allocator whose watermark starts at 0, meaning
@@ -51,22 +50,17 @@ func (a *Allocator) Allocate() uint64 {
 func (a *Allocator) Publish(v uint64) {
 	a.mu.Lock()
 	a.published[v] = struct{}{}
-	w := a.watermark.Load()
-	advanced := false
+	w0 := a.watermark.Load()
+	w := w0
 	for {
 		if _, ok := a.published[w+1]; !ok {
 			break
 		}
 		delete(a.published, w+1)
 		w++
-		advanced = true
 	}
-	if advanced {
+	if w != w0 {
 		a.watermark.Store(w)
-		for _, ch := range a.waiters {
-			close(ch)
-		}
-		a.waiters = a.waiters[:0]
 	}
 	a.mu.Unlock()
 }
@@ -91,39 +85,4 @@ func (a *Allocator) StartAt(base uint64) {
 // snapshot.
 func (a *Allocator) Watermark() uint64 {
 	return a.watermark.Load()
-}
-
-// Last returns the last VID handed out (published or not). Useful for
-// tests and for draining: once Watermark() == Last() every allocated
-// commit has published.
-func (a *Allocator) Last() uint64 {
-	return a.next.Load()
-}
-
-// WaitFor blocks until the watermark reaches at least v. It is used by
-// the OLAP dispatcher when it has been promised updates up to a VID that
-// is still being installed.
-func (a *Allocator) WaitFor(v uint64) {
-	for {
-		if a.watermark.Load() >= v {
-			return
-		}
-		a.mu.Lock()
-		if a.watermark.Load() >= v {
-			a.mu.Unlock()
-			return
-		}
-		ch := make(chan struct{})
-		a.waiters = append(a.waiters, ch)
-		a.mu.Unlock()
-		<-ch
-	}
-}
-
-// Visible reports whether a version with lifetime [from, to) is visible
-// at snapshot snap, following the paper's Fig. 2 semantics: a version is
-// visible if it was created at or before the snapshot and superseded
-// strictly after it.
-func Visible(from, to, snap uint64) bool {
-	return from <= snap && snap < to
 }

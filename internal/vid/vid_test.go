@@ -47,30 +47,6 @@ func TestWatermarkOutOfOrderPublish(t *testing.T) {
 	}
 }
 
-func TestWaitFor(t *testing.T) {
-	a := NewAllocator()
-	v := a.Allocate()
-	done := make(chan struct{})
-	go func() {
-		a.WaitFor(v)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("WaitFor returned before Publish")
-	default:
-	}
-	a.Publish(v)
-	<-done // must not hang
-}
-
-func TestWaitForAlreadyPublished(t *testing.T) {
-	a := NewAllocator()
-	v := a.Allocate()
-	a.Publish(v)
-	a.WaitFor(v) // must return immediately
-}
-
 func TestConcurrentPublish(t *testing.T) {
 	a := NewAllocator()
 	const n = 500
@@ -91,8 +67,8 @@ func TestConcurrentPublish(t *testing.T) {
 	if a.Watermark() != uint64(n) {
 		t.Fatalf("watermark = %d, want %d", a.Watermark(), n)
 	}
-	if a.Last() != uint64(n) {
-		t.Fatalf("Last = %d, want %d", a.Last(), n)
+	if v := a.Allocate(); v != n+1 {
+		t.Fatalf("Allocate after %d VIDs = %d", n, v)
 	}
 }
 
@@ -135,24 +111,5 @@ func TestWatermarkPrefixProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVisible(t *testing.T) {
-	cases := []struct {
-		from, to, snap uint64
-		want           bool
-	}{
-		{1, Infinity, 0, false}, // created after snapshot
-		{1, Infinity, 1, true},
-		{1, 5, 4, true},
-		{1, 5, 5, false}, // superseded at snapshot
-		{0, Infinity, 0, true},
-		{3, 3, 3, false}, // empty lifetime
-	}
-	for _, c := range cases {
-		if got := Visible(c.from, c.to, c.snap); got != c.want {
-			t.Errorf("Visible(%d,%d,%d) = %v, want %v", c.from, c.to, c.snap, got, c.want)
-		}
 	}
 }

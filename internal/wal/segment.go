@@ -272,13 +272,6 @@ func (m *Manager) Appended() int64 {
 	return m.appended
 }
 
-// Segments returns the current segment count.
-func (m *Manager) Segments() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.segs)
-}
-
 // TruncateTo unlinks segments wholly covered by VID cover: segment i is
 // removable when the next segment starts at or below cover+1, meaning
 // every record with VID > cover lives in a later segment. The last

@@ -201,7 +201,7 @@ func TestSyncOption(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.WALFsyncNanos.Count(); n != 1 {
+	if n := st.WALFsyncNanos.Snapshot().Count; n != 1 {
 		t.Fatalf("group commit with Sync recorded %d fsyncs, want 1", n)
 	}
 }

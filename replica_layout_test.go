@@ -98,7 +98,7 @@ func TestEveryReplicaServesPrunedScans(t *testing.T) {
 // TestReplicateTablesKeepPKIndex pins the replicas' PK indexes: on the
 // DB's own replica, a workload replica and a remote node, every
 // analytical table — the Replicate accounts and the Analytical-only
-// regions alike — is keyed like its primary, so GetByPK resolves every
+// regions alike — is keyed like its primary, so FindPK resolves every
 // loaded row (every join probe is a lookup in that index).
 func TestReplicateTablesKeepPKIndex(t *testing.T) {
 	f := newFixture(t, Config{OLTPWorkers: 2, OLAPWorkers: 2, PushPeriod: 10 * time.Millisecond})
@@ -135,13 +135,18 @@ func TestReplicateTablesKeepPKIndex(t *testing.T) {
 		{"workload", wr.rep},
 		{"node", node.Replica()},
 	} {
-		if _, ok := k.rep.Table(f.schema.ID).GetByPK(100); !ok {
+		if _, _, ok := k.rep.Table(f.schema.ID).FindPK(100); !ok {
 			t.Errorf("%s: PK index of the Replicate table misses account 100", k.name)
 		}
+		tbl := k.rep.Table(regions.ID)
 		for i := uint64(0); i < 3; i++ {
-			tup, ok := k.rep.Table(regions.ID).GetByPK(i)
-			if !ok || regions.GetInt64(tup, 1) != 10*int64(i) {
-				t.Errorf("%s: PK index of the Analytical-only table resolves region %d to %v, %v", k.name, i, tup, ok)
+			part, slot, ok := tbl.FindPK(i)
+			if !ok {
+				t.Errorf("%s: PK index of the Analytical-only table misses region %d", k.name, i)
+				continue
+			}
+			if tup := tbl.Partitions[part].Tuple(slot); regions.GetInt64(tup, 1) != 10*int64(i) {
+				t.Errorf("%s: PK index of the Analytical-only table resolves region %d to %v", k.name, i, tup)
 			}
 		}
 	}
