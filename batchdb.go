@@ -182,8 +182,8 @@ func (t *Table) ID() TableID { return t.id }
 
 // AddSecondary registers an ordered secondary index on the primary
 // replica. Must precede data loading.
-func (t *Table) AddSecondary(name string, fn mvcc.SecondaryKeyFunc) *mvcc.Secondary {
-	return t.OLTP.AddSecondary(name, fn)
+func (t *Table) AddSecondary(fn mvcc.SecondaryKeyFunc) *mvcc.Secondary {
+	return t.OLTP.AddSecondary(fn)
 }
 
 // Load installs a tuple as initial data (VID 0). Must precede Start.

@@ -99,8 +99,8 @@ func main() {
 			log.Fatal(err, res.Err)
 		}
 		st := node.TransportStats()
-		fmt.Printf("replica %d sees %0.f rows (transport: %d eager msgs, %d rendezvous msgs, %d buffers reused)\n",
-			i, res.Values[0], st.EagerMsgs.Load(), st.RendezvousMsgs.Load(), st.BuffersReused.Load())
+		fmt.Printf("replica %d sees %0.f rows (transport: %d msgs, %d buffers reused)\n",
+			i, res.Values[0], st.Msgs.Load(), st.BuffersReused.Load())
 	}
 	local, err := db.Query(q)
 	if err != nil || local.Err != nil {

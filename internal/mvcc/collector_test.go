@@ -24,7 +24,7 @@ func gcTable() (*Store, *Table, *Secondary) {
 	tbl := s.CreateTable(schema, func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 0))
 	}, 64)
-	sec := tbl.AddSecondary("by_grp", func(tup []byte) uint64 {
+	sec := tbl.AddSecondary(func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 1))<<40 | uint64(schema.GetInt64(tup, 0))
 	})
 	return s, tbl, sec

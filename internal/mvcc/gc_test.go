@@ -19,7 +19,7 @@ func TestGCPrunesSecondaryIndex(t *testing.T) {
 	tbl := s.CreateTable(schema, func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 0))
 	}, 64)
-	byGrp := tbl.AddSecondary("by_grp", func(tup []byte) uint64 {
+	byGrp := tbl.AddSecondary(func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 1))<<32 | uint64(schema.GetInt64(tup, 0))
 	})
 

@@ -19,7 +19,7 @@ func batchTestTable(id storage.TableID) (*Store, *Table, *storage.Schema) {
 	tbl := st.CreateTable(schema, func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 0))
 	}, 1024)
-	tbl.AddSecondary("by_val", func(tup []byte) uint64 {
+	tbl.AddSecondary(func(tup []byte) uint64 {
 		// Non-unique: fold the PK in as a uniquifier.
 		return uint64(schema.GetInt64(tup, 1))<<20 | uint64(schema.GetInt64(tup, 0))
 	})

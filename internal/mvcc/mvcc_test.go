@@ -322,7 +322,7 @@ func TestSecondaryIndexScan(t *testing.T) {
 		return uint64(schema.GetInt64(tup, 0))
 	}, 64)
 	// Secondary on (age, id) — id bits uniquify.
-	byAge := tbl.AddSecondary("by_age", func(tup []byte) uint64 {
+	byAge := tbl.AddSecondary(func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 1))<<32 | uint64(schema.GetInt64(tup, 0))
 	})
 
@@ -371,7 +371,7 @@ func TestSecondaryReindexOnUpdate(t *testing.T) {
 	tbl := s.CreateTable(schema, func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 0))
 	}, 64)
-	byAge := tbl.AddSecondary("by_age", func(tup []byte) uint64 {
+	byAge := tbl.AddSecondary(func(tup []byte) uint64 {
 		return uint64(schema.GetInt64(tup, 1))<<32 | uint64(schema.GetInt64(tup, 0))
 	})
 

@@ -17,7 +17,6 @@ type SecondaryKeyFunc func(tup []byte) uint64
 // return rows whose indexed attributes changed — readers re-derive the
 // key from the version visible to them and skip mismatches.
 type Secondary struct {
-	Name  string
 	KeyFn SecondaryKeyFunc
 	sl    *index.SkipList[*Chain]
 }
@@ -51,8 +50,8 @@ func NewTable(schema *storage.Schema, keyFn storage.KeyFunc, capacityHint int) *
 
 // AddSecondary registers an ordered secondary index. Must be called
 // before any data is inserted.
-func (t *Table) AddSecondary(name string, fn SecondaryKeyFunc) *Secondary {
-	s := &Secondary{Name: name, KeyFn: fn, sl: index.NewSkipList[*Chain](int64(len(t.sec)) + 1)}
+func (t *Table) AddSecondary(fn SecondaryKeyFunc) *Secondary {
+	s := &Secondary{KeyFn: fn, sl: index.NewSkipList[*Chain](int64(len(t.sec)) + 1)}
 	t.sec = append(t.sec, s)
 	return s
 }

@@ -25,9 +25,7 @@ const (
 	FaultPass FaultAction = iota
 	// FaultDrop swallows the frame: a sent frame is reported as
 	// delivered without touching the wire; a received frame is discarded
-	// before dispatch. Dropping control frames (grants, announcements)
-	// deliberately desynchronizes the handshake — that is the point: it
-	// exercises the sender's grant deadline exactly like a real loss.
+	// before dispatch.
 	FaultDrop
 	// FaultSever fails the connection at this frame boundary.
 	FaultSever
@@ -41,33 +39,20 @@ var errInjectedSever = errors.New("network: connection severed by fault policy")
 func IsInjectedFault(err error) bool { return errors.Is(err, errInjectedSever) }
 
 // FaultPolicy injects deterministic transport faults at frame
-// granularity. Frame is consulted once per frame with the frame kind
-// (FrameEager, FrameRendezvous, FrameGrant, FrameBulk), the application
-// message type, and the payload length; the returned delay (if any) is
+// granularity. Frame is consulted once per frame with the application
+// message type and the payload length; the returned delay (if any) is
 // applied before the action. Implementations must be safe for
 // concurrent use: Send may run from many goroutines.
 type FaultPolicy interface {
-	Frame(dir FaultDir, kind, msgType uint8, payloadLen int) (FaultAction, time.Duration)
+	Frame(dir FaultDir, msgType uint8, payloadLen int) (FaultAction, time.Duration)
 }
 
 // FaultFunc adapts a function to a FaultPolicy.
-type FaultFunc func(dir FaultDir, kind, msgType uint8, payloadLen int) (FaultAction, time.Duration)
+type FaultFunc func(dir FaultDir, msgType uint8, payloadLen int) (FaultAction, time.Duration)
 
 // Frame implements FaultPolicy.
-func (f FaultFunc) Frame(dir FaultDir, kind, msgType uint8, payloadLen int) (FaultAction, time.Duration) {
-	return f(dir, kind, msgType, payloadLen)
-}
-
-// DropKind drops every frame of the given kind in the given direction —
-// e.g. DropKind(FaultRecv, FrameGrant) starves rendezvous senders to
-// exercise their grant deadline.
-func DropKind(dir FaultDir, kind uint8) FaultPolicy {
-	return FaultFunc(func(d FaultDir, k, _ uint8, _ int) (FaultAction, time.Duration) {
-		if d == dir && k == kind {
-			return FaultDrop, 0
-		}
-		return FaultPass, 0
-	})
+func (f FaultFunc) Frame(dir FaultDir, msgType uint8, payloadLen int) (FaultAction, time.Duration) {
+	return f(dir, msgType, payloadLen)
 }
 
 // SeverAfter severs the connection when the n-th frame (1-based) in the
@@ -76,7 +61,7 @@ func DropKind(dir FaultDir, kind uint8) FaultPolicy {
 // connection even when the policy is reinstalled.
 func SeverAfter(dir FaultDir, n int) FaultPolicy {
 	var seen atomic.Int64
-	return FaultFunc(func(d FaultDir, _, _ uint8, _ int) (FaultAction, time.Duration) {
+	return FaultFunc(func(d FaultDir, _ uint8, _ int) (FaultAction, time.Duration) {
 		if d != dir {
 			return FaultPass, 0
 		}
@@ -90,7 +75,7 @@ func SeverAfter(dir FaultDir, n int) FaultPolicy {
 // DelayAll sleeps d before every frame in the given direction — a
 // deterministic slow-network model.
 func DelayAll(dir FaultDir, d time.Duration) FaultPolicy {
-	return FaultFunc(func(dd FaultDir, _, _ uint8, _ int) (FaultAction, time.Duration) {
+	return FaultFunc(func(dd FaultDir, _ uint8, _ int) (FaultAction, time.Duration) {
 		if dd == dir {
 			return FaultPass, d
 		}
@@ -112,12 +97,12 @@ func (c *Conn) SetFaultPolicy(p FaultPolicy) {
 
 // faultAction consults the installed policy (if any) for one frame and
 // applies its delay.
-func (c *Conn) faultAction(dir FaultDir, kind, msgType uint8, payloadLen int) FaultAction {
+func (c *Conn) faultAction(dir FaultDir, msgType uint8, payloadLen int) FaultAction {
 	h := c.fault.Load()
 	if h == nil {
 		return FaultPass
 	}
-	act, d := h.p.Frame(dir, kind, msgType, payloadLen)
+	act, d := h.p.Frame(dir, msgType, payloadLen)
 	if d > 0 {
 		time.Sleep(d)
 	}

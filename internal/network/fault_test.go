@@ -2,63 +2,26 @@ package network
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 )
 
-// pairOpts returns two connected Conns (client, server) with deadlines.
-func pairOpts(t *testing.T, opts Options) (*Conn, *Conn) {
-	t.Helper()
-	l, err := ListenOpts("127.0.0.1:0", nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	type res struct {
-		c   *Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := l.Accept()
-		ch <- res{c, err}
-	}()
-	cli, err := DialOpts(l.Addr(), nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	t.Cleanup(func() { cli.Close(); r.c.Close() })
-	return cli, r.c
-}
-
-// Regression test for the rendezvous grant mismatch: N goroutines
-// concurrently sending payloads larger than EagerLimit over one Conn
-// must all complete. With the old single uncorrelated grant channel
-// (capacity 1, non-blocking send), racing grants were dropped and one
-// sender deadlocked.
+// Regression test for concurrent large sends: N goroutines sending
+// payloads larger than the connection's buffers over one Conn must all
+// complete, each message arriving whole and uninterleaved.
 func TestConcurrentLargeSends(t *testing.T) {
 	cli, srv := pair(t)
-	// The client's reader loop delivers incoming grants to its senders.
-	go func() {
-		for {
-			if _, _, _, err := cli.Recv(); err != nil {
-				return
-			}
-		}
-	}()
 	const senders = 6
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			payload := make([]byte, EagerLimit+1+s*1024)
+			payload := make([]byte, ioBufSize+1+s*1024)
 			for i := range payload {
 				payload[i] = byte(s)
 			}
@@ -73,7 +36,7 @@ func TestConcurrentLargeSends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(payload) != EagerLimit+1+int(mt)*1024 {
+		if len(payload) != ioBufSize+1+int(mt)*1024 {
 			t.Fatalf("sender %d payload %d bytes", mt, len(payload))
 		}
 		for _, b := range payload {
@@ -90,27 +53,49 @@ func TestConcurrentLargeSends(t *testing.T) {
 			t.Fatalf("sender %d delivered %d messages", s, got[uint8(s)])
 		}
 	}
-	if n := cli.Stats().RendezvousMsgs.Load(); n != senders {
-		t.Fatalf("rendezvous messages = %d, want %d", n, senders)
-	}
-	if n := cli.Stats().DroppedGrants.Load(); n != 0 {
-		t.Fatalf("%d grants dropped", n)
+}
+
+// stallSender sends 16 MiB messages on c from a new goroutine until a
+// Send fails, and returns once the peer has stopped taking bytes: no
+// Send has completed for 100 ms, so one is blocked writing into a full
+// receive window. The channel yields the failing Send's error.
+func stallSender(t *testing.T, c *Conn) <-chan error {
+	t.Helper()
+	errCh := make(chan error, 1)
+	go func() {
+		payload := make([]byte, 16<<20)
+		for {
+			if err := c.Send(1, payload); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	for prev := ^uint64(0); ; {
+		time.Sleep(100 * time.Millisecond)
+		n := c.Stats().BytesSent.Load()
+		if n == prev {
+			return errCh
+		}
+		prev = n
+		select {
+		case err := <-errCh:
+			t.Fatalf("Send failed before the peer's window filled: %v", err)
+		default:
+		}
 	}
 }
 
-// A sender blocked waiting for a rendezvous grant must be woken with an
-// error when the connection is closed, not hang forever.
+// A sender blocked writing to a peer that never reads must be woken
+// with an error when the connection is closed, not hang forever.
 func TestSendUnblocksOnClose(t *testing.T) {
 	cli, _ := pair(t)
-	// No reader loop on either side: the grant can never arrive.
-	errCh := make(chan error, 1)
-	go func() { errCh <- cli.Send(1, make([]byte, EagerLimit+1)) }()
-	time.Sleep(20 * time.Millisecond) // let the sender reach the grant wait
+	errCh := stallSender(t, cli)
 	cli.Close()
 	select {
 	case err := <-errCh:
 		if err == nil {
-			t.Fatal("Send succeeded with no receiver grant")
+			t.Fatal("blocked Send succeeded after Close")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send still blocked after Close")
@@ -124,72 +109,64 @@ func TestSendUnblocksOnClose(t *testing.T) {
 	}
 }
 
-// A sender whose peer dies mid-handshake must be woken when the reader
-// loop observes the connection error.
+// A sender blocked writing to a peer that never reads must be woken
+// with an error when that peer dies.
 func TestSendUnblocksOnPeerDeath(t *testing.T) {
 	cli, srv := pair(t)
-	go func() {
-		for {
-			if _, _, _, err := cli.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	// The server never runs Recv, so it never grants; kill it instead.
-	errCh := make(chan error, 1)
-	go func() { errCh <- cli.Send(1, make([]byte, EagerLimit+1)) }()
-	time.Sleep(20 * time.Millisecond)
+	errCh := stallSender(t, cli)
 	srv.Close()
 	select {
 	case err := <-errCh:
 		if err == nil {
-			t.Fatal("Send succeeded after peer death")
+			t.Fatal("blocked Send succeeded after peer death")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send still blocked after peer death")
 	}
 }
 
-// The grant deadline bounds a rendezvous wait when the grant is lost.
-func TestGrantTimeout(t *testing.T) {
-	cli, srv := pairOpts(t, Options{GrantTimeout: 100 * time.Millisecond})
-	// Lose every grant on the client's receive side, as a flaky network
-	// would.
-	cli.SetFaultPolicy(DropKind(FaultRecv, FrameGrant))
+// The write deadline bounds a Send to a peer that stopped reading: the
+// connection fails with a timeout instead of blocking forever.
+func TestSendTimeout(t *testing.T) {
+	l, err := Listen("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan *Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	cli, err := DialOpts(l.Addr(), nil, Options{SendTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	srv := <-accepted // never read
+	defer srv.Close()
+	payload := make([]byte, 16<<20)
+	done := make(chan error, 1)
 	go func() {
 		for {
-			if _, _, _, err := cli.Recv(); err != nil {
+			if err := cli.Send(1, payload); err != nil {
+				done <- err
 				return
 			}
 		}
 	}()
-	go func() {
-		for {
-			if _, _, _, err := srv.Recv(); err != nil {
-				return
-			}
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Send failed with %v, want a write timeout", err)
 		}
-	}()
-	start := time.Now()
-	err := cli.Send(1, make([]byte, EagerLimit+1))
-	if err == nil {
-		t.Fatal("Send succeeded with all grants dropped")
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send to a peer that never reads outlived its deadline")
 	}
-	if d := time.Since(start); d > 3*time.Second {
-		t.Fatalf("grant timeout took %v", d)
-	}
-	if cli.Stats().GrantTimeouts.Load() != 1 {
-		t.Fatalf("GrantTimeouts = %d", cli.Stats().GrantTimeouts.Load())
-	}
-	// The timed-out sender must have removed itself from the grant
-	// queue: the FIFO invariant (position k == k-th outstanding
-	// announcement) holds on its own, not just because the connection
-	// happens to be failed.
-	cli.gm.Lock()
-	left := len(cli.waiters)
-	cli.gm.Unlock()
-	if left != 0 {
-		t.Fatalf("waiter queue not cleaned after grant timeout: %d left", left)
+	if cli.Err() == nil {
+		t.Fatal("connection not failed after the deadline")
 	}
 }
 
@@ -224,10 +201,12 @@ func TestSeverAfterFrames(t *testing.T) {
 	}
 }
 
-// Dropped eager frames vanish without breaking the stream.
+// Dropped frames vanish without breaking the stream.
 func TestDropEagerFrame(t *testing.T) {
 	cli, srv := pair(t)
-	cli.SetFaultPolicy(DropKind(FaultSend, FrameEager))
+	cli.SetFaultPolicy(FaultFunc(func(FaultDir, uint8, int) (FaultAction, time.Duration) {
+		return FaultDrop, 0
+	}))
 	if err := cli.Send(1, []byte("lost")); err != nil {
 		t.Fatalf("dropped send reported error: %v", err)
 	}
@@ -258,7 +237,7 @@ func TestDialRetry(t *testing.T) {
 	go func() {
 		// Rebind the same address after a short outage.
 		time.Sleep(80 * time.Millisecond)
-		l2, err := ListenOpts(addr, nil, Options{})
+		l2, err := Listen(addr, nil)
 		if err != nil {
 			return // port raced away; the dial will exhaust attempts
 		}

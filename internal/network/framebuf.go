@@ -6,11 +6,10 @@ import "sync"
 //
 // Propagation frames — update pushes and sync replies — are
 // append-encoded into a scratch buffer and handed to Conn.Send, which
-// never retains the payload past its return (the eager path writes and
-// flushes synchronously; the rendezvous path blocks through the bulk
-// write). That lifetime makes the buffers poolable: callers draw from
-// GetFrameBuf, encode, Send, and give the buffer back with PutFrameBuf,
-// so steady-state pushes stop allocating per frame.
+// never retains the payload past its return (it writes and flushes the
+// frame before returning). That lifetime makes the buffers poolable:
+// callers draw from GetFrameBuf, encode, Send, and give the buffer back
+// with PutFrameBuf, so steady-state pushes stop allocating per frame.
 var frameBufs sync.Pool
 
 // GetFrameBuf returns an empty buffer with whatever capacity a previous

@@ -2,41 +2,32 @@
 // machines (paper §6).
 //
 // The paper uses RDMA over 4xFDR InfiniBand; this machine has neither,
-// so the package substitutes a TCP transport that mirrors the paper's
-// protocol structure rather than its latency constants:
-//
-//   - Small messages travel on the eager path: they are written
-//     directly, and the receiver lands them in pre-registered receive
-//     buffers drawn from a pool (the analogue of two-sided RDMA into
-//     registered buffers).
-//   - Messages larger than EagerLimit use a rendezvous handshake: the
-//     sender first transmits the required size, the receiver allocates
-//     and "registers" a buffer from its large-buffer pool and replies
-//     with a grant, and only then does the bulk transfer proceed (the
-//     analogue of the paper's handshake + one-sided RDMA write). To
-//     reduce allocation and registration cost, large buffers are pooled
-//     and reused — exactly the paper's buffer-pool motivation.
+// so the package substitutes a TCP transport. Every message is one
+// frame, [msgType u8][len u32][payload], written whole under the
+// connection's write lock. The paper announces each large message and
+// waits for the receiver's grant because a one-sided RDMA write needs a
+// registered buffer at the receiver; here TCP's receive window does that
+// job, since a sender cannot write further ahead than the receiver has
+// read. The receiver lands payloads in buffers drawn from a pool (the
+// analogue of the paper's pre-registered, cached receive buffers), and
+// grows a buffer for a frame only as the frame's bytes arrive, so a
+// length field costs memory only for the bytes the peer actually sent.
 //
 // The paper assumes the replication channel is always available; a TCP
 // substitute cannot, so the transport treats failure as a first-class
 // state. A connection that errors (peer death, deadline, injected
 // fault, Close) transitions to failed exactly once: the first error is
-// recorded, Done() is closed, and every sender blocked in a rendezvous
-// handshake is woken with that error instead of hanging. Rendezvous
-// grants are correlated with their senders through a FIFO waiter queue
-// (grants arrive in the order the rendezvous announcements were
-// written, because the stream is ordered), so concurrent large sends
-// never steal or drop each other's grants. Optional per-frame write
-// deadlines and a grant deadline bound how long a send can stall on a
-// sick peer, and DialRetry adds exponential backoff with jitter for
-// connection establishment. A FaultPolicy hook injects deterministic
-// drop/delay/sever faults at frame granularity so every failure mode is
-// testable without real network flakiness.
+// recorded, Done() is closed, and the socket is torn down, so a sender
+// blocked writing to a peer that stopped reading returns that error
+// instead of hanging. An optional per-frame write deadline bounds how
+// long a send can stall on a sick peer, and DialRetry adds exponential
+// backoff with jitter for connection establishment. A FaultPolicy hook
+// injects deterministic drop/delay/sever faults at frame granularity so
+// every failure mode is testable without real network flakiness.
 //
 // The code path that matters to BatchDB — serialize update batches,
 // ship them, hand them to the remote replica — is identical in shape;
-// only the wire is slower. Statistics expose which path each message
-// took so benchmarks can report protocol behaviour.
+// only the wire is slower.
 package network
 
 import (
@@ -55,59 +46,36 @@ import (
 	"batchdb/internal/obs"
 )
 
-// EagerLimit is the largest payload sent without a rendezvous handshake.
-// The paper uses 1024 KB receive buffers; we keep the same value.
-const EagerLimit = 1 << 20
-
-// Frame kinds on the wire. Exported so FaultPolicy implementations can
-// target specific protocol steps (e.g. drop grants to exercise the
-// sender's grant deadline).
-const (
-	FrameEager      = 0x01
-	FrameRendezvous = 0x02 // header only: announces a large transfer
-	FrameGrant      = 0x03 // receiver's go-ahead
-	FrameBulk       = 0x04 // the large payload itself
-)
+// ioBufSize sizes each connection's read and write buffers, and is the
+// largest buffer Recv allocates for a frame before any of its bytes
+// have arrived.
+const ioBufSize = 1 << 20
 
 // Stats counts transport events.
 type Stats struct {
-	EagerMsgs      obs.Counter
-	RendezvousMsgs obs.Counter
+	// Msgs counts messages sent, one frame each.
+	Msgs           obs.Counter
 	BytesSent      obs.Counter
 	BytesReceived  obs.Counter
 	BuffersReused  obs.Counter
 	BuffersAlloced obs.Counter
 	// Retries counts dial attempts beyond each first try (DialRetry).
 	Retries obs.Counter
-	// DroppedGrants counts grants that arrived with no waiting sender —
-	// zero in a healthy connection; non-zero indicates a protocol bug or
-	// an injected fault.
-	DroppedGrants obs.Counter
-	// GrantTimeouts counts rendezvous handshakes abandoned because the
-	// grant deadline expired.
-	GrantTimeouts obs.Counter
 	// Severed counts connections that transitioned to failed (error,
 	// deadline, injected fault, or Close).
 	Severed obs.Counter
 }
 
 // Options bounds how long a connection may stall on a sick peer. The
-// zero value disables all deadlines (trusted-loopback behaviour).
+// zero value disables the deadline (trusted-loopback behaviour).
 type Options struct {
 	// SendTimeout is the write deadline applied to each frame write
 	// (including its flush). Zero means no deadline.
 	SendTimeout time.Duration
-	// GrantTimeout bounds how long a rendezvous sender waits for the
-	// receiver's grant. Zero means wait until the connection fails.
-	GrantTimeout time.Duration
 }
 
 // ErrClosed reports use of a connection after Close.
 var ErrClosed = errors.New("network: connection closed")
-
-// errMalformed wraps every frame Recv refuses: a length the protocol
-// could not have written, checked before a byte of it is allocated.
-var errMalformed = errors.New("network: malformed frame")
 
 // Conn is a message-oriented connection. Send may be called from
 // multiple goroutines; Recv must be called from a single reader
@@ -118,20 +86,6 @@ type Conn struct {
 	wm   sync.Mutex
 	w    *bufio.Writer
 	opts Options
-
-	// waiters is the FIFO of senders awaiting rendezvous grants, in the
-	// order their announcements hit the wire: the stream is ordered, so
-	// the k-th grant received answers the k-th announcement written.
-	gm      sync.Mutex
-	waiters []chan struct{}
-	// lastBulk is closed once the latest announced transfer's bulk frame
-	// is written or abandoned; the next one waits for it, so bulk frames
-	// leave in announcement order. Guarded by wm.
-	lastBulk chan struct{}
-
-	// announced is the receive side's FIFO of rendezvous sizes still
-	// awaiting their bulk frame, oldest first. Only Recv touches it.
-	announced []uint32
 
 	failOnce sync.Once
 	done     chan struct{}
@@ -151,8 +105,8 @@ func NewConnOpts(c net.Conn, stats *Stats, opts Options) *Conn {
 	}
 	return &Conn{
 		c:     c,
-		r:     bufio.NewReaderSize(c, 1<<20),
-		w:     bufio.NewWriterSize(c, 1<<20),
+		r:     bufio.NewReaderSize(c, ioBufSize),
+		w:     bufio.NewWriterSize(c, ioBufSize),
 		opts:  opts,
 		done:  make(chan struct{}),
 		pool:  newBufferPool(stats),
@@ -260,8 +214,8 @@ func (c *Conn) Err() error {
 }
 
 // fail transitions the connection to failed exactly once: it records
-// the cause, closes Done (waking senders blocked in rendezvous waits),
-// and tears down the socket (waking the Recv loop).
+// the cause, closes Done, and tears down the socket (waking the Recv
+// loop and any sender blocked in a write).
 func (c *Conn) fail(err error) {
 	c.failOnce.Do(func() {
 		c.errMu.Lock()
@@ -280,306 +234,115 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Send transmits one message of the given application type. Payloads at
-// or below EagerLimit go out immediately; larger ones run the rendezvous
-// handshake and block until the receiver grants a buffer, the grant
-// deadline expires, or the connection fails.
+// Send transmits one message of the given application type as one
+// frame. It blocks while the peer's receive window is full, until the
+// write deadline expires or the connection fails.
 func (c *Conn) Send(msgType uint8, payload []byte) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	if len(payload) <= EagerLimit {
-		switch c.faultAction(FaultSend, FrameEager, msgType, len(payload)) {
-		case FaultDrop:
-			return nil // simulated lost message
-		case FaultSever:
-			c.fail(errInjectedSever)
-			return c.Err()
-		}
-		if err := c.sendLocked(FrameEager, msgType, payload); err != nil {
-			return err
-		}
-		c.stats.EagerMsgs.Inc()
-		c.stats.BytesSent.Add(uint64(len(payload)))
-		return nil
+	if uint64(len(payload)) > math.MaxUint32 {
+		return fmt.Errorf("network: %d-byte message exceeds the frame length field", len(payload))
 	}
-
-	// Rendezvous: announce size, wait for the grant, then bulk-send. The
-	// waiter is enqueued while the write lock is held so queue order
-	// matches the wire order of announcements — that is what correlates
-	// the k-th incoming grant with the k-th waiting sender. The receiver
-	// matches each bulk frame against its oldest announcement, so a bulk
-	// frame also waits for the one announced before it.
-	switch c.faultAction(FaultSend, FrameRendezvous, msgType, len(payload)) {
+	switch c.faultAction(FaultSend, msgType, len(payload)) {
+	case FaultDrop:
+		return nil // simulated lost message
 	case FaultSever:
 		c.fail(errInjectedSever)
 		return c.Err()
-	case FaultDrop:
-		// Simulate a lost announcement: the sender still waits (and times
-		// out) as it would on a real loss, but nothing hits the wire.
-		return c.waitGrant(make(chan struct{}, 1))
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(payload)))
-	waiter, turn := make(chan struct{}, 1), make(chan struct{})
-	defer close(turn)
 	c.wm.Lock()
-	c.gm.Lock()
-	c.waiters = append(c.waiters, waiter)
-	c.gm.Unlock()
-	prev := c.lastBulk
-	c.lastBulk = turn
-	err := c.writeFlushLocked(FrameRendezvous, msgType, hdr[:])
+	err := c.writeFlushLocked(msgType, payload)
 	c.wm.Unlock()
 	if err != nil {
 		c.fail(err)
 		return c.Err()
 	}
-	if err := c.waitGrant(waiter); err != nil {
-		return err
-	}
-	if prev != nil {
-		select {
-		case <-prev:
-		case <-c.done:
-			return c.Err()
-		}
-	}
-	switch c.faultAction(FaultSend, FrameBulk, msgType, len(payload)) {
-	case FaultDrop:
-		return nil
-	case FaultSever:
-		c.fail(errInjectedSever)
-		return c.Err()
-	}
-	if err := c.sendLocked(FrameBulk, msgType, payload); err != nil {
-		return err
-	}
-	c.stats.RendezvousMsgs.Inc()
+	c.stats.Msgs.Inc()
 	c.stats.BytesSent.Add(uint64(len(payload)))
-	return nil
-}
-
-// waitGrant blocks until the receiver's grant arrives, the grant
-// deadline expires, or the connection fails. On the no-grant exits the
-// sender's waiter is removed from the queue, keeping the FIFO invariant
-// (queue position k == k-th outstanding announcement) self-contained
-// rather than relying on the connection being failed right after.
-func (c *Conn) waitGrant(waiter chan struct{}) error {
-	var timeoutCh <-chan time.Time
-	if c.opts.GrantTimeout > 0 {
-		t := time.NewTimer(c.opts.GrantTimeout)
-		defer t.Stop()
-		timeoutCh = t.C
-	}
-	select {
-	case <-waiter:
-		return nil
-	case <-c.done:
-		c.removeWaiter(waiter)
-		return fmt.Errorf("network: connection failed awaiting rendezvous grant: %w", c.Err())
-	case <-timeoutCh:
-		c.stats.GrantTimeouts.Inc()
-		c.removeWaiter(waiter)
-		// The protocol state is undefined now (the receiver may still
-		// send the grant later), so the connection cannot be reused.
-		c.fail(fmt.Errorf("network: rendezvous grant timeout after %v", c.opts.GrantTimeout))
-		return c.Err()
-	}
-}
-
-// removeWaiter takes one sender's waiter out of the grant queue (no-op
-// when a concurrent grant already popped it, or when the waiter was
-// never enqueued — the simulated-loss path).
-func (c *Conn) removeWaiter(waiter chan struct{}) {
-	c.gm.Lock()
-	for i, w := range c.waiters {
-		if w == waiter {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			break
-		}
-	}
-	c.gm.Unlock()
-}
-
-// sendLocked writes and flushes one frame under the write lock, failing
-// the connection on error.
-func (c *Conn) sendLocked(kind, msgType uint8, payload []byte) error {
-	c.wm.Lock()
-	err := c.writeFlushLocked(kind, msgType, payload)
-	c.wm.Unlock()
-	if err != nil {
-		c.fail(err)
-		return c.Err()
-	}
 	return nil
 }
 
 // writeFlushLocked writes one frame and flushes, applying the write
 // deadline. Caller holds wm.
-func (c *Conn) writeFlushLocked(kind, msgType uint8, payload []byte) error {
+func (c *Conn) writeFlushLocked(msgType uint8, payload []byte) error {
 	if c.opts.SendTimeout > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(c.opts.SendTimeout))
 		defer c.c.SetWriteDeadline(time.Time{})
 	}
-	if err := c.writeFrame(kind, msgType, payload); err != nil {
+	var hdr [5]byte
+	hdr[0] = msgType
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	if _, err := c.w.Write(hdr[:]); err != nil {
+		return err
+	}
+	if _, err := c.w.Write(payload); err != nil {
 		return err
 	}
 	return c.w.Flush()
 }
 
-func (c *Conn) writeFrame(kind, msgType uint8, payload []byte) error {
-	var hdr [6]byte
-	hdr[0] = kind
-	hdr[1] = msgType
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(len(payload)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.w.Write(payload)
-	return err
-}
-
 // Recv returns the next application message. The returned payload is
 // drawn from the receive-buffer pool; call release when done with it to
 // recycle the buffer (releasing is optional but keeps the pool
-// effective). Recv transparently services rendezvous handshakes. When
-// Recv returns an error the connection has failed: Done is closed and
-// blocked senders have been woken. A frame whose length the protocol
-// could not have written fails the connection before anything is
-// allocated for it: an eager frame above EagerLimit, a rendezvous header
-// that is not 8 bytes or announces a size outside (EagerLimit,
-// MaxUint32], a bulk frame that is not the size of the oldest
-// outstanding announcement, and a grant that carries a payload.
+// effective). When Recv returns an error the connection has failed:
+// Done is closed and blocked senders have been woken.
 func (c *Conn) Recv() (msgType uint8, payload []byte, release func(), err error) {
 	for {
-		var hdr [6]byte
+		var hdr [5]byte
 		if _, err = io.ReadFull(c.r, hdr[:]); err != nil {
 			c.fail(err)
 			return 0, nil, nil, c.Err()
 		}
-		kind, mt := hdr[0], hdr[1]
-		n := int(binary.LittleEndian.Uint32(hdr[2:]))
-		switch kind {
-		case FrameEager, FrameBulk:
-			if err = c.checkLen(kind, n); err != nil {
-				c.fail(err)
-				return 0, nil, nil, c.Err()
-			}
-			buf := c.pool.get(n)
-			if _, err = io.ReadFull(c.r, buf); err != nil {
-				c.fail(err)
-				return 0, nil, nil, c.Err()
-			}
-			switch c.faultAction(FaultRecv, kind, mt, n) {
-			case FaultDrop:
-				c.pool.put(buf)
-				continue
-			case FaultSever:
-				c.fail(errInjectedSever)
-				return 0, nil, nil, c.Err()
-			}
-			c.stats.BytesReceived.Add(uint64(n))
-			return mt, buf, func() { c.pool.put(buf) }, nil
-		case FrameRendezvous:
-			// Pre-register a large buffer, then grant. The bulk frame
-			// follows on the same ordered stream.
-			var szb [8]byte
-			if n != len(szb) {
-				c.fail(fmt.Errorf("%w: rendezvous header of %d bytes, want %d", errMalformed, n, len(szb)))
-				return 0, nil, nil, c.Err()
-			}
-			if _, err = io.ReadFull(c.r, szb[:]); err != nil {
-				c.fail(err)
-				return 0, nil, nil, c.Err()
-			}
-			// A bulk frame's length field is a uint32, so a larger
-			// announcement could never be honoured.
-			sz64 := binary.LittleEndian.Uint64(szb[:])
-			if sz64 <= EagerLimit || sz64 > math.MaxUint32 {
-				c.fail(fmt.Errorf("%w: rendezvous announces %d bytes, outside (%d, %d]", errMalformed, sz64, EagerLimit, uint64(math.MaxUint32)))
-				return 0, nil, nil, c.Err()
-			}
-			sz := uint32(sz64)
-			switch c.faultAction(FaultRecv, FrameRendezvous, mt, int(sz)) {
-			case FaultDrop:
-				continue // never grant: the sender observes a loss
-			case FaultSever:
-				c.fail(errInjectedSever)
-				return 0, nil, nil, c.Err()
-			}
-			c.announced = append(c.announced, sz)
-			c.pool.reserve(int(sz))
-			if err := c.sendLocked(FrameGrant, 0, nil); err != nil {
-				return 0, nil, nil, err
-			}
-		case FrameGrant:
-			if n != 0 {
-				c.fail(fmt.Errorf("%w: grant carries %d bytes", errMalformed, n))
-				return 0, nil, nil, c.Err()
-			}
-			switch c.faultAction(FaultRecv, FrameGrant, mt, n) {
-			case FaultDrop:
-				continue
-			case FaultSever:
-				c.fail(errInjectedSever)
-				return 0, nil, nil, c.Err()
-			}
-			var wtr chan struct{}
-			c.gm.Lock()
-			if len(c.waiters) > 0 {
-				wtr = c.waiters[0]
-				c.waiters = c.waiters[1:]
-			}
-			c.gm.Unlock()
-			if wtr != nil {
-				wtr <- struct{}{} // cap 1: never blocks
-			} else {
-				c.stats.DroppedGrants.Inc()
-			}
-		default:
-			err = fmt.Errorf("network: unknown frame kind 0x%02x", kind)
+		mt, n := hdr[0], int(binary.LittleEndian.Uint32(hdr[1:]))
+		var buf []byte
+		if buf, err = c.readPayload(n); err != nil {
 			c.fail(err)
 			return 0, nil, nil, c.Err()
 		}
+		switch c.faultAction(FaultRecv, mt, n) {
+		case FaultDrop:
+			c.pool.put(buf)
+			continue
+		case FaultSever:
+			c.fail(errInjectedSever)
+			return 0, nil, nil, c.Err()
+		}
+		c.stats.BytesReceived.Add(uint64(n))
+		return mt, buf, func() { c.pool.put(buf) }, nil
 	}
 }
 
-// checkLen vets a payload frame's length before its buffer is drawn: an
-// eager frame fits EagerLimit, and a bulk frame answers the oldest
-// outstanding announcement with exactly the size it announced.
-func (c *Conn) checkLen(kind uint8, n int) error {
-	if kind == FrameEager {
-		if n > EagerLimit {
-			return fmt.Errorf("%w: eager frame of %d bytes, limit %d", errMalformed, n, EagerLimit)
+// readPayload reads an n-byte payload. It reuses a pooled buffer when
+// one is large enough; otherwise it starts at ioBufSize at most and
+// doubles as the bytes arrive, so a length field claiming gigabytes
+// costs memory only for what the peer actually sent.
+func (c *Conn) readPayload(n int) ([]byte, error) {
+	buf := c.pool.get(n)
+	if buf == nil {
+		c.stats.BuffersAlloced.Inc()
+		buf = make([]byte, min(n, ioBufSize))
+	}
+	for got := 0; ; {
+		m, err := io.ReadFull(c.r, buf[got:])
+		if got += m; err != nil {
+			return nil, err
 		}
-		return nil
+		if got == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-got, got))...)
 	}
-	if len(c.announced) == 0 {
-		return fmt.Errorf("%w: bulk frame of %d bytes with no rendezvous outstanding", errMalformed, n)
-	}
-	want := c.announced[0]
-	c.announced = c.announced[1:]
-	if n != int(want) {
-		return fmt.Errorf("%w: bulk frame of %d bytes, rendezvous announced %d", errMalformed, n, want)
-	}
-	return nil
 }
 
 // Listener accepts BatchDB connections.
 type Listener struct {
 	l     net.Listener
 	stats *Stats
-	opts  Options
 }
 
-// Listen binds a TCP listener with no deadlines on accepted conns.
+// Listen binds a TCP listener; accepted connections carry no deadline.
 func Listen(addr string, stats *Stats) (*Listener, error) {
-	return ListenOpts(addr, stats, Options{})
-}
-
-// ListenOpts binds a TCP listener; accepted connections carry opts.
-func ListenOpts(addr string, stats *Stats, opts Options) (*Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("network: listen %s: %w", addr, err)
@@ -587,7 +350,7 @@ func ListenOpts(addr string, stats *Stats, opts Options) (*Listener, error) {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &Listener{l: l, stats: stats, opts: opts}, nil
+	return &Listener{l: l, stats: stats}, nil
 }
 
 // Addr returns the bound address.
@@ -602,7 +365,7 @@ func (l *Listener) Accept() (*Conn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return NewConnOpts(c, l.stats, l.opts), nil
+	return NewConnOpts(c, l.stats, Options{}), nil
 }
 
 // Close stops the listener.
@@ -620,8 +383,8 @@ func newBufferPool(stats *Stats) *bufferPool {
 	return &bufferPool{stats: stats}
 }
 
-// get returns a buffer of exactly n bytes, reusing pooled storage when
-// large enough.
+// get returns a pooled buffer cut to exactly n bytes, or nil when none
+// is large enough.
 func (p *bufferPool) get(n int) []byte {
 	p.mu.Lock()
 	for i := len(p.bufs) - 1; i >= 0; i-- {
@@ -634,8 +397,7 @@ func (p *bufferPool) get(n int) []byte {
 		}
 	}
 	p.mu.Unlock()
-	p.stats.BuffersAlloced.Inc()
-	return make([]byte, n)
+	return nil
 }
 
 // put returns a buffer to the pool.
@@ -648,18 +410,4 @@ func (p *bufferPool) put(b []byte) {
 		p.bufs = append(p.bufs, b[:0])
 	}
 	p.mu.Unlock()
-}
-
-// reserve pre-registers capacity for an announced large transfer.
-func (p *bufferPool) reserve(n int) {
-	p.mu.Lock()
-	for _, b := range p.bufs {
-		if cap(b) >= n {
-			p.mu.Unlock()
-			return
-		}
-	}
-	p.bufs = append(p.bufs, make([]byte, 0, n))
-	p.mu.Unlock()
-	p.stats.BuffersAlloced.Inc()
 }

@@ -8,10 +8,10 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	with := func(extra ...obs.Label) []obs.Label {
 		return append(append([]obs.Label(nil), labels...), extra...)
 	}
+	// Every frame takes one path now; the path label stays until the
+	// benchmark stops reading it (ROADMAP 1A(j)).
 	reg.ObserveCounter("batchdb_net_msgs_total",
-		"Frames sent by path.", &s.EagerMsgs, with(obs.L("path", "eager"))...)
-	reg.ObserveCounter("batchdb_net_msgs_total",
-		"Frames sent by path.", &s.RendezvousMsgs, with(obs.L("path", "rendezvous"))...)
+		"Frames sent.", &s.Msgs, with(obs.L("path", "eager"))...)
 	reg.ObserveCounter("batchdb_net_bytes_total",
 		"Payload bytes by direction.", &s.BytesSent, with(obs.L("dir", "sent"))...)
 	reg.ObserveCounter("batchdb_net_bytes_total",
@@ -22,10 +22,6 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Frame buffers by origin.", &s.BuffersAlloced, with(obs.L("origin", "alloced"))...)
 	reg.ObserveCounter("batchdb_net_dial_retries_total",
 		"Dial attempts beyond each first try.", &s.Retries, labels...)
-	reg.ObserveCounter("batchdb_net_dropped_grants_total",
-		"Rendezvous grants that arrived with no waiting sender.", &s.DroppedGrants, labels...)
-	reg.ObserveCounter("batchdb_net_grant_timeouts_total",
-		"Rendezvous handshakes abandoned on grant deadline.", &s.GrantTimeouts, labels...)
 	reg.ObserveCounter("batchdb_net_severed_total",
 		"Connections that transitioned to failed.", &s.Severed, labels...)
 }

@@ -77,7 +77,9 @@ type family struct {
 // Registration is by (name, labels): registering the same series twice
 // with the same instrument is a no-op, so wiring code can be idempotent.
 // Registering a name with a different kind, or a series with a
-// different live instrument, panics — those are wiring bugs.
+// different live instrument, panics — those are wiring bugs. Funcs
+// cannot be compared, so a CounterFunc or GaugeFunc series registers
+// once: registering it again panics the same way.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -158,6 +160,10 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label, inst a
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s, was %s", name, kind, f.kind))
 	}
 	if s := f.series[key]; s != nil {
+		switch inst.(type) {
+		case func() uint64, func() float64:
+			panic(fmt.Sprintf("obs: series %q%v already bound (a func series registers once)", name, labels))
+		}
 		if s.inst != inst {
 			panic(fmt.Sprintf("obs: series %q%v already bound to a different instrument", name, labels))
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -182,6 +183,28 @@ func TestRegistryFuncs(t *testing.T) {
 	}
 	if v := findSample(t, s, "batchdb_fn_gauge").Value; v != 2.5 {
 		t.Fatalf("gauge func exported %v", v)
+	}
+}
+
+// Funcs cannot be compared, so registering a func series a second time
+// must raise the registry's own wiring-bug panic naming the series, not
+// a runtime comparison error.
+func TestRegistryFuncSeriesRegistersOnce(t *testing.T) {
+	for _, reg := range []func(r *Registry){
+		func(r *Registry) { r.CounterFunc("batchdb_func_total", "", func() uint64 { return 1 }, L("side", "a")) },
+		func(r *Registry) { r.GaugeFunc("batchdb_func_gauge", "", func() float64 { return 1 }, L("side", "a")) },
+	} {
+		r := NewRegistry()
+		reg(r)
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "already bound") || !strings.Contains(msg, "batchdb_func_") {
+					t.Fatalf("second registration panicked with %q, want the registry's already-bound panic naming the series", msg)
+				}
+			}()
+			reg(r)
+		}()
 	}
 }
 

@@ -83,6 +83,9 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 			horizon := e.store.MinActiveSnapshot() // first: it is bounded by the watermark it reads
 			return float64(e.LatestVID() - horizon)
 		}, labels...)
+	reg.CounterFunc("batchdb_mvcc_gc_chains_visited_total",
+		"Version chains garbage collection examined.",
+		e.store.ChainsVisited, labels...)
 	reg.CounterFunc("batchdb_mvcc_versions_unlinked_total",
 		"Row versions garbage collection cut out of their chains.",
 		e.store.VersionsUnlinked, labels...)

@@ -130,14 +130,10 @@ func (p *Publisher) ApplyUpdates(batches []proplog.Batch, upTo uint64) {
 	p.enqueue(msgUpdates, buf)
 }
 
-// Serve answers sync requests until the connection closes.
-//
-// The reader loop must never block on the engine: a sync request makes
-// the engine's dispatcher push updates through ApplyUpdates, and a push
-// larger than the transport's eager limit waits for a rendezvous grant
-// that only this connection's Recv loop can deliver. Handling syncs on
-// a separate goroutine keeps the reader free to service grants, which
-// breaks that cycle.
+// Serve answers sync requests until the connection closes. It answers
+// each on its reader goroutine: engine.SyncUpdates pushes through
+// ApplyUpdates, which never blocks, and returns once the engine closes,
+// so the loop always comes back to Recv.
 //
 // Sync replies travel through the same FIFO queue as update pushes, so
 // a reply is always ordered after the updates it covers — the coverage
@@ -146,43 +142,28 @@ func (p *Publisher) Serve() error {
 	// Whatever ends this loop, fail the connection so the send loop and
 	// any queued senders unwind too.
 	defer p.conn.Close()
-	syncs := make(chan struct{}, 64)
-	defer close(syncs)
-	go func() {
-		for range syncs {
-			// SyncUpdates pushes through our ApplyUpdates (among the
-			// engine's sinks) before returning, so enqueueing the reply
-			// here orders it after the updates it covers.
-			covered := p.engine.SyncUpdates()
-			b := binary.LittleEndian.AppendUint64(network.GetFrameBuf(), covered)
-			p.enqueue(msgSyncReply, b)
-		}
-	}()
 	for {
 		mt, _, release, err := p.conn.Recv()
 		if err != nil {
 			return err
 		}
-		if release != nil {
-			release()
-		}
+		release()
 		if mt != msgSync {
 			return fmt.Errorf("replica: primary received unexpected message type %d", mt)
 		}
-		// Every request gets exactly one reply (the client performs one
-		// sync round trip at a time, so this never blocks in practice).
-		syncs <- struct{}{}
+		// SyncUpdates pushes through our ApplyUpdates (among the
+		// engine's sinks) before returning, so enqueueing the reply here
+		// orders it after the updates it covers.
+		covered := p.engine.SyncUpdates()
+		p.enqueue(msgSyncReply, binary.LittleEndian.AppendUint64(network.GetFrameBuf(), covered))
 	}
 }
 
 // ShipSnapshot streams the current committed state of the given tables
-// to the replica node, chunked so large tables exercise the bulk
-// (rendezvous) path, and finishes with the snapshot VID. Attach the
-// Publisher to the engine's sink set *before* calling this: the replica
-// discards any update the snapshot already contains (VID floor). The
-// Publisher's Serve loop must already be running, because bulk chunks
-// wait for the receiver's rendezvous grant, which Serve's Recv loop
-// delivers.
+// to the replica node in chunks of chunkRows rows, and finishes with the
+// snapshot VID. Attach the Publisher to the engine's sink set *before*
+// calling this: the replica discards any update the snapshot already
+// contains (VID floor).
 func ShipSnapshot(conn *network.Conn, store *mvcc.Store, tables []storage.TableID, chunkRows int) (uint64, error) {
 	ro := store.BeginRO()
 	defer ro.Release()

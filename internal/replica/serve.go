@@ -10,8 +10,9 @@ import (
 )
 
 // bootChunkRows is the bootstrap snapshot's chunk size: large enough
-// that a wide table's chunks take the transport's rendezvous path,
-// small enough that a chunk never holds a whole table.
+// that a chunk's per-message costs (a frame header, a receive buffer,
+// one decode call) are spread over many rows, small enough that a chunk
+// never holds a whole table.
 const bootChunkRows = 4096
 
 // ServerStats counts a primary's replica-serving activity.

@@ -35,9 +35,9 @@ type SupervisorConfig struct {
 	ReconnectPause time.Duration
 }
 
-// linkTimeout is every link's send and rendezvous-grant deadline, so a
-// wedged primary or a lost grant surfaces as a connection failure (and
-// a reconnect) instead of a silent hang.
+// linkTimeout is every link's send deadline, so a wedged primary
+// surfaces as a connection failure (and a reconnect) instead of a
+// silent hang.
 const linkTimeout = 10 * time.Second
 
 // Status is a point-in-time view of the replication channel.
@@ -240,8 +240,7 @@ func (s *Supervisor) run() {
 			return
 		default:
 		}
-		opts := network.Options{SendTimeout: linkTimeout, GrantTimeout: linkTimeout}
-		conn, err := network.DialRetry(s.addr, s.netStats, opts, s.cfg.Retry, s.closing)
+		conn, err := network.DialRetry(s.addr, s.netStats, network.Options{SendTimeout: linkTimeout}, s.cfg.Retry, s.closing)
 		if err != nil {
 			s.noteError(err)
 			if first {

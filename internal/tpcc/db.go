@@ -126,15 +126,15 @@ func Build(scale Scale, store *mvcc.Store, create CreateFunc) *DB {
 		return RegionKey(sch.Region.GetInt64(t, RRegionKey))
 	}, NumRegions)
 
-	db.CustByName = db.Customer.AddSecondary("by_name", func(t []byte) uint64 {
+	db.CustByName = db.Customer.AddSecondary(func(t []byte) uint64 {
 		return CustomerNameKey(sch.Customer.GetInt64(t, CWID), sch.Customer.GetInt64(t, CDID),
 			sch.Customer.GetString(t, CLast), sch.Customer.GetInt64(t, CID))
 	})
-	db.OrdByCust = db.Order.AddSecondary("by_cust", func(t []byte) uint64 {
+	db.OrdByCust = db.Order.AddSecondary(func(t []byte) uint64 {
 		return OrderCustomerKey(sch.Order.GetInt64(t, OWID), sch.Order.GetInt64(t, ODID),
 			sch.Order.GetInt64(t, OCID), sch.Order.GetInt64(t, OID))
 	})
-	db.NOByDist = db.NewOrder.AddSecondary("by_dist", func(t []byte) uint64 {
+	db.NOByDist = db.NewOrder.AddSecondary(func(t []byte) uint64 {
 		return NewOrderKey(sch.NewOrder.GetInt64(t, NOWID), sch.NewOrder.GetInt64(t, NODID),
 			sch.NewOrder.GetInt64(t, NOOID))
 	})

@@ -23,7 +23,6 @@ import (
 // calls and that stay anyway, each with the reason. A key is the package
 // path below internal/, a dot and the name, or Type.Method for a method.
 var unusedAllowed = map[string]string{
-	"network.DropKind":            "fault injector: the replica and fleet tests drop one message kind",
 	"network.SeverAfter":          "fault injector: the fleet and root tests cut a link after n frames",
 	"network.DelayAll":            "fault injector: the chaos soak delays every frame",
 	"network.IsInjectedFault":     "fault injector: tests tell an injected error from a real one",
@@ -40,7 +39,6 @@ var unusedAllowed = map[string]string{
 	"mvcc.Table.ScanChains":       "walks every chain of a table, visible or not: the oltp and mvcc tests count versions with it",
 	"mvcc.Chain.Head":             "a chain's newest version, where the version-count walks start",
 	"mvcc.Record.Older":           "the next older version, the step of the version-count walks",
-	"mvcc.Store.ChainsVisited":    "GC's chain-visit total, which TestWorkPerTxnStaysFlat holds flat per commit",
 }
 
 // TestNoUnusedExports fails when a package-level declaration under
